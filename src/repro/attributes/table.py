@@ -11,10 +11,17 @@ bitset union over posting lists.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-from collections.abc import Iterable, Sequence
+import threading
+from collections import OrderedDict
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
+
+#: Row-memo entries (one per distinct row-scanning leaf) a table keeps
+#: before evicting the least recently used; each costs 2 bytes per row.
+_ROW_MEMO_ENTRIES = 128
 
 
 class ColumnKind(enum.Enum):
@@ -50,14 +57,14 @@ class _KeywordColumn:
         self._posting_bounds = np.searchsorted(
             self._sorted_tokens, np.arange(len(self.vocab) + 1)
         )
+        self._words = list(self.vocab)  # token -> keyword (interned in order)
 
     def __len__(self) -> int:
         return self.offsets.shape[0] - 1
 
     def row_keywords(self, row: int) -> list[str]:
-        inv = {v: k for k, v in self.vocab.items()}
         lo, hi = self.offsets[row], self.offsets[row + 1]
-        return [inv[t] for t in self.tokens[lo:hi]]
+        return [self._words[t] for t in self.tokens[lo:hi]]
 
     def rows_containing(self, keyword: str) -> np.ndarray:
         """Rows whose list contains ``keyword`` (empty if unseen)."""
@@ -75,6 +82,26 @@ class _KeywordColumn:
         return mask
 
 
+@dataclasses.dataclass(frozen=True)
+class MemoInfo:
+    """Row-memo counters: live ``entries``, rows a leaf had to scan, and
+    rows answered from stored verdicts instead."""
+
+    entries: int
+    rows_scanned: int
+    rows_reused: int
+
+
+class _RowMemo:
+    """Per-leaf ``known`` / ``value`` row verdicts, LRU-bounded."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.entries: OrderedDict[Hashable, np.ndarray] = OrderedDict()
+        self.scanned = 0
+        self.reused = 0
+
+
 class AttributeTable:
     """A named collection of attribute columns over ``n`` entities.
 
@@ -88,6 +115,50 @@ class AttributeTable:
             raise ValueError(f"num_rows must be non-negative, got {num_rows}")
         self.num_rows = int(num_rows)
         self._columns: dict[str, tuple[ColumnKind, object]] = {}
+        self._row_memo = _RowMemo()
+
+    def __getstate__(self) -> dict:
+        # The memo and its lock belong to this object, not to a copy.
+        return {k: v for k, v in self.__dict__.items() if k != "_row_memo"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._row_memo = _RowMemo()
+
+    def memo_rows(self, key: Hashable, rows: np.ndarray, scan: Callable) -> np.ndarray:
+        """Verdicts of the row-scanning leaf ``key`` on ``rows``.
+
+        ``scan(todo) -> bool[len(todo)]`` is called only for rows no
+        earlier call under ``key`` has seen; verdicts are kept for this
+        table object's lifetime (or until LRU eviction).  Compaction,
+        sharding and subsetting build new tables, hence new memos: a
+        verdict can never outlive the rows it describes.
+        """
+        memo = self._row_memo
+        # Held across the scan (interpreter-bound, so nothing is lost):
+        # two callers can then never scan or count the same row twice.
+        with memo.lock:
+            entry = memo.entries.get(key)
+            if entry is None:
+                entry = memo.entries[key] = np.zeros((2, self.num_rows), dtype=bool)
+                while len(memo.entries) > _ROW_MEMO_ENTRIES:
+                    memo.entries.popitem(last=False)
+            else:
+                memo.entries.move_to_end(key)
+            known, value = entry
+            todo = rows[~known[rows]]
+            if todo.size:
+                value[todo] = scan(todo)
+                known[todo] = True
+            memo.scanned += todo.size
+            memo.reused += rows.size - todo.size
+            return value[rows]
+
+    def memo_info(self) -> MemoInfo:
+        """Current row-memo counters as a :class:`MemoInfo`."""
+        memo = self._row_memo
+        with memo.lock:
+            return MemoInfo(len(memo.entries), memo.scanned, memo.reused)
 
     def __len__(self) -> int:
         return self.num_rows

@@ -22,9 +22,19 @@ from repro.attributes.table import AttributeTable
 class Predicate(abc.ABC):
     """A boolean condition over an entity's structured attributes."""
 
+    #: True for leaves whose ``mask`` walks a column row by row in the
+    #: interpreter (and composites holding one): ``And`` / ``Or`` run
+    #: these last, through :meth:`mask_rows`, on undecided rows only.
+    row_scan = False
+
     @abc.abstractmethod
     def mask(self, table: AttributeTable) -> np.ndarray:
         """Boolean mask over all entities: ``mask[i]`` iff entity i passes."""
+
+    def mask_rows(self, table: AttributeTable, rows: np.ndarray) -> np.ndarray:
+        """``mask(table)[rows]`` — overridden where evaluating only
+        ``rows`` (any order, repeats allowed) is cheaper than that."""
+        return self.mask(table)[rows]
 
     def matches(self, table: AttributeTable, entity_id: int) -> bool:
         """Whether a single entity passes.

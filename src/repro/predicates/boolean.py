@@ -1,4 +1,10 @@
-"""Boolean composition of predicates: And / Or / Not."""
+"""Boolean composition of predicates: And / Or / Not.
+
+``And`` / ``Or`` evaluate vectorised children over the whole row set
+first and ``row_scan`` children (regex, and composites holding one)
+only over the rows the others left undecided — survivors for ``And``,
+rows not yet passing for ``Or``.
+"""
 
 from __future__ import annotations
 
@@ -8,46 +14,61 @@ from repro.attributes.table import AttributeTable
 from repro.predicates.base import Predicate
 
 
-class And(Predicate):
-    """Conjunction of two or more predicates."""
+class _Junction(Predicate):
+    """N-ary ``And`` (``_conj``) / ``Or``: one restricted evaluator."""
+
+    _conj: bool
 
     def __init__(self, *children: Predicate) -> None:
         if len(children) < 2:
-            raise ValueError("And requires at least two children")
+            raise ValueError(f"{type(self).__name__} requires at least two children")
         self.children = tuple(children)
+        self.row_scan = any(child.row_scan for child in children)
 
     def mask(self, table: AttributeTable) -> np.ndarray:
-        out = self.children[0].mask(table).copy()
-        for child in self.children[1:]:
-            out &= child.mask(table)
+        return self._evaluate(table, None)
+
+    def mask_rows(self, table: AttributeTable, rows: np.ndarray) -> np.ndarray:
+        return self._evaluate(table, np.asarray(rows, dtype=np.intp))
+
+    def _evaluate(self, table: AttributeTable, rows: np.ndarray | None) -> np.ndarray:
+        # rows None: every row.  Every child is called even when no row
+        # is left undecided, so column/kind errors surface regardless.
+        def over_rows(child: Predicate) -> np.ndarray:
+            return child.mask(table) if rows is None else child.mask_rows(table, rows)
+
+        ordered = sorted(self.children, key=lambda child: child.row_scan)
+        out = over_rows(ordered[0]).copy()
+        for child in ordered[1:]:
+            if child.row_scan:
+                todo = np.flatnonzero(out if self._conj else ~out)
+                out[todo] = child.mask_rows(table, todo if rows is None else rows[todo])
+            elif self._conj:
+                out &= over_rows(child)
+            else:
+                out |= over_rows(child)
         return out
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(map(repr, self.children)) + ")"
+
+
+class And(_Junction):
+    """Conjunction of two or more predicates."""
+
+    _conj = True
 
     def matches(self, table: AttributeTable, entity_id: int) -> bool:
         return all(child.matches(table, entity_id) for child in self.children)
 
-    def __repr__(self) -> str:
-        return "And(" + ", ".join(repr(c) for c in self.children) + ")"
 
-
-class Or(Predicate):
+class Or(_Junction):
     """Disjunction of two or more predicates."""
 
-    def __init__(self, *children: Predicate) -> None:
-        if len(children) < 2:
-            raise ValueError("Or requires at least two children")
-        self.children = tuple(children)
-
-    def mask(self, table: AttributeTable) -> np.ndarray:
-        out = self.children[0].mask(table).copy()
-        for child in self.children[1:]:
-            out |= child.mask(table)
-        return out
+    _conj = False
 
     def matches(self, table: AttributeTable, entity_id: int) -> bool:
         return any(child.matches(table, entity_id) for child in self.children)
-
-    def __repr__(self) -> str:
-        return "Or(" + ", ".join(repr(c) for c in self.children) + ")"
 
 
 class Not(Predicate):
@@ -55,9 +76,13 @@ class Not(Predicate):
 
     def __init__(self, child: Predicate) -> None:
         self.child = child
+        self.row_scan = child.row_scan
 
     def mask(self, table: AttributeTable) -> np.ndarray:
         return ~self.child.mask(table)
+
+    def mask_rows(self, table: AttributeTable, rows: np.ndarray) -> np.ndarray:
+        return ~self.child.mask_rows(table, rows)
 
     def matches(self, table: AttributeTable, entity_id: int) -> bool:
         return not self.child.matches(table, entity_id)

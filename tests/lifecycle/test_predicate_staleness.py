@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine.engine import QueryBatch, SearchEngine
 from repro.lifecycle import LifecycleConfig, LifecycleIndex
-from repro.predicates import Equals
+from repro.predicates import And, Equals, RegexMatch
 
 from tests.lifecycle.conftest import DIM, EF_EXHAUSTIVE, PARAMS
 
@@ -171,3 +171,76 @@ class TestServingTableAcrossCompaction:
             await service.aclose()
 
         asyncio.new_event_loop().run_until_complete(close())
+
+
+class TestRowMemoAcrossCompaction:
+    """The regex row memo lives on the table object, so a base swap —
+    even one that keeps the length — starts from an empty memo."""
+
+    @staticmethod
+    def make():
+        rng = np.random.default_rng(321)
+        vectors = rng.standard_normal((N, DIM)).astype(np.float32)
+        from repro.attributes.table import AttributeTable
+
+        table = AttributeTable(N)
+        table.add_int_column("v", np.asarray([1] * 8 + [0] * 8))
+        table.add_string_column("caption", ["red dog"] * 8 + ["blue cat"] * 8)
+        lc = LifecycleIndex.build(
+            vectors, table, params=PARAMS, seed=0,
+            config=LifecycleConfig(compact_min_delta=1),
+        )
+        return lc, rng
+
+    def test_same_length_base_swap_does_not_reuse_verdicts(self):
+        lc, rng = self.make()
+        query = rng.standard_normal(DIM).astype(np.float32)
+        # Unique trees around one recurring leaf: only the row memo,
+        # never the whole-tree cache, can carry the regex verdicts over.
+        dog = RegexMatch("caption", r"\bdog\b")
+        with SearchEngine(lc, num_workers=1) as engine:
+            old_table = lc.table
+            before = engine.search_batch(
+                QueryBatch.build(query, dog, k=8, ef_search=EF_EXHAUSTIVE)
+            )
+            assert sorted(before[0].ids.tolist()) == list(range(8))
+            assert old_table.memo_info().rows_scanned == N
+
+            for external_id in range(8):
+                assert lc.delete(external_id)
+            inserted = [
+                lc.insert(rng.standard_normal(DIM).astype(np.float32),
+                          {"v": 0, "caption": "green dog" if i < 3 else "green cat"})
+                for i in range(8)
+            ]
+            lc.compact(seed=0)
+            new_table = lc.table
+            assert new_table is not old_table
+            assert len(new_table) == len(old_table) == N
+            assert new_table.memo_info().entries == 0
+
+            after = engine.search_batch(
+                QueryBatch.build(query, And(dog, Equals("v", 0)), k=8,
+                                 ef_search=EF_EXHAUSTIVE)
+            )
+            assert sorted(after[0].ids.tolist()) == sorted(inserted[:3])
+            exact = lc._published.exact_search(query, dog, 8)
+            assert sorted(exact.ids.tolist()) == sorted(inserted[:3])
+            assert new_table.memo_info().rows_scanned == N
+            # The dead table's memo is untouched and dies with it.
+            assert old_table.memo_info().rows_scanned == N
+
+    def test_save_load_round_trip_carries_no_memo(self, tmp_path):
+        from repro.persistence import load_index, save_index
+
+        lc, _ = self.make()
+        index = lc._published.base
+        pred = RegexMatch("caption", "dog")
+        expected = pred.mask(index.table)
+        assert index.table.memo_info().entries == 1
+        save_index(index, tmp_path / "base.npz")
+        loaded = load_index(tmp_path / "base.npz")
+        assert loaded.table is not index.table
+        assert loaded.table.memo_info().entries == 0
+        np.testing.assert_array_equal(pred.mask(loaded.table), expected)
+        assert loaded.table.memo_info().rows_scanned == N
