@@ -5,57 +5,22 @@ dataset surrogates without touching pytest::
 
     python -m repro sweep --dataset sift --n 4000 --methods acorn,acorn1,pre,post
     python -m repro correlation --n 2000
-    python -m repro bench-batch --n 10000 --queries 256 --workers 4
-    python -m repro bench-traversal --n 10000 --queries 128
-    python -m repro bench-shard --n 10000 --shards 4
-    python -m repro bench-chaos --shards 8 --failure-rate 0.2
-    python -m repro bench-route --n 10000 --queries 240
-    python -m repro bench-quant --n 10000 --queries 128
-    python -m repro bench-lifecycle --n 8000 --ops 2000
     python -m repro info
 
-Every command prints the same text tables the benchmark harness emits;
-``bench-batch`` additionally appends a JSON record to
-``BENCH_engine.json``, ``bench-traversal`` to ``BENCH_traversal.json``
-(CSR kernel vs the legacy dict kernel) and ``bench-shard`` to
-``BENCH_shard.json`` (scatter-gather over a sharded index vs the single
-monolithic index, with router-pruning accounting) and ``bench-chaos``
-to ``BENCH_chaos.json`` (resilient scatter-gather under a seeded fault
-plan on a deterministic injected clock — degradation accounting,
-survivors-only ground-truth agreement, and per-query clock budgets)
-and ``bench-route`` to ``BENCH_route.json`` (static s_min threshold
-routing vs the adaptive cost-based planner on a correlated /
-anti-correlated workload, with per-route accounting and estimator
-error) and ``bench-quant`` to ``BENCH_quant.json`` (the quantized
-int8/PQ-ADC traversal hot path with its exact-rerank tail vs the
-float32 search on the same graph — batch-QPS speedup, recall floor,
-and a double-run determinism gate) and ``bench-lifecycle`` to
-``BENCH_lifecycle.json`` (read QPS and exact recall under a concurrent
-seeded write stream with online compaction — gated on a double
-virtual-replay determinism check and on zero failed or blocked reads)
-and ``bench-parallel`` to ``BENCH_parallel.json`` (the zero-copy
-shared-memory process executor vs the thread executor at 1/2/4/8
-workers — gated on byte-identity to the sequential loop, a double-run
-determinism check, in-worker shared-memory buffer identity, and, on
-machines with >= 4 CPUs, a 2x process-vs-thread batch-QPS floor;
-``--smoke`` turns any of them into a CI regression gate).
-``bench-report`` aggregates every ``BENCH_*.json`` in a directory into
-one markdown perf-trajectory table (``BENCH_REPORT.md``) and an
-optional CSV.
+``sweep`` prints the recall@K-vs-QPS tables of §7 and ``correlation``
+the query-correlation C(D,Q) of the LAION-like workloads.  Neither is a
+performance yardstick: every number a PR is judged by comes from
+``benchmarks/e2e/run.py`` (declared in ``BENCHMARK.json``, compared
+with ``benchmarks/e2e/compare.py``).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
-import time
-from pathlib import Path
 
 import numpy as np
 
 import repro
-from repro.attributes import AttributeTable
 from repro.baselines import PostFilterSearcher, PreFilterSearcher
 from repro.core import AcornIndex, AcornOneIndex, AcornParams
 from repro.datasets import (
@@ -65,10 +30,8 @@ from repro.datasets import (
     make_tripclick_like,
     query_correlation,
 )
-from repro.engine import QueryBatch, SearchEngine
-from repro.eval import SweepRunner, percentile_summary, render_sweeps
+from repro.eval import SweepRunner, render_sweeps
 from repro.hnsw import HnswIndex
-from repro.predicates import RegexMatch
 from repro.utils.timer import Timer
 
 DATASETS = {
@@ -104,16 +67,11 @@ def _build_methods(names: list[str], dataset, m: int, gamma: int, seed: int):
                 methods["pre-filter"] = PreFilterSearcher(
                     dataset.vectors, dataset.table
                 )
-            elif name == "post":
+            else:  # "post": the parser admits only the four names
                 hnsw = HnswIndex.build(dataset.vectors, m=m,
                                        ef_construction=48, seed=seed)
                 methods["HNSW post-filter"] = PostFilterSearcher(
                     hnsw, dataset.table, max_oversearch=0.5
-                )
-            else:
-                raise SystemExit(
-                    f"unknown method {name!r}; choose from acorn, acorn1, "
-                    "pre, post"
                 )
         print(f"  built {name} in {t.elapsed:.1f}s")
     return methods
@@ -130,9 +88,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         args.methods.split(","), dataset, args.m, args.gamma, args.seed
     )
     runner = SweepRunner(dataset, k=args.k)
-    efforts = [int(e) for e in args.efforts.split(",")]
     sweeps = [
-        runner.sweep(name, method, efforts=efforts)
+        runner.sweep(name, method, efforts=args.efforts)
         for name, method in methods.items()
     ]
     print()
@@ -149,1702 +106,6 @@ def _cmd_correlation(args: argparse.Namespace) -> None:
               f"{dataset.selectivities().mean():.3f}  C={c:+10.2f}")
 
 
-_BENCH_VOCAB = [
-    "amber", "basalt", "cedar", "delta", "ember", "fjord", "garnet",
-    "harbor", "indigo", "juniper", "krypton", "lagoon", "meadow",
-    "nimbus", "onyx", "prairie", "quartz", "russet", "sierra", "tundra",
-    "umber", "violet", "willow", "xenon", "yarrow", "zephyr",
-]
-
-
-def _make_bench_world(n: int, dim: int, n_queries: int, distinct: int,
-                      seed: int):
-    """Synthetic serving workload: clustered vectors, caption column,
-    and a query stream cycling through ``distinct`` regex predicates."""
-    gen = np.random.default_rng(seed)
-    centers = gen.standard_normal((16, dim)).astype(np.float32)
-    assign = gen.integers(0, 16, size=n)
-    vectors = (centers[assign]
-               + 0.35 * gen.standard_normal((n, dim))).astype(np.float32)
-    captions = [
-        " ".join(gen.choice(_BENCH_VOCAB, size=8, replace=False))
-        for _ in range(n)
-    ]
-    table = AttributeTable(n)
-    table.add_string_column("caption", captions)
-    words = list(gen.choice(_BENCH_VOCAB, size=distinct, replace=False))
-    predicates = [
-        RegexMatch("caption", rf"\b{words[i % distinct]}\b")
-        for i in range(n_queries)
-    ]
-    queries = vectors[gen.choice(n, size=n_queries, replace=False)].copy()
-    return vectors, table, queries, predicates
-
-
-def _cmd_bench_batch(args: argparse.Namespace) -> None:
-    print(f"generating serving workload (n={args.n}, dim={args.dim}, "
-          f"queries={args.queries}, {args.distinct_predicates} distinct "
-          "regex predicates)...")
-    vectors, table, queries, predicates = _make_bench_world(
-        args.n, args.dim, args.queries, args.distinct_predicates, args.seed
-    )
-    params = AcornParams(m=args.m, gamma=args.gamma, m_beta=2 * args.m,
-                         ef_construction=40)
-    with Timer() as t:
-        index = AcornIndex.build(vectors, table, params=params, seed=args.seed)
-    print(f"built ACORN-gamma (m={args.m}, gamma={args.gamma}) "
-          f"in {t.elapsed:.1f}s")
-    index.freeze()
-
-    # Baseline: the pre-engine serving path — one query at a time, each
-    # call re-materializing its predicate mask.
-    with Timer() as t:
-        seq_results = [
-            index.search(q, p, args.k, ef_search=args.ef)
-            for q, p in zip(queries, predicates)
-        ]
-    seq_qps = len(queries) / t.elapsed
-
-    batch = QueryBatch.build(queries, predicates, k=args.k,
-                             ef_search=args.ef)
-    outcomes = {}
-    for workers in sorted({1, args.workers}):
-        with SearchEngine(index, num_workers=workers) as engine:
-            with Timer() as t:
-                outcome = engine.search_batch(batch)
-            outcomes[workers] = (outcome, len(queries) / t.elapsed)
-
-    outcome, engine_qps = outcomes[args.workers]
-    for seq, bat in zip(seq_results, outcome.results):
-        if not np.array_equal(seq.ids, bat.ids):
-            raise SystemExit("engine results diverged from sequential loop")
-    latency = percentile_summary(s.wall_time_s for s in outcome.stats)
-    ncomp = percentile_summary(s.distance_computations for s in outcome.stats)
-    speedup = engine_qps / seq_qps
-
-    print(f"\nsequential loop     : {seq_qps:10.1f} qps")
-    for workers, (_, qps) in sorted(outcomes.items()):
-        print(f"engine, {workers:2d} worker(s) : {qps:10.1f} qps "
-              f"({qps / seq_qps:.2f}x)")
-    print(f"cache               : {outcome.cache_hits} hits / "
-          f"{outcome.cache_misses} misses")
-    print(f"latency p50/p95/p99 : {latency.p50 * 1e3:.2f} / "
-          f"{latency.p95 * 1e3:.2f} / {latency.p99 * 1e3:.2f} ms")
-    print(f"distance comps p50  : {ncomp.p50:.0f} per query")
-
-    entry = {
-        "bench": "engine-batch",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "n": args.n,
-        "dim": args.dim,
-        "queries": args.queries,
-        "k": args.k,
-        "ef_search": args.ef,
-        "index": "acorn-gamma",
-        "m": args.m,
-        "gamma": args.gamma,
-        "distinct_predicates": args.distinct_predicates,
-        "workers": args.workers,
-        "sequential_qps": round(seq_qps, 2),
-        "engine_qps_by_workers": {
-            str(w): round(qps, 2) for w, (_, qps) in outcomes.items()
-        },
-        "engine_qps": round(engine_qps, 2),
-        "speedup_vs_sequential": round(speedup, 3),
-        "latency_s": dataclasses.asdict(latency),
-        "distance_computations": dataclasses.asdict(ncomp),
-        "cache_hits": outcome.cache_hits,
-        "cache_misses": outcome.cache_misses,
-    }
-    out = Path(args.out)
-    entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
-    out.write_text(json.dumps(entries, indent=2) + "\n")
-    print(f"\nrecorded entry in {out} "
-          f"(speedup vs sequential: {speedup:.2f}x)")
-
-
-# Benchmark-record schemas and validators live in
-# repro.eval.benchschema; re-exported here because the CI jobs and
-# older tests import them from repro.cli.
-from repro.eval.benchschema import (  # noqa: E402  (re-export)
-    BUILD_SCHEMA_KEYS,
-    CHAOS_SCHEMA_KEYS,
-    LIFECYCLE_SCHEMA_KEYS,
-    PARALLEL_SCHEMA_KEYS,
-    QUANT_SCHEMA_KEYS,
-    ROUTE_SCHEMA_KEYS,
-    SERVING_SCHEMA_KEYS,
-    SHARD_SCHEMA_KEYS,
-    TRAVERSAL_SCHEMA_KEYS,
-    validate_build_entry,
-    validate_chaos_entry,
-    validate_lifecycle_entry,
-    validate_parallel_entry,
-    validate_quant_entry,
-    validate_route_entry,
-    validate_serving_entry,
-    validate_shard_entry,
-    validate_traversal_entry,
-)
-
-
-def _time_single_queries(search_one, queries, predicates):
-    """Per-query wall times plus total hops for one kernel."""
-    times = []
-    hops = 0
-    for query, predicate in zip(queries, predicates):
-        start = time.perf_counter()
-        result = search_one(query, predicate)
-        times.append(time.perf_counter() - start)
-        hops += result.hops
-    return times, hops
-
-
-def _cmd_bench_traversal(args: argparse.Namespace) -> None:
-    from repro.core.dictsearch import LegacySearcherAdapter, legacy_acorn_search
-    from repro.eval import percentile_summary
-
-    if args.smoke:
-        args.n = min(args.n, 1500)
-        args.queries = min(args.queries, 32)
-    print(f"generating traversal workload (n={args.n}, dim={args.dim}, "
-          f"queries={args.queries})...")
-    vectors, table, queries, predicates = _make_bench_world(
-        args.n, args.dim, args.queries, args.distinct_predicates, args.seed
-    )
-    params = AcornParams(m=args.m, gamma=args.gamma, m_beta=2 * args.m,
-                         ef_construction=40)
-    with Timer() as t:
-        index = AcornIndex.build(vectors, table, params=params, seed=args.seed)
-    print(f"built ACORN-gamma (m={args.m}, gamma={args.gamma}) "
-          f"in {t.elapsed:.1f}s")
-
-    adapter = LegacySearcherAdapter(index)
-    index.freeze()
-    adapter.freeze()
-    # Compile predicates once so the single-query loops time graph
-    # traversal, not per-call mask materialization (regex compilation
-    # dominates otherwise and affects both kernels identically).
-    predicates = [predicate.compile(table) for predicate in predicates]
-
-    def run_csr(query, predicate):
-        return index.search(query, predicate, args.k, ef_search=args.ef)
-
-    def run_dict(query, predicate):
-        return legacy_acorn_search(index, query, predicate, args.k,
-                                   ef_search=args.ef,
-                                   frozen=adapter.freeze())
-
-    # Warm-up + equivalence guard: the benchmark is meaningless if the
-    # two kernels return different work.
-    for query, predicate in zip(queries[:4], predicates[:4]):
-        before = run_dict(query, predicate)
-        after = run_csr(query, predicate)
-        if (not np.array_equal(before.ids, after.ids)
-                or before.hops != after.hops):
-            raise SystemExit("CSR kernel diverged from dict kernel")
-
-    kernels = {}
-    for name, runner in (("dict", run_dict), ("csr", run_csr)):
-        times, hops = _time_single_queries(runner, queries, predicates)
-        total = sum(times)
-        latency = percentile_summary(times)
-        batch = QueryBatch.build(queries, predicates, k=args.k,
-                                 ef_search=args.ef)
-        searcher = adapter if name == "dict" else index
-        with SearchEngine(searcher, num_workers=args.workers) as engine:
-            with Timer() as t:
-                engine.search_batch(batch)
-        qps = len(queries) / t.elapsed
-        kernels[name] = {
-            "p50_ms": round(latency.p50 * 1e3, 4),
-            "p99_ms": round(latency.p99 * 1e3, 4),
-            "batch_qps": round(qps, 2),
-            "hops_per_s": round(hops / total, 1) if total else 0.0,
-            "total_hops": int(hops),
-            "total_seconds": round(total, 4),
-        }
-        print(f"{name:>4} kernel: p50 {kernels[name]['p50_ms']:8.3f} ms   "
-              f"p99 {kernels[name]['p99_ms']:8.3f} ms   "
-              f"batch {qps:8.1f} qps   "
-              f"{kernels[name]['hops_per_s']:12.1f} hops/s")
-
-    hops_speedup = (kernels["csr"]["hops_per_s"]
-                    / max(kernels["dict"]["hops_per_s"], 1e-9))
-    single_speedup = (kernels["dict"]["p50_ms"]
-                      / max(kernels["csr"]["p50_ms"], 1e-9))
-    batch_speedup = (kernels["csr"]["batch_qps"]
-                     / max(kernels["dict"]["batch_qps"], 1e-9))
-    print(f"\nCSR vs dict: {hops_speedup:.2f}x hops/s, "
-          f"{single_speedup:.2f}x single-query, {batch_speedup:.2f}x batch")
-
-    entry = {
-        "bench": "traversal-kernel",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "n": args.n,
-        "dim": args.dim,
-        "queries": args.queries,
-        "k": args.k,
-        "ef_search": args.ef,
-        "m": args.m,
-        "gamma": args.gamma,
-        "workers": args.workers,
-        "smoke": bool(args.smoke),
-        "dict_kernel": kernels["dict"],
-        "csr_kernel": kernels["csr"],
-        "hops_per_s_speedup": round(hops_speedup, 3),
-        "single_query_speedup": round(single_speedup, 3),
-        "batch_qps_speedup": round(batch_speedup, 3),
-    }
-    validate_traversal_entry(entry)
-    out = Path(args.out)
-    entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
-    out.write_text(json.dumps(entries, indent=2) + "\n")
-    print(f"recorded entry in {out}")
-    if args.smoke and hops_speedup < 1.0:
-        raise SystemExit(
-            f"smoke check failed: CSR kernel slower than dict kernel "
-            f"({hops_speedup:.2f}x hops/s)"
-        )
-
-
-def _cmd_bench_shard(args: argparse.Namespace) -> None:
-    from repro.predicates import Between
-    from repro.shard import AttributeRangePartitioner, ShardedAcornIndex
-
-    if args.smoke:
-        args.n = min(args.n, 1200)
-        args.queries = min(args.queries, 32)
-    print(f"generating sharded workload (n={args.n}, dim={args.dim}, "
-          f"queries={args.queries}, shards={args.shards})...")
-    vectors, table, queries, _ = _make_bench_world(
-        args.n, args.dim, args.queries, args.distinct_predicates, args.seed
-    )
-    # A numeric column the range partitioner can split on, with query
-    # windows narrow enough that the router can prove shards empty.
-    gen = np.random.default_rng(args.seed + 1)
-    years = gen.integers(2000, 2000 + 4 * args.shards, size=args.n)
-    table.add_int_column("year", years)
-    span = 4 * args.shards
-    predicates = [
-        Between("year", 2000 + (i * 3) % span,
-                2000 + (i * 3) % span + 2)
-        for i in range(args.queries)
-    ]
-
-    params = AcornParams(m=args.m, gamma=args.gamma, m_beta=2 * args.m,
-                         ef_construction=40)
-    with Timer() as t:
-        reference = AcornIndex.build(vectors, table, params=params,
-                                     seed=args.seed)
-    print(f"built monolithic ACORN-gamma in {t.elapsed:.1f}s")
-    with Timer() as t:
-        sharded = ShardedAcornIndex.build(
-            vectors, table,
-            partitioner=AttributeRangePartitioner("year",
-                                                  n_shards=args.shards),
-            params=params, seed=args.seed,
-        )
-    print(f"built {args.shards}-shard ACORN-gamma in {t.elapsed:.1f}s")
-
-    # In smoke mode saturate ef so sharded results are provably
-    # identical to the monolithic index (the exhaustive regime).
-    ef = args.n if args.smoke else args.ef
-    batch = QueryBatch.build(queries, predicates, k=args.k, ef_search=ef)
-    outcomes = {}
-    for name, searcher in (("unsharded", reference), ("sharded", sharded)):
-        with SearchEngine(searcher, num_workers=args.workers) as engine:
-            with Timer() as t:
-                outcomes[name] = engine.search_batch(batch)
-            outcomes[name + "_qps"] = len(queries) / t.elapsed
-
-    identical = all(
-        np.array_equal(a.ids, b.ids)
-        for a, b in zip(outcomes["unsharded"].results,
-                        outcomes["sharded"].results)
-    )
-    sharded_out = outcomes["sharded"]
-    probed = sharded_out.total_shards_probed
-    pruned = sharded_out.total_shards_pruned
-    prune_fraction = pruned / max(probed + pruned, 1)
-    latency = percentile_summary(
-        s.wall_time_s for s in sharded_out.stats
-    )
-    qps_ratio = outcomes["sharded_qps"] / max(outcomes["unsharded_qps"],
-                                              1e-9)
-
-    print(f"\nunsharded engine : {outcomes['unsharded_qps']:10.1f} qps")
-    print(f"sharded engine   : {outcomes['sharded_qps']:10.1f} qps "
-          f"({qps_ratio:.2f}x)")
-    print(f"router           : {probed} shard probes, {pruned} pruned "
-          f"({prune_fraction:.0%} of shard visits avoided)")
-    print(f"results identical: {identical}")
-
-    entry = {
-        "bench": "shard-scatter-gather",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "n": args.n,
-        "dim": args.dim,
-        "queries": args.queries,
-        "k": args.k,
-        "ef_search": ef,
-        "m": args.m,
-        "gamma": args.gamma,
-        "n_shards": args.shards,
-        "workers": args.workers,
-        "smoke": bool(args.smoke),
-        "partitioner": sharded.partitioner.spec(),
-        "unsharded_qps": round(outcomes["unsharded_qps"], 2),
-        "sharded_qps": round(outcomes["sharded_qps"], 2),
-        "qps_ratio": round(qps_ratio, 3),
-        "shards_probed": int(probed),
-        "shards_pruned": int(pruned),
-        "prune_fraction": round(prune_fraction, 4),
-        "results_identical": bool(identical),
-        "latency_s": dataclasses.asdict(latency),
-    }
-    validate_shard_entry(entry)
-    out = Path(args.out)
-    entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
-    out.write_text(json.dumps(entries, indent=2) + "\n")
-    print(f"recorded entry in {out}")
-    if args.smoke:
-        if pruned == 0:
-            raise SystemExit(
-                "smoke check failed: router pruned no shards on "
-                "range-partitioned data with selective predicates"
-            )
-        if not identical:
-            raise SystemExit(
-                "smoke check failed: sharded results diverged from the "
-                "monolithic index in the exhaustive regime"
-            )
-
-
-def _cmd_bench_chaos(args: argparse.Namespace) -> None:
-    from repro.shard import (
-        FaultInjector,
-        FaultPlan,
-        HashPartitioner,
-        ResiliencePolicy,
-        ShardedAcornIndex,
-    )
-    from repro.utils.clock import FakeClock
-    from repro.vectors.distance import pairwise_distances
-
-    if args.smoke:
-        args.n = min(args.n, 1200)
-        args.queries = min(args.queries, 24)
-    print(f"generating chaos workload (n={args.n}, dim={args.dim}, "
-          f"queries={args.queries}, shards={args.shards}, "
-          f"failure rate={args.failure_rate:.0%})...")
-    vectors, table, queries, predicates = _make_bench_world(
-        args.n, args.dim, args.queries, args.distinct_predicates, args.seed
-    )
-
-    params = AcornParams(m=args.m, gamma=args.gamma, m_beta=2 * args.m,
-                         ef_construction=40)
-    clock = FakeClock()
-    policy = ResiliencePolicy(
-        shard_deadline_s=args.deadline,
-        max_retries=args.retries,
-        backoff_base_s=args.deadline / 10.0,
-        breaker_threshold=3,
-        breaker_reset_s=100.0 * args.deadline,
-        clock=clock,
-    )
-    with Timer() as t:
-        base = ShardedAcornIndex.build(
-            vectors, table,
-            partitioner=HashPartitioner(args.shards),
-            params=params, seed=args.seed, resilience=policy,
-        )
-    print(f"built {args.shards}-shard ACORN-gamma in {t.elapsed:.1f}s")
-
-    # Seeded permanent-failure plan: half errors, half latency spikes
-    # that overshoot the per-shard deadline (charged to the fake
-    # clock, so the bench never really sleeps).
-    plan = FaultPlan.seeded(
-        args.shards, args.failure_rate, seed=args.seed,
-        kinds=("error", "latency"), latency_s=4.0 * args.deadline,
-    )
-    doomed = set(plan.permanently_failing_shards())
-    print(f"fault plan: shards {sorted(doomed)} fail permanently "
-          f"({[plan.faults[s][0].kind for s in sorted(doomed)]})")
-
-    injector = FaultInjector(plan, clock=clock, seed=args.seed)
-    chaos = base.with_faults(injector)
-
-    # Exhaustive per-shard effort in smoke mode makes the survivors-only
-    # ground truth exact (each surviving shard returns its true local
-    # top-k, so the merge is the survivors' global top-k).
-    ef = args.n if args.smoke else args.ef
-    # Sequential scatter + one retry per doomed shard bounds each
-    # query's clock budget; the gate below asserts it holds.
-    per_shard_worst = (
-        (args.retries + 1) * 4.0 * args.deadline
-        + sum(policy.backoff_s(i) for i in range(args.retries))
-    )
-    query_budget = args.shards * per_shard_worst + args.deadline
-
-    compiled = [p.compile(table) for p in predicates]
-    max_query_clock = 0.0
-    gt_matches = True
-    accounting_exact = True
-    k_when_covered = True
-    for query, predicate in zip(queries, compiled):
-        before = clock.monotonic()
-        result = chaos.search(query, predicate, args.k, ef_search=ef)
-        elapsed = clock.monotonic() - before
-        max_query_clock = max(max_query_clock, elapsed)
-
-        probed_doomed = sum(
-            1 for rec in result.per_shard
-            if not rec["pruned"] and rec["shard"] in doomed
-        )
-        if result.shards_failed + result.shards_timed_out != probed_doomed:
-            accounting_exact = False
-        survivors = [s for s in range(args.shards) if s not in doomed]
-        gids = np.concatenate(
-            [base.assignment.global_ids[s] for s in survivors]
-        )
-        passing = gids[predicate.mask[gids]]
-        if passing.shape[0] >= args.k and len(result) < args.k:
-            k_when_covered = False
-        if args.smoke and passing.shape[0] > 0:
-            dists = pairwise_distances(vectors[passing], query,
-                                       metric=base.metric)[0]
-            order = np.lexsort((passing, dists))[:args.k]
-            if not np.array_equal(result.ids, passing[order]):
-                gt_matches = False
-
-    within_deadline = max_query_clock <= query_budget
-
-    # Batch-engine pass on a fresh chaos view (fresh breakers and call
-    # counters) so the summary aggregates are independent of the
-    # per-query loop above.
-    chaos_batch = base.with_faults(
-        FaultInjector(plan, clock=clock, seed=args.seed)
-    )
-    batch = QueryBatch.build(queries, compiled, k=args.k, ef_search=ef)
-    with SearchEngine(chaos_batch, num_workers=args.workers) as engine:
-        outcome = engine.search_batch(batch)
-    summary = outcome.summary()
-
-    print(f"\ndegraded queries   : {summary['degraded_queries']} "
-          f"/ {len(queries)}")
-    print(f"shard failures     : {summary['shards_failed']} failed, "
-          f"{summary['shards_timed_out']} timed out")
-    print(f"recall ceiling     : min {summary['min_recall_ceiling']:.3f}")
-    print(f"query clock budget : max {max_query_clock:.3f}s of "
-          f"{query_budget:.3f}s allowed")
-    print(f"accounting exact   : {accounting_exact}")
-    print(f"survivors-only gt  : "
-          f"{gt_matches if args.smoke else 'not checked (use --smoke)'}")
-    print(f"breakers           : {chaos_batch.breaker_states()}")
-
-    ceilings = [s.recall_ceiling for s in outcome.stats]
-    entry = {
-        "bench": "shard-chaos",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "n": args.n,
-        "dim": args.dim,
-        "queries": args.queries,
-        "k": args.k,
-        "ef_search": ef,
-        "m": args.m,
-        "gamma": args.gamma,
-        "n_shards": args.shards,
-        "workers": args.workers,
-        "smoke": bool(args.smoke),
-        "failure_rate": args.failure_rate,
-        "faulty_shards": sorted(int(s) for s in doomed),
-        "shard_deadline_s": args.deadline,
-        "max_retries": args.retries,
-        "degraded_queries": int(summary["degraded_queries"]),
-        "shards_failed": int(summary["shards_failed"]),
-        "shards_timed_out": int(summary["shards_timed_out"]),
-        "min_recall_ceiling": round(float(min(ceilings, default=1.0)), 4),
-        "mean_recall_ceiling": round(float(np.mean(ceilings)), 4)
-        if ceilings else 1.0,
-        "ground_truth_matches": bool(gt_matches),
-        "within_deadline": bool(within_deadline),
-        "max_query_clock_s": round(max_query_clock, 4),
-        "query_budget_s": round(query_budget, 4),
-        "breaker_states": chaos_batch.breaker_states(),
-    }
-    validate_chaos_entry(entry)
-    out = Path(args.out)
-    entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
-    out.write_text(json.dumps(entries, indent=2) + "\n")
-    print(f"recorded entry in {out}")
-
-    if args.smoke:
-        if not accounting_exact:
-            raise SystemExit(
-                "smoke check failed: shards_failed + shards_timed_out "
-                "did not equal the probed faulty-shard count on every query"
-            )
-        if not gt_matches:
-            raise SystemExit(
-                "smoke check failed: degraded top-k diverged from the "
-                "survivors-only ground truth"
-            )
-        if not within_deadline:
-            raise SystemExit(
-                f"smoke check failed: a query consumed "
-                f"{max_query_clock:.3f}s of injected clock, budget "
-                f"{query_budget:.3f}s"
-            )
-        if not k_when_covered:
-            raise SystemExit(
-                "smoke check failed: a degraded query returned fewer "
-                "than k results although survivors held >= k passing rows"
-            )
-        if summary["degraded_queries"] == 0:
-            raise SystemExit(
-                "smoke check failed: fault plan injected no degradation "
-                "(nothing was exercised)"
-            )
-
-
-def _cmd_bench_build(args: argparse.Namespace) -> None:
-    from repro.core.bulkbuild import graph_checksum
-    from repro.vectors.distance import GLOBAL_TALLY
-
-    if args.smoke:
-        args.n = min(args.n, 1500)
-        args.queries = min(args.queries, 24)
-    print(f"generating build workload (n={args.n}, dim={args.dim}, "
-          f"m={args.m}, gamma={args.gamma}, efc={args.ef_construction})...")
-    # Table 4 (TTI) measures raw construction cost, so the workload is
-    # deliberately structureless: uniform Gaussian vectors with a
-    # uniform label column.  Clustered serving worlds make the
-    # sequential baseline converge early and would understate (and
-    # noise up) the batching gain being measured.
-    from repro.predicates import Equals
-
-    gen = np.random.default_rng(args.seed)
-    vectors = gen.standard_normal((args.n, args.dim)).astype(np.float32)
-    labels = gen.integers(0, args.distinct_predicates, size=args.n)
-    table = AttributeTable(args.n)
-    table.add_int_column("label", labels)
-    queries = gen.standard_normal((args.queries, args.dim)).astype(np.float32)
-    predicates = [
-        Equals("label", i % args.distinct_predicates)
-        for i in range(args.queries)
-    ]
-    params = AcornParams(m=args.m, gamma=args.gamma,
-                         ef_construction=args.ef_construction)
-
-    tally0 = GLOBAL_TALLY.total
-    with Timer() as t_seq:
-        sequential = AcornIndex.build(vectors, table, params=params,
-                                      seed=args.seed)
-    seq_comps = GLOBAL_TALLY.total - tally0
-    print(f"sequential build : {t_seq.elapsed:8.2f}s "
-          f"({seq_comps} distance comps)")
-
-    tally0 = GLOBAL_TALLY.total
-    with Timer() as t_par:
-        parallel = AcornIndex.build(vectors, table, params=params,
-                                    seed=args.seed, n_workers=args.workers,
-                                    wave_cap=args.wave_cap)
-    par_comps = GLOBAL_TALLY.total - tally0
-    speedup = t_seq.elapsed / t_par.elapsed
-    print(f"parallel build   : {t_par.elapsed:8.2f}s at {args.workers} "
-          f"workers ({par_comps} distance comps, {speedup:.2f}x)")
-
-    seq_checksum = graph_checksum(sequential.graph)
-    par_checksum = graph_checksum(parallel.graph)
-    rebuild = AcornIndex.build(vectors, table, params=params,
-                               seed=args.seed, n_workers=args.workers,
-                               wave_cap=args.wave_cap)
-    rebuild_match = graph_checksum(rebuild.graph) == par_checksum
-    print(f"parallel rebuild : checksum match = {rebuild_match}")
-
-    try:
-        sequential.graph.validate()
-        parallel.graph.validate()
-        graphs_valid = True
-    except ValueError as exc:
-        print(f"graph validation failed: {exc}")
-        graphs_valid = False
-
-    # Recall@10 of both graphs against the brute-force hybrid ground
-    # truth (distance ranking restricted to each predicate's rows).
-    k = args.k
-    hits = {"seq": 0, "par": 0}
-    total = 0
-    for query, predicate in zip(queries, predicates):
-        passing = predicate.compile(table).passing_ids
-        if passing.size < k:
-            continue
-        dists = np.linalg.norm(
-            vectors[passing].astype(np.float64) - query.astype(np.float64),
-            axis=1,
-        )
-        truth = set(passing[np.argsort(dists, kind="stable")[:k]].tolist())
-        total += k
-        for key, index in (("seq", sequential), ("par", parallel)):
-            found = index.search(query, predicate, k=k,
-                                 ef_search=args.ef).ids
-            hits[key] += len(truth & set(found.tolist()))
-    recall_seq = hits["seq"] / total if total else 1.0
-    recall_par = hits["par"] / total if total else 1.0
-    recall_gap = abs(recall_seq - recall_par)
-    print(f"recall@{k}        : sequential {recall_seq:.4f}, "
-          f"parallel {recall_par:.4f} (gap {recall_gap:.4f})")
-
-    entry = {
-        "bench": "build-tti",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "n": args.n,
-        "dim": args.dim,
-        "m": args.m,
-        "gamma": args.gamma,
-        "ef_construction": args.ef_construction,
-        "n_workers": args.workers,
-        "wave_cap": args.wave_cap,
-        "smoke": bool(args.smoke),
-        "sequential_s": round(t_seq.elapsed, 3),
-        "parallel_s": round(t_par.elapsed, 3),
-        "speedup": round(speedup, 3),
-        "sequential_distance_comps": int(seq_comps),
-        "parallel_distance_comps": int(par_comps),
-        "sequential_checksum": seq_checksum,
-        "parallel_checksum": par_checksum,
-        "parallel_rebuild_checksum_match": bool(rebuild_match),
-        "recall_at_10_sequential": round(recall_seq, 4),
-        "recall_at_10_parallel": round(recall_par, 4),
-        "recall_gap": round(abs(round(recall_seq, 4) - round(recall_par, 4)),
-                            4),
-        "graphs_valid": graphs_valid,
-    }
-    validate_build_entry(entry)
-    out = Path(args.out)
-    entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
-    out.write_text(json.dumps(entries, indent=2) + "\n")
-    print(f"recorded entry in {out}")
-
-    if args.smoke:
-        if not graphs_valid:
-            raise SystemExit(
-                "smoke check failed: a built graph failed validation"
-            )
-        if not rebuild_match:
-            raise SystemExit(
-                "smoke check failed: two parallel builds with the same "
-                "seed produced different graphs (determinism broken)"
-            )
-        if recall_gap > 0.01:
-            raise SystemExit(
-                f"smoke check failed: parallel-build recall diverged from "
-                f"sequential by {recall_gap:.4f} (> 0.01)"
-            )
-
-
-def _make_route_world(n: int, dim: int, n_queries: int, seed: int):
-    """Correlated / anti-correlated routing workload.
-
-    Clustered vectors carry an int ``label`` column equal to their
-    cluster, and the query stream cycles four classes:
-
-    0. correlated ``Equals`` — query near cluster c, predicate
-       ``label == c`` (selective, s ≈ 1/16 < 1/γ);
-    1. anti-correlated ``Equals`` — query near c, predicate matches the
-       opposite cluster;
-    2. correlated broad ``OneOf`` over 8 labels including c
-       (s ≈ 0.5 ≥ 1/γ — the graph's home turf);
-    3. anti-correlated ``OneOf`` over 3 labels far from c
-       (s ≈ 0.19 ≥ 1/γ, so the static rule walks the graph into the
-       wrong clusters — the class adaptive routing should rescue).
-    """
-    from repro.predicates import Equals, OneOf
-
-    n_clusters = 16
-    gen = np.random.default_rng(seed)
-    centers = gen.standard_normal((n_clusters, dim)).astype(np.float32)
-    assign = gen.integers(0, n_clusters, size=n)
-    vectors = (centers[assign]
-               + 0.35 * gen.standard_normal((n, dim))).astype(np.float32)
-    table = AttributeTable(n)
-    table.add_int_column("label", assign)
-    queries = np.empty((n_queries, dim), dtype=np.float32)
-    predicates = []
-    for i in range(n_queries):
-        c = int(gen.integers(0, n_clusters))
-        queries[i] = centers[c] + 0.35 * gen.standard_normal(dim)
-        cls = i % 4
-        if cls == 0:
-            predicates.append(Equals("label", c))
-        elif cls == 1:
-            predicates.append(
-                Equals("label", (c + n_clusters // 2) % n_clusters)
-            )
-        elif cls == 2:
-            predicates.append(OneOf(
-                "label",
-                tuple(sorted((c + j) % n_clusters for j in range(8))),
-            ))
-        else:
-            predicates.append(OneOf(
-                "label",
-                tuple(sorted((c + j) % n_clusters for j in (5, 9, 13))),
-            ))
-    return vectors, table, queries, predicates
-
-
-def _cmd_bench_route(args: argparse.Namespace) -> None:
-    from repro.eval.metrics import recall_at_k
-    from repro.predicates.selectivity import SamplingSelectivityEstimator
-    from repro.routing import RoutePlanner
-
-    if args.smoke:
-        args.n = min(args.n, 1500)
-        args.queries = min(args.queries, 32)
-    print(f"generating routing workload (n={args.n}, dim={args.dim}, "
-          f"queries={args.queries}, correlated/anti-correlated classes)...")
-    vectors, table, queries, predicates = _make_route_world(
-        args.n, args.dim, args.queries, args.seed
-    )
-    params = AcornParams(m=args.m, gamma=args.gamma, m_beta=2 * args.m,
-                         ef_construction=40)
-    with Timer() as t:
-        index = AcornIndex.build(vectors, table, params=params,
-                                 seed=args.seed)
-    print(f"built ACORN-gamma (m={args.m}, gamma={args.gamma}, "
-          f"s_min={index.params.s_min:.4f}) in {t.elapsed:.1f}s")
-    index.freeze()
-
-    # Exact ground truth: brute force over each predicate's passing set
-    # (what the pre-filter baseline computes by construction).
-    pre = PreFilterSearcher(vectors, table)
-    ground_truth = [
-        pre.search(q, p.compile(table), args.k).ids
-        for q, p in zip(queries, predicates)
-    ]
-
-    def make_estimator():
-        if args.estimator == "sampling":
-            return SamplingSelectivityEstimator(
-                table, sample_size=args.sample_size, seed=args.seed
-            )
-        return None  # planner default: exact
-
-    def run_policy(policy: str):
-        planner = RoutePlanner(index, estimator=make_estimator(),
-                               policy=policy)
-        batch = QueryBatch.build(queries, predicates, k=args.k,
-                                 ef_search=args.ef)
-        with SearchEngine(planner, num_workers=args.workers) as engine:
-            with Timer() as t:
-                outcome = engine.search_batch(batch)
-        recall = float(np.mean([
-            recall_at_k(res.ids, gt, args.k)
-            for res, gt in zip(outcome.results, ground_truth)
-        ]))
-        return planner, outcome, len(queries) / t.elapsed, recall
-
-    results = {}
-    adaptive_decisions = None
-    for policy in ("static", "adaptive"):
-        _planner, outcome, qps, recall = run_policy(policy)
-        if policy == "adaptive":
-            adaptive_decisions = [s.route_chosen for s in outcome.stats]
-        latency = percentile_summary(s.wall_time_s for s in outcome.stats)
-        results[policy] = {
-            "qps": round(qps, 2),
-            "recall_at_k": round(recall, 6),
-            "mean_distance_computations": round(float(np.mean(
-                [s.distance_computations for s in outcome.stats]
-            )), 2),
-            "route_counts": outcome.route_counts,
-            "fallbacks_triggered": int(outcome.fallbacks_triggered),
-            "mean_abs_estimator_error": round(
-                outcome.mean_abs_estimator_error, 6
-            ),
-            "latency_s": dataclasses.asdict(latency),
-        }
-        routes = ", ".join(f"{r}={c}"
-                           for r, c in outcome.route_counts.items())
-        print(f"{policy:8s}: {qps:8.1f} qps  recall@{args.k} {recall:.4f}  "
-              f"dc/query {results[policy]['mean_distance_computations']:.0f}"
-              f"  [{routes}]  fallbacks={outcome.fallbacks_triggered}")
-
-    # Determinism gate: a fresh adaptive planner on the same workload
-    # must make the same route decisions (routing costs are counted in
-    # distance computations, never wall time).
-    _, rerun_outcome, _, _ = run_policy("adaptive")
-    rerun_decisions = [s.route_chosen for s in rerun_outcome.stats]
-    if rerun_decisions != adaptive_decisions:
-        raise SystemExit(
-            "adaptive route decisions changed between identical runs — "
-            "routing is reading non-deterministic state"
-        )
-    print("determinism       : adaptive route decisions identical "
-          "across two runs")
-
-    static, adaptive = results["static"], results["adaptive"]
-    qps_speedup = adaptive["qps"] / max(static["qps"], 1e-9)
-    dc_speedup = (static["mean_distance_computations"]
-                  / max(adaptive["mean_distance_computations"], 1e-9))
-    recall_delta = adaptive["recall_at_k"] - static["recall_at_k"]
-    print(f"\nadaptive vs static : {qps_speedup:.2f}x qps, "
-          f"{dc_speedup:.2f}x distance computations, "
-          f"recall delta {recall_delta:+.4f}")
-
-    entry = {
-        "bench": "route",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "n": args.n,
-        "dim": args.dim,
-        "queries": args.queries,
-        "k": args.k,
-        "ef_search": args.ef,
-        "m": args.m,
-        "gamma": args.gamma,
-        "workers": args.workers,
-        "smoke": bool(args.smoke),
-        "s_min": round(index.params.s_min, 6),
-        "policies": results,
-        "adaptive_qps_speedup": round(qps_speedup, 3),
-        "adaptive_dc_speedup": round(dc_speedup, 3),
-        "recall_delta": round(recall_delta, 6),
-    }
-    validate_route_entry(entry)
-    out = Path(args.out)
-    entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
-    out.write_text(json.dumps(entries, indent=2) + "\n")
-    print(f"recorded entry in {out}")
-
-    if args.smoke:
-        if recall_delta < -0.01:
-            raise SystemExit(
-                f"smoke check failed: adaptive routing lost recall "
-                f"({recall_delta:+.4f} vs static)"
-            )
-        if len(results["adaptive"]["route_counts"]) < 1:
-            raise SystemExit(
-                "smoke check failed: adaptive run recorded no routes"
-            )
-
-
-def _cmd_bench_quant(args: argparse.Namespace) -> None:
-    from repro.eval.metrics import recall_at_k
-
-    if args.smoke:
-        args.n = min(args.n, 1500)
-        args.queries = min(args.queries, 32)
-    print(f"generating quantization workload (n={args.n}, dim={args.dim}, "
-          f"queries={args.queries})...")
-    vectors, table, queries, predicates = _make_bench_world(
-        args.n, args.dim, args.queries, args.distinct_predicates, args.seed
-    )
-    params = AcornParams(m=args.m, gamma=args.gamma, m_beta=2 * args.m,
-                         ef_construction=40)
-    with Timer() as t:
-        index = AcornIndex.build(vectors, table, params=params,
-                                 seed=args.seed)
-    print(f"built ACORN-gamma (m={args.m}, gamma={args.gamma}) "
-          f"in {t.elapsed:.1f}s")
-    index.freeze()
-
-    pre = PreFilterSearcher(vectors, table)
-    # Predicates are compiled once and shared by both arms and the
-    # ground truth, mirroring SweepRunner's protocol (§7.2: baselines
-    # amortize filter bitmaps) — the arms then differ only in distance
-    # arithmetic.
-    compiled = [p.compile(table) for p in predicates]
-    ground_truth = [
-        pre.search(q, c, args.k).ids for q, c in zip(queries, compiled)
-    ]
-
-    def summarize(elapsed, results):
-        recall = float(np.mean([
-            recall_at_k(res.ids, gt, args.k)
-            for res, gt in zip(results, ground_truth)
-        ]))
-        return {
-            "qps": round(len(queries) / elapsed, 2),
-            "recall_at_k": round(recall, 6),
-            "mean_distance_computations": round(float(np.mean(
-                [r.distance_computations for r in results]
-            )), 2),
-            "mean_quantized_distances": round(float(np.mean(
-                [getattr(r, "quantized_distances", 0) for r in results]
-            )), 2),
-            "mean_rerank_distances": round(float(np.mean(
-                [getattr(r, "rerank_distances", 0) for r in results]
-            )), 2),
-            "latency_s": round(elapsed / len(queries), 6),
-        }
-
-    def run_float_arm():
-        """Engine pass on the per-query float32 path (after an untimed
-        warmup so both arms measure steady state)."""
-        batch = QueryBatch.build(queries, compiled, k=args.k,
-                                 ef_search=args.ef)
-        with SearchEngine(index, num_workers=args.workers) as engine:
-            engine.search_batch(batch)
-            with Timer() as t:
-                outcome = engine.search_batch(batch)
-        return summarize(t.elapsed, outcome.results)
-
-    def run_quant_arm():
-        """Lockstep batch pass on the quantized hot path (untimed
-        warmup populates the per-predicate CSR cache first)."""
-        index.search_batch_quantized(queries, compiled, args.k,
-                                     ef_search=args.ef, beam=args.beam)
-        with Timer() as t:
-            results = index.search_batch_quantized(
-                queries, compiled, args.k,
-                ef_search=args.ef, beam=args.beam,
-            )
-        return results, summarize(t.elapsed, results)
-
-    # Arm 1: the float32 baseline — same graph, same workload.
-    float_metrics = run_float_arm()
-    print(f"float32  : {float_metrics['qps']:8.1f} qps  "
-          f"recall@{args.k} {float_metrics['recall_at_k']:.4f}  "
-          f"dc/query {float_metrics['mean_distance_computations']:.0f}")
-
-    # Arm 2: the lockstep quantized hot path over the very same graph.
-    index.enable_quantization({
-        "kind": args.quantization, "rerank_factor": args.rerank_factor,
-    })
-    quant_results, quant_metrics = run_quant_arm()
-    print(f"{args.quantization:9s}: {quant_metrics['qps']:8.1f} qps  "
-          f"recall@{args.k} {quant_metrics['recall_at_k']:.4f}  "
-          f"dc/query {quant_metrics['mean_distance_computations']:.0f}  "
-          f"qd/query {quant_metrics['mean_quantized_distances']:.0f}  "
-          f"rerank/query {quant_metrics['mean_rerank_distances']:.0f}")
-
-    # Determinism gate: the quantized path must return identical ids and
-    # identical counters on a second pass over the same frozen index.
-    rerun_results, _ = run_quant_arm()
-    deterministic = all(
-        np.array_equal(a.ids, b.ids)
-        and a.quantized_distances == b.quantized_distances
-        for a, b in zip(quant_results, rerun_results)
-    )
-    if not deterministic:
-        raise SystemExit(
-            "quantized results changed between identical runs — the "
-            "beam kernel is reading non-deterministic state"
-        )
-    print("determinism : quantized ids and counters identical across "
-          "two runs")
-
-    speedup = quant_metrics["qps"] / max(float_metrics["qps"], 1e-9)
-    recall_ok = quant_metrics["recall_at_k"] >= args.recall_floor
-    print(f"\nquantized vs float32 : {speedup:.2f}x batch qps, "
-          f"recall floor {args.recall_floor:.2f} "
-          f"{'met' if recall_ok else 'MISSED'}")
-
-    entry = {
-        "bench": "quant",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "n": args.n,
-        "dim": args.dim,
-        "queries": args.queries,
-        "k": args.k,
-        "ef_search": args.ef,
-        "m": args.m,
-        "gamma": args.gamma,
-        "workers": args.workers,
-        "beam": args.beam,
-        "smoke": bool(args.smoke),
-        "quantization": args.quantization,
-        "rerank_factor": float(args.rerank_factor),
-        "float32": float_metrics,
-        "quantized": quant_metrics,
-        "batch_qps_speedup": round(speedup, 3),
-        "recall_floor": float(args.recall_floor),
-        "recall_ok": bool(recall_ok),
-        "deterministic": bool(deterministic),
-    }
-    validate_quant_entry(entry)
-    out = Path(args.out)
-    entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
-    out.write_text(json.dumps(entries, indent=2) + "\n")
-    print(f"recorded entry in {out}")
-
-    if not recall_ok:
-        raise SystemExit(
-            f"check failed: quantized recall@{args.k} "
-            f"{quant_metrics['recall_at_k']:.4f} below floor "
-            f"{args.recall_floor:.2f}"
-        )
-    if not args.smoke and speedup <= 2.0:
-        raise SystemExit(
-            f"check failed: quantized batch QPS speedup {speedup:.2f}x "
-            "did not exceed the 2x target (smoke runs skip this gate)"
-        )
-
-
-def _cmd_bench_serving(args: argparse.Namespace) -> None:
-    import asyncio
-
-    from repro.serving import (
-        AcornService,
-        ArrivalSchedule,
-        ServingConfig,
-        TenantQuota,
-        generate_arrivals,
-        replay,
-        replay_realtime,
-        summarize_load,
-    )
-    from repro.utils.clock import FakeClock
-
-    if args.smoke:
-        args.n = min(args.n, 1500)
-        args.duration = min(args.duration, 0.4)
-
-    print(f"generating serving workload (n={args.n}, dim={args.dim}, "
-          f"query pool={args.pool}, {args.distinct_predicates} distinct "
-          "regex predicates)...")
-    vectors, table, queries, predicates = _make_bench_world(
-        args.n, args.dim, args.pool, args.distinct_predicates, args.seed
-    )
-    params = AcornParams(m=args.m, gamma=args.gamma, m_beta=2 * args.m,
-                         ef_construction=40)
-    with Timer() as t:
-        index = AcornIndex.build(vectors, table, params=params,
-                                 seed=args.seed)
-    print(f"built ACORN-gamma (m={args.m}, gamma={args.gamma}) "
-          f"in {t.elapsed:.1f}s")
-    index.freeze()
-
-    def make_config() -> ServingConfig:
-        return ServingConfig(
-            k=args.k, ef_search=args.ef, max_batch=args.max_batch,
-            latency_budget_ms=args.latency_budget_ms,
-            max_pending=args.max_pending,
-            default_quota=TenantQuota(
-                rate_qps=args.tenant_rate, burst=args.tenant_burst,
-            ),
-            engine_workers=args.workers,
-        )
-
-    flash_start = args.duration * 0.4
-    schedules = {
-        "poisson": ArrivalSchedule.poisson(
-            rate_qps=args.rate, duration_s=args.duration,
-            n_tenants=args.tenants, query_pool=len(queries),
-            seed=args.seed,
-        ),
-        "flash": ArrivalSchedule.flash_crowd(
-            rate_qps=args.rate, duration_s=args.duration,
-            flash_start_s=flash_start,
-            flash_duration_s=args.duration * 0.3,
-            flash_multiplier=args.flash_multiplier,
-            n_tenants=args.tenants, query_pool=len(queries),
-            seed=args.seed + 1,
-        ),
-    }
-
-    def virtual_run(arrivals):
-        """One FakeClock replay: admission log + accounting summary."""
-        service = AcornService(index, make_config(), clock=FakeClock())
-        responses = asyncio.run(replay(service, arrivals, queries, predicates))
-        summary = summarize_load(arrivals, responses)
-        return list(service.admission_log), summary
-
-    def realtime_run(arrivals):
-        """One wall-clock replay: goodput + tail latency under load."""
-        async def go():
-            service = AcornService(index, make_config())
-            start = time.perf_counter()
-            responses = await replay_realtime(
-                service, arrivals, queries, predicates
-            )
-            wall = time.perf_counter() - start
-            await service.aclose()
-            return responses, wall
-
-        responses, wall = asyncio.run(go())
-        summary = summarize_load(arrivals, responses, wall_s=wall)
-        latency = summary["latency_ms"]
-        return {
-            "wall_s": round(wall, 4),
-            "goodput_qps": (
-                round(summary["goodput_qps"], 2)
-                if summary["goodput_qps"] is not None else None
-            ),
-            "served": summary["ok"] + summary["degraded"],
-            "rejected": summary["rejected"],
-            "p50_latency_ms": (
-                round(latency["p50"], 3)
-                if latency["p50"] is not None else None
-            ),
-            "p99_latency_ms": (
-                round(latency["p99"], 3)
-                if latency["p99"] is not None else None
-            ),
-        }
-
-    deterministic = True
-    schedule_entries = {}
-    for name, schedule in schedules.items():
-        arrivals = generate_arrivals(schedule)
-        # Determinism gate: two virtual replays of the same trace must
-        # make identical admission decisions and identical summaries.
-        log_a, virtual_a = virtual_run(arrivals)
-        log_b, virtual_b = virtual_run(arrivals)
-        schedule_ok = log_a == log_b and virtual_a == virtual_b
-        deterministic = deterministic and schedule_ok
-        realtime = realtime_run(arrivals)
-        print(f"\n{name:8s}: {len(arrivals)} arrivals over "
-              f"{args.duration:.1f}s ({args.rate:.0f} qps base)")
-        print(f"  virtual : ok {virtual_a['ok']}  degraded "
-              f"{virtual_a['degraded']}  rejected {virtual_a['rejected']} "
-              f"(shed {virtual_a['shed_fraction']:.1%})  "
-              f"mean batch {virtual_a['mean_batch_size']:.2f}  "
-              f"deterministic {'yes' if schedule_ok else 'NO'}")
-        p50 = realtime["p50_latency_ms"]
-        p99 = realtime["p99_latency_ms"]
-        goodput = realtime["goodput_qps"]
-        print(f"  realtime: goodput "
-              f"{goodput if goodput is not None else 'n/a'} qps  "
-              f"p50/p99 "
-              f"{p50 if p50 is not None else 'n/a'}/"
-              f"{p99 if p99 is not None else 'n/a'} ms  "
-              f"rejected {realtime['rejected']}")
-        schedule_entries[name] = {**virtual_a, "realtime": realtime}
-
-    entry = {
-        "bench": "serving",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "n": args.n,
-        "dim": args.dim,
-        "k": args.k,
-        "ef_search": args.ef,
-        "m": args.m,
-        "gamma": args.gamma,
-        "engine_workers": args.workers,
-        "smoke": bool(args.smoke),
-        "max_batch": args.max_batch,
-        "latency_budget_ms": float(args.latency_budget_ms),
-        "max_pending": args.max_pending,
-        "n_tenants": args.tenants,
-        "tenant_rate_qps": float(args.tenant_rate),
-        "tenant_burst": float(args.tenant_burst),
-        "rate_qps": float(args.rate),
-        "duration_s": float(args.duration),
-        "schedules": schedule_entries,
-        "deterministic": bool(deterministic),
-    }
-    validate_serving_entry(entry)
-    out = Path(args.out)
-    entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
-    out.write_text(json.dumps(entries, indent=2) + "\n")
-    print(f"\nrecorded entry in {out}")
-
-    if not deterministic:
-        raise SystemExit(
-            "check failed: virtual replays of the same trace diverged — "
-            "admission or batching is reading non-deterministic state"
-        )
-    if schedule_entries["flash"]["rejected"] == 0:
-        raise SystemExit(
-            "check failed: the flash-crowd schedule shed nothing — the "
-            "admission path was not exercised (raise --rate or "
-            "--flash-multiplier, or lower --tenant-rate)"
-        )
-    if schedule_entries["poisson"]["ok"] == 0:
-        raise SystemExit(
-            "check failed: the steady Poisson schedule served nothing"
-        )
-
-
-def _cmd_bench_lifecycle(args: argparse.Namespace) -> None:
-    import threading
-
-    from repro.eval.metrics import recall_at_k
-    from repro.lifecycle import (
-        BackgroundCompactor,
-        LifecycleConfig,
-        LifecycleIndex,
-    )
-    from repro.utils.clock import FakeClock
-
-    if args.smoke:
-        args.n = min(args.n, 1200)
-        args.ops = min(args.ops, 240)
-        args.reads = min(args.reads, 48)
-
-    print(f"generating lifecycle workload (n={args.n}, dim={args.dim}, "
-          f"ops={args.ops}, reads={args.reads})...")
-    vectors, table, queries, predicates = _make_bench_world(
-        args.n, args.dim, max(args.reads, 1), args.distinct_predicates,
-        args.seed,
-    )
-    params = AcornParams(m=args.m, gamma=args.gamma, m_beta=2 * args.m,
-                         ef_construction=40)
-    config = LifecycleConfig(
-        build_seed=args.seed,
-        compact_min_delta=max(16, args.ops // 8),
-        compact_delta_fraction=0.02,
-        compact_tombstone_fraction=0.05,
-    )
-
-    # One seeded op tape shared by every run below — the determinism
-    # gate depends on each run replaying the identical mutations.
-    gen = np.random.default_rng(args.seed + 17)
-    ops = []
-    next_id = args.n
-    for _ in range(args.ops):
-        if gen.random() < args.delete_fraction and next_id > 1:
-            ops.append(("delete", int(gen.integers(0, next_id))))
-        else:
-            vec = gen.standard_normal(args.dim).astype(np.float32)
-            caption = " ".join(gen.choice(_BENCH_VOCAB, size=8,
-                                          replace=False))
-            ops.append(("insert", vec, caption))
-            next_id += 1
-    n_inserts = sum(1 for op in ops if op[0] == "insert")
-
-    def build_lifecycle(clock=None):
-        return LifecycleIndex.build(
-            vectors, table, params=params, seed=args.seed,
-            config=config, clock=clock,
-        )
-
-    def replay_virtual():
-        """Deterministic arm: FakeClock, reads interleaved on the tape."""
-        clock = FakeClock()
-        lc = build_lifecycle(clock)
-        compactor = BackgroundCompactor(lc, interval_s=0.5, clock=clock)
-        trace = []
-        read_every = max(1, args.ops // max(args.reads, 1))
-        reads_done = 0
-        for i, op in enumerate(ops):
-            if op[0] == "insert":
-                lc.insert(op[1], {"caption": op[2]})
-            else:
-                lc.delete(op[1])
-            clock.advance(0.05)
-            compactor.tick()
-            if i % read_every == 0 and reads_done < args.reads:
-                snap = lc.acquire_read_snapshot()
-                try:
-                    res = snap.search(
-                        queries[reads_done], predicates[reads_done],
-                        args.k, ef_search=args.ef,
-                    )
-                finally:
-                    lc.release_read_snapshot(snap)
-                trace.append((i, res.epoch, tuple(res.ids.tolist())))
-                reads_done += 1
-        return lc, compactor, trace
-
-    # Determinism gate: two full virtual replays of the same tape must
-    # agree on every read's ids, every read's epoch, and the final
-    # lifecycle state.
-    lc_a, compactor_a, trace_a = replay_virtual()
-    lc_b, _, trace_b = replay_virtual()
-    deterministic = (
-        trace_a == trace_b
-        and lc_a.current_epoch == lc_b.current_epoch
-        and np.array_equal(lc_a.live_ids(), lc_b.live_ids())
-    )
-    determinism = "pass" if deterministic else "fail"
-    print(f"determinism : double virtual replay "
-          f"({len(trace_a)} reads, {compactor_a.compactions} "
-          f"compactions) -> {determinism}")
-    if not deterministic:
-        raise SystemExit(
-            "lifecycle replay diverged between two identical seeded "
-            "runs — the epoch pipeline is reading non-deterministic "
-            "state"
-        )
-
-    # Timed arm: a real writer thread streams the same tape (ticking
-    # the compactor as it goes) while this thread reads open-loop.
-    # Reads must never fail and never block on the writer.
-    lc = build_lifecycle()
-    compactor = BackgroundCompactor(lc, interval_s=0.0)
-    writer_done = threading.Event()
-    writer_errors: list[BaseException] = []
-
-    def write_stream():
-        try:
-            for op in ops:
-                if op[0] == "insert":
-                    lc.insert(op[1], {"caption": op[2]})
-                else:
-                    lc.delete(op[1])
-                compactor.tick()
-        except BaseException as exc:  # noqa: BLE001 — reported below
-            writer_errors.append(exc)
-        finally:
-            writer_done.set()
-
-    reads = 0
-    failed_during_compaction = 0
-    blocked_reads = 0
-    recalls = []
-    writer = threading.Thread(target=write_stream, name="lifecycle-writer")
-    with Timer() as t:
-        writer.start()
-        while not writer_done.is_set() or reads == 0:
-            q = queries[reads % len(queries)]
-            pred = predicates[reads % len(predicates)]
-            t_acquire = time.perf_counter()
-            try:
-                snap = lc.acquire_read_snapshot()
-            except Exception:
-                failed_during_compaction += 1
-                reads += 1
-                continue
-            if time.perf_counter() - t_acquire > 0.25:
-                blocked_reads += 1
-            try:
-                res = snap.search(q, pred, args.k, ef_search=args.ef)
-                truth = snap.exact_search(q, pred, args.k)
-            except Exception:
-                failed_during_compaction += 1
-                reads += 1
-                continue
-            finally:
-                lc.release_read_snapshot(snap)
-            if len(truth.ids):
-                recalls.append(recall_at_k(res.ids, truth.ids, args.k))
-            reads += 1
-        writer.join()
-    if writer_errors:
-        raise SystemExit(f"writer thread failed: {writer_errors[0]!r}")
-
-    read_qps = reads / max(t.elapsed, 1e-9)
-    recall = float(np.mean(recalls)) if recalls else 1.0
-    print(f"concurrent  : {reads} reads at {read_qps:.1f} qps, "
-          f"recall@{args.k} {recall:.4f}, {compactor.compactions} "
-          f"compactions, epoch {lc.current_epoch}, "
-          f"{failed_during_compaction} failed / {blocked_reads} blocked")
-    if compactor.compactions < 1:
-        # The concurrent guarantee is vacuous if nothing compacted;
-        # force one so every bench run exercises reads-across-epochs.
-        lc.compact(seed=args.seed)
-        compactor.compactions += 1
-        print("forced one compaction (tape never crossed the policy "
-              "thresholds)")
-
-    entry = {
-        "bench": "lifecycle",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "n": args.n,
-        "dim": args.dim,
-        "k": args.k,
-        "ef_search": args.ef,
-        "m": args.m,
-        "gamma": args.gamma,
-        "smoke": bool(args.smoke),
-        "seed": args.seed,
-        "n_ops": len(ops),
-        "insert_fraction": round(n_inserts / max(len(ops), 1), 4),
-        "delete_fraction": round(1.0 - n_inserts / max(len(ops), 1), 4),
-        "reads": reads,
-        "read_qps": round(read_qps, 2),
-        "recall_at_k": round(recall, 6),
-        "failed_reads_during_compaction": failed_during_compaction,
-        "blocked_reads": blocked_reads,
-        "epochs_published": int(lc.current_epoch),
-        "compactions": int(compactor.compactions),
-        "compactor_crashes": int(compactor.crashes),
-        "writes_applied": len(ops),
-        "writes_rejected": 0,
-        "final_live": int(lc.live_ids().shape[0]),
-        "final_delta": int(lc.delta_size()),
-        "tombstones_remaining": int(lc.tombstone_count()),
-        "determinism": determinism,
-    }
-    validate_lifecycle_entry(entry)
-    out = Path(args.out)
-    entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
-    out.write_text(json.dumps(entries, indent=2) + "\n")
-    print(f"recorded entry in {out}")
-
-    if args.smoke and recall < args.recall_floor:
-        raise SystemExit(
-            f"check failed: concurrent recall@{args.k} {recall:.4f} "
-            f"below floor {args.recall_floor:.2f}"
-        )
-
-
-def _cmd_bench_parallel(args: argparse.Namespace) -> None:
-    import os
-
-    from repro.parallel import (
-        COPY_FIXUPS,
-        parallel_available,
-        reset_fixup_counters,
-    )
-
-    if args.smoke:
-        args.n = min(args.n, 1500)
-        args.queries = min(args.queries, 32)
-        args.workers = "1,2"
-
-    worker_counts = sorted({int(w) for w in args.workers.split(",")})
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-
-    if not parallel_available():
-        # CI containers without /dev/shm: report and exit clean so the
-        # smoke job can skip gracefully instead of failing.
-        print("shared memory unavailable on this host; "
-              "bench-parallel skipped")
-        return
-
-    print(f"generating parallel workload (n={args.n}, dim={args.dim}, "
-          f"queries={args.queries}, {args.distinct_predicates} distinct "
-          f"regex predicates, {cpus} cpus)...")
-    vectors, table, queries, predicates = _make_bench_world(
-        args.n, args.dim, args.queries, args.distinct_predicates, args.seed
-    )
-    params = AcornParams(m=args.m, gamma=args.gamma, m_beta=2 * args.m,
-                         ef_construction=40)
-    with Timer() as t:
-        index = AcornIndex.build(vectors, table, params=params,
-                                 seed=args.seed)
-    print(f"built ACORN-gamma (m={args.m}, gamma={args.gamma}) "
-          f"in {t.elapsed:.1f}s")
-    index.freeze()
-    reset_fixup_counters()
-
-    batch = QueryBatch.build(queries, predicates, k=args.k,
-                             ef_search=args.ef)
-
-    def result_key(outcome):
-        return [
-            (r.ids.tobytes(), r.distances.tobytes(),
-             r.distance_computations, s.hops, s.visited_nodes)
-            for r, s in zip(outcome.results, outcome.stats)
-        ]
-
-    with SearchEngine(index, num_workers=1, executor="sync") as engine:
-        engine.search_batch(batch)  # warm the predicate cache
-        with Timer() as t:
-            sync_outcome = engine.search_batch(batch)
-        sync_qps = len(queries) / t.elapsed
-    sync_key = result_key(sync_outcome)
-    print(f"\nsync baseline       : {sync_qps:10.1f} qps")
-
-    thread_qps = {}
-    for workers in worker_counts:
-        with SearchEngine(index, num_workers=workers,
-                          executor="thread") as engine:
-            engine.search_batch(batch)  # warm the pool
-            with Timer() as t:
-                outcome = engine.search_batch(batch)
-            thread_qps[workers] = len(queries) / t.elapsed
-        if result_key(outcome) != sync_key:
-            raise SystemExit(
-                f"thread executor at {workers} workers diverged from sync"
-            )
-        print(f"thread, {workers:2d} worker(s) : "
-              f"{thread_qps[workers]:10.1f} qps")
-
-    process_qps = {}
-    results_identical = True
-    deterministic = True
-    zero_copy = False
-    arena_nbytes = 0
-    pool_stats = {"spawns": 0, "deaths": 0}
-    for workers in worker_counts:
-        with SearchEngine(index, num_workers=workers,
-                          executor="process") as engine:
-            engine.search_batch(batch)  # warm spawn + arena pins
-            with Timer() as t:
-                outcome_a = engine.search_batch(batch)
-            process_qps[workers] = len(queries) / t.elapsed
-            outcome_b = engine.search_batch(batch)
-            if engine.process_fallbacks:
-                raise SystemExit(
-                    "process executor fell back to threads: "
-                    f"{engine.last_fallback_reason}"
-                )
-            key_a = result_key(outcome_a)
-            results_identical &= key_a == sync_key
-            deterministic &= key_a == result_key(outcome_b)
-            if workers == worker_counts[-1]:
-                # Zero-copy evidence from inside a worker: its hot
-                # arrays must alias the mapped arena buffer.
-                record = engine._arena_manager.current
-                report = engine._proc_pool.call(
-                    0, "introspect", {"token": record.token},
-                    pin=(record.token,
-                         {"manifest": record.arena.manifest(),
-                          "spec": record.spec}),
-                )
-                zero_copy = bool(report["vectors_shared"]
-                                 and report["csr_shared"]
-                                 and not report["vectors_writeable"])
-                arena_nbytes = int(report["arena_nbytes"])
-                pool_stats = {
-                    key: engine._proc_pool.stats()[key]
-                    for key in ("spawns", "deaths")
-                }
-        ratio = process_qps[workers] / thread_qps[workers]
-        print(f"process, {workers:2d} worker(s): "
-              f"{process_qps[workers]:10.1f} qps ({ratio:.2f}x thread)")
-
-    ratios = {w: process_qps[w] / thread_qps[w] for w in worker_counts}
-    at4 = ratios.get(4, max(ratios.values()))
-    fixup_copies = int(sum(COPY_FIXUPS.values()))
-    gate_enforced = bool(cpus >= 4 and 4 in worker_counts
-                         and not args.smoke)
-    print(f"\nbyte-identical to sync : {results_identical}")
-    print(f"double-run determinism : {deterministic}")
-    print(f"zero-copy (in-worker)  : {zero_copy} "
-          f"({arena_nbytes / 1e6:.1f} MB arena, "
-          f"{fixup_copies} fixup copies)")
-    gate_label = ("enforced" if gate_enforced
-                  else f"recorded only — {cpus} cpu(s)")
-    print(f"process/thread at 4    : {at4:.2f}x ({gate_label})")
-
-    entry = {
-        "bench": "parallel",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "n": args.n,
-        "dim": args.dim,
-        "queries": args.queries,
-        "k": args.k,
-        "ef_search": args.ef,
-        "m": args.m,
-        "gamma": args.gamma,
-        "smoke": bool(args.smoke),
-        "cpus": int(cpus),
-        "index": "acorn-gamma",
-        "sync_qps": round(sync_qps, 2),
-        "thread_qps_by_workers": {
-            str(w): round(q, 2) for w, q in thread_qps.items()
-        },
-        "process_qps_by_workers": {
-            str(w): round(q, 2) for w, q in process_qps.items()
-        },
-        "process_vs_thread_at_4": round(at4, 3),
-        "best_process_vs_thread": round(max(ratios.values()), 3),
-        "results_identical": bool(results_identical),
-        "deterministic": bool(deterministic),
-        "zero_copy": bool(zero_copy),
-        "arena_nbytes": arena_nbytes,
-        "fixup_copies": fixup_copies,
-        "pool": pool_stats,
-        "gate_enforced": gate_enforced,
-    }
-    validate_parallel_entry(entry)
-    out = Path(args.out)
-    entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
-    out.write_text(json.dumps(entries, indent=2) + "\n")
-    print(f"recorded entry in {out}")
-
-
-# bench-report: headline metrics pulled per bench kind, in the order
-# they should appear in the table.  Keys absent from an entry are
-# skipped, so older records with narrower schemas still render.
-_REPORT_HEADLINES = {
-    "engine-batch": ("engine_qps", "speedup_vs_sequential"),
-    "traversal-kernel": ("batch_qps_speedup", "hops_per_s_speedup"),
-    "shard-scatter-gather": ("sharded_qps", "qps_ratio", "prune_fraction"),
-    "shard-chaos": ("degraded_queries", "min_recall_ceiling"),
-    "build-tti": ("speedup", "recall_gap"),
-    "route": ("adaptive_qps_speedup", "adaptive_dc_speedup",
-              "recall_delta"),
-    "quant": ("batch_qps_speedup", "quantization"),
-    "serving": ("rate_qps", "deterministic"),
-    "lifecycle": ("read_qps", "recall_at_k", "compactions"),
-    "parallel": ("process_vs_thread_at_4", "best_process_vs_thread",
-                 "cpus", "zero_copy"),
-}
-
-
-def _report_rows(bench_dir: Path) -> list[dict]:
-    """One row per recorded bench entry across every BENCH_*.json."""
-    rows = []
-    for path in sorted(bench_dir.glob("BENCH_*.json")):
-        try:
-            entries = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"skipping {path.name}: {exc}")
-            continue
-        if not isinstance(entries, list):
-            print(f"skipping {path.name}: not a JSON array")
-            continue
-        for run, entry in enumerate(entries):
-            bench = str(entry.get("bench", path.stem))
-            headline_keys = _REPORT_HEADLINES.get(bench, ())
-            headline = "  ".join(
-                f"{key}={entry[key]}" for key in headline_keys
-                if key in entry
-            )
-            rows.append({
-                "file": path.name,
-                "bench": bench,
-                "run": run + 1,
-                "timestamp": str(entry.get("timestamp", "")),
-                "n": entry.get("n", ""),
-                "queries": entry.get("queries", ""),
-                "smoke": entry.get("smoke", False),
-                "headline": headline,
-            })
-    return rows
-
-
-def _cmd_bench_report(args: argparse.Namespace) -> None:
-    bench_dir = Path(args.dir)
-    rows = _report_rows(bench_dir)
-    if not rows:
-        raise SystemExit(f"no BENCH_*.json files found in {bench_dir}")
-
-    columns = ("file", "bench", "run", "timestamp", "n", "queries",
-               "smoke", "headline")
-    lines = [
-        "# Benchmark trajectory",
-        "",
-        "Aggregated from every `BENCH_*.json` in this directory by "
-        "`python -m repro bench-report`.  One row per recorded run, in "
-        "file order then run order — the per-file sequence is the "
-        "perf trajectory across PRs.",
-        "",
-        "| " + " | ".join(columns) + " |",
-        "|" + "|".join("---" for _ in columns) + "|",
-    ]
-    for row in rows:
-        lines.append(
-            "| " + " | ".join(str(row[col]) for col in columns) + " |"
-        )
-    lines.append("")
-    report = "\n".join(lines)
-    out = Path(args.out)
-    out.write_text(report)
-    print(f"wrote {out} ({len(rows)} runs across "
-          f"{len({row['file'] for row in rows})} files)")
-
-    if args.csv:
-        import csv
-
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=columns)
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"wrote {args.csv}")
-
-
 def _cmd_info(_args: argparse.Namespace) -> None:
     print(f"repro {repro.__version__} — ACORN (SIGMOD 2024) reproduction")
     print(f"numpy {np.__version__}")
@@ -1852,9 +113,51 @@ def _cmd_info(_args: argparse.Namespace) -> None:
     print("see DESIGN.md / EXPERIMENTS.md for the experiment index")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
+def _effort_list(text: str) -> list[int]:
+    """``"10,40,160"`` -> ``[10, 40, 160]``; empty lists and items that
+    are not positive integers are usage errors."""
+    return [_positive_int(item) for item in text.split(",")]
+
+
+def _method_names(text: str) -> str:
+    """Validate a comma list of sweep methods; returns it unchanged."""
+    known = ("acorn", "acorn1", "pre", "post")
+    for name in text.split(","):
+        if name not in known:
+            raise argparse.ArgumentTypeError(
+                f"unknown method {name!r}; choose from {', '.join(known)}"
+            )
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's own failure (usage line on stderr, exit status 2) with
+    the message also carried as ``str(exc)``, so a caller of :func:`main`
+    can tell *why* parsing failed, not only that it did."""
+
+    def error(self, message: str):
+        try:
+            super().error(message)
+        except SystemExit as exc:
+            exc.args = (message,)  # exc.code, the exit status, stays 2
+            raise
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level ``repro`` argument parser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro",
         description="ACORN hybrid-search reproduction toolkit",
     )
@@ -1862,304 +165,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="recall-QPS sweep on a dataset")
     sweep.add_argument("--dataset", choices=sorted(DATASETS), default="sift")
-    sweep.add_argument("--n", type=int, default=2000)
-    sweep.add_argument("--queries", type=int, default=60)
-    sweep.add_argument("--k", type=int, default=10)
-    sweep.add_argument("--m", type=int, default=12)
-    sweep.add_argument("--gamma", type=int, default=12)
-    sweep.add_argument("--methods", default="acorn,acorn1,pre,post")
-    sweep.add_argument("--efforts", default="10,40,160")
+    sweep.add_argument("--n", type=_positive_int, default=2000)
+    sweep.add_argument("--queries", type=_positive_int, default=60)
+    sweep.add_argument("--k", type=_positive_int, default=10)
+    sweep.add_argument("--m", type=_positive_int, default=12)
+    sweep.add_argument("--gamma", type=_positive_int, default=12)
+    sweep.add_argument("--methods", type=_method_names,
+                       default="acorn,acorn1,pre,post")
+    sweep.add_argument("--efforts", type=_effort_list, default="10,40,160")
     sweep.add_argument("--recall-target", type=float, default=0.9)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.set_defaults(func=_cmd_sweep)
 
     corr = sub.add_parser("correlation",
                           help="measure C(D,Q) of the LAION workloads")
-    corr.add_argument("--n", type=int, default=1500)
-    corr.add_argument("--queries", type=int, default=40)
+    corr.add_argument("--n", type=_positive_int, default=1500)
+    corr.add_argument("--queries", type=_positive_int, default=40)
     corr.add_argument("--seed", type=int, default=3)
     corr.set_defaults(func=_cmd_correlation)
-
-    bench = sub.add_parser(
-        "bench-batch",
-        help="batched-engine throughput vs a sequential search loop",
-    )
-    bench.add_argument("--n", type=int, default=10000)
-    bench.add_argument("--queries", type=int, default=256)
-    bench.add_argument("--dim", type=int, default=32)
-    bench.add_argument("--k", type=int, default=10)
-    bench.add_argument("--m", type=int, default=12)
-    bench.add_argument("--gamma", type=int, default=12)
-    bench.add_argument("--ef", type=int, default=32)
-    bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument("--distinct-predicates", type=int, default=8)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", default="BENCH_engine.json")
-    bench.set_defaults(func=_cmd_bench_batch)
-
-    trav = sub.add_parser(
-        "bench-traversal",
-        help="CSR traversal kernel vs the legacy dict kernel",
-    )
-    trav.add_argument("--n", type=int, default=10000)
-    trav.add_argument("--queries", type=int, default=128)
-    trav.add_argument("--dim", type=int, default=32)
-    trav.add_argument("--k", type=int, default=10)
-    trav.add_argument("--m", type=int, default=12)
-    trav.add_argument("--gamma", type=int, default=12)
-    trav.add_argument("--ef", type=int, default=32)
-    trav.add_argument("--workers", type=int, default=4)
-    trav.add_argument("--distinct-predicates", type=int, default=8)
-    trav.add_argument("--seed", type=int, default=0)
-    trav.add_argument("--out", default="BENCH_traversal.json")
-    trav.add_argument(
-        "--smoke", action="store_true",
-        help="small workload; exit nonzero if CSR is slower than dict",
-    )
-    trav.set_defaults(func=_cmd_bench_traversal)
-
-    shard = sub.add_parser(
-        "bench-shard",
-        help="sharded scatter-gather vs the monolithic index",
-    )
-    shard.add_argument("--n", type=int, default=10000)
-    shard.add_argument("--queries", type=int, default=128)
-    shard.add_argument("--dim", type=int, default=32)
-    shard.add_argument("--k", type=int, default=10)
-    shard.add_argument("--m", type=int, default=12)
-    shard.add_argument("--gamma", type=int, default=12)
-    shard.add_argument("--ef", type=int, default=32)
-    shard.add_argument("--workers", type=int, default=4)
-    shard.add_argument("--shards", type=int, default=4)
-    shard.add_argument("--distinct-predicates", type=int, default=8)
-    shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument("--out", default="BENCH_shard.json")
-    shard.add_argument(
-        "--smoke", action="store_true",
-        help="small workload at saturating ef; exit nonzero unless the "
-             "router pruned shards and results match the monolithic index",
-    )
-    shard.set_defaults(func=_cmd_bench_shard)
-
-    chaos = sub.add_parser(
-        "bench-chaos",
-        help="resilient scatter-gather under a seeded fault plan",
-    )
-    chaos.add_argument("--n", type=int, default=10000)
-    chaos.add_argument("--queries", type=int, default=64)
-    chaos.add_argument("--dim", type=int, default=32)
-    chaos.add_argument("--k", type=int, default=10)
-    chaos.add_argument("--m", type=int, default=12)
-    chaos.add_argument("--gamma", type=int, default=12)
-    chaos.add_argument("--ef", type=int, default=32)
-    chaos.add_argument("--workers", type=int, default=1)
-    chaos.add_argument("--shards", type=int, default=8)
-    chaos.add_argument("--failure-rate", type=float, default=0.2)
-    chaos.add_argument("--deadline", type=float, default=0.5,
-                       help="per-shard deadline in injected-clock seconds")
-    chaos.add_argument("--retries", type=int, default=1)
-    chaos.add_argument("--distinct-predicates", type=int, default=8)
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--out", default="BENCH_chaos.json")
-    chaos.add_argument(
-        "--smoke", action="store_true",
-        help="small workload at saturating ef; exit nonzero unless "
-             "failure accounting is exact, degraded results match the "
-             "survivors-only ground truth, and every query stays within "
-             "its injected-clock budget",
-    )
-    chaos.set_defaults(func=_cmd_bench_chaos)
-
-    build = sub.add_parser(
-        "bench-build",
-        help="sequential vs wave-parallel index construction (Table 4 TTI)",
-    )
-    build.add_argument("--n", type=int, default=10000)
-    build.add_argument("--queries", type=int, default=32)
-    build.add_argument("--dim", type=int, default=32)
-    build.add_argument("--k", type=int, default=10)
-    build.add_argument("--m", type=int, default=12)
-    build.add_argument("--gamma", type=int, default=12)
-    build.add_argument("--ef-construction", type=int, default=144)
-    build.add_argument("--ef", type=int, default=80,
-                       help="ef_search for the recall-parity probe")
-    build.add_argument("--workers", type=int, default=4)
-    build.add_argument("--wave-cap", type=int, default=None,
-                       help="max wave size (default scales with n)")
-    build.add_argument("--distinct-predicates", type=int, default=8)
-    build.add_argument("--seed", type=int, default=0)
-    build.add_argument("--out", default="BENCH_build.json")
-    build.add_argument(
-        "--smoke", action="store_true",
-        help="small workload; exit nonzero unless both graphs validate, "
-             "same-seed parallel builds are identical, and parallel-build "
-             "recall matches sequential within 0.01",
-    )
-    build.set_defaults(func=_cmd_bench_build)
-
-    route = sub.add_parser(
-        "bench-route",
-        help="static s_min routing vs the adaptive cost-based planner "
-             "on a correlated/anti-correlated workload",
-    )
-    route.add_argument("--n", type=int, default=10000)
-    route.add_argument("--dim", type=int, default=32)
-    route.add_argument("--queries", type=int, default=240)
-    route.add_argument("--k", type=int, default=10)
-    route.add_argument("--ef", type=int, default=64)
-    route.add_argument("--m", type=int, default=16)
-    route.add_argument("--gamma", type=int, default=12)
-    route.add_argument("--workers", type=int, default=1)
-    route.add_argument("--estimator", choices=("exact", "sampling"),
-                       default="exact")
-    route.add_argument("--sample-size", type=int, default=500,
-                       help="sampling-estimator sample size")
-    route.add_argument("--seed", type=int, default=0)
-    route.add_argument("--smoke", action="store_true",
-                       help="small run with hard regression gates (CI)")
-    route.add_argument("--out", default="BENCH_route.json")
-    route.set_defaults(func=_cmd_bench_route)
-
-    quant = sub.add_parser(
-        "bench-quant",
-        help="quantized traversal hot path (int8/PQ-ADC + exact rerank) "
-             "vs the float32 search on the same graph",
-    )
-    quant.add_argument("--n", type=int, default=10000)
-    quant.add_argument("--queries", type=int, default=128)
-    quant.add_argument("--dim", type=int, default=32)
-    quant.add_argument("--k", type=int, default=10)
-    quant.add_argument("--m", type=int, default=12)
-    quant.add_argument("--gamma", type=int, default=12)
-    quant.add_argument("--ef", type=int, default=192)
-    quant.add_argument("--workers", type=int, default=4)
-    quant.add_argument("--beam", type=int, default=32,
-                       help="lockstep frontier width per round")
-    quant.add_argument("--quantization", choices=("sq8", "pq"),
-                       default="sq8")
-    quant.add_argument("--rerank-factor", type=float, default=3.0)
-    quant.add_argument("--recall-floor", type=float, default=0.95)
-    quant.add_argument("--distinct-predicates", type=int, default=8)
-    quant.add_argument("--seed", type=int, default=0)
-    quant.add_argument("--out", default="BENCH_quant.json")
-    quant.add_argument(
-        "--smoke", action="store_true",
-        help="small workload; exit nonzero unless quantized results are "
-             "deterministic across two runs and recall clears the floor "
-             "(the 2x QPS gate applies to full runs only)",
-    )
-    quant.set_defaults(func=_cmd_bench_quant)
-
-    serving = sub.add_parser(
-        "bench-serving",
-        help="asyncio multi-tenant serving layer under seeded open-loop "
-             "load (steady Poisson + flash crowd): goodput, tail "
-             "latency, shed/degraded accounting",
-    )
-    serving.add_argument("--n", type=int, default=10000)
-    serving.add_argument("--dim", type=int, default=32)
-    serving.add_argument("--k", type=int, default=10)
-    serving.add_argument("--m", type=int, default=12)
-    serving.add_argument("--gamma", type=int, default=12)
-    serving.add_argument("--ef", type=int, default=64)
-    serving.add_argument("--workers", type=int, default=4,
-                         help="engine worker threads inside the service")
-    serving.add_argument("--pool", type=int, default=64,
-                         help="distinct query vectors the traces draw from")
-    serving.add_argument("--distinct-predicates", type=int, default=8)
-    serving.add_argument("--max-batch", type=int, default=32)
-    serving.add_argument("--latency-budget-ms", type=float, default=5.0)
-    serving.add_argument("--max-pending", type=int, default=256)
-    serving.add_argument("--tenants", type=int, default=4)
-    serving.add_argument("--tenant-rate", type=float, default=150.0,
-                         help="per-tenant token-bucket refill rate (qps)")
-    serving.add_argument("--tenant-burst", type=float, default=20.0)
-    serving.add_argument("--rate", type=float, default=800.0,
-                         help="base open-loop arrival rate (qps)")
-    serving.add_argument("--duration", type=float, default=2.0,
-                         help="schedule length in seconds")
-    serving.add_argument("--flash-multiplier", type=float, default=4.0)
-    serving.add_argument("--seed", type=int, default=0)
-    serving.add_argument("--out", default="BENCH_serving.json")
-    serving.add_argument(
-        "--smoke", action="store_true",
-        help="small workload; exit nonzero unless both schedules replay "
-             "deterministically on the virtual clock, the flash crowd "
-             "sheds load, and the steady schedule serves load",
-    )
-    serving.set_defaults(func=_cmd_bench_serving)
-
-    lifecycle = sub.add_parser(
-        "bench-lifecycle",
-        help="streaming index lifecycle: read QPS and recall under a "
-             "concurrent seeded write stream with online compaction, "
-             "gated by a double-replay determinism check",
-    )
-    lifecycle.add_argument("--n", type=int, default=8000,
-                           help="initial (pre-stream) dataset size")
-    lifecycle.add_argument("--dim", type=int, default=32)
-    lifecycle.add_argument("--k", type=int, default=10)
-    lifecycle.add_argument("--m", type=int, default=12)
-    lifecycle.add_argument("--gamma", type=int, default=12)
-    lifecycle.add_argument("--ef", type=int, default=64)
-    lifecycle.add_argument("--ops", type=int, default=2000,
-                           help="seeded insert/delete ops in the tape")
-    lifecycle.add_argument("--reads", type=int, default=200,
-                           help="interleaved reads in the virtual arm "
-                                "(the timed arm reads open-loop)")
-    lifecycle.add_argument("--delete-fraction", type=float, default=0.3)
-    lifecycle.add_argument("--distinct-predicates", type=int, default=8)
-    lifecycle.add_argument("--recall-floor", type=float, default=0.7)
-    lifecycle.add_argument("--seed", type=int, default=0)
-    lifecycle.add_argument("--out", default="BENCH_lifecycle.json")
-    lifecycle.add_argument(
-        "--smoke", action="store_true",
-        help="small workload; exit nonzero unless the double replay is "
-             "deterministic, no read failed or blocked during "
-             "compaction, and concurrent recall clears the floor",
-    )
-    lifecycle.set_defaults(func=_cmd_bench_lifecycle)
-
-    par = sub.add_parser(
-        "bench-parallel",
-        help="zero-copy shared-memory process executor vs the thread "
-             "executor, gated on byte-identity, double-run determinism, "
-             "and in-worker buffer identity",
-    )
-    par.add_argument("--n", type=int, default=10000)
-    par.add_argument("--queries", type=int, default=256)
-    par.add_argument("--dim", type=int, default=32)
-    par.add_argument("--k", type=int, default=10)
-    par.add_argument("--m", type=int, default=12)
-    par.add_argument("--gamma", type=int, default=12)
-    par.add_argument("--ef", type=int, default=32)
-    par.add_argument("--workers", default="1,2,4,8",
-                     help="comma-separated worker counts to sweep")
-    par.add_argument("--distinct-predicates", type=int, default=8)
-    par.add_argument("--seed", type=int, default=0)
-    par.add_argument("--out", default="BENCH_parallel.json")
-    par.add_argument(
-        "--smoke", action="store_true",
-        help="small workload at 1,2 workers; exit nonzero unless "
-             "process results are byte-identical to the sequential "
-             "loop, deterministic across a double run, and served "
-             "zero-copy from shared memory (the 2x QPS gate applies "
-             "to full runs on >= 4 CPUs only); exits clean with a "
-             "skip notice when shared memory is unavailable",
-    )
-    par.set_defaults(func=_cmd_bench_parallel)
-
-    report = sub.add_parser(
-        "bench-report",
-        help="aggregate every BENCH_*.json into one markdown "
-             "perf-trajectory table (and optional CSV)",
-    )
-    report.add_argument("--dir", default=".",
-                        help="directory to scan for BENCH_*.json")
-    report.add_argument("--out", default="BENCH_REPORT.md")
-    report.add_argument("--csv", default=None,
-                        help="also write the rows as CSV to this path")
-    report.set_defaults(func=_cmd_bench_report)
 
     info = sub.add_parser("info", help="version and environment summary")
     info.set_defaults(func=_cmd_info)

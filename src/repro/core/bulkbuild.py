@@ -103,8 +103,7 @@ def graph_checksum(graph) -> str:
     Hashes the entry point, every node's level, and every per-level
     adjacency list (in node-id order, preserving stored neighbor
     order).  Two graphs compare equal under this checksum iff they have
-    identical adjacency — the equality the determinism tests and the
-    ``bench-build`` rebuild gate assert.
+    identical adjacency — the equality the determinism tests assert.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(str(graph.entry_point).encode())

@@ -3,17 +3,11 @@
 Before the CSR flattening (:mod:`repro.core.search`), frozen adjacency
 was a ``dict[int, np.ndarray]`` per level and every strategy walked
 neighbor entries in Python.  That kernel lives on here, verbatim, for
-two jobs:
+one job: ``tests/core/test_csr_equivalence.py`` asserts the CSR kernel
+returns byte-identical results (ids, distances, distance-computation
+counts, hop/visited counters) for every index type and strategy.
 
-- **equivalence testing** — ``tests/core/test_csr_equivalence.py``
-  asserts the CSR kernel returns byte-identical results (ids,
-  distances, distance-computation counts, hop/visited counters) for
-  every index type and strategy;
-- **benchmarking** — ``python -m repro bench-traversal`` measures the
-  CSR kernel against this dict path and records the before/after delta
-  in ``BENCH_traversal.json``.
-
-Nothing in the production search path imports this module.
+Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ slice/gather operations: the predicate mask is applied as
 ``mask[indices[start:stop]]`` and 2-hop expansion is an ``indptr``
 gather + ``np.concatenate`` + stable dedup, with no per-neighbor Python
 iteration.  The previous dict-of-arrays kernel survives in
-:mod:`repro.core.dictsearch` as the equivalence/benchmark reference.
+:mod:`repro.core.dictsearch` as the equivalence reference.
 """
 
 from __future__ import annotations

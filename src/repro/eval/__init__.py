@@ -7,18 +7,6 @@ reporting (Tables 4-5), per-level out-degrees (Table 6), and
 predicate-subgraph quality statistics (Figure 13).
 """
 
-from repro.eval.benchschema import (
-    BUILD_SCHEMA_KEYS,
-    CHAOS_SCHEMA_KEYS,
-    LIFECYCLE_SCHEMA_KEYS,
-    SHARD_SCHEMA_KEYS,
-    TRAVERSAL_SCHEMA_KEYS,
-    validate_build_entry,
-    validate_chaos_entry,
-    validate_lifecycle_entry,
-    validate_shard_entry,
-    validate_traversal_entry,
-)
 from repro.eval.metrics import mean_recall_at_k, recall_at_k
 from repro.eval.export import load_results, save_results, sweeps_to_record
 from repro.eval.plots import ascii_curves
@@ -34,16 +22,6 @@ from repro.eval.stats import (
 )
 
 __all__ = [
-    "BUILD_SCHEMA_KEYS",
-    "CHAOS_SCHEMA_KEYS",
-    "LIFECYCLE_SCHEMA_KEYS",
-    "SHARD_SCHEMA_KEYS",
-    "TRAVERSAL_SCHEMA_KEYS",
-    "validate_build_entry",
-    "validate_chaos_entry",
-    "validate_lifecycle_entry",
-    "validate_shard_entry",
-    "validate_traversal_entry",
     "GraphQuality",
     "MethodSweep",
     "PercentileSummary",

@@ -17,11 +17,10 @@ Three pieces:
   and finally drains.  Wall time is microseconds regardless of the
   schedule's virtual duration.
 - :func:`replay_realtime` — the same trace paced by real
-  ``asyncio.sleep``, for wall-clock latency/goodput measurement in
-  ``bench-serving``.
+  ``asyncio.sleep``, for wall-clock latency/goodput measurement.
 
-:func:`summarize_load` condenses the responses into the SLO-style
-record ``BENCH_serving.json`` stores: shed/degraded accounting that
+:func:`summarize_load` condenses the responses into one SLO-style
+record: shed/degraded accounting that
 sums exactly to offered load, latency percentiles (``None`` when every
 request was shed), goodput, and per-tenant outcomes.
 """

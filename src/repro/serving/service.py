@@ -678,7 +678,7 @@ class AcornService:
 
         ``offered == admitted + rejected`` always; after :meth:`drain`,
         ``ok + degraded + rejected == offered`` — the accounting
-        invariant the bench validator enforces.
+        invariant ``tests/serving/test_loadgen.py`` pins.
         """
         return {
             **self._counters,
@@ -693,8 +693,8 @@ class AcornService:
         """JSON-serializable write-path counters.
 
         ``offered == applied + rejected`` always.  Kept separate from
-        :meth:`summary` so the read-side accounting invariant stays
-        exactly what the serving bench validator pins.
+        :meth:`summary` so the read-side accounting invariant is
+        untouched by write traffic.
         """
         out = dict(self.write_counters)
         out["epoch"] = int(getattr(self.searcher, "current_epoch", 0))

@@ -3,8 +3,8 @@
 Everything in the resilience layer (per-shard deadlines, retry
 backoff, circuit-breaker reset windows) reads time through a
 :class:`Clock` rather than calling :mod:`time` directly.  Production
-code uses :class:`SystemClock`; the chaos test suite and ``bench-chaos``
-substitute a :class:`FakeClock`, whose ``sleep`` advances virtual time
+code uses :class:`SystemClock`; the chaos test suite
+substitutes a :class:`FakeClock`, whose ``sleep`` advances virtual time
 instantly — so fault schedules with multi-second latency spikes run in
 microseconds of wall time and are bit-for-bit deterministic.
 """

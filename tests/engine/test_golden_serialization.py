@@ -1,12 +1,11 @@
 """Golden regression: pinned serialization of the instrumentation.
 
 ``QueryStats.to_dict()``, ``BatchResult.summary()``, and the sweep CSV
-header feed downstream dashboards and the ``BENCH_*.json`` schemas, so
-their shape must not drift silently.  These goldens pin field names,
+header feed downstream dashboards and ``benchmarks/e2e``, so their
+shape must not drift silently.  These goldens pin field names,
 ordering, and exact values (the inputs are hand-crafted, so every
 number below is arithmetically forced).  If a deliberate schema change
-moves them, update the goldens here *and* the corresponding
-``validate_*_entry`` checks in ``repro.cli`` in the same commit.
+moves them, update the goldens here in the same commit.
 """
 
 import dataclasses

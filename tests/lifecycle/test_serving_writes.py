@@ -3,7 +3,7 @@
 ``submit_write`` shares the read path's admission gate (so a tenant
 cannot starve readers with mutations) but applies synchronously to the
 lifecycle delta and keeps its own ledger — the read-side ``summary()``
-accounting stays exactly what the serving bench validator pins.
+accounting is untouched by write traffic.
 """
 
 import asyncio

@@ -21,6 +21,7 @@ import pytest
 from repro.baselines.prefilter import PreFilterSearcher
 from repro.core import HybridSearcher
 from repro.engine import QueryBatch, SearchEngine
+from repro.eval import mean_recall_at_k
 from repro.predicates import Equals, OneOf
 from repro.routing import (
     RoutePlanner,
@@ -127,6 +128,29 @@ class TestAdaptive:
             got = planner.search(query, pred, 10, ef_search=n)
             assert np.array_equal(got.ids, expected.ids)
             assert np.allclose(got.distances, expected.distances)
+
+    def test_recall_not_below_static_below_exhaustive_ef(self, acorn_index):
+        """Where routes are approximate (ef << n) the cost-based choice
+        may move work between routes but must not buy it with recall:
+        adaptive stays within 0.01 of the static threshold rule."""
+        pre = PreFilterSearcher(
+            acorn_index.store.vectors, acorn_index.table,
+            metric=acorn_index.metric,
+        )
+        queries = _query_stream(np.random.default_rng(23), 24)
+        preds = _predicate_stream(24)
+        truth = [pre.search(q, p.compile(acorn_index.table), 10).ids
+                 for q, p in zip(queries, preds)]
+
+        def recall(policy):
+            planner = RoutePlanner(acorn_index, policy=policy)
+            return mean_recall_at_k(
+                [planner.search(q, p, 10, ef_search=16).ids
+                 for q, p in zip(queries, preds)],
+                truth, 10,
+            )
+
+        assert recall("adaptive") >= recall("static") - 0.01
 
     def test_decisions_deterministic_across_fresh_planners(
         self, acorn_index

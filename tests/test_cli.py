@@ -1,21 +1,10 @@
 """Tests for the command-line interface."""
 
-import json
+import argparse
 
 import pytest
 
-from repro.cli import (
-    build_parser,
-    main,
-    validate_build_entry,
-    validate_chaos_entry,
-    validate_lifecycle_entry,
-    validate_parallel_entry,
-    validate_quant_entry,
-    validate_route_entry,
-    validate_serving_entry,
-    validate_shard_entry,
-)
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -24,100 +13,6 @@ class TestParser:
         assert args.dataset == "sift"
         assert args.methods == "acorn,acorn1,pre,post"
 
-    def test_bench_batch_defaults(self):
-        args = build_parser().parse_args(["bench-batch"])
-        assert args.n == 10000
-        assert args.queries == 256
-        assert args.workers == 4
-        assert args.out == "BENCH_engine.json"
-
-    def test_bench_shard_defaults(self):
-        args = build_parser().parse_args(["bench-shard"])
-        assert args.n == 10000
-        assert args.shards == 4
-        assert args.out == "BENCH_shard.json"
-        assert args.smoke is False
-
-    def test_bench_chaos_defaults(self):
-        args = build_parser().parse_args(["bench-chaos"])
-        assert args.shards == 8
-        assert args.failure_rate == 0.2
-        assert args.deadline == 0.5
-        assert args.retries == 1
-        assert args.out == "BENCH_chaos.json"
-        assert args.smoke is False
-
-    def test_bench_build_defaults(self):
-        args = build_parser().parse_args(["bench-build"])
-        assert args.n == 10000
-        assert args.workers == 4
-        assert args.wave_cap is None
-        assert args.ef_construction == 144
-        assert args.out == "BENCH_build.json"
-        assert args.smoke is False
-
-    def test_bench_route_defaults(self):
-        args = build_parser().parse_args(["bench-route"])
-        assert args.n == 10000
-        assert args.queries == 240
-        assert args.ef == 64
-        assert args.estimator == "exact"
-        assert args.out == "BENCH_route.json"
-        assert args.smoke is False
-
-    def test_bench_quant_defaults(self):
-        args = build_parser().parse_args(["bench-quant"])
-        assert args.n == 10000
-        assert args.queries == 128
-        assert args.ef == 192
-        assert args.beam == 32
-        assert args.quantization == "sq8"
-        assert args.rerank_factor == 3.0
-        assert args.recall_floor == 0.95
-        assert args.out == "BENCH_quant.json"
-        assert args.smoke is False
-
-    def test_bench_serving_defaults(self):
-        args = build_parser().parse_args(["bench-serving"])
-        assert args.n == 10000
-        assert args.k == 10
-        assert args.workers == 4
-        assert args.max_batch == 32
-        assert args.latency_budget_ms == 5.0
-        assert args.max_pending == 256
-        assert args.tenants == 4
-        assert args.tenant_rate == 150.0
-        assert args.tenant_burst == 20.0
-        assert args.rate == 800.0
-        assert args.duration == 2.0
-        assert args.flash_multiplier == 4.0
-        assert args.out == "BENCH_serving.json"
-        assert args.smoke is False
-
-    def test_bench_lifecycle_defaults(self):
-        args = build_parser().parse_args(["bench-lifecycle"])
-        assert args.n == 8000
-        assert args.dim == 32
-        assert args.k == 10
-        assert args.m == 12
-        assert args.gamma == 12
-        assert args.ef == 64
-        assert args.ops == 2000
-        assert args.reads == 200
-        assert args.delete_fraction == 0.3
-        assert args.recall_floor == 0.7
-        assert args.out == "BENCH_lifecycle.json"
-        assert args.smoke is False
-
-    def test_bench_quant_rejects_unknown_codec(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench-quant", "--quantization",
-                                       "int4"])
-
-    def test_bench_route_rejects_unknown_estimator(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench-route", "--estimator", "oracle"])
-
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -125,6 +20,40 @@ class TestParser:
     def test_unknown_dataset_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--dataset", "imagenet"])
+
+    def test_subcommands_are_exactly_sweep_correlation_info(self):
+        """Numbers come from benchmarks/e2e/run.py, not from this CLI."""
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(commands.choices) == {"sweep", "correlation", "info"}
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--k", "0"],
+        ["sweep", "--n", "-5"],
+        ["sweep", "--queries", "ten"],
+        ["sweep", "--m", "0"],
+        ["sweep", "--gamma", "0"],
+        ["sweep", "--efforts", ""],
+        ["sweep", "--efforts", "10,,40"],
+        ["sweep", "--efforts", "10,0"],
+        ["sweep", "--methods", "acorn,bogus"],
+        ["correlation", "--n", "0"],
+        ["correlation", "--queries", "-1"],
+    ])
+    def test_bad_input_is_a_usage_error_before_anything_is_built(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: ")
+
+    def test_efforts_parse_to_ints(self):
+        args = build_parser().parse_args(["sweep", "--efforts", "8,32"])
+        assert args.efforts == [8, 32]
+        assert build_parser().parse_args(["sweep"]).efforts == [10, 40, 160]
 
 
 class TestCommands:
@@ -149,859 +78,9 @@ class TestCommands:
         assert "ACORN-gamma" in out
         assert "pre-filter" in out
 
-    def test_bench_batch_small(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        main([
-            "bench-batch", "--n", "400", "--queries", "12", "--dim", "16",
-            "--m", "8", "--gamma", "6", "--workers", "2",
-            "--distinct-predicates", "4", "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert "sequential loop" in out
-        assert "recorded entry" in out
-        entries = json.loads(out_path.read_text())
-        assert len(entries) == 1
-        assert entries[0]["queries"] == 12
-        assert entries[0]["cache_misses"] == 4
-
     def test_sweep_unknown_method(self):
         with pytest.raises(SystemExit, match="unknown method"):
             main([
                 "sweep", "--dataset", "sift", "--n", "300", "--queries", "5",
                 "--methods", "magic",
             ])
-
-    def test_bench_shard_smoke(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_shard.json"
-        main([
-            "bench-shard", "--n", "400", "--queries", "12", "--dim", "12",
-            "--m", "8", "--gamma", "6", "--workers", "2", "--shards", "3",
-            "--smoke", "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert "sharded engine" in out
-        assert "results identical: True" in out
-        entries = json.loads(out_path.read_text())
-        assert len(entries) == 1
-        validate_shard_entry(entries[0])
-        assert entries[0]["n_shards"] == 3
-        assert entries[0]["shards_pruned"] >= 1
-        assert entries[0]["results_identical"] is True
-
-    def test_bench_chaos_smoke(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_chaos.json"
-        main([
-            "bench-chaos", "--n", "400", "--queries", "8", "--dim", "12",
-            "--m", "8", "--gamma", "6", "--shards", "5",
-            "--failure-rate", "0.2", "--smoke", "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert "accounting exact   : True" in out
-        assert "recorded entry" in out
-        entries = json.loads(out_path.read_text())
-        assert len(entries) == 1
-        validate_chaos_entry(entries[0])
-        assert entries[0]["ground_truth_matches"] is True
-        assert entries[0]["within_deadline"] is True
-        assert entries[0]["degraded_queries"] >= 1
-        assert len(entries[0]["faulty_shards"]) == 1
-
-    def test_bench_build_smoke(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_build.json"
-        main([
-            "bench-build", "--n", "400", "--queries", "8", "--dim", "12",
-            "--m", "8", "--gamma", "6", "--ef-construction", "48",
-            "--workers", "2", "--smoke", "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert "parallel build" in out
-        assert "checksum match = True" in out
-        assert "recorded entry" in out
-        entries = json.loads(out_path.read_text())
-        assert len(entries) == 1
-        validate_build_entry(entries[0])
-        assert entries[0]["n"] == 400
-        assert entries[0]["parallel_rebuild_checksum_match"] is True
-        assert entries[0]["graphs_valid"] is True
-        assert entries[0]["recall_gap"] <= 0.01
-
-    def test_bench_route_smoke(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_route.json"
-        main([
-            "bench-route", "--n", "600", "--queries", "16", "--dim", "12",
-            "--m", "8", "--gamma", "6", "--workers", "1",
-            "--smoke", "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert "static" in out and "adaptive" in out
-        assert "route decisions identical" in out
-        assert "recorded entry" in out
-        entries = json.loads(out_path.read_text())
-        assert len(entries) == 1
-        validate_route_entry(entries[0])
-        assert entries[0]["smoke"] is True
-        assert entries[0]["recall_delta"] >= -0.01
-        adaptive = entries[0]["policies"]["adaptive"]
-        assert sum(adaptive["route_counts"].values()) == 16
-
-    def test_bench_route_deterministic_across_runs(self, tmp_path):
-        """Same seed, same workload — identical entries modulo the
-        timestamp and wall-clock measurements."""
-        records = []
-        for run in range(2):
-            out_path = tmp_path / f"route_{run}.json"
-            main([
-                "bench-route", "--n", "500", "--queries", "12", "--dim",
-                "10", "--m", "8", "--gamma", "6", "--workers", "1",
-                "--smoke", "--out", str(out_path),
-            ])
-            entry = json.loads(out_path.read_text())[0]
-            entry.pop("timestamp")
-            entry.pop("adaptive_qps_speedup")
-            for sub in entry["policies"].values():
-                sub.pop("qps")
-                sub.pop("latency_s")
-            records.append(entry)
-        assert records[0] == records[1]
-
-    def test_bench_quant_smoke(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_quant.json"
-        main([
-            "bench-quant", "--n", "600", "--queries", "16", "--dim", "12",
-            "--m", "8", "--gamma", "6", "--ef", "96",
-            "--smoke", "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert "float32" in out
-        assert "sq8" in out
-        assert "determinism" in out
-        assert "recorded entry" in out
-        entries = json.loads(out_path.read_text())
-        assert len(entries) == 1
-        validate_quant_entry(entries[0])
-        assert entries[0]["smoke"] is True
-        assert entries[0]["recall_ok"] is True
-        assert entries[0]["deterministic"] is True
-        assert entries[0]["float32"]["mean_quantized_distances"] == 0.0
-        assert entries[0]["quantized"]["mean_quantized_distances"] > 0
-
-    def test_bench_quant_deterministic_across_runs(self, tmp_path):
-        """Same seed, same workload — identical arms modulo the
-        timestamp and wall-clock measurements."""
-        records = []
-        for run in range(2):
-            out_path = tmp_path / f"quant_{run}.json"
-            main([
-                "bench-quant", "--n", "500", "--queries", "12", "--dim",
-                "10", "--m", "8", "--gamma", "6", "--ef", "96",
-                "--smoke", "--out", str(out_path),
-            ])
-            entry = json.loads(out_path.read_text())[0]
-            entry.pop("timestamp")
-            entry.pop("batch_qps_speedup")
-            for arm in ("float32", "quantized"):
-                entry[arm].pop("qps")
-                entry[arm].pop("latency_s")
-            records.append(entry)
-        assert records[0] == records[1]
-
-    def test_bench_serving_smoke(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_serving.json"
-        main([
-            "bench-serving", "--n", "400", "--dim", "10", "--m", "8",
-            "--gamma", "6", "--workers", "2", "--pool", "16",
-            "--rate", "600", "--duration", "0.25",
-            "--tenant-rate", "40", "--tenant-burst", "5",
-            "--smoke", "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert "deterministic yes" in out
-        assert "recorded entry" in out
-        entries = json.loads(out_path.read_text())
-        assert len(entries) == 1
-        entry = entries[0]
-        validate_serving_entry(entry)
-        assert entry["smoke"] is True
-        assert entry["deterministic"] is True
-        # The flash crowd must actually shed against the tight quotas,
-        # and the steady schedule must actually serve — the command
-        # exits nonzero otherwise, but pin it here too.
-        assert entry["schedules"]["flash"]["rejected"] >= 1
-        assert entry["schedules"]["poisson"]["ok"] >= 1
-
-    def test_bench_lifecycle_smoke(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_lifecycle.json"
-        main([
-            "bench-lifecycle", "--n", "300", "--dim", "10", "--m", "8",
-            "--gamma", "8", "--ops", "60", "--reads", "12",
-            "--recall-floor", "0.5", "--smoke", "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert "-> pass" in out
-        assert "recorded entry" in out
-        entries = json.loads(out_path.read_text())
-        assert len(entries) == 1
-        entry = entries[0]
-        validate_lifecycle_entry(entry)
-        assert entry["smoke"] is True
-        assert entry["determinism"] == "pass"
-        assert entry["failed_reads_during_compaction"] == 0
-        assert entry["blocked_reads"] == 0
-        assert entry["compactions"] >= 1
-
-    def test_bench_serving_deterministic_across_runs(self, tmp_path):
-        """Same seed, same trace — identical entries modulo the
-        timestamp and the wall-clock (realtime) arms."""
-        records = []
-        for run in range(2):
-            out_path = tmp_path / f"serving_{run}.json"
-            main([
-                "bench-serving", "--n", "300", "--dim", "10", "--m", "8",
-                "--gamma", "6", "--workers", "2", "--pool", "12",
-                "--rate", "500", "--duration", "0.2",
-                "--tenant-rate", "40", "--tenant-burst", "5",
-                "--smoke", "--out", str(out_path),
-            ])
-            entry = json.loads(out_path.read_text())[0]
-            entry.pop("timestamp")
-            for sub in entry["schedules"].values():
-                sub.pop("realtime")
-            records.append(entry)
-        assert records[0] == records[1]
-
-    def test_bench_chaos_deterministic_across_runs(self, tmp_path):
-        """Same seed, same plan, same accounting — byte-for-byte except
-        the timestamp."""
-        records = []
-        for run in range(2):
-            out_path = tmp_path / f"chaos_{run}.json"
-            main([
-                "bench-chaos", "--n", "300", "--queries", "6", "--dim",
-                "10", "--m", "8", "--gamma", "6", "--shards", "4",
-                "--smoke", "--out", str(out_path),
-            ])
-            entry = json.loads(out_path.read_text())[0]
-            entry.pop("timestamp")
-            records.append(entry)
-        assert records[0] == records[1]
-
-
-class TestValidateShardEntry:
-    def _entry(self, **overrides):
-        entry = {
-            "bench": "shard-scatter-gather",
-            "timestamp": "2026-01-01T00:00:00",
-            "n": 400, "dim": 12, "queries": 10, "k": 10, "ef_search": 400,
-            "m": 8, "gamma": 6, "n_shards": 4, "workers": 2, "smoke": True,
-            "partitioner": {"type": "attribute-range"},
-            "unsharded_qps": 100.0, "sharded_qps": 120.0, "qps_ratio": 1.2,
-            "shards_probed": 15, "shards_pruned": 25,
-            "prune_fraction": 0.625, "results_identical": True,
-            "latency_s": {"p50": 0.001},
-        }
-        entry.update(overrides)
-        return entry
-
-    def test_valid_entry_passes(self):
-        validate_shard_entry(self._entry())
-
-    def test_missing_key_rejected(self):
-        entry = self._entry()
-        del entry["n_shards"]
-        with pytest.raises(ValueError, match="missing keys"):
-            validate_shard_entry(entry)
-
-    def test_mistyped_count_rejected(self):
-        with pytest.raises(ValueError, match="must be an int"):
-            validate_shard_entry(self._entry(shards_probed="15"))
-
-    def test_unbalanced_accounting_rejected(self):
-        with pytest.raises(ValueError, match="does not balance"):
-            validate_shard_entry(self._entry(shards_pruned=99))
-
-
-class TestValidateChaosEntry:
-    def _entry(self, **overrides):
-        entry = {
-            "bench": "shard-chaos",
-            "timestamp": "2026-01-01T00:00:00",
-            "n": 400, "dim": 12, "queries": 8, "k": 10, "ef_search": 400,
-            "m": 8, "gamma": 6, "n_shards": 8, "workers": 1, "smoke": True,
-            "failure_rate": 0.2, "faulty_shards": [2, 5],
-            "shard_deadline_s": 0.5, "max_retries": 1,
-            "degraded_queries": 8, "shards_failed": 8,
-            "shards_timed_out": 8, "min_recall_ceiling": 0.7,
-            "mean_recall_ceiling": 0.75, "ground_truth_matches": True,
-            "within_deadline": True, "max_query_clock_s": 4.1,
-            "query_budget_s": 32.9,
-            "breaker_states": ["closed"] * 6 + ["open"] * 2,
-        }
-        entry.update(overrides)
-        return entry
-
-    def test_valid_entry_passes(self):
-        validate_chaos_entry(self._entry())
-
-    def test_missing_key_rejected(self):
-        entry = self._entry()
-        del entry["shards_timed_out"]
-        with pytest.raises(ValueError, match="missing keys"):
-            validate_chaos_entry(entry)
-
-    def test_mistyped_count_rejected(self):
-        with pytest.raises(ValueError, match="must be an int"):
-            validate_chaos_entry(self._entry(shards_failed="8"))
-
-    def test_mistyped_flag_rejected(self):
-        with pytest.raises(ValueError, match="must be a bool"):
-            validate_chaos_entry(self._entry(ground_truth_matches=1))
-
-    def test_overflowing_accounting_rejected(self):
-        with pytest.raises(ValueError, match="exceeds probe"):
-            validate_chaos_entry(self._entry(shards_failed=100))
-
-    def test_out_of_range_ceiling_rejected(self):
-        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
-            validate_chaos_entry(self._entry(min_recall_ceiling=1.5))
-
-    def test_excess_degraded_queries_rejected(self):
-        with pytest.raises(ValueError, match="degraded_queries"):
-            validate_chaos_entry(self._entry(degraded_queries=99))
-
-
-class TestValidateBuildEntry:
-    def _entry(self, **overrides):
-        entry = {
-            "bench": "build-tti",
-            "timestamp": "2026-01-01T00:00:00",
-            "n": 1500, "dim": 32, "m": 12, "gamma": 12,
-            "ef_construction": 144, "n_workers": 4, "wave_cap": None,
-            "smoke": True,
-            "sequential_s": 2.0, "parallel_s": 0.8, "speedup": 2.5,
-            "sequential_distance_comps": 500000,
-            "parallel_distance_comps": 550000,
-            "sequential_checksum": "ab" * 16,
-            "parallel_checksum": "cd" * 16,
-            "parallel_rebuild_checksum_match": True,
-            "recall_at_10_sequential": 1.0,
-            "recall_at_10_parallel": 0.995,
-            "recall_gap": 0.005,
-            "graphs_valid": True,
-        }
-        entry.update(overrides)
-        return entry
-
-    def test_valid_entry_passes(self):
-        validate_build_entry(self._entry())
-
-    def test_integer_wave_cap_passes(self):
-        validate_build_entry(self._entry(wave_cap=64))
-
-    def test_missing_key_rejected(self):
-        entry = self._entry()
-        del entry["speedup"]
-        with pytest.raises(ValueError, match="missing keys"):
-            validate_build_entry(entry)
-
-    def test_mistyped_count_rejected(self):
-        with pytest.raises(ValueError, match="must be an int"):
-            validate_build_entry(self._entry(n_workers="4"))
-
-    def test_mistyped_wave_cap_rejected(self):
-        with pytest.raises(ValueError, match="wave_cap"):
-            validate_build_entry(self._entry(wave_cap=2.5))
-
-    def test_mistyped_flag_rejected(self):
-        with pytest.raises(ValueError, match="must be a bool"):
-            validate_build_entry(self._entry(graphs_valid=1))
-
-    def test_nonpositive_timing_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            validate_build_entry(self._entry(parallel_s=0.0))
-
-    def test_inconsistent_speedup_rejected(self):
-        with pytest.raises(ValueError, match="speedup"):
-            validate_build_entry(self._entry(speedup=9.9))
-
-    def test_out_of_range_recall_rejected(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            validate_build_entry(self._entry(recall_at_10_parallel=1.2))
-
-    def test_inconsistent_recall_gap_rejected(self):
-        with pytest.raises(ValueError, match="recall_gap"):
-            validate_build_entry(self._entry(recall_gap=0.5))
-
-
-class TestValidateRouteEntry:
-    def _policy(self, qps, recall, dc, routes, fallbacks=0, err=0.0):
-        return {
-            "qps": qps, "recall_at_k": recall,
-            "mean_distance_computations": dc,
-            "route_counts": routes, "fallbacks_triggered": fallbacks,
-            "mean_abs_estimator_error": err,
-            "latency_s": {"p50": 0.001, "p95": 0.002, "p99": 0.003},
-        }
-
-    def _entry(self, **overrides):
-        entry = {
-            "bench": "route",
-            "timestamp": "2026-01-01T00:00:00",
-            "n": 1500, "dim": 16, "queries": 32, "k": 10,
-            "ef_search": 64, "m": 16, "gamma": 12, "workers": 1,
-            "smoke": True, "s_min": 0.083333,
-            "policies": {
-                "static": self._policy(
-                    1000.0, 0.94, 800.0,
-                    {"pre-filter": 16, "acorn-gamma": 16},
-                ),
-                "adaptive": self._policy(
-                    2000.0, 0.99, 1600.0,
-                    {"pre-filter": 30, "acorn-gamma": 2},
-                    fallbacks=1, err=0.01,
-                ),
-            },
-            "adaptive_qps_speedup": 2.0,
-            "adaptive_dc_speedup": 0.5,
-            "recall_delta": 0.05,
-        }
-        entry.update(overrides)
-        return entry
-
-    def test_valid_entry_passes(self):
-        validate_route_entry(self._entry())
-
-    def test_missing_key_rejected(self):
-        entry = self._entry()
-        del entry["s_min"]
-        with pytest.raises(ValueError, match="missing keys"):
-            validate_route_entry(entry)
-
-    def test_mistyped_count_rejected(self):
-        with pytest.raises(ValueError, match="must be an int"):
-            validate_route_entry(self._entry(queries="32"))
-
-    def test_mistyped_flag_rejected(self):
-        with pytest.raises(ValueError, match="must be a bool"):
-            validate_route_entry(self._entry(smoke=1))
-
-    def test_missing_policy_rejected(self):
-        entry = self._entry()
-        del entry["policies"]["adaptive"]
-        with pytest.raises(ValueError, match="policies missing"):
-            validate_route_entry(entry)
-
-    def test_missing_policy_key_rejected(self):
-        entry = self._entry()
-        del entry["policies"]["static"]["route_counts"]
-        with pytest.raises(ValueError, match="missing keys"):
-            validate_route_entry(entry)
-
-    def test_unbalanced_route_counts_rejected(self):
-        entry = self._entry()
-        entry["policies"]["adaptive"]["route_counts"] = {"pre-filter": 31}
-        with pytest.raises(ValueError, match="does not balance"):
-            validate_route_entry(entry)
-
-    def test_negative_route_count_rejected(self):
-        entry = self._entry()
-        entry["policies"]["adaptive"]["route_counts"] = {
-            "pre-filter": 33, "acorn-gamma": -1,
-        }
-        with pytest.raises(ValueError, match="ints >= 0"):
-            validate_route_entry(entry)
-
-    def test_out_of_range_recall_rejected(self):
-        entry = self._entry()
-        entry["policies"]["static"]["recall_at_k"] = 1.2
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            validate_route_entry(entry)
-
-    def test_excess_fallbacks_rejected(self):
-        entry = self._entry()
-        entry["policies"]["adaptive"]["fallbacks_triggered"] = 99
-        with pytest.raises(ValueError, match="fallbacks_triggered"):
-            validate_route_entry(entry)
-
-    def test_inconsistent_speedup_rejected(self):
-        with pytest.raises(ValueError, match="qps_speedup"):
-            validate_route_entry(self._entry(adaptive_qps_speedup=9.9))
-
-    def test_inconsistent_recall_delta_rejected(self):
-        with pytest.raises(ValueError, match="recall_delta"):
-            validate_route_entry(self._entry(recall_delta=-0.5))
-
-
-class TestValidateQuantEntry:
-    def _arm(self, qps, recall, dc, qd, rerank):
-        return {
-            "qps": qps, "recall_at_k": recall,
-            "mean_distance_computations": dc,
-            "mean_quantized_distances": qd,
-            "mean_rerank_distances": rerank,
-            "latency_s": 0.002,
-        }
-
-    def _entry(self, **overrides):
-        entry = {
-            "bench": "quant",
-            "timestamp": "2026-01-01T00:00:00",
-            "n": 1500, "dim": 16, "queries": 32, "k": 10,
-            "ef_search": 96, "m": 8, "gamma": 6, "workers": 1,
-            "beam": 32, "smoke": True,
-            "quantization": "sq8", "rerank_factor": 3.0,
-            "float32": self._arm(300.0, 0.97, 900.0, 0.0, 0.0),
-            "quantized": self._arm(700.0, 0.96, 100.0, 950.0, 28.0),
-            "batch_qps_speedup": 2.333,
-            "recall_floor": 0.95,
-            "recall_ok": True,
-            "deterministic": True,
-        }
-        entry.update(overrides)
-        return entry
-
-    def test_valid_entry_passes(self):
-        validate_quant_entry(self._entry())
-
-    def test_missing_key_rejected(self):
-        entry = self._entry()
-        del entry["beam"]
-        with pytest.raises(ValueError, match="missing keys"):
-            validate_quant_entry(entry)
-
-    def test_mistyped_count_rejected(self):
-        with pytest.raises(ValueError, match="must be an int"):
-            validate_quant_entry(self._entry(queries="32"))
-
-    def test_mistyped_flag_rejected(self):
-        with pytest.raises(ValueError, match="must be a bool"):
-            validate_quant_entry(self._entry(deterministic=1))
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(ValueError, match="quantization"):
-            validate_quant_entry(self._entry(quantization="int4"))
-
-    def test_missing_arm_key_rejected(self):
-        entry = self._entry()
-        del entry["quantized"]["mean_rerank_distances"]
-        with pytest.raises(ValueError, match="missing keys"):
-            validate_quant_entry(entry)
-
-    def test_out_of_range_recall_rejected(self):
-        entry = self._entry()
-        entry["float32"]["recall_at_k"] = 1.2
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            validate_quant_entry(entry)
-
-    def test_float_arm_quantized_evals_rejected(self):
-        entry = self._entry()
-        entry["float32"]["mean_quantized_distances"] = 5.0
-        with pytest.raises(ValueError, match="zero quantized"):
-            validate_quant_entry(entry)
-
-    def test_quantized_arm_without_evals_rejected(self):
-        entry = self._entry()
-        entry["quantized"]["mean_quantized_distances"] = 0.0
-        with pytest.raises(ValueError, match="no quantized"):
-            validate_quant_entry(entry)
-
-    def test_rerank_over_budget_rejected(self):
-        entry = self._entry()
-        entry["quantized"]["mean_rerank_distances"] = 99.0
-        with pytest.raises(ValueError, match="rerank"):
-            validate_quant_entry(entry)
-
-    def test_inconsistent_speedup_rejected(self):
-        with pytest.raises(ValueError, match="speedup"):
-            validate_quant_entry(self._entry(batch_qps_speedup=9.9))
-
-
-class TestValidateServingEntry:
-    def _pct(self, values):
-        if not values:
-            return {"count": 0, "mean": None, "p50": None, "p95": None,
-                    "p99": None, "min": None, "max": None}
-        return {"count": len(values), "mean": 1.0, "p50": 1.0,
-                "p95": 2.0, "p99": 2.0, "min": 0.5, "max": 2.0}
-
-    def _schedule(self, offered=10, ok=7, degraded=1, rejected=2):
-        served = ok + degraded
-        return {
-            "offered": offered, "ok": ok, "degraded": degraded,
-            "rejected": rejected,
-            "shed_fraction": rejected / offered if offered else 0.0,
-            "goodput_qps": None,
-            "latency_ms": self._pct([1.0] * served),
-            "queue_wait_ms": self._pct([1.0] * served),
-            "mean_batch_size": 2.5,
-            "min_recall_ceiling": 0.9,
-            "tenants": {
-                "tenant-0": {"offered": offered - 3, "rejected": rejected},
-                "tenant-1": {"offered": 3, "rejected": 0},
-            },
-            "realtime": {
-                "wall_s": 0.5, "goodput_qps": served / 0.5,
-                "served": served, "rejected": rejected,
-                "p50_latency_ms": 1.5, "p99_latency_ms": 4.0,
-            },
-        }
-
-    def _entry(self, **overrides):
-        entry = {
-            "bench": "serving",
-            "timestamp": "2026-01-01T00:00:00",
-            "n": 400, "dim": 10, "k": 10, "ef_search": 64,
-            "m": 8, "gamma": 6, "engine_workers": 2, "smoke": True,
-            "max_batch": 8, "latency_budget_ms": 5.0, "max_pending": 64,
-            "n_tenants": 2, "tenant_rate_qps": 40.0, "tenant_burst": 5.0,
-            "rate_qps": 500.0, "duration_s": 0.2,
-            "schedules": {
-                "poisson": self._schedule(),
-                "flash": self._schedule(offered=20, ok=10, degraded=2,
-                                        rejected=8),
-            },
-            "deterministic": True,
-        }
-        # flash tenants must sum to its offered load
-        entry["schedules"]["flash"]["tenants"] = {
-            "tenant-0": {"offered": 15, "rejected": 8},
-            "tenant-1": {"offered": 5, "rejected": 0},
-        }
-        entry.update(overrides)
-        return entry
-
-    def test_valid_entry_passes(self):
-        validate_serving_entry(self._entry())
-
-    def test_missing_key_rejected(self):
-        entry = self._entry()
-        del entry["max_batch"]
-        with pytest.raises(ValueError, match="missing keys"):
-            validate_serving_entry(entry)
-
-    def test_missing_schedule_rejected(self):
-        entry = self._entry()
-        del entry["schedules"]["flash"]
-        with pytest.raises(ValueError, match="schedules missing"):
-            validate_serving_entry(entry)
-
-    def test_mistyped_count_rejected(self):
-        with pytest.raises(ValueError, match="must be an int"):
-            validate_serving_entry(self._entry(max_pending="64"))
-
-    def test_mistyped_flag_rejected(self):
-        with pytest.raises(ValueError, match="must be a bool"):
-            validate_serving_entry(self._entry(deterministic=1))
-
-    def test_unbalanced_accounting_rejected(self):
-        entry = self._entry()
-        entry["schedules"]["poisson"]["ok"] += 1
-        with pytest.raises(ValueError, match="does not balance"):
-            validate_serving_entry(entry)
-
-    def test_inconsistent_shed_fraction_rejected(self):
-        entry = self._entry()
-        entry["schedules"]["poisson"]["shed_fraction"] = 0.9
-        with pytest.raises(ValueError, match="shed_fraction"):
-            validate_serving_entry(entry)
-
-    def test_tenant_offers_must_sum_to_offered(self):
-        entry = self._entry()
-        entry["schedules"]["poisson"]["tenants"]["tenant-1"]["offered"] = 99
-        with pytest.raises(ValueError, match="per-tenant offers"):
-            validate_serving_entry(entry)
-
-    def test_unbalanced_realtime_rejected(self):
-        entry = self._entry()
-        entry["schedules"]["poisson"]["realtime"]["served"] += 1
-        with pytest.raises(ValueError, match="realtime accounting"):
-            validate_serving_entry(entry)
-
-    def test_partially_none_percentiles_rejected(self):
-        entry = self._entry()
-        entry["schedules"]["poisson"]["latency_ms"]["p99"] = None
-        with pytest.raises(ValueError, match="latency_ms"):
-            validate_serving_entry(entry)
-
-    def test_all_shed_schedule_passes_with_none_stats(self):
-        entry = self._entry()
-        entry["schedules"]["flash"] = {
-            "offered": 4, "ok": 0, "degraded": 0, "rejected": 4,
-            "shed_fraction": 1.0, "goodput_qps": None,
-            "latency_ms": self._pct([]), "queue_wait_ms": self._pct([]),
-            "mean_batch_size": 0.0, "min_recall_ceiling": 1.0,
-            "tenants": {"tenant-0": {"offered": 4, "rejected": 4}},
-            "realtime": {
-                "wall_s": 0.5, "goodput_qps": None, "served": 0,
-                "rejected": 4, "p50_latency_ms": None,
-                "p99_latency_ms": None,
-            },
-        }
-        validate_serving_entry(entry)
-
-    def test_served_without_goodput_rejected(self):
-        entry = self._entry()
-        entry["schedules"]["poisson"]["realtime"]["goodput_qps"] = None
-        with pytest.raises(ValueError, match="goodput"):
-            validate_serving_entry(entry)
-
-
-class TestBenchParallelCli:
-    def test_bench_parallel_defaults(self):
-        args = build_parser().parse_args(["bench-parallel"])
-        assert args.n == 10000
-        assert args.workers == "1,2,4,8"
-        assert args.out == "BENCH_parallel.json"
-        assert args.smoke is False
-
-    def test_bench_report_defaults(self):
-        args = build_parser().parse_args(["bench-report"])
-        assert args.dir == "."
-        assert args.out == "BENCH_REPORT.md"
-        assert args.csv is None
-
-    def test_bench_parallel_smoke(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_parallel.json"
-        main([
-            "bench-parallel", "--n", "400", "--queries", "8", "--dim",
-            "12", "--m", "8", "--gamma", "4", "--smoke",
-            "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert "byte-identical to sync : True" in out
-        assert "double-run determinism : True" in out
-        assert "recorded entry" in out
-        entries = json.loads(out_path.read_text())
-        assert len(entries) == 1
-        validate_parallel_entry(entries[0])
-        entry = entries[0]
-        assert entry["smoke"] is True
-        assert entry["results_identical"] is True
-        assert entry["deterministic"] is True
-        assert entry["zero_copy"] is True
-        assert entry["fixup_copies"] == 0
-        assert set(entry["process_qps_by_workers"]) == {"1", "2"}
-        # the 2x gate is recorded, only enforced on full >=4-cpu runs
-        assert entry["gate_enforced"] is False
-
-
-class TestBenchReportCli:
-    def _seed_bench_files(self, tmp_path):
-        (tmp_path / "BENCH_parallel.json").write_text(json.dumps([{
-            "bench": "parallel", "timestamp": "2026-08-08T00:00:00",
-            "n": 400, "queries": 8, "smoke": True, "cpus": 1,
-            "process_vs_thread_at_4": 0.9, "best_process_vs_thread": 1.1,
-            "zero_copy": True,
-        }]))
-        (tmp_path / "BENCH_engine.json").write_text(json.dumps([
-            {"bench": "engine-batch", "timestamp": "2026-08-07T00:00:00",
-             "n": 500, "queries": 16, "smoke": False,
-             "engine_qps": 1234.5, "speedup_vs_sequential": 2.5},
-            {"bench": "engine-batch", "timestamp": "2026-08-08T00:00:00",
-             "n": 500, "queries": 16, "smoke": False,
-             "engine_qps": 2222.0, "speedup_vs_sequential": 3.0},
-        ]))
-        (tmp_path / "BENCH_broken.json").write_text("{not json")
-
-    def test_report_aggregates_all_bench_files(self, capsys, tmp_path):
-        self._seed_bench_files(tmp_path)
-        out_md = tmp_path / "REPORT.md"
-        out_csv = tmp_path / "report.csv"
-        main([
-            "bench-report", "--dir", str(tmp_path),
-            "--out", str(out_md), "--csv", str(out_csv),
-        ])
-        out = capsys.readouterr().out
-        assert "skipping BENCH_broken.json" in out
-        assert "3 runs across 2 files" in out
-        report = out_md.read_text()
-        assert "# Benchmark trajectory" in report
-        assert "perf trajectory" in report
-        assert "best_process_vs_thread=1.1" in report
-        assert "engine_qps=2222.0" in report
-        import csv as csv_mod
-
-        with open(out_csv) as handle:
-            rows = list(csv_mod.DictReader(handle))
-        assert len(rows) == 3
-        assert rows[0]["bench"] == "engine-batch"
-        assert rows[2]["bench"] == "parallel"
-        assert rows[2]["headline"].startswith("process_vs_thread_at_4=")
-
-    def test_report_with_no_bench_files_exits(self, tmp_path):
-        with pytest.raises(SystemExit, match="no BENCH"):
-            main(["bench-report", "--dir", str(tmp_path)])
-
-
-class TestValidateParallelEntry:
-    def _entry(self, **overrides):
-        entry = {
-            "bench": "parallel", "timestamp": "2026-08-08T00:00:00",
-            "n": 400, "dim": 12, "queries": 8, "k": 10, "ef_search": 32,
-            "m": 8, "gamma": 4, "smoke": True, "cpus": 4,
-            "index": "acorn-gamma", "sync_qps": 100.0,
-            "thread_qps_by_workers": {"1": 110.0, "2": 120.0},
-            "process_qps_by_workers": {"1": 130.0, "2": 250.0},
-            "process_vs_thread_at_4": 2.1,
-            "best_process_vs_thread": 2.1,
-            "results_identical": True, "deterministic": True,
-            "zero_copy": True, "arena_nbytes": 1 << 20,
-            "fixup_copies": 0, "pool": {"spawns": 2, "deaths": 0},
-            "gate_enforced": True,
-        }
-        entry.update(overrides)
-        return entry
-
-    def test_valid_entry_passes(self):
-        validate_parallel_entry(self._entry())
-
-    def test_missing_key_rejected(self):
-        entry = self._entry()
-        del entry["arena_nbytes"]
-        with pytest.raises(ValueError, match="missing keys"):
-            validate_parallel_entry(entry)
-
-    def test_diverged_results_rejected(self):
-        with pytest.raises(ValueError, match="byte-identity"):
-            validate_parallel_entry(self._entry(results_identical=False))
-
-    def test_nondeterministic_run_rejected(self):
-        with pytest.raises(ValueError, match="diverged"):
-            validate_parallel_entry(self._entry(deterministic=False))
-
-    def test_copied_arrays_rejected(self):
-        with pytest.raises(ValueError, match="zero-copy"):
-            validate_parallel_entry(self._entry(zero_copy=False))
-
-    def test_fixup_copies_rejected(self):
-        with pytest.raises(ValueError, match="canonicalization"):
-            validate_parallel_entry(self._entry(fixup_copies=3))
-
-    def test_enforced_gate_below_2x_rejected(self):
-        with pytest.raises(ValueError, match="2x thread"):
-            validate_parallel_entry(
-                self._entry(process_vs_thread_at_4=1.4)
-            )
-
-    def test_unenforced_gate_records_honest_ratio(self):
-        validate_parallel_entry(self._entry(
-            process_vs_thread_at_4=0.62, best_process_vs_thread=1.29,
-            cpus=1, gate_enforced=False,
-        ))
-
-    def test_empty_qps_sweep_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            validate_parallel_entry(
-                self._entry(process_qps_by_workers={})
-            )
-
-    def test_nonpositive_qps_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            validate_parallel_entry(
-                self._entry(thread_qps_by_workers={"1": 0.0})
-            )
-
-    def test_mistyped_pool_counter_rejected(self):
-        with pytest.raises(ValueError, match="pool.spawns"):
-            validate_parallel_entry(
-                self._entry(pool={"spawns": "2", "deaths": 0})
-            )
