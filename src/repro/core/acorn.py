@@ -37,7 +37,11 @@ from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.hnsw import SearchResult
 from repro.hnsw.levels import LevelGenerator
 from repro.hnsw.scratch import thread_scratch
-from repro.hnsw.traversal import TraversalStats, search_layer
+from repro.hnsw.traversal import (
+    TraversalStats,
+    search_frozen_level,
+    search_layer,
+)
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.vectors.distance import DistanceComputer, Metric
 from repro.vectors.quantized_store import (
@@ -460,22 +464,47 @@ class AcornIndex(BatchSearchMixin):
         self._quant.sync(self.store)
         return self._quant
 
-    def _quant_level0(self, frozen0: FrozenLevel, mask: np.ndarray):
-        """Bottom-level candidate source for the quantized beam kernel.
+    def _level_csr(self, level: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The candidate CSR the frozen kernels walk on ``level``.
 
-        Returns ``(indptr, indices, mask, neighbor_fn)``: a CSR pair
-        (the raw adjacency for the filter strategy, or the materialized
-        expansion lists for the compressed lookup) with the predicate
-        mask applied post-gather — or, when no expansion was
-        materialized, a per-node fallback on the index's regular
-        neighbor strategy.
+        The one place a level's lookup is decided: ``(indptr, indices)``
+        of the raw adjacency for the filter strategy, of the
+        materialized expansion lists for the compressed lookup — or
+        None when that expansion blew ``attach_expansion``'s budget and
+        only the per-node :meth:`_neighbor_fn` lookup remains.
         """
-        if self._is_compressed(0):
-            expansion = frozen0._expansions.get(self.params.m_beta)
-            if expansion is not None:
-                return expansion[0], expansion[1], mask, None
-            return None, None, None, self._neighbor_fn(0, mask)
-        return frozen0.indptr, frozen0.indices, mask, None
+        frozen = self._adjacency()[level]
+        if self._is_compressed(level):
+            return frozen._expansions.get(self.params.m_beta)
+        return frozen.indptr, frozen.indices
+
+    def _search_level(
+        self,
+        computer: DistanceComputer,
+        query: np.ndarray,
+        seeds: list[tuple[float, int]],
+        ef: int,
+        level: int,
+        mask: np.ndarray,
+        stats: TraversalStats,
+        monitor=None,
+    ) -> list[tuple[float, int]]:
+        """One float32 level of a frozen search, in a fresh visited scope."""
+        scratch = thread_scratch(len(self.store))
+        csr = self._level_csr(level)
+        if csr is not None:
+            return search_frozen_level(
+                computer, query, seeds, ef, csr[0], csr[1], mask, scratch,
+                stats=stats, monitor=monitor,
+            )
+        scratch.begin(len(self.store))
+        for _, seed_node in seeds:
+            scratch.mark(seed_node)
+        return search_layer(
+            computer, query, seeds, ef=ef,
+            neighbor_fn=self._neighbor_fn(level, mask), scratch=scratch,
+            stats=stats, monitor=monitor,
+        )
 
     def search(
         self,
@@ -508,6 +537,12 @@ class AcornIndex(BatchSearchMixin):
             return SearchResult(
                 np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float32), 0
             )
+        entry = self.graph.entry_point if entry_point is None else entry_point
+        if not 0 <= entry < len(self.store):
+            raise ValueError(
+                f"entry_point must be a node id in [0, {len(self.store)}), "
+                f"got {entry_point!r}"
+            )
         computer = self.store.computer()
         qstore = self._quant_store()
         computer.defer_counts()
@@ -516,22 +551,12 @@ class AcornIndex(BatchSearchMixin):
             mask = self._effective_mask(compiled.mask)
 
             tstats = TraversalStats()
-            scratch = thread_scratch(len(self.store))
-            entry = (self.graph.entry_point if entry_point is None
-                     else entry_point)
             best = (computer.distance_one(query, entry), entry)
             tstats.visited += 1
-            # One scratch buffer serves the whole descent: each level
-            # opens a fresh epoch instead of allocating O(N) booleans.
             for lev in range(self.graph.node_level(entry), 0, -1):
-                scratch.begin(len(self.store))
-                scratch.mark(best[1])
-                found = search_layer(
-                    computer, query, [best], ef=1,
-                    neighbor_fn=self._neighbor_fn(lev, mask),
-                    scratch=scratch, stats=tstats,
-                )
-                best = found[0]
+                best = self._search_level(
+                    computer, query, [best], 1, lev, mask, tstats,
+                )[0]
 
             entry_points = self._bottom_seeds(computer, query, [best])
             tstats.visited += len(entry_points)
@@ -540,13 +565,9 @@ class AcornIndex(BatchSearchMixin):
                     computer, qstore, query, mask, entry_points, k,
                     max(ef_search, k), tstats, monitor,
                 )
-            scratch.begin(len(self.store))
-            for _, seed_node in entry_points:
-                scratch.mark(seed_node)
-            found = search_layer(
-                computer, query, entry_points, ef=max(ef_search, k),
-                neighbor_fn=self._neighbor_fn(0, mask), scratch=scratch,
-                stats=tstats, monitor=monitor,
+            found = self._search_level(
+                computer, query, entry_points, max(ef_search, k), 0, mask,
+                tstats, monitor,
             )
         finally:
             computer.flush_counts()
@@ -588,12 +609,13 @@ class AcornIndex(BatchSearchMixin):
             np.asarray([nid for _, nid in entry_points], dtype=np.intp)
         )
         seed_dists = qcomp.distances(seed_ids)
-        frozen0 = self._adjacency()[0]
-        indptr, indices, kmask, neighbor_fn = self._quant_level0(frozen0, mask)
+        # Without a candidate CSR the kernel falls back to neighbor_fn.
+        indptr, indices = self._level_csr(0) or (None, None)
         found_ids, _ = quantized_search_layer(
             qcomp, seed_ids, seed_dists, ef,
-            indptr=indptr, indices=indices, mask=kmask,
-            neighbor_fn=neighbor_fn, num_ids=frozen0.num_ids,
+            indptr=indptr, indices=indices, mask=mask,
+            neighbor_fn=self._neighbor_fn(0, mask),
+            num_ids=self._adjacency()[0].num_ids,
             stats=tstats, monitor=monitor,
         )
         # Seeds may fail the predicate; everything else was
@@ -715,11 +737,8 @@ class AcornIndex(BatchSearchMixin):
             ]
         compiled = [self._compile(p) for p in predicates]
         masks = [self._effective_mask(c.mask) for c in compiled]
-        frozen0 = self._adjacency()[0]
-        indptr, indices, _kmask, neighbor_fn = self._quant_level0(
-            frozen0, masks[0]
-        )
-        if indptr is None:
+        csr = self._level_csr(0)
+        if csr is None:
             # No materialized CSR (dynamic-expansion fallback): the
             # lockstep kernel needs one, so fall back to per-query
             # quantized searches.
@@ -727,6 +746,7 @@ class AcornIndex(BatchSearchMixin):
                 self.search(queries[i], compiled[i], k, ef_search=ef_search)
                 for i in range(nq)
             ]
+        indptr, indices = csr
 
         ef = max(ef_search, k)
         computer = self.store.computer()
@@ -735,7 +755,6 @@ class AcornIndex(BatchSearchMixin):
             tstats = [TraversalStats() for _ in range(nq)]
             descent_counts = np.zeros(nq, dtype=np.int64)
             seed_nodes = np.empty(nq, dtype=np.int64)
-            scratch = thread_scratch(len(self.store))
             entry = self.graph.entry_point
             top = self.graph.node_level(entry)
             for i in range(nq):
@@ -744,14 +763,9 @@ class AcornIndex(BatchSearchMixin):
                 best = (computer.distance_one(query, entry), entry)
                 tstats[i].visited += 1
                 for lev in range(top, 0, -1):
-                    scratch.begin(len(self.store))
-                    scratch.mark(best[1])
-                    found = search_layer(
-                        computer, query, [best], ef=1,
-                        neighbor_fn=self._neighbor_fn(lev, masks[i]),
-                        scratch=scratch, stats=tstats[i],
-                    )
-                    best = found[0]
+                    best = self._search_level(
+                        computer, query, [best], 1, lev, masks[i], tstats[i],
+                    )[0]
                 seed_nodes[i] = best[1]
                 descent_counts[i] = computer.count - before
 
@@ -759,7 +773,7 @@ class AcornIndex(BatchSearchMixin):
             # over one predicate-filtered CSR (built once, cached), so
             # every gather is already selectivity-narrow and needs no
             # per-round mask lookup.
-            num_ids = frozen0.num_ids
+            num_ids = self._adjacency()[0].num_ids
             groups: dict[bytes, list[int]] = {}
             for i, m in enumerate(masks):
                 groups.setdefault(hashlib.sha1(m.tobytes()).digest(),
@@ -1032,13 +1046,11 @@ class AcornOneIndex(AcornIndex):
         adjacency = self._adjacency()[level]
         return lambda c: expanded_neighbors(adjacency, c, mask)
 
-    def _quant_level0(self, frozen0, mask: np.ndarray):
+    def _level_csr(self, level: int) -> tuple[np.ndarray, np.ndarray] | None:
         """ACORN-1's 2-hop lookup: the ``m_beta = 0`` expansion CSR.
 
-        When the unpruned 2-hop lists blew the materialization bound,
-        the kernel falls back to the dynamic per-node expansion.
+        Only level 0 ever carries one, and only when the unpruned 2-hop
+        lists fit the materialization bound; every other level falls
+        back to the dynamic per-node expansion.
         """
-        expansion = frozen0._expansions.get(0)
-        if expansion is not None:
-            return expansion[0], expansion[1], mask, None
-        return None, None, None, self._neighbor_fn(0, mask)
+        return self._adjacency()[level]._expansions.get(0)

@@ -40,7 +40,7 @@ Determinism contract (see docs/performance.md):
 - ``n_workers=1`` on the public ``build`` entry points dispatches to
   the untouched sequential insert loop — byte-identical to the legacy
   path, which stays in-tree as the reference (mirroring how
-  ``repro.core.dictsearch`` anchors the CSR search kernel).
+  ``search_layer`` anchors the frozen search kernel).
 - The wave pipeline with ``wave_cap=1`` degenerates to single-node
   waves whose frozen snapshot equals the sequential pre-insert state;
   for the L2 metric (whose batched kernel is bitwise-identical to the

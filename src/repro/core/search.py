@@ -33,8 +33,20 @@ Lookups operate on a frozen CSR adjacency snapshot (one
 slice/gather operations: the predicate mask is applied as
 ``mask[indices[start:stop]]`` and 2-hop expansion is an ``indptr``
 gather + ``np.concatenate`` + stable dedup, with no per-neighbor Python
-iteration.  The previous dict-of-arrays kernel survives in
-:mod:`repro.core.dictsearch` as the equivalence reference.
+iteration.
+
+Who calls what.  A frozen float32 search does not call the per-node
+strategies at all: every level that has a *candidate CSR* — the raw
+``indptr``/``indices`` on filter levels, the :func:`attach_expansion`
+lists on compressed ones — is walked directly by
+:func:`repro.hnsw.traversal.search_frozen_level`, which applies the
+mask itself (fused with the visited test).  The per-node functions here
+remain the definition of each strategy: they serve the levels without a
+candidate CSR (ACORN-1's upper levels, an expansion over the size
+bound) through ``search_layer``, the graph-quality statistics, and the
+reference the frozen kernel is tested against
+(``tests/core/test_csr_equivalence.py`` checks them against Figure 4
+read as a sequential loop).
 """
 
 from __future__ import annotations

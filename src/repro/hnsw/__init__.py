@@ -14,7 +14,11 @@ from repro.hnsw.hnsw import HnswIndex
 from repro.hnsw.heuristics import select_neighbors_heuristic, select_neighbors_simple
 from repro.hnsw.levels import LevelGenerator
 from repro.hnsw.scratch import TraversalScratch, thread_scratch
-from repro.hnsw.traversal import greedy_descent, search_layer
+from repro.hnsw.traversal import (
+    greedy_descent,
+    search_frozen_level,
+    search_layer,
+)
 
 __all__ = [
     "HnswIndex",
@@ -22,6 +26,7 @@ __all__ = [
     "LevelGenerator",
     "TraversalScratch",
     "greedy_descent",
+    "search_frozen_level",
     "search_layer",
     "select_neighbors_heuristic",
     "select_neighbors_simple",

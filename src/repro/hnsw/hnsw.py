@@ -16,7 +16,11 @@ from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.heuristics import select_neighbors_heuristic
 from repro.hnsw.levels import LevelGenerator
 from repro.hnsw.scratch import thread_scratch
-from repro.hnsw.traversal import TraversalStats, search_layer
+from repro.hnsw.traversal import (
+    TraversalStats,
+    search_frozen_level,
+    search_layer,
+)
 from repro.vectors.distance import DistanceComputer, Metric
 from repro.vectors.quantized_store import (
     QuantizedStore,
@@ -101,6 +105,7 @@ class HnswIndex:
         self.graph = LayeredGraph()
         self._levels = LevelGenerator(self.m, seed=seed)
         self._frozen = None
+        self._all_pass: np.ndarray | None = None
         self.quantization = resolve_quantization(quantization)
         self._quant: QuantizedStore | None = None
 
@@ -232,15 +237,13 @@ class HnswIndex:
         query: np.ndarray,
         best: tuple[float, int],
         level: int,
-        neighbor_fn=None,
     ) -> tuple[float, int]:
         scratch = thread_scratch(len(self.store))
         scratch.begin(len(self.store))
         scratch.mark(best[1])
         found = search_layer(
             computer, query, [best], ef=1,
-            neighbor_fn=(neighbor_fn if neighbor_fn is not None
-                         else lambda c: self.graph.neighbors(c, level)),
+            neighbor_fn=lambda c: self.graph.neighbors(c, level),
             scratch=scratch,
         )
         return found[0]
@@ -273,10 +276,17 @@ class HnswIndex:
     # ------------------------------------------------------------------
 
     def _adjacency(self):
-        """The cached CSR snapshot (see :func:`repro.core.search.freeze_graph`)."""
+        """The cached CSR snapshot (see :func:`repro.core.search.freeze_graph`).
+
+        Built together with the snapshot's all-true mask — unfiltered
+        search is the frozen kernel under a predicate everything passes.
+        """
         if self._frozen is None:
             from repro.core.search import freeze_graph
 
+            all_pass = np.ones(len(self.store), dtype=bool)
+            all_pass.setflags(write=False)
+            self._all_pass = all_pass
             self._frozen = freeze_graph(self.graph)
         return self._frozen
 
@@ -336,13 +346,7 @@ class HnswIndex:
         from repro.core.quantsearch import quantized_search_layer
 
         frozen = self._adjacency()
-        entry = self.graph.entry_point
-        best = (computer.distance_one(query, entry), entry)
-        for lev in range(self.graph.node_level(entry), 0, -1):
-            best = self._greedy_step(
-                computer, query, best, lev,
-                neighbor_fn=frozen[lev].__getitem__,
-            )
+        best = self._descend(computer, query)
         qcomp = qstore.computer()
         qcomp.set_query(query)
         level0 = frozen[0]
@@ -437,26 +441,29 @@ class HnswIndex:
             computer.flush_counts()
         return found, computer.count
 
-    def _search_candidates(
-        self, computer: DistanceComputer, query: np.ndarray, ef: int
-    ) -> list[tuple[float, int]]:
+    def _descend(
+        self, computer: DistanceComputer, query: np.ndarray
+    ) -> tuple[float, int]:
+        """Greedy ef=1 descent over the frozen upper levels."""
         frozen = self._adjacency()
+        scratch = thread_scratch(len(self.store))
         entry = self.graph.entry_point
         best = (computer.distance_one(query, entry), entry)
         for lev in range(self.graph.node_level(entry), 0, -1):
-            level_csr = frozen[lev]
-            best = self._greedy_step(
-                computer, query, best, lev,
-                neighbor_fn=level_csr.__getitem__,
-            )
-        level0 = frozen[0]
-        scratch = thread_scratch(len(self.store))
-        scratch.begin(len(self.store))
-        scratch.mark(best[1])
-        return search_layer(
-            computer, query, [best], ef=ef,
-            neighbor_fn=level0.__getitem__,
-            scratch=scratch,
+            best = search_frozen_level(
+                computer, query, [best], 1, frozen[lev].indptr,
+                frozen[lev].indices, self._all_pass, scratch,
+            )[0]
+        return best
+
+    def _search_candidates(
+        self, computer: DistanceComputer, query: np.ndarray, ef: int
+    ) -> list[tuple[float, int]]:
+        best = self._descend(computer, query)
+        level0 = self._adjacency()[0]
+        return search_frozen_level(
+            computer, query, [best], ef, level0.indptr, level0.indices,
+            self._all_pass, thread_scratch(len(self.store)),
         )
 
     # ------------------------------------------------------------------

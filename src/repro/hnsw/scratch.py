@@ -15,6 +15,17 @@ stamps from 4 billion scopes ago can therefore never alias a live
 epoch.  ``tests/hnsw/test_scratch.py`` holds the property tests for the
 rollover.
 
+The frozen-search kernel
+(:func:`~repro.hnsw.traversal.search_frozen_level`) does not use the
+stamps at all: it probes one *eligibility buffer* holding ``mask ∧
+¬visited``, so "passes the predicate" and "not yet visited" are a single
+``take`` per hop.  :meth:`TraversalScratch.bind` seeds that buffer from
+a predicate mask with one ``np.copyto`` — only when the mask *object*
+differs from the one already bound — and the kernel restores every entry
+it cleared before it returns, so a fresh visited scope per level costs
+O(visited), never O(N).  Bound masks are treated as immutable values:
+mutating one in place while it is bound would leave the buffer stale.
+
 One scratch serves a whole thread: the engine's worker threads each
 lazily create their own through :func:`thread_scratch`, and every level
 of every query on that thread reuses the same buffers.  Scratch state
@@ -42,15 +53,22 @@ class TraversalScratch:
             candidate queue (cleared at each layer entry).
         results: reusable max-heap list for ``search_layer``'s dynamic
             result list (cleared at each layer entry).
+        eligible: bool buffer equal to the bound mask between kernel
+            calls (``mask ∧ ¬visited`` during one); see :meth:`bind`.
+        bound_mask: the mask object ``eligible`` was seeded from, pinned
+            so its ``id`` cannot be recycled; None when unbound.
     """
 
-    __slots__ = ("visited", "epoch", "candidates", "results")
+    __slots__ = ("visited", "epoch", "candidates", "results", "eligible",
+                 "bound_mask")
 
     def __init__(self, capacity: int = 0) -> None:
         self.visited = np.zeros(int(capacity), dtype=_EPOCH_DTYPE)
         self.epoch = 0
         self.candidates: list[tuple[float, int]] = []
         self.results: list[tuple[float, int]] = []
+        self.eligible = np.empty(0, dtype=bool)
+        self.bound_mask: np.ndarray | None = None
 
     def begin(self, num_nodes: int) -> int:
         """Open a fresh visited scope covering ids ``[0, num_nodes)``.
@@ -85,6 +103,25 @@ class TraversalScratch:
     def is_marked(self, node: int) -> bool:
         """Whether ``node`` was visited in the current scope."""
         return bool(self.visited[node] == self.epoch)
+
+    def bind(self, mask: np.ndarray) -> np.ndarray:
+        """The eligibility buffer, seeded from ``mask`` if not already.
+
+        O(1) when ``mask`` is the object already bound (the common case:
+        every level of a query, and consecutive queries sharing one
+        compiled predicate); one O(N) ``np.copyto`` otherwise.
+        """
+        if mask is not self.bound_mask:
+            self.bound_mask = None
+            if self.eligible.size != mask.size:
+                self.eligible = np.empty(mask.size, dtype=bool)
+            np.copyto(self.eligible, mask)
+            self.bound_mask = mask
+        return self.eligible
+
+    def unbind(self) -> None:
+        """Forget the bound mask, forcing the next :meth:`bind` to re-seed."""
+        self.bound_mask = None
 
 
 _LOCAL = threading.local()

@@ -1,21 +1,29 @@
 """Greedy best-first traversal shared by HNSW and ACORN.
 
-``search_layer`` is the generic engine behind both Algorithm 1 (HNSW
-search) and Algorithm 2 (ACORN-SEARCH-LAYER): the only difference
-between the two papers' listings is how the neighborhood of a visited
-node is produced, so the neighborhood policy is injected as a callable.
-HNSW passes the raw adjacency (a CSR slice at search time, a live list
-during construction); ACORN passes predicate-filtering,
-compression-expanding, or two-hop-expanding lookups (Figure 4).
+Algorithm 1 (HNSW search) and Algorithm 2 (ACORN-SEARCH-LAYER) are the
+same best-first loop; the only difference between the two papers'
+listings is how the neighborhood of a visited node is produced.  Two
+float32 kernels implement that loop, with distinct jobs:
 
-The hot loop is vectorized: the neighborhood arrives as a numpy array
-(the CSR strategies of :mod:`repro.core.search` return int32 slices),
-the visited check is one gather against the epoch-stamped scratch
-array, and marking is one scatter.  Python survives only in the heap
-maintenance, whose per-candidate branching is inherently sequential.
-Visited state lives in a :class:`~repro.hnsw.scratch.TraversalScratch`
-shared across all levels and queries of a thread instead of a fresh
-O(N) allocation per level.
+- :func:`search_layer` takes the neighborhood policy as a callable.  It
+  is the **construction kernel** — the only one that can walk a *live*
+  graph whose lists change between hops — the fallback for the few
+  frozen levels that have no candidate CSR (ACORN-1's upper levels, an
+  expansion that blew ``attach_expansion``'s budget), and the
+  byte-identity **reference** the tests compare the frozen kernel
+  against.  Visited state is the epoch-stamped array of
+  :class:`~repro.hnsw.scratch.TraversalScratch`.
+- :func:`search_frozen_level` walks a frozen level's *candidate CSR*
+  directly (the raw adjacency on filter levels, the materialized
+  expansion lists on compressed ones) and is the only kernel a frozen
+  float32 search runs.  Same pops, same pushes, same results and
+  counters as ``search_layer`` over the matching lookup — but each hop
+  is one slice, one probe of a fused ``mask ∧ ¬visited`` eligibility
+  buffer and one compress, with no callback and no second gather (see
+  ``docs/performance.md``, "per-hop budget").
+
+Python survives in both only in the heap maintenance, whose
+per-candidate branching is inherently sequential.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ NeighborFn = Callable[[int], Sequence[int]]
 
 @dataclasses.dataclass
 class TraversalStats:
-    """Mutable per-query traversal counters filled in by ``search_layer``.
+    """Mutable per-query traversal counters filled in by the kernels.
 
     One instance is threaded through every layer traversal of a single
     query, so the totals cover the whole descent plus the bottom-level
@@ -132,6 +140,116 @@ def search_layer(
                 if len(results) > ef:
                     heapq.heappop(results)
                 worst = -results[0][0]
+
+    ordered = sorted((-neg_dist, node) for neg_dist, node in results)
+    return ordered[:ef]
+
+
+def search_frozen_level(
+    computer: DistanceComputer,
+    query: np.ndarray,
+    seeds: Sequence[tuple[float, int]],
+    ef: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    mask: np.ndarray,
+    scratch: TraversalScratch,
+    stats: TraversalStats | None = None,
+    monitor=None,
+) -> list[tuple[float, int]]:
+    """Best-first search on one frozen level, straight off its CSR.
+
+    Byte-identical to :func:`search_layer` run over the lookup
+    ``c -> cand[mask[cand]]`` with ``cand = indices[indptr[c]:indptr[c+1]]``
+    and the seeds pre-marked: same pop order, same result list, same
+    ``hops``/``visited`` and distance counts, same monitor verdicts.
+
+    Args:
+        computer: distance computer bound to the base vectors.
+        query: the query vector.
+        seeds: (distance, id) entry points (duplicates and ids failing
+            ``mask`` are fine; they count as visited, as today).
+        ef: size of the dynamic candidate list.
+        indptr / indices: the level's candidate CSR, indexed by global
+            node id.
+        mask: the query's predicate mask (tombstones composed in); an
+            all-true array for unfiltered HNSW search.  Treated as an
+            immutable value while bound to ``scratch``.
+        scratch: the calling thread's scratch; its eligibility buffer is
+            bound to ``mask`` (a no-op when it already is) and holds
+            ``mask ∧ ¬visited`` for the duration of the call.  Every
+            entry cleared here is restored before returning, so the
+            buffer equals ``mask`` again afterwards; an exception
+            unbinds it instead of trusting a partial restore.
+        stats: optional per-query counters, incremented in place.
+        monitor: optional walk-budget hook; ``observe`` receives the
+            number of candidates passing ``mask`` (visited or not) once
+            per expanded node, exactly what ``search_layer`` feeds it.
+
+    Returns:
+        Up to ``ef`` (distance, id) pairs sorted by ascending distance.
+    """
+    if ef <= 0:
+        raise ValueError(f"ef must be positive, got {ef}")
+    if not seeds:
+        return []
+    candidates = list(seeds)
+    heapq.heapify(candidates)
+    results = [(-dist, node) for dist, node in seeds]
+    heapq.heapify(results)
+    n_results = len(results)
+    worst = -results[0][0]
+    heappop, heappush, heapreplace = (
+        heapq.heappop, heapq.heappush, heapq.heapreplace)
+    distances_to = computer.distances_to
+    eligible = scratch.bind(mask)
+    probe = eligible.take
+    cleared: list[np.ndarray] = []
+    hops = visited = 0
+    try:
+        for _, node in seeds:
+            eligible[node] = False
+        while candidates:
+            dist_c, current = heappop(candidates)
+            if dist_c > worst and n_results >= ef:
+                break
+            hops += 1
+            cand = indices[indptr[current]:indptr[current + 1]]
+            if monitor is not None and not monitor.observe(
+                int(np.count_nonzero(mask.take(cand)))
+            ):
+                break
+            fresh = cand[probe(cand)]
+            if fresh.size == 0:
+                continue
+            # One cast: int32 CSR ids would otherwise be re-cast by
+            # every gather/scatter below (numpy's slow index path).
+            fresh = fresh.astype(np.intp)
+            cleared.append(fresh)
+            eligible[fresh] = False
+            visited += fresh.size
+            dists = distances_to(query, fresh)
+            for node, dist in zip(fresh.tolist(), dists.tolist()):
+                if n_results < ef:
+                    heappush(candidates, (dist, node))
+                    heappush(results, (-dist, node))
+                    n_results += 1
+                    worst = -results[0][0]
+                elif dist < worst:
+                    heappush(candidates, (dist, node))
+                    heapreplace(results, (-dist, node))
+                    worst = -results[0][0]
+    except BaseException:
+        scratch.unbind()
+        raise
+    finally:
+        if cleared:
+            eligible[np.concatenate(cleared)] = True
+        for _, node in seeds:
+            eligible[node] = mask[node]
+        if stats is not None:
+            stats.hops += hops
+            stats.visited += visited
 
     ordered = sorted((-neg_dist, node) for neg_dist, node in results)
     return ordered[:ef]

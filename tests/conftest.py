@@ -14,6 +14,82 @@ from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornOneIndex, AcornParams
 from repro.datasets import make_laion_like, make_sift1m_like, make_tripclick_like
 from repro.hnsw import HnswIndex
+from repro.hnsw.hnsw import SearchResult
+from repro.hnsw.scratch import TraversalScratch
+from repro.hnsw.traversal import TraversalStats, search_layer
+
+
+def assert_results_identical(got, want, counters=True):
+    """Two ``SearchResult``s equal byte for byte, counters included."""
+    assert got.ids.dtype == want.ids.dtype
+    assert got.ids.tobytes() == want.ids.tobytes()
+    assert got.distances.dtype == want.distances.dtype
+    assert got.distances.tobytes() == want.distances.tobytes()
+    assert got.distance_computations == want.distance_computations
+    if counters:
+        assert (got.hops, got.visited_nodes) == (want.hops,
+                                                 want.visited_nodes)
+
+
+def _reference_level(computer, query, seeds, ef, neighbor_fn, scratch, n,
+                     stats=None, monitor=None):
+    """One level through ``search_layer`` in a fresh epoch scope."""
+    scratch.begin(n)
+    for _, node in seeds:
+        scratch.mark(node)
+    return search_layer(computer, query, seeds, ef, neighbor_fn, scratch,
+                        stats=stats, monitor=monitor)
+
+
+def reference_search(index, query, predicate, k, ef_search=64,
+                     entry_point=None, monitor=None):
+    """``AcornIndex.search``'s float32 descent through the reference kernel.
+
+    Same entry, same per-level lookups (``_neighbor_fn``), same seeds and
+    final mask application — but every level runs ``search_layer`` with
+    epoch-stamped visited marks, never ``search_frozen_level``.  The
+    production path must equal this byte for byte.
+    """
+    computer = index.store.computer()
+    query = computer.set_query(query)
+    mask = index._effective_mask(index._compile(predicate).mask)
+    n, stats, scratch = len(index), TraversalStats(), TraversalScratch()
+    entry = index.graph.entry_point if entry_point is None else entry_point
+    seeds = [(computer.distance_one(query, entry), entry)]
+    stats.visited += 1
+    for lev in range(index.graph.node_level(entry), 0, -1):
+        seeds = _reference_level(computer, query, seeds, 1,
+                                 index._neighbor_fn(lev, mask), scratch, n,
+                                 stats)
+    seeds = index._bottom_seeds(computer, query, seeds)
+    stats.visited += len(seeds)
+    found = _reference_level(computer, query, seeds, max(ef_search, k),
+                             index._neighbor_fn(0, mask), scratch, n, stats,
+                             monitor)
+    passing = [(dist, nid) for dist, nid in found if mask[nid]][:k]
+    return SearchResult(
+        np.asarray([nid for _, nid in passing], dtype=np.intp),
+        np.asarray([dist for dist, _ in passing], dtype=np.float32),
+        computer.count, hops=stats.hops, visited_nodes=stats.visited,
+    )
+
+
+def reference_hnsw_search(index, query, k, ef_search=64):
+    """``HnswIndex.search`` over the *live* lists through ``search_layer``."""
+    computer = index.store.computer()
+    query = computer.set_query(query)
+    graph, n, scratch = index.graph, len(index), TraversalScratch()
+    entry = graph.entry_point
+    found = [(computer.distance_one(query, entry), entry)]
+    for lev in range(graph.node_level(entry), -1, -1):
+        found = _reference_level(
+            computer, query, found[:1], 1 if lev else max(ef_search, k),
+            lambda c, lev=lev: graph.neighbors(c, lev), scratch, n)
+    return SearchResult(
+        np.asarray([nid for _, nid in found[:k]], dtype=np.intp),
+        np.asarray([dist for dist, _ in found[:k]], dtype=np.float32),
+        computer.count,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,18 @@
-"""CSR kernel vs the legacy dict kernel: byte-identical results.
+"""Frozen search vs its references: byte-identical results.
 
-The CSR flattening is a pure performance change; these tests pin the
-contract that makes it safe: for every index type and every neighbor
-strategy, the production search path returns *exactly* what the
-pre-CSR dict-of-arrays kernel (:mod:`repro.core.dictsearch`) returned —
+The CSR layout, the materialized expansions and the frozen beam kernel
+are pure performance changes; these tests pin the contract that makes
+them safe.  Full searches: for every index type the production path
+returns *exactly* what the same descent returns through the reference
+kernel (``search_layer`` + ``_neighbor_fn``; ``tests/conftest.py``) —
 same ids, same distance bytes, same distance-computation counts, same
-hop and visited-node counters.
+hop and visited-node counters.  Lookups: every vectorized strategy
+returns exactly what Figure 4a–c, read literally as a sequential loop
+over the live adjacency lists, returns.
+
+("legacy"/"dict" in test names dates from when the reference was the
+pre-CSR dict-of-arrays kernel; ``search_layer`` was byte-identical to it
+when it was retired, so the anchor is transitive.)
 """
 
 from __future__ import annotations
@@ -14,16 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core import AcornParams, FlatAcornIndex
-from repro.core.dictsearch import (
-    LegacySearcherAdapter,
-    compressed_neighbors_dict,
-    expanded_neighbors_dict,
-    filtered_neighbors_dict,
-    freeze_graph_dict,
-    legacy_acorn_search,
-    legacy_hnsw_search,
-    truncated_neighbors_dict,
-)
 from repro.core.search import (
     attach_expansion,
     compressed_neighbors,
@@ -34,6 +31,11 @@ from repro.core.search import (
 )
 from repro.engine import QueryBatch, SearchEngine
 from repro.predicates import Equals, TruePredicate
+from tests.conftest import (
+    assert_results_identical,
+    reference_hnsw_search,
+    reference_search,
+)
 
 K = 10
 EF = 48
@@ -62,47 +64,79 @@ def _predicates(n=12):
     return preds
 
 
-def assert_results_identical(csr, legacy):
-    assert csr.ids.dtype == legacy.ids.dtype
-    assert csr.ids.tobytes() == legacy.ids.tobytes()
-    assert csr.distances.dtype == legacy.distances.dtype
-    assert csr.distances.tobytes() == legacy.distances.tobytes()
-    assert csr.distance_computations == legacy.distance_computations
-    assert csr.hops == legacy.hops
-    assert csr.visited_nodes == legacy.visited_nodes
+def level_lists(graph) -> list[dict[int, list[int]]]:
+    """Each level's live adjacency lists, ``{node: stored list}``."""
+    return [
+        {node: list(graph.neighbors(node, lev))
+         for node in graph.nodes_at_level(lev)}
+        for lev in range(graph.max_level + 1)
+    ]
+
+
+def fig4_filter(lists, node, mask):
+    """Figure 4a: the stored list, entries failing the predicate dropped."""
+    return [v for v in lists[node] if mask[v]]
+
+
+def fig4_compress(lists, node, mask, m_beta):
+    """Figure 4b, one entry at a time (4c is ``m_beta = 0``).
+
+    The first ``m_beta`` stored entries are filtered as they are; each
+    later entry contributes itself and then its own stored list, keeping
+    the first occurrence of every passing id.
+    """
+    out = fig4_filter({node: lists[node][:m_beta]}, node, mask)
+    seen = set(out)
+    for hop in lists[node][m_beta:]:
+        for cand in [hop, *lists[hop]]:
+            if mask[cand] and cand not in seen:
+                seen.add(cand)
+                out.append(cand)
+    return out
+
+
+class ReferenceSearcher:
+    """An index whose ``search`` runs the reference kernel (engine-ready)."""
+
+    def __init__(self, index) -> None:
+        self.index = index
+        self.table = index.table
+
+    def search(self, query, predicate, k, ef_search=64):
+        return reference_search(self.index, query, predicate, k,
+                                ef_search=ef_search)
 
 
 class TestSearchEquivalence:
-    """Full searches through both kernels, compared byte for byte."""
+    """Full searches, production vs reference kernel, byte for byte."""
 
     def test_acorn_gamma(self, acorn_index, small_vectors):
         for query, pred in zip(_queries(small_vectors), _predicates()):
             csr = acorn_index.search(query, pred, K, ef_search=EF)
-            legacy = legacy_acorn_search(acorn_index, query, pred, K,
-                                         ef_search=EF)
+            legacy = reference_search(acorn_index, query, pred, K,
+                                      ef_search=EF)
             assert_results_identical(csr, legacy)
 
     def test_acorn_one(self, acorn_one_index, small_vectors):
         for query, pred in zip(_queries(small_vectors), _predicates()):
             csr = acorn_one_index.search(query, pred, K, ef_search=EF)
-            legacy = legacy_acorn_search(acorn_one_index, query, pred, K,
-                                         ef_search=EF)
+            legacy = reference_search(acorn_one_index, query, pred, K,
+                                      ef_search=EF)
             assert_results_identical(csr, legacy)
 
     def test_flat_acorn(self, flat_index, small_vectors):
         for query, pred in zip(_queries(small_vectors), _predicates()):
             csr = flat_index.search(query, pred, K, ef_search=EF)
-            legacy = legacy_acorn_search(flat_index, query, pred, K,
-                                         ef_search=EF)
+            legacy = reference_search(flat_index, query, pred, K,
+                                      ef_search=EF)
             assert_results_identical(csr, legacy)
 
     def test_hnsw(self, hnsw_index, small_vectors):
         for query in _queries(small_vectors):
             csr = hnsw_index.search(query, K, ef_search=EF)
-            legacy = legacy_hnsw_search(hnsw_index, query, K, ef_search=EF)
-            assert csr.ids.tobytes() == legacy.ids.tobytes()
-            assert csr.distances.tobytes() == legacy.distances.tobytes()
-            assert csr.distance_computations == legacy.distance_computations
+            legacy = reference_hnsw_search(hnsw_index, query, K,
+                                           ef_search=EF)
+            assert_results_identical(csr, legacy, counters=False)
 
     def test_acorn_with_tombstones(self, small_vectors, labeled_table):
         params = AcornParams(m=8, gamma=6, m_beta=16, ef_construction=32)
@@ -118,18 +152,18 @@ class TestSearchEquivalence:
         for query, pred in zip(_queries(small_vectors, n=6),
                                _predicates(n=6)):
             csr = index.search(query, pred, K, ef_search=EF)
-            legacy = legacy_acorn_search(index, query, pred, K, ef_search=EF)
+            legacy = reference_search(index, query, pred, K, ef_search=EF)
             assert_results_identical(csr, legacy)
 
     def test_batched_legacy_adapter_matches_csr_engine(
         self, acorn_index, small_vectors
     ):
-        """The engine fanning the dict kernel equals the CSR kernel."""
+        """The engine fanning the reference kernel equals production."""
         queries = _queries(small_vectors)
         batch = QueryBatch.build(queries, _predicates(), k=K, ef_search=EF)
         with SearchEngine(acorn_index, num_workers=2) as engine:
             csr_results = engine.search_batch(batch)
-        adapter = LegacySearcherAdapter(acorn_index)
+        adapter = ReferenceSearcher(acorn_index)
         with SearchEngine(adapter, num_workers=2) as engine:
             legacy_results = engine.search_batch(batch)
         for csr, legacy in zip(csr_results, legacy_results):
@@ -137,12 +171,12 @@ class TestSearchEquivalence:
 
 
 class TestStrategyEquivalence:
-    """Vectorized CSR strategies vs the per-entry dict loops."""
+    """Vectorized CSR strategies vs the sequential Figure 4 loops."""
 
     @pytest.fixture(scope="class")
     def levels(self, acorn_index):
         csr = freeze_graph(acorn_index.graph)
-        dicts = freeze_graph_dict(acorn_index.graph)
+        dicts = level_lists(acorn_index.graph)
         return csr, dicts
 
     def _masks(self, acorn_index):
@@ -159,7 +193,7 @@ class TestStrategyEquivalence:
             for node in dicts[0]:
                 assert (
                     filtered_neighbors(csr[0], node, mask).tolist()
-                    == filtered_neighbors_dict(dicts[0], node, mask)
+                    == fig4_filter(dicts[0], node, mask)
                 )
 
     @pytest.mark.parametrize("m_beta", [0, 2, 8, 16, 64])
@@ -169,7 +203,7 @@ class TestStrategyEquivalence:
             for node in list(dicts[0])[::7]:
                 assert (
                     compressed_neighbors(csr[0], node, mask, m_beta).tolist()
-                    == compressed_neighbors_dict(dicts[0], node, mask, m_beta)
+                    == fig4_compress(dicts[0], node, mask, m_beta)
                 )
 
     def test_expanded(self, acorn_index, levels):
@@ -178,7 +212,7 @@ class TestStrategyEquivalence:
             for node in list(dicts[0])[::7]:
                 assert (
                     expanded_neighbors(csr[0], node, mask).tolist()
-                    == expanded_neighbors_dict(dicts[0], node, mask)
+                    == fig4_compress(dicts[0], node, mask, 0)
                 )
 
     @pytest.mark.parametrize("m", [0, 1, 4, 99])
@@ -187,7 +221,7 @@ class TestStrategyEquivalence:
         for node in dicts[0]:
             assert (
                 truncated_neighbors(csr[0], node, m).tolist()
-                == truncated_neighbors_dict(dicts[0], node, m)
+                == dicts[0][node][:m]
             )
 
     def test_upper_levels_too(self, acorn_index, levels):
@@ -197,7 +231,7 @@ class TestStrategyEquivalence:
             for node in dicts[lev]:
                 assert (
                     filtered_neighbors(csr[lev], node, mask).tolist()
-                    == filtered_neighbors_dict(dicts[lev], node, mask)
+                    == fig4_filter(dicts[lev], node, mask)
                 )
 
 
@@ -210,7 +244,7 @@ class TestFrozenLevelContract:
 
     def test_level_len_and_contains(self, acorn_index):
         csr = freeze_graph(acorn_index.graph)
-        dicts = freeze_graph_dict(acorn_index.graph)
+        dicts = level_lists(acorn_index.graph)
         for level_csr, level_dict in zip(csr, dicts):
             assert len(level_csr) == len(level_dict)
             for node in level_dict:
@@ -221,7 +255,7 @@ class TestFrozenLevelContract:
         if len(csr) < 2:
             pytest.skip("graph has a single level")
         top = csr[-1]
-        dicts = freeze_graph_dict(acorn_index.graph)
+        dicts = level_lists(acorn_index.graph)
         absent = set(dicts[0]) - set(dicts[-1])
         if not absent:
             pytest.skip("all nodes reach the top level")
@@ -231,12 +265,12 @@ class TestFrozenLevelContract:
 
 
 class TestMaterializedExpansion:
-    """attach_expansion's fast path vs the dynamic path vs the dict loop.
+    """attach_expansion's fast path vs the dynamic path vs Figure 4b.
 
     The materialized lists must be invisible at the result level: for
     every mask, slicing the precomputed deduplicated sequence and
     gathering the mask yields exactly what the dynamic per-hop
-    expansion (and the legacy dict loop) yields.
+    expansion (and the sequential reference loop) yields.
     """
 
     @pytest.fixture()
@@ -249,7 +283,7 @@ class TestMaterializedExpansion:
     def test_fast_path_matches_dynamic_and_dict(
         self, acorn_index, fresh_level, m_beta
     ):
-        dict_level = freeze_graph_dict(acorn_index.graph)[0]
+        dict_level = level_lists(acorn_index.graph)[0]
         dynamic = {}
         n = len(acorn_index)
         gen = np.random.default_rng(11)
@@ -269,9 +303,7 @@ class TestMaterializedExpansion:
                     fresh_level, node, mask, m_beta
                 ).tolist()
                 assert fast == dynamic[i, node]
-                assert fast == compressed_neighbors_dict(
-                    dict_level, node, mask, m_beta
-                )
+                assert fast == fig4_compress(dict_level, node, mask, m_beta)
 
     def test_attach_is_idempotent(self, fresh_level):
         assert attach_expansion(fresh_level, 4)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.attributes import AttributeTable
-from repro.core import AcornIndex, AcornParams, HybridSearcher
+from repro.core import (
+    AcornIndex,
+    AcornOneIndex,
+    AcornParams,
+    FlatAcornIndex,
+    HybridSearcher,
+)
 from repro.persistence import load_index, save_index
 from repro.predicates import Equals, RegexMatch
 
@@ -33,6 +39,49 @@ class TestMalformedQueries:
         assert len(result) == 0
         # Empty predicate estimates s=0 < s_min, so routing prefilters.
         assert searcher.last_decision.used_prefilter
+
+
+class TestEntryPointValidation:
+    """``entry_point`` is checked before any distance is computed.
+
+    It used to reach ``DistanceComputer.distance_one``, whose
+    ``base[id:id+1]`` slice was silently empty for an out-of-range id
+    ("index 0 is out of bounds for axis 0 with size 0").
+    """
+
+    @pytest.fixture(scope="class")
+    def indexes(self):
+        gen = np.random.default_rng(4)
+        vectors = gen.standard_normal((40, 6)).astype(np.float32)
+        table = AttributeTable(45)  # spare rows: len(table) > len(index)
+        table.add_int_column("label", gen.integers(0, 2, size=45))
+        params = AcornParams(m=4, gamma=2, m_beta=6, ef_construction=12)
+        return vectors, {
+            AcornIndex: AcornIndex.build(vectors, table, params=params,
+                                         seed=1),
+            AcornOneIndex: AcornOneIndex.build(vectors, table, m=4,
+                                               ef_construction=12, seed=1),
+            FlatAcornIndex: FlatAcornIndex.build(vectors, table,
+                                                 params=params, seed=1),
+        }
+
+    @pytest.mark.parametrize("cls",
+                             [AcornIndex, AcornOneIndex, FlatAcornIndex])
+    def test_out_of_range_entry_point(self, indexes, cls):
+        vectors, by_class = indexes
+        index = by_class[cls]
+        from repro.vectors.distance import GLOBAL_TALLY
+
+        before = GLOBAL_TALLY.total
+        for bad in (-1, len(index), len(index) + 5):
+            with pytest.raises(ValueError,
+                               match=r"entry_point must be a node id in "
+                                     rf"\[0, {len(index)}\), got {bad}"):
+                index.search(vectors[0], Equals("label", 1), 3,
+                             entry_point=bad)
+        assert GLOBAL_TALLY.total == before
+        assert len(index.search(vectors[0], Equals("label", 1), 3,
+                                entry_point=len(index) - 1)) == 3
 
 
 class TestDegenerateDatasets:

@@ -78,6 +78,14 @@ class TestDistanceComputer:
         computer.distance_one(base[0], 4)
         assert computer.count == 2
 
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    def test_single_out_of_range_is_an_index_error(self, base, metric):
+        """Never an empty slice ("index 0 ... with size 0" downstream)."""
+        computer = DistanceComputer(base, metric)
+        bad = len(base) + 5
+        with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
+            computer.distance_one(base[0], bad)
+
     def test_counts_all(self, base):
         computer = DistanceComputer(base)
         computer.distances_to_all(base[0])
