@@ -14,7 +14,7 @@ index — exercising `suggest_params`, `save_index`/`load_index`,
 import tempfile
 from pathlib import Path
 
-from repro import AcornIndex, HybridSearcher, load_index, save_index
+from repro import AcornIndex, RoutePlanner, load_index, save_index
 from repro.core.tuning import suggest_params_from_predicates
 from repro.datasets import make_tripclick_like
 from repro.predicates import Between, ContainsAny
@@ -49,7 +49,7 @@ def main() -> None:
         index = load_index(path)
         print("reloaded; graph intact:", index.graph.max_level + 1, "levels")
 
-    searcher = HybridSearcher(index)
+    searcher = RoutePlanner(index, policy="static")
     query = dataset.queries[0].vector
 
     # 4. EXPLAIN before running.
@@ -57,11 +57,9 @@ def main() -> None:
         ContainsAny("areas", ["cardiology"]),
         ContainsAny("areas", ["dermatology"]) & Between("year", 1950, 1960),
     ):
-        plan = searcher.explain(predicate)
+        plan = searcher.plan(predicate, k=5)
         print(f"\nEXPLAIN {predicate!r}\n  -> route={plan.route}, "
-              f"s={plan.estimated_selectivity:.4f}, "
-              f"est. cost={plan.estimated_distance_computations:.0f} "
-              "distance comps")
+              f"s={plan.estimated_selectivity:.4f} ({plan.reason})")
         result = searcher.search(query, predicate, k=5)
         print(f"  ran: {len(result)} results, "
               f"{result.distance_computations} actual distance comps")

@@ -13,7 +13,7 @@ pre-filtering for quality and cost.
 """
 
 
-from repro import AcornIndex, AcornParams, And, Between, ContainsAny, HybridSearcher
+from repro import AcornIndex, AcornParams, And, Between, ContainsAny, RoutePlanner
 from repro.baselines import PreFilterSearcher
 from repro.datasets import make_tripclick_like
 
@@ -28,7 +28,7 @@ def main() -> None:
     params = AcornParams(m=16, gamma=8, m_beta=32, ef_construction=40)
     print(f"building ACORN-gamma (M={params.m}, gamma={params.gamma})...")
     index = AcornIndex.build(dataset.vectors, table, params=params, seed=0)
-    searcher = HybridSearcher(index)
+    searcher = RoutePlanner(index, policy="static")
     exact = PreFilterSearcher(dataset.vectors, table)
 
     # A "query passage" the researcher wants related work for.
@@ -49,7 +49,7 @@ def main() -> None:
         truth = exact.search(query, predicate, k=8)
         overlap = len(set(result.ids.tolist()) & set(truth.ids.tolist()))
         print(f"\n--- {title} ---")
-        print(f"selectivity {searcher.last_decision.estimated_selectivity:.3f}"
+        print(f"selectivity {result.est_selectivity:.3f}"
               f" | ACORN {result.distance_computations} distance comps vs"
               f" exact scan {truth.distance_computations}"
               f" | agreement {overlap}/8")

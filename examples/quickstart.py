@@ -19,7 +19,7 @@ from repro import (
     AttributeTable,
     Between,
     Equals,
-    HybridSearcher,
+    RoutePlanner,
 )
 
 
@@ -47,7 +47,7 @@ def main() -> None:
     print(f"building ACORN-gamma over {n} products "
           f"(M={params.m}, gamma={params.gamma}, M_beta={params.m_beta})...")
     index = AcornIndex.build(vectors, table, params=params, seed=0)
-    searcher = HybridSearcher(index)
+    searcher = RoutePlanner(index, policy="static")
 
     # A reference product to search "more like this" from.
     query = vectors[17]
@@ -63,12 +63,9 @@ def main() -> None:
     }
     for title, predicate in scenarios.items():
         result = searcher.search(query, predicate, k=5, ef_search=48)
-        route = (
-            "pre-filter" if searcher.last_decision.used_prefilter else "graph"
-        )
         print(f"\n{title}  "
-              f"[selectivity={searcher.last_decision.estimated_selectivity:.3f},"
-              f" routed to {route}]")
+              f"[selectivity={result.est_selectivity:.3f},"
+              f" routed to {result.route_chosen}]")
         for node, dist in zip(result.ids, result.distances):
             row = table.row(int(node))
             print(f"  #{node:>4}  dist={dist:8.2f}  "

@@ -33,7 +33,6 @@ from repro.core import (
     AcornOneIndex,
     AcornParams,
     FlatAcornIndex,
-    HybridSearcher,
 )
 from repro.core.params import PruningStrategy
 from repro.engine import (
@@ -60,7 +59,6 @@ from repro.lifecycle import (
     ShardedLifecycleIndex,
 )
 from repro.persistence import load_index, save_index
-from repro.hnsw.hnsw import SearchResult
 from repro.predicates import (
     And,
     Between,
@@ -77,7 +75,6 @@ from repro.predicates import (
 from repro.routing import (
     CostModel,
     RoutePlanner,
-    RoutedSearchResult,
     RoutingFeedback,
     WalkBudget,
     WalkMonitor,
@@ -96,6 +93,7 @@ from repro.shard import (
     ShardRouter,
     ShardedAcornIndex,
 )
+from repro.telemetry import SearchResult
 from repro.vectors import Metric, VectorStore
 
 __version__ = "1.0.0"
@@ -123,7 +121,6 @@ __all__ = [
     "HnswIndex",
     "HybridDataset",
     "HybridQuery",
-    "HybridSearcher",
     "InvertedIndex",
     "LifecycleConfig",
     "LifecycleIndex",
@@ -138,7 +135,6 @@ __all__ = [
     "QueryStats",
     "RegexMatch",
     "RoutePlanner",
-    "RoutedSearchResult",
     "RoutingFeedback",
     "SearchEngine",
     "SearchResult",

@@ -135,9 +135,7 @@ class FilteredVamanaIndex(BatchSearchMixin):
             raise ValueError(f"k must be positive, got {k}")
         label = extract_equality_label(predicate, self.label_column)
         if label not in self.start_nodes:
-            return SearchResult(
-                np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float32), 0
-            )
+            return SearchResult.empty()
         computer = self.store.computer()
         query = computer.set_query(query)
         beam, _ = greedy_search(
@@ -145,10 +143,8 @@ class FilteredVamanaIndex(BatchSearchMixin):
             max(ef_search, k), allowed=self.labels == label,
         )
         top = beam[:k]
-        return SearchResult(
-            np.asarray([nid for _, nid in top], dtype=np.intp),
-            np.asarray([dist for dist, _ in top], dtype=np.float32),
-            computer.count,
+        return SearchResult.from_pairs(
+            top, distance_computations=computer.count
         )
 
     def nbytes(self) -> int:

@@ -133,16 +133,14 @@ class IvfFlatIndex(BatchSearchMixin):
         )
         candidates = candidates[compiled.mask[candidates]]
         if candidates.size == 0:
-            return SearchResult(
-                np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float32),
-                computer.count,
-            )
+            return SearchResult.empty(computer.count)
         dists = self._candidate_distances(computer, query, candidates)
         take = min(k, candidates.size)
         order = np.argpartition(dists, take - 1)[:take]
         order = order[np.argsort(dists[order])]
         return SearchResult(
-            candidates[order].astype(np.intp), dists[order], computer.count
+            ids=candidates[order].astype(np.intp), distances=dists[order],
+            distance_computations=computer.count,
         )
 
     def _candidate_distances(

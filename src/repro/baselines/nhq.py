@@ -117,9 +117,7 @@ class NhqIndex(BatchSearchMixin):
         query = computer.set_query(query)
         n = len(self.store)
         if n == 0:
-            return SearchResult(
-                np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float32), 0
-            )
+            return SearchResult.empty()
         beam_width = max(ef_search, k)
         # Seed the beam with several deterministic pseudo-random entry
         # points — KGraph-style search initializes its pool randomly,
@@ -159,10 +157,8 @@ class NhqIndex(BatchSearchMixin):
         ][:k]
         # Report true metric distances (strip the fusion term, which is
         # zero for exact matches anyway).
-        return SearchResult(
-            np.asarray([nid for _, nid in matching], dtype=np.intp),
-            np.asarray([dist for dist, _ in matching], dtype=np.float32),
-            computer.count,
+        return SearchResult.from_pairs(
+            matching, distance_computations=computer.count
         )
 
     def nbytes(self) -> int:

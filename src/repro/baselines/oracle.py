@@ -101,9 +101,9 @@ class OraclePartitionIndex(BatchSearchMixin):
         result = index.search(query, k, ef_search=ef_search)
         # Translate partition-local ids back to global entity ids.
         return SearchResult(
-            ids[result.ids].astype(np.intp),
-            result.distances,
-            result.distance_computations,
+            ids=ids[result.ids].astype(np.intp),
+            distances=result.distances,
+            distance_computations=result.distance_computations,
         )
 
     def nbytes(self) -> int:

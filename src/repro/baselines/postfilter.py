@@ -76,11 +76,7 @@ class PostFilterSearcher(BatchSearchMixin):
         candidates, ncomp = self.index.search_candidates(query, max(budget, k))
         mask = compiled.mask
         passing = [(dist, nid) for dist, nid in candidates if mask[nid]][:k]
-        return SearchResult(
-            np.asarray([nid for _, nid in passing], dtype=np.intp),
-            np.asarray([dist for dist, _ in passing], dtype=np.float32),
-            ncomp,
-        )
+        return SearchResult.from_pairs(passing, distance_computations=ncomp)
 
     def freeze(self):
         """Freeze the wrapped HNSW's CSR snapshot (batch-engine hook).

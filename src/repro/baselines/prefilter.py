@@ -62,9 +62,7 @@ class PreFilterSearcher(BatchSearchMixin):
         )
         passing = compiled.passing_ids
         if passing.size == 0:
-            return SearchResult(
-                np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float32), 0
-            )
+            return SearchResult.empty()
         computer = self.store.computer()
         query = computer.set_query(query)
         dists = computer.distances_to(query, passing)
@@ -72,7 +70,8 @@ class PreFilterSearcher(BatchSearchMixin):
         order = np.argpartition(dists, take - 1)[:take]
         order = order[np.argsort(dists[order])]
         return SearchResult(
-            passing[order].astype(np.intp), dists[order], computer.count
+            ids=passing[order].astype(np.intp), distances=dists[order],
+            distance_computations=computer.count,
         )
 
     def nbytes(self) -> int:

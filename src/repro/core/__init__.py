@@ -10,15 +10,15 @@ HNSW (paper §5):
 - :class:`AcornOneIndex` — ACORN-1, which builds a plain (unpruned)
   HNSW and instead expands one-hop+two-hop neighborhoods during search.
 
-:class:`HybridSearcher` wraps either index with the paper's cost-based
-router (§5.2): queries whose estimated selectivity falls below
-``s_min = 1/γ`` fall back to pre-filtering.
+:class:`repro.routing.RoutePlanner` wraps either index with the paper's
+cost-based router (§5.2; ``policy="static"`` is the rule verbatim):
+queries whose estimated selectivity falls below ``s_min = 1/γ`` fall
+back to pre-filtering.
 """
 
 from repro.core.acorn import AcornIndex, AcornOneIndex
 from repro.core.flat import FlatAcornIndex
 from repro.core.params import AcornParams
-from repro.core.router import HybridSearcher, QueryPlan, RoutingDecision
 from repro.core.search import FrozenLevel, freeze_graph
 
 __all__ = [
@@ -27,8 +27,5 @@ __all__ = [
     "AcornParams",
     "FlatAcornIndex",
     "FrozenLevel",
-    "HybridSearcher",
-    "QueryPlan",
-    "RoutingDecision",
     "freeze_graph",
 ]

@@ -534,9 +534,7 @@ class AcornIndex(BatchSearchMixin):
             raise ValueError(f"k must be positive, got {k}")
         compiled = self._compile(predicate)
         if len(self.graph) == 0:
-            return SearchResult(
-                np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float32), 0
-            )
+            return SearchResult.empty()
         entry = self.graph.entry_point if entry_point is None else entry_point
         if not 0 <= entry < len(self.store):
             raise ValueError(
@@ -575,10 +573,9 @@ class AcornIndex(BatchSearchMixin):
         # pass); every expanded node passed the filter, so one final
         # mask application yields the hybrid result set.
         passing = [(dist, nid) for dist, nid in found if mask[nid]][:k]
-        return SearchResult(
-            np.asarray([nid for _, nid in passing], dtype=np.intp),
-            np.asarray([dist for dist, _ in passing], dtype=np.float32),
-            computer.count,
+        return SearchResult.from_pairs(
+            passing,
+            distance_computations=computer.count,
             hops=tstats.hops,
             visited_nodes=tstats.visited,
         )
@@ -626,7 +623,7 @@ class AcornIndex(BatchSearchMixin):
             computer, query, passing, k, rerank_budget(k, rf)
         )
         return SearchResult(
-            ids, dists, computer.count,
+            ids=ids, distances=dists, distance_computations=computer.count,
             hops=tstats.hops, visited_nodes=tstats.visited,
             quantized_distances=qcomp.count,
             rerank_distances=n_rerank, rerank_factor=rf,
@@ -728,13 +725,7 @@ class AcornIndex(BatchSearchMixin):
             )
         nq = queries.shape[0]
         if nq == 0 or len(self.graph) == 0:
-            return [
-                SearchResult(
-                    np.empty(0, dtype=np.intp),
-                    np.empty(0, dtype=np.float32), 0,
-                )
-                for _ in range(nq)
-            ]
+            return [SearchResult.empty() for _ in range(nq)]
         compiled = [self._compile(p) for p in predicates]
         masks = [self._effective_mask(c.mask) for c in compiled]
         csr = self._level_csr(0)
@@ -812,8 +803,10 @@ class AcornIndex(BatchSearchMixin):
                     computer, queries[i], passing, k, budget
                 )
                 results.append(SearchResult(
-                    ids, dists,
-                    int(descent_counts[i]) + (computer.count - before),
+                    ids=ids, distances=dists,
+                    distance_computations=(
+                        int(descent_counts[i]) + (computer.count - before)
+                    ),
                     hops=tstats[i].hops + int(hops[i]),
                     visited_nodes=tstats[i].visited + int(visited[i]),
                     quantized_distances=int(qevals[i]),

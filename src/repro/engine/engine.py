@@ -24,43 +24,66 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.engine.cache import CacheInfo, PredicateCache
-from repro.engine.instrumentation import QueryStats
-from repro.hnsw.hnsw import SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
+from repro.telemetry import QueryStats, SearchResult
 
 
 def _result_stats(
     index: int, result: SearchResult, elapsed: float, cache_hit: bool
 ) -> QueryStats:
-    """One query's QueryStats from its SearchResult (shared by every
-    executor path, so counters are identical across them)."""
-    return QueryStats(
-        query_index=index,
-        distance_computations=int(result.distance_computations),
-        hops=int(getattr(result, "hops", 0)),
-        visited_nodes=int(getattr(result, "visited_nodes", 0)),
-        predicate_cache_hit=cache_hit,
-        wall_time_s=elapsed,
-        shards_probed=int(getattr(result, "shards_probed", 0)),
-        shards_pruned=int(getattr(result, "shards_pruned", 0)),
-        shards_failed=int(getattr(result, "shards_failed", 0)),
-        shards_timed_out=int(getattr(result, "shards_timed_out", 0)),
-        degraded=bool(getattr(result, "degraded", False)),
-        recall_ceiling=float(getattr(result, "recall_ceiling", 1.0)),
-        route_chosen=str(getattr(result, "route_chosen", "")),
-        route_reason=str(getattr(result, "route_reason", "")),
-        fallback_triggered=bool(getattr(result, "fallback_triggered", False)),
-        estimator_error=float(getattr(result, "estimator_error", 0.0)),
-        quantized_distances=int(getattr(result, "quantized_distances", 0)),
-        rerank_distances=int(getattr(result, "rerank_distances", 0)),
-        rerank_factor=float(getattr(result, "rerank_factor", 0.0)),
-        epoch=int(getattr(result, "epoch", 0)),
+    """The result's telemetry plus the three fields the engine owns
+    (shared by every executor path, so counters agree across them)."""
+    return result.stamped(
+        query_index=index, predicate_cache_hit=cache_hit, wall_time_s=elapsed
     )
+
+
+def _tally(values) -> dict[str, int]:
+    """Occurrences of each non-empty value, sorted by value."""
+    return dict(sorted(Counter(v for v in values if v).items()))
+
+
+def _mean(values) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+def _percentiles(values) -> dict:
+    from repro.eval.stats import percentile_summary
+
+    return dataclasses.asdict(percentile_summary(values))
+
+
+#: ``rule(column, field default)`` for each summary rule a
+#: :class:`QueryStats` field may name in its ``summary`` metadata.
+_SUMMARY_RULES = {
+    "sum": lambda column, _: sum(column),
+    "count": lambda column, _: sum(1 for value in column if value),
+    "count_false": lambda column, _: sum(1 for value in column if not value),
+    "min": lambda column, default: min(column, default=default),
+    "max": lambda column, default: max(column, default=default),
+    "mean": lambda column, _: _mean(column),
+    "mean_abs": lambda column, _: _mean([abs(value) for value in column]),
+    "tally": lambda column, _: _tally(column),
+    "percentiles": lambda column, _: _percentiles(column),
+}
+
+#: ``(field, default, summary key, rule)`` in ``summary()`` order:
+#: latency first (it sits beside the batch's own wall time and qps),
+#: then field declaration order.
+_SUMMARY_ROWS = sorted(
+    (
+        (f.name, f.default, key, _SUMMARY_RULES[rule])
+        for f in dataclasses.fields(QueryStats)
+        for key, rule in f.metadata["summary"].items()
+    ),
+    key=lambda row: row[0] != "wall_time_s",
+)
 
 
 def resolve_table(searcher):
@@ -162,120 +185,6 @@ class BatchResult:
         return self.results[index]
 
     @property
-    def total_distance_computations(self) -> int:
-        """Sum of per-query distance computations across the batch."""
-        return sum(s.distance_computations for s in self.stats)
-
-    @property
-    def cache_hits(self) -> int:
-        """Queries whose predicate mask was served from cache."""
-        return sum(1 for s in self.stats if s.predicate_cache_hit)
-
-    @property
-    def total_shards_probed(self) -> int:
-        """Sum of per-query probed-shard counts (0 for unsharded)."""
-        return sum(s.shards_probed for s in self.stats)
-
-    @property
-    def total_shards_pruned(self) -> int:
-        """Sum of per-query router-pruned-shard counts (0 for unsharded)."""
-        return sum(s.shards_pruned for s in self.stats)
-
-    @property
-    def total_shards_failed(self) -> int:
-        """Sum of per-query failed-shard counts (0 without resilience)."""
-        return sum(s.shards_failed for s in self.stats)
-
-    @property
-    def total_shards_timed_out(self) -> int:
-        """Sum of per-query timed-out-shard counts (0 without resilience)."""
-        return sum(s.shards_timed_out for s in self.stats)
-
-    @property
-    def degraded_queries(self) -> int:
-        """Queries that returned a partial (survivors-only) top-k."""
-        return sum(1 for s in self.stats if s.degraded)
-
-    @property
-    def min_recall_ceiling(self) -> float:
-        """Worst per-query estimated recall ceiling in the batch (1.0
-        for an empty or undegraded batch)."""
-        return min((s.recall_ceiling for s in self.stats), default=1.0)
-
-    @property
-    def route_counts(self) -> dict[str, int]:
-        """Queries per chosen route, sorted by route name (empty for
-        searchers without a route planner)."""
-        counts: dict[str, int] = {}
-        for s in self.stats:
-            if s.route_chosen:
-                counts[s.route_chosen] = counts.get(s.route_chosen, 0) + 1
-        return dict(sorted(counts.items()))
-
-    @property
-    def fallbacks_triggered(self) -> int:
-        """Queries whose graph walk was abandoned for the pre-filter
-        fallback."""
-        return sum(1 for s in self.stats if s.fallback_triggered)
-
-    @property
-    def mean_abs_estimator_error(self) -> float:
-        """Mean absolute selectivity-estimation error across the batch
-        (0.0 for an empty or unrouted batch)."""
-        if not self.stats:
-            return 0.0
-        return sum(abs(s.estimator_error) for s in self.stats) / len(self.stats)
-
-    @property
-    def total_quantized_distances(self) -> int:
-        """Sum of per-query quantized-code distance evaluations
-        (0 for unquantized searchers)."""
-        return sum(s.quantized_distances for s in self.stats)
-
-    @property
-    def total_rerank_distances(self) -> int:
-        """Sum of per-query exact rerank evaluations over quantized
-        candidates (0 for unquantized searchers)."""
-        return sum(s.rerank_distances for s in self.stats)
-
-    @property
-    def mean_queue_wait_ms(self) -> float:
-        """Mean serving-layer coalescing wait across the batch (0.0 for
-        direct engine calls or an empty batch)."""
-        if not self.stats:
-            return 0.0
-        return sum(s.queue_wait_ms for s in self.stats) / len(self.stats)
-
-    @property
-    def mean_batch_size_served(self) -> float:
-        """Mean coalesced-batch size the queries rode in (0.0 for
-        direct engine calls or an empty batch)."""
-        if not self.stats:
-            return 0.0
-        return sum(s.batch_size_served for s in self.stats) / len(self.stats)
-
-    @property
-    def tenant_counts(self) -> dict[str, int]:
-        """Queries per tenant, sorted by tenant id (empty for direct
-        engine calls — only the serving layer stamps tenants)."""
-        counts: dict[str, int] = {}
-        for s in self.stats:
-            if s.tenant_id:
-                counts[s.tenant_id] = counts.get(s.tenant_id, 0) + 1
-        return dict(sorted(counts.items()))
-
-    @property
-    def max_epoch(self) -> int:
-        """Newest lifecycle epoch observed in the batch (0 for
-        searchers without a streaming lifecycle)."""
-        return max((s.epoch for s in self.stats), default=0)
-
-    @property
-    def cache_misses(self) -> int:
-        """Queries whose predicate mask had to be materialized."""
-        return len(self.stats) - self.cache_hits
-
-    @property
     def qps(self) -> float:
         """Batch throughput in queries per second."""
         if self.wall_time_s <= 0:
@@ -285,43 +194,21 @@ class BatchResult:
     def summary(self) -> dict:
         """Batch-level aggregation of the per-query instrumentation.
 
-        Returns a JSON-serializable dict with latency and
-        distance-computation percentiles (p50/p95/p99 via
-        :func:`repro.eval.stats.percentile_summary`), throughput, and
-        cache effectiveness.
+        Returns a JSON-serializable dict: batch size, throughput, then
+        one entry per ``summary`` row the :class:`QueryStats` fields
+        declare (latency and distance-computation p50/p95/p99 via
+        :func:`repro.eval.stats.percentile_summary`, cache
+        effectiveness, shard/route/quantization totals, ...).
         """
-        from repro.eval.stats import percentile_summary
-
-        latency = percentile_summary(s.wall_time_s for s in self.stats)
-        ncomp = percentile_summary(
-            s.distance_computations for s in self.stats
-        )
-        return {
+        out = {
             "queries": len(self.results),
             "num_workers": self.num_workers,
             "wall_time_s": self.wall_time_s,
             "qps": self.qps,
-            "latency_s": dataclasses.asdict(latency),
-            "distance_computations": dataclasses.asdict(ncomp),
-            "total_distance_computations": self.total_distance_computations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "shards_probed": self.total_shards_probed,
-            "shards_pruned": self.total_shards_pruned,
-            "shards_failed": self.total_shards_failed,
-            "shards_timed_out": self.total_shards_timed_out,
-            "degraded_queries": self.degraded_queries,
-            "min_recall_ceiling": self.min_recall_ceiling,
-            "route_counts": self.route_counts,
-            "fallbacks_triggered": self.fallbacks_triggered,
-            "mean_abs_estimator_error": self.mean_abs_estimator_error,
-            "total_quantized_distances": self.total_quantized_distances,
-            "total_rerank_distances": self.total_rerank_distances,
-            "mean_queue_wait_ms": self.mean_queue_wait_ms,
-            "mean_batch_size_served": self.mean_batch_size_served,
-            "tenant_counts": self.tenant_counts,
-            "max_epoch": self.max_epoch,
         }
+        for name, default, key, rule in _SUMMARY_ROWS:
+            out[key] = rule([getattr(s, name) for s in self.stats], default)
+        return out
 
 
 class SearchEngine:

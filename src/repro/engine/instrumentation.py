@@ -1,112 +1,10 @@
 """Per-query telemetry emitted by the batch engine.
 
-Each query answered through :class:`~repro.engine.engine.SearchEngine`
-yields one :class:`QueryStats` record: the paper's hardware-independent
-cost measure (distance computations, Table 3), the traversal shape
-(hops, visited nodes), predicate-cache behaviour, and wall-time.  Batch
-summaries aggregate these into p50/p95/p99 percentiles via
-:func:`repro.eval.stats.percentile_summary`.
+:class:`QueryStats` is declared once, with its fold and summary rules,
+in :mod:`repro.telemetry`; this module keeps its historical import
+path.
 """
 
-from __future__ import annotations
+from repro.telemetry import QueryStats
 
-import dataclasses
-
-
-@dataclasses.dataclass(frozen=True)
-class QueryStats:
-    """Instrumentation for one query executed by the batch engine.
-
-    Attributes:
-        query_index: position of the query in its batch (results and
-            stats lists are both ordered by this index).
-        distance_computations: distances evaluated answering this query
-            — identical to ``SearchResult.distance_computations`` and to
-            the delta of the global distance tally for a lone query.
-        hops: graph nodes expanded during traversal (0 for flat scans).
-        visited_nodes: visited-set insertions during traversal (0 for
-            flat scans).
-        predicate_cache_hit: True when the query's predicate mask came
-            from the engine's LRU cache (or was supplied pre-compiled);
-            False when the engine had to materialize the mask.
-        wall_time_s: wall-clock seconds spent inside the underlying
-            ``search`` call, measured on the worker thread.
-        shards_probed: shards that executed a search for this query
-            (0 for unsharded searchers).
-        shards_pruned: shards the router proved empty and skipped
-            (0 for unsharded searchers).  For a sharded searcher
-            ``shards_probed + shards_pruned`` equals its shard count —
-            the accounting invariant the shard test suite pins.
-        shards_failed: probed shards that exhausted their resilience
-            retry budget on exceptions, invalid payloads, or open
-            circuit breakers (0 without a resilience policy).
-        shards_timed_out: probed shards dropped for exceeding their
-            per-shard deadline; disjoint from ``shards_failed``, and
-            ``shards_failed + shards_timed_out <= shards_probed``.
-        degraded: True when this query returned a partial top-k over
-            surviving shards rather than the full scatter-gather.
-        recall_ceiling: estimated upper bound on this query's recall
-            given shard failures (1.0 when not degraded), from the
-            router's per-shard selectivity estimates.
-        route_chosen: the route that produced this query's final
-            results (``""`` for searchers without a route planner;
-            ``"pre-filter"`` after a mid-search fallback).
-        route_reason: the planner's decision rationale, or the walk
-            monitor's abort reason after a fallback (``""`` when
-            unrouted).
-        fallback_triggered: True when a monitored graph walk was
-            abandoned mid-search and the results come from the
-            pre-filter fallback.
-        estimator_error: signed selectivity-estimation error
-            (``estimate - exact``) of the routing decision (0.0 when
-            unrouted).
-        quantized_distances: approximate distances evaluated on the
-            quantized (int8/PQ) hot path for this query — disjoint
-            from ``distance_computations``, which stays exact-float32
-            only (0 for unquantized searchers).
-        rerank_distances: exact float32 distances spent re-scoring the
-            quantized candidate head (a subset of
-            ``distance_computations``; 0 when unquantized).
-        rerank_factor: the rerank budget multiplier in effect
-            (``rerank_factor * k`` candidates re-scored; 0.0 when
-            unquantized).
-        queue_wait_ms: milliseconds the query spent in the serving
-            layer's coalescing buffer before dispatch (0.0 for direct
-            engine calls).
-        batch_size_served: size of the coalesced GEMM batch the query
-            rode in (0 for direct engine calls).
-        tenant_id: submitting tenant in the serving layer (``""`` for
-            direct engine calls).
-        epoch: lifecycle epoch snapshot that answered the query (0 for
-            searchers without a streaming lifecycle).  Every query in a
-            batch reports the same epoch — the engine pins one snapshot
-            per :class:`~repro.engine.engine.QueryBatch`.
-    """
-
-    query_index: int
-    distance_computations: int
-    hops: int
-    visited_nodes: int
-    predicate_cache_hit: bool
-    wall_time_s: float
-    shards_probed: int = 0
-    shards_pruned: int = 0
-    shards_failed: int = 0
-    shards_timed_out: int = 0
-    degraded: bool = False
-    recall_ceiling: float = 1.0
-    route_chosen: str = ""
-    route_reason: str = ""
-    fallback_triggered: bool = False
-    estimator_error: float = 0.0
-    quantized_distances: int = 0
-    rerank_distances: int = 0
-    rerank_factor: float = 0.0
-    queue_wait_ms: float = 0.0
-    batch_size_served: int = 0
-    tenant_id: str = ""
-    epoch: int = 0
-
-    def to_dict(self) -> dict:
-        """The record as a plain JSON-serializable dict."""
-        return dataclasses.asdict(self)
+__all__ = ["QueryStats"]

@@ -36,30 +36,56 @@ from repro.eval.metrics import recall_at_k
 from repro.eval.stats import percentile_summary
 
 
+def _column(
+    fmt: str,
+    source: str | None = None,
+    default=dataclasses.MISSING,
+    reducer=np.mean,
+):
+    """One sweep column: its CSV format spec and, for telemetry
+    columns, the :class:`~repro.telemetry.QueryStats` field that
+    ``reducer`` folds over the point's queries."""
+    return dataclasses.field(
+        default=default,
+        metadata={"fmt": fmt, "source": source, "reducer": reducer},
+    )
+
+
 @dataclasses.dataclass
 class SweepPoint:
-    """One operating point of a method's recall-QPS curve."""
+    """One operating point of a method's recall-QPS curve.
 
-    effort: int
-    recall: float
-    qps: float
-    mean_distance_computations: float
-    mean_latency_s: float
-    p50_latency_s: float = 0.0
-    p95_latency_s: float = 0.0
-    p99_latency_s: float = 0.0
-    mean_shards_probed: float = 0.0
-    mean_shards_pruned: float = 0.0
-    mean_shards_failed: float = 0.0
-    mean_shards_timed_out: float = 0.0
-    degraded_fraction: float = 0.0
-    mean_recall_ceiling: float = 1.0
-    fallback_fraction: float = 0.0
-    mean_abs_estimator_error: float = 0.0
-    mean_quantized_distances: float = 0.0
-    mean_rerank_distances: float = 0.0
-    mean_queue_wait_ms: float = 0.0
-    mean_batch_size_served: float = 0.0
+    The field list *is* the sweep schema: CSV header, row format and
+    the per-point telemetry reduction are all read from it.
+    """
+
+    effort: int = _column("d")
+    recall: float = _column(".6f")
+    qps: float = _column(".3f")
+    mean_distance_computations: float = _column(".2f", "distance_computations")
+    mean_latency_s: float = _column(".6f")
+    p50_latency_s: float = _column(".6f", default=0.0)
+    p95_latency_s: float = _column(".6f", default=0.0)
+    p99_latency_s: float = _column(".6f", default=0.0)
+    mean_shards_probed: float = _column(".2f", "shards_probed", 0.0)
+    mean_shards_pruned: float = _column(".2f", "shards_pruned", 0.0)
+    mean_shards_failed: float = _column(".2f", "shards_failed", 0.0)
+    mean_shards_timed_out: float = _column(".2f", "shards_timed_out", 0.0)
+    degraded_fraction: float = _column(".4f", "degraded", 0.0)
+    mean_recall_ceiling: float = _column(".4f", "recall_ceiling", 1.0)
+    fallback_fraction: float = _column(".4f", "fallback_triggered", 0.0)
+    mean_abs_estimator_error: float = _column(
+        ".6f", "estimator_error", 0.0, reducer=lambda v: np.mean(np.abs(v))
+    )
+    mean_quantized_distances: float = _column(
+        ".2f", "quantized_distances", 0.0
+    )
+    mean_rerank_distances: float = _column(".2f", "rerank_distances", 0.0)
+    mean_queue_wait_ms: float = _column(".3f", "queue_wait_ms", 0.0)
+    mean_batch_size_served: float = _column(".2f", "batch_size_served", 0.0)
+
+
+_COLUMNS = dataclasses.fields(SweepPoint)
 
 
 @dataclasses.dataclass
@@ -72,30 +98,12 @@ class MethodSweep:
     def to_csv(self) -> str:
         """The curve as CSV (header + one row per operating point),
         ready for external plotting tools."""
-        lines = [
-            "method,effort,recall,qps,mean_distance_computations,"
-            "mean_latency_s,p50_latency_s,p95_latency_s,p99_latency_s,"
-            "mean_shards_probed,mean_shards_pruned,mean_shards_failed,"
-            "mean_shards_timed_out,degraded_fraction,mean_recall_ceiling,"
-            "fallback_fraction,mean_abs_estimator_error,"
-            "mean_quantized_distances,mean_rerank_distances,"
-            "mean_queue_wait_ms,mean_batch_size_served"
-        ]
+        lines = [",".join(["method", *(c.name for c in _COLUMNS)])]
         for p in self.points:
-            lines.append(
-                f"{self.method},{p.effort},{p.recall:.6f},{p.qps:.3f},"
-                f"{p.mean_distance_computations:.2f},{p.mean_latency_s:.6f},"
-                f"{p.p50_latency_s:.6f},{p.p95_latency_s:.6f},"
-                f"{p.p99_latency_s:.6f},{p.mean_shards_probed:.2f},"
-                f"{p.mean_shards_pruned:.2f},{p.mean_shards_failed:.2f},"
-                f"{p.mean_shards_timed_out:.2f},{p.degraded_fraction:.4f},"
-                f"{p.mean_recall_ceiling:.4f},{p.fallback_fraction:.4f},"
-                f"{p.mean_abs_estimator_error:.6f},"
-                f"{p.mean_quantized_distances:.2f},"
-                f"{p.mean_rerank_distances:.2f},"
-                f"{p.mean_queue_wait_ms:.3f},"
-                f"{p.mean_batch_size_served:.2f}"
-            )
+            lines.append(",".join([self.method, *(
+                format(getattr(p, c.name), c.metadata["fmt"])
+                for c in _COLUMNS
+            )]))
         return "\n".join(lines)
 
     def qps_at_recall(self, target: float) -> float | None:
@@ -171,57 +179,22 @@ class SweepRunner:
             recall_at_k(result.ids, gt, self.k)
             for result, gt in zip(outcome.results, self.ground_truth)
         ]
-        # Table 3's cost measure comes from the engine's per-query
-        # instrumentation, not from re-reading raw results.
-        ncomps = [s.distance_computations for s in outcome.stats]
         latency = percentile_summary(s.wall_time_s for s in outcome.stats)
         n_queries = len(batch)
         return SweepPoint(
             effort=int(effort),
             recall=float(np.mean(recalls)),
             qps=n_queries / elapsed if elapsed > 0 else float("inf"),
-            mean_distance_computations=float(np.mean(ncomps)),
             mean_latency_s=elapsed / n_queries,
             p50_latency_s=latency.p50,
             p95_latency_s=latency.p95,
             p99_latency_s=latency.p99,
-            mean_shards_probed=float(
-                np.mean([s.shards_probed for s in outcome.stats])
-            ),
-            mean_shards_pruned=float(
-                np.mean([s.shards_pruned for s in outcome.stats])
-            ),
-            mean_shards_failed=float(
-                np.mean([s.shards_failed for s in outcome.stats])
-            ),
-            mean_shards_timed_out=float(
-                np.mean([s.shards_timed_out for s in outcome.stats])
-            ),
-            degraded_fraction=float(
-                np.mean([1.0 if s.degraded else 0.0 for s in outcome.stats])
-            ),
-            mean_recall_ceiling=float(
-                np.mean([s.recall_ceiling for s in outcome.stats])
-            ),
-            fallback_fraction=float(
-                np.mean([
-                    1.0 if s.fallback_triggered else 0.0
-                    for s in outcome.stats
-                ])
-            ),
-            mean_abs_estimator_error=float(
-                np.mean([abs(s.estimator_error) for s in outcome.stats])
-            ),
-            mean_quantized_distances=float(
-                np.mean([s.quantized_distances for s in outcome.stats])
-            ),
-            mean_rerank_distances=float(
-                np.mean([s.rerank_distances for s in outcome.stats])
-            ),
-            mean_queue_wait_ms=float(
-                np.mean([s.queue_wait_ms for s in outcome.stats])
-            ),
-            mean_batch_size_served=float(
-                np.mean([s.batch_size_served for s in outcome.stats])
-            ),
+            # Table 3's cost measure and every other telemetry column
+            # come from the engine's per-query instrumentation.
+            **{
+                c.name: float(c.metadata["reducer"](
+                    [getattr(s, c.metadata["source"]) for s in outcome.stats]
+                ))
+                for c in _COLUMNS if c.metadata["source"]
+            },
         )

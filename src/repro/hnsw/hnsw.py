@@ -8,8 +8,6 @@ diffed against in tests and Figure 12.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.hnsw.graph import LayeredGraph
@@ -21,6 +19,7 @@ from repro.hnsw.traversal import (
     search_frozen_level,
     search_layer,
 )
+from repro.telemetry import SearchResult
 from repro.vectors.distance import DistanceComputer, Metric
 from repro.vectors.quantized_store import (
     QuantizedStore,
@@ -28,43 +27,6 @@ from repro.vectors.quantized_store import (
     resolve_quantization,
 )
 from repro.vectors.store import VectorStore
-
-
-@dataclasses.dataclass
-class SearchResult:
-    """Outcome of one (possibly hybrid) index search.
-
-    Attributes:
-        ids: result node ids, ascending distance, length <= K.
-        distances: matching distances (rank-preserving metric values).
-        distance_computations: *exact float32* distances evaluated while
-            answering, the paper's hardware-independent cost measure
-            (Table 3).  On the quantized path this counts the descent
-            plus the rerank tail only.
-        hops: graph nodes expanded during traversal (0 for flat scans,
-            which visit no graph).
-        visited_nodes: visited-set insertions during traversal (0 for
-            flat scans).
-        quantized_distances: approximate (SQ8/PQ-ADC) distance
-            evaluations on the quantized traversal path; 0 when the
-            index searches in float32.
-        rerank_distances: candidates re-scored by the exact float32
-            rerank tail (already included in ``distance_computations``).
-        rerank_factor: the rerank budget multiplier in effect (0.0 when
-            unquantized).
-    """
-
-    ids: np.ndarray
-    distances: np.ndarray
-    distance_computations: int
-    hops: int = 0
-    visited_nodes: int = 0
-    quantized_distances: int = 0
-    rerank_distances: int = 0
-    rerank_factor: float = 0.0
-
-    def __len__(self) -> int:
-        return int(self.ids.shape[0])
 
 
 class HnswIndex:
@@ -373,8 +335,7 @@ class HnswIndex:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         if len(self.graph) == 0:
-            empty = np.empty(0, dtype=np.intp)
-            return SearchResult(empty, np.empty(0, dtype=np.float32), 0)
+            return SearchResult.empty()
         computer = self.store.computer()
         qstore = self._quant_store()
         computer.defer_counts()
@@ -392,7 +353,8 @@ class HnswIndex:
                     computer, query, cand_ids, k, rerank_budget(k, rf)
                 )
                 return SearchResult(
-                    ids, dists, computer.count,
+                    ids=ids, distances=dists,
+                    distance_computations=computer.count,
                     hops=tstats.hops, visited_nodes=tstats.visited,
                     quantized_distances=qcomp.count,
                     rerank_distances=n_rerank, rerank_factor=rf,
@@ -401,10 +363,8 @@ class HnswIndex:
         finally:
             computer.flush_counts()
         top = found[:k]
-        return SearchResult(
-            np.asarray([nid for _, nid in top], dtype=np.intp),
-            np.asarray([dist for dist, _ in top], dtype=np.float32),
-            computer.count,
+        return SearchResult.from_pairs(
+            top, distance_computations=computer.count
         )
 
     def search_candidates(

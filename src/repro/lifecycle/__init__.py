@@ -19,7 +19,7 @@ from repro.lifecycle.compactor import (
     COMPACTION_STAGES,
 )
 from repro.lifecycle.delta import DeltaIndex, DeltaView
-from repro.lifecycle.epoch import EpochSnapshot, LifecycleSearchResult
+from repro.lifecycle.epoch import EpochSnapshot
 from repro.lifecycle.journal import DeltaJournal, JournalError
 from repro.lifecycle.manager import (
     CompactionInProgress,
@@ -49,7 +49,6 @@ __all__ = [
     "LifecycleConfig",
     "LifecycleIndex",
     "LifecycleLoadError",
-    "LifecycleSearchResult",
     "ShardedLifecycleIndex",
     "load_lifecycle",
     "save_lifecycle",

@@ -22,34 +22,14 @@ never surface from either side.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from repro.hnsw.hnsw import SearchResult
 from repro.lifecycle.delta import DeltaView
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.shard.sharded import merge_topk
+from repro.telemetry import QueryStats, SearchResult, fold_telemetry
 
-__all__ = ["EpochSnapshot", "LifecycleSearchResult"]
-
-
-@dataclasses.dataclass
-class LifecycleSearchResult(SearchResult):
-    """A :class:`SearchResult` stamped with lifecycle telemetry.
-
-    Attributes:
-        epoch: the epoch snapshot that answered the query (flows into
-            ``QueryStats.epoch`` through the batch engine).
-        delta_candidates: delta entries that passed the predicate and
-            were scored exactly (the brute-force side of the merge).
-        base_candidates: results the base graph search contributed
-            before the merge.
-    """
-
-    epoch: int = 0
-    delta_candidates: int = 0
-    base_candidates: int = 0
+__all__ = ["EpochSnapshot"]
 
 
 class EpochSnapshot:
@@ -165,7 +145,7 @@ class EpochSnapshot:
         predicate: "Predicate | CompiledPredicate",
         k: int,
         ef_search: int = 64,
-    ) -> LifecycleSearchResult:
+    ) -> SearchResult:
         """Merged hybrid search over base + deltas, minus tombstones.
 
         Result ids are **external ids**.  A pre-compiled predicate is
@@ -181,7 +161,7 @@ class EpochSnapshot:
         raw = (predicate.predicate
                if isinstance(predicate, CompiledPredicate) else predicate)
         streams: list[list[tuple[float, int]]] = []
-        ndist = hops = visited = 0
+        children: list[QueryStats] = []
         base_candidates = delta_candidates = 0
 
         if self.base is not None and len(self.base) > 0:
@@ -198,9 +178,7 @@ class EpochSnapshot:
                 query, CompiledPredicate(raw, composed), k,
                 ef_search=ef_search,
             )
-            ndist += int(result.distance_computations)
-            hops += int(result.hops)
-            visited += int(result.visited_nodes)
+            children.append(result)
             base_candidates = len(result)
             streams.append([
                 (float(d), int(self.base_ids[i]))
@@ -210,22 +188,16 @@ class EpochSnapshot:
 
         for view in self.deltas:
             stream, scored = view.topk(query, raw, k, self.tombstones)
-            ndist += scored
+            children.append(QueryStats(distance_computations=scored))
             delta_candidates += len(stream)
             streams.append(stream)
 
         merged = merge_topk(streams, k)
-        ids = np.asarray([e for _, e in merged], dtype=np.intp)
-        dists = np.asarray([d for d, _ in merged], dtype=np.float32)
-        return LifecycleSearchResult(
-            ids=ids,
-            distances=dists,
-            distance_computations=ndist,
-            hops=hops,
-            visited_nodes=visited,
-            epoch=self.epoch,
+        return SearchResult.from_pairs(
+            merged,
             delta_candidates=delta_candidates,
             base_candidates=base_candidates,
+            **fold_telemetry(children, epoch=self.epoch),
         )
 
     def exact_search(
@@ -233,7 +205,7 @@ class EpochSnapshot:
         query: np.ndarray,
         predicate: "Predicate | CompiledPredicate",
         k: int,
-    ) -> LifecycleSearchResult:
+    ) -> SearchResult:
         """Brute-force oracle: exact top-k over the live, passing set.
 
         Scans every base entity instead of walking the graph, so its
@@ -267,9 +239,6 @@ class EpochSnapshot:
             streams.append(stream)
             ndist += scored
         merged = merge_topk(streams, k)
-        return LifecycleSearchResult(
-            ids=np.asarray([e for _, e in merged], dtype=np.intp),
-            distances=np.asarray([d for d, _ in merged], dtype=np.float32),
-            distance_computations=ndist,
-            epoch=self.epoch,
+        return SearchResult.from_pairs(
+            merged, distance_computations=ndist, epoch=self.epoch
         )

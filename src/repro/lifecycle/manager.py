@@ -38,7 +38,8 @@ import numpy as np
 from repro.core.acorn import AcornIndex, AcornOneIndex
 from repro.engine.batching import BatchSearchMixin
 from repro.lifecycle.delta import DeltaIndex, build_table, table_schema
-from repro.lifecycle.epoch import EpochSnapshot, LifecycleSearchResult
+from repro.lifecycle.epoch import EpochSnapshot
+from repro.telemetry import SearchResult
 from repro.utils.clock import Clock, SystemClock
 
 __all__ = [
@@ -397,7 +398,7 @@ class LifecycleIndex(BatchSearchMixin):
 
     def search(
         self, query, predicate, k: int, ef_search: int = 64
-    ) -> LifecycleSearchResult:
+    ) -> SearchResult:
         """Search the currently published epoch.  Ids are external."""
         return self._published.search(query, predicate, k,
                                       ef_search=ef_search)

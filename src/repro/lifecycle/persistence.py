@@ -20,7 +20,7 @@ manifest loader's operator-first contract.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import json
 from pathlib import Path
 
@@ -45,12 +45,12 @@ class LifecycleLoadError(RuntimeError):
     """
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+_MANIFEST_WORDING = {
+    "missing": "lifecycle archive {root} is missing 'manifest.json'",
+    "corrupt": "{path} is not valid JSON: {exc.msg}",
+    "format": "{path} has format {found!r}, expected {expected!r}",
+    "version": "{path} has format_version {found!r}, expected {expected}",
+}
 
 
 def save_lifecycle(lifecycle: LifecycleIndex, path) -> Path:
@@ -61,7 +61,7 @@ def save_lifecycle(lifecycle: LifecycleIndex, path) -> Path:
     first, then the active buffer — i.e. external-id order), and the
     tombstone set.
     """
-    from repro.persistence import save_index
+    from repro.persistence import file_sha256, save_index
 
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -99,26 +99,10 @@ def save_lifecycle(lifecycle: LifecycleIndex, path) -> Path:
         "n_delta": len(entries),
         "tombstones": tombstones,
         "files": files,
-        "checksums": {name: _sha256(root / name) for name in files},
+        "checksums": {name: file_sha256(root / name) for name in files},
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return root
-
-
-def _verified(root: Path, name: str, checksums: dict) -> Path:
-    target = root / name
-    if not target.exists():
-        raise LifecycleLoadError(
-            f"lifecycle archive {root} is missing {name!r}; restore the "
-            "file or re-save the lifecycle"
-        )
-    expected = checksums.get(name)
-    if expected is not None and _sha256(target) != expected:
-        raise LifecycleLoadError(
-            f"checksum mismatch for {target}; the file is corrupt "
-            f"(expected sha256 {expected[:12]}...)"
-        )
-    return target
 
 
 def load_lifecycle(
@@ -133,35 +117,21 @@ def load_lifecycle(
             referenced file is missing, fails its checksum, or holds a
             corrupt journal record.
     """
-    from repro.persistence import load_index
+    from repro.persistence import load_index, read_manifest, verified_file
 
     root = Path(path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise LifecycleLoadError(
-            f"lifecycle archive {root} is missing 'manifest.json'"
-        )
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as err:
-        raise LifecycleLoadError(
-            f"{manifest_path} is not valid JSON: {err.msg}"
-        ) from err
-    if manifest.get("format") != _LIFECYCLE_FORMAT:
-        raise LifecycleLoadError(
-            f"{manifest_path} has format {manifest.get('format')!r}, "
-            f"expected {_LIFECYCLE_FORMAT!r}"
-        )
-    if manifest.get("format_version") != _LIFECYCLE_FORMAT_VERSION:
-        raise LifecycleLoadError(
-            f"{manifest_path} has format_version "
-            f"{manifest.get('format_version')!r}, expected "
-            f"{_LIFECYCLE_FORMAT_VERSION}"
-        )
-    checksums = manifest.get("checksums", {})
+    manifest = read_manifest(
+        root, LifecycleLoadError, _LIFECYCLE_FORMAT_VERSION,
+        _MANIFEST_WORDING, fmt=_LIFECYCLE_FORMAT,
+    )
+    _verified = functools.partial(
+        verified_file, root, checksums=manifest.get("checksums", {}),
+        error=LifecycleLoadError, archive="lifecycle archive",
+        resave="lifecycle",
+    )
 
-    base = load_index(_verified(root, "base.npz", checksums))
-    with np.load(_verified(root, "base_ids.npz", checksums)) as payload:
+    base = load_index(_verified("base.npz"))
+    with np.load(_verified("base_ids.npz")) as payload:
         base_ids = np.asarray(payload["base_ids"], dtype=np.int64)
     if base_ids.shape[0] != len(base):
         raise LifecycleLoadError(
@@ -169,7 +139,7 @@ def load_lifecycle(
             f"holds {len(base)}; the archive is inconsistent"
         )
 
-    journal = DeltaJournal(_verified(root, "delta.jsonl", checksums))
+    journal = DeltaJournal(_verified("delta.jsonl"))
     try:
         records = journal.replay()
     except JournalError as err:

@@ -26,6 +26,7 @@ from repro.attributes.table import AttributeTable, ColumnKind
 from repro.lifecycle.manager import LifecycleConfig, LifecycleIndex
 from repro.lifecycle.delta import build_table, table_schema
 from repro.shard.sharded import merge_topk
+from repro.telemetry import SearchResult, fold_telemetry
 from repro.utils.clock import Clock
 
 __all__ = ["ShardedLifecycleIndex"]
@@ -216,19 +217,16 @@ class ShardedLifecycleIndex:
 
     def search(self, query, predicate, k: int, ef_search: int = 64):
         """Scatter-gather search; result ids are **global** ids."""
-        streams = []
-        ndist = 0
-        epoch_total = 0
-        for s, shard in enumerate(self.shards):
-            result = shard.search(query, predicate, k, ef_search=ef_search)
-            ndist += int(result.distance_computations)
-            epoch_total += int(result.epoch)
-            rev = self._rev[s]
-            streams.append([
-                (float(d), rev[int(local)])
-                for d, local in zip(result.distances.tolist(),
-                                    result.ids.tolist())
-            ])
+        children = [
+            shard.search(query, predicate, k, ef_search=ef_search)
+            for shard in self.shards
+        ]
+        streams = [
+            [(float(d), rev[int(local)])
+             for d, local in zip(result.distances.tolist(),
+                                 result.ids.tolist())]
+            for rev, result in zip(self._rev, children)
+        ]
         # Each shard selected its k survivors on (distance, local id)
         # ties; because every shard's local→global mapping is strictly
         # increasing (enforced by _check_monotone_rev wherever the
@@ -239,13 +237,14 @@ class ShardedLifecycleIndex:
         # sorted under that invariant; the re-sort is cheap insurance.
         streams = [sorted(stream) for stream in streams]
         merged = merge_topk(streams, k)
-        from repro.lifecycle.epoch import LifecycleSearchResult
-
-        return LifecycleSearchResult(
-            ids=np.asarray([g for _, g in merged], dtype=np.intp),
-            distances=np.asarray([d for d, _ in merged], dtype=np.float32),
-            distance_computations=ndist,
-            epoch=epoch_total,
+        return SearchResult.from_pairs(
+            merged,
+            # The composite's epoch is the *sum* of its shards' epochs —
+            # a version counter that moves when any shard publishes
+            # (their max would hide every other shard's writes).
+            **fold_telemetry(
+                children, epoch=sum(child.epoch for child in children)
+            ),
         )
 
     def live_global_ids(self) -> np.ndarray:

@@ -17,6 +17,7 @@ caveat.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -46,6 +47,63 @@ class QuantLoadError(RuntimeError):
     exactly which artifact to restore; the index is never built over
     silently corrupted codes.
     """
+
+
+def file_sha256(path: Path) -> str:
+    """Hex sha256 of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def read_manifest(
+    root: Path, error, version: int, wording: dict, fmt: str | None = None
+) -> dict:
+    """Parse ``root/manifest.json`` and check its format and version.
+
+    Shared by the manifest-directory loaders; failures raise the
+    caller's ``error`` class in the caller's ``wording`` (``str.format``
+    templates keyed ``missing``/``corrupt``/``format``/``version``).
+    """
+    path = root / "manifest.json"
+    if not path.exists():
+        raise error(wording["missing"].format(root=root))
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise error(wording["corrupt"].format(path=path, exc=exc)) from exc
+    if fmt is not None and manifest.get("format") != fmt:
+        raise error(wording["format"].format(
+            path=path, found=manifest.get("format"), expected=fmt
+        ))
+    found = manifest.get("format_version")
+    if found != version:
+        raise error(wording["version"].format(
+            path=path, found=found, expected=version
+        ))
+    return manifest
+
+
+def verified_file(
+    root: Path, name: str, checksums: dict, error, archive: str, resave: str
+) -> Path:
+    """The path of ``root/name``, existence- and checksum-verified;
+    raises ``error`` naming the file otherwise."""
+    target = root / name
+    if not target.exists():
+        raise error(
+            f"{archive} {root} is missing {name!r}; restore the file "
+            f"or re-save the {resave}"
+        )
+    expected = checksums.get(name)
+    if expected is not None and file_sha256(target) != expected:
+        raise error(
+            f"checksum mismatch for {target}; the file is corrupt "
+            f"(expected sha256 {expected[:12]}...)"
+        )
+    return target
 
 
 def _pack_quantization(index, payload: dict) -> None:

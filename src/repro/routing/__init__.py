@@ -21,7 +21,6 @@ from repro.routing.feedback import RouteObservation, RoutingFeedback
 from repro.routing.monitor import WalkBudget, WalkMonitor
 from repro.routing.planner import (
     POLICIES,
-    RoutedSearchResult,
     RoutePlan,
     RoutePlanner,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "RouteObservation",
     "RoutePlan",
     "RoutePlanner",
-    "RoutedSearchResult",
     "RoutingFeedback",
     "WalkBudget",
     "WalkMonitor",

@@ -23,9 +23,8 @@ decision, right or wrong, preserves result quality.  Misroutes and
 aborted walks cost distance computations, never recall; the misroute
 regression suite pins exactly that.
 
-``policy="static"`` reproduces the legacy
-:class:`~repro.core.router.HybridSearcher` threshold rule byte-for-byte
-(same routes, same results, same counters) for backwards compatibility.
+``policy="static"`` *is* the paper's §5.2 threshold rule: pre-filter
+below ``s_min``, ``index.search`` otherwise, tombstones composed once.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.baselines.prefilter import PreFilterSearcher
 from repro.core.acorn import AcornIndex
 from repro.datasets.correlation import point_correlation
 from repro.engine.batching import BatchSearchMixin
-from repro.hnsw.hnsw import SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.predicates.selectivity import (
     ExactSelectivityEstimator,
@@ -54,33 +52,9 @@ from repro.routing.cost import (
 )
 from repro.routing.feedback import RoutingFeedback
 from repro.routing.monitor import WalkBudget, WalkMonitor
+from repro.telemetry import SearchResult, fold_telemetry
 
 POLICIES = ("static", "adaptive")
-
-
-@dataclasses.dataclass
-class RoutedSearchResult(SearchResult):
-    """A :class:`~repro.hnsw.hnsw.SearchResult` plus routing telemetry.
-
-    Attributes:
-        route_chosen: the route that produced the final results
-            (``"pre-filter"`` after a fallback, whatever was attempted
-            first).
-        route_reason: why — the decision rule for a direct execution,
-            or the monitor's abort reason for a fallback.
-        fallback_triggered: True when a monitored graph walk was
-            abandoned and the results come from the pre-filter
-            fallback.
-        estimator_error: signed ``estimate - exact`` selectivity error
-            of this query's estimate.
-        est_selectivity: the selectivity estimate the router used.
-    """
-
-    route_chosen: str = ""
-    route_reason: str = ""
-    fallback_triggered: bool = False
-    estimator_error: float = 0.0
-    est_selectivity: float = 0.0
 
 
 @dataclasses.dataclass
@@ -121,8 +95,7 @@ class RoutePlanner(BatchSearchMixin):
             (exact mask evaluation by default — what a system with
             precomputed filter bitmaps effectively has).
         policy: ``"adaptive"`` (cost-based, the default) or
-            ``"static"`` (the legacy §5.2 threshold rule, byte-
-            identical to :class:`~repro.core.router.HybridSearcher`).
+            ``"static"`` (the paper's §5.2 threshold rule).
         s_min: static-policy threshold (defaults to the index's 1/γ).
         cost_model: route cost model (defaults to one shaped by the
             index's n/M/γ).
@@ -337,7 +310,7 @@ class RoutePlanner(BatchSearchMixin):
         k: int,
         ef_search: int = 64,
         selectivity_hint: float | None = None,
-    ) -> RoutedSearchResult:
+    ) -> SearchResult:
         """Answer one hybrid query on the planner's chosen route.
 
         Args:
@@ -361,12 +334,11 @@ class RoutePlanner(BatchSearchMixin):
             self.policy == "static"
             or isinstance(self.estimator, ExactSelectivityEstimator)
         ):
-            # Matches HybridSearcher (and skips the mask re-evaluation
-            # an exact estimator would redo): a pre-compiled predicate
-            # carries its exact selectivity.  An adaptive planner with
-            # a *non-exact* estimator still consults it, so estimator
-            # error stays a live signal under the batch engine's
-            # predicate cache.
+            # A pre-compiled predicate carries its exact selectivity
+            # (no mask re-evaluation by an exact estimator).  An
+            # adaptive planner with a *non-exact* estimator still
+            # consults it, so estimator error stays a live signal under
+            # the batch engine's predicate cache.
             estimate = compiled.selectivity
         else:
             estimate = self.estimator.estimate(raw)
@@ -378,17 +350,16 @@ class RoutePlanner(BatchSearchMixin):
         plan = self._decide(signature, estimate, k, ef_search, correlation)
         self.last_plan = plan
 
-        # Tombstones compose once, exactly as the legacy router does;
-        # the graph indexes re-derive the same composed mask from their
-        # per-predicate cache, so no route can resurrect a deleted row.
+        # Tombstones compose once; the graph indexes re-derive the same
+        # composed mask from their per-predicate cache, so no route can
+        # resurrect a deleted row.
         exec_compiled = compiled
         if self.index.num_deleted:
             mask = self.index._effective_mask(compiled.mask)
             exec_compiled = CompiledPredicate(compiled.predicate, mask)
 
-        fallback = False
+        walk = None
         reason = plan.reason
-        walk_comps = walk_hops = walk_visited = walk_quant = 0
         if plan.route == ROUTE_PRE_FILTER:
             result = self.prefilter.search(query, exec_compiled, k)
         elif plan.route == ROUTE_POST_FILTER:
@@ -415,76 +386,56 @@ class RoutePlanner(BatchSearchMixin):
                 )
             if monitor is not None and monitor.aborted:
                 # RACORN-1 recovery: discard the degenerate walk and
-                # answer exactly.  The walk's counters stay on the
-                # query's bill — that is the realized price of the
-                # misroute.
-                fallback = True
+                # answer exactly.  The walk stays a child of the
+                # query's record — its counters are the realized price
+                # of the misroute.
                 reason = f"fallback from {plan.route}: {monitor.abort_reason}"
-                walk_comps = int(result.distance_computations)
-                walk_hops = int(result.hops)
-                walk_visited = int(result.visited_nodes)
-                walk_quant = int(getattr(result, "quantized_distances", 0))
+                walk = result
                 result = self.prefilter.search(query, exec_compiled, k)
 
-        total_comps = int(result.distance_computations) + walk_comps
-        total_hops = int(result.hops) + walk_hops
-        total_visited = int(result.visited_nodes) + walk_visited
-        total_quant = (
-            int(getattr(result, "quantized_distances", 0)) + walk_quant
+        fallback = walk is not None
+        routed = SearchResult(
+            ids=result.ids,
+            distances=result.distances,
+            est_selectivity=float(estimate),
+            **fold_telemetry(
+                (walk, result) if fallback else (result,),
+                route_chosen=ROUTE_PRE_FILTER if fallback else plan.route,
+                route_reason=reason,
+                fallback_triggered=fallback,
+                estimator_error=float(estimate - exact),
+            ),
         )
-        final_route = ROUTE_PRE_FILTER if fallback else plan.route
 
         if self.policy == "adaptive":
             # Bill the *attempted* route with the query's full realized
             # cost (walk + any fallback): that is what choosing it
             # cost.  Raw counts convert to the model's units per leg,
             # so observations stay comparable to predictions.
+            attempt = walk if fallback else result
+            observed = self.cost_model.observed_units(
+                plan.route, attempt.distance_computations,
+                attempt.quantized_distances,
+            )
             scan_units = (
-                int(result.distance_computations)
+                result.distance_computations
                 * self.cost_model.unit_cost(ROUTE_PRE_FILTER)
             )
             if fallback:
-                observed = (
-                    self.cost_model.observed_units(
-                        plan.route, walk_comps, walk_quant
-                    )
-                    + scan_units
-                )
-            else:
-                observed = self.cost_model.observed_units(
-                    plan.route, total_comps, total_quant
-                )
+                observed += scan_units
             self.feedback.record(
                 signature,
                 plan.route,
                 observed,
                 model_cost=plan.predicted_costs.get(plan.route),
-                hops=total_hops,
+                hops=routed.hops,
             )
             if fallback:
                 # The fallback leg doubles as an unbiased pre-filter
                 # observation for this signature.
-                self.feedback.record(
-                    signature,
-                    ROUTE_PRE_FILTER,
-                    scan_units,
-                )
+                self.feedback.record(signature, ROUTE_PRE_FILTER, scan_units)
 
-        return RoutedSearchResult(
-            ids=result.ids,
-            distances=result.distances,
-            distance_computations=total_comps,
-            hops=total_hops,
-            visited_nodes=total_visited,
-            quantized_distances=total_quant,
-            rerank_distances=int(getattr(result, "rerank_distances", 0)),
-            rerank_factor=float(getattr(result, "rerank_factor", 0.0)),
-            route_chosen=final_route,
-            route_reason=reason,
-            fallback_triggered=fallback,
-            estimator_error=float(estimate - exact),
-            est_selectivity=float(estimate),
-        )
+        return routed
 
     # ``search_batch`` comes from BatchSearchMixin: batches run through
     # repro.engine, which calls ``begin_batch`` before fanning out and

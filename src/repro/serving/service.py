@@ -47,8 +47,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.engine.engine import QueryBatch, SearchEngine, resolve_table
-from repro.engine.instrumentation import QueryStats
 from repro.serving.tenancy import TenantQuota, TenantRegistry, TenantState
+from repro.telemetry import QueryStats
 from repro.utils.clock import Clock, SystemClock
 
 # Machine-readable rejection reasons (the admission log records these).
@@ -148,10 +148,7 @@ class ServedResponse:
         stats: the enriched :class:`QueryStats` record (``None`` when
             rejected) — carries ``queue_wait_ms``,
             ``batch_size_served`` and ``tenant_id``.
-        queue_wait_ms: milliseconds spent in the coalescing buffer.
         latency_ms: milliseconds from admission to response.
-        batch_size_served: size of the GEMM batch this query rode in
-            (0 when rejected).
     """
 
     tenant_id: str
@@ -159,9 +156,17 @@ class ServedResponse:
     reason: str = ""
     result: object | None = None
     stats: QueryStats | None = None
-    queue_wait_ms: float = 0.0
     latency_ms: float = 0.0
-    batch_size_served: int = 0
+
+    @property
+    def queue_wait_ms(self) -> float:
+        """Milliseconds in the coalescing buffer (0.0 when rejected)."""
+        return self.stats.queue_wait_ms if self.stats is not None else 0.0
+
+    @property
+    def batch_size_served(self) -> int:
+        """Size of the GEMM batch this query rode in (0 when rejected)."""
+        return self.stats.batch_size_served if self.stats is not None else 0
 
     @property
     def ok(self) -> bool:
@@ -615,9 +620,7 @@ class AcornService:
                 status=status,
                 result=result,
                 stats=enriched,
-                queue_wait_ms=wait_ms,
                 latency_ms=wait_ms + exec_ms,
-                batch_size_served=len(queries),
             )
             if not item.future.done():
                 item.future.set_result(response)

@@ -64,7 +64,6 @@ from repro.shard.resilience import (
 from repro.shard.router import ShardDecision, ShardPlan, ShardRouter
 from repro.shard.sharded import (
     ShardedAcornIndex,
-    ShardedSearchResult,
     merge_topk,
 )
 from repro.shard.summary import (
@@ -98,7 +97,6 @@ __all__ = [
     "ShardRouter",
     "ShardSummary",
     "ShardedAcornIndex",
-    "ShardedSearchResult",
     "load_sharded",
     "merge_topk",
     "partitioner_from_spec",

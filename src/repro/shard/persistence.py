@@ -20,7 +20,7 @@ instead of yielding a partially-loaded index.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import json
 from pathlib import Path
 
@@ -43,17 +43,17 @@ class ShardLoadError(RuntimeError):
     """
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+_MANIFEST_WORDING = {
+    "missing": "no manifest.json under {root}",
+    "corrupt": "manifest {path} is corrupt: {exc}",
+    "version": "unsupported sharded format version {found!r} "
+               "(expected {expected})",
+}
 
 
 def save_sharded(index: ShardedAcornIndex, path) -> None:
     """Serialize a sharded index into a manifest directory at ``path``."""
-    from repro.persistence import _pack_table, save_index
+    from repro.persistence import _pack_table, file_sha256, save_index
 
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -72,7 +72,7 @@ def save_sharded(index: ShardedAcornIndex, path) -> None:
     np.savez_compressed(root / "table.npz", **table_payload)
 
     checksums = {
-        name: _sha256(root / name)
+        name: file_sha256(root / name)
         for name in shard_files + ["assignment.npz", "table.npz"]
     }
     manifest = {
@@ -90,23 +90,6 @@ def save_sharded(index: ShardedAcornIndex, path) -> None:
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _verified(root: Path, name: str, checksums: dict) -> Path:
-    """The path of ``name``, existence- and checksum-verified."""
-    target = root / name
-    if not target.exists():
-        raise ShardLoadError(
-            f"sharded archive {root} is missing {name!r}; restore the file "
-            "or re-save the index"
-        )
-    expected = checksums.get(name)
-    if expected is not None and _sha256(target) != expected:
-        raise ShardLoadError(
-            f"checksum mismatch for {target}; the file is corrupt "
-            f"(expected sha256 {expected[:12]}...)"
-        )
-    return target
-
-
 def load_sharded(path) -> ShardedAcornIndex:
     """Restore a sharded index saved with :func:`save_sharded`.
 
@@ -114,36 +97,29 @@ def load_sharded(path) -> ShardedAcornIndex:
         ShardLoadError: when the manifest is absent/invalid or any
             referenced file is missing or fails its checksum.
     """
-    from repro.persistence import _unpack_table, load_index
+    from repro.persistence import (
+        _unpack_table,
+        load_index,
+        read_manifest,
+        verified_file,
+    )
 
     root = Path(path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise ShardLoadError(f"no manifest.json under {root}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ShardLoadError(f"manifest {manifest_path} is corrupt: {exc}") from exc
-    version = manifest.get("format_version")
-    if version != _SHARD_FORMAT_VERSION:
-        raise ShardLoadError(
-            f"unsupported sharded format version {version!r} "
-            f"(expected {_SHARD_FORMAT_VERSION})"
-        )
-    checksums = manifest.get("checksums", {})
+    manifest = read_manifest(
+        root, ShardLoadError, _SHARD_FORMAT_VERSION, _MANIFEST_WORDING
+    )
+    _verified = functools.partial(
+        verified_file, root, checksums=manifest.get("checksums", {}),
+        error=ShardLoadError, archive="sharded archive", resave="index",
+    )
 
-    shards = [
-        load_index(_verified(root, name, checksums))
-        for name in manifest["shard_files"]
-    ]
-    with np.load(_verified(root, "assignment.npz", checksums)) as archive:
+    shards = [load_index(_verified(n)) for n in manifest["shard_files"]]
+    with np.load(_verified("assignment.npz")) as archive:
         shard_of = archive["shard_of"]
     assignment = ShardAssignment.from_shard_of(
         shard_of, int(manifest["n_shards"])
     )
-    with np.load(
-        _verified(root, "table.npz", checksums), allow_pickle=True
-    ) as archive:
+    with np.load(_verified("table.npz"), allow_pickle=True) as archive:
         table = _unpack_table(archive)
 
     router = ShardRouter(

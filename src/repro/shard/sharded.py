@@ -24,17 +24,18 @@ contributes its usual graph-search approximation and the merge is
 exact over whatever the shards returned.
 
 The class plugs straight into the PR-1 batch engine: it exposes
-``search``/``freeze``/``table``, returns
-:class:`ShardedSearchResult` records whose ``shards_probed`` /
-``shards_pruned`` counters flow into
-:class:`~repro.engine.instrumentation.QueryStats`.
+``search``/``freeze``/``table`` and returns
+:class:`~repro.telemetry.SearchResult` records: child counters folded
+by :func:`~repro.telemetry.fold_telemetry`, plus the shard accounting
+(``shards_*``, ``degraded``, ``recall_ceiling``, ``per_shard``) this
+layer owns.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import heapq
+from collections import Counter
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 
@@ -45,7 +46,6 @@ from repro.core.acorn import AcornIndex, AcornOneIndex
 from repro.core.flat import FlatAcornIndex
 from repro.core.params import AcornParams
 from repro.engine.batching import BatchSearchMixin
-from repro.hnsw.hnsw import SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.shard.partition import (
     Partitioner,
@@ -60,51 +60,8 @@ from repro.shard.resilience import (
 )
 from repro.shard.router import ShardDecision, ShardPlan, ShardRouter
 from repro.shard.summary import summarize_table
+from repro.telemetry import SearchResult, fold_telemetry
 from repro.vectors.distance import Metric
-
-
-@dataclasses.dataclass
-class ShardedSearchResult(SearchResult):
-    """A :class:`~repro.hnsw.hnsw.SearchResult` plus routing telemetry.
-
-    Attributes:
-        shards_probed: shards that executed a search for this query.
-        shards_pruned: shards the router proved empty and skipped.
-        shards_failed: probed shards that exhausted their retry budget
-            on exceptions / invalid payloads / open circuit breakers
-            (0 without a resilience policy — failures then propagate).
-        shards_timed_out: probed shards whose final attempt exceeded
-            the per-shard deadline; disjoint from ``shards_failed``.
-        degraded: True when any probed shard failed or timed out, i.e.
-            the result is a partial top-k over surviving shards.
-        recall_ceiling: estimated upper bound on recall given the
-            failures — the surviving share of the router's estimated
-            passing rows across probed shards (1.0 when not degraded).
-        per_shard: one dict per shard (plan order) with the decision
-            and, for probed shards, the local search's counters plus
-            resilience accounting (``status``/``attempts``/``failure``).
-        route_chosen: with per-shard routing enabled, the most common
-            route across probed shards (ties break toward pre-filter);
-            ``""`` otherwise.
-        route_reason: per-shard route tally string (``""`` when
-            routing is off).
-        fallback_triggered: True when any shard's monitored walk fell
-            back to pre-filtering.
-        estimator_error: mean signed per-shard selectivity-estimation
-            error across probed shards (0.0 when routing is off).
-    """
-
-    shards_probed: int = 0
-    shards_pruned: int = 0
-    shards_failed: int = 0
-    shards_timed_out: int = 0
-    degraded: bool = False
-    recall_ceiling: float = 1.0
-    per_shard: tuple = ()
-    route_chosen: str = ""
-    route_reason: str = ""
-    fallback_triggered: bool = False
-    estimator_error: float = 0.0
 
 
 def merge_topk(
@@ -191,8 +148,7 @@ class ShardedAcornIndex(BatchSearchMixin):
             in a :class:`~repro.routing.planner.RoutePlanner` of that
             policy, seeded with the shard router's summary-based local
             selectivity estimate as the prior; route telemetry
-            surfaces on :class:`ShardedSearchResult` and in per-shard
-            records.
+            surfaces on the result and in per-shard records.
         executor: probe fan-out mechanism.  ``"thread"`` (default)
             keeps the historical in-process probes (threaded when
             ``shard_workers > 1``); ``"sync"`` behaves identically
@@ -649,14 +605,10 @@ class ShardedAcornIndex(BatchSearchMixin):
         if self._shard_planners is not None:
             # Route telemetry only exists on planner-routed results;
             # the key set of default-path records stays pinned.
-            record["route_chosen"] = str(getattr(found, "route_chosen", ""))
-            record["route_reason"] = str(getattr(found, "route_reason", ""))
-            record["fallback_triggered"] = bool(
-                getattr(found, "fallback_triggered", False)
-            )
-            record["estimator_error"] = float(
-                getattr(found, "estimator_error", 0.0)
-            )
+            record["route_chosen"] = found.route_chosen
+            record["route_reason"] = found.route_reason
+            record["fallback_triggered"] = found.fallback_triggered
+            record["estimator_error"] = found.estimator_error
         return record, found, gids
 
     def search(
@@ -665,7 +617,7 @@ class ShardedAcornIndex(BatchSearchMixin):
         predicate: "Predicate | CompiledPredicate",
         k: int,
         ef_search: int = 64,
-    ) -> ShardedSearchResult:
+    ) -> SearchResult:
         """Scatter-gather hybrid search: global top-k passing entities.
 
         The predicate compiles once against the global table; the plan
@@ -717,13 +669,9 @@ class ShardedAcornIndex(BatchSearchMixin):
         outcomes = {rec["shard"]: (rec, found, gids)
                     for rec, found, gids in probe_outcomes}
         streams = []
-        total_comps = 0
-        total_hops = 0
-        total_visited = 0
-        failed = 0
-        timed_out = 0
+        children = []
         est_rows: list[float] = []
-        ok_flags: list[bool] = []
+        statuses: list[str] = []
         per_shard = []
         for decision in plan.decisions:
             if decision.pruned:
@@ -740,70 +688,54 @@ class ShardedAcornIndex(BatchSearchMixin):
             est_rows.append(
                 decision.est_selectivity * len(self.shards[decision.shard_id])
             )
-            ok_flags.append(record["status"] == "ok")
-            if record["status"] == "failed":
-                failed += 1
-            elif record["status"] == "timed_out":
-                timed_out += 1
+            statuses.append(record["status"])
             if found is not None:
                 streams.append(zip(
                     found.distances.tolist(),
                     gids[found.ids].tolist(),
                 ))
-                total_comps += found.distance_computations
-                total_hops += found.hops
-                total_visited += found.visited_nodes
+                children.append(found)
 
+        failed = statuses.count("failed")
+        timed_out = statuses.count("timed_out")
         degraded = (failed + timed_out) > 0
         merged = merge_topk(streams, k)
-        route_chosen = ""
-        route_reason = ""
-        fallback_triggered = False
-        estimator_error = 0.0
-        if self._shard_planners is not None:
-            routed = [r for r in per_shard if r.get("route_chosen")]
-            if routed:
-                from repro.routing.cost import ALL_ROUTES
+        owned = {}
+        routed = [c for c in children if c.route_chosen]
+        if routed:
+            from repro.routing.cost import ALL_ROUTES
 
-                counts: dict[str, int] = {}
-                errors: list[float] = []
-                for rec in routed:
-                    counts[rec["route_chosen"]] = (
-                        counts.get(rec["route_chosen"], 0) + 1
-                    )
-                    errors.append(rec["estimator_error"])
-                    fallback_triggered |= rec["fallback_triggered"]
-                # Majority route across probed shards; ties break in
-                # ALL_ROUTES order (pre-filter first).
-                order = {r: i for i, r in enumerate(ALL_ROUTES)}
-                route_chosen = max(
-                    counts,
-                    key=lambda r: (counts[r], -order.get(r, len(order))),
-                )
-                route_reason = "shards: " + ", ".join(
-                    f"{r}x{counts[r]}"
-                    for r in sorted(counts, key=lambda r: order.get(r, len(order)))
-                )
-                estimator_error = float(np.mean(errors))
-        return ShardedSearchResult(
-            ids=np.asarray([gid for _, gid in merged], dtype=np.intp),
-            distances=np.asarray([d for d, _ in merged], dtype=np.float32),
-            distance_computations=int(total_comps),
-            hops=int(total_hops),
-            visited_nodes=int(total_visited),
-            shards_probed=plan.n_probed,
-            shards_pruned=plan.n_pruned,
-            shards_failed=int(failed),
-            shards_timed_out=int(timed_out),
-            degraded=degraded,
-            recall_ceiling=(
-                recall_ceiling(est_rows, ok_flags) if degraded else 1.0
-            ),
+            counts = Counter(c.route_chosen for c in routed)
+            # Majority route across probed shards; ties break in
+            # ALL_ROUTES order (pre-filter first).
+            order = {r: i for i, r in enumerate(ALL_ROUTES)}
+            owned["route_chosen"] = max(
+                counts,
+                key=lambda r: (counts[r], -order.get(r, len(order))),
+            )
+            owned["route_reason"] = "shards: " + ", ".join(
+                f"{r}x{counts[r]}"
+                for r in sorted(counts, key=lambda r: order.get(r, len(order)))
+            )
+            owned["estimator_error"] = float(
+                np.mean([c.estimator_error for c in routed])
+            )
+        return SearchResult.from_pairs(
+            merged,
             per_shard=tuple(per_shard),
-            route_chosen=route_chosen,
-            route_reason=route_reason,
-            fallback_triggered=fallback_triggered,
-            estimator_error=estimator_error,
+            **fold_telemetry(
+                children,
+                shards_probed=plan.n_probed,
+                shards_pruned=plan.n_pruned,
+                shards_failed=failed,
+                shards_timed_out=timed_out,
+                degraded=degraded,
+                recall_ceiling=(
+                    recall_ceiling(est_rows, [s == "ok" for s in statuses])
+                    if degraded else 1.0
+                ),
+                **owned,
+            ),
         )
 
     # ``search_batch`` comes from BatchSearchMixin: batches run through

@@ -67,10 +67,10 @@ def reference_search(index, query, predicate, k, ef_search=64,
                              index._neighbor_fn(0, mask), scratch, n, stats,
                              monitor)
     passing = [(dist, nid) for dist, nid in found if mask[nid]][:k]
-    return SearchResult(
-        np.asarray([nid for _, nid in passing], dtype=np.intp),
-        np.asarray([dist for dist, _ in passing], dtype=np.float32),
-        computer.count, hops=stats.hops, visited_nodes=stats.visited,
+    return SearchResult.from_pairs(
+        passing,
+        distance_computations=computer.count,
+        hops=stats.hops, visited_nodes=stats.visited,
     )
 
 
@@ -85,10 +85,8 @@ def reference_hnsw_search(index, query, k, ef_search=64):
         found = _reference_level(
             computer, query, found[:1], 1 if lev else max(ef_search, k),
             lambda c, lev=lev: graph.neighbors(c, lev), scratch, n)
-    return SearchResult(
-        np.asarray([nid for _, nid in found[:k]], dtype=np.intp),
-        np.asarray([dist for dist, _ in found[:k]], dtype=np.float32),
-        computer.count,
+    return SearchResult.from_pairs(
+        found[:k], distance_computations=computer.count
     )
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.attributes import AttributeTable
-from repro.core import AcornIndex, AcornParams, HybridSearcher
+from repro.core import AcornIndex, AcornParams
 from repro.predicates import Equals, TruePredicate
+from repro.routing import RoutePlanner
 
 
 @pytest.fixture
@@ -72,12 +73,13 @@ class TestTombstones:
 
     def test_router_prefilter_path_respects_tombstones(self, index):
         idx, vectors = index
-        searcher = HybridSearcher(idx, s_min=1.1)  # force pre-filter route
+        # s_min > 1 forces the pre-filter route.
+        searcher = RoutePlanner(idx, policy="static", s_min=1.1)
         top = searcher.search(vectors[7], TruePredicate(), 1)
         assert top.ids[0] == 7
         idx.mark_deleted(7)
         after = searcher.search(vectors[7], TruePredicate(), 5)
-        assert searcher.last_decision.used_prefilter
+        assert searcher.last_plan.route == "pre-filter"
         assert 7 not in after.ids
         idx.unmark_deleted(7)
 

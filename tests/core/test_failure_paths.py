@@ -9,10 +9,10 @@ from repro.core import (
     AcornOneIndex,
     AcornParams,
     FlatAcornIndex,
-    HybridSearcher,
 )
 from repro.persistence import load_index, save_index
 from repro.predicates import Equals, RegexMatch
+from repro.routing import RoutePlanner
 
 
 class TestMalformedQueries:
@@ -34,11 +34,11 @@ class TestMalformedQueries:
         self, acorn_index, small_vectors
     ):
         vectors, _ = small_vectors
-        searcher = HybridSearcher(acorn_index)
+        searcher = RoutePlanner(acorn_index, policy="static")
         result = searcher.search(vectors[0], Equals("label", 777), 5)
         assert len(result) == 0
         # Empty predicate estimates s=0 < s_min, so routing prefilters.
-        assert searcher.last_decision.used_prefilter
+        assert searcher.last_plan.route == "pre-filter"
 
 
 class TestEntryPointValidation:

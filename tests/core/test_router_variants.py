@@ -1,13 +1,15 @@
-"""HybridSearcher over every index variant, plus metric round-trips."""
+"""The static route planner over every index variant, plus metric
+round-trips."""
 
 import numpy as np
 import pytest
 
 from repro.attributes import AttributeTable
-from repro.core import AcornOneIndex, AcornParams, HybridSearcher
+from repro.core import AcornOneIndex, AcornParams
 from repro.core.flat import FlatAcornIndex
 from repro.persistence import load_index, save_index
 from repro.predicates import Equals
+from repro.routing import RoutePlanner
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +27,7 @@ class TestRouterOverVariants:
         vectors, table = world
         index = AcornOneIndex.build(vectors, table, m=12, ef_construction=24,
                                     seed=0)
-        searcher = HybridSearcher(index)
+        searcher = RoutePlanner(index, policy="static")
         predicate = Equals("label", 1)
         compiled = predicate.compile(table)
         result = searcher.search(vectors[0], predicate, 5, ef_search=48)
@@ -42,11 +44,11 @@ class TestRouterOverVariants:
             params=AcornParams(m=8, gamma=6, m_beta=12, ef_construction=24),
             seed=0,
         )
-        searcher = HybridSearcher(index, s_min=0.05)
+        searcher = RoutePlanner(index, s_min=0.05, policy="static")
         predicate = Equals("label", 2)
         compiled = predicate.compile(table)
         result = searcher.search(vectors[3], predicate, 5, ef_search=48)
-        assert not searcher.last_decision.used_prefilter
+        assert searcher.last_plan.route == "acorn-gamma"
         assert compiled.passes_many(result.ids).all()
 
 

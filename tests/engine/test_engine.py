@@ -85,7 +85,7 @@ def test_query_stats_reconcile_with_global_tally(
             engine_queries, compiled, k=K, ef_search=EF
         )
         delta = GLOBAL_TALLY.total - before
-    assert delta == outcome.total_distance_computations
+    assert delta == outcome.summary()["total_distance_computations"]
     assert delta == sum(s.distance_computations for s in outcome.stats)
 
 
@@ -130,7 +130,7 @@ def test_batch_summary_fields(acorn_index, engine_queries,
     assert (summary["cache_hits"] + summary["cache_misses"]
             == len(engine_queries))
     assert (summary["total_distance_computations"]
-            == outcome.total_distance_computations)
+            == sum(s.distance_computations for s in outcome.stats))
 
 
 # ----------------------------------------------------------------------
@@ -146,8 +146,8 @@ def test_cache_hits_on_repeated_predicates(acorn_index, engine_queries):
             engine_queries, predicates, k=K, ef_search=EF
         )
         info = engine.cache_info()
-    assert outcome.cache_misses == 6
-    assert outcome.cache_hits == 6
+    assert outcome.summary()["cache_misses"] == 6
+    assert outcome.summary()["cache_hits"] == 6
     assert info.hits == 6 and info.misses == 6 and info.size == 6
     assert info.hit_rate == pytest.approx(0.5)
     # Hits and misses land on the right queries: second cycle all hits.
@@ -164,7 +164,7 @@ def test_precompiled_predicates_count_as_hits(
         outcome = engine.search_batch(
             engine_queries, compiled, k=K, ef_search=EF
         )
-    assert outcome.cache_misses == 0
+    assert outcome.summary()["cache_misses"] == 0
 
 
 def test_engine_without_table_rejects_raw_predicates(engine_queries):

@@ -89,7 +89,7 @@ def test_global_tally_reconciles_under_contention(
         before = GLOBAL_TALLY.total
         outcome = engine.search_batch(queries, compiled, k=5, ef_search=40)
         delta = GLOBAL_TALLY.total - before
-    assert delta == outcome.total_distance_computations
+    assert delta == outcome.summary()["total_distance_computations"]
 
 
 def test_distance_computer_counter_is_thread_safe(small_vectors):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import AcornIndex, AcornOneIndex, AcornParams, HybridSearcher
+from repro.core import AcornIndex, AcornOneIndex, AcornParams
 from repro.datasets import make_laion_like, make_tripclick_like
 from repro.eval import SweepRunner, render_sweeps
+from repro.routing import RoutePlanner
 
 
 class TestSiftPipeline:
@@ -36,28 +37,28 @@ class TestRouterPipeline:
         index = AcornIndex.build(
             sift_tiny.vectors, sift_tiny.table, params=params, seed=0
         )
-        searcher = HybridSearcher(index)
+        searcher = RoutePlanner(index, policy="static")
         routes = set()
         for query, compiled in zip(
             sift_tiny.queries, sift_tiny.compiled_predicates()
         ):
             searcher.search(query.vector, compiled, 10, ef_search=48)
-            routes.add(searcher.last_decision.used_prefilter)
+            routes.add(searcher.last_plan.route)
         # s_min = 0.25 > label selectivity 1/12: every query prefilters.
-        assert routes == {True}
+        assert routes == {"pre-filter"}
 
     def test_router_uses_graph_when_selective_enough(self, sift_tiny):
         params = AcornParams(m=8, gamma=24, m_beta=16, ef_construction=32)
         index = AcornIndex.build(
             sift_tiny.vectors, sift_tiny.table, params=params, seed=0
         )
-        searcher = HybridSearcher(index)
+        searcher = RoutePlanner(index, policy="static")
         searcher.search(
             sift_tiny.queries[0].vector,
             sift_tiny.compiled_predicates()[0],
             10,
         )
-        assert not searcher.last_decision.used_prefilter
+        assert searcher.last_plan.route == "acorn-gamma"
 
 
 class TestTripclickPipeline:
@@ -94,7 +95,7 @@ class TestRegexPipeline:
         index = AcornIndex.build(
             dataset.vectors, dataset.table, params=params, seed=1
         )
-        searcher = HybridSearcher(index)
+        searcher = RoutePlanner(index, policy="static")
         runner = SweepRunner(dataset, k=10)
         sweep = runner.sweep("acorn+router", searcher, efforts=[64])
         assert sweep.max_recall() > 0.8

@@ -270,6 +270,6 @@ class TestEngineSnapshotPinning:
             outcome = engine.search_batch(batch)
         epochs = {s.epoch for s in outcome.stats}
         assert epochs == {lc.current_epoch}
-        assert outcome.max_epoch == lc.current_epoch
+        assert outcome.summary()["max_epoch"] == lc.current_epoch
         assert outcome.summary()["max_epoch"] == lc.current_epoch
         assert lc._published.readers == 0  # released after the batch

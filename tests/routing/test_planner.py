@@ -2,9 +2,8 @@
 
 Pins the PR's core contracts:
 
-- ``policy="static"`` is byte-identical to the legacy
-  :class:`~repro.core.router.HybridSearcher` (routes, results, and
-  counters);
+- ``policy="static"`` is byte-identical to the paper's §5.2 threshold
+  rule written out by hand (routes, results, and counters);
 - the adaptive planner's routing decisions are deterministic
   run-to-run;
 - a monitored walk that aborts falls back to results identical to the
@@ -19,17 +18,17 @@ import numpy as np
 import pytest
 
 from repro.baselines.prefilter import PreFilterSearcher
-from repro.core import HybridSearcher
 from repro.engine import QueryBatch, SearchEngine
 from repro.eval import mean_recall_at_k
 from repro.predicates import Equals, OneOf
+from repro.predicates.base import CompiledPredicate
 from repro.routing import (
     RoutePlanner,
-    RoutedSearchResult,
     RoutingFeedback,
     WalkBudget,
 )
 from repro.routing.cost import ALL_ROUTES, ROUTE_PRE_FILTER
+from repro.telemetry import SearchResult
 
 
 def _query_stream(rng, n_queries, dim=16):
@@ -71,18 +70,49 @@ class TestConstruction:
 
 
 class TestStaticByteCompat:
-    def test_matches_hybrid_searcher_exactly(self, acorn_index):
-        hybrid = HybridSearcher(acorn_index)
-        static = RoutePlanner(acorn_index, policy="static")
-        rng = np.random.default_rng(11)
-        for query, pred in zip(_query_stream(rng, 24),
-                               _predicate_stream(24)):
-            a = hybrid.search(query, pred, 10, ef_search=48)
-            b = static.search(query, pred, 10, ef_search=48)
-            assert np.array_equal(a.ids, b.ids)
-            assert np.allclose(a.distances, b.distances)
-            assert a.distance_computations == b.distance_computations
-            assert a.hops == b.hops
+    def test_matches_hybrid_searcher_exactly(self, acorn_index,
+                                             small_vectors):
+        """The §5.2 rule the deleted ``HybridSearcher`` implemented,
+        written out: pre-filter below ``s_min`` (tombstones composed
+        into the mask), ``index.search`` otherwise."""
+        from repro.attributes import AttributeTable
+        from repro.core import AcornIndex, AcornParams
+
+        table = AttributeTable(300)
+        table.add_int_column(
+            "label", np.random.default_rng(8).integers(0, 6, size=300)
+        )
+        tombstoned = AcornIndex.build(
+            small_vectors[0][:300], table, seed=5,
+            params=AcornParams(m=8, gamma=6, m_beta=16, ef_construction=24),
+        )
+        for node in range(0, 300, 7):
+            tombstoned.mark_deleted(node)
+
+        for index in (acorn_index, tombstoned):
+            prefilter = PreFilterSearcher(
+                index.store.vectors, index.table, metric=index.metric
+            )
+
+            def rule(query, pred):
+                compiled = pred.compile(index.table)
+                if compiled.selectivity >= index.params.s_min:
+                    return index.search(query, pred, 10, ef_search=48)
+                mask = index._effective_mask(compiled.mask)
+                return prefilter.search(
+                    query, CompiledPredicate(compiled.predicate, mask), 10
+                )
+
+            static = RoutePlanner(index, policy="static")
+            rng = np.random.default_rng(11)
+            for query, pred in zip(_query_stream(rng, 24),
+                                   _predicate_stream(24)):
+                a = rule(query, pred)
+                b = static.search(query, pred, 10, ef_search=48)
+                assert a.ids.tobytes() == b.ids.tobytes()
+                assert a.distances.tobytes() == b.distances.tobytes()
+                assert a.distance_computations == b.distance_computations
+                assert (a.hops, a.visited_nodes) == (b.hops, b.visited_nodes)
 
     def test_static_route_matches_threshold_rule(self, acorn_index):
         static = RoutePlanner(acorn_index, policy="static")
@@ -97,8 +127,8 @@ class TestStaticByteCompat:
             assert "static" in result.route_reason
 
     def test_static_never_uses_monitor(self, acorn_index):
-        # Static must not attach a monitor (byte-compat with the legacy
-        # router includes never aborting a walk).
+        # Static must not attach a monitor (the §5.2 rule never aborts
+        # a walk).
         static = RoutePlanner(
             acorn_index, policy="static",
             walk_budget=WalkBudget(hop_budget=1),
@@ -173,7 +203,7 @@ class TestAdaptive:
         result = planner.search(
             np.zeros(16, dtype=np.float32), Equals("label", 2), 5
         )
-        assert isinstance(result, RoutedSearchResult)
+        assert isinstance(result, SearchResult)
         assert result.route_chosen in ALL_ROUTES
         assert "adaptive" in result.route_reason
         # Exact estimator: zero estimation error.
@@ -467,7 +497,7 @@ class TestQuantizedRouting:
         for i in range(10):
             res = planner.search(vectors[i], Equals("label", i % 3), 5,
                                  ef_search=32)
-            assert isinstance(res, RoutedSearchResult)
+            assert isinstance(res, SearchResult)
             if res.route_chosen != ROUTE_PRE_FILTER:
                 assert res.quantized_distances > 0
                 assert res.rerank_distances > 0

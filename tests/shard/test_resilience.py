@@ -407,13 +407,11 @@ class TestRecallCeiling:
         with SearchEngine(chaos, num_workers=1) as engine:
             outcome = engine.search_batch(batch)
         assert all(s.degraded for s in outcome.stats)
-        assert outcome.degraded_queries == 4
-        assert outcome.total_shards_failed == 4
-        assert outcome.total_shards_timed_out == 0
-        assert 0.0 < outcome.min_recall_ceiling < 1.0
         summary = outcome.summary()
-        assert summary["shards_failed"] == 4
         assert summary["degraded_queries"] == 4
+        assert summary["shards_failed"] == 4
+        assert summary["shards_timed_out"] == 0
+        assert 0.0 < summary["min_recall_ceiling"] < 1.0
 
 
 class TestDeterminism:

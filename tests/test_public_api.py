@@ -22,14 +22,14 @@ class TestExports:
             AttributeTable,
             FlatAcornIndex,
             HnswIndex,
-            HybridSearcher,
+            RoutePlanner,
             load_index,
             save_index,
         )
 
         assert AcornIndex and AcornOneIndex and FlatAcornIndex
         assert AcornParams and AttributeTable and HnswIndex
-        assert HybridSearcher and load_index and save_index
+        assert RoutePlanner and load_index and save_index
 
     def test_baselines_namespace(self):
         from repro import baselines
