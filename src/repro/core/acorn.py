@@ -41,6 +41,7 @@ from repro.hnsw.traversal import (
     TraversalStats,
     search_frozen_level,
     search_layer,
+    search_live_level,
 )
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.vectors.distance import DistanceComputer, Metric
@@ -165,14 +166,28 @@ class AcornIndex(BatchSearchMixin):
                 build additionally runs its Phase-A distance batches on
                 the quantized codes (see :mod:`repro.core.bulkbuild`).
         """
+        return cls._build(
+            vectors, table, n_workers, wave_cap,
+            params=params, metric=metric, seed=seed, labels=labels,
+            quantization=quantization,
+        )
+
+    @classmethod
+    def _build(cls, vectors, table, n_workers, wave_cap, **init_kwargs):
+        """Validate, construct ``cls(dim, table, **init_kwargs)``, insert all.
+
+        The one bulk entry every variant's ``build`` goes through:
+        ``n_workers == 1`` is the sequential insert loop (the
+        byte-identical reference), more routes through
+        :mod:`repro.core.bulkbuild`.
+        """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         if len(table) < vectors.shape[0]:
             # A larger table is allowed: extra rows serve later inserts.
             raise ValueError(
                 f"table has {len(table)} rows but got {vectors.shape[0]} vectors"
             )
-        index = cls(vectors.shape[1], table, params=params, metric=metric,
-                    seed=seed, labels=labels, quantization=quantization)
+        index = cls(vectors.shape[1], table, **init_kwargs)
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if n_workers > 1:
@@ -187,11 +202,14 @@ class AcornIndex(BatchSearchMixin):
 
     def add(self, vector: np.ndarray) -> int:
         """Insert one vector; returns its node id (== its table row)."""
-        node = self.store.add(vector)
-        if node >= len(self.table):
+        # Capacity before the store grows: a refused insert must leave
+        # the index exactly as it found it.
+        if len(self.store) >= len(self.table):
             raise ValueError(
-                f"node {node} has no attribute row (table has {len(self.table)})"
+                f"node {len(self.store)} has no attribute row "
+                f"(table has {len(self.table)})"
             )
+        node = self.store.add(vector)
         self._frozen = None
         trunc = self.params.m if self.params.truncate_construction else None
         level = self._levels.draw()
@@ -220,16 +238,9 @@ class AcornIndex(BatchSearchMixin):
                 if lev == 0:
                     entry_points = self._bottom_seeds(computer, query,
                                                       entry_points)
-                scratch.begin(len(self.store))
-                for _, seed_node in entry_points:
-                    scratch.mark(seed_node)
-                found = search_layer(
-                    computer,
-                    query,
-                    entry_points,
-                    ef=ef_cand,
-                    neighbor_fn=lambda c, lev=lev: self.graph.neighbors(c, lev)[:trunc],
-                    scratch=scratch,
+                found = search_live_level(
+                    computer, query, entry_points, ef_cand,
+                    self.graph.level_adjacency(lev), scratch, trunc=trunc,
                 )
                 # The node under insertion is already registered; seed
                 # hooks (flat substrate) could surface it — never
@@ -241,7 +252,8 @@ class AcornIndex(BatchSearchMixin):
                 self.graph.set_neighbors(node, lev, [nid for _, nid in selected])
                 self._edge_dists[lev][node] = [dist for dist, _ in selected]
                 for dist, neighbor in selected:
-                    self._add_reverse_edge(computer, neighbor, node, dist, lev)
+                    self._add_reverse_edge(computer, neighbor, node, dist, lev,
+                                           fresh=True)
                 entry_points = found
 
             if level > top:
@@ -265,15 +277,10 @@ class AcornIndex(BatchSearchMixin):
         level: int,
     ) -> tuple[float, int]:
         trunc = self.params.m if self.params.truncate_construction else None
-        scratch = thread_scratch(len(self.store))
-        scratch.begin(len(self.store))
-        scratch.mark(best[1])
-        found = search_layer(
-            computer, query, [best], ef=1,
-            neighbor_fn=lambda c: self.graph.neighbors(c, level)[:trunc],
-            scratch=scratch,
-        )
-        return found[0]
+        return search_live_level(
+            computer, query, [best], 1, self.graph.level_adjacency(level),
+            thread_scratch(len(self.store)), trunc=trunc,
+        )[0]
 
     def _is_compressed(self, level: int) -> bool:
         """Whether ``level`` stores pruned lists (bottom-up nc levels)."""
@@ -353,16 +360,20 @@ class AcornIndex(BatchSearchMixin):
         level: int,
         graph_view=None,
         vectorized: bool = False,
+        fresh: bool = False,
     ) -> None:
         """Insert ``owner -> new_neighbor`` in distance order; shrink on overflow.
 
         ``graph_view``/``vectorized`` are forwarded to the re-pruning
         dispatch (see :meth:`_select_edges`); the sequential path leaves
-        them at their defaults.
+        them at their defaults.  ``fresh`` promises ``new_neighbor`` was
+        registered by the running ``add()`` and so cannot be in any list
+        yet, which skips the O(degree) membership scan; the bulk builder
+        leaves it False.
         """
         neighbor_ids = self.graph.neighbors(owner, level)
         dists = self._edge_dists[level][owner]
-        if new_neighbor in neighbor_ids:
+        if not fresh and new_neighbor in neighbor_ids:
             return
         pos = bisect.bisect(dists, dist)
         neighbor_ids.insert(pos, new_neighbor)
@@ -1005,26 +1016,11 @@ class AcornOneIndex(AcornIndex):
         1 keeps the sequential reference loop, more routes through the
         wave-parallel pipeline.
         """
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
-        if len(table) < vectors.shape[0]:
-            # A larger table is allowed: extra rows serve later inserts.
-            raise ValueError(
-                f"table has {len(table)} rows but got {vectors.shape[0]} vectors"
-            )
-        index = cls(vectors.shape[1], table, m=m,
-                    ef_construction=ef_construction, metric=metric, seed=seed,
-                    quantization=quantization)
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if n_workers > 1:
-            from repro.core.bulkbuild import bulk_insert_acorn
-
-            bulk_insert_acorn(index, vectors, n_workers=n_workers,
-                              wave_cap=wave_cap)
-        else:
-            for vector in vectors:
-                index.add(vector)
-        return index
+        return cls._build(
+            vectors, table, n_workers, wave_cap,
+            m=m, ef_construction=ef_construction, metric=metric, seed=seed,
+            quantization=quantization,
+        )
 
     def _attach_expansions(self, frozen: list[FrozenLevel]) -> None:
         """ACORN-1 expands every stored entry, i.e. ``m_beta = 0``.

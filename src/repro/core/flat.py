@@ -74,16 +74,8 @@ class FlatAcornIndex(AcornIndex):
         frozen snapshots cannot replay, so construction stays
         sequential.
         """
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
-        if len(table) < vectors.shape[0]:
-            # A larger table is allowed: extra rows serve later inserts.
-            raise ValueError(
-                f"table has {len(table)} rows but got {vectors.shape[0]} vectors"
-            )
-        index = cls(vectors.shape[1], table, params=params, metric=metric,
-                    seed=seed, labels=labels)
-        for vector in vectors:
-            index.add(vector)
+        index = cls._build(vectors, table, 1, None, params=params,
+                           metric=metric, seed=seed, labels=labels)
         index.reanchor_entry_point()
         return index
 

@@ -18,6 +18,7 @@ from repro.hnsw.traversal import (
     greedy_descent,
     search_frozen_level,
     search_layer,
+    search_live_level,
 )
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "greedy_descent",
     "search_frozen_level",
     "search_layer",
+    "search_live_level",
     "select_neighbors_heuristic",
     "select_neighbors_simple",
     "thread_scratch",

@@ -56,6 +56,16 @@ class LayeredGraph:
         """The (mutable) neighbor list of ``node_id`` at ``level``."""
         return self._levels[level][node_id]
 
+    def level_adjacency(self, level: int) -> dict[int, list[int]]:
+        """The live ``{node_id: neighbor list}`` mapping of ``level``.
+
+        The mapping itself, not a copy: the insert kernel
+        (:func:`~repro.hnsw.traversal.search_live_level`) indexes it
+        once per hop instead of calling :meth:`neighbors`.  Read-only
+        for callers — edit lists through :meth:`set_neighbors`.
+        """
+        return self._levels[level]
+
     def set_neighbors(self, node_id: int, level: int, neighbor_ids: list[int]) -> None:
         """Replace the neighbor list of ``node_id`` at ``level``."""
         self._levels[level][node_id] = list(neighbor_ids)

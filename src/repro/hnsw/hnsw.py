@@ -17,7 +17,7 @@ from repro.hnsw.scratch import thread_scratch
 from repro.hnsw.traversal import (
     TraversalStats,
     search_frozen_level,
-    search_layer,
+    search_live_level,
 )
 from repro.telemetry import SearchResult
 from repro.vectors.distance import DistanceComputer, Metric
@@ -112,16 +112,9 @@ class HnswIndex:
             scratch = thread_scratch(len(self.store))
             entry_points = [best]
             for lev in range(min(level, top), -1, -1):
-                scratch.begin(len(self.store))
-                for _, seed_node in entry_points:
-                    scratch.mark(seed_node)
-                found = search_layer(
-                    computer,
-                    query,
-                    entry_points,
-                    ef=self.ef_construction,
-                    neighbor_fn=lambda c, lev=lev: self.graph.neighbors(c, lev),
-                    scratch=scratch,
+                found = search_live_level(
+                    computer, query, entry_points, self.ef_construction,
+                    self.graph.level_adjacency(lev), scratch,
                 )
                 selected = select_neighbors_heuristic(
                     computer.base, found, self.m, metric=self.metric
@@ -129,7 +122,8 @@ class HnswIndex:
                 self.graph.set_neighbors(node, lev, [nid for _, nid in selected])
                 cap = self.m if lev > 0 else self.m_max0
                 for dist, neighbor in selected:
-                    self._add_reverse_edge(computer, neighbor, node, lev, cap)
+                    self._add_reverse_edge(computer, neighbor, node, lev, cap,
+                                           fresh=True)
                 entry_points = found
 
             if level > top:
@@ -200,15 +194,10 @@ class HnswIndex:
         best: tuple[float, int],
         level: int,
     ) -> tuple[float, int]:
-        scratch = thread_scratch(len(self.store))
-        scratch.begin(len(self.store))
-        scratch.mark(best[1])
-        found = search_layer(
-            computer, query, [best], ef=1,
-            neighbor_fn=lambda c: self.graph.neighbors(c, level),
-            scratch=scratch,
-        )
-        return found[0]
+        return search_live_level(
+            computer, query, [best], 1, self.graph.level_adjacency(level),
+            thread_scratch(len(self.store)),
+        )[0]
 
     def _add_reverse_edge(
         self,
@@ -217,10 +206,16 @@ class HnswIndex:
         new_neighbor: int,
         level: int,
         cap: int,
+        fresh: bool = False,
     ) -> None:
-        """Add ``owner -> new_neighbor``; shrink with the heuristic on overflow."""
+        """Add ``owner -> new_neighbor``; shrink with the heuristic on overflow.
+
+        ``fresh`` promises ``new_neighbor`` was registered by the running
+        ``add()`` and so cannot be in any list yet, which skips the
+        O(degree) membership scan; the bulk builder leaves it False.
+        """
         neighbor_ids = self.graph.neighbors(owner, level)
-        if new_neighbor in neighbor_ids:
+        if not fresh and new_neighbor in neighbor_ids:
             return
         neighbor_ids.append(new_neighbor)
         if len(neighbor_ids) <= cap:

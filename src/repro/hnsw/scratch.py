@@ -26,6 +26,14 @@ it cleared before it returns, so a fresh visited scope per level costs
 O(visited), never O(N).  Bound masks are treated as immutable values:
 mutating one in place while it is bound would leave the buffer stale.
 
+The live-graph insert kernel
+(:func:`~repro.hnsw.traversal.search_live_level`) keeps a third form of
+the same idea: epoch stamps in a *plain Python list*
+(:meth:`TraversalScratch.begin_live`).  Construction probes at most M
+ids per hop, where a list comprehension over Python ints beats the five
+numpy calls a stamp-array probe costs; the stamps are unbounded Python
+ints, so that scope has no rollover to handle.
+
 One scratch serves a whole thread: the engine's worker threads each
 lazily create their own through :func:`thread_scratch`, and every level
 of every query on that thread reuses the same buffers.  Scratch state
@@ -57,10 +65,15 @@ class TraversalScratch:
             calls (``mask ∧ ¬visited`` during one); see :meth:`bind`.
         bound_mask: the mask object ``eligible`` was seeded from, pinned
             so its ``id`` cannot be recycled; None when unbound.
+        live_stamps: plain-list stamps over node ids for the live-graph
+            insert kernel; ``live_stamps[v] == live_epoch`` means ``v``
+            was visited in the current live scope.
+        live_epoch: the live scope's epoch (0 before the first
+            :meth:`begin_live`); independent of ``epoch``.
     """
 
     __slots__ = ("visited", "epoch", "candidates", "results", "eligible",
-                 "bound_mask")
+                 "bound_mask", "live_stamps", "live_epoch")
 
     def __init__(self, capacity: int = 0) -> None:
         self.visited = np.zeros(int(capacity), dtype=_EPOCH_DTYPE)
@@ -69,6 +82,8 @@ class TraversalScratch:
         self.results: list[tuple[float, int]] = []
         self.eligible = np.empty(0, dtype=bool)
         self.bound_mask: np.ndarray | None = None
+        self.live_stamps: list[int] = []
+        self.live_epoch = 0
 
     def begin(self, num_nodes: int) -> int:
         """Open a fresh visited scope covering ids ``[0, num_nodes)``.
@@ -103,6 +118,19 @@ class TraversalScratch:
     def is_marked(self, node: int) -> bool:
         """Whether ``node`` was visited in the current scope."""
         return bool(self.visited[node] == self.epoch)
+
+    def begin_live(self, num_nodes: int) -> tuple[list[int], int]:
+        """Open a fresh live-kernel visited scope over ids ``[0, num_nodes)``.
+
+        Grows the stamp list (doubling, old stamps kept) and advances
+        ``live_epoch``; returns ``(live_stamps, live_epoch)`` so the
+        kernel holds both as locals.
+        """
+        stamps = self.live_stamps
+        if len(stamps) < num_nodes:
+            stamps.extend([0] * (max(num_nodes, 2 * len(stamps)) - len(stamps)))
+        self.live_epoch += 1
+        return stamps, self.live_epoch
 
     def bind(self, mask: np.ndarray) -> np.ndarray:
         """The eligibility buffer, seeded from ``mask`` if not already.

@@ -2,35 +2,39 @@
 
 Algorithm 1 (HNSW search) and Algorithm 2 (ACORN-SEARCH-LAYER) are the
 same best-first loop; the only difference between the two papers'
-listings is how the neighborhood of a visited node is produced.  Two
+listings is how the neighborhood of a visited node is produced.  Three
 float32 kernels implement that loop, with distinct jobs:
 
-- :func:`search_layer` takes the neighborhood policy as a callable.  It
-  is the **construction kernel** — the only one that can walk a *live*
-  graph whose lists change between hops — the fallback for the few
-  frozen levels that have no candidate CSR (ACORN-1's upper levels, an
-  expansion that blew ``attach_expansion``'s budget), and the
-  byte-identity **reference** the tests compare the frozen kernel
-  against.  Visited state is the epoch-stamped array of
-  :class:`~repro.hnsw.scratch.TraversalScratch`.
 - :func:`search_frozen_level` walks a frozen level's *candidate CSR*
   directly (the raw adjacency on filter levels, the materialized
   expansion lists on compressed ones) and is the only kernel a frozen
-  float32 search runs.  Same pops, same pushes, same results and
-  counters as ``search_layer`` over the matching lookup — but each hop
-  is one slice, one probe of a fused ``mask ∧ ¬visited`` eligibility
-  buffer and one compress, with no callback and no second gather (see
-  ``docs/performance.md``, "per-hop budget").
+  float32 search runs: each hop is one slice, one probe of a fused
+  ``mask ∧ ¬visited`` eligibility buffer and one compress.
+- :func:`search_live_level` walks a *live* level's ``{node: list}``
+  adjacency directly and is the only kernel construction runs
+  (``add()`` and its greedy descent, in every index family): each hop
+  is one dict lookup, an optional first-``trunc`` slice and a list
+  comprehension over plain-list epoch stamps — a dozen Python ints, not
+  five numpy calls — before the one distance call.
+- :func:`search_layer` takes the neighborhood policy as a callable.  It
+  has exactly two jobs: the **fallback** for the few frozen levels that
+  have no candidate CSR (ACORN-1's upper levels, an expansion that blew
+  ``attach_expansion``'s budget), and the byte-identity **reference**
+  the tests compare both specialised kernels against.  Visited state is
+  the epoch-stamped array of
+  :class:`~repro.hnsw.scratch.TraversalScratch`.
 
-Python survives in both only in the heap maintenance, whose
-per-candidate branching is inherently sequential.
+All three pop, push, count and return identically over matching
+lookups (see the kernel table in ``docs/performance.md``).  Python
+survives in them only in the heap maintenance, whose per-candidate
+branching is inherently sequential.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,6 +75,11 @@ def search_layer(
     monitor=None,
 ) -> list[tuple[float, int]]:
     """Best-first search on one level; returns ``ef`` nearest as (dist, id).
+
+    The callback kernel: fallback for frozen levels without a candidate
+    CSR and the reference :func:`search_frozen_level` and
+    :func:`search_live_level` are tested against.  Nothing in
+    construction calls it.
 
     Args:
         computer: distance computer bound to the base vectors (counts
@@ -250,6 +259,84 @@ def search_frozen_level(
         if stats is not None:
             stats.hops += hops
             stats.visited += visited
+
+    ordered = sorted((-neg_dist, node) for neg_dist, node in results)
+    return ordered[:ef]
+
+
+def search_live_level(
+    computer: DistanceComputer,
+    query: np.ndarray,
+    seeds: Sequence[tuple[float, int]],
+    ef: int,
+    adjacency: Mapping[int, Sequence[int]],
+    scratch: TraversalScratch,
+    trunc: int | None = None,
+) -> list[tuple[float, int]]:
+    """Best-first search on one live level, straight off its adjacency lists.
+
+    Byte-identical to :func:`search_layer` run over the lookup
+    ``c -> adjacency[c][:trunc]`` with the seeds pre-marked: same pop
+    order, same result list, same visited set and distance count, the
+    distances from the same :meth:`DistanceComputer.distances_to` call
+    on the same ids.  The kernel opens its own visited scope
+    (:meth:`TraversalScratch.begin_live`), so callers need no
+    ``begin``/``mark`` preamble.
+
+    Args:
+        computer: distance computer bound to the base vectors; every id
+            in ``adjacency`` must be below ``len(computer)``.
+        query: the vector under insertion.
+        seeds: (distance, id) entry points; duplicates are fine, and so
+            is the node under insertion itself (it has empty lists).
+        ef: size of the dynamic candidate list.
+        adjacency: the level's live ``{node: neighbor list}`` mapping
+            (:meth:`LayeredGraph.level_adjacency`); lists are read at
+            pop time, never cached across hops.
+        scratch: the calling thread's scratch (plain-list stamps).
+        trunc: look at only the first ``trunc`` entries of each list
+            (ACORN's truncated construction lookup, §5.2); None reads
+            whole lists.
+
+    Returns:
+        Up to ``ef`` (distance, id) pairs sorted by ascending distance.
+    """
+    if ef <= 0:
+        raise ValueError(f"ef must be positive, got {ef}")
+    if not seeds:
+        return []
+    candidates = list(seeds)
+    heapq.heapify(candidates)
+    results = [(-dist, node) for dist, node in seeds]
+    heapq.heapify(results)
+    n_results = len(results)
+    worst = -results[0][0]
+    heappop, heappush, heapreplace = (
+        heapq.heappop, heapq.heappush, heapq.heapreplace)
+    distances_to = computer.distances_to
+    stamps, epoch = scratch.begin_live(len(computer))
+    for _, node in seeds:
+        stamps[node] = epoch
+    while candidates:
+        dist_c, current = heappop(candidates)
+        if dist_c > worst and n_results >= ef:
+            break
+        fresh = [v for v in adjacency[current][:trunc] if stamps[v] != epoch]
+        if not fresh:
+            continue
+        for node in fresh:
+            stamps[node] = epoch
+        dists = distances_to(query, fresh)
+        for node, dist in zip(fresh, dists.tolist()):
+            if n_results < ef:
+                heappush(candidates, (dist, node))
+                heappush(results, (-dist, node))
+                n_results += 1
+                worst = -results[0][0]
+            elif dist < worst:
+                heappush(candidates, (dist, node))
+                heapreplace(results, (-dist, node))
+                worst = -results[0][0]
 
     ordered = sorted((-neg_dist, node) for neg_dist, node in results)
     return ordered[:ef]

@@ -534,6 +534,10 @@ class LifecycleIndex(BatchSearchMixin):
                 )
             if base.quantization is not None:
                 new_base.enable_quantization(base.quantization)
+            # Freeze here, off the reader path: the frozen view is a
+            # cache of the same graph, and an epoch installed without it
+            # makes its first reader pay freeze + expansion.
+            new_base.freeze()
             if on_stage is not None:
                 on_stage("install")
 

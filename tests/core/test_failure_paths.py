@@ -117,6 +117,42 @@ class TestDegenerateDatasets:
         assert all(int(i) % 2 == 0 for i in result.ids)
 
 
+class TestRefusedInsert:
+    """``add()`` past the table's last row changes nothing.
+
+    It used to append the vector to the store before checking the
+    table, so every refused (and retried) insert leaked a row:
+    ``len(index)`` and ``nbytes()`` drifted away from the graph.
+    """
+
+    @pytest.mark.parametrize("cls", [AcornIndex, AcornOneIndex,
+                                     FlatAcornIndex])
+    def test_refused_add_leaves_the_index_untouched(self, cls):
+        gen = np.random.default_rng(8)
+        vectors = gen.standard_normal((30, 6)).astype(np.float32)
+        table = AttributeTable(30)
+        table.add_int_column("label", gen.integers(0, 2, size=30))
+        if cls is AcornOneIndex:
+            index = cls.build(vectors, table, m=4, ef_construction=12, seed=0)
+        else:
+            index = cls.build(
+                vectors, table, seed=0,
+                params=AcornParams(m=4, gamma=2, m_beta=6, ef_construction=12))
+
+        def state():
+            found = index.search(vectors[3], Equals("label", 1), 5)
+            return (len(index), len(index.store), len(index.graph),
+                    index.nbytes(), found.ids.tolist(),
+                    found.distances.tobytes())
+
+        before = state()
+        assert before[:3] == (30, 30, 30)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="node 30 has no attribute"):
+                index.add(np.ones(6, dtype=np.float32))
+        assert state() == before
+
+
 class TestPersistenceErrors:
     def test_version_mismatch_rejected(self, tmp_path):
         table = AttributeTable(3)

@@ -101,6 +101,27 @@ class TestKillAtEveryStage:
         assert graph_fingerprint(lc_a._base) == graph_fingerprint(lc_b._base)
         assert np.array_equal(lc_a.live_ids(), lc_b.live_ids())
 
+    def test_epoch_is_installed_frozen(self):
+        """The compactor, not the first reader, pays freeze + expansion."""
+        lc, oracle, rng = make_mutated()
+        frozen_at_install = []
+
+        def spy(reached):
+            if reached == "install":
+                # Nothing is published yet: readers still hold the old base.
+                frozen_at_install.append(lc._published.base)
+
+        old_base = lc._published.base
+        lc.compact(seed=0, on_stage=spy)
+        new_base = lc._published.base
+        assert frozen_at_install == [old_base] and new_base is not old_base
+        assert new_base._frozen is not None
+        assert new_base._level_csr(0) is not None
+        frozen = new_base._frozen
+        queries = rng.standard_normal((2, DIM)).astype(np.float32)
+        assert_matches_oracle(lc, oracle, queries, [TruePredicate()])
+        assert new_base._frozen is frozen  # the read reused it
+
 
 class TestSeededBackgroundChaos:
     def test_seeded_kills_then_recovery(self):
