@@ -8,7 +8,10 @@ check a downstream adopter needs:
 - recall on the original workload holds after growing the index 25%,
 - new points are immediately findable,
 - tombstoning 5% of the corpus removes those points from results
-  without collapsing recall on the survivors.
+  without collapsing recall on the survivors,
+- the same growth and deletes *folded* into a new index in one
+  compaction (:func:`repro.core.maintenance.fold`, what
+  ``LifecycleIndex.compact`` runs) hold the same lines.
 """
 
 import os
@@ -17,10 +20,13 @@ import numpy as np
 import pytest
 
 from repro.core import AcornIndex, AcornParams
+from repro.attributes.table import subset_table
+from repro.core.maintenance import fold
 from repro.datasets import make_laion_like
 from repro.datasets.ground_truth import filtered_knn
 from repro.eval.metrics import recall_at_k
 from repro.eval.reporting import render_table
+from repro.predicates import TruePredicate
 from repro.utils.timer import Timer
 
 
@@ -61,6 +67,43 @@ def incremental_results():
 
     recall_initial = measure_recall()
 
+    # Fold arm, before ``index`` itself grows (a fold only reads it):
+    # drop 5% of the initial rows and add the remaining 20% in one go.
+    fold_gen = np.random.default_rng(1)
+    keep = np.setdiff1d(
+        np.arange(n_initial),
+        fold_gen.choice(n_initial, size=n_initial // 20, replace=False),
+    )
+    fold_rows = np.concatenate(
+        [keep, np.arange(n_initial, full.num_vectors)]
+    )
+    fold_vectors = full.vectors[fold_rows]
+    fold_table = subset_table(full.table, fold_rows)
+    with Timer() as fold_timer:
+        folded = fold(index, keep, fold_vectors, fold_table)
+    folded.graph.validate()
+    fold_gt = filtered_knn(
+        fold_vectors,
+        [q.vector for q in full.queries],
+        [q.predicate.compile(fold_table).mask for q in full.queries],
+        k=10,
+    )
+    recall_folded = float(np.mean([
+        recall_at_k(
+            folded.search(q.vector, q.predicate, 10, ef_search=64).ids,
+            truth, 10,
+        )
+        for q, truth in zip(full.queries, fold_gt)
+    ]))
+    fold_probes = fold_gen.choice(
+        np.arange(keep.shape[0], len(folded)), size=20, replace=False
+    )
+    fold_found = sum(
+        int(folded.search(fold_vectors[p], TruePredicate(), 1,
+                          ef_search=32).ids[0] == p)
+        for p in fold_probes
+    )
+
     with Timer() as grow:
         for vector in full.vectors[n_initial:]:
             index.add(vector)
@@ -71,8 +114,6 @@ def incremental_results():
     probes = gen.choice(
         np.arange(n_initial, full.num_vectors), size=20, replace=False
     )
-    from repro.predicates import TruePredicate
-
     found = sum(
         int(index.search(full.vectors[p], TruePredicate(), 1,
                          ef_search=32).ids[0] == p)
@@ -99,6 +140,11 @@ def incremental_results():
         "new_points_found": found,
         "recall_after_delete": recall_after_delete,
         "deleted_leaks": deleted_leaks,
+        "n_folded": len(folded),
+        "n_fold_expected": fold_rows.shape[0],
+        "fold_s": fold_timer.elapsed,
+        "recall_folded": recall_folded,
+        "fold_points_found": fold_found,
     }
 
 
@@ -114,6 +160,8 @@ def test_incremental_inserts_and_deletes(incremental_results, benchmark,
              res["recall_grown"]),
             ("after 5% deletes", f"{res['n_final']} pts", "-",
              res["recall_after_delete"]),
+            ("fold: -5%, +25% in one go", f"{res['n_folded']} pts",
+             res["fold_s"], res["recall_folded"]),
         ]
         return render_table(
             ["phase", "size", "time (s)", "recall@10 (ef=64)"],
@@ -129,3 +177,6 @@ def test_incremental_inserts_and_deletes(incremental_results, benchmark,
     assert res["new_points_found"] >= 18, "new points must be findable"
     assert res["recall_after_delete"] > 0.85
     assert res["deleted_leaks"] == 0, "tombstoned points must never surface"
+    assert res["n_folded"] == res["n_fold_expected"]
+    assert res["recall_folded"] > 0.9, "recall must survive a fold"
+    assert res["fold_points_found"] >= 18, "folded-in points must be findable"

@@ -230,3 +230,53 @@ class AttributeTable:
             else:
                 out[name] = payload[i]
         return out
+
+
+def _from_columns(num_rows: int, columns) -> AttributeTable:
+    """A table from ``(name, kind, values)`` triples — the one place row
+    values are coerced to a column's physical layout."""
+    out = AttributeTable(num_rows)
+    for name, kind, values in columns:
+        if kind is ColumnKind.INT:
+            out.add_int_column(name, np.asarray(values, dtype=np.int64))
+        elif kind is ColumnKind.FLOAT:
+            out.add_float_column(name, np.asarray(values, dtype=np.float64))
+        elif kind is ColumnKind.STRING:
+            out.add_string_column(name, [str(v) for v in values])
+        else:
+            out.add_keywords_column(name, [list(v) for v in values])
+    return out
+
+
+def build_table(
+    schema: list[tuple[str, ColumnKind]], rows: Sequence[dict]
+) -> AttributeTable:
+    """Materialize an :class:`AttributeTable` from per-entity row dicts."""
+    return _from_columns(
+        len(rows),
+        [(name, kind, [row[name] for row in rows]) for name, kind in schema],
+    )
+
+
+def subset_table(
+    table: AttributeTable, rows, extra_rows: Sequence[dict] = ()
+) -> AttributeTable:
+    """A new table: ``rows`` of ``table`` in order (row ``j`` is the
+    source's ``rows[j]``), then ``extra_rows`` (dicts over every column).
+
+    Columns and kinds are kept; keyword columns are re-interned per
+    subset (vocabularies shrink with a shard).
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    columns = []
+    for name in table.column_names:
+        kind, column = table.column_kind(name), table.column(name)
+        extra = [row[name] for row in extra_rows]
+        if kind is ColumnKind.KEYWORDS:
+            values = [column.row_keywords(i) for i in rows.tolist()] + extra
+        else:
+            values = np.concatenate(
+                [column[rows], np.asarray(extra, dtype=column.dtype)]
+            )
+        columns.append((name, kind, values))
+    return _from_columns(rows.shape[0] + len(extra_rows), columns)

@@ -40,6 +40,19 @@ class LevelGenerator:
             u = self._rng.random()
         return int(-math.log(u) * self.m_l)
 
+    @property
+    def state(self) -> dict:
+        """The bit generator's state: restoring it on another generator
+        makes that one continue this one's stream (persistence saves it
+        so ``add()`` after a load replays ``add()`` without the load)."""
+        return self._rng.bit_generator.state
+
+    @state.setter
+    def state(self, state: dict) -> None:
+        bit_generator = getattr(np.random, state["bit_generator"])()
+        bit_generator.state = state
+        self._rng = np.random.Generator(bit_generator)
+
     def expected_levels(self) -> float:
         """``E[l + 1] = m_L + 1`` (paper §6.1)."""
         return self.m_l + 1.0

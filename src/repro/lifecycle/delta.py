@@ -13,8 +13,10 @@ from recency.
 External ids are allocated by the owning
 :class:`~repro.lifecycle.manager.LifecycleIndex` and are strictly
 increasing, so a delta's entries are always sorted by external id —
-the property the compactor leans on to keep the merged build order
-identical to :func:`repro.core.maintenance.rebuild`.
+the property the compactor leans on: appending a sealed delta to the
+base keeps the merge input in ascending external-id order, the order
+:func:`repro.core.maintenance.rebuild` feeds an offline index with the
+same history.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.attributes.table import AttributeTable, ColumnKind
+from repro.attributes.table import AttributeTable, ColumnKind, build_table
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.vectors import Metric, VectorStore
 
@@ -37,24 +39,6 @@ def table_schema(table: AttributeTable) -> list[tuple[str, ColumnKind]]:
     delta rows always compile against the same predicates as the base.
     """
     return [(name, table.column_kind(name)) for name in table.column_names]
-
-
-def build_table(
-    schema: list[tuple[str, ColumnKind]], rows: list[dict]
-) -> AttributeTable:
-    """Materialize an :class:`AttributeTable` from per-entity row dicts."""
-    out = AttributeTable(len(rows))
-    for name, kind in schema:
-        values = [row[name] for row in rows]
-        if kind is ColumnKind.INT:
-            out.add_int_column(name, np.asarray(values, dtype=np.int64))
-        elif kind is ColumnKind.FLOAT:
-            out.add_float_column(name, np.asarray(values, dtype=np.float64))
-        elif kind is ColumnKind.STRING:
-            out.add_string_column(name, [str(v) for v in values])
-        else:
-            out.add_keywords_column(name, [list(v) for v in values])
-    return out
 
 
 def check_row(schema: list[tuple[str, ColumnKind]], row: dict) -> dict:

@@ -9,18 +9,26 @@ continuously writable one with LSM-style structure:
 - **readers** search published :class:`~repro.lifecycle.epoch
   .EpochSnapshot` objects — immutable (base, base_ids, delta views,
   tombstones) tuples swapped in atomically by ``publish()``;
-- **compaction** (:meth:`compact`) seals the delta, rebuilds the base
-  over the live set with the wave-parallel bulk builder, and installs
-  the result as the next epoch without ever blocking readers — the
-  online counterpart of :func:`repro.core.maintenance.rebuild`, with
-  the same id-remap contract.
+- **compaction** (:meth:`compact`) seals the delta, folds it and the
+  cut's deletes into a *copy* of the base graph
+  (:func:`repro.core.maintenance.fold`: copy the surviving adjacency,
+  repair around the removed nodes, ``add()`` the sealed rows) and
+  installs the result as the next epoch without ever blocking readers
+  or touching the old base — with the id-remap contract of
+  :func:`repro.core.maintenance.rebuild`.  Only a cut that removes at
+  least as many base nodes as survive is rebuilt from scratch.
 
-Determinism contract (what the lifecycle-equivalence harness pins):
-external ids are allocated in write order; compaction feeds the live
-set to the builder in ascending external-id order with a fixed seed,
-which is byte-identical to ``rebuild()`` on an offline index holding
-the same history.  Two lifecycles replaying the same op sequence
-publish identical epochs.
+Compaction contract (``tests/lifecycle/test_fold_compaction.py`` and
+the lifecycle-equivalence harness pin it): external ids are allocated
+in write order and the merge input is in ascending external-id order.
+An insert-only cut is byte-identical to ``rebuild()`` and to one
+sequential build of all the rows, because the fold carries the base's
+level stream; a cut with deletes yields a different graph that equals
+brute force in the exhaustive regime and stays inside a fresh build's
+recall / distance-computation bounds; the rebuild branch is
+byte-identical to offline ``rebuild()`` for equal seed and worker
+count.  Two lifecycles replaying the same op sequence publish
+identical epochs.
 
 Crash safety: a compaction that dies after the cut leaves its sealed
 segment in place — readers keep the old epoch (every entity still
@@ -35,9 +43,11 @@ import threading
 
 import numpy as np
 
-from repro.core.acorn import AcornIndex, AcornOneIndex
+from repro.attributes.table import subset_table
+from repro.core.acorn import AcornIndex
+from repro.core.maintenance import build_like, fold
 from repro.engine.batching import BatchSearchMixin
-from repro.lifecycle.delta import DeltaIndex, build_table, table_schema
+from repro.lifecycle.delta import DeltaIndex, table_schema
 from repro.lifecycle.epoch import EpochSnapshot
 from repro.telemetry import SearchResult
 from repro.utils.clock import Clock, SystemClock
@@ -65,9 +75,10 @@ class LifecycleConfig:
             (the strict read-your-writes mode the equivalence harness
             uses).  False batches writes until an explicit
             :meth:`LifecycleIndex.publish`.
-        build_seed: level-assignment seed for compaction rebuilds; part
-            of the determinism contract with offline ``rebuild()``.
-        n_workers: build parallelism for compaction (1 = sequential
+        build_seed: level-assignment seed for compactions that rebuild
+            (a fold continues the base's own stream); part of the
+            determinism contract with offline ``rebuild()``.
+        n_workers: build parallelism for those rebuilds (1 = sequential
             reference; >1 = the PR 5 wave-parallel bulk builder).
         compact_delta_fraction: delta size as a fraction of base size
             beyond which the compaction policy fires.
@@ -419,22 +430,14 @@ class LifecycleIndex(BatchSearchMixin):
                 int(self.config.compact_delta_fraction * max(base_n, 1)),
             ):
                 return True
-            dead_in_base = sum(
-                1 for t in self._tombstones
-                if t < self._next_external_id and self._in_base(t)
-            )
+            dead = np.fromiter(self._tombstones, dtype=np.int64,
+                               count=len(self._tombstones))
+            dead_in_base = int(np.isin(dead, self._base_ids).sum())
             return (
                 base_n > 0
                 and dead_in_base / base_n
                 >= self.config.compact_tombstone_fraction
             )
-
-    def _in_base(self, external_id: int) -> bool:
-        pos = np.searchsorted(self._base_ids, external_id)
-        return bool(
-            pos < self._base_ids.shape[0]
-            and self._base_ids[pos] == external_id
-        )
 
     def compact(
         self,
@@ -451,12 +454,17 @@ class LifecycleIndex(BatchSearchMixin):
         fully live — a respawned compactor simply calls ``compact()``
         again.
 
+        The new base is a :func:`~repro.core.maintenance.fold` of the
+        old one, or a from-scratch build when the cut removes at least
+        as many base nodes as survive (module docstring: what each
+        branch guarantees).
+
         Args:
-            seed: build seed (default ``config.build_seed``).  Equal
-                seeds make online compaction byte-identical to offline
-                :func:`repro.core.maintenance.rebuild` over the same
-                history.
-            n_workers: build parallelism (default ``config.n_workers``).
+            seed: build seed of the rebuild branch (default
+                ``config.build_seed``); a fold continues the base's
+                own level stream.
+            n_workers: build parallelism of the rebuild branch (default
+                ``config.n_workers``).
             on_stage: optional hook called with ``"cut"``, ``"build"``,
                 ``"install"`` as the compaction passes each stage —
                 the chaos harness's fault-injection point.
@@ -491,49 +499,38 @@ class LifecycleIndex(BatchSearchMixin):
             if on_stage is not None:
                 on_stage("cut")
 
-            # Assemble the live set in ascending external-id order:
+            # Assemble the merge input in ascending external-id order:
             # base-internal order (base_ids is sorted), then sealed
-            # segments oldest-first (ids only ever grow).  This is the
-            # exact order rebuild() feeds the builder for an offline
-            # index with the same history — the equivalence contract.
-            alive_internal = [
-                node for node in range(len(base))
-                if int(base_ids[node]) not in cut_tombstones
-                and not base.is_deleted(node)
+            # segments oldest-first (ids only ever grow) — the order
+            # rebuild() feeds the builder for an offline index with the
+            # same history.
+            dead = np.fromiter(cut_tombstones, dtype=np.int64,
+                               count=len(cut_tombstones))
+            keep = np.flatnonzero(~np.isin(base_ids, dead))
+            if base.num_deleted:
+                keep = keep[[not base.is_deleted(node)
+                             for node in keep.tolist()]]
+            merged = [
+                entry for segment in sealed
+                for entry in segment.freeze().entries()
+                if entry[0] not in cut_tombstones
             ]
-            vectors = [base.store.vectors[node] for node in alive_internal]
-            rows = [base.table.row(node) for node in alive_internal]
-            external = [int(base_ids[node]) for node in alive_internal]
-            n_merged = 0
-            for segment in sealed:
-                for ext, vec, row in segment.freeze().entries():
-                    if ext in cut_tombstones:
-                        continue
-                    vectors.append(vec)
-                    rows.append(row)
-                    external.append(ext)
-                    n_merged += 1
             if on_stage is not None:
                 on_stage("build")
 
-            new_table = build_table(self._schema, rows)
-            vec_matrix = (
-                np.stack(vectors).astype(np.float32)
-                if vectors else np.empty((0, self._dim), dtype=np.float32)
+            vectors = np.vstack(
+                [base.store.vectors[keep], *(vec for _, vec, _ in merged)]
             )
-            if isinstance(base, AcornOneIndex):
-                new_base = type(base).build(
-                    vec_matrix, new_table, m=base.params.m,
-                    ef_construction=base.params.ef_construction,
-                    metric=base.metric, seed=seed,
-                )
+            new_table = subset_table(base.table, keep,
+                                     [row for _, _, row in merged])
+            if len(base) - keep.shape[0] >= keep.shape[0]:
+                # Measured (EXPERIMENTS.md, "Where a fold stops paying"):
+                # a fold is never slower, but from half the base removed
+                # its one-hop repair pool thins and recall trails a build.
+                new_base = build_like(base, vectors, new_table,
+                                      seed=seed, n_workers=n_workers)
             else:
-                new_base = type(base).build(
-                    vec_matrix, new_table, params=base.params,
-                    metric=base.metric, seed=seed, n_workers=n_workers,
-                )
-            if base.quantization is not None:
-                new_base.enable_quantization(base.quantization)
+                new_base = fold(base, keep, vectors, new_table)
             # Freeze here, off the reader path: the frozen view is a
             # cache of the same graph, and an epoch installed without it
             # makes its first reader pay freeze + expansion.
@@ -542,7 +539,10 @@ class LifecycleIndex(BatchSearchMixin):
                 on_stage("install")
 
             id_map = np.full(cut_next, -1, dtype=np.int64)
-            new_base_ids = np.asarray(external, dtype=np.int64)
+            new_base_ids = np.concatenate([
+                base_ids[keep],
+                np.asarray([ext for ext, _, _ in merged], dtype=np.int64),
+            ])
             id_map[new_base_ids] = np.arange(
                 new_base_ids.shape[0], dtype=np.int64
             )
@@ -568,7 +568,7 @@ class LifecycleIndex(BatchSearchMixin):
                 epoch_after=snapshot.epoch,
                 n_live=int(new_base_ids.shape[0]),
                 n_dropped=n_dropped,
-                n_merged=n_merged,
+                n_merged=len(merged),
                 id_map=id_map,
                 duration_s=self.clock.monotonic() - started,
             )

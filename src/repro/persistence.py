@@ -6,9 +6,10 @@ module serializes :class:`~repro.hnsw.hnsw.HnswIndex`,
 :class:`~repro.core.acorn.AcornIndex` and
 :class:`~repro.core.acorn.AcornOneIndex` (including their attribute
 tables) into a single compressed numpy archive and restores them
-exactly: same graph, same entry point, same parameters, and — for the
-ACORN indices — the same per-edge distances, so incremental insertion
-can resume after loading.
+exactly: same graph, same entry point, same parameters, the level
+generator's stream position and — for the ACORN indices — the same
+per-edge distances, so incremental insertion resumes after loading
+exactly where it stopped.
 
 String and keyword columns are stored as object arrays, so loading uses
 ``allow_pickle=True``; only load archives you trust, the standard numpy
@@ -29,6 +30,7 @@ from repro.core.flat import FlatAcornIndex
 from repro.core.params import AcornParams, PruningStrategy
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.hnsw import HnswIndex
+from repro.hnsw.levels import LevelGenerator
 from repro.vectors.quantized_store import (
     QuantizationConfig,
     QuantizedStore,
@@ -168,6 +170,13 @@ def _unpack_quantization(index, archive) -> None:
     )
 
 
+def _unpack_level_rng(index, archive) -> None:
+    """Resume the saved level stream, so ``add()`` after a load draws
+    the levels it would have drawn without the round trip."""
+    if "level_rng" in archive:
+        index._levels.state = archive["level_rng"][0]
+
+
 def _pack_graph(graph: LayeredGraph, payload: dict) -> None:
     payload["node_levels"] = np.asarray(
         [graph.node_level(v) for v in range(len(graph))], dtype=np.int64
@@ -271,6 +280,10 @@ def save_index(index, path) -> None:
     }
     _pack_graph(index.graph, payload)
     _pack_quantization(index, payload)
+    if isinstance(index._levels, LevelGenerator):
+        # Additive and optional like the quantization keys: the format
+        # version stays at 1 and older archives load with a fresh stream.
+        payload["level_rng"] = np.asarray([index._levels.state], dtype=object)
     if isinstance(index, AcornIndex):
         if isinstance(index, AcornOneIndex):
             kind = "acorn1"
@@ -346,6 +359,7 @@ def load_index(path):
             index.store = VectorStore.from_array(vectors, metric=metric)
             index.graph = graph
             _unpack_quantization(index, archive)
+            _unpack_level_rng(index, archive)
             return index
 
         table = _unpack_table(archive)
@@ -374,6 +388,7 @@ def load_index(path):
         index.store = VectorStore.from_array(vectors, metric=metric)
         index.graph = graph
         _unpack_quantization(index, archive)
+        _unpack_level_rng(index, archive)
         if "deleted" in archive:
             index._deleted = set(archive["deleted"].tolist())
         index._edge_dists = []

@@ -11,8 +11,9 @@ Two placement policies cover the classical trade-off:
 
 Both are pure functions of (row ids, attribute values): the same inputs
 always produce the same :class:`ShardAssignment`, which persistence
-relies on.  :func:`subset_table` carves the per-shard attribute tables
-out of the global one, preserving column kinds.
+relies on.  :func:`subset_table` (re-exported from
+:mod:`repro.attributes.table`) carves the per-shard attribute tables out
+of the global one, preserving column kinds.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import dataclasses
 import numpy as np
 
 from repro.attributes.table import AttributeTable, ColumnKind
+from repro.attributes.table import subset_table  # re-exported: shards' carver
 
 
 @dataclasses.dataclass
@@ -239,34 +241,3 @@ def partitioner_from_spec(spec: dict) -> Partitioner:
             boundaries=spec.get("boundaries"),
         )
     raise ValueError(f"unknown partitioner spec type {kind!r}")
-
-
-def subset_table(table: AttributeTable, rows: np.ndarray) -> AttributeTable:
-    """A new table holding ``rows`` of ``table``, columns and kinds kept.
-
-    ``rows`` indexes the source table; the result's row ``j`` is the
-    source's row ``rows[j]``.  Keyword columns are re-interned per
-    subset (vocabularies shrink with the shard).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    out = AttributeTable(int(rows.shape[0]))
-    for name in table.column_names:
-        kind = table.column_kind(name)
-        column = table.column(name)
-        if kind is ColumnKind.INT:
-            out.add_int_column(name, column[rows])
-        elif kind is ColumnKind.FLOAT:
-            out.add_float_column(name, column[rows])
-        elif kind is ColumnKind.STRING:
-            out.add_string_column(name, [column[i] for i in rows.tolist()])
-        else:
-            vocab = [None] * len(column.vocab)
-            for word, token in column.vocab.items():
-                vocab[token] = word
-            offsets, tokens = column.offsets, column.tokens
-            lists = [
-                [vocab[t] for t in tokens[offsets[i] : offsets[i + 1]]]
-                for i in rows.tolist()
-            ]
-            out.add_keywords_column(name, lists)
-    return out

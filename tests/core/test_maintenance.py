@@ -5,6 +5,7 @@ import pytest
 
 from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornOneIndex, AcornParams
+from repro.core.bulkbuild import graph_checksum
 from repro.core.maintenance import rebuild
 from repro.predicates import Equals, TruePredicate
 
@@ -91,6 +92,29 @@ class TestRebuild:
         assert isinstance(new_index, AcornOneIndex)
         assert len(new_index) == n - 1
         assert id_map[0] == -1
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_rebuild_acorn_one_honours_n_workers(self, n_workers):
+        """ACORN-1 rebuilds take the builder ``n_workers`` selects, as
+        γ and flat always did (before PR 22 the argument was dropped and
+        ACORN-1 always rebuilt sequentially)."""
+        gen = np.random.default_rng(3)
+        n = 160
+        vectors = gen.standard_normal((n, 6)).astype(np.float32)
+        table = AttributeTable(n)
+        table.add_int_column("label", gen.integers(0, 2, size=n))
+        index = AcornOneIndex.build(vectors, table, m=8, ef_construction=24,
+                                    seed=0)
+        for victim in (0, 9, 77):
+            index.mark_deleted(victim)
+        new_index, id_map = rebuild(index, seed=1, n_workers=n_workers)
+        keep = np.flatnonzero(id_map >= 0)
+        direct = AcornOneIndex.build(
+            vectors[keep], new_index.table, m=8, ef_construction=24,
+            seed=1, n_workers=n_workers,
+        )
+        assert graph_checksum(new_index.graph) == graph_checksum(direct.graph)
+        new_index.graph.validate()
 
     def test_rebuild_without_deletions_is_copy(self, deleted_world):
         index, vectors, victims = deleted_world

@@ -98,6 +98,48 @@ class TestAcornRoundtrip:
         assert new_id == len(vectors)
         restored.graph.validate()
 
+    @pytest.mark.parametrize("kind", ["acorn", "acorn1", "hnsw"])
+    def test_adds_after_load_replay_the_unsaved_index(self, world, tmp_path,
+                                                      kind):
+        """The level stream survives the round trip: 20 adds after a load
+        build the graph 20 adds on the never-saved index build."""
+        from repro.core.bulkbuild import graph_checksum
+
+        vectors, table = world
+        head, tail = vectors[:-20], vectors[-20:]
+        if kind == "acorn":
+            index = AcornIndex.build(
+                head, table, seed=5,
+                params=AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24),
+            )
+        elif kind == "acorn1":
+            index = AcornOneIndex.build(head, table, m=8, ef_construction=24,
+                                        seed=5)
+        else:
+            index = HnswIndex.build(head, m=6, ef_construction=24, seed=5)
+        save_index(index, tmp_path / "index.npz")
+        restored = load_index(tmp_path / "index.npz")
+        for vector in tail:
+            index.add(vector)
+            restored.add(vector)
+        assert graph_checksum(restored.graph) == graph_checksum(index.graph)
+
+    def test_archive_without_level_stream_still_loads(self, world, index,
+                                                      tmp_path):
+        """Archives written before the stream was saved load as before."""
+        path = tmp_path / "acorn.npz"
+        save_index(index, path)
+        with np.load(path, allow_pickle=True) as archive:
+            payload = {k: archive[k] for k in archive.files
+                       if k != "level_rng"}
+        np.savez_compressed(path, **payload)
+        restored = load_index(path)
+        q = world[0][3]
+        np.testing.assert_array_equal(
+            restored.search(q, Equals("label", 2), 5, ef_search=32).ids,
+            index.search(q, Equals("label", 2), 5, ef_search=32).ids,
+        )
+
     def test_acorn_one_kind_restored(self, world, tmp_path):
         vectors, table = world
         index = AcornOneIndex.build(vectors, table, m=8, ef_construction=24,

@@ -6,10 +6,12 @@ that rebuilds from scratch after every operation:
 
 * every epoch, search over the lifecycle returns exactly the ids the
   brute-force oracle computes over the live set;
-* online compaction produces byte-for-byte the graph that offline
-  ``maintenance.rebuild()`` produces from a full-history index with the
-  same tombstones, same seed, and same worker count — including the id
-  remap;
+* when online compaction rebuilds (the cut removes at least as many
+  base nodes as survive) it produces byte-for-byte the graph that
+  offline ``maintenance.rebuild()`` produces from a full-history index
+  with the same tombstones, same seed, and same worker count —
+  including the id remap; the fold it otherwise runs has its own
+  contract in ``test_fold_compaction.py``;
 * a published snapshot never changes, no matter what writers and the
   compactor do afterwards;
 * the whole pipeline is deterministic: two replays of one op tape on a
@@ -124,7 +126,9 @@ class TestRandomizedEquivalence:
 
 
 class TestCompactionEqualsRebuild:
-    """Online compaction == offline rebuild(), byte for byte."""
+    """The rebuild branch of online compaction == offline rebuild(),
+    byte for byte.  (Insert-only folds are byte-identical too, and folds
+    with deletes are not: ``test_fold_compaction.py``.)"""
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_identical_graphs_and_id_map(self, n_workers):
@@ -132,7 +136,9 @@ class TestCompactionEqualsRebuild:
         vectors, table, rng = make_world(29, 24)
         lc = LifecycleIndex.build(vectors, table, params=PARAMS, seed=seed)
         oracle = RebuildOracle(vectors, table)
-        apply_ops(lc, oracle, ops_tape(rng, 24, 20))
+        # Half the base goes, so compact() rebuilds instead of folding.
+        apply_ops(lc, oracle, [("delete", ext) for ext in range(0, 24, 2)]
+                  + ops_tape(rng, 24, 20))
 
         # Offline arm: one full-history index with tombstones, then
         # maintenance.rebuild — the operation the lifecycle turns online.
