@@ -1,7 +1,8 @@
 """Asyncio multi-tenant serving layer over the batch engine.
 
-The request-path front end of the reproduction: dynamic GEMM
-coalescing with a latency budget, per-tenant admission control
+The request-path front end of the reproduction: work-conserving
+coalescing (batches form only while the dispatcher is busy, under a
+latency budget), per-tenant admission control
 (token buckets, bounded queues, partitioned predicate-cache
 namespaces), breaker-aware load shedding with explicit
 rejected/degraded accounting, and a seeded open-loop load harness —

@@ -17,7 +17,9 @@ Three pieces:
   and finally drains.  Wall time is microseconds regardless of the
   schedule's virtual duration.
 - :func:`replay_realtime` — the same trace paced by real
-  ``asyncio.sleep``, for wall-clock latency/goodput measurement.
+  ``asyncio.sleep``, for wall-clock latency/goodput measurement (the
+  realtime service dispatches to an idle thread at once, so batch size
+  there is whatever the offered load makes it).
 
 :func:`summarize_load` condenses the responses into one SLO-style
 record: shed/degraded accounting that

@@ -5,15 +5,19 @@ the batch engine accepts (:class:`~repro.core.acorn.AcornIndex`,
 :class:`~repro.shard.sharded.ShardedAcornIndex`, a routed planner, …).
 Three mechanisms compose:
 
-- **Dynamic coalescing.**  ``await service.submit(...)`` parks each
-  admitted query in a FIFO buffer.  The buffer dispatches as one
-  :class:`~repro.engine.engine.QueryBatch` the moment it holds
-  ``max_batch`` queries, or when the oldest query's
-  ``latency_budget_ms`` deadline expires — so light traffic pays at
-  most the budget in queueing delay while heavy traffic rides full
-  GEMM batches.  Execution happens on a single dispatch thread via
-  ``loop.run_in_executor`` (one batch in flight at a time keeps batch
-  composition deterministic); inside the batch the
+- **Work-conserving coalescing.**  ``await service.submit(...)`` parks
+  each admitted query in a FIFO buffer, and the buffer leaves as one
+  :class:`~repro.engine.engine.QueryBatch` for the single dispatch
+  thread (``loop.run_in_executor``) when the first of three things
+  happens: it holds ``max_batch`` queries; **nothing is in flight** —
+  checked when a query arrives and again when a batch completes, so an
+  idle dispatcher takes a query at once and arrivals during a search
+  ride together as the next batch ("batch while busy", the group-commit
+  shape); or the oldest query's ``latency_budget_ms`` deadline expires.
+  Batch size is therefore a consequence of load — about one under light
+  traffic, growing toward ``max_batch`` as the dispatcher saturates —
+  and the budget is the *maximum* time a query sits in the buffer, never
+  an intended one.  Inside the batch the
   :class:`~repro.engine.engine.SearchEngine` fans out across its own
   worker pool.
 - **Admission control.**  Before a query may enter the buffer it must
@@ -30,12 +34,15 @@ Three mechanisms compose:
 
 All time flows through a pluggable :class:`~repro.utils.clock.Clock`.
 Under a :class:`~repro.utils.clock.SystemClock` (``realtime=True``) the
-deadline flush is driven by ``loop.call_later`` timers.  Under a
-:class:`~repro.utils.clock.FakeClock` no real timers exist: a driver
-(the load generator, or a test) advances the clock and calls
-:meth:`AcornService.pump` / :meth:`AcornService.drain`, which makes
-every admission decision, batch composition, and latency figure
-bit-for-bit deterministic — no test sleeps.
+idle check runs and the deadline flush is driven by one
+``loop.call_later`` timer for the oldest pending query.  Under a
+:class:`~repro.utils.clock.FakeClock` a batch takes zero virtual time,
+so "idle" carries no information and no real timers exist: only the
+size and deadline triggers apply, and a driver (the load generator, or
+a test) advances the clock and calls :meth:`AcornService.pump` /
+:meth:`AcornService.drain`, which makes every admission decision, batch
+composition, and latency figure bit-for-bit deterministic — no test
+sleeps.
 """
 
 from __future__ import annotations
@@ -73,9 +80,11 @@ class ServingConfig:
         ef_search: search-effort knob forwarded to the searcher.
         max_batch: coalescing buffer size that triggers an immediate
             dispatch.
-        latency_budget_ms: maximum milliseconds a query may wait in the
-            coalescing buffer before a (possibly partial) batch is
-            dispatched on its behalf.
+        latency_budget_ms: upper bound, in milliseconds, on the time a
+            query sits in the coalescing buffer while the dispatcher is
+            busy before a (possibly partial) batch is handed over on
+            its behalf.  An idle realtime dispatcher never makes a
+            query wait for it.
         max_pending: global bound on the service-side backlog —
             queries in the coalescing buffer plus queries dispatched
             but not yet answered; arrivals beyond it are shed with
@@ -160,7 +169,9 @@ class ServedResponse:
 
     @property
     def queue_wait_ms(self) -> float:
-        """Milliseconds in the coalescing buffer (0.0 when rejected)."""
+        """Milliseconds from admission until the batch started on the
+        dispatch thread: buffer time plus time queued behind an earlier
+        batch (0.0 when rejected)."""
         return self.stats.queue_wait_ms if self.stats is not None else 0.0
 
     @property
@@ -411,9 +422,9 @@ class AcornService:
         tenant.queue_depth += 1
         tenant.admitted += 1
         self._counters["admitted"] += 1
-        if len(self._pending) >= self.config.max_batch:
+        if len(self._pending) >= self.config.max_batch or self._idle():
             self._flush(now)
-        elif self.realtime:
+        else:
             self._arm_timer()
         return await pending.future
 
@@ -506,26 +517,39 @@ class AcornService:
     # Coalescing + dispatch
     # ------------------------------------------------------------------
 
+    def _idle(self) -> bool:
+        """True when the realtime dispatch thread has nothing to do, so
+        holding a query back could not buy it any company.
+
+        Always False on a virtual clock: a batch takes zero virtual time
+        there, and batch composition must stay a pure function of the
+        arrival trace.
+        """
+        return self.realtime and self._inflight_queries == 0
+
     def _arm_timer(self) -> None:
-        """(Re)arm the deadline flush timer for the oldest pending query."""
-        if not self._pending or self._loop is None:
+        """Arm the deadline timer for the oldest pending query unless
+        one is armed already (the oldest only changes on a flush)."""
+        if (
+            not self.realtime
+            or self._timer is not None
+            or not self._pending
+            or self._loop is None
+        ):
             return
         delay = max(self._pending[0].deadline_s - self.clock.monotonic(), 0.0)
-        if self._timer is not None:
-            self._timer.cancel()
         self._timer = self._loop.call_later(delay, self._on_timer)
 
     def _on_timer(self) -> None:
         self._timer = None
         self.poll()
-        if self._pending:
-            self._arm_timer()
+        self._arm_timer()  # poll flushed nothing: the timer ran early
 
     def poll(self) -> int:
         """Flush every batch that is due at the current clock reading.
 
-        Returns the number of batches dispatched.  Realtime timers call
-        this automatically; virtual-clock drivers call it (via
+        Returns the number of batches dispatched.  The realtime deadline
+        timer calls this; virtual-clock drivers call it (via
         :meth:`pump`) after advancing the clock.
         """
         now = self.clock.monotonic()
@@ -540,8 +564,9 @@ class AcornService:
         return dispatched
 
     def _flush(self, now: float) -> None:
-        """Dispatch the oldest ``<= max_batch`` pending queries as one
-        GEMM batch."""
+        """Hand the oldest ``<= max_batch`` pending queries to the
+        dispatch thread as one batch — the one exit from the buffer,
+        whichever trigger (size, idle dispatcher, deadline) fired."""
         if not self._pending or self._loop is None:
             return
         take = min(len(self._pending), self.config.max_batch)
@@ -558,6 +583,11 @@ class AcornService:
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
         self._counters["batches_dispatched"] += 1
+        # The oldest pending query changed: its deadline gets the timer.
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._arm_timer()
 
     async def _run_batch(
         self, queries: list[_PendingQuery], dispatch_s: float
@@ -566,6 +596,14 @@ class AcornService:
             await self._execute_batch(queries, dispatch_s)
         finally:
             self._inflight_queries -= len(queries)
+            # Whatever arrived during this search leaves together now.
+            if self._idle():
+                self._flush(self.clock.monotonic())
+
+    def _search_stamped(self, batch: QueryBatch):
+        """Runs on the dispatch thread: when the search really started,
+        and its outcome."""
+        return self.clock.monotonic(), self.engine.search_batch(batch)
 
     async def _execute_batch(
         self, queries: list[_PendingQuery], dispatch_s: float
@@ -577,26 +615,31 @@ class AcornService:
             ef_search=self.config.ef_search,
         )
         assert self._loop is not None
-        begin_s = self.clock.monotonic()
+        handoff_s = self.clock.monotonic()
         try:
-            outcome = await self._loop.run_in_executor(
-                self._dispatch_pool, self.engine.search_batch, batch
+            start_s, outcome = await self._loop.run_in_executor(
+                self._dispatch_pool, self._search_stamped, batch
             )
         except BaseException as exc:  # searcher bug: fail every rider fast
             for item in queries:
                 if not item.future.done():
                     item.future.set_exception(exc)
             raise
+        # A batch flushed while the dispatch thread is busy queues behind
+        # it; that is waiting, not service.  (Zero on a virtual clock.)
+        behind_s = max(start_s - handoff_s, 0.0)
         # Execution cost is the clock delta across the engine call:
         # real seconds under a SystemClock, and exactly the searcher's
         # own virtual sleeps (resilience backoff) under a FakeClock —
         # the inter-arrival jumps a virtual driver makes while a batch
         # is parked must not masquerade as service time.
-        exec_ms = max(self.clock.monotonic() - begin_s, 0.0) * 1000.0
+        exec_ms = max(self.clock.monotonic() - start_s, 0.0) * 1000.0
         for item, result, stats in zip(
             queries, outcome.results, outcome.stats
         ):
-            wait_ms = max(dispatch_s - item.enqueued_s, 0.0) * 1000.0
+            wait_ms = (
+                max(dispatch_s - item.enqueued_s, 0.0) + behind_s
+            ) * 1000.0
             enriched = dataclasses.replace(
                 stats,
                 # The engine saw a pre-compiled mask (always a "hit");
@@ -654,9 +697,7 @@ class AcornService:
     async def aclose(self) -> None:
         """Stop admitting, drain in-flight work, release the pools."""
         self._closed = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        # The flush that empties the buffer also drops the deadline timer.
         await self.drain()
         self._dispatch_pool.shutdown(wait=True)
         self.engine.close()

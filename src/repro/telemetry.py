@@ -99,9 +99,10 @@ class QueryStats:
         rerank_factor: the rerank budget multiplier in effect
             (``rerank_factor * k`` candidates re-scored; 0.0 when
             unquantized).
-        queue_wait_ms: milliseconds the query spent in the serving
-            layer's coalescing buffer before dispatch (0.0 for direct
-            engine calls).
+        queue_wait_ms: milliseconds between the serving layer admitting
+            the query and its batch starting on the dispatch thread —
+            coalescing buffer plus any wait behind an earlier batch
+            (0.0 for direct engine calls).
         batch_size_served: size of the coalesced GEMM batch the query
             rode in (0 for direct engine calls).
         tenant_id: submitting tenant in the serving layer (``""`` for
