@@ -146,40 +146,26 @@ class AcornIndex(BatchSearchMixin):
         metric: "Metric | str" = Metric.L2,
         seed: int | np.random.Generator | None = None,
         labels: np.ndarray | None = None,
-        n_workers: int = 1,
-        wave_cap: int | None = None,
         quantization=None,
     ) -> "AcornIndex":
         """Construct an index over ``vectors`` aligned with ``table`` rows.
 
+        Every vector enters through :meth:`add`, in row order.
+
         Args:
-            n_workers: build parallelism.  1 (default) keeps the
-                sequential insert loop, the byte-identical reference.
-                Greater values use the wave-parallel GEMM-batched
-                pipeline (:mod:`repro.core.bulkbuild`): run-to-run
-                deterministic for a fixed seed, recall-equivalent but
-                not edge-identical to the sequential graph.
-            wave_cap: maximum wave size for the parallel pipeline
-                (default scales with ``n``); ignored when
-                ``n_workers == 1``.
-            quantization: forwarded to the constructor; a parallel
-                build additionally runs its Phase-A distance batches on
-                the quantized codes (see :mod:`repro.core.bulkbuild`).
+            quantization: forwarded to the constructor.
         """
         return cls._build(
-            vectors, table, n_workers, wave_cap,
+            vectors, table,
             params=params, metric=metric, seed=seed, labels=labels,
             quantization=quantization,
         )
 
     @classmethod
-    def _build(cls, vectors, table, n_workers, wave_cap, **init_kwargs):
+    def _build(cls, vectors, table, **init_kwargs):
         """Validate, construct ``cls(dim, table, **init_kwargs)``, insert all.
 
-        The one bulk entry every variant's ``build`` goes through:
-        ``n_workers == 1`` is the sequential insert loop (the
-        byte-identical reference), more routes through
-        :mod:`repro.core.bulkbuild`.
+        The one bulk entry every variant's ``build`` goes through.
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         if len(table) < vectors.shape[0]:
@@ -188,16 +174,8 @@ class AcornIndex(BatchSearchMixin):
                 f"table has {len(table)} rows but got {vectors.shape[0]} vectors"
             )
         index = cls(vectors.shape[1], table, **init_kwargs)
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if n_workers > 1:
-            from repro.core.bulkbuild import bulk_insert_acorn
-
-            bulk_insert_acorn(index, vectors, n_workers=n_workers,
-                              wave_cap=wave_cap)
-        else:
-            for vector in vectors:
-                index.add(vector)
+        for vector in vectors:
+            index.add(vector)
         return index
 
     def add(self, vector: np.ndarray) -> int:
@@ -295,57 +273,29 @@ class AcornIndex(BatchSearchMixin):
         node: int,
         candidates: list[tuple[float, int]],
         level: int,
-        graph=None,
-        vectorized: bool = False,
     ) -> list[tuple[float, int]]:
         """Choose the final edge list from the M·γ nearest candidates.
 
         Uncompressed levels keep every candidate (the expanded lists are
         the whole point); compressed levels — the bottom ``nc`` levels,
         per §6.1's generalization — apply the configured pruning rule.
-
-        Args:
-            graph: adjacency the ACORN rule reads its 2-hop sets from;
-                defaults to the live graph.  The bulk builder passes an
-                immutable pre-wave snapshot view so concurrent wave
-                workers never observe each other's in-flight edits.
-            vectorized: dispatch to the candidate-matrix /
-                membership-buffer pruning variants (same kept edges,
-                one batched evaluation instead of per-pair kernel
-                calls); the sequential insert path keeps the scalar
-                reference rules.
         """
         if not self._is_compressed(level):
             return candidates
         pruning = self.params.pruning
-        if graph is None:
-            graph = self.graph
         if pruning is PruningStrategy.ACORN:
-            if vectorized:
-                return cons.prune_predicate_agnostic_arrays(
-                    candidates,
-                    lambda c, lev=level: graph.neighbors(c, lev),
-                    num_ids=len(self.store),
-                    m_beta=self.params.m_beta,
-                    max_degree=self.params.max_degree,
-                    stats=self.pruning_stats,
-                )
             return cons.prune_predicate_agnostic(
-                candidates, graph, level=level,
+                candidates, self.graph, level=level,
                 m_beta=self.params.m_beta,
                 max_degree=self.params.max_degree,
                 stats=self.pruning_stats,
             )
         if pruning is PruningStrategy.RNG_BLIND:
-            blind = (cons.prune_rng_blind_matrix if vectorized
-                     else cons.prune_rng_blind)
-            return blind(
+            return cons.prune_rng_blind(
                 candidates, computer.base, self.params.max_degree,
                 metric=self.metric, stats=self.pruning_stats,
             )
-        metadata = (cons.prune_rng_metadata_matrix if vectorized
-                    else cons.prune_rng_metadata)
-        return metadata(
+        return cons.prune_rng_metadata(
             candidates, computer.base, self._labels, node,
             self.params.max_degree, metric=self.metric,
             stats=self.pruning_stats,
@@ -358,18 +308,15 @@ class AcornIndex(BatchSearchMixin):
         new_neighbor: int,
         dist: float,
         level: int,
-        graph_view=None,
-        vectorized: bool = False,
         fresh: bool = False,
     ) -> None:
         """Insert ``owner -> new_neighbor`` in distance order; shrink on overflow.
 
-        ``graph_view``/``vectorized`` are forwarded to the re-pruning
-        dispatch (see :meth:`_select_edges`); the sequential path leaves
-        them at their defaults.  ``fresh`` promises ``new_neighbor`` was
-        registered by the running ``add()`` and so cannot be in any list
-        yet, which skips the O(degree) membership scan; the bulk builder
-        leaves it False.
+        ``fresh`` promises ``new_neighbor`` was registered by the running
+        ``add()`` and so cannot be in any list yet, which skips the
+        O(degree) membership scan; a fold's repair
+        (:func:`repro.core.maintenance.fold`) re-links existing nodes
+        and leaves it False.
         """
         neighbor_ids = self.graph.neighbors(owner, level)
         dists = self._edge_dists[level][owner]
@@ -388,8 +335,7 @@ class AcornIndex(BatchSearchMixin):
         if len(neighbor_ids) <= self._cap0:
             return
         candidates = list(zip(dists, neighbor_ids))
-        selected = self._select_edges(computer, owner, candidates, level=level,
-                                      graph=graph_view, vectorized=vectorized)
+        selected = self._select_edges(computer, owner, candidates, level=level)
         # The pruning rule's |H|+kept budget does not bind while the
         # two-hop sets are still small (early construction), so enforce
         # the cap explicitly — minus an M-wide low-watermark so a full
@@ -687,8 +633,7 @@ class AcornIndex(BatchSearchMixin):
         traversal's Python overhead across the batch via
         :func:`~repro.core.quantsearch.quantized_search_batch` — each
         round gathers every query's frontier together and evaluates one
-        batched code-distance call, the serving-side counterpart of the
-        bulk builder's GEMM-batched Phase A.  Descents stay per-query
+        batched code-distance call.  Descents stay per-query
         float32 (few, high-leverage distances), and each query gets the
         standard exact-rerank tail.
 
@@ -1006,18 +951,11 @@ class AcornOneIndex(AcornIndex):
         ef_construction: int = 40,
         metric: "Metric | str" = Metric.L2,
         seed: int | np.random.Generator | None = None,
-        n_workers: int = 1,
-        wave_cap: int | None = None,
         quantization=None,
     ) -> "AcornOneIndex":
-        """Construct an ACORN-1 index over ``vectors``.
-
-        ``n_workers``/``wave_cap`` follow :meth:`AcornIndex.build`:
-        1 keeps the sequential reference loop, more routes through the
-        wave-parallel pipeline.
-        """
+        """Construct an ACORN-1 index over ``vectors``."""
         return cls._build(
-            vectors, table, n_workers, wave_cap,
+            vectors, table,
             m=m, ef_construction=ef_construction, metric=metric, seed=seed,
             quantization=quantization,
         )

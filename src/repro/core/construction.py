@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -39,9 +39,9 @@ class PruningStats:
     """Counters describing pruning behaviour (Figure 12c's metric).
 
     Thread-safe: :meth:`record` and :meth:`merge` serialize through an
-    internal lock, so the parallel bulk builder can account pruning
-    invocations from several worker threads without losing counts (the
-    Table 3 / Figure 12c numbers must stay exact under concurrency).
+    internal lock, so pruning invocations accounted from several
+    threads never lose counts (the Table 3 / Figure 12c numbers must
+    stay exact under concurrency).
     Workers that want to avoid per-call locking can accumulate into a
     private ``PruningStats`` and :meth:`merge` it once at the end — the
     same accumulate-and-flush pattern the distance counters use.
@@ -196,177 +196,6 @@ def prune_rng_metadata(
             continue
         kept.append((dist_c, cand))
         kept_ids.append(cand)
-    if stats is not None:
-        stats.record(seen=len(candidates), kept=len(kept))
-    return kept
-
-
-# ----------------------------------------------------------------------
-# Vectorized candidate-matrix variants (bulk construction)
-# ----------------------------------------------------------------------
-#
-# The scalar rules above evaluate candidate-to-candidate distances one
-# kernel call per (candidate, kept-set) pair — fine for a single insert,
-# ruinous for the wave-parallel bulk builder where a wave prunes
-# hundreds of candidate lists.  The ``*_matrix`` / ``*_arrays`` variants
-# below make the same decisions from a precomputed candidate distance
-# matrix (one kernel call per candidate instead of per comparison) or,
-# for the distance-free ACORN rule, from a boolean membership buffer
-# instead of a growing Python set.
-#
-# Equivalence contract: each variant keeps *exactly* the same edge set
-# as its scalar reference whenever the underlying distance values agree
-# bitwise.  ``candidate_distance_matrix`` row ``i`` is computed by the
-# very same ``_KERNELS`` call shape the scalar rules use
-# (``kernel(C, C[i])`` over the gathered candidate block), which is
-# bitwise-identical for the L2 kernel (per-row einsum reductions) and
-# exact for every metric on integer-valued vectors; the hypothesis
-# suite in ``tests/property/test_pruning_props.py`` pins this.
-
-
-def candidate_distance_matrix(
-    vectors: np.ndarray,
-    ids: np.ndarray,
-    metric: "Metric | str" = Metric.L2,
-) -> np.ndarray:
-    """Pairwise candidate distances ``D[i, j] = dist(query=i, base=j)``.
-
-    Row ``i`` holds the configured kernel evaluated with candidate ``i``
-    as the query and every candidate as base — exactly the orientation
-    the RNG pruning rules consume (``D[cand, kept]`` replaces
-    ``kernel(vectors[kept_ids], vectors[cand])``).
-
-    These are *construction-heuristic* distances: like the scalar rules,
-    they bypass the counted :class:`~repro.vectors.distance.DistanceComputer`
-    path so Table 3's search-cost accounting is unaffected.
-    """
-    kernel = _KERNELS[resolve_metric(metric)]
-    ids = np.asarray(ids, dtype=np.intp)
-    block = vectors[ids]
-    if ids.size == 0:
-        return np.zeros((0, 0), dtype=vectors.dtype)
-    return np.stack([kernel(block, block[i]) for i in range(ids.size)])
-
-
-def prune_predicate_agnostic_arrays(
-    candidates: Sequence[tuple[float, int]],
-    neighbor_fn: Callable[[int], Sequence[int]],
-    num_ids: int,
-    m_beta: int,
-    max_degree: int,
-    stats: PruningStats | None = None,
-) -> list[tuple[float, int]]:
-    """Array-buffer variant of :func:`prune_predicate_agnostic`.
-
-    Replaces the growing ``two_hop`` Python set with a boolean
-    membership buffer over the id space: the ``cand in two_hop`` probe
-    becomes one array read and the neighbor-union becomes one scatter.
-    Neighbor lists arrive through ``neighbor_fn`` (typically a frozen
-    CSR slice), so the rule works against any adjacency snapshot, not
-    just the live graph.
-
-    Keeps exactly the same edges as the scalar reference: the rule
-    involves no distances, only membership and the ``|H| + kept``
-    budget, and the buffer tracks ``|H|`` as the count of distinct
-    marked ids.
-    """
-    kept = list(candidates[:m_beta])
-    in_h = np.zeros(num_ids, dtype=bool)
-    h_count = 0
-    for dist, cand in candidates[m_beta:]:
-        if h_count + len(kept) > max_degree:
-            break
-        if in_h[cand]:
-            continue
-        kept.append((dist, cand))
-        # A stored neighbor list never repeats an id (graph invariant,
-        # enforced by ``LayeredGraph.validate``), so the unmarked subset
-        # is already distinct — no dedup pass needed before counting.
-        neighbor_ids = np.asarray(neighbor_fn(cand), dtype=np.intp)
-        if neighbor_ids.size:
-            fresh = neighbor_ids[~in_h[neighbor_ids]]
-            in_h[fresh] = True
-            h_count += int(fresh.size)
-    if stats is not None:
-        stats.record(seen=len(candidates), kept=len(kept))
-    return kept
-
-
-def prune_rng_blind_matrix(
-    candidates: Sequence[tuple[float, int]],
-    vectors: np.ndarray,
-    max_keep: int,
-    metric: "Metric | str" = Metric.L2,
-    stats: PruningStats | None = None,
-    dmatrix: np.ndarray | None = None,
-) -> list[tuple[float, int]]:
-    """Candidate-matrix variant of :func:`prune_rng_blind`.
-
-    One ``candidate_distance_matrix`` evaluation replaces the per-pair
-    kernel calls; the RNG triangle rule then reads ``D[cand, kept]``
-    row gathers.  Pass ``dmatrix`` to share a precomputed matrix (rows
-    must align with ``candidates`` order).
-    """
-    candidates = list(candidates)
-    if dmatrix is None:
-        ids = np.asarray([cand for _, cand in candidates], dtype=np.intp)
-        dmatrix = candidate_distance_matrix(vectors, ids, metric)
-    kept: list[tuple[float, int]] = []
-    kept_pos: list[int] = []
-    for pos, (dist_c, cand) in enumerate(candidates):
-        if len(kept) >= max_keep:
-            break
-        if kept_pos and bool((dmatrix[pos, kept_pos] < dist_c).any()):
-            continue
-        kept.append((dist_c, cand))
-        kept_pos.append(pos)
-    if stats is not None:
-        stats.record(seen=len(candidates), kept=len(kept))
-    return kept
-
-
-def prune_rng_metadata_matrix(
-    candidates: Sequence[tuple[float, int]],
-    vectors: np.ndarray,
-    labels: np.ndarray,
-    owner: int,
-    max_keep: int,
-    metric: "Metric | str" = Metric.L2,
-    stats: PruningStats | None = None,
-    dmatrix: np.ndarray | None = None,
-) -> list[tuple[float, int]]:
-    """Candidate-matrix variant of :func:`prune_rng_metadata`.
-
-    Same label-safety condition as the scalar rule — a relay may only
-    dominate when it shares the owner's and candidate's label — with
-    the relay distances read from the precomputed candidate matrix.
-    """
-    candidates = list(candidates)
-    if dmatrix is None:
-        ids = np.asarray([cand for _, cand in candidates], dtype=np.intp)
-        dmatrix = candidate_distance_matrix(vectors, ids, metric)
-    owner_label = labels[owner]
-    cand_ids = np.asarray([cand for _, cand in candidates], dtype=np.intp)
-    cand_safe = (
-        labels[cand_ids] == owner_label if cand_ids.size
-        else np.zeros(0, dtype=bool)
-    )
-    kept: list[tuple[float, int]] = []
-    kept_pos: list[int] = []
-    for pos, (dist_c, cand) in enumerate(candidates):
-        if len(kept) >= max_keep:
-            break
-        prune = False
-        if kept_pos and cand_safe[pos]:
-            relay_pos = np.asarray(kept_pos, dtype=np.intp)
-            label_safe = cand_safe[relay_pos]
-            if label_safe.any():
-                safe_pos = relay_pos[label_safe]
-                prune = bool((dmatrix[pos, safe_pos] < dist_c).any())
-        if prune:
-            continue
-        kept.append((dist_c, cand))
-        kept_pos.append(pos)
     if stats is not None:
         stats.record(seen=len(candidates), kept=len(kept))
     return kept

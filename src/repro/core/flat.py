@@ -62,19 +62,9 @@ class FlatAcornIndex(AcornIndex):
         metric: "Metric | str" = Metric.L2,
         seed: int | np.random.Generator | None = None,
         labels: np.ndarray | None = None,
-        n_workers: int = 1,
-        wave_cap: int | None = None,
     ) -> "FlatAcornIndex":
-        """Construct a flat index and anchor its entry at the medoid.
-
-        ``n_workers``/``wave_cap`` are accepted for signature parity
-        with the layered variants but ignored: the flat substrate's
-        :meth:`_bottom_seeds` draws pseudo-random extra seeds from the
-        *live* graph size at every insert, which the wave pipeline's
-        frozen snapshots cannot replay, so construction stays
-        sequential.
-        """
-        index = cls._build(vectors, table, 1, None, params=params,
+        """Construct a flat index and anchor its entry at the medoid."""
+        index = cls._build(vectors, table, params=params,
                            metric=metric, seed=seed, labels=labels)
         index.reanchor_entry_point()
         return index

@@ -62,14 +62,12 @@ def build_like(
     vectors: np.ndarray,
     table: AttributeTable,
     seed: int | np.random.Generator | None = 0,
-    n_workers: int = 1,
 ) -> AcornIndex:
     """Build ``vectors``/``table`` from scratch with ``index``'s class,
     parameters, metric and quantization config (codes retrained over
     ``vectors``, as if built with ``quantization=`` directly)."""
     new_index = type(index).build(
-        vectors, table, seed=seed, n_workers=n_workers,
-        **_variant_kwargs(index),
+        vectors, table, seed=seed, **_variant_kwargs(index),
     )
     if index.quantization is not None:
         # enable_quantization retrains the codec over the live vectors —
@@ -82,7 +80,6 @@ def build_like(
 def rebuild(
     index: AcornIndex,
     seed: int | np.random.Generator | None = 0,
-    n_workers: int = 1,
 ) -> tuple[AcornIndex, np.ndarray]:
     """Compact an index: drop tombstoned entities, rebuild the graph.
 
@@ -92,9 +89,6 @@ def rebuild(
     Args:
         index: any ACORN-family index (γ / 1 / flat).
         seed: level-assignment seed for the new build.
-        n_workers: build parallelism; >1 uses the wave-parallel bulk
-            builder (run-to-run deterministic, see
-            :mod:`repro.core.bulkbuild`).
 
     Returns:
         (new_index, id_map): the fresh index, plus an int64 array where
@@ -104,7 +98,7 @@ def rebuild(
     keep, vectors, table = live_subset(index)
     id_map = np.full(len(index), -1, dtype=np.int64)
     id_map[keep] = np.arange(keep.shape[0])
-    return build_like(index, vectors, table, seed, n_workers), id_map
+    return build_like(index, vectors, table, seed), id_map
 
 
 def fold(

@@ -3,12 +3,11 @@
 The float32 hot path (:func:`repro.hnsw.traversal.search_layer`) pays
 Python heap maintenance per candidate; its distance math is already
 vectorized, so swapping in cheaper quantized distances alone barely
-moves QPS.  This kernel restructures the bottom-level search the way
-the bulk builder's ``_BeamTask`` restructured construction: each round
-expands the ``beam`` best unexpanded results *together* — one CSR
-multi-row gather, one mask gather, one batched quantized distance
-evaluation, one stable merge — so the Python interpreter runs once per
-round instead of once per hop.
+moves QPS.  This kernel restructures the bottom-level search into
+rounds: each round expands the ``beam`` best unexpanded results
+*together* — one CSR multi-row gather, one mask gather, one batched
+quantized distance evaluation, one stable merge — so the Python
+interpreter runs once per round instead of once per hop.
 
 The search is still best-first: a node is only expanded while it sits
 in the current top-``ef`` (the classic stopping rule "terminate when
@@ -185,8 +184,7 @@ def quantized_search_batch(
     this one amortizes it over the *entire batch* — each round expands
     every active query's beam together: one CSR gather, one eligibility
     gather, one batched quantized distance evaluation
-    (:meth:`~repro.vectors.quantized_store.QuantizedStore.batched_distances`
-    — the serving analogue of the bulk builder's GEMM-batched Phase A),
+    (:meth:`~repro.vectors.quantized_store.QuantizedStore.batched_distances`),
     and one segmented merge.  A query whose top-``ef`` is fully
     expanded simply stops contributing work; the loop ends when every
     query has converged.

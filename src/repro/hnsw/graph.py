@@ -9,6 +9,10 @@ takes the *first* M (or first Mβ) entries of a list.
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
+
 
 class LayeredGraph:
     """A multi-level directed graph over integer node ids.
@@ -100,6 +104,25 @@ class LayeredGraph:
         vector payload).
         """
         return self.num_edges() * bytes_per_edge + 4 * len(self._node_levels)
+
+    def checksum(self) -> str:
+        """Content-exact digest of the graph.
+
+        Hashes the entry point, every node's level, and every per-level
+        adjacency list (in node-id order, preserving stored neighbor
+        order).  Two graphs share a checksum iff they have identical
+        adjacency — the equality the byte-identity tests assert.
+        """
+        h = hashlib.blake2b(digest_size=16)
+        h.update(str(self.entry_point).encode())
+        for level in self._node_levels:
+            h.update(b"|%d" % level)
+        for lev, adjacency in enumerate(self._levels):
+            h.update(b"/L%d" % lev)
+            for node in sorted(adjacency):
+                row = np.asarray([node, -1] + adjacency[node], dtype=np.int64)
+                h.update(row.tobytes())
+        return h.hexdigest()
 
     def validate(self) -> None:
         """Check structural invariants; raises ``AssertionError`` on breakage.

@@ -61,46 +61,3 @@ def select_neighbors_heuristic(
         selected.append((dist_c, cand))
         selected_ids.append(cand)
     return selected
-
-
-def select_neighbors_heuristic_matrix(
-    vectors: np.ndarray,
-    candidates: Sequence[tuple[float, int]],
-    m: int,
-    metric: "Metric | str" = Metric.L2,
-    dmatrix: np.ndarray | None = None,
-) -> list[tuple[float, int]]:
-    """Candidate-matrix variant of :func:`select_neighbors_heuristic`.
-
-    Evaluates all candidate-to-candidate distances in one pass (one
-    kernel call per candidate over the gathered block) and replays the
-    RNG triangle rule from matrix row gathers — the bulk-construction
-    pipeline calls this once per inserted node instead of paying a
-    kernel call per (candidate, selected) pair.  ``dmatrix`` may be
-    supplied precomputed; its rows must align with ``sorted(candidates)``
-    with row ``i`` holding distances *from* candidate ``i`` to every
-    candidate.  Keeps exactly the scalar rule's edge set whenever the
-    distance values agree bitwise (always for L2, where the kernel is a
-    per-row einsum; pinned by tests/property/test_pruning_props.py).
-    """
-    ordered = sorted(candidates)
-    if dmatrix is None:
-        kernel = _KERNELS[resolve_metric(metric)]
-        ids = np.asarray([cand for _, cand in ordered], dtype=np.intp)
-        block = vectors[ids]
-        dmatrix = (
-            np.stack([kernel(block, block[i]) for i in range(ids.size)])
-            if ids.size else np.zeros((0, 0), dtype=vectors.dtype)
-        )
-    selected: list[tuple[float, int]] = []
-    selected_pos: list[int] = []
-    for pos, (dist_c, cand) in enumerate(ordered):
-        if len(selected) >= m:
-            break
-        if selected_pos and bool(
-            (dmatrix[pos, selected_pos] < dist_c).any()
-        ):
-            continue
-        selected.append((dist_c, cand))
-        selected_pos.append(pos)
-    return selected

@@ -122,8 +122,7 @@ class HnswIndex:
                 self.graph.set_neighbors(node, lev, [nid for _, nid in selected])
                 cap = self.m if lev > 0 else self.m_max0
                 for dist, neighbor in selected:
-                    self._add_reverse_edge(computer, neighbor, node, lev, cap,
-                                           fresh=True)
+                    self._add_reverse_edge(computer, neighbor, node, lev, cap)
                 entry_points = found
 
             if level > top:
@@ -153,38 +152,19 @@ class HnswIndex:
         ef_construction: int = 40,
         metric: "Metric | str" = Metric.L2,
         seed: int | np.random.Generator | None = None,
-        n_workers: int = 1,
-        wave_cap: int | None = None,
         quantization=None,
     ) -> "HnswIndex":
         """Construct an index over ``vectors`` (n, d) in insertion order.
 
+        Every vector enters through :meth:`add`.
+
         Args:
-            n_workers: parallelism of the build.  1 (default) keeps the
-                sequential insert loop — the byte-identical reference
-                path.  Greater values route through the wave-parallel,
-                GEMM-batched pipeline of :mod:`repro.core.bulkbuild`,
-                which is run-to-run deterministic for a fixed seed but
-                builds a slightly different (recall-equivalent) graph.
-            wave_cap: maximum wave size for the parallel pipeline
-                (default: scaled from ``n``); ignored when
-                ``n_workers == 1``.
-            quantization: forwarded to the constructor; a parallel
-                build additionally runs its Phase-A distance batches on
-                the quantized codes (see :mod:`repro.core.bulkbuild`).
+            quantization: forwarded to the constructor.
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         index = cls(vectors.shape[1], m=m, ef_construction=ef_construction,
                     metric=metric, seed=seed, quantization=quantization)
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if n_workers > 1:
-            from repro.core.bulkbuild import bulk_insert_hnsw
-
-            bulk_insert_hnsw(index, vectors, n_workers=n_workers,
-                             wave_cap=wave_cap)
-        else:
-            index.add_batch(vectors)
+        index.add_batch(vectors)
         return index
 
     def _greedy_step(
@@ -206,17 +186,14 @@ class HnswIndex:
         new_neighbor: int,
         level: int,
         cap: int,
-        fresh: bool = False,
     ) -> None:
         """Add ``owner -> new_neighbor``; shrink with the heuristic on overflow.
 
-        ``fresh`` promises ``new_neighbor`` was registered by the running
-        ``add()`` and so cannot be in any list yet, which skips the
-        O(degree) membership scan; the bulk builder leaves it False.
+        ``new_neighbor`` is the node the running ``add()`` just
+        registered, so it cannot be in ``owner``'s list yet and no
+        membership scan is needed.
         """
         neighbor_ids = self.graph.neighbors(owner, level)
-        if not fresh and new_neighbor in neighbor_ids:
-            return
         neighbor_ids.append(new_neighbor)
         if len(neighbor_ids) <= cap:
             return

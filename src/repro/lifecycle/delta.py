@@ -171,6 +171,9 @@ class DeltaIndex:
                 f"vector has dim {vector.shape[0]}, lifecycle has dim "
                 f"{self.dim}"
             )
+        if not np.isfinite(vector).all():
+            # Would poison the base graph only at the next fold.
+            raise ValueError("vector contains non-finite values (NaN or inf)")
         self._positions[external_id] = len(self._external_ids)
         self._external_ids.append(external_id)
         self._vectors.append(vector.copy())

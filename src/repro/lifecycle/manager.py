@@ -78,8 +78,10 @@ class LifecycleConfig:
         build_seed: level-assignment seed for compactions that rebuild
             (a fold continues the base's own stream); part of the
             determinism contract with offline ``rebuild()``.
-        n_workers: build parallelism for those rebuilds (1 = sequential
-            reference; >1 = the PR 5 wave-parallel bulk builder).
+        n_workers: compatibility field that nothing reads — the frozen
+            ``benchmarks/e2e/workloads.py`` still passes ``n_workers=1``.
+            Construction has one path (``add()``), so any other value
+            is rejected rather than silently ignored.
         compact_delta_fraction: delta size as a fraction of base size
             beyond which the compaction policy fires.
         compact_min_delta: absolute delta size floor for the policy.
@@ -98,8 +100,11 @@ class LifecycleConfig:
     min_compaction_interval_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+        if self.n_workers != 1:
+            raise ValueError(
+                f"n_workers must be 1 (construction is sequential; the "
+                f"field is inert), got {self.n_workers}"
+            )
         if self.compact_min_delta < 1:
             raise ValueError(
                 f"compact_min_delta must be >= 1, got {self.compact_min_delta}"
@@ -184,7 +189,6 @@ class LifecycleIndex(BatchSearchMixin):
         params=None,
         metric="l2",
         seed: int = 0,
-        n_workers: int = 1,
         quantization=None,
         index_cls: type[AcornIndex] = AcornIndex,
         config: LifecycleConfig | None = None,
@@ -193,7 +197,7 @@ class LifecycleIndex(BatchSearchMixin):
         """Build a lifecycle from scratch over an initial dataset."""
         base = index_cls.build(
             vectors, table, params=params, metric=metric, seed=seed,
-            n_workers=n_workers, quantization=quantization,
+            quantization=quantization,
         )
         return cls(base, config=config, clock=clock)
 
@@ -442,7 +446,6 @@ class LifecycleIndex(BatchSearchMixin):
     def compact(
         self,
         seed: int | None = None,
-        n_workers: int | None = None,
         on_stage=None,
     ) -> CompactionReport:
         """Merge sealed deltas + live base into a fresh base, online.
@@ -463,8 +466,6 @@ class LifecycleIndex(BatchSearchMixin):
             seed: build seed of the rebuild branch (default
                 ``config.build_seed``); a fold continues the base's
                 own level stream.
-            n_workers: build parallelism of the rebuild branch (default
-                ``config.n_workers``).
             on_stage: optional hook called with ``"cut"``, ``"build"``,
                 ``"install"`` as the compaction passes each stage —
                 the chaos harness's fault-injection point.
@@ -474,8 +475,6 @@ class LifecycleIndex(BatchSearchMixin):
                 progress.
         """
         seed = self.config.build_seed if seed is None else int(seed)
-        n_workers = (self.config.n_workers if n_workers is None
-                     else int(n_workers))
         started = self.clock.monotonic()
         with self._lock:
             if self._compacting:
@@ -527,8 +526,7 @@ class LifecycleIndex(BatchSearchMixin):
                 # Measured (EXPERIMENTS.md, "Where a fold stops paying"):
                 # a fold is never slower, but from half the base removed
                 # its one-hop repair pool thins and recall trails a build.
-                new_base = build_like(base, vectors, new_table,
-                                      seed=seed, n_workers=n_workers)
+                new_base = build_like(base, vectors, new_table, seed=seed)
             else:
                 new_base = fold(base, keep, vectors, new_table)
             # Freeze here, off the reader path: the frozen view is a

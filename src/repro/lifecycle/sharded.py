@@ -103,7 +103,6 @@ class ShardedLifecycleIndex:
         params=None,
         metric="l2",
         seed: int = 0,
-        n_workers: int = 1,
         config: LifecycleConfig | None = None,
         clock: Clock | None = None,
     ) -> "ShardedLifecycleIndex":
@@ -148,8 +147,7 @@ class ShardedLifecycleIndex:
             sub_table = build_table(schema, [rows[i] for i in bucket])
             shard = LifecycleIndex.build(
                 sub_vectors, sub_table, params=params, metric=metric,
-                seed=seed, n_workers=n_workers, config=sharded.config,
-                clock=clock,
+                seed=seed, config=sharded.config, clock=clock,
             )
             shards.append(shard)
             rev: dict[int, int] = {}
@@ -267,7 +265,6 @@ class ShardedLifecycleIndex:
         self,
         max_live: int,
         seed: int = 0,
-        n_workers: int = 1,
     ) -> dict | None:
         """Split the hottest shard when it outgrows ``max_live``.
 
@@ -280,11 +277,9 @@ class ShardedLifecycleIndex:
         hottest = int(np.argmax(sizes))
         if sizes[hottest] <= max_live:
             return None
-        return self.split_shard(hottest, seed=seed, n_workers=n_workers)
+        return self.split_shard(hottest, seed=seed)
 
-    def split_shard(
-        self, shard_idx: int, seed: int = 0, n_workers: int = 1
-    ) -> dict:
+    def split_shard(self, shard_idx: int, seed: int = 0) -> dict:
         """Split shard ``shard_idx`` at its live median route-key value."""
         shard = self.shards[shard_idx]
         rev = self._rev[shard_idx]
@@ -336,7 +331,7 @@ class ShardedLifecycleIndex:
             )
             half = LifecycleIndex.build(
                 vectors, table, params=shard._base.params,
-                metric=shard.metric, seed=seed, n_workers=n_workers,
+                metric=shard.metric, seed=seed,
                 config=self.config, clock=self.clock,
             )
             halves.append(half)

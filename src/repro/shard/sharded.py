@@ -85,24 +85,20 @@ def _default_build_shard(
     seed,
     acorn1_m: int,
     acorn1_ef_construction: int,
-    n_workers: int = 1,
 ) -> Callable[[np.ndarray, AttributeTable], AcornIndex]:
     """The per-shard index factory for a named ACORN variant."""
     if variant == "acorn":
         return lambda vectors, table: AcornIndex.build(
             vectors, table, params=params, metric=metric, seed=seed,
-            n_workers=n_workers,
         )
     if variant == "acorn1":
         return lambda vectors, table: AcornOneIndex.build(
             vectors, table, m=acorn1_m,
             ef_construction=acorn1_ef_construction, metric=metric, seed=seed,
-            n_workers=n_workers,
         )
     if variant == "flat":
         return lambda vectors, table: FlatAcornIndex.build(
             vectors, table, params=params, metric=metric, seed=seed,
-            n_workers=n_workers,
         )
     raise ValueError(
         f"unknown variant {variant!r}; choose acorn, acorn1, or flat"
@@ -253,8 +249,6 @@ class ShardedAcornIndex(BatchSearchMixin):
         scale_ef: bool = False,
         resilience: ResiliencePolicy | None = None,
         shard_workers: int | None = None,
-        build_workers: int = 1,
-        n_workers: int = 1,
         route_policy: str | None = None,
         executor: str = "thread",
         process_pool=None,
@@ -280,14 +274,6 @@ class ShardedAcornIndex(BatchSearchMixin):
             scale_ef: forwarded to the instance (see class docs).
             resilience: forwarded to the instance (see class docs).
             shard_workers: forwarded to the instance (see class docs).
-            build_workers: shards built concurrently.  Shard inputs are
-                disjoint and each build is self-contained, so any value
-                produces shard-by-shard identical graphs; results are
-                collected in shard order regardless of completion order.
-            n_workers: per-shard construction parallelism, forwarded to
-                the variant's ``build`` (ignored when ``build_shard`` is
-                supplied).  1 keeps every shard on the sequential
-                reference path.
             route_policy: forwarded to the instance (see class docs).
             executor: forwarded to the instance (see class docs).
             process_pool: forwarded to the instance (see class docs).
@@ -301,22 +287,13 @@ class ShardedAcornIndex(BatchSearchMixin):
         if build_shard is None:
             build_shard = _default_build_shard(
                 variant, params, metric, seed, acorn1_m,
-                acorn1_ef_construction, n_workers=n_workers,
+                acorn1_ef_construction,
             )
         assignment = partitioner.partition(table)
-        shard_inputs = [
-            (vectors[gids], subset_table(table, gids))
+        shards = [
+            build_shard(vectors[gids], subset_table(table, gids))
             for gids in assignment.global_ids
         ]
-        if build_workers > 1 and len(shard_inputs) > 1:
-            with ThreadPoolExecutor(max_workers=build_workers) as pool:
-                futures = [
-                    pool.submit(build_shard, svecs, stable)
-                    for svecs, stable in shard_inputs
-                ]
-                shards = [f.result() for f in futures]
-        else:
-            shards = [build_shard(v, t) for v, t in shard_inputs]
         return cls(
             shards=shards, assignment=assignment, partitioner=partitioner,
             table=table, scale_ef=scale_ef, resilience=resilience,

@@ -227,10 +227,10 @@ class QuantizedStore:
     ) -> np.ndarray:
         """Quantized distances for (query, id) pairs in one pass.
 
-        Mirrors :func:`repro.core.bulkbuild._batched_distances` — row
-        ``t`` of the result is the asymmetric distance from
-        ``queries[qidx[t]]`` to code row ``ids[t]`` — so the bulk
-        builder's Phase-A GEMM rounds can run on codes unchanged.
+        Row ``t`` of the result is the asymmetric distance from
+        ``queries[qidx[t]]`` to code row ``ids[t]`` — the one call per
+        round the lockstep batch kernel
+        (:func:`repro.core.quantsearch.quantized_search_batch`) makes.
         """
         queries = np.asarray(queries, dtype=np.float32)
         qidx = np.asarray(qidx)

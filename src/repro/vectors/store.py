@@ -32,6 +32,8 @@ class VectorStore:
     def from_array(cls, vectors: np.ndarray, metric: "Metric | str" = Metric.L2) -> "VectorStore":
         """Build a store holding a copy of ``vectors`` (n, d)."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
+        if not np.isfinite(vectors).all():
+            raise ValueError("vectors contain non-finite values (NaN or inf)")
         store = cls(vectors.shape[1], metric=metric, capacity=max(len(vectors), 1))
         store._data[: len(vectors)] = vectors
         store._size = len(vectors)
@@ -58,6 +60,10 @@ class VectorStore:
         vector = np.asarray(vector, dtype=np.float32).reshape(-1)
         if vector.shape[0] != self.dim:
             raise ValueError(f"vector has dim {vector.shape[0]}, store has dim {self.dim}")
+        if not np.isfinite(vector).all():
+            # NaN breaks the sorted-by-distance order the graph's edge
+            # lists are kept in; refuse before the store grows.
+            raise ValueError("vector contains non-finite values (NaN or inf)")
         if self._size == self._data.shape[0]:
             grown = np.empty((self._data.shape[0] * 2, self.dim), dtype=np.float32)
             grown[: self._size] = self._data[: self._size]
@@ -65,35 +71,6 @@ class VectorStore:
         self._data[self._size] = vector
         self._size += 1
         return self._size - 1
-
-    def add_many(self, vectors: np.ndarray) -> np.ndarray:
-        """Append a block of vectors; returns their ids, shape ``(n,)``.
-
-        One grow-to-fit reallocation and one block copy instead of n
-        :meth:`add` calls — the bulk-construction pipeline registers a
-        whole dataset through this before its first wave.  Accepts a
-        single 1-D vector (one id) and empty input (empty intp array).
-        """
-        arr = np.asarray(vectors, dtype=np.float32)
-        if arr.size == 0:
-            return np.empty(0, dtype=np.intp)
-        arr = np.atleast_2d(arr)
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise ValueError(
-                f"vectors have shape {arr.shape}, store has dim {self.dim}"
-            )
-        needed = self._size + arr.shape[0]
-        if needed > self._data.shape[0]:
-            capacity = self._data.shape[0]
-            while capacity < needed:
-                capacity *= 2
-            grown = np.empty((capacity, self.dim), dtype=np.float32)
-            grown[: self._size] = self._data[: self._size]
-            self._data = grown
-        self._data[self._size : needed] = arr
-        ids = np.arange(self._size, needed, dtype=np.intp)
-        self._size = needed
-        return ids
 
     def base_norms(self) -> np.ndarray | None:
         """Cached L2 norms of the stored rows (cosine metric only).

@@ -10,6 +10,7 @@ from repro.core import (
     AcornParams,
     FlatAcornIndex,
 )
+from repro.hnsw import HnswIndex
 from repro.persistence import load_index, save_index
 from repro.predicates import Equals, RegexMatch
 from repro.routing import RoutePlanner
@@ -151,6 +152,57 @@ class TestRefusedInsert:
             with pytest.raises(ValueError, match="node 30 has no attribute"):
                 index.add(np.ones(6, dtype=np.float32))
         assert state() == before
+
+
+class TestNonFiniteInsert:
+    """A NaN / inf vector is refused before anything changes.
+
+    It used to be accepted: one ``add(np.full(dim, nan))`` on a 300-node
+    ACORN-γ index left ten ``_edge_dists`` lists unsorted (NaN breaks
+    the ``bisect`` order ``_add_reverse_edge`` relies on) and nine
+    inbound edges to a node no query can rank.
+    """
+
+    N, DIM = 300, 8
+
+    def _build(self, family, n, vectors, table):
+        if family == "hnsw":
+            return HnswIndex.build(vectors[:n], m=6, ef_construction=24,
+                                   seed=3)
+        return AcornIndex.build(
+            vectors[:n], table, seed=3,
+            params=AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24))
+
+    @pytest.mark.parametrize("family", ["acorn", "hnsw"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_add_refused_and_index_unchanged(self, family, bad):
+        gen = np.random.default_rng(24)
+        vectors = gen.standard_normal((self.N + 1, self.DIM)).astype(
+            np.float32)
+        table = AttributeTable(self.N + 1)
+        table.add_int_column("label", gen.integers(0, 3, size=self.N + 1))
+        index = self._build(family, self.N, vectors, table)
+        before = (index.graph.checksum(), len(index), len(index.store))
+        poison = np.ones(self.DIM, dtype=np.float32)
+        poison[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            index.add(poison)
+        assert (index.graph.checksum(), len(index),
+                len(index.store)) == before
+        # The level stream did not advance either: the next real insert
+        # lands where it would have on an index that never saw the row.
+        index.add(vectors[self.N])
+        whole = self._build(family, self.N + 1, vectors, table)
+        assert index.graph.checksum() == whole.graph.checksum()
+
+    @pytest.mark.parametrize("family", ["acorn", "hnsw"])
+    def test_build_refuses(self, family):
+        vectors = np.ones((12, self.DIM), dtype=np.float32)
+        vectors[7, 3] = np.nan
+        table = AttributeTable(12)
+        table.add_int_column("label", [0] * 12)
+        with pytest.raises(ValueError, match="non-finite"):
+            self._build(family, 12, vectors, table)
 
 
 class TestPersistenceErrors:

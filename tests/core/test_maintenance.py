@@ -5,7 +5,6 @@ import pytest
 
 from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornOneIndex, AcornParams
-from repro.core.bulkbuild import graph_checksum
 from repro.core.maintenance import rebuild
 from repro.predicates import Equals, TruePredicate
 
@@ -93,11 +92,9 @@ class TestRebuild:
         assert len(new_index) == n - 1
         assert id_map[0] == -1
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_rebuild_acorn_one_honours_n_workers(self, n_workers):
-        """ACORN-1 rebuilds take the builder ``n_workers`` selects, as
-        γ and flat always did (before PR 22 the argument was dropped and
-        ACORN-1 always rebuilt sequentially)."""
+    def test_rebuild_acorn_one_equals_direct_build(self):
+        """An ACORN-1 rebuild is the graph a direct build of the live
+        subset produces, edge for edge."""
         gen = np.random.default_rng(3)
         n = 160
         vectors = gen.standard_normal((n, 6)).astype(np.float32)
@@ -107,13 +104,12 @@ class TestRebuild:
                                     seed=0)
         for victim in (0, 9, 77):
             index.mark_deleted(victim)
-        new_index, id_map = rebuild(index, seed=1, n_workers=n_workers)
+        new_index, id_map = rebuild(index, seed=1)
         keep = np.flatnonzero(id_map >= 0)
         direct = AcornOneIndex.build(
-            vectors[keep], new_index.table, m=8, ef_construction=24,
-            seed=1, n_workers=n_workers,
+            vectors[keep], new_index.table, m=8, ef_construction=24, seed=1,
         )
-        assert graph_checksum(new_index.graph) == graph_checksum(direct.graph)
+        assert new_index.graph.checksum() == direct.graph.checksum()
         new_index.graph.validate()
 
     def test_rebuild_without_deletions_is_copy(self, deleted_world):

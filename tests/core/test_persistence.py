@@ -103,8 +103,6 @@ class TestAcornRoundtrip:
                                                       kind):
         """The level stream survives the round trip: 20 adds after a load
         build the graph 20 adds on the never-saved index build."""
-        from repro.core.bulkbuild import graph_checksum
-
         vectors, table = world
         head, tail = vectors[:-20], vectors[-20:]
         if kind == "acorn":
@@ -122,7 +120,7 @@ class TestAcornRoundtrip:
         for vector in tail:
             index.add(vector)
             restored.add(vector)
-        assert graph_checksum(restored.graph) == graph_checksum(index.graph)
+        assert restored.graph.checksum() == index.graph.checksum()
 
     def test_archive_without_level_stream_still_loads(self, world, index,
                                                       tmp_path):

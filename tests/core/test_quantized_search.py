@@ -215,33 +215,6 @@ class TestQuantizedMaintenance:
         assert 205 in res.ids
 
 
-class TestBulkBuildQuantized:
-    def test_parallel_quantized_build_searches(self, world, acorn_params):
-        vectors, table, queries, predicates = world
-        index = AcornIndex.build(vectors, table, params=acorn_params, seed=0,
-                                 n_workers=2, quantization="sq8")
-        pre = PreFilterSearcher(vectors, table)
-        truths = [pre.search(q, p, K).ids
-                  for q, p in zip(queries, predicates)]
-        recall = mean_recall(
-            [index.search(q, p, K, ef_search=48)
-             for q, p in zip(queries, predicates)], truths)
-        assert recall >= 0.7
-
-    def test_parallel_float_build_unaffected(self, world, acorn_params):
-        """An unquantized parallel build must not consult the codec."""
-        vectors, table, queries, predicates = world
-        a = AcornIndex.build(vectors, table, params=acorn_params, seed=0,
-                             n_workers=2)
-        b = AcornIndex.build(vectors, table, params=acorn_params, seed=0,
-                             n_workers=2)
-        for q, p in zip(queries, predicates):
-            np.testing.assert_array_equal(
-                a.search(q, p, K, ef_search=32).ids,
-                b.search(q, p, K, ef_search=32).ids,
-            )
-
-
 class TestLockstepBatch:
     @pytest.fixture(scope="class")
     def index(self, world, acorn_params):

@@ -97,3 +97,38 @@ class TestValidate:
         graph.set_neighbors(0, 1, [1])  # node 1 only exists on level 0
         with pytest.raises(AssertionError, match="absent"):
             graph.validate()
+
+
+class TestGraphChecksum:
+    """``checksum()`` is the equality every byte-identity test asserts
+    (the digests themselves are pinned by
+    ``tests/hnsw/test_live_kernel.py::test_golden_build_pins``)."""
+
+    @staticmethod
+    def _linked():
+        g = LayeredGraph()
+        g.add_node(0, 2)
+        g.add_node(1, 0)
+        g.add_node(2, 1)
+        g.entry_point = 0
+        g.set_neighbors(0, 0, [2, 1])
+        g.set_neighbors(1, 0, [0])
+        g.set_neighbors(2, 0, [0, 1])
+        g.set_neighbors(0, 1, [2])
+        g.set_neighbors(2, 1, [0])
+        return g
+
+    def test_identical_builds_share_checksum(self):
+        assert self._linked().checksum() == self._linked().checksum()
+
+    def test_checksum_sees_single_edge_change(self):
+        before = self._linked().checksum()
+        dropped = self._linked()
+        dropped.set_neighbors(2, 0, [0])
+        reordered = self._linked()
+        reordered.set_neighbors(0, 0, [1, 2])   # list order is semantic
+        moved_entry = self._linked()
+        moved_entry.entry_point = 2
+        digests = {before, dropped.checksum(), reordered.checksum(),
+                   moved_entry.checksum()}
+        assert len(digests) == 4

@@ -25,7 +25,6 @@ import repro.core.acorn as acorn_module
 import repro.hnsw.hnsw as hnsw_module
 from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornOneIndex, AcornParams, FlatAcornIndex
-from repro.core.bulkbuild import graph_checksum
 from repro.hnsw import HnswIndex
 from repro.hnsw.scratch import TraversalScratch, thread_scratch
 from repro.hnsw.traversal import search_live_level
@@ -287,7 +286,7 @@ def _family_builds(vectors, table, metric):
 def _fingerprint(build):
     before = GLOBAL_TALLY.total
     index = build()
-    return (graph_checksum(index.graph), index.nbytes(),
+    return (index.graph.checksum(), index.nbytes(),
             GLOBAL_TALLY.total - before)
 
 
@@ -314,11 +313,11 @@ class TestBuildIdentity:
         grown = AcornIndex.build(vectors[:100], table, params=PARAMS, seed=2)
         for vector in vectors[100:]:
             grown.add(vector)
-        assert graph_checksum(grown.graph) == graph_checksum(whole.graph)
+        assert grown.graph.checksum() == whole.graph.checksum()
 
 
 # Recorded from the parent commit (the ``search_layer`` insert loop)
-# before the live kernel existed: (graph_checksum, nbytes, build distance
+# before the live kernel existed: (graph.checksum(), nbytes, build distance
 # computations).  The pin world's coordinates are multiples of 1/8, so
 # every dot product and squared difference is exact in float32 whatever
 # the summation order — the pins do not depend on the BLAS or SIMD width

@@ -130,8 +130,7 @@ class TestCompactionEqualsRebuild:
     byte for byte.  (Insert-only folds are byte-identical too, and folds
     with deletes are not: ``test_fold_compaction.py``.)"""
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_identical_graphs_and_id_map(self, n_workers):
+    def test_identical_graphs_and_id_map(self):
         seed = 7
         vectors, table, rng = make_world(29, 24)
         lc = LifecycleIndex.build(vectors, table, params=PARAMS, seed=seed)
@@ -152,11 +151,9 @@ class TestCompactionEqualsRebuild:
         )
         for ext in sorted(oracle.deleted):
             offline.mark_deleted(ext)
-        rebuilt, offline_map = rebuild(
-            offline, seed=seed, n_workers=n_workers
-        )
+        rebuilt, offline_map = rebuild(offline, seed=seed)
 
-        report = lc.compact(seed=seed, n_workers=n_workers)
+        report = lc.compact(seed=seed)
         assert graph_fingerprint(lc._base) == graph_fingerprint(rebuilt)
         assert np.array_equal(report.id_map, offline_map)
 

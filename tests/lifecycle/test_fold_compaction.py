@@ -259,6 +259,24 @@ class TestEdgeCuts:
         self._settle(lc, oracle, queries)  # 11 of 21 gone: survivors 10
         assert branches == ["fold", "build_like"]
 
+    def test_non_finite_insert_is_refused_before_the_delta(self, branches):
+        """A NaN row used to sit in the delta and poison the base only
+        at the next fold; now ``insert`` refuses it and nothing moves."""
+        lc, oracle, rng, queries = self._world()
+        apply_ops(lc, oracle, ops_tape(rng, 40, 4, delete_fraction=0.0))
+        before = (lc.next_external_id, lc.delta_size(), lc.current_epoch,
+                  len(lc))
+        for bad in (np.nan, np.inf):
+            poison = np.ones(DIM, dtype=np.float32)
+            poison[1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                lc.insert(poison, {"v": 1})
+        assert (lc.next_external_id, lc.delta_size(), lc.current_epoch,
+                len(lc)) == before
+        apply_ops(lc, oracle, ops_tape(rng, 44, 2, delete_fraction=0.0))
+        self._settle(lc, oracle, queries)
+        assert branches == ["fold"]
+
     def test_deletes_only_empty_delta(self, branches):
         lc, oracle, rng, queries = self._world()
         apply_ops(lc, oracle, [("delete", i) for i in (0, 7, 8, 21, 39)])
@@ -408,3 +426,17 @@ class TestFoldDeterminism:
         # A crash may re-publish the old state, so epochs can differ;
         # the graphs and their id spaces may not.
         assert [p[1:] for p in crashed] == [p[1:] for p in clean]
+
+
+class TestInertBuildOption:
+    """``LifecycleConfig.n_workers`` outlived the wave builder only
+    because the frozen ``benchmarks/e2e/workloads.py`` passes
+    ``n_workers=1``; nothing reads it, so no other value is accepted."""
+
+    def test_one_still_constructs(self):
+        assert LifecycleConfig(n_workers=1) == LifecycleConfig()
+
+    @pytest.mark.parametrize("value", [0, 2, 4])
+    def test_any_other_value_raises(self, value):
+        with pytest.raises(ValueError, match="n_workers must be 1"):
+            LifecycleConfig(n_workers=value)

@@ -19,6 +19,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.attributes.table import subset_table
 from repro.core.acorn import AcornIndex, AcornOneIndex
 from repro.core.flat import FlatAcornIndex
 from repro.core.params import AcornParams
@@ -150,6 +151,22 @@ def test_single_shard_matches_at_any_effort(variant):
                 got = sharded.search(query, predicate, K, ef_search=ef)
                 assert np.array_equal(got.ids, expected.ids)
                 assert np.allclose(got.distances, expected.distances)
+
+
+def test_four_shards_equal_each_shard_built_alone():
+    """One construction path: the sharded build is nothing but
+    ``AcornIndex.build`` over each shard's rows, in shard order."""
+    vectors, table = _world
+    sharded = ShardedAcornIndex.build(
+        vectors, table, partitioner=HashPartitioner(4, seed=1),
+        params=PARAMS, seed=SEED,
+    )
+    assert sharded.n_shards == 4
+    for shard, gids in zip(sharded.shards, sharded.assignment.global_ids):
+        alone = AcornIndex.build(vectors[gids], subset_table(table, gids),
+                                 params=PARAMS, seed=SEED)
+        assert shard.graph.checksum() == alone.graph.checksum()
+        assert len(shard) == len(alone) == gids.shape[0]
 
 
 def test_range_partitioner_prunes_selective_predicates():

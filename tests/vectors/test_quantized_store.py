@@ -28,8 +28,7 @@ def vectors():
 
 
 def make_store(vectors, kind, metric):
-    store = VectorStore(dim=16, metric=metric)
-    store.add_many(vectors)
+    store = VectorStore.from_array(vectors, metric=metric)
     config = QuantizationConfig(kind=kind, pq_subspaces=4, pq_centroids=64)
     qs = QuantizedStore(config, metric)
     qs.train(store.vectors)
@@ -142,15 +141,15 @@ class TestQuantizedStore:
         store, qs = make_store(vectors[:200], "sq8", Metric.L2)
         assert len(qs) == 200
         first_codes = qs.codes.copy()
-        store.add_many(vectors[200:])
+        for vector in vectors[200:]:
+            store.add(vector)
         qs.sync(store)
         assert len(qs) == 300
         # Already-encoded rows never shift under the frozen codec.
         np.testing.assert_array_equal(qs.codes[:200], first_codes)
 
     def test_sync_before_train_raises(self, vectors):
-        store = VectorStore(dim=16, metric=Metric.L2)
-        store.add_many(vectors)
+        store = VectorStore.from_array(vectors, metric=Metric.L2)
         qs = QuantizedStore(QuantizationConfig(), Metric.L2)
         with pytest.raises(RuntimeError, match="train"):
             qs.sync(store)

@@ -102,48 +102,76 @@ class TestNormCache:
 
 
 class TestAddMany:
+    """Block loads through ``from_array`` (then ``add``).
+
+    ``VectorStore.add_many`` went with the bulk builder (PR 24); the
+    class keeps its name so these test ids stay stable.
+    """
+
     def test_block_append_matches_scalar_adds(self):
         gen = np.random.default_rng(21)
         vectors = gen.standard_normal((17, 4)).astype(np.float32)
-        block = VectorStore(4)
-        ids = block.add_many(vectors)
+        block = VectorStore.from_array(vectors)
         scalar = VectorStore(4)
-        for vector in vectors:
-            scalar.add(vector)
-        assert ids.tolist() == list(range(17))
+        ids = [scalar.add(vector) for vector in vectors]
+        assert ids == list(range(17))
+        assert len(block) == 17
         np.testing.assert_array_equal(block.vectors, scalar.vectors)
 
     def test_empty_input(self):
-        store = VectorStore(4)
-        ids = store.add_many(np.empty((0, 4)))
-        assert ids.shape == (0,)
-        assert ids.dtype == np.intp
+        store = VectorStore.from_array(np.empty((0, 4)))
         assert len(store) == 0
+        assert store.dim == 4
+        assert store.add(np.zeros(4)) == 0
 
     def test_single_1d_vector(self):
-        store = VectorStore(3)
-        ids = store.add_many(np.array([1.0, 2.0, 3.0]))
-        assert ids.tolist() == [0]
+        store = VectorStore.from_array(np.array([1.0, 2.0, 3.0]))
+        assert len(store) == 1
         np.testing.assert_array_equal(store.get(0), [1.0, 2.0, 3.0])
 
     def test_growth_beyond_capacity(self):
+        # from_array sizes the buffer exactly, so the very next add grows.
         gen = np.random.default_rng(22)
-        store = VectorStore(2)
-        store.add(np.zeros(2, dtype=np.float32))
-        ids = store.add_many(gen.standard_normal((100, 2)).astype(np.float32))
-        assert ids.tolist() == list(range(1, 101))
-        assert len(store) == 101
+        vectors = gen.standard_normal((100, 2)).astype(np.float32)
+        store = VectorStore.from_array(vectors[:1])
+        ids = [store.add(vector) for vector in vectors[1:]]
+        assert ids == list(range(1, 100))
+        np.testing.assert_array_equal(store.vectors, vectors)
 
     def test_rejects_wrong_dim(self):
-        store = VectorStore(4)
-        with pytest.raises(ValueError):
-            store.add_many(np.zeros((3, 5), dtype=np.float32))
+        store = VectorStore.from_array(np.zeros((3, 5), dtype=np.float32))
+        with pytest.raises(ValueError, match="dim"):
+            store.add(np.zeros(4, dtype=np.float32))
+        assert len(store) == 3
 
     def test_cosine_norms_cover_block(self):
         gen = np.random.default_rng(23)
-        store = VectorStore(4, metric="cosine")
         vectors = gen.standard_normal((9, 4)).astype(np.float32)
-        store.add_many(vectors)
+        store = VectorStore.from_array(vectors, metric="cosine")
         np.testing.assert_array_equal(
             store.base_norms(), np.linalg.norm(vectors, axis=1)
         )
+
+
+class TestNonFinite:
+    """NaN / inf never enter a store: NaN breaks the distance order the
+    graph's edge lists are kept in (ISSUE 24)."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_add_rejects_and_leaves_store_unchanged(self, bad):
+        store = VectorStore(4)
+        store.add(np.ones(4, dtype=np.float32))
+        before = store.vectors.copy()
+        vector = np.ones(4, dtype=np.float32)
+        vector[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            store.add(vector)
+        assert len(store) == 1
+        np.testing.assert_array_equal(store.vectors, before)
+        assert store.add(np.zeros(4, dtype=np.float32)) == 1
+
+    def test_from_array_rejects(self):
+        data = np.ones((3, 4), dtype=np.float32)
+        data[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            VectorStore.from_array(data)
