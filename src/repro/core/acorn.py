@@ -15,7 +15,6 @@ and recovers density at search time via full 2-hop expansion.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import threading
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from repro.attributes.table import AttributeTable
 from repro.core import construction as cons
 from repro.core.params import AcornParams, PruningStrategy
+from repro.core.quantsearch import exact_rerank
 from repro.core.search import (
     FrozenLevel,
     assert_frozen,
@@ -109,11 +109,6 @@ class AcornIndex(BatchSearchMixin):
         self._deleted_version = 0
         self._mask_cache: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
         self._mask_cache_lock = threading.Lock()
-        # Predicate-filtered bottom-level CSRs for the lockstep
-        # quantized kernel, keyed on (mask identity, source-CSR
-        # identity); see _masked_expansion.
-        self._masked_csr_cache: dict = {}
-        self._masked_csr_lock = threading.Lock()
         # Level-0 shrink triggers: pruned indexes re-prune once a list
         # outgrows M·γ (the pruning rule's own |H| + kept budget); an
         # unpruned one keeps nearest up to 2·M·γ (mirroring HNSW's 2M
@@ -446,7 +441,13 @@ class AcornIndex(BatchSearchMixin):
         stats: TraversalStats,
         monitor=None,
     ) -> list[tuple[float, int]]:
-        """One float32 level of a frozen search, in a fresh visited scope."""
+        """One level of a frozen search, in a fresh visited scope.
+
+        ``computer`` is the distance provider that ranks the walk: the
+        exact computer, or a quantized index's
+        :class:`~repro.vectors.quantized_store.QuantizedComputer` on
+        level 0 (:meth:`_search_bottom_quantized`).
+        """
         scratch = thread_scratch(len(self.store))
         csr = self._level_csr(level)
         if csr is not None:
@@ -549,32 +550,22 @@ class AcornIndex(BatchSearchMixin):
         tstats: TraversalStats,
         monitor,
     ) -> SearchResult:
-        """Quantized bottom-level beam search + exact rerank tail.
+        """Level 0 ranked by codes, then the exact rerank tail.
 
         The descent already ran in float32 (few, high-leverage
-        distances); only the bottom-level traversal — where nearly all
-        evaluations happen — ranks by quantized distances.
+        distances); level 0 — where nearly all evaluations happen — is
+        the float path's own :meth:`_search_level` walk with the
+        quantized computer as its distance provider.
         """
-        from repro.core.quantsearch import exact_rerank, quantized_search_layer
-
         qcomp = qstore.computer()
-        qcomp.set_query(query)
-        seed_ids = np.unique(
-            np.asarray([nid for _, nid in entry_points], dtype=np.intp)
-        )
-        seed_dists = qcomp.distances(seed_ids)
-        # Without a candidate CSR the kernel falls back to neighbor_fn.
-        indptr, indices = self._level_csr(0) or (None, None)
-        found_ids, _ = quantized_search_layer(
-            qcomp, seed_ids, seed_dists, ef,
-            indptr=indptr, indices=indices, mask=mask,
-            neighbor_fn=self._neighbor_fn(0, mask),
-            num_ids=self._adjacency()[0].num_ids,
-            stats=tstats, monitor=monitor,
-        )
+        seed_ids = np.asarray([nid for _, nid in entry_points], dtype=np.intp)
+        seeds = list(zip(qcomp.distances_to(query, seed_ids).tolist(),
+                         seed_ids.tolist()))
+        found = self._search_level(qcomp, query, seeds, ef, 0, mask, tstats,
+                                   monitor)
         # Seeds may fail the predicate; everything else was
         # mask-filtered before scoring.
-        passing = found_ids[mask[found_ids]]
+        passing = [nid for _, nid in found if mask[nid]]
         rf = self.quantization.rerank_factor
         ids, dists, n_rerank = exact_rerank(
             computer, query, passing, k, rerank_budget(k, rf)
@@ -585,193 +576,6 @@ class AcornIndex(BatchSearchMixin):
             quantized_distances=qcomp.count,
             rerank_distances=n_rerank, rerank_factor=rf,
         )
-
-    def _masked_expansion(
-        self, indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The bottom-level candidate CSR restricted to one predicate.
-
-        Materializing the predicate subgraph's candidate lists once per
-        distinct mask shrinks every lockstep gather by the predicate's
-        selectivity (and drops the per-round mask lookup entirely);
-        int32 indices halve the remaining memory traffic.  Cached keyed
-        on (mask *content* digest, source-CSR identity) — content
-        rather than object identity so re-compiling the same predicate
-        (a fresh but equal mask array) still hits — with the source
-        ``indices`` array pinned to guard against id reuse.
-        """
-        key = (hashlib.sha1(mask.tobytes()).digest(), id(indices))
-        with self._masked_csr_lock:
-            hit = self._masked_csr_cache.get(key)
-            if hit is not None and hit[0] is indices:
-                return hit[1], hit[2]
-        kept = mask[indices]
-        cumulative = np.zeros(indices.size + 1, dtype=np.int64)
-        np.cumsum(kept, out=cumulative[1:])
-        f_indptr = cumulative[indptr]
-        f_indices = indices[kept].astype(np.int32, copy=False)
-        with self._masked_csr_lock:
-            if len(self._masked_csr_cache) >= 8:
-                self._masked_csr_cache.pop(
-                    next(iter(self._masked_csr_cache))
-                )
-            self._masked_csr_cache[key] = (indices, f_indptr, f_indices)
-        return f_indptr, f_indices
-
-    def search_batch_quantized(
-        self,
-        queries: np.ndarray,
-        predicates,
-        k: int,
-        ef_search: int = 64,
-        beam: int | None = None,
-    ) -> list[SearchResult]:
-        """Answer a whole batch on the quantized hot path in lockstep.
-
-        The per-query :meth:`search` already ranks the bottom level by
-        quantized distances; this method additionally amortizes the
-        traversal's Python overhead across the batch via
-        :func:`~repro.core.quantsearch.quantized_search_batch` — each
-        round gathers every query's frontier together and evaluates one
-        batched code-distance call.  Descents stay per-query
-        float32 (few, high-leverage distances), and each query gets the
-        standard exact-rerank tail.
-
-        Deterministic: each query's walk reads only its own frontier
-        and eligibility row, so results depend on the frozen index and
-        the query alone — two runs over the same batch are identical.
-
-        Args:
-            queries: ``(nq, dim)`` float32 query matrix.
-            predicates: one ``Predicate`` / ``CompiledPredicate`` per
-                query.
-            k: neighbors per query.
-            ef_search: dynamic-list size (clamped up to ``k``).
-            beam: frontier nodes expanded per lockstep round; ``None``
-                uses the kernel default.
-
-        Returns:
-            One :class:`~repro.hnsw.hnsw.SearchResult` per query, with
-            the same counters the per-query quantized path reports.
-
-        Raises:
-            RuntimeError: when quantization is not enabled.
-        """
-        from repro.core.quantsearch import exact_rerank, quantized_search_batch
-
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim != 2:
-            raise ValueError(
-                f"queries must be a 2-D (nq, dim) matrix, got shape "
-                f"{queries.shape}"
-            )
-        predicates = list(predicates)
-        if len(predicates) != queries.shape[0]:
-            raise ValueError(
-                f"{queries.shape[0]} queries but {len(predicates)} predicates"
-            )
-        qstore = self._quant_store()
-        if qstore is None:
-            raise RuntimeError(
-                "search_batch_quantized requires quantization to be "
-                "enabled on the index (build with quantization=... or "
-                "call enable_quantization)"
-            )
-        nq = queries.shape[0]
-        if nq == 0 or len(self.graph) == 0:
-            return [SearchResult.empty() for _ in range(nq)]
-        compiled = [self._compile(p) for p in predicates]
-        masks = [self._effective_mask(c.mask) for c in compiled]
-        csr = self._level_csr(0)
-        if csr is None:
-            # No materialized CSR (dynamic-expansion fallback): the
-            # lockstep kernel needs one, so fall back to per-query
-            # quantized searches.
-            return [
-                self.search(queries[i], compiled[i], k, ef_search=ef_search)
-                for i in range(nq)
-            ]
-        indptr, indices = csr
-
-        ef = max(ef_search, k)
-        computer = self.store.computer()
-        computer.defer_counts()
-        try:
-            tstats = [TraversalStats() for _ in range(nq)]
-            descent_counts = np.zeros(nq, dtype=np.int64)
-            seed_nodes = np.empty(nq, dtype=np.int64)
-            entry = self.graph.entry_point
-            top = self.graph.node_level(entry)
-            for i in range(nq):
-                before = computer.count
-                query = computer.set_query(queries[i])
-                best = (computer.distance_one(query, entry), entry)
-                tstats[i].visited += 1
-                for lev in range(top, 0, -1):
-                    best = self._search_level(
-                        computer, query, [best], 1, lev, masks[i], tstats[i],
-                    )[0]
-                seed_nodes[i] = best[1]
-                descent_counts[i] = computer.count - before
-
-            # Lockstep per mask group: queries sharing a predicate run
-            # over one predicate-filtered CSR (built once, cached), so
-            # every gather is already selectivity-narrow and needs no
-            # per-round mask lookup.
-            num_ids = self._adjacency()[0].num_ids
-            groups: dict[bytes, list[int]] = {}
-            for i, m in enumerate(masks):
-                groups.setdefault(hashlib.sha1(m.tobytes()).digest(),
-                                  []).append(i)
-            res_ids = np.full((nq, ef), -1, dtype=np.int64)
-            hops = np.zeros(nq, dtype=np.int64)
-            visited = np.zeros(nq, dtype=np.int64)
-            qevals = np.zeros(nq, dtype=np.int64)
-            for members in groups.values():
-                sel = np.asarray(members, dtype=np.intp)
-                f_indptr, f_indices = self._masked_expansion(
-                    indptr, indices, masks[members[0]]
-                )
-                eligible = np.ones((sel.size, num_ids), dtype=bool)
-                kernel_kwargs = {} if beam is None else {"beam": int(beam)}
-                g_ids, _g_dists, g_hops, g_vis, g_qe = (
-                    quantized_search_batch(
-                        qstore, queries[sel], seed_nodes[sel], ef,
-                        f_indptr, f_indices, eligible, **kernel_kwargs,
-                    )
-                )
-                res_ids[sel] = g_ids
-                hops[sel] = g_hops
-                visited[sel] = g_vis
-                qevals[sel] = g_qe
-
-            rf = self.quantization.rerank_factor
-            budget = rerank_budget(k, rf)
-            results = []
-            for i in range(nq):
-                row = res_ids[i]
-                found_ids = row[row >= 0]
-                passing = found_ids[masks[i][found_ids]]
-                before = computer.count
-                ids, dists, n_rerank = exact_rerank(
-                    computer, queries[i], passing, k, budget
-                )
-                results.append(SearchResult(
-                    ids=ids, distances=dists,
-                    distance_computations=(
-                        int(descent_counts[i]) + (computer.count - before)
-                    ),
-                    hops=tstats[i].hops + int(hops[i]),
-                    visited_nodes=tstats[i].visited + int(visited[i]),
-                    quantized_distances=int(qevals[i]),
-                    rerank_distances=n_rerank,
-                    rerank_factor=rf,
-                ))
-        finally:
-            computer.flush_counts()
-        return results
 
     def _effective_mask(self, mask: np.ndarray) -> np.ndarray:
         """The predicate mask with tombstones composed in, cached.

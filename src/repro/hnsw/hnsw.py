@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.quantsearch import exact_rerank
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.heuristics import select_neighbors_heuristic
 from repro.hnsw.levels import LevelGenerator
@@ -22,6 +23,7 @@ from repro.hnsw.traversal import (
 from repro.telemetry import SearchResult
 from repro.vectors.distance import DistanceComputer, Metric
 from repro.vectors.quantized_store import (
+    QuantizedComputer,
     QuantizedStore,
     rerank_budget,
     resolve_quantization,
@@ -263,38 +265,6 @@ class HnswIndex:
         self._quant.sync(self.store)
         return self._quant
 
-    def _search_quantized(
-        self,
-        computer: DistanceComputer,
-        qstore: QuantizedStore,
-        query: np.ndarray,
-        ef: int,
-        stats: TraversalStats | None = None,
-    ):
-        """Float32 descent + quantized beam search on level 0.
-
-        Returns ``(candidate_ids, qcomp)``: candidates in ascending
-        quantized-distance order plus the quantized computer (for its
-        evaluation count).  The exact rerank tail is the caller's.
-        """
-        from repro.core.quantsearch import quantized_search_layer
-
-        frozen = self._adjacency()
-        best = self._descend(computer, query)
-        qcomp = qstore.computer()
-        qcomp.set_query(query)
-        level0 = frozen[0]
-        seed_ids = np.asarray([best[1]], dtype=np.intp)
-        seed_dists = qcomp.distances(seed_ids)
-        if stats is not None:
-            stats.visited += 1
-        found_ids, _ = quantized_search_layer(
-            qcomp, seed_ids, seed_dists, ef,
-            indptr=level0.indptr, indices=level0.indices,
-            num_ids=level0.num_ids, stats=stats,
-        )
-        return found_ids, qcomp
-
     def search(self, query: np.ndarray, k: int, ef_search: int = 64) -> SearchResult:
         """K-nearest-neighbor search (paper Algorithm 1).
 
@@ -310,34 +280,33 @@ class HnswIndex:
             return SearchResult.empty()
         computer = self.store.computer()
         qstore = self._quant_store()
+        qcomp = None if qstore is None else qstore.computer()
         computer.defer_counts()
         try:
             query = computer.set_query(query)
-            if qstore is not None:
-                from repro.core.quantsearch import exact_rerank
-
-                tstats = TraversalStats()
-                cand_ids, qcomp = self._search_quantized(
-                    computer, qstore, query, max(ef_search, k), stats=tstats,
-                )
-                rf = self.quantization.rerank_factor
-                ids, dists, n_rerank = exact_rerank(
-                    computer, query, cand_ids, k, rerank_budget(k, rf)
-                )
-                return SearchResult(
-                    ids=ids, distances=dists,
-                    distance_computations=computer.count,
+            tstats = TraversalStats()
+            found = self._search_candidates(
+                computer, query, max(ef_search, k), tstats, qcomp,
+            )
+            if qcomp is None:
+                return SearchResult.from_pairs(
+                    found[:k], distance_computations=computer.count,
                     hops=tstats.hops, visited_nodes=tstats.visited,
-                    quantized_distances=qcomp.count,
-                    rerank_distances=n_rerank, rerank_factor=rf,
                 )
-            found = self._search_candidates(computer, query, max(ef_search, k))
+            rf = self.quantization.rerank_factor
+            ids, dists, n_rerank = exact_rerank(
+                computer, query, [nid for _, nid in found], k,
+                rerank_budget(k, rf),
+            )
+            return SearchResult(
+                ids=ids, distances=dists,
+                distance_computations=computer.count,
+                hops=tstats.hops, visited_nodes=tstats.visited,
+                quantized_distances=qcomp.count,
+                rerank_distances=n_rerank, rerank_factor=rf,
+            )
         finally:
             computer.flush_counts()
-        top = found[:k]
-        return SearchResult.from_pairs(
-            top, distance_computations=computer.count
-        )
 
     def search_candidates(
         self, query: np.ndarray, ef_search: int
@@ -353,49 +322,67 @@ class HnswIndex:
             return [], 0
         computer = self.store.computer()
         qstore = self._quant_store()
+        qcomp = None if qstore is None else qstore.computer()
         computer.defer_counts()
         try:
             query = computer.set_query(query)
-            if qstore is not None:
-                from repro.core.quantsearch import exact_rerank
-
-                cand_ids, _ = self._search_quantized(
-                    computer, qstore, query, ef_search,
-                )
+            found = self._search_candidates(
+                computer, query, ef_search, TraversalStats(), qcomp,
+            )
+            if qcomp is not None:
                 ids, dists, _ = exact_rerank(
-                    computer, query, cand_ids,
-                    k=cand_ids.size, budget=cand_ids.size,
+                    computer, query, [nid for _, nid in found],
+                    k=len(found), budget=len(found),
                 )
                 found = list(zip(dists.tolist(), ids.tolist()))
-            else:
-                found = self._search_candidates(computer, query, ef_search)
         finally:
             computer.flush_counts()
         return found, computer.count
 
     def _descend(
-        self, computer: DistanceComputer, query: np.ndarray
+        self,
+        computer: DistanceComputer,
+        query: np.ndarray,
+        stats: TraversalStats,
     ) -> tuple[float, int]:
         """Greedy ef=1 descent over the frozen upper levels."""
         frozen = self._adjacency()
         scratch = thread_scratch(len(self.store))
         entry = self.graph.entry_point
         best = (computer.distance_one(query, entry), entry)
+        stats.visited += 1
         for lev in range(self.graph.node_level(entry), 0, -1):
             best = search_frozen_level(
                 computer, query, [best], 1, frozen[lev].indptr,
-                frozen[lev].indices, self._all_pass, scratch,
+                frozen[lev].indices, self._all_pass, scratch, stats=stats,
             )[0]
         return best
 
     def _search_candidates(
-        self, computer: DistanceComputer, query: np.ndarray, ef: int
+        self,
+        computer: DistanceComputer,
+        query: np.ndarray,
+        ef: int,
+        stats: TraversalStats,
+        qcomp: QuantizedComputer | None = None,
     ) -> list[tuple[float, int]]:
-        best = self._descend(computer, query)
+        """Float32 descent, then the level-0 walk.
+
+        Level 0 is ranked by ``qcomp`` on a quantized index (its
+        distances are quantized; the exact rerank is the caller's) and
+        by ``computer`` otherwise — one walk, two distance providers.
+        """
+        best = self._descend(computer, query, stats)
+        stats.visited += 1
+        ranker = computer
+        if qcomp is not None:
+            ranker = qcomp
+            seed = np.asarray([best[1]], dtype=np.intp)
+            best = (float(qcomp.distances_to(query, seed)[0]), best[1])
         level0 = self._adjacency()[0]
         return search_frozen_level(
-            computer, query, [best], ef, level0.indptr, level0.indices,
-            self._all_pass, thread_scratch(len(self.store)),
+            ranker, query, [best], ef, level0.indptr, level0.indices,
+            self._all_pass, thread_scratch(len(self.store)), stats=stats,
         )
 
     # ------------------------------------------------------------------

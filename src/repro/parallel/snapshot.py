@@ -383,8 +383,6 @@ def materialize(spec: IndexSpec, arrays, prefix: str = ""):
     index._deleted_version = 0
     index._mask_cache = {}
     index._mask_cache_lock = threading.Lock()
-    index._masked_csr_cache = {}
-    index._masked_csr_lock = threading.Lock()
     return index
 
 

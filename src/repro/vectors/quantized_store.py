@@ -5,8 +5,10 @@ gathers full float32 rows just to rank candidates whose final distances
 are recomputed exactly anyway.  This module keeps a contiguous uint8
 code array (SQ8 or PQ) aligned row-for-row with the float store and
 serves *asymmetric* distances from it — the query stays float32, the
-base side is read as codes — so beam search touches 4x (SQ8) to
-``dim/n_subspaces``x (PQ) less base memory per hop.
+base side is read as codes — so the level-0 walk touches 4x (SQ8) to
+``dim/n_subspaces``x (PQ) less base memory per hop.  (At the dims this
+repo runs, the walk is bound by Python per hop, not by memory: the
+codes measure slower than float32 there — ``docs/quantization.md``.)
 
 Distances are decode-free:
 
@@ -222,55 +224,6 @@ class QuantizedStore:
             raise RuntimeError("QuantizedStore has no codes; train + sync")
         return QuantizedComputer(self)
 
-    def batched_distances(
-        self, queries: np.ndarray, qidx: np.ndarray, ids: np.ndarray
-    ) -> np.ndarray:
-        """Quantized distances for (query, id) pairs in one pass.
-
-        Row ``t`` of the result is the asymmetric distance from
-        ``queries[qidx[t]]`` to code row ``ids[t]`` — the one call per
-        round the lockstep batch kernel
-        (:func:`repro.core.quantsearch.quantized_search_batch`) makes.
-        """
-        queries = np.asarray(queries, dtype=np.float32)
-        qidx = np.asarray(qidx)
-        ids = np.asarray(ids)
-        if ids.size == 0:
-            return np.empty(0, dtype=np.float32)
-        codec = self.codec
-        if self.config.kind == "sq8":
-            rows = self.codes[ids].astype(np.float32)
-            if self.metric is Metric.L2:
-                shifted = (queries - codec.min) * codec.scale
-                q_sq = np.einsum("ij,ij->i", queries - codec.min,
-                                 queries - codec.min)
-                cross = np.einsum("ij,ij->i", rows, shifted[qidx])
-                out = self._row_sq[ids] - 2.0 * cross + q_sq[qidx]
-                return np.maximum(out, 0.0)
-            w = queries * codec.scale
-            dot = (np.einsum("ij,ij->i", rows, w[qidx])
-                   + (queries @ codec.min)[qidx])
-            if self.metric is Metric.INNER_PRODUCT:
-                return -dot
-            qn = np.linalg.norm(queries, axis=1)
-            denom = np.maximum(self._row_norm[ids] * qn[qidx],
-                               np.finfo(np.float32).tiny)
-            return 1.0 - dot / denom
-        # PQ: stack one ADC/dot table per query, gather per pair.
-        sub_range = np.arange(codec.n_subspaces)
-        codes = self.codes[ids]
-        if self.metric is Metric.L2:
-            tables = np.stack([codec.lookup_table(q) for q in queries])
-            return tables[qidx[:, None], sub_range[None, :], codes].sum(axis=1)
-        tables = np.stack([_pq_dot_table(codec, q) for q in queries])
-        dot = tables[qidx[:, None], sub_range[None, :], codes].sum(axis=1)
-        if self.metric is Metric.INNER_PRODUCT:
-            return -dot
-        qn = np.linalg.norm(queries, axis=1)
-        denom = np.maximum(self._row_norm[ids] * qn[qidx],
-                           np.finfo(np.float32).tiny)
-        return 1.0 - dot / denom
-
     # ------------------------------------------------------------------
     # Introspection / persistence
     # ------------------------------------------------------------------
@@ -346,14 +299,16 @@ def _pq_dot_table(codec: ProductQuantizer, query: np.ndarray) -> np.ndarray:
 class QuantizedComputer:
     """Asymmetric distances from one query to stored codes, counted.
 
-    Duck-types the slice of the :class:`DistanceComputer` protocol the
-    quantized kernel needs (``set_query`` + ``distances``) and keeps its
-    own evaluation counter — quantized evaluations are reported
-    separately (``SearchResult.quantized_distances``) from exact
-    float32 computations.
+    The distance provider of a quantized level-0 walk: it duck-types
+    :meth:`DistanceComputer.distances_to`, so
+    :func:`~repro.hnsw.traversal.search_frozen_level` (and its
+    ``search_layer`` fallback) rank by codes without knowing it.  It
+    keeps its own evaluation counter — quantized evaluations are
+    reported separately (``SearchResult.quantized_distances``) from
+    exact float32 computations.
     """
 
-    __slots__ = ("_store", "_codes", "_metric", "_kind", "count",
+    __slots__ = ("_store", "_codes", "_metric", "_kind", "count", "_query",
                  "_w", "_qconst", "_qnorm", "_table", "_sub_range")
 
     def __init__(self, store: QuantizedStore) -> None:
@@ -362,14 +317,15 @@ class QuantizedComputer:
         self._metric = store.metric
         self._kind = store.config.kind
         self.count = 0
+        self._query = None
         self._w = None
         self._qconst = 0.0
         self._qnorm = 0.0
         self._table = None
         self._sub_range = None
 
-    def set_query(self, query: np.ndarray) -> np.ndarray:
-        """Precompute the per-query state; returns the float32 query."""
+    def _bind(self, query: np.ndarray) -> None:
+        """Precompute the per-query state (SQ8 weights, PQ table)."""
         query = np.asarray(query, dtype=np.float32).reshape(-1)
         codec = self._store.codec
         if self._kind == "sq8":
@@ -388,10 +344,16 @@ class QuantizedComputer:
                 self._table = _pq_dot_table(codec, query)
                 self._qnorm = float(np.linalg.norm(query))
             self._sub_range = np.arange(codec.n_subspaces)
-        return query
 
-    def distances(self, ids: np.ndarray) -> np.ndarray:
-        """Quantized distances to code rows ``ids`` (counted)."""
+    def distances_to(self, query: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Quantized distances from ``query`` to code rows ``ids`` (counted).
+
+        The per-query state is derived on the first call with a given
+        query object and reused while the walk keeps passing it.
+        """
+        if query is not self._query:
+            self._bind(query)
+            self._query = query
         ids = np.asarray(ids)
         self.count += int(ids.size)
         if ids.size == 0:

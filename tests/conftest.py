@@ -12,11 +12,13 @@ import pytest
 
 from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornOneIndex, AcornParams
+from repro.core.quantsearch import exact_rerank
 from repro.datasets import make_laion_like, make_sift1m_like, make_tripclick_like
 from repro.hnsw import HnswIndex
 from repro.hnsw.hnsw import SearchResult
 from repro.hnsw.scratch import TraversalScratch
 from repro.hnsw.traversal import TraversalStats, search_layer
+from repro.vectors.quantized_store import rerank_budget
 
 
 def assert_results_identical(got, want, counters=True):
@@ -41,14 +43,45 @@ def _reference_level(computer, query, seeds, ef, neighbor_fn, scratch, n,
                         stats=stats, monitor=monitor)
 
 
+def _level0_ranker(index, computer, query, seeds):
+    """Level 0's distance provider and seeds: the exact computer, or — on
+    a quantized index — its ``QuantizedComputer``, seeds re-scored."""
+    qstore = index._quant_store()
+    if qstore is None:
+        return computer, seeds
+    qcomp = qstore.computer()
+    ids = np.asarray([nid for _, nid in seeds], dtype=np.intp)
+    return qcomp, list(zip(qcomp.distances_to(query, ids).tolist(),
+                           ids.tolist()))
+
+
+def _reference_result(index, computer, ranker, query, found, k, stats):
+    """The top ``k`` of ``found`` — exactly reranked when codes ranked it."""
+    if ranker is computer:
+        return SearchResult.from_pairs(
+            found[:k], distance_computations=computer.count,
+            hops=stats.hops, visited_nodes=stats.visited,
+        )
+    rf = index.quantization.rerank_factor
+    ids, dists, n_rerank = exact_rerank(
+        computer, query, [nid for _, nid in found], k, rerank_budget(k, rf))
+    return SearchResult(
+        ids=ids, distances=dists, distance_computations=computer.count,
+        hops=stats.hops, visited_nodes=stats.visited,
+        quantized_distances=ranker.count, rerank_distances=n_rerank,
+        rerank_factor=rf,
+    )
+
+
 def reference_search(index, query, predicate, k, ef_search=64,
                      entry_point=None, monitor=None):
     """``AcornIndex.search``'s float32 descent through the reference kernel.
 
     Same entry, same per-level lookups (``_neighbor_fn``), same seeds and
     final mask application — but every level runs ``search_layer`` with
-    epoch-stamped visited marks, never ``search_frozen_level``.  The
-    production path must equal this byte for byte.
+    epoch-stamped visited marks, never ``search_frozen_level``.  On a
+    quantized index level 0 ranks by the codes and the exact tail
+    reranks.  The production path must equal this byte for byte.
     """
     computer = index.store.computer()
     query = computer.set_query(query)
@@ -63,15 +96,13 @@ def reference_search(index, query, predicate, k, ef_search=64,
                                  stats)
     seeds = index._bottom_seeds(computer, query, seeds)
     stats.visited += len(seeds)
-    found = _reference_level(computer, query, seeds, max(ef_search, k),
+    ranker, seeds = _level0_ranker(index, computer, query, seeds)
+    found = _reference_level(ranker, query, seeds, max(ef_search, k),
                              index._neighbor_fn(0, mask), scratch, n, stats,
                              monitor)
-    passing = [(dist, nid) for dist, nid in found if mask[nid]][:k]
-    return SearchResult.from_pairs(
-        passing,
-        distance_computations=computer.count,
-        hops=stats.hops, visited_nodes=stats.visited,
-    )
+    passing = [(dist, nid) for dist, nid in found if mask[nid]]
+    return _reference_result(index, computer, ranker, query, passing, k,
+                             stats)
 
 
 def reference_hnsw_search(index, query, k, ef_search=64):
@@ -79,15 +110,20 @@ def reference_hnsw_search(index, query, k, ef_search=64):
     computer = index.store.computer()
     query = computer.set_query(query)
     graph, n, scratch = index.graph, len(index), TraversalScratch()
+    stats = TraversalStats()
     entry = graph.entry_point
     found = [(computer.distance_one(query, entry), entry)]
-    for lev in range(graph.node_level(entry), -1, -1):
+    stats.visited += 1
+    for lev in range(graph.node_level(entry), 0, -1):
         found = _reference_level(
-            computer, query, found[:1], 1 if lev else max(ef_search, k),
-            lambda c, lev=lev: graph.neighbors(c, lev), scratch, n)
-    return SearchResult.from_pairs(
-        found[:k], distance_computations=computer.count
-    )
+            computer, query, found, 1,
+            lambda c, lev=lev: graph.neighbors(c, lev), scratch, n, stats)
+    stats.visited += 1
+    ranker, seeds = _level0_ranker(index, computer, query, found)
+    found = _reference_level(ranker, query, seeds, max(ef_search, k),
+                             lambda c: graph.neighbors(c, 0), scratch, n,
+                             stats)
+    return _reference_result(index, computer, ranker, query, found, k, stats)
 
 
 @pytest.fixture(scope="session")

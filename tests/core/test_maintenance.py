@@ -144,7 +144,7 @@ class TestRebuildQuantization:
         assert new_index.quantization.to_json() == index.quantization.to_json()
 
     def test_quantized_search_equals_fresh_build(self):
-        """rebuild() of a quantized index answers search_batch_quantized
+        """rebuild() of a quantized index answers a quantized batch
         identically to an index freshly built (same seed) over the live
         subset with quantization enabled up front — the codec retrain is
         not allowed to drift from the build-time path."""
@@ -159,11 +159,10 @@ class TestRebuildQuantization:
 
         queries = vectors[gen.choice(len(vectors), size=8, replace=False)]
         predicates = [Equals("label", int(i % 3)) for i in range(8)]
-        got = new_index.search_batch_quantized(queries, predicates, 5,
-                                               ef_search=48)
-        want = fresh.search_batch_quantized(queries, predicates, 5,
-                                            ef_search=48)
+        got = new_index.search_batch(queries, predicates, 5, ef_search=48)
+        want = fresh.search_batch(queries, predicates, 5, ef_search=48)
         for a, b in zip(got, want):
+            assert a.quantized_distances == b.quantized_distances > 0
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_allclose(a.distances, b.distances)
 
@@ -230,7 +229,7 @@ class TestRebuildPersistenceRoundtrip:
         assert restored.quantization is not None
         queries = vectors[:4]
         predicates = [Equals("label", 0)] * 4
-        a = new_index.search_batch_quantized(queries, predicates, 5)
-        b = restored.search_batch_quantized(queries, predicates, 5)
+        a = new_index.search_batch(queries, predicates, 5)
+        b = restored.search_batch(queries, predicates, 5)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.ids, y.ids)

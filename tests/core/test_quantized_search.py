@@ -213,70 +213,3 @@ class TestQuantizedMaintenance:
         res = index.search(target, Equals("label", int(labels[205])), K,
                            ef_search=64)
         assert 205 in res.ids
-
-
-class TestLockstepBatch:
-    @pytest.fixture(scope="class")
-    def index(self, world, acorn_params):
-        vectors, table, _, _ = world
-        return AcornIndex.build(vectors, table, params=acorn_params, seed=0,
-                                quantization="sq8")
-
-    def test_requires_quantization(self, world, acorn_params):
-        vectors, table, queries, predicates = world
-        plain = AcornIndex.build(vectors, table, params=acorn_params, seed=0)
-        with pytest.raises(RuntimeError, match="quantization"):
-            plain.search_batch_quantized(queries, predicates, K)
-
-    def test_input_validation(self, world, index):
-        _, _, queries, predicates = world
-        with pytest.raises(ValueError, match="k must be positive"):
-            index.search_batch_quantized(queries, predicates, 0)
-        with pytest.raises(ValueError, match="2-D"):
-            index.search_batch_quantized(queries[0], predicates, K)
-        with pytest.raises(ValueError, match="predicates"):
-            index.search_batch_quantized(queries, predicates[:3], K)
-
-    def test_empty_batch(self, world, index):
-        _, _, queries, predicates = world
-        out = index.search_batch_quantized(queries[:0], [], K)
-        assert out == []
-
-    def test_deterministic_and_counted(self, world, index):
-        _, _, queries, predicates = world
-        first = index.search_batch_quantized(queries, predicates, K,
-                                             ef_search=48)
-        second = index.search_batch_quantized(queries, predicates, K,
-                                              ef_search=48)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.ids, b.ids)
-            np.testing.assert_array_equal(a.distances, b.distances)
-            assert a.quantized_distances == b.quantized_distances
-            assert a.quantized_distances > 0
-            assert a.rerank_distances > 0
-
-    def test_recall_parity_with_per_query(self, world, index):
-        vectors, table, queries, predicates = world
-        pre = PreFilterSearcher(vectors, table)
-        truths = [pre.search(q, p, K).ids
-                  for q, p in zip(queries, predicates)]
-        solo = mean_recall(
-            [index.search(q, p, K, ef_search=48)
-             for q, p in zip(queries, predicates)], truths)
-        batch = mean_recall(
-            index.search_batch_quantized(queries, predicates, K,
-                                         ef_search=48), truths)
-        assert batch >= solo - 0.1
-
-    def test_results_pass_predicate(self, world, index):
-        _, table, queries, predicates = world
-        results = index.search_batch_quantized(queries, predicates, K,
-                                               ef_search=48)
-        labels = np.asarray(table.column("label"))
-        for res, p in zip(results, predicates):
-            assert (labels[res.ids] == p.value).all()
-
-    def test_masked_csr_cache_bounded(self, world, index):
-        _, _, queries, predicates = world
-        index.search_batch_quantized(queries, predicates, K, ef_search=48)
-        assert len(index._masked_csr_cache) <= 8

@@ -57,40 +57,22 @@ def test_acorn_full_rerank_matches_float32(n, dim, k, kind, seed):
 @settings(max_examples=10, deadline=None)
 @given(
     n=st.integers(20, 60),
-    dim=st.integers(4, 8),
+    dim=st.sampled_from([4, 6, 8]),  # pq_subspaces=2 must divide dim
     k=st.integers(1, 5),
+    kind=st.sampled_from(["sq8", "pq"]),
     seed=st.integers(0, 500),
 )
-def test_hnsw_full_rerank_matches_float32(n, dim, k, seed):
+def test_hnsw_full_rerank_matches_float32(n, dim, k, kind, seed):
     vectors, _ = _world(n, dim, seed)
     index = HnswIndex.build(vectors, m=4, ef_construction=16, seed=seed)
     query = vectors[seed % n] + 0.01
     exact = index.search(query, k, ef_search=n)
-    index.enable_quantization({"kind": "sq8", "rerank_factor": float(n)})
+    index.enable_quantization({
+        "kind": kind,
+        "rerank_factor": float(n),
+        "pq_subspaces": 2,
+        "pq_centroids": 16,
+    })
     quant = index.search(query, k, ef_search=n)
     np.testing.assert_array_equal(quant.ids, exact.ids)
     np.testing.assert_allclose(quant.distances, exact.distances, rtol=1e-6)
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    n=st.integers(20, 50),
-    k=st.integers(1, 5),
-    seed=st.integers(0, 500),
-)
-def test_lockstep_batch_full_rerank_matches_float32(n, k, seed):
-    """The lockstep kernel under the same saturation is exact too."""
-    vectors, table = _world(n, 6, seed)
-    params = AcornParams(m=4, gamma=2, m_beta=8, ef_construction=16)
-    index = AcornIndex.build(vectors, table, params=params, seed=seed,
-                             quantization={"kind": "sq8",
-                                           "rerank_factor": float(n)})
-    gen = np.random.default_rng(seed)
-    queries = vectors[gen.choice(n, size=4, replace=False)] + 0.01
-    predicates = [Equals("label", i % 2) for i in range(4)]
-    batch = index.search_batch_quantized(queries, predicates, k, ef_search=n)
-    index.enable_quantization(None)
-    for res, q, p in zip(batch, queries, predicates):
-        exact = index.search(q, p, k, ef_search=n)
-        np.testing.assert_array_equal(res.ids, exact.ids)
-        np.testing.assert_allclose(res.distances, exact.distances, rtol=1e-6)

@@ -89,9 +89,7 @@ class TestQuantizedStore:
         decoded = qs.codec.decode(qs.codes)
         query = vectors[3] + 0.1
         ids = np.arange(0, 300, 7)
-        comp = qs.computer()
-        comp.set_query(query)
-        got = comp.distances(ids)
+        got = qs.computer().distances_to(query, ids)
         rows = decoded[ids]
         if metric is Metric.L2:
             want = ((rows - query) ** 2).sum(axis=1)
@@ -104,37 +102,22 @@ class TestQuantizedStore:
         np.testing.assert_allclose(got, want, rtol=2e-4, atol=2e-4)
 
     @pytest.mark.parametrize("kind", ["sq8", "pq"])
-    @pytest.mark.parametrize(
-        "metric", [Metric.L2, Metric.INNER_PRODUCT, Metric.COSINE]
-    )
-    def test_batched_matches_per_query(self, vectors, kind, metric):
-        """The lockstep entry point agrees with the per-query computer."""
-        _, qs = make_store(vectors, kind, metric)
-        gen = np.random.default_rng(1)
-        queries = vectors[:5] + 0.05
-        qidx = gen.integers(0, 5, size=40)
-        ids = gen.integers(0, 300, size=40)
-        batched = qs.batched_distances(queries, qidx, ids)
-        for q in range(5):
-            sel = qidx == q
-            comp = qs.computer()
-            comp.set_query(queries[q])
-            np.testing.assert_allclose(
-                batched[sel], comp.distances(ids[sel]), rtol=1e-4, atol=1e-4
-            )
-
-    def test_batched_empty(self, vectors):
-        _, qs = make_store(vectors, "sq8", Metric.L2)
-        out = qs.batched_distances(vectors[:2], np.empty(0, dtype=np.int64),
-                                   np.empty(0, dtype=np.int64))
-        assert out.size == 0
+    def test_computer_follows_the_query(self, vectors, kind):
+        """One computer, several queries: the per-query state follows
+        whichever query ``distances_to`` is handed."""
+        _, qs = make_store(vectors, kind, Metric.L2)
+        ids = np.arange(0, 300, 11)
+        shared = qs.computer()
+        for query in (vectors[1], vectors[2] + 0.3, vectors[1]):
+            np.testing.assert_array_equal(
+                shared.distances_to(query, ids),
+                qs.computer().distances_to(query, ids))
 
     def test_computer_counts_evaluations(self, vectors):
         _, qs = make_store(vectors, "sq8", Metric.L2)
         comp = qs.computer()
-        comp.set_query(vectors[0])
-        comp.distances(np.arange(10))
-        comp.distances(np.arange(5))
+        comp.distances_to(vectors[0], np.arange(10))
+        comp.distances_to(vectors[0], np.arange(5))
         assert comp.count == 15
 
     def test_sync_is_incremental(self, vectors):
@@ -172,9 +155,7 @@ class TestQuantizedStore:
         np.testing.assert_array_equal(restored.codes, qs.codes)
         assert restored.checksum() == qs.checksum()
         query = vectors[9]
-        a = qs.computer()
-        a.set_query(query)
-        b = restored.computer()
-        b.set_query(query)
         ids = np.arange(50)
-        np.testing.assert_array_equal(a.distances(ids), b.distances(ids))
+        np.testing.assert_array_equal(
+            qs.computer().distances_to(query, ids),
+            restored.computer().distances_to(query, ids))
