@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attributes.table import AttributeTable
+from repro.core.quantsearch import exact_top_k
 from repro.engine.batching import BatchSearchMixin
 from repro.hnsw.hnsw import SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
@@ -60,19 +61,11 @@ class PreFilterSearcher(BatchSearchMixin):
             if isinstance(predicate, CompiledPredicate)
             else predicate.compile(self.table)
         )
-        passing = compiled.passing_ids
-        if passing.size == 0:
-            return SearchResult.empty()
         computer = self.store.computer()
-        query = computer.set_query(query)
-        dists = computer.distances_to(query, passing)
-        take = min(k, passing.size)
-        order = np.argpartition(dists, take - 1)[:take]
-        order = order[np.argsort(dists[order])]
-        return SearchResult(
-            ids=passing[order].astype(np.intp), distances=dists[order],
-            distance_computations=computer.count,
-        )
+        ids, dists = exact_top_k(computer, computer.set_query(query),
+                                 compiled.passing_ids, k)
+        return SearchResult(ids=ids, distances=dists,
+                            distance_computations=computer.count)
 
     def nbytes(self) -> int:
         """Flat-index footprint: just the vector payload (Table 5)."""

@@ -22,7 +22,7 @@ import numpy as np
 from repro.attributes.table import AttributeTable
 from repro.core import construction as cons
 from repro.core.params import AcornParams, PruningStrategy
-from repro.core.quantsearch import exact_rerank
+from repro.core.quantsearch import exact_top_k, reranked_result
 from repro.core.search import (
     FrozenLevel,
     assert_frozen,
@@ -47,7 +47,6 @@ from repro.predicates.base import CompiledPredicate, Predicate
 from repro.vectors.distance import DistanceComputer, Metric
 from repro.vectors.quantized_store import (
     QuantizedStore,
-    rerank_budget,
     resolve_quantization,
 )
 from repro.vectors.store import VectorStore
@@ -480,9 +479,13 @@ class AcornIndex(BatchSearchMixin):
         is reached, then best-first traversal of the subgraph with the
         dynamic list ``ef_search``.
 
+        At most ``max(ef_search, k) · M / 2`` passing rows are scanned,
+        not walked (DESIGN.md §7, deviation 5): the exact top-k, ``hops = 0``.
+
         Args:
             entry_point: start node override (defaults to the index's
                 fixed entry point; used by the entry-point ablation).
+                An explicit entry point always walks.
             monitor: optional walk-budget hook for the bottom-level
                 traversal (see :class:`repro.routing.monitor.WalkMonitor`
                 and the adaptive planner's fallback); None keeps the
@@ -505,6 +508,13 @@ class AcornIndex(BatchSearchMixin):
         try:
             query = computer.set_query(query)
             mask = self._effective_mask(compiled.mask)
+            if entry_point is None:  # spare table rows have no vector
+                passing = np.flatnonzero(mask[: len(self.store)])
+                if passing.size <= max(ef_search, k) * self.params.m // 2:
+                    ids, dists = exact_top_k(computer, query, passing, k)
+                    return SearchResult(
+                        ids=ids, distances=dists, visited_nodes=passing.size,
+                        distance_computations=passing.size)
 
             tstats = TraversalStats()
             best = (computer.distance_one(query, entry), entry)
@@ -566,16 +576,8 @@ class AcornIndex(BatchSearchMixin):
         # Seeds may fail the predicate; everything else was
         # mask-filtered before scoring.
         passing = [nid for _, nid in found if mask[nid]]
-        rf = self.quantization.rerank_factor
-        ids, dists, n_rerank = exact_rerank(
-            computer, query, passing, k, rerank_budget(k, rf)
-        )
-        return SearchResult(
-            ids=ids, distances=dists, distance_computations=computer.count,
-            hops=tstats.hops, visited_nodes=tstats.visited,
-            quantized_distances=qcomp.count,
-            rerank_distances=n_rerank, rerank_factor=rf,
-        )
+        return reranked_result(computer, qcomp, query, passing, k,
+                               self.quantization.rerank_factor, tstats)
 
     def _effective_mask(self, mask: np.ndarray) -> np.ndarray:
         """The predicate mask with tombstones composed in, cached.

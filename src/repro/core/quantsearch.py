@@ -1,4 +1,4 @@
-"""The exact float32 tail of a quantized search.
+"""The exact float32 tails: a quantized search's rerank and the scan.
 
 A quantized index differs from a float32 one only in the distance
 provider that walks level 0: the same
@@ -9,15 +9,16 @@ exact :class:`~repro.vectors.distance.DistanceComputer`.  Exact float32
 ranks are restored afterwards by :func:`exact_rerank`, which re-scores
 the top ``rerank_factor * k`` candidates with the index's real computer
 — so reported distances (and the distance-computation counter's
-meaning) are identical in kind to the float path.
+meaning) are identical in kind to the float path.  :func:`exact_top_k`
+is the exact ranking that tail shares with every brute-force scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_EMPTY_IDS = np.empty(0, dtype=np.intp)
-_EMPTY_DISTS = np.empty(0, dtype=np.float32)
+from repro.telemetry import SearchResult
+from repro.vectors.quantized_store import rerank_budget
 
 
 def exact_rerank(
@@ -43,10 +44,26 @@ def exact_rerank(
         ``(ids, dists, n_reranked)`` — the exact top-k (ties on id) of
         the re-scored head, plus how many candidates were re-scored.
     """
-    cand_ids = np.asarray(cand_ids, dtype=np.intp)
-    head = cand_ids[: min(cand_ids.size, budget)]
-    if head.size == 0:
-        return _EMPTY_IDS, _EMPTY_DISTS, 0
-    dists = np.asarray(computer.distances_to(query, head), dtype=np.float32)
-    order = np.lexsort((head, dists))[:k]
-    return head[order], dists[order], int(head.size)
+    head = np.asarray(cand_ids, dtype=np.intp)[:budget]
+    ids, dists = exact_top_k(computer, query, head, k)
+    return ids, dists, int(head.size)
+
+
+def exact_top_k(computer, query: np.ndarray, ids: np.ndarray, k: int):
+    """The ``k`` of ``ids`` nearest ``query`` by (distance, id), exactly."""
+    dists = np.asarray(computer.distances_to(query, ids), dtype=np.float32)
+    order = np.lexsort((ids, dists))[:k]
+    return ids[order].astype(np.intp, copy=False), dists[order]
+
+
+def reranked_result(computer, qcomp, query, cand_ids, k, rerank_factor,
+                    stats) -> SearchResult:
+    """``cand_ids`` (code-ranked) reranked, with every counter recorded."""
+    ids, dists, n_rerank = exact_rerank(
+        computer, query, cand_ids, k, rerank_budget(k, rerank_factor))
+    return SearchResult(
+        ids=ids, distances=dists, distance_computations=computer.count,
+        hops=stats.hops, visited_nodes=stats.visited,
+        quantized_distances=qcomp.count, rerank_distances=n_rerank,
+        rerank_factor=rerank_factor,
+    )

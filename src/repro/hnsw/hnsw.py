@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.quantsearch import exact_rerank
+from repro.core.quantsearch import exact_top_k, reranked_result
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.heuristics import select_neighbors_heuristic
 from repro.hnsw.levels import LevelGenerator
@@ -25,7 +25,6 @@ from repro.vectors.distance import DistanceComputer, Metric
 from repro.vectors.quantized_store import (
     QuantizedComputer,
     QuantizedStore,
-    rerank_budget,
     resolve_quantization,
 )
 from repro.vectors.store import VectorStore
@@ -293,18 +292,9 @@ class HnswIndex:
                     found[:k], distance_computations=computer.count,
                     hops=tstats.hops, visited_nodes=tstats.visited,
                 )
-            rf = self.quantization.rerank_factor
-            ids, dists, n_rerank = exact_rerank(
-                computer, query, [nid for _, nid in found], k,
-                rerank_budget(k, rf),
-            )
-            return SearchResult(
-                ids=ids, distances=dists,
-                distance_computations=computer.count,
-                hops=tstats.hops, visited_nodes=tstats.visited,
-                quantized_distances=qcomp.count,
-                rerank_distances=n_rerank, rerank_factor=rf,
-            )
+            return reranked_result(
+                computer, qcomp, query, [nid for _, nid in found], k,
+                self.quantization.rerank_factor, tstats)
         finally:
             computer.flush_counts()
 
@@ -330,10 +320,8 @@ class HnswIndex:
                 computer, query, ef_search, TraversalStats(), qcomp,
             )
             if qcomp is not None:
-                ids, dists, _ = exact_rerank(
-                    computer, query, [nid for _, nid in found],
-                    k=len(found), budget=len(found),
-                )
+                ids = np.asarray([nid for _, nid in found], dtype=np.intp)
+                ids, dists = exact_top_k(computer, query, ids, len(ids))
                 found = list(zip(dists.tolist(), ids.tolist()))
         finally:
             computer.flush_counts()

@@ -81,12 +81,25 @@ def reference_search(index, query, predicate, k, ef_search=64,
     final mask application — but every level runs ``search_layer`` with
     epoch-stamped visited marks, never ``search_frozen_level``.  On a
     quantized index level 0 ranks by the codes and the exact tail
-    reranks.  The production path must equal this byte for byte.
+    reranks.  The production path must equal this byte for byte —
+    including its scan: with no ``entry_point`` and at most
+    ``max(ef_search, k) · M / 2`` passing rows, every passing row is
+    scored and the answer is the exact top ``k`` by (distance, id).
     """
     computer = index.store.computer()
     query = computer.set_query(query)
     mask = index._effective_mask(index._compile(predicate).mask)
     n, stats, scratch = len(index), TraversalStats(), TraversalScratch()
+    passing = np.flatnonzero(mask[:n])
+    if (entry_point is None
+            and passing.size <= max(ef_search, k) * index.params.m // 2):
+        if passing.size == 0:
+            return SearchResult.empty()
+        dists = computer.distances_to(query, passing).astype(np.float32)
+        pairs = sorted(zip(dists.tolist(), passing.tolist()))[:k]
+        return SearchResult.from_pairs(
+            pairs, distance_computations=computer.count,
+            visited_nodes=passing.size)
     entry = index.graph.entry_point if entry_point is None else entry_point
     seeds = [(computer.distance_one(query, entry), entry)]
     stats.visited += 1

@@ -30,7 +30,7 @@ from repro.core.search import (
     truncated_neighbors,
 )
 from repro.engine import QueryBatch, SearchEngine
-from repro.predicates import Equals, TruePredicate
+from repro.predicates import Equals, Not, TruePredicate
 from tests.conftest import (
     assert_results_identical,
     reference_hnsw_search,
@@ -38,7 +38,10 @@ from tests.conftest import (
 )
 
 K = 10
-EF = 48
+# Small enough that the scan cutoff max(EF, K)·M/2 (40 at M = 8, 80 for
+# the M = 16 ACORN-1 fixture) stays below every label's passing count
+# (≥ 97 of 600): these searches walk, they do not scan.
+EF = 10
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +116,7 @@ class TestSearchEquivalence:
     def test_acorn_gamma(self, acorn_index, small_vectors):
         for query, pred in zip(_queries(small_vectors), _predicates()):
             csr = acorn_index.search(query, pred, K, ef_search=EF)
+            assert csr.hops > 0
             legacy = reference_search(acorn_index, query, pred, K,
                                       ef_search=EF)
             assert_results_identical(csr, legacy)
@@ -120,6 +124,7 @@ class TestSearchEquivalence:
     def test_acorn_one(self, acorn_one_index, small_vectors):
         for query, pred in zip(_queries(small_vectors), _predicates()):
             csr = acorn_one_index.search(query, pred, K, ef_search=EF)
+            assert csr.hops > 0
             legacy = reference_search(acorn_one_index, query, pred, K,
                                       ef_search=EF)
             assert_results_identical(csr, legacy)
@@ -127,6 +132,7 @@ class TestSearchEquivalence:
     def test_flat_acorn(self, flat_index, small_vectors):
         for query, pred in zip(_queries(small_vectors), _predicates()):
             csr = flat_index.search(query, pred, K, ef_search=EF)
+            assert csr.hops > 0
             legacy = reference_search(flat_index, query, pred, K,
                                       ef_search=EF)
             assert_results_identical(csr, legacy)
@@ -149,9 +155,12 @@ class TestSearchEquivalence:
         )
         for node in (3, 17, 42, 99):
             index.mark_deleted(node)
+        # ≈ 33 rows per label here: negate them so every search walks.
+        preds = [Not(Equals("label", i)) for i in range(5)]
         for query, pred in zip(_queries(small_vectors, n=6),
-                               _predicates(n=6)):
+                               preds + [TruePredicate()]):
             csr = index.search(query, pred, K, ef_search=EF)
+            assert csr.hops > 0
             legacy = reference_search(index, query, pred, K, ef_search=EF)
             assert_results_identical(csr, legacy)
 
@@ -167,6 +176,7 @@ class TestSearchEquivalence:
         with SearchEngine(adapter, num_workers=2) as engine:
             legacy_results = engine.search_batch(batch)
         for csr, legacy in zip(csr_results, legacy_results):
+            assert csr.hops > 0
             assert_results_identical(csr, legacy)
 
 

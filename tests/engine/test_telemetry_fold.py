@@ -48,7 +48,9 @@ from repro.shard import Fault, FaultInjector, FaultPlan, ResiliencePolicy
 from repro.telemetry import QueryStats, SearchResult, fold_telemetry
 from repro.utils.clock import FakeClock
 
-N, DIM, K, EF = 240, 8, 5, 24
+# EF keeps the scan cutoff, max(EF, K)·M/2 = 24, below the ≈ 53 rows
+# PREDICATE passes per shard of three, so every child walks.
+N, DIM, K, EF = 240, 8, 5, 8
 PARAMS = AcornParams(m=6, gamma=4, m_beta=10, ef_construction=16)
 PREDICATE = OneOf("label", (0, 1, 2, 3))
 RULES = {"sum": sum, "any": any, "min": min, "max": max}

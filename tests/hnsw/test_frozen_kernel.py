@@ -48,6 +48,11 @@ from tests.conftest import (
 )
 
 PROVIDERS = ("sq8", "pq")
+# Index-level walks run at this ef so that the scan cutoff,
+# ef·M/2 ≤ 32 on the ``families`` indexes, stays below every label's
+# passing count (≥ 36 with every third node tombstoned): they test the
+# walk, not ``AcornIndex.search``'s scan of a small passing set.
+WALK_EF = 8
 QUANT_CONFIGS = {"sq8": "sq8",
                  "pq": {"kind": "pq", "pq_subspaces": 4, "pq_centroids": 32}}
 
@@ -333,10 +338,12 @@ class TestIndexIdentity:
                 for query, pred in zip(_queries(vectors), preds):
                     got_mon, want_mon = (MONITORS[monitor](),
                                          MONITORS[monitor]())
-                    got = index.search(query, pred, 5, ef_search=24,
+                    got = index.search(query, pred, 5, ef_search=WALK_EF,
                                        monitor=got_mon)
                     want = reference_search(index, query, pred, 5,
-                                            ef_search=24, monitor=want_mon)
+                                            ef_search=WALK_EF,
+                                            monitor=want_mon)
+                    assert got.hops > 0
                     assert_results_identical(got, want)
                     if got_mon is not None:
                         assert (got_mon.hops, got_mon.abort_reason) == (
@@ -382,10 +389,12 @@ class TestIndexIdentity:
                 for query, pred in zip(_queries(vectors), preds):
                     got_mon, want_mon = (MONITORS[monitor](),
                                          MONITORS[monitor]())
-                    got = index.search(query, pred, 5, ef_search=24,
+                    got = index.search(query, pred, 5, ef_search=WALK_EF,
                                        monitor=got_mon)
                     want = reference_search(index, query, pred, 5,
-                                            ef_search=24, monitor=want_mon)
+                                            ef_search=WALK_EF,
+                                            monitor=want_mon)
+                    assert got.hops > 0
                     assert_results_identical(got, want)
                     assert got.quantized_distances > 0
                     assert (got.quantized_distances, got.rerank_distances) \
@@ -455,11 +464,11 @@ class TestEligibilityBuffer:
         vectors = families[0]
         scratch = thread_scratch(len(index))
         pred = index._compile(Equals("label", 2))
-        index.search(vectors[5], pred, 5, ef_search=24)
+        index.search(vectors[5], pred, 5, ef_search=WALK_EF)
         assert scratch.bound_mask is pred.mask and _buffer_is_clean(scratch)
 
         monitor = MONITORS["hop-budget"]()
-        index.search(vectors[5], pred, 5, ef_search=24, monitor=monitor)
+        index.search(vectors[5], pred, 5, ef_search=WALK_EF, monitor=monitor)
         assert monitor.aborted and _buffer_is_clean(scratch)
 
         calls = {"n": 0}
@@ -473,12 +482,13 @@ class TestEligibilityBuffer:
 
         monkeypatch.setattr(DistanceComputer, "distances_to", flaky)
         with pytest.raises(RuntimeError, match="fell over"):
-            index.search(vectors[5], pred, 5, ef_search=24)
+            index.search(vectors[5], pred, 5, ef_search=WALK_EF)
         monkeypatch.undo()
         assert scratch.bound_mask is None
         assert_results_identical(
-            index.search(vectors[5], pred, 5, ef_search=24),
-            reference_search(index, vectors[5], pred, 5, ef_search=24))
+            index.search(vectors[5], pred, 5, ef_search=WALK_EF),
+            reference_search(index, vectors[5], pred, 5,
+                             ef_search=WALK_EF))
         assert scratch.bound_mask is pred.mask and _buffer_is_clean(scratch)
 
     def test_reseeds_only_when_the_mask_object_changes(self, families, index):
@@ -493,14 +503,14 @@ class TestEligibilityBuffer:
         canary = next(v for v in np.flatnonzero(pred.mask).tolist()
                       if v not in seedable and v < len(index))
         try:
-            index.search(vectors[7], pred, 5, ef_search=24)
+            index.search(vectors[7], pred, 5, ef_search=WALK_EF)
             assert scratch.bound_mask is pred.mask
             scratch.eligible[canary] = False
-            index.search(vectors[8], pred, 5, ef_search=24)
+            index.search(vectors[8], pred, 5, ef_search=WALK_EF)
             assert not scratch.eligible[canary], "same mask was re-seeded"
 
             index.mark_deleted(canary)
-            index.search(vectors[8], pred, 5, ef_search=24)
+            index.search(vectors[8], pred, 5, ef_search=WALK_EF)
             composed = index._effective_mask(pred.mask)
             assert composed is not pred.mask
             assert scratch.bound_mask is composed
@@ -521,7 +531,7 @@ class TestEligibilityBuffer:
         compiled.append(index._compile(TruePredicate()))
         batch = QueryBatch.build(
             queries, [compiled[i % 5] for i in range(200)], k=5,
-            ef_search=24)
+            ef_search=WALK_EF)
         with SearchEngine(index, executor="sync") as engine:
             want = engine.search_batch(batch)
         interval = sys.getswitchinterval()
@@ -548,8 +558,9 @@ class TestEligibilityBuffer:
                 acorn.add(vector)
                 hnsw.add(vector)
             assert_results_identical(
-                acorn.search(vectors[1], pred, 5, ef_search=24),
-                reference_search(acorn, vectors[1], pred, 5, ef_search=24))
+                acorn.search(vectors[1], pred, 5, ef_search=WALK_EF),
+                reference_search(acorn, vectors[1], pred, 5,
+                                 ef_search=WALK_EF))
             assert scratch.eligible.size == len(table)
             assert_results_identical(
                 hnsw.search(vectors[1], 5, ef_search=24),

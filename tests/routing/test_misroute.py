@@ -164,7 +164,23 @@ class TestLyingEstimators:
         )
         assert _mean_recall(over, truth) == pytest.approx(1.0)
         assert _mean_recall(under, truth) == pytest.approx(1.0)
-        # The two lies produce different cost profiles.
+        # At exhaustive ef the graph route scans the passing set (the
+        # ef·M/2 cutoff covers every predicate), so the lie is free.
+        assert ([r.distance_computations for r in over]
+                == [r.distance_computations for r in under])
+        # Below the cutoff (16·M/2 = 64 < every passing count) the graph
+        # route walks, and the two lies produce different cost profiles.
+        over = _run(
+            RoutePlanner(acorn_index, policy="adaptive",
+                         estimator=OverEstimator(), cost_model=model),
+            queries, preds, ef=16,
+        )
+        under = _run(
+            RoutePlanner(acorn_index, policy="adaptive",
+                         estimator=UnderEstimator(), cost_model=model),
+            queries, preds, ef=16,
+        )
+        assert all(r.hops > 0 for r in over)
         assert (
             sum(r.distance_computations for r in over)
             != sum(r.distance_computations for r in under)

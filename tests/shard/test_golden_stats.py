@@ -37,12 +37,15 @@ class GoldenCounters:
     shards_pruned: int
 
 
+# Every probe passes at most N = 180 rows, within the scan cutoff
+# max(EF, K)·M/2 = 192, so each is one exact scan: the pins are the
+# passing counts summed, identical across shard counts, with no hops.
 GOLDEN = {
-    1: GoldenCounters(distance_computations=1443, hops=766,
+    1: GoldenCounters(distance_computations=1256, hops=0,
                       shards_probed=16, shards_pruned=0),
-    2: GoldenCounters(distance_computations=1408, hops=1003,
+    2: GoldenCounters(distance_computations=1256, hops=0,
                       shards_probed=28, shards_pruned=4),
-    3: GoldenCounters(distance_computations=1377, hops=1224,
+    3: GoldenCounters(distance_computations=1256, hops=0,
                       shards_probed=40, shards_pruned=8),
 }
 
