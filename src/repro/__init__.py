@@ -20,10 +20,9 @@ Quickstart::
     )
     result = index.search(vectors[0], Equals("price", 42), k=10)
 
-    # Batched, concurrent execution with per-query instrumentation:
+    # Batched execution with per-query instrumentation:
     batch = index.search_batch(
-        vectors[:8], [Equals("price", 42)] * 8, 10,
-        num_workers=4, with_stats=True,
+        vectors[:8], [Equals("price", 42)] * 8, 10, with_stats=True,
     )
 """
 
@@ -56,7 +55,6 @@ from repro.lifecycle import (
     EpochSnapshot,
     LifecycleConfig,
     LifecycleIndex,
-    ShardedLifecycleIndex,
 )
 from repro.persistence import load_index, save_index
 from repro.predicates import (
@@ -143,7 +141,6 @@ __all__ = [
     "ShardLoadError",
     "ShardRouter",
     "ShardedAcornIndex",
-    "ShardedLifecycleIndex",
     "TenantQuota",
     "TruePredicate",
     "VectorStore",

@@ -2,15 +2,16 @@
 
 The serving layer over the reproduction's index structures: freeze an
 index snapshot once, then answer batches of (vector, predicate) queries
-across a thread pool with deterministic result ordering, an LRU cache
-for compiled-predicate bitmasks, and per-query
-distance/hop/latency telemetry aggregated into p50/p95/p99 summaries.
+inline — or in chunks on worker processes with ``executor="process"`` —
+with deterministic result ordering, an LRU cache for compiled-predicate
+bitmasks, and per-query distance/hop/latency telemetry aggregated into
+p50/p95/p99 summaries.
 
 Quickstart::
 
     from repro.engine import QueryBatch, SearchEngine
 
-    engine = SearchEngine(index, num_workers=4)
+    engine = SearchEngine(index)  # or executor="process", num_workers=2
     batch = QueryBatch.build(queries, Equals("label", 3), k=10)
     result = engine.search_batch(batch)
     result.results[0].ids          # same as index.search(queries[0], ...)

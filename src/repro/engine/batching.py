@@ -25,9 +25,7 @@ class BatchSearchMixin:
         predicates,
         k: int,
         ef_search: int = 64,
-        num_workers: int | None = None,
         with_stats: bool = False,
-        executor: str = "thread",
     ):
         """Answer many hybrid queries through the batch engine.
 
@@ -37,18 +35,15 @@ class BatchSearchMixin:
                 shared by all queries (its mask is materialized once).
             k: neighbors per query.
             ef_search: search-effort knob forwarded to each search.
-            num_workers: worker threads; ``None`` or 1 executes the
-                batch sequentially on the calling thread.  Results are
-                identical either way — threads only change wall-time.
             with_stats: when True, return the engine's
                 :class:`~repro.engine.engine.BatchResult` (per-query
                 :class:`~repro.engine.instrumentation.QueryStats`,
                 latency percentiles) instead of the bare result list.
-            executor: fan-out mechanism forwarded to the engine
-                (``"thread"``/``"process"``/``"sync"``).  Note the
-                throwaway engine here rebuilds the shared-memory arena
-                every call — long-lived process dispatch should hold a
-                :class:`~repro.engine.engine.SearchEngine` instead.
+
+        The batch runs inline on the calling thread; process fan-out
+        belongs to a long-lived :class:`~repro.engine.engine.SearchEngine`
+        (``executor="process"``), which keeps its shared-memory arena
+        and warm workers across batches.
 
         Returns:
             ``list[SearchResult]`` in query order, or a ``BatchResult``
@@ -57,8 +52,6 @@ class BatchSearchMixin:
         from repro.engine.engine import QueryBatch, SearchEngine
 
         batch = QueryBatch.build(queries, predicates, k=k, ef_search=ef_search)
-        with SearchEngine(
-            self, num_workers=num_workers, executor=executor
-        ) as engine:
+        with SearchEngine(self) as engine:
             result = engine.search_batch(batch)
         return result if with_stats else result.results

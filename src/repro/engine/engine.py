@@ -3,15 +3,19 @@
 The serving-side counterpart of the index structures: a
 :class:`SearchEngine` takes a :class:`QueryBatch` of (vector, predicate)
 queries, compiles predicates once through an LRU bitmask cache, freezes
-the underlying index's adjacency snapshot, and fans the queries across a
-``ThreadPoolExecutor``.  Results come back in submission order — byte
+the underlying index's adjacency snapshot, and answers the queries
+inline on the calling thread — or, with ``executor="process"``, in
+contiguous chunks on worker processes over a shared-memory snapshot
+(:mod:`repro.parallel`).  Results come back in submission order — byte
 identical to a sequential loop — with one
 :class:`~repro.engine.instrumentation.QueryStats` record per query and
 batch-level p50/p95/p99 summaries.
 
 Any searcher exposing ``search(query, predicate, k, ef_search=...) ->
 SearchResult`` works: the ACORN indices, the router, and every baseline.
-Thread safety rests on two invariants established elsewhere:
+The engine starts no threads of its own, but callers may drive one
+engine or index from several; that rests on two invariants established
+elsewhere:
 
 - adjacency snapshots are frozen read-only arrays
   (:func:`repro.core.search.freeze_graph`'s immutability contract);
@@ -25,7 +29,6 @@ import dataclasses
 import hashlib
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -167,7 +170,9 @@ class BatchResult:
         stats: one :class:`QueryStats` per query, same order.
         wall_time_s: wall-clock seconds for the whole batch (compile +
             fan-out + gather).
-        num_workers: worker threads the batch actually used.
+        num_workers: how many ways the batch actually ran: 1 when it
+            ran inline on the calling thread, otherwise the number of
+            chunks dispatched to worker processes.
     """
 
     results: list[SearchResult]
@@ -212,34 +217,37 @@ class BatchResult:
 
 
 class SearchEngine:
-    """Batched, concurrent query execution over one searcher.
+    """Batched query execution over one searcher.
 
-    The engine owns a worker pool and a predicate cache; one engine per
-    served index is the intended deployment shape.  Execution is
+    The engine owns a predicate cache and, under
+    ``executor="process"``, a worker-process pool; one engine per served
+    index is the intended deployment shape.  Execution is
     deterministic: for a fixed searcher and batch, results are byte
-    identical for any ``num_workers`` (queries never share mutable
+    identical whichever executor runs them (queries never share mutable
     state — the adjacency snapshot is frozen, each search binds its own
     distance computer, and compiled masks are read-only inputs).
 
     Args:
         searcher: any object exposing ``search(query, predicate, k,
             ef_search=...) -> SearchResult``.
-        num_workers: worker threads for batch fan-out; ``None`` or 1
-            runs queries inline on the calling thread.
+        num_workers: worker processes under ``executor="process"`` (a
+            batch splits into at most this many contiguous chunks);
+            unused by ``"sync"``.
         cache_size: LRU capacity of the compiled-predicate cache.
         table: attribute table for predicate compilation; defaults to
             the searcher's own table (``searcher.table`` or
             ``searcher.index.table``).
-        executor: batch fan-out mechanism.  ``"thread"`` (default)
-            keeps the historical ``ThreadPoolExecutor`` path;
-            ``"sync"`` forces the inline sequential loop regardless of
-            ``num_workers``; ``"process"`` fans chunks across a
-            persistent spawned worker pool reading the index through a
-            zero-copy shared-memory arena (``docs/parallelism.md``).
-            All three produce byte-identical results — the process path
-            falls back to threads when shared memory is unavailable or
-            the searcher cannot be snapshotted (``process_fallbacks`` /
-            ``last_fallback_reason`` record every such downgrade).
+        executor: ``"sync"`` (default) answers every query inline on
+            the calling thread; ``"process"`` ships contiguous chunks
+            of a batch to a persistent spawned worker pool reading the
+            index through a zero-copy shared-memory arena
+            (``docs/parallelism.md``).  Both produce byte-identical
+            results.  A one-query batch runs inline under either (a
+            pipe round trip costs more than the search), and the
+            process path runs the batch inline when shared memory is
+            unavailable or the searcher cannot be snapshotted
+            (``process_fallbacks`` / ``last_fallback_reason`` record
+            every such downgrade).
         process_pool: a shared
             :class:`~repro.parallel.pool.ProcessPool` to dispatch on;
             ``None`` lazily creates a pool owned (and closed) by this
@@ -252,7 +260,7 @@ class SearchEngine:
         num_workers: int | None = None,
         cache_size: int = 64,
         table=None,
-        executor: str = "thread",
+        executor: str = "sync",
         process_pool=None,
     ) -> None:
         from repro.parallel import resolve_executor
@@ -261,13 +269,12 @@ class SearchEngine:
         self.num_workers = 1 if num_workers is None else max(int(num_workers), 1)
         self._table_override = table
         self.cache = PredicateCache(cache_size)
-        self._pool: ThreadPoolExecutor | None = None
         self.executor = resolve_executor(executor)
         self._proc_pool = process_pool
         self._own_proc_pool = process_pool is None
         self._arena_manager = None
         self._closed = False
-        #: process→thread downgrades this engine performed, and why the
+        #: process→inline downgrades this engine performed, and why the
         #: latest one happened (telemetry; tests pin clean fallback).
         self.process_fallbacks = 0
         self.last_fallback_reason = ""
@@ -296,7 +303,7 @@ class SearchEngine:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker pools and shared-memory arenas down.
+        """Shut the worker pool and shared-memory arenas down.
 
         Idempotent and interpreter-teardown safe: a second ``close``
         (including the implicit one from ``__del__`` after an explicit
@@ -307,10 +314,6 @@ class SearchEngine:
         re-create them.
         """
         self._closed = True
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            self._pool = None
-            pool.shutdown(wait=True)
         proc_pool = getattr(self, "_proc_pool", None)
         if proc_pool is not None and getattr(self, "_own_proc_pool", False):
             self._proc_pool = None
@@ -336,14 +339,6 @@ class SearchEngine:
             self.close()
         except Exception:
             pass
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.num_workers,
-                thread_name_prefix="repro-engine",
-            )
-        return self._pool
 
     # ------------------------------------------------------------------
     # Process executor plumbing
@@ -384,15 +379,15 @@ class SearchEngine:
         return record
 
     def _process_pairs(self, searcher, batch, compiled, hit_flags, run_one):
-        """Fan contiguous query chunks across the process pool.
+        """Run contiguous query chunks on the process pool.
 
-        Returns ordered ``(result, stats)`` pairs, or ``None`` when the
-        process path cannot run (unsupported searcher, shared memory
-        unavailable) and the caller should use the thread path instead —
-        the fallback is counted, never silent.  A chunk whose worker
-        crashes is retried once on the respawned slot, then runs inline
-        in the parent: a dying worker degrades throughput, never the
-        batch.
+        Returns ordered ``(result, stats)`` pairs and the number of
+        chunks dispatched, or ``None`` when the process path cannot run
+        (unsupported searcher, shared memory unavailable) and the
+        caller should run the batch inline instead — the fallback is
+        counted, never silent.  A chunk whose worker crashes is retried
+        once on the respawned slot, then runs inline in the parent: a
+        dying worker degrades throughput, never the batch.
         """
         from repro import parallel as par
 
@@ -415,14 +410,12 @@ class SearchEngine:
             pin = (token, {"manifest": record.arena.manifest(),
                            "spec": record.spec})
             nq = len(batch)
-            bounds = np.linspace(
-                0, nq, min(self.num_workers, nq) + 1
-            ).astype(int)
-            jobs = []
-            for slot in range(len(bounds) - 1):
-                lo, hi = int(bounds[slot]), int(bounds[slot + 1])
-                if lo == hi:
-                    continue
+            # One chunk per slot: map_calls takes one call per worker.
+            ways = min(self.num_workers, pool.num_workers, nq)
+            bounds = np.linspace(0, nq, ways + 1).astype(int)
+            chunks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+            calls = []
+            for slot, (lo, hi) in enumerate(chunks):
                 digests = []
                 masks = {}
                 for row in range(lo, hi):
@@ -439,32 +432,28 @@ class SearchEngine:
                     "mask_digests": digests,
                     "masks": masks,
                 }
-                jobs.append((slot, lo, hi, payload))
+                calls.append((slot, "search_chunk", payload, pin))
 
-            def run_chunk(job):
-                slot, lo, hi, payload = job
-                try:
-                    out = pool.call(slot, "search_chunk", payload, pin=pin)
-                except par.WorkerCrash:
-                    self.chunk_retries += 1
-                    try:
-                        out = pool.call(
-                            slot, "search_chunk", payload, pin=pin
-                        )
-                    except par.WorkerCrash:
-                        self.chunk_inline_fallbacks += 1
-                        return [run_one(i) for i in range(lo, hi)]
-                return [
+            replies = pool.map_calls(calls)
+            crashed = [i for i, reply in enumerate(replies)
+                       if isinstance(reply, par.WorkerCrash)]
+            if crashed:
+                self.chunk_retries += len(crashed)
+                retried = pool.map_calls([calls[i] for i in crashed])
+                for i, reply in zip(crashed, retried):
+                    replies[i] = reply
+            pairs = []
+            for (lo, hi), reply in zip(chunks, replies):
+                if isinstance(reply, par.WorkerCrash):
+                    self.chunk_inline_fallbacks += 1
+                    pairs += [run_one(i) for i in range(lo, hi)]
+                    continue
+                pairs += [
                     (result, _result_stats(lo + offset, result, elapsed,
                                            hit_flags[lo + offset]))
-                    for offset, (result, elapsed) in enumerate(out)
+                    for offset, (result, elapsed) in enumerate(reply)
                 ]
-
-            if len(jobs) == 1:
-                chunk_outputs = [run_chunk(jobs[0])]
-            else:
-                chunk_outputs = list(self._executor().map(run_chunk, jobs))
-            return [pair for output in chunk_outputs for pair in output]
+            return pairs, len(chunks)
         finally:
             manager.release(record)
 
@@ -488,7 +477,7 @@ class SearchEngine:
         if self._closed:
             raise RuntimeError(
                 "SearchEngine is closed; create a new engine (close() "
-                "released its worker pools and shared-memory arenas)"
+                "released its worker pool and shared-memory arenas)"
             )
         if not isinstance(batch, QueryBatch):
             if k is None:
@@ -498,8 +487,8 @@ class SearchEngine:
             batch = QueryBatch.build(batch, predicates, k=k, ef_search=ef_search)
 
         start = time.perf_counter()
-        # Materialize the frozen snapshot up front so worker threads
-        # share one immutable adjacency instead of racing to build it.
+        # Materialize the frozen snapshot up front so every query (and
+        # the arena, on the process path) reads one immutable adjacency.
         freeze = getattr(self.searcher, "freeze", None)
         if callable(freeze):
             freeze()
@@ -531,13 +520,6 @@ class SearchEngine:
                 batch.predicates, table
             )
 
-            if len(batch) == 0:
-                return BatchResult(
-                    results=[], stats=[],
-                    wall_time_s=time.perf_counter() - start,
-                    num_workers=self.num_workers,
-                )
-
             def run_one(index: int) -> tuple[SearchResult, QueryStats]:
                 begin = time.perf_counter()
                 result = searcher.search(
@@ -549,22 +531,14 @@ class SearchEngine:
                     index, result, elapsed, hit_flags[index]
                 )
 
-            pairs = None
-            if self.executor == "process":
-                pairs = self._process_pairs(
+            dispatched = None
+            if self.executor == "process" and len(batch) > 1:
+                dispatched = self._process_pairs(
                     searcher, batch, compiled, hit_flags, run_one
                 )
-            if pairs is None:
-                if (self.executor == "sync" or self.num_workers == 1
-                        or len(batch) == 1):
-                    pairs = [run_one(i) for i in range(len(batch))]
-                else:
-                    # executor.map yields in submission order, so result
-                    # ordering is deterministic whatever the completion
-                    # order.
-                    pairs = list(
-                        self._executor().map(run_one, range(len(batch)))
-                    )
+            if dispatched is None:
+                dispatched = [run_one(i) for i in range(len(batch))], 1
+            pairs, ways = dispatched
         finally:
             if snapshot is not None:
                 self.searcher.release_read_snapshot(snapshot)
@@ -573,7 +547,7 @@ class SearchEngine:
             results=[result for result, _ in pairs],
             stats=[stats for _, stats in pairs],
             wall_time_s=time.perf_counter() - start,
-            num_workers=self.num_workers,
+            num_workers=ways,
         )
 
     def _compile_predicates(self, predicates, table=None) -> tuple[list, list]:

@@ -11,9 +11,9 @@ Every operating point executes through the batch engine
 engine's ``QueryStats`` instrumentation — in particular, Table 3's
 distance-computation counts are read from ``QueryStats`` rather than
 re-derived from raw results — and latency percentiles use the shared
-:func:`repro.eval.stats.percentile_summary` aggregation.  A
-``num_workers`` knob turns the same sweep into a concurrent-throughput
-measurement.
+:func:`repro.eval.stats.percentile_summary` aggregation.  Queries run
+one at a time on the calling thread, the paper's single-threaded QPS
+semantics.
 
 Because pure-Python wall-clock QPS also measures interpreter overhead,
 each sweep point additionally records mean *distance computations per
@@ -137,17 +137,11 @@ class SweepRunner:
     Args:
         dataset: the hybrid workload to sweep.
         k: neighbors per query.
-        num_workers: engine worker threads per operating point; the
-            default 1 preserves the paper's single-threaded QPS
-            semantics, higher values measure concurrent throughput.
     """
 
-    def __init__(
-        self, dataset: HybridDataset, k: int = 10, num_workers: int = 1
-    ) -> None:
+    def __init__(self, dataset: HybridDataset, k: int = 10) -> None:
         self.dataset = dataset
         self.k = int(k)
-        self.num_workers = int(num_workers)
         self.ground_truth = dataset.ground_truth(self.k)
         self.compiled = dataset.compiled_predicates()
         self._query_matrix = np.stack(
@@ -171,7 +165,7 @@ class SweepRunner:
             k=self.k, ef_search=int(effort),
         )
         start = time.perf_counter()
-        with SearchEngine(searcher, num_workers=self.num_workers) as engine:
+        with SearchEngine(searcher) as engine:
             outcome = engine.search_batch(batch)
         elapsed = time.perf_counter() - start
 

@@ -35,7 +35,6 @@ from repro.lifecycle.persistence import (
     load_lifecycle,
     save_lifecycle,
 )
-from repro.lifecycle.sharded import ShardedLifecycleIndex
 
 __all__ = [
     "BackgroundCompactor",
@@ -52,7 +51,6 @@ __all__ = [
     "LifecycleConfig",
     "LifecycleIndex",
     "LifecycleLoadError",
-    "ShardedLifecycleIndex",
     "load_lifecycle",
     "save_lifecycle",
 ]

@@ -29,7 +29,7 @@ from repro.attributes.table import AttributeTable, ColumnKind, build_table
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.vectors import Metric, VectorStore
 
-__all__ = ["DeltaIndex", "DeltaView", "table_schema", "build_table"]
+__all__ = ["DeltaIndex", "DeltaView", "table_schema"]
 
 
 def table_schema(table: AttributeTable) -> list[tuple[str, ColumnKind]]:

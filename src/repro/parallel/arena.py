@@ -298,8 +298,8 @@ def parallel_available() -> bool:
     """Whether this platform can serve shared-memory arenas at all.
 
     Probes by round-tripping a tiny block; False (e.g. no ``/dev/shm``
-    mount, seccomp-denied ``shm_open``) routes ``executor="process"``
-    callers onto the thread fallback.
+    mount, seccomp-denied ``shm_open``) makes ``executor="process"``
+    engines run their batches inline (a counted fallback).
     """
     try:
         shm = shared_memory.SharedMemory(
@@ -352,7 +352,7 @@ class ArenaRecord:
 class ArenaManager:
     """Publish/retire lifecycle for a searcher's snapshot arenas.
 
-    One manager per engine (or sharded front).  ``publish`` freezes a
+    One manager per engine.  ``publish`` freezes a
     new epoch and retires the previous one; retired arenas are
     refcounted and unlink only when their last in-flight batch
     releases, so compaction (the PR 9 lifecycle) can swap epochs while

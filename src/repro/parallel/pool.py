@@ -16,21 +16,26 @@ sides).  An op that *raises* inside a healthy worker comes back as
 survives.
 
 Dispatch is ``spawn``-based (never ``fork``: a forked child would
-inherit live locks and thread state from the parent's executors), and
-every pipe is guarded by a per-worker lock so concurrent parent threads
-— the engine's chunk fan-out, the scatter-gather's probe fan-out —
-serialize cleanly per worker.
+inherit live locks and thread state from the parent), and fan-out needs
+no parent threads: :meth:`ProcessPool.map_calls` writes every call to
+its slot's pipe, then reads the replies back in order, so the workers
+compute while the caller blocks on one pipe at a time.  Every pipe is
+guarded by a per-worker lock, so engines sharing one pool from several
+threads serialize cleanly per worker.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import pickle
 import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.parallel.worker import worker_main
+
+#: What a dead worker's pipe raises on send or receive.
+_PIPE_ERRORS = (BrokenPipeError, EOFError, ConnectionResetError, OSError)
 
 
 class WorkerCrash(RuntimeError):
@@ -90,7 +95,6 @@ class ProcessPool:
         self._ctx = mp.get_context("spawn")
         self._workers: list[_Worker | None] = [None] * self.num_workers
         self._locks = [threading.Lock() for _ in range(self.num_workers)]
-        self._fanout: ThreadPoolExecutor | None = None
         self._state_lock = threading.Lock()
         self._closed = False
         self.spawns = 0
@@ -156,51 +160,107 @@ class ProcessPool:
                 next use).
             RemoteError: the op raised inside the worker.
         """
+        (reply,) = self.map_calls([(worker_id, op, payload, pin)])
+        if isinstance(reply, WorkerCrash):
+            raise reply
+        return reply
+
+    def map_calls(self, calls) -> list:
+        """Run ``(worker_id, op, payload, pin)`` calls, one per slot, at once.
+
+        Writes every call to its slot's pipe first, then reads the
+        replies back in call order: the workers compute side by side
+        while the calling thread only blocks on pipe reads.  A call
+        whose worker died comes back *as* its :class:`WorkerCrash` (the
+        slot respawns on its next use), so the caller can retry just
+        that call.
+
+        Raises:
+            ValueError: two calls address the same slot — a second
+                request queued behind an unread reply could fill both
+                pipe directions.
+            RemoteError: an op raised inside its worker.  This, and a
+                payload that fails to pickle, is raised only after
+                every reply has been read, so no pipe is left holding
+                a stale reply.
+        """
         if self._closed:
             raise RuntimeError("ProcessPool is closed")
-        worker_id = int(worker_id) % self.num_workers
-        with self._locks[worker_id]:
-            worker = self._ensure(worker_id)
-            try:
-                if pin is not None:
-                    token, pin_payload = pin
-                    if token not in worker.pinned:
-                        self._roundtrip(worker_id, worker, "pin",
-                                        pin_payload)
-                        worker.pinned.add(token)
-                return self._roundtrip(worker_id, worker, op, payload)
-            except (BrokenPipeError, EOFError, ConnectionResetError,
-                    OSError) as exc:
-                self._reap(worker_id, worker)
-                raise WorkerCrash(worker_id, type(exc).__name__) from exc
+        calls = [(int(worker_id) % self.num_workers, op, payload, pin)
+                 for worker_id, op, payload, pin in calls]
+        slots = sorted(call[0] for call in calls)
+        if len(set(slots)) != len(slots):
+            raise ValueError(f"map_calls takes one call per slot, got {slots}")
+        for slot in slots:
+            self._locks[slot].acquire()
+        try:
+            for slot in slots:
+                self._ensure(slot)
+            errors = []
+            sent = [self._send(*call, errors) for call in calls]
+            replies = []
+            for (worker_id, *_), tokens in zip(calls, sent):
+                if isinstance(tokens, WorkerCrash):
+                    replies.append(tokens)
+                else:
+                    replies.append(self._receive(worker_id, tokens, errors))
+        finally:
+            for slot in slots:
+                self._locks[slot].release()
+        if errors:
+            raise errors[0]
+        return replies
 
-    def _roundtrip(self, worker_id: int, worker: _Worker, op, payload):
-        worker.conn.send((op, payload))
-        status, value = worker.conn.recv()
-        if status == "err":
-            raise RemoteError(worker_id, value)
+    def _send(self, worker_id: int, op, payload, pin, errors: list):
+        """Write one call (its pin first, if the worker lacks it).
+
+        Returns one entry per reply to expect — the pin's token, then
+        ``None`` for the op — or the :class:`WorkerCrash`.  A message
+        that fails to pickle is never written; its error goes to
+        ``errors``.
+        """
+        worker = self._workers[worker_id]
+        tokens = []
+        try:
+            if pin is not None and pin[0] not in worker.pinned:
+                worker.conn.send(("pin", pin[1]))
+                tokens.append(pin[0])
+            worker.conn.send((op, payload))
+        except _PIPE_ERRORS as exc:
+            return self._crash(worker_id, worker, exc)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            errors.append(exc)
+            return tokens
+        return tokens + [None]
+
+    def _receive(self, worker_id: int, tokens: list, errors: list):
+        """Read one call's replies; returns the op's value or the crash.
+
+        A remote failure is appended to ``errors`` (the op's reply is
+        still read, so the pipe stays in step); a pin that succeeded is
+        recorded so later calls skip it.
+        """
+        worker = self._workers[worker_id]
+        value = None
+        try:
+            for token in tokens:
+                status, reply = worker.conn.recv()
+                if status == "err":
+                    errors.append(RemoteError(worker_id, reply))
+                elif token is not None:
+                    worker.pinned.add(token)
+                else:
+                    value = reply
+        except _PIPE_ERRORS as exc:
+            return self._crash(worker_id, worker, exc)
         return value
 
-    def map_calls(self, calls):
-        """Run ``(worker_id, op, payload, pin)`` tuples concurrently.
-
-        Fans out over an internal thread pool (one thread per slot —
-        the threads only block on pipe IO, the actual compute happens
-        in the worker processes) and returns results in call order.
-        Exceptions propagate to the caller exactly as :meth:`call`
-        raises them.
-        """
-        calls = list(calls)
-        if len(calls) <= 1:
-            return [self.call(*entry) for entry in calls]
-        if self._fanout is None:
-            self._fanout = ThreadPoolExecutor(
-                max_workers=self.num_workers,
-                thread_name_prefix="repro-pool-io",
-            )
-        futures = [self._fanout.submit(self.call, *entry)
-                   for entry in calls]
-        return [future.result() for future in futures]
+    def _crash(self, worker_id: int, worker: _Worker, exc) -> WorkerCrash:
+        """Reap a worker whose pipe broke; the crash to report for it."""
+        self._reap(worker_id, worker)
+        crash = WorkerCrash(worker_id, type(exc).__name__)
+        crash.__cause__ = exc
+        return crash
 
     def unpin_all(self, token: str) -> None:
         """Unpin a retired arena epoch from every live worker.
@@ -219,14 +279,6 @@ class ProcessPool:
                 except Exception:
                     pass
                 worker.pinned.discard(token)
-
-    def broadcast(self, op: str, payload=None) -> list:
-        """Run one op on every *live* slot (spawning none)."""
-        out = []
-        for worker_id, worker in enumerate(self._workers):
-            if worker is not None and worker.process.is_alive():
-                out.append(self.call(worker_id, op, payload))
-        return out
 
     # ------------------------------------------------------------------
     # Introspection / chaos hooks
@@ -303,10 +355,6 @@ class ProcessPool:
                     worker.process.join(timeout=5)
             except Exception:
                 pass
-        fanout = self._fanout
-        self._fanout = None
-        if fanout is not None:
-            fanout.shutdown(wait=True)
 
     def __enter__(self) -> "ProcessPool":
         return self

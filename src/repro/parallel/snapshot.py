@@ -9,13 +9,13 @@ inverts it inside a worker: a *real* ``AcornIndex`` /
 store, frozen CSR levels, and quantized codes are views straight into
 the shared block.  Because workers then execute the exact same search
 methods over byte-identical arrays, process-parallel results match the
-thread path bit for bit — the determinism contract
+inline path bit for bit — the determinism contract
 ``docs/parallelism.md`` documents and the equivalence suite pins.
 
 Searchers outside the supported set (routers, lifecycle indices whose
 epoch state lives in Python objects, fault-injection wrappers) raise
-:class:`UnsupportedSearcher`; the engine catches it and falls back to
-the thread executor.
+:class:`UnsupportedSearcher`; the engine catches it and runs the batch
+inline instead.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ class UnsupportedSearcher(RuntimeError):
     """The searcher cannot be shipped to worker processes.
 
     Raised by :func:`snapshot_token` / :func:`build_snapshot`; callers
-    treat it as "fall back to the thread executor", never as an error.
+    treat it as "run the batch inline", never as an error.
     """
 
 
 #: Exact-type registry of process-executable searchers.  Exact on
 #: purpose: an unknown subclass may carry Python-side state the spec
-#: would silently drop, so it must take the thread path instead.
+#: would silently drop, so it must run inline instead.
 _KINDS: dict[type, str] = {
     AcornIndex: "acorn",
     AcornOneIndex: "acorn1",
@@ -83,17 +83,6 @@ class IndexSpec:
     expansions: tuple
     has_norms: bool
     quant: dict | None
-
-
-@dataclasses.dataclass(frozen=True)
-class ShardedSpec:
-    """Spec for a sharded front: one (possibly empty) entry per shard.
-
-    Array roles are prefixed ``s{i}.`` in the shared arena; empty
-    shards contribute no arrays and a ``None`` spec slot.
-    """
-
-    shards: tuple
 
 
 class _GraphStub:
@@ -140,28 +129,25 @@ class _TableStub:
         return self._n
 
 
-def _quant_spec_and_arrays(index, arrays: dict, prefix: str) -> dict | None:
+def _quant_spec_and_arrays(index, arrays: dict) -> dict | None:
     """Extract the quantized store's codes + codec constants, if any."""
     qs = index._quant_store()
     if qs is None:
         return None
     if qs.codec is None or qs.codes is None:
         return None
-    arrays[prefix + "quant.codes"] = canonical_array(
-        prefix + "quant.codes", qs.codes, dtype=np.uint8
+    arrays["quant.codes"] = canonical_array(
+        "quant.codes", qs.codes, dtype=np.uint8
     )
     quant: dict = {"config": qs.config, "kind": qs.config.kind}
     if qs._row_sq is not None:
-        arrays[prefix + "quant.row_sq"] = canonical_array(
-            prefix + "quant.row_sq", qs._row_sq
-        )
+        arrays["quant.row_sq"] = canonical_array("quant.row_sq", qs._row_sq)
         quant["has_row_sq"] = True
     else:
         quant["has_row_sq"] = False
     if qs._row_norm is not None:
-        arrays[prefix + "quant.row_norm"] = canonical_array(
-            prefix + "quant.row_norm", qs._row_norm
-        )
+        arrays["quant.row_norm"] = canonical_array("quant.row_norm",
+                                                   qs._row_norm)
         quant["has_row_norm"] = True
     else:
         quant["has_row_norm"] = False
@@ -221,9 +207,7 @@ def snapshot_refs(searcher) -> tuple:
             searcher.store._data)
 
 
-def build_snapshot(
-    searcher, prefix: str = ""
-) -> tuple[IndexSpec, dict[str, np.ndarray]]:
+def build_snapshot(searcher) -> tuple[IndexSpec, dict[str, np.ndarray]]:
     """Decompose one index into a spec and its arena-bound arrays.
 
     All arrays pass through
@@ -242,42 +226,38 @@ def build_snapshot(
     frozen = searcher.freeze()
     n = len(searcher.store)
     arrays: dict[str, np.ndarray] = {}
-    arrays[prefix + "vectors"] = canonical_array(
-        prefix + "vectors", searcher.store.vectors, dtype=np.float32
+    arrays["vectors"] = canonical_array(
+        "vectors", searcher.store.vectors, dtype=np.float32
     )
     has_norms = searcher.store.metric is Metric.COSINE
     if has_norms:
-        arrays[prefix + "norms"] = canonical_array(
-            prefix + "norms", searcher.store.base_norms()
-        )
+        arrays["norms"] = canonical_array("norms", searcher.store.base_norms())
     tombstones = np.zeros(n, dtype=bool)
     if searcher._deleted:
         tombstones[list(searcher._deleted)] = True
-    arrays[prefix + "tombstones"] = tombstones
+    arrays["tombstones"] = tombstones
     expansions = []
     for lev, level in enumerate(frozen):
-        arrays[prefix + f"L{lev}.indptr"] = canonical_array(
-            prefix + f"L{lev}.indptr", level.indptr, dtype=np.int32
+        arrays[f"L{lev}.indptr"] = canonical_array(
+            f"L{lev}.indptr", level.indptr, dtype=np.int32
         )
-        arrays[prefix + f"L{lev}.indices"] = canonical_array(
-            prefix + f"L{lev}.indices", level.indices, dtype=np.int32
+        arrays[f"L{lev}.indices"] = canonical_array(
+            f"L{lev}.indices", level.indices, dtype=np.int32
         )
-        arrays[prefix + f"L{lev}.node_ids"] = canonical_array(
-            prefix + f"L{lev}.node_ids", level.node_ids, dtype=np.int32
+        arrays[f"L{lev}.node_ids"] = canonical_array(
+            f"L{lev}.node_ids", level.node_ids, dtype=np.int32
         )
         betas = tuple(sorted(level._expansions))
         expansions.append(betas)
         for m_beta in betas:
             exp_indptr, exp_indices = level._expansions[m_beta]
-            arrays[prefix + f"L{lev}.e{m_beta}.indptr"] = canonical_array(
-                prefix + f"L{lev}.e{m_beta}.indptr", exp_indptr,
-                dtype=np.int32,
+            arrays[f"L{lev}.e{m_beta}.indptr"] = canonical_array(
+                f"L{lev}.e{m_beta}.indptr", exp_indptr, dtype=np.int32
             )
-            arrays[prefix + f"L{lev}.e{m_beta}.indices"] = canonical_array(
-                prefix + f"L{lev}.e{m_beta}.indices", exp_indices,
-                dtype=np.int32,
+            arrays[f"L{lev}.e{m_beta}.indices"] = canonical_array(
+                f"L{lev}.e{m_beta}.indices", exp_indices, dtype=np.int32
             )
-    quant = _quant_spec_and_arrays(searcher, arrays, prefix)
+    quant = _quant_spec_and_arrays(searcher, arrays)
     entry = searcher.graph.entry_point
     spec = IndexSpec(
         kind=kind,
@@ -296,14 +276,14 @@ def build_snapshot(
     return spec, arrays
 
 
-def _materialize_store(spec: IndexSpec, arrays, prefix: str) -> VectorStore:
+def _materialize_store(spec: IndexSpec, arrays) -> VectorStore:
     store = VectorStore.__new__(VectorStore)
     store.dim = spec.dim
     store.metric = Metric(spec.metric)
-    store._data = arrays[prefix + "vectors"]
+    store._data = arrays["vectors"]
     store._size = spec.n
     if spec.has_norms:
-        store._norms = arrays[prefix + "norms"]
+        store._norms = arrays["norms"]
         store._norm_size = spec.n
     else:
         store._norms = np.empty(0, dtype=np.float32)
@@ -311,7 +291,7 @@ def _materialize_store(spec: IndexSpec, arrays, prefix: str) -> VectorStore:
     return store
 
 
-def _materialize_quant(spec: IndexSpec, arrays, prefix: str, metric):
+def _materialize_quant(spec: IndexSpec, arrays, metric):
     if spec.quant is None:
         return None
     from repro.vectors.quantization import ProductQuantizer, ScalarQuantizer
@@ -333,15 +313,14 @@ def _materialize_quant(spec: IndexSpec, arrays, prefix: str, metric):
         codec.dim = codec.n_subspaces * codec.sub_dim
         codec.codebooks = [books[sub] for sub in range(books.shape[0])]
     qs.codec = codec
-    qs.codes = arrays[prefix + "quant.codes"]
-    qs._row_sq = (arrays[prefix + "quant.row_sq"]
-                  if quant["has_row_sq"] else None)
-    qs._row_norm = (arrays[prefix + "quant.row_norm"]
+    qs.codes = arrays["quant.codes"]
+    qs._row_sq = arrays["quant.row_sq"] if quant["has_row_sq"] else None
+    qs._row_norm = (arrays["quant.row_norm"]
                     if quant["has_row_norm"] else None)
     return qs
 
 
-def materialize(spec: IndexSpec, arrays, prefix: str = ""):
+def materialize(spec: IndexSpec, arrays):
     """Reconstruct a searchable index over arena-backed array views.
 
     ``arrays`` is any mapping of role name → ndarray — an attached
@@ -354,20 +333,20 @@ def materialize(spec: IndexSpec, arrays, prefix: str = ""):
     index = cls.__new__(cls)
     index.params = spec.params
     index.table = _TableStub(spec.n_rows)
-    index.store = _materialize_store(spec, arrays, prefix)
+    index.store = _materialize_store(spec, arrays)
     index.graph = _GraphStub(spec.entry_point, spec.entry_level,
                              spec.graph_len)
     frozen = []
     for lev, betas in enumerate(spec.expansions):
         level = FrozenLevel(
-            arrays[prefix + f"L{lev}.indptr"],
-            arrays[prefix + f"L{lev}.indices"],
-            arrays[prefix + f"L{lev}.node_ids"],
+            arrays[f"L{lev}.indptr"],
+            arrays[f"L{lev}.indices"],
+            arrays[f"L{lev}.node_ids"],
         )
         for m_beta in betas:
             level._expansions[int(m_beta)] = (
-                arrays[prefix + f"L{lev}.e{m_beta}.indptr"],
-                arrays[prefix + f"L{lev}.e{m_beta}.indices"],
+                arrays[f"L{lev}.e{m_beta}.indptr"],
+                arrays[f"L{lev}.e{m_beta}.indices"],
             )
         frozen.append(level)
     index._frozen = frozen
@@ -376,67 +355,10 @@ def materialize(spec: IndexSpec, arrays, prefix: str = ""):
     index._edge_dists = []
     index.quantization = (spec.quant["config"]
                           if spec.quant is not None else None)
-    index._quant = _materialize_quant(spec, arrays, prefix,
-                                      index.store.metric)
-    deleted = np.flatnonzero(arrays[prefix + "tombstones"])
+    index._quant = _materialize_quant(spec, arrays, index.store.metric)
+    deleted = np.flatnonzero(arrays["tombstones"])
     index._deleted = set(int(node) for node in deleted)
     index._deleted_version = 0
     index._mask_cache = {}
     index._mask_cache_lock = threading.Lock()
     return index
-
-
-def build_sharded_snapshot(sharded) -> tuple[ShardedSpec, dict[str, np.ndarray]]:
-    """Decompose a ``ShardedAcornIndex``'s shards into one shared arena.
-
-    Raises:
-        UnsupportedSearcher: when any shard is outside the registry
-            (e.g. fault-injection wrappers) or per-shard route planners
-            are attached (their feedback state is parent-side Python).
-    """
-    if getattr(sharded, "_shard_planners", None) is not None:
-        raise UnsupportedSearcher(
-            "per-shard route planners keep parent-side feedback state"
-        )
-    specs = []
-    arrays: dict[str, np.ndarray] = {}
-    for i, shard in enumerate(sharded.shards):
-        if len(shard) == 0:
-            specs.append(None)
-            continue
-        spec, shard_arrays = build_snapshot(shard, prefix=f"s{i}.")
-        specs.append(spec)
-        arrays.update(shard_arrays)
-    return ShardedSpec(shards=tuple(specs)), arrays
-
-
-def sharded_snapshot_token(sharded) -> str:
-    """Epoch token over every shard (see :func:`snapshot_token`)."""
-    if getattr(sharded, "_shard_planners", None) is not None:
-        raise UnsupportedSearcher(
-            "per-shard route planners keep parent-side feedback state"
-        )
-    parts = []
-    for shard in sharded.shards:
-        if len(shard) == 0:
-            parts.append("empty")
-        else:
-            parts.append(snapshot_token(shard))
-    return f"sharded:{id(sharded):x}:" + "|".join(parts)
-
-
-def sharded_snapshot_refs(sharded) -> tuple:
-    """Pinned objects for a sharded arena record."""
-    refs: list = [sharded]
-    for shard in sharded.shards:
-        if len(shard):
-            refs.extend(snapshot_refs(shard))
-    return tuple(refs)
-
-
-def materialize_shard(spec: ShardedSpec, arrays, shard_id: int):
-    """Reconstruct one shard of a sharded arena (None when empty)."""
-    shard_spec = spec.shards[shard_id]
-    if shard_spec is None:
-        return None
-    return materialize(shard_spec, arrays, prefix=f"s{shard_id}.")

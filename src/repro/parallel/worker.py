@@ -2,10 +2,10 @@
 
 Each worker is a spawned process holding one duplex pipe to the parent
 pool.  It serves a tiny op loop: ``pin`` maps a published arena
-(verifying sha256 stamps) and materializes real index objects over the
-shared views; ``search_chunk`` / ``probe_shard`` run the library's own
-``search`` methods over those objects; ``introspect`` answers the
-zero-copy assertions the test suite makes *from inside the worker*.
+(verifying sha256 stamps), over whose views a real index object is
+materialized on first use; ``search_chunk`` runs that index's own
+``search`` method; ``introspect`` answers the zero-copy assertions the
+test suite makes *from inside the worker*.
 
 Everything protocol-level is defensive: any ``Exception`` during an op
 is caught and shipped back as a traceback string (the parent raises
@@ -29,51 +29,39 @@ class _Pin:
 
     Attributes:
         arena: the attached (verified) shared block.
-        spec: the :class:`~repro.parallel.snapshot.IndexSpec` or
-            :class:`~repro.parallel.snapshot.ShardedSpec`.
-        searchers: lazily materialized index objects, keyed by shard id
-            (``None`` for the unsharded searcher).
+        spec: the :class:`~repro.parallel.snapshot.IndexSpec`.
         masks: compiled-predicate cache keyed by mask digest, so a mask
             shipped once per chunk is reused across its queries.
     """
 
-    __slots__ = ("arena", "spec", "searchers", "masks")
+    __slots__ = ("arena", "spec", "masks", "_searcher")
 
     def __init__(self, arena, spec) -> None:
         self.arena = arena
         self.spec = spec
-        self.searchers: dict = {}
         self.masks: dict = {}
+        self._searcher = None
+
+    def searcher(self):
+        """The pinned epoch's index (materialized on first use)."""
+        if self._searcher is None:
+            from repro.parallel.snapshot import materialize
+
+            self._searcher = materialize(self.spec, self.arena.views())
+        return self._searcher
 
 
-def _searcher(pin: _Pin, shard: int | None):
-    """The pinned epoch's searcher (materialized on first use)."""
-    from repro.parallel import snapshot as snap
-
-    got = pin.searchers.get(shard)
-    if got is None:
-        views = pin.arena.views()
-        if shard is None:
-            got = snap.materialize(pin.spec, views)
-        else:
-            got = snap.materialize_shard(pin.spec, views, shard)
-        pin.searchers[shard] = got
-    return got
-
-
-def _compiled_mask(pin: _Pin, digest: bytes, payload_masks: dict,
-                   key_prefix=None):
+def _compiled_mask(pin: _Pin, digest: bytes, payload_masks: dict):
     """Rebuild (and cache) a CompiledPredicate from shipped mask bytes."""
     from repro.predicates.base import CompiledPredicate
 
-    key = (key_prefix, digest)
-    got = pin.masks.get(key)
+    got = pin.masks.get(digest)
     if got is None:
         mask = np.frombuffer(payload_masks[digest], dtype=bool)
         got = CompiledPredicate(None, mask)
         if len(pin.masks) >= 32:
             pin.masks.pop(next(iter(pin.masks)))
-        pin.masks[key] = got
+        pin.masks[digest] = got
     return got
 
 
@@ -96,46 +84,31 @@ def _op_unpin(pins: dict, payload: dict):
 
 def _op_search_chunk(pins: dict, payload: dict):
     pin = pins[payload["token"]]
-    searcher = _searcher(pin, payload.get("shard"))
+    searcher = pin.searcher()
     queries = payload["queries"]
     k = payload["k"]
     ef = payload["ef_search"]
     masks = payload["masks"]
     out = []
     for row, digest in enumerate(payload["mask_digests"]):
-        compiled = _compiled_mask(pin, digest, masks,
-                                  key_prefix=payload.get("shard"))
+        compiled = _compiled_mask(pin, digest, masks)
         begin = time.perf_counter()
         result = searcher.search(queries[row], compiled, k, ef_search=ef)
         out.append((result, time.perf_counter() - begin))
     return out
 
 
-def _op_probe_shard(pins: dict, payload: dict):
-    pin = pins[payload["token"]]
-    shard = payload["shard"]
-    searcher = _searcher(pin, shard)
-    compiled = _compiled_mask(pin, payload["mask_digest"],
-                              payload["masks"], key_prefix=shard)
-    begin = time.perf_counter()
-    result = searcher.search(payload["query"], compiled, payload["k"],
-                             ef_search=payload["ef_search"])
-    return result, time.perf_counter() - begin
-
-
 def _op_introspect(pins: dict, payload: dict):
     """Zero-copy evidence from inside the worker.
 
-    For each requested searcher, reports whether its hot arrays share
-    memory with the mapped arena buffer — the in-worker half of the
-    buffer-identity assertions (the in-process half lives in
+    Reports whether the pinned index's hot arrays share memory with the
+    mapped arena buffer — the in-worker half of the buffer-identity
+    assertions (the in-process half lives in
     ``tests/parallel/test_snapshot.py``).
     """
     pin = pins[payload["token"]]
-    shard = payload.get("shard")
-    searcher = _searcher(pin, shard)
+    searcher = pin.searcher()
     arena = pin.arena
-    prefix = "" if shard is None else f"s{shard}."
 
     def shares(role: str, arr) -> bool:
         view = arena.view(role)
@@ -150,11 +123,10 @@ def _op_introspect(pins: dict, payload: dict):
         "pid": os.getpid(),
         "shm_name": arena.shm.name,
         "arena_nbytes": arena.nbytes,
-        "vectors_shared": shares(prefix + "vectors",
-                                 searcher.store._data),
+        "vectors_shared": shares("vectors", searcher.store._data),
         "csr_shared": all(
-            shares(prefix + f"L{lev}.indices", level.indices)
-            and shares(prefix + f"L{lev}.indptr", level.indptr)
+            shares(f"L{lev}.indices", level.indices)
+            and shares(f"L{lev}.indptr", level.indptr)
             for lev, level in enumerate(searcher._frozen)
         ),
         "vectors_writeable": bool(
@@ -162,8 +134,7 @@ def _op_introspect(pins: dict, payload: dict):
         ),
     }
     if searcher._quant is not None:
-        report["codes_shared"] = shares(prefix + "quant.codes",
-                                        searcher._quant.codes)
+        report["codes_shared"] = shares("quant.codes", searcher._quant.codes)
     return report
 
 
@@ -171,7 +142,6 @@ _OPS = {
     "pin": _op_pin,
     "unpin": _op_unpin,
     "search_chunk": _op_search_chunk,
-    "probe_shard": _op_probe_shard,
     "introspect": _op_introspect,
 }
 

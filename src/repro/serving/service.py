@@ -17,9 +17,10 @@ Three mechanisms compose:
   Batch size is therefore a consequence of load — about one under light
   traffic, growing toward ``max_batch`` as the dispatcher saturates —
   and the budget is the *maximum* time a query sits in the buffer, never
-  an intended one.  Inside the batch the
-  :class:`~repro.engine.engine.SearchEngine` fans out across its own
-  worker pool.
+  an intended one.  The batch runs through the
+  :class:`~repro.engine.engine.SearchEngine` — inline on the dispatch
+  thread, or in chunks on its worker processes under
+  ``executor="process"``.
 - **Admission control.**  Before a query may enter the buffer it must
   pass, in order: circuit-breaker shedding (fraction of open shard
   breakers vs ``shed_breaker_fraction``), the global ``max_pending``
@@ -96,14 +97,15 @@ class ServingConfig:
             circuit breakers and at least this fraction of them is
             open, new arrivals are shed with ``breakers-open``
             (``None`` disables breaker-aware shedding).
-        engine_workers: worker threads of the internal
-            :class:`~repro.engine.engine.SearchEngine`.
-        executor: the engine's batch fan-out mechanism — ``"thread"``
-            (default), ``"sync"``, or ``"process"`` for the zero-copy
-            shared-memory worker pool (``docs/parallelism.md``).
-            Byte-identical results either way; ``"process"`` moves the
-            GIL-bound traversal loops off the event loop's host
-            process.
+        engine_workers: worker processes of the internal
+            :class:`~repro.engine.engine.SearchEngine` under
+            ``executor="process"`` (unused by ``"sync"``).
+        executor: the engine's executor — ``"sync"`` (default) runs
+            each batch inline on the dispatch thread; ``"process"``
+            ships multi-query batches to the zero-copy shared-memory
+            worker pool (``docs/parallelism.md``).  Byte-identical
+            results either way; ``"process"`` moves the GIL-bound
+            traversal loops off the event loop's host process.
     """
 
     k: int = 10
@@ -115,7 +117,7 @@ class ServingConfig:
     quotas: dict[str, TenantQuota] = dataclasses.field(default_factory=dict)
     shed_breaker_fraction: float | None = None
     engine_workers: int = 1
-    executor: str = "thread"
+    executor: str = "sync"
 
     def __post_init__(self) -> None:
         from repro.parallel import resolve_executor

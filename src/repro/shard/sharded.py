@@ -33,11 +33,9 @@ layer owns.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from collections import Counter
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -133,11 +131,8 @@ class ShardedAcornIndex(BatchSearchMixin):
             deadlines with retry-and-backoff and per-shard circuit
             breakers, and queries degrade gracefully to a partial
             top-k over surviving shards with exact failure accounting.
-        shard_workers: fan shard probes of a single query across this
-            many threads (``None``/1 probes sequentially on the calling
-            thread — the deterministic default the chaos suite relies
-            on).  ``BaseException`` raised inside a probe always
-            propagates, never folds into failure accounting.
+            ``BaseException`` raised inside a probe always propagates,
+            never folds into failure accounting.
         route_policy: per-shard query routing.  ``None`` (default)
             probes each shard's graph directly — the historical
             behavior.  ``"static"`` or ``"adaptive"`` wraps each shard
@@ -145,25 +140,12 @@ class ShardedAcornIndex(BatchSearchMixin):
             policy, seeded with the shard router's summary-based local
             selectivity estimate as the prior; route telemetry
             surfaces on the result and in per-shard records.
-        executor: probe fan-out mechanism.  ``"thread"`` (default)
-            keeps the historical in-process probes (threaded when
-            ``shard_workers > 1``); ``"sync"`` behaves identically
-            (probes are already sequential at ``shard_workers <= 1``);
-            ``"process"`` runs each probed shard's local search in a
-            spawned worker over a zero-copy shared-memory arena of all
-            shards (``docs/parallelism.md``).  Results are
-            byte-identical across executors; the process path falls
-            back to in-process probes — counted in
-            ``process_fallbacks`` / ``last_fallback_reason`` — when
-            shared memory is unavailable or the shards cannot be
-            snapshotted (fault-injection wrappers, per-shard route
-            planners).  Worker crashes surface as ordinary probe
-            ``Exception``s, so the resilience policy's
-            failed/degraded/recall-ceiling accounting applies to a
-            dying worker process exactly as to a throwing shard.
-        process_pool: a shared
-            :class:`~repro.parallel.pool.ProcessPool`; ``None`` lazily
-            creates one owned (and closed) by this index.
+        executor: compatibility keyword with no effect — the frozen
+            ``benchmarks/e2e/workloads.py`` still passes
+            ``executor="sync"``.  Probes always run one after another on
+            the calling thread (threaded and per-shard process probes
+            measured 0.60x and 0.37x of that), so any other value is
+            rejected rather than silently ignored.
     """
 
     def __init__(
@@ -175,12 +157,14 @@ class ShardedAcornIndex(BatchSearchMixin):
         router: ShardRouter | None = None,
         scale_ef: bool = False,
         resilience: ResiliencePolicy | None = None,
-        shard_workers: int | None = None,
         route_policy: str | None = None,
-        executor: str = "thread",
-        process_pool=None,
+        executor: str = "sync",
     ) -> None:
-        from repro.parallel import resolve_executor
+        if executor != "sync":
+            raise ValueError(
+                "ShardedAcornIndex probes shards on the calling thread; "
+                f"executor must be 'sync', got {executor!r}"
+            )
         if len(shards) != assignment.n_shards:
             raise ValueError(
                 f"{len(shards)} shard indexes but assignment has "
@@ -206,9 +190,6 @@ class ShardedAcornIndex(BatchSearchMixin):
             resilience.make_breakers(len(shards))
             if resilience is not None else None
         )
-        self.shard_workers = (
-            1 if shard_workers is None else max(int(shard_workers), 1)
-        )
         self.route_policy = route_policy
         self._shard_planners = None
         if route_policy is not None:
@@ -220,14 +201,6 @@ class ShardedAcornIndex(BatchSearchMixin):
                 RoutePlanner(shard, policy=route_policy)
                 for shard in self.shards
             ]
-        self._scatter_pool: ThreadPoolExecutor | None = None
-        self.executor = resolve_executor(executor)
-        self._proc_pool = process_pool
-        self._own_proc_pool = process_pool is None
-        self._arena_manager = None
-        self._closed = False
-        self.process_fallbacks = 0
-        self.last_fallback_reason = ""
 
     # ------------------------------------------------------------------
     # Construction
@@ -248,10 +221,8 @@ class ShardedAcornIndex(BatchSearchMixin):
         build_shard: Callable[[np.ndarray, AttributeTable], AcornIndex] | None = None,
         scale_ef: bool = False,
         resilience: ResiliencePolicy | None = None,
-        shard_workers: int | None = None,
         route_policy: str | None = None,
-        executor: str = "thread",
-        process_pool=None,
+        executor: str = "sync",
     ) -> "ShardedAcornIndex":
         """Partition ``vectors``/``table`` and build one index per shard.
 
@@ -273,10 +244,8 @@ class ShardedAcornIndex(BatchSearchMixin):
                 overriding ``variant`` entirely.
             scale_ef: forwarded to the instance (see class docs).
             resilience: forwarded to the instance (see class docs).
-            shard_workers: forwarded to the instance (see class docs).
             route_policy: forwarded to the instance (see class docs).
             executor: forwarded to the instance (see class docs).
-            process_pool: forwarded to the instance (see class docs).
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         if len(table) != vectors.shape[0]:
@@ -297,8 +266,7 @@ class ShardedAcornIndex(BatchSearchMixin):
         return cls(
             shards=shards, assignment=assignment, partitioner=partitioner,
             table=table, scale_ef=scale_ef, resilience=resilience,
-            shard_workers=shard_workers, route_policy=route_policy,
-            executor=executor, process_pool=process_pool,
+            route_policy=route_policy, executor=executor,
         )
 
     def with_faults(self, injector) -> "ShardedAcornIndex":
@@ -317,12 +285,7 @@ class ShardedAcornIndex(BatchSearchMixin):
             router=self.router,
             scale_ef=self.scale_ef,
             resilience=self.resilience,
-            shard_workers=self.shard_workers,
             route_policy=self.route_policy,
-            # Process probes cannot reach fault-injection wrappers (they
-            # live outside the snapshot registry), so the chaos view
-            # always probes in-process regardless of this executor.
-            executor=self.executor,
         )
 
     def __len__(self) -> int:
@@ -350,100 +313,6 @@ class ShardedAcornIndex(BatchSearchMixin):
         if self._shard_planners is not None:
             for planner in self._shard_planners:
                 planner.begin_batch()
-
-    # ------------------------------------------------------------------
-    # Lifecycle (worker pools and shared-memory arenas)
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut the probe pools and shared-memory arenas down.
-
-        Idempotent and teardown safe; after an explicit close,
-        :meth:`search` raises ``RuntimeError`` (the arenas are
-        unlinked — silently re-creating them would hide leaks).
-        """
-        self._closed = True
-        pool = getattr(self, "_scatter_pool", None)
-        if pool is not None:
-            self._scatter_pool = None
-            pool.shutdown(wait=True)
-        proc_pool = getattr(self, "_proc_pool", None)
-        if proc_pool is not None and getattr(self, "_own_proc_pool", False):
-            self._proc_pool = None
-            proc_pool.close()
-        manager = getattr(self, "_arena_manager", None)
-        if manager is not None:
-            self._arena_manager = None
-            manager.close()
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run."""
-        return self._closed
-
-    def __enter__(self) -> "ShardedAcornIndex":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _scatter_executor(self) -> ThreadPoolExecutor:
-        if self._scatter_pool is None:
-            self._scatter_pool = ThreadPoolExecutor(
-                max_workers=self.shard_workers,
-                thread_name_prefix="repro-scatter",
-            )
-        return self._scatter_pool
-
-    def _process_pool(self):
-        """The probe process pool (lazily created when owned)."""
-        if self._proc_pool is None:
-            from repro.parallel import ProcessPool
-
-            self._proc_pool = ProcessPool(max(self.shard_workers, 1))
-            self._own_proc_pool = True
-        return self._proc_pool
-
-    def _remote_record(self):
-        """The live arena record for process probes, or ``None``.
-
-        ``None`` means this query probes in-process instead: the shards
-        cannot be snapshotted (fault wrappers, route planners) or shared
-        memory is unavailable.  Every ``None`` is counted.
-        """
-        from repro import parallel as par
-
-        try:
-            token = par.sharded_snapshot_token(self)
-        except par.UnsupportedSearcher as exc:
-            self.process_fallbacks += 1
-            self.last_fallback_reason = f"unsupported searcher: {exc}"
-            return None
-        if not par.parallel_available():
-            self.process_fallbacks += 1
-            self.last_fallback_reason = "shared memory unavailable"
-            return None
-        if self._arena_manager is None:
-            self._arena_manager = par.ArenaManager()
-        manager = self._arena_manager
-        record = manager.current
-        if record is not None and record.token == token:
-            return record
-        old_token = record.token if record is not None else None
-        spec, arrays = par.build_sharded_snapshot(self)
-        record = manager.publish(
-            token, arrays, spec, refs=par.sharded_snapshot_refs(self)
-        )
-        if old_token is not None and self._proc_pool is not None \
-                and not self._proc_pool.closed:
-            self._proc_pool.unpin_all(old_token)
-        return record
 
     # ------------------------------------------------------------------
     # Search
@@ -475,7 +344,6 @@ class ShardedAcornIndex(BatchSearchMixin):
         compiled: CompiledPredicate,
         query: np.ndarray,
         k: int,
-        remote=None,
     ) -> tuple[dict, object | None, np.ndarray]:
         """Execute one probed shard's local search.
 
@@ -484,13 +352,6 @@ class ShardedAcornIndex(BatchSearchMixin):
         :class:`~repro.hnsw.hnsw.SearchResult` (``None`` when the shard
         had nothing to search or its probe failed under the resilience
         policy), and ``gids`` maps local ids back to global ids.
-
-        With ``remote`` (an arena record from :meth:`_remote_record`),
-        the local search runs in a pool worker over the shared-memory
-        snapshot instead of in-process; a crashed worker raises
-        :class:`~repro.parallel.pool.WorkerCrash` out of the closure,
-        which the resilience machinery below treats like any probe
-        exception.
 
         Exceptions from the shard propagate when no resilience policy
         is attached (fail-fast).  With a policy, ``Exception``s are
@@ -533,29 +394,6 @@ class ShardedAcornIndex(BatchSearchMixin):
                     query, local, k, ef_search=decision.ef_search,
                     selectivity_hint=decision.est_selectivity,
                 )
-        elif remote is not None:
-            pool = self._process_pool()
-            token = remote.token
-            pin = (token, {"manifest": remote.arena.manifest(),
-                           "spec": remote.spec})
-            mask_bytes = local_mask.tobytes()
-            payload = {
-                "token": token,
-                "shard": decision.shard_id,
-                "query": np.ascontiguousarray(query, dtype=np.float32),
-                "k": k,
-                "ef_search": decision.ef_search,
-                "mask_digest": hashlib.sha1(mask_bytes).digest(),
-                "masks": {hashlib.sha1(mask_bytes).digest(): mask_bytes},
-            }
-            worker_id = decision.shard_id % pool.num_workers
-
-            def run_search():
-                """One attempt in a pool worker (resilience closure)."""
-                found, _elapsed = pool.call(
-                    worker_id, "probe_shard", payload, pin=pin
-                )
-                return found
         else:
             def run_search():
                 """One attempt of the local search (resilience closure)."""
@@ -598,53 +436,22 @@ class ShardedAcornIndex(BatchSearchMixin):
         """Scatter-gather hybrid search: global top-k passing entities.
 
         The predicate compiles once against the global table; the plan
-        prunes provably-empty shards; each probed shard searches its
-        local subgraph over the sliced mask (sequentially, or across
-        ``shard_workers`` threads); sorted per-shard results merge
+        prunes provably-empty shards; each probed shard in turn searches
+        its local subgraph over the sliced mask; sorted per-shard results
+        merge
         streamingly into the global top-k.  Under a resilience policy,
         shards that fail past their retry budget are dropped and the
         result degrades to the survivors' partial top-k with exact
         ``shards_failed``/``shards_timed_out`` accounting.
         """
-        if self._closed:
-            raise RuntimeError(
-                "ShardedAcornIndex is closed; close() released its "
-                "probe pools and shared-memory arenas"
-            )
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         compiled = self._compile(predicate)
         plan = self.plan(compiled, k=k, ef_search=ef_search)
-
-        remote = None
-        if self.executor == "process":
-            remote = self._remote_record()
-        if remote is not None:
-            self._arena_manager.acquire(remote)
-        try:
-            probed = [d for d in plan.decisions if not d.pruned]
-            if self.shard_workers > 1 and len(probed) > 1:
-                # Futures fan-out: executor.map re-raises anything a
-                # probe raised — including BaseException, which must
-                # never be folded into failure accounting.  On the
-                # process path the threads only block on worker pipes.
-                probe_outcomes = list(self._scatter_executor().map(
-                    lambda d: self._probe_shard(
-                        d, compiled, query, k, remote=remote
-                    ),
-                    probed,
-                ))
-            else:
-                probe_outcomes = [
-                    self._probe_shard(d, compiled, query, k, remote=remote)
-                    for d in probed
-                ]
-        finally:
-            if remote is not None:
-                self._arena_manager.release(remote)
-
-        outcomes = {rec["shard"]: (rec, found, gids)
-                    for rec, found, gids in probe_outcomes}
+        outcomes = {
+            d.shard_id: self._probe_shard(d, compiled, query, k)
+            for d in plan.decisions if not d.pruned
+        }
         streams = []
         children = []
         est_rows: list[float] = []

@@ -7,6 +7,8 @@ exercise insertion build their own small indexes).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,38 @@ def assert_results_identical(got, want, counters=True):
     if counters:
         assert (got.hops, got.visited_nodes) == (want.hops,
                                                  want.visited_nodes)
+
+
+def on_threads(fn, items, n_threads):
+    """``[fn(item) for item in items]``, computed on ``n_threads`` threads.
+
+    The library starts no search threads of its own, so the suites that
+    pin concurrent-search safety drive it through this harness: thread
+    ``t`` takes items ``t, t + n_threads, ...``, results come back in
+    item order, and the first exception any thread raised is re-raised.
+    A thread still running after five minutes fails the test.
+    """
+    items = list(items)
+    out = [None] * len(items)
+    errors = []
+
+    def work(start):
+        try:
+            for i in range(start, len(items), n_threads):
+                out[i] = fn(items[i])
+        except BaseException as exc:  # re-raised on the caller's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(t,), daemon=True)
+               for t in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads), "thread hung"
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _reference_level(computer, query, seeds, ef, neighbor_fn, scratch, n,

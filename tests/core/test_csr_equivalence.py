@@ -170,10 +170,10 @@ class TestSearchEquivalence:
         """The engine fanning the reference kernel equals production."""
         queries = _queries(small_vectors)
         batch = QueryBatch.build(queries, _predicates(), k=K, ef_search=EF)
-        with SearchEngine(acorn_index, num_workers=2) as engine:
+        with SearchEngine(acorn_index) as engine:
             csr_results = engine.search_batch(batch)
         adapter = ReferenceSearcher(acorn_index)
-        with SearchEngine(adapter, num_workers=2) as engine:
+        with SearchEngine(adapter) as engine:
             legacy_results = engine.search_batch(batch)
         for csr, legacy in zip(csr_results, legacy_results):
             assert csr.hops > 0

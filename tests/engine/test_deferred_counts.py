@@ -1,10 +1,11 @@
-"""Deferred distance-count accumulation under the thread-pool engine.
+"""Deferred distance-count accumulation under concurrent readers.
 
 The CSR kernel batches counter updates per query (two lock
 acquisitions per query instead of two per hop).  These tests pin the
 accounting contract: the process-global tally advances by exactly the
 sum of per-query counts — no increment lost, none double-flushed — for
-every worker count, and per-query results stay byte-identical.
+any number of threads sharing one engine, and per-query results stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import pytest
 from repro.engine import QueryBatch, SearchEngine
 from repro.predicates import Equals
 from repro.vectors.distance import GLOBAL_TALLY, DistanceComputer
+
+from tests.conftest import on_threads
 
 K = 8
 EF = 48
@@ -62,7 +65,7 @@ class TestDeferredComputer:
 
 
 class TestEnginePoolAccounting:
-    """Whole-batch accounting across worker counts."""
+    """Whole-batch accounting across reader-thread counts."""
 
     @pytest.fixture(scope="class")
     def workload(self, small_vectors):
@@ -73,13 +76,24 @@ class TestEnginePoolAccounting:
         predicates = [Equals("label", i % 6) for i in range(16)]
         return QueryBatch.build(queries, predicates, k=K, ef_search=EF)
 
-    @pytest.mark.parametrize("num_workers", [1, 2, 4])
+    @staticmethod
+    def _threaded(acorn_index, workload, n_threads):
+        """The workload, one query per call, on ``n_threads`` threads."""
+        with SearchEngine(acorn_index) as engine:
+            return on_threads(
+                lambda i: engine.search_batch(
+                    workload.queries[i], workload.predicates[i],
+                    k=K, ef_search=EF,
+                ).results[0],
+                range(len(workload)), n_threads,
+            )
+
+    @pytest.mark.parametrize("n_threads", [1, 2, 4])
     def test_tally_delta_equals_sum_of_query_counts(
-        self, acorn_index, workload, num_workers
+        self, acorn_index, workload, n_threads
     ):
         before = GLOBAL_TALLY.total
-        with SearchEngine(acorn_index, num_workers=num_workers) as engine:
-            results = engine.search_batch(workload)
+        results = self._threaded(acorn_index, workload, n_threads)
         delta = GLOBAL_TALLY.total - before
         assert delta == sum(r.distance_computations for r in results)
 
@@ -87,9 +101,8 @@ class TestEnginePoolAccounting:
         self, acorn_index, workload
     ):
         baselines = None
-        for num_workers in (1, 2, 4):
-            with SearchEngine(acorn_index, num_workers=num_workers) as engine:
-                results = list(engine.search_batch(workload))
+        for n_threads in (1, 2, 4):
+            results = self._threaded(acorn_index, workload, n_threads)
             if baselines is None:
                 baselines = results
                 continue

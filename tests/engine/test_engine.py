@@ -23,6 +23,8 @@ from repro.engine import (
 from repro.predicates import Equals, TruePredicate
 from repro.vectors.distance import GLOBAL_TALLY
 
+from tests.conftest import on_threads
+
 K = 5
 EF = 48
 
@@ -76,32 +78,50 @@ def test_query_stats_reconcile_with_global_tally(
     acorn_index, engine_queries, engine_predicates
 ):
     """Acceptance criterion: per-query ``distance_computations`` sums to
-    exactly the process-global counter delta across the batch."""
-    with SearchEngine(acorn_index, num_workers=4) as engine:
+    exactly the process-global counter delta — here across one-query
+    batches issued by four threads sharing the engine."""
+    with SearchEngine(acorn_index) as engine:
         # Pre-compile so the delta below measures search work only.
         compiled, _ = engine._compile_predicates(engine_predicates)
         before = GLOBAL_TALLY.total
-        outcome = engine.search_batch(
-            engine_queries, compiled, k=K, ef_search=EF
+        outcomes = on_threads(
+            lambda i: engine.search_batch(
+                engine_queries[i:i + 1], compiled[i:i + 1], k=K,
+                ef_search=EF,
+            ),
+            range(len(engine_queries)), 4,
         )
         delta = GLOBAL_TALLY.total - before
-    assert delta == outcome.summary()["total_distance_computations"]
-    assert delta == sum(s.distance_computations for s in outcome.stats)
+    assert delta == sum(
+        o.summary()["total_distance_computations"] for o in outcomes
+    )
+    assert delta == sum(
+        s.distance_computations for o in outcomes for s in o.stats
+    )
 
 
 def test_query_stats_match_results_and_order(
     acorn_index, engine_queries, engine_predicates
 ):
-    with SearchEngine(acorn_index, num_workers=4) as engine:
-        outcome = engine.search_batch(
-            engine_queries, engine_predicates, k=K, ef_search=EF
+    """Four threads run the same batch through one engine; every
+    outcome keeps its own submission order and per-query records."""
+    with SearchEngine(acorn_index) as engine:
+        outcomes = on_threads(
+            lambda _: engine.search_batch(
+                engine_queries, engine_predicates, k=K, ef_search=EF
+            ),
+            range(4), 4,
         )
-    for i, (result, stats) in enumerate(zip(outcome.results, outcome.stats)):
-        assert stats.query_index == i
-        assert stats.distance_computations == result.distance_computations
-        assert stats.hops == result.hops
-        assert stats.visited_nodes == result.visited_nodes
-        assert stats.wall_time_s >= 0.0
+    for outcome in outcomes:
+        for i, (result, stats) in enumerate(
+            zip(outcome.results, outcome.stats)
+        ):
+            assert stats.query_index == i
+            assert stats.distance_computations == (
+                result.distance_computations)
+            assert stats.hops == result.hops
+            assert stats.visited_nodes == result.visited_nodes
+            assert stats.wall_time_s >= 0.0
 
 
 def test_query_stats_frozen_and_serializable():
@@ -118,19 +138,35 @@ def test_query_stats_frozen_and_serializable():
 
 def test_batch_summary_fields(acorn_index, engine_queries,
                               engine_predicates):
-    with SearchEngine(acorn_index, num_workers=2) as engine:
+    with SearchEngine(acorn_index) as engine:
         outcome = engine.search_batch(
             engine_queries, engine_predicates, k=K, ef_search=EF
         )
     summary = outcome.summary()
     assert summary["queries"] == len(engine_queries)
-    assert summary["num_workers"] == 2
+    assert summary["num_workers"] == 1
     assert summary["qps"] > 0
     assert summary["latency_s"]["count"] == len(engine_queries)
     assert (summary["cache_hits"] + summary["cache_misses"]
             == len(engine_queries))
     assert (summary["total_distance_computations"]
             == sum(s.distance_computations for s in outcome.stats))
+
+
+def test_num_workers_reports_the_inline_run(acorn_index, engine_queries,
+                                            engine_predicates):
+    """``BatchResult.num_workers`` is how many ways the batch ran, not
+    the engine's configured count: a ``"sync"`` batch ran on one
+    thread whatever ``num_workers`` says (the process executor's chunk
+    count is pinned in ``tests/parallel``)."""
+    with SearchEngine(acorn_index, num_workers=4) as engine:
+        outcome = engine.search_batch(
+            engine_queries, engine_predicates, k=K, ef_search=EF
+        )
+        empty = engine.search_batch(engine_queries[:0], [], k=K)
+    assert outcome.num_workers == 1
+    assert outcome.summary()["num_workers"] == 1
+    assert empty.num_workers == 1
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +177,7 @@ def test_cache_hits_on_repeated_predicates(acorn_index, engine_queries):
     """6 distinct predicates over 12 queries: first sighting of each is
     a miss, every repeat is a hit."""
     predicates = [Equals("label", i % 6) for i in range(12)]
-    with SearchEngine(acorn_index, num_workers=1) as engine:
+    with SearchEngine(acorn_index) as engine:
         outcome = engine.search_batch(
             engine_queries, predicates, k=K, ef_search=EF
         )

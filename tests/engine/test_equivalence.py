@@ -2,7 +2,7 @@
 
 The engine's core contract: for a fixed searcher and batch, the result
 of ``search_batch`` is exactly what a one-query-at-a-time loop produces,
-for every index type and any worker count.
+for every index type — also when several threads share one engine.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.engine import BatchResult, QueryBatch, SearchEngine
+
+from tests.conftest import on_threads
 
 K = 5
 EF = 48
@@ -47,25 +49,34 @@ def test_batch_matches_sequential(
 ):
     searcher = request.getfixturevalue(searcher_name)
     seq = _sequential(searcher, engine_queries, engine_predicates)
-    with SearchEngine(searcher, num_workers=4) as engine:
-        outcome = engine.search_batch(
-            engine_queries, engine_predicates, k=K, ef_search=EF
+    with SearchEngine(searcher) as engine:
+        outcomes = on_threads(
+            lambda _: engine.search_batch(
+                engine_queries, engine_predicates, k=K, ef_search=EF
+            ),
+            range(4), 4,
         )
-    _assert_identical(seq, outcome.results)
+    for outcome in outcomes:
+        _assert_identical(seq, outcome.results)
 
 
 @pytest.mark.parametrize("workers", [1, 4, 8])
 def test_deterministic_across_worker_counts(
     workers, acorn_index, engine_queries, engine_predicates
 ):
+    """``workers`` threads each run the batch twice on one engine."""
     batch = QueryBatch.build(engine_queries, engine_predicates, k=K,
                              ef_search=EF)
     reference = _sequential(acorn_index, engine_queries, engine_predicates)
-    with SearchEngine(acorn_index, num_workers=workers) as engine:
-        first = engine.search_batch(batch)
-        second = engine.search_batch(batch)
-    _assert_identical(reference, first.results)
-    _assert_identical(first.results, second.results)
+    with SearchEngine(acorn_index) as engine:
+        runs = on_threads(
+            lambda _: (engine.search_batch(batch),
+                       engine.search_batch(batch)),
+            range(workers), workers,
+        )
+    for first, second in runs:
+        _assert_identical(reference, first.results)
+        _assert_identical(first.results, second.results)
 
 
 def test_mixin_search_batch_list(acorn_index, engine_queries,
@@ -73,7 +84,7 @@ def test_mixin_search_batch_list(acorn_index, engine_queries,
     """The back-compat mixin entry point returns a plain result list."""
     seq = _sequential(acorn_index, engine_queries, engine_predicates)
     out = acorn_index.search_batch(
-        engine_queries, engine_predicates, K, ef_search=EF, num_workers=4
+        engine_queries, engine_predicates, K, ef_search=EF
     )
     assert isinstance(out, list)
     _assert_identical(seq, out)
@@ -95,7 +106,7 @@ def test_cache_eviction_preserves_correctness(
     """A 2-entry cache thrashing over 6 distinct predicates must still
     return exactly the sequential answers — eviction affects cost only."""
     seq = _sequential(acorn_index, engine_queries, engine_predicates)
-    with SearchEngine(acorn_index, num_workers=2, cache_size=2) as engine:
+    with SearchEngine(acorn_index, cache_size=2) as engine:
         outcome = engine.search_batch(
             engine_queries, engine_predicates, k=K, ef_search=EF
         )
@@ -121,7 +132,7 @@ def test_single_query_batch(acorn_index, engine_queries, engine_predicates):
     seq = _sequential(
         acorn_index, engine_queries[:1], engine_predicates[:1]
     )
-    with SearchEngine(acorn_index, num_workers=4) as engine:
+    with SearchEngine(acorn_index) as engine:
         outcome = engine.search_batch(
             engine_queries[0], engine_predicates[0], k=K, ef_search=EF
         )

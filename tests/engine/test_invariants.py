@@ -21,6 +21,8 @@ from repro.engine import SearchEngine
 from repro.eval import mean_recall_at_k
 from repro.predicates import Equals, OneOf
 
+from tests.conftest import on_threads
+
 ALL_SEARCHERS = [
     "acorn_index",
     "acorn_one_index",
@@ -35,11 +37,15 @@ def test_batch_results_satisfy_predicates(
     searcher_name, request, engine_queries, engine_predicates, labeled_table
 ):
     searcher = request.getfixturevalue(searcher_name)
-    with SearchEngine(searcher, num_workers=4) as engine:
-        outcome = engine.search_batch(
-            engine_queries, engine_predicates, k=8, ef_search=48
+    with SearchEngine(searcher) as engine:
+        results = on_threads(
+            lambda i: engine.search_batch(
+                engine_queries[i:i + 1], engine_predicates[i:i + 1], k=8,
+                ef_search=48,
+            ).results[0],
+            range(len(engine_queries)), 4,
         )
-    for result, predicate in zip(outcome.results, engine_predicates):
+    for result, predicate in zip(results, engine_predicates):
         mask = predicate.mask(labeled_table)
         assert all(mask[int(i)] for i in result.ids), (
             f"{searcher_name} returned ids failing {predicate!r}"
@@ -59,7 +65,7 @@ def test_acorn_satisfies_arbitrary_label_predicates(
     """Property: for random (predicate, query, k) triples, every id the
     engine returns passes the predicate, and results stay sorted."""
     predicate = OneOf("label", sorted({label, extra}))
-    with SearchEngine(acorn_index, num_workers=1) as engine:
+    with SearchEngine(acorn_index) as engine:
         outcome = engine.search_batch(
             small_vectors[0][query_row], predicate, k=k, ef_search=48
         )
@@ -102,12 +108,15 @@ def test_acorn_gamma_recall_tripwire(recall_world):
     exact = PreFilterSearcher(vectors, table)
 
     k = 10
-    with SearchEngine(index, num_workers=4) as engine:
-        outcome = engine.search_batch(queries, predicates, k=k, ef_search=64)
+    with SearchEngine(index) as engine:
+        found = on_threads(
+            lambda i: engine.search_batch(
+                queries[i:i + 1], predicates[i:i + 1], k=k, ef_search=64
+            ).results[0].ids,
+            range(len(queries)), 4,
+        )
     truth = [
         exact.search(q, p, k).ids for q, p in zip(queries, predicates)
     ]
-    recall = mean_recall_at_k(
-        [r.ids for r in outcome.results], truth, k
-    )
+    recall = mean_recall_at_k(found, truth, k)
     assert recall >= 0.85, f"ACORN-gamma recall regressed: {recall:.3f}"

@@ -37,27 +37,32 @@ class TestQueryBatchValidation:
 
 
 class TestEngineClose:
+    """Pools are created lazily and spawn nothing until a batch needs
+    them, so these cases close real (empty) process pools."""
+
     def _engine(self, acorn_index, workers=2):
-        return SearchEngine(acorn_index, num_workers=workers)
+        return SearchEngine(acorn_index, num_workers=workers,
+                            executor="process")
 
     def test_close_idempotent(self, acorn_index):
         engine = self._engine(acorn_index)
-        engine._executor()  # force pool creation
+        pool = engine._process_pool()  # force pool creation
         engine.close()
         engine.close()
-        assert engine._pool is None
+        assert engine._proc_pool is None
+        assert pool.closed
 
     def test_del_after_explicit_close(self, acorn_index):
         engine = self._engine(acorn_index)
-        engine._executor()
+        engine._process_pool()
         engine.close()
         engine.__del__()  # must not raise
-        assert engine._pool is None
+        assert engine._proc_pool is None
 
     def test_close_without_pool(self, acorn_index):
         engine = self._engine(acorn_index)
         engine.close()  # never created a pool
-        assert engine._pool is None
+        assert engine._proc_pool is None
 
     def test_del_safe_after_failed_init(self):
         """__del__ on a partially-constructed engine must not raise."""
@@ -65,16 +70,17 @@ class TestEngineClose:
         engine.__del__()
 
     def test_context_manager_closes(self, acorn_index):
-        with SearchEngine(acorn_index, num_workers=2) as engine:
-            engine._executor()
-            assert engine._pool is not None
-        assert engine._pool is None
+        with self._engine(acorn_index) as engine:
+            pool = engine._process_pool()
+            assert engine._proc_pool is not None
+        assert engine._proc_pool is None
+        assert pool.closed
 
     def test_search_after_close_raises(self, acorn_index, small_vectors):
         """close() is terminal: it may have unlinked shared-memory
         arenas, so a later batch raises instead of silently re-creating
         pools (the contract the process executor relies on)."""
-        engine = self._engine(acorn_index)
+        engine = SearchEngine(acorn_index)
         batch = QueryBatch.build(
             small_vectors[0][:4], TruePredicate(), k=3, ef_search=16
         )
@@ -86,7 +92,7 @@ class TestEngineClose:
 
     def test_gc_collects_closed_engine(self, acorn_index):
         engine = self._engine(acorn_index)
-        engine._executor()
+        engine._process_pool()
         engine.close()
         del engine
         gc.collect()  # triggers __del__; must be silent

@@ -1,6 +1,6 @@
 """Concurrency stress: many readers on one frozen snapshot.
 
-Hammers the engine with more threads than the fast suite uses, while an
+Hammers one engine from more threads than the fast suite uses, while an
 independent writer builds another index on the same interpreter, and
 verifies (a) answers stay byte-identical to the sequential baseline and
 (b) no distance-count increment is ever lost to a race.
@@ -19,10 +19,19 @@ from repro.engine import SearchEngine
 from repro.predicates import Equals
 from repro.vectors.distance import GLOBAL_TALLY, DistanceComputer
 
+from tests.conftest import on_threads
+
 pytestmark = pytest.mark.slow
 
 N_THREADS = 8
-N_QUERIES = 50 * N_THREADS
+PER_THREAD = 50
+N_QUERIES = PER_THREAD * N_THREADS
+
+
+def _slices():
+    """One contiguous 50-query slice per reader thread."""
+    return [slice(t * PER_THREAD, (t + 1) * PER_THREAD)
+            for t in range(N_THREADS)]
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +72,20 @@ def test_shared_snapshot_with_concurrent_writer(
     thread = threading.Thread(target=writer)
     thread.start()
     try:
-        with SearchEngine(acorn_index, num_workers=N_THREADS) as engine:
-            outcome = engine.search_batch(
-                queries, predicates, k=5, ef_search=40
+        with SearchEngine(acorn_index) as engine:
+            outcomes = on_threads(
+                lambda rows: engine.search_batch(
+                    queries[rows], predicates[rows], k=5, ef_search=40
+                ),
+                _slices(), N_THREADS,
             )
     finally:
         thread.join()
 
     assert len(built) == 1 and len(built[0]) == 300
-    for seq, bat in zip(baseline, outcome.results):
+    results = [r for outcome in outcomes for r in outcome.results]
+    assert len(results) == N_QUERIES
+    for seq, bat in zip(baseline, results):
         assert np.array_equal(seq.ids, bat.ids)
         assert seq.distance_computations == bat.distance_computations
     # The writer never touched the served snapshot.
@@ -84,12 +98,19 @@ def test_global_tally_reconciles_under_contention(
     """Readers-only phase: the process-global tally's delta equals the
     sum of per-query counts — no increment lost across 8 threads."""
     queries, predicates = stress_workload
-    with SearchEngine(acorn_index, num_workers=N_THREADS) as engine:
+    with SearchEngine(acorn_index) as engine:
         compiled, _ = engine._compile_predicates(predicates)
         before = GLOBAL_TALLY.total
-        outcome = engine.search_batch(queries, compiled, k=5, ef_search=40)
+        outcomes = on_threads(
+            lambda rows: engine.search_batch(
+                queries[rows], compiled[rows], k=5, ef_search=40
+            ),
+            _slices(), N_THREADS,
+        )
         delta = GLOBAL_TALLY.total - before
-    assert delta == outcome.summary()["total_distance_computations"]
+    assert delta == sum(
+        o.summary()["total_distance_computations"] for o in outcomes
+    )
 
 
 def test_distance_computer_counter_is_thread_safe(small_vectors):

@@ -1,7 +1,7 @@
 """One accounting invariant across every composite searcher.
 
-Each composite (route planner, scatter-gather, lifecycle snapshot,
-sharded lifecycle) builds its result with
+Each composite (route planner, scatter-gather, lifecycle snapshot)
+builds its result with
 :func:`repro.telemetry.fold_telemetry`.  For every case below the test
 re-runs the *children* the composite searched, directly, and checks
 
@@ -39,10 +39,8 @@ from repro import (
     RoutingFeedback,
     SearchEngine,
     ShardedAcornIndex,
-    ShardedLifecycleIndex,
     WalkBudget,
 )
-from repro.engine import resolve_table
 from repro.predicates.base import CompiledPredicate
 from repro.shard import Fault, FaultInjector, FaultPlan, ResiliencePolicy
 from repro.telemetry import QueryStats, SearchResult, fold_telemetry
@@ -198,31 +196,6 @@ def _lifecycle(churn):
     return case
 
 
-def _sharded_lifecycle(quantization):
-    sharded = ShardedLifecycleIndex.build(
-        VECTORS, TABLE, "year", n_shards=3, params=PARAMS, seed=1,
-    )
-    if quantization is not None:
-        # No quantization knob on the sharded lifecycle: re-wrap each
-        # shard's base, rebuilt quantized over the same rows.
-        for s, shard in enumerate(sharded.shards):
-            base = shard._published.base
-            sharded.shards[s] = LifecycleIndex(
-                _index(base.store.vectors, base.table, quantization),
-                config=sharded.config,
-            )
-    rng = np.random.default_rng(10)
-    for _ in range(6):
-        sharded.insert(rng.standard_normal(DIM).astype(np.float32),
-                       {"label": 2, "year": int(rng.integers(2000, 2012))})
-
-    def children(result):
-        return [shard.search(QUERY, PREDICATE, K, ef_search=EF)
-                for shard in sharded.shards]
-
-    return sharded, children, {"epoch"}
-
-
 CASES = {
     "planner-static": _planner_static,
     "planner-fallback": _planner_fallback,
@@ -231,7 +204,6 @@ CASES = {
     "sharded-3-one-failed": _sharded(3, fail_shard=1),
     "lifecycle-base-only": _lifecycle(churn=False),
     "lifecycle-delta-tombstones": _lifecycle(churn=True),
-    "sharded-lifecycle": _sharded_lifecycle,
 }
 
 
@@ -264,10 +236,7 @@ def test_engine_stats_equal_result_telemetry(case, quantization):
         QUERY, PREDICATE, K, ef_search=EF
     )
     composite = CASES[case](quantization)[0]
-    # The sharded lifecycle exposes no table of its own; the engine then
-    # compiles against the global one and each shard recompiles locally.
-    table = None if resolve_table(composite) is not None else TABLE
-    with SearchEngine(composite, table=table) as engine:
+    with SearchEngine(composite) as engine:
         outcome = engine.search_batch(QUERY[None], [PREDICATE], k=K,
                                       ef_search=EF)
     stats, result = outcome.stats[0], outcome.results[0]

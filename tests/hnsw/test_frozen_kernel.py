@@ -43,6 +43,7 @@ from repro.vectors.quantized_store import QuantizationConfig, QuantizedStore
 from repro.vectors.store import VectorStore
 from tests.conftest import (
     assert_results_identical,
+    on_threads,
     reference_hnsw_search,
     reference_search,
 )
@@ -537,9 +538,16 @@ class TestEligibilityBuffer:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with SearchEngine(index, executor="thread",
-                              num_workers=4) as engine:
-                got = engine.search_batch(batch)
+            # Four threads, strided: each thread's buffer sees the five
+            # masks alternate while the others walk.
+            with SearchEngine(index) as engine:
+                got = on_threads(
+                    lambda i: engine.search_batch(
+                        queries[i], batch.predicates[i], k=5,
+                        ef_search=WALK_EF,
+                    ).results[0],
+                    range(200), 4,
+                )
         finally:
             sys.setswitchinterval(interval)
         assert len(got) == len(want) == 200

@@ -269,7 +269,7 @@ class TestEngineSnapshotPinning:
         batch = QueryBatch.build(
             queries, [TruePredicate()] * 4, k=5, ef_search=EF_EXHAUSTIVE
         )
-        with SearchEngine(lc, num_workers=2) as engine:
+        with SearchEngine(lc) as engine:
             outcome = engine.search_batch(batch)
         epochs = {s.epoch for s in outcome.stats}
         assert epochs == {lc.current_epoch}

@@ -4,10 +4,15 @@ Spawning workers is the dominant cost here (each spawn re-imports numpy
 and the library), so one warm session-scoped :class:`ProcessPool` is
 shared by every test that does not specifically exercise pool
 *lifetime*; those build their own short-lived pools.  Index fixtures
-reuse the session-scoped dataset from the top-level conftest.
+reuse the session-scoped dataset from the top-level conftest.  Every
+test runs under a leak check: no shared-memory arena and no worker
+process it started may outlive it.
 """
 
 from __future__ import annotations
+
+import glob
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -24,6 +29,29 @@ def shared_pool():
     pool = ProcessPool(2)
     yield pool
     pool.close()
+
+
+def _arenas() -> set[str]:
+    return set(glob.glob("/dev/shm/repro-arena-*"))
+
+
+def _children() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+@pytest.fixture(autouse=True)
+def no_leaks(request):
+    """Fail a test that leaves behind a ``repro-arena-*`` segment it
+    created or a child process it started; the session
+    ``shared_pool``'s workers are exempt (they live for the session)."""
+    arenas, children = _arenas(), _children()
+    yield
+    exempt = set()
+    if "shared_pool" in request.fixturenames:
+        exempt = set(request.getfixturevalue("shared_pool")
+                     .worker_pids().values())
+    assert _arenas() - arenas == set(), "leaked shared-memory arenas"
+    assert _children() - children - exempt == set(), "leaked workers"
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,8 @@
-"""Worker-death chaos (satellite d): crashes degrade, never corrupt.
+"""Worker-death chaos: crashes degrade throughput, never the batch.
 
-Engine side: a chunk whose worker dies is retried once on the
-respawned slot, then runs inline in the parent — either way the batch
-result stays byte-identical to the sequential loop, with the downgrade
-counted.  Sharded side: a probe lost to a worker crash flows through
-``resilient_probe`` into the exact degraded accounting the resilience
-contract defines (failed shard, lowered recall ceiling), and the slot
-heals for the next query.
+A chunk whose worker dies is retried once on the respawned slot, then
+runs inline in the parent — either way the batch result stays
+byte-identical to the sequential loop, with the downgrade counted.
 """
 
 import numpy as np
@@ -15,11 +11,8 @@ import pytest
 from repro.core.acorn import AcornIndex
 from repro.core.params import AcornParams
 from repro.engine.engine import QueryBatch, SearchEngine
-from repro.parallel import ProcessPool, WorkerCrash
+from repro.parallel import WorkerCrash
 from repro.predicates import Equals
-from repro.shard.partition import HashPartitioner
-from repro.shard.resilience import ResiliencePolicy
-from repro.shard.sharded import ShardedAcornIndex
 
 from tests.parallel.conftest import make_labeled_world
 
@@ -74,87 +67,12 @@ class TestEngineChunkRecovery:
             engine.search_batch(batch)
             pool = engine._proc_pool
 
-            def always_crash(*_args, **_kwargs):
-                raise WorkerCrash(0, "forced")
+            def always_crash(calls):
+                return [WorkerCrash(slot, "forced") for slot, *_ in calls]
 
-            monkeypatch.setattr(pool, "call", always_crash)
+            monkeypatch.setattr(pool, "map_calls", always_crash)
             outcome = engine.search_batch(batch)
             assert [r.ids.tobytes() for r in outcome.results] == baseline
             assert engine.chunk_retries == 1
             assert engine.chunk_inline_fallbacks == 1
             assert engine.process_fallbacks == 0
-
-
-class TestShardedDegradedAccounting:
-    @pytest.fixture()
-    def chaos_sharded(self):
-        vectors, table = make_labeled_world(n=300, seed=81)
-        sharded = ShardedAcornIndex.build(
-            vectors, table, HashPartitioner(3),
-            params=AcornParams(m=8, gamma=3, m_beta=8, ef_construction=40),
-            seed=7, shard_workers=1, executor="process",
-            resilience=ResiliencePolicy(max_retries=0),
-        )
-        yield vectors, sharded
-        sharded.close()
-
-    def test_worker_death_degrades_then_heals(self, chaos_sharded):
-        vectors, sharded = chaos_sharded
-        query = vectors[0]
-        predicate = Equals("label", 0)
-
-        healthy = sharded.search(query, predicate, 5, ef_search=40)
-        assert not healthy.degraded
-        assert sharded.process_fallbacks == 0
-
-        # deterministic mid-probe death: the next op hard-exits while
-        # the parent blocks on its reply
-        sharded._proc_pool.call(0, "die_next")
-        degraded = sharded.search(query, predicate, 5, ef_search=40)
-        assert degraded.degraded
-        assert degraded.shards_failed >= 1
-        assert degraded.recall_ceiling < 1.0
-        statuses = [probe.get("status") for probe in degraded.per_shard
-                    if not probe.get("pruned")]
-        assert "failed" in statuses
-
-    def test_slot_respawns_for_the_next_query(self, chaos_sharded):
-        vectors, sharded = chaos_sharded
-        query = vectors[0]
-        predicate = Equals("label", 0)
-        sharded.search(query, predicate, 5, ef_search=40)
-        sharded._proc_pool.call(0, "die_next")
-        sharded.search(query, predicate, 5, ef_search=40)
-        healed = sharded.search(query, predicate, 5, ef_search=40)
-        assert not healed.degraded
-        stats = sharded._proc_pool.stats()
-        assert stats["deaths"] == 1
-        assert stats["spawns"] == 2
-
-    def test_degraded_results_match_surviving_shards(self):
-        """The degraded answer equals scatter-gather over the shards
-        that did answer — crash loss is shard loss, never corruption."""
-        vectors, table = make_labeled_world(n=300, seed=91)
-        params = AcornParams(m=8, gamma=3, m_beta=8, ef_construction=40)
-        sharded = ShardedAcornIndex.build(
-            vectors, table, HashPartitioner(3), params=params, seed=8,
-            shard_workers=1, executor="process",
-            resilience=ResiliencePolicy(max_retries=0),
-        )
-        try:
-            query = vectors[1]
-            predicate = Equals("label", 1)
-            sharded.search(query, predicate, 5, ef_search=40)
-            sharded._proc_pool.call(0, "die_next")
-            degraded = sharded.search(query, predicate, 5, ef_search=40)
-            failed = {probe["shard"] for probe in degraded.per_shard
-                      if probe.get("status") == "failed"}
-            assert failed
-            lost_rows = {
-                int(i)
-                for shard_id in failed
-                for i in sharded.assignment.global_ids[shard_id]
-            }
-            assert not set(int(i) for i in degraded.ids) & lost_rows
-        finally:
-            sharded.close()

@@ -1,9 +1,9 @@
-"""Close contract (satellite c): terminal, idempotent, no shm leaks.
+"""Close contract: terminal, idempotent, no shm leaks.
 
-``SearchEngine`` and ``ShardedAcornIndex`` are context managers whose
-``close()`` shuts worker pools and unlinks arenas exactly once; a
-closed front raises on use instead of silently resurrecting pools
-over unlinked shared memory.
+``SearchEngine`` is a context manager whose ``close()`` shuts its
+worker pool and unlinks its arenas exactly once; a closed engine raises
+on use instead of silently resurrecting pools over unlinked shared
+memory.
 """
 
 import os
@@ -12,9 +12,7 @@ import pytest
 
 from repro.core.params import AcornParams
 from repro.engine.engine import QueryBatch, SearchEngine
-from repro.predicates import Equals, TruePredicate
-from repro.shard.partition import HashPartitioner
-from repro.shard.sharded import ShardedAcornIndex
+from repro.predicates import TruePredicate
 
 from tests.parallel.conftest import make_labeled_world
 
@@ -57,61 +55,13 @@ class TestEngineClose:
 
     def test_double_close_and_use_after_close(self, acorn_index,
                                               small_vectors):
-        engine = SearchEngine(acorn_index, num_workers=2)
+        engine = SearchEngine(acorn_index)
         batch = self._batch(small_vectors)
         engine.search_batch(batch)
         engine.close()
         engine.close()
         with pytest.raises(RuntimeError, match="closed"):
             engine.search_batch(batch)
-
-
-class TestShardedClose:
-    @pytest.fixture()
-    def world(self):
-        return make_labeled_world(n=240, seed=101)
-
-    def _build(self, world, **kwargs):
-        vectors, table = world
-        return ShardedAcornIndex.build(
-            vectors, table, HashPartitioner(3),
-            params=AcornParams(m=8, gamma=3, m_beta=8, ef_construction=40),
-            seed=9, **kwargs,
-        )
-
-    def test_context_manager_closes(self, world):
-        vectors, _ = world
-        with self._build(world) as sharded:
-            result = sharded.search(vectors[0], Equals("label", 0), 4,
-                                    ef_search=40)
-            assert len(result.ids)
-        assert sharded.closed
-
-    def test_double_close_and_use_after_close(self, world):
-        vectors, _ = world
-        sharded = self._build(world)
-        sharded.search(vectors[0], Equals("label", 0), 4, ef_search=40)
-        sharded.close()
-        sharded.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            sharded.search(vectors[0], Equals("label", 0), 4,
-                           ef_search=40)
-
-    def test_process_front_unlinks_its_arena(self, world):
-        vectors, _ = world
-        sharded = self._build(world, shard_workers=1, executor="process")
-        sharded.search(vectors[0], Equals("label", 0), 4, ef_search=40)
-        pool = sharded._proc_pool
-        shm_name = sharded._arena_manager.current.arena.shm.name
-        assert shm_exists(shm_name)
-        sharded.close()
-        assert pool.closed
-        assert not shm_exists(shm_name)
-
-    def test_close_before_any_search(self, world):
-        sharded = self._build(world, executor="process")
-        sharded.close()
-        assert sharded.closed
 
 
 class TestEpochSwapRetiresArena:

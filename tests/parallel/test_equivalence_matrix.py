@@ -1,10 +1,10 @@
-"""Executor equivalence matrix (satellite d).
+"""Executor equivalence matrix.
 
-``sync`` × ``thread`` × ``process`` over {ACORN-γ, ACORN-1, quantized
-ACORN-γ} × predicate families must produce *byte-identical* batches —
-ids, distances, and per-query counters — because every executor runs
-the same search methods over the same frozen arrays.  The process
-column additionally asserts zero fallbacks and, via the worker-side
+``sync`` × ``process`` over {ACORN-γ, ACORN-1, quantized ACORN-γ} ×
+predicate families must produce *byte-identical* batches — ids,
+distances, and per-query counters — because both executors run the
+same search methods over the same frozen arrays.  The process column
+additionally asserts zero fallbacks and, via the worker-side
 ``introspect`` op, that the hot arrays are shared-memory views.
 """
 
@@ -56,25 +56,44 @@ class TestExecutorEquivalence:
             matrix_queries, family_predicates(family), k=5, ef_search=40
         )
 
-    def test_thread_and_process_match_sync_bytes(
+    def test_process_matches_sync_bytes(
         self, matrix_indexes, matrix_queries, shared_pool, result_key,
         index_name, family,
     ):
         index = matrix_indexes[index_name]
         batch = self._batch(matrix_queries, family)
-        with SearchEngine(index, num_workers=1, executor="sync") as engine:
+        with SearchEngine(index, executor="sync") as engine:
             baseline = result_key(engine.search_batch(batch))
-        with SearchEngine(index, num_workers=2,
-                          executor="thread") as engine:
-            assert result_key(engine.search_batch(batch)) == baseline
         with SearchEngine(index, num_workers=2, executor="process",
                           process_pool=shared_pool) as engine:
             outcome = engine.search_batch(batch)
             assert result_key(outcome) == baseline
+            assert outcome.num_workers == 2  # two chunks dispatched
             assert engine.process_fallbacks == 0
             assert engine.last_fallback_reason == ""
             # a second batch reuses the warm pins — still identical
             assert result_key(engine.search_batch(batch)) == baseline
+
+
+class TestOneQueryBatch:
+    def test_runs_inline_without_spawning(self, acorn_index,
+                                          matrix_queries, result_key):
+        """A pipe round trip costs more than one search, so a one-query
+        batch never reaches the pool: nothing spawns, no arena is
+        published, and the bytes equal the sync path's."""
+        batch = QueryBatch.build(matrix_queries[:1], Equals("label", 2),
+                                 k=5, ef_search=40)
+        with SearchEngine(acorn_index, executor="sync") as engine:
+            baseline = result_key(engine.search_batch(batch))
+        with SearchEngine(acorn_index, num_workers=2,
+                          executor="process") as engine:
+            outcome = engine.search_batch(batch)
+            assert result_key(outcome) == baseline
+            assert outcome.num_workers == 1
+            assert engine._arena_manager is None
+            assert engine._proc_pool is None  # never asked for
+            assert engine._process_pool().stats()["spawns"] == 0
+            assert engine.process_fallbacks == 0
 
 
 class TestWorkerZeroCopy:

@@ -1,12 +1,11 @@
-"""Counted (never silent) fallbacks from the process to the thread path.
+"""Counted (never silent) fallbacks from the process to the inline path.
 
-Searchers outside the snapshot registry, platforms without shared
-memory, and fault-wrapped shard views all downgrade to in-process
-execution with ``process_fallbacks`` / ``last_fallback_reason``
-recording why — and the answers stay identical either way.
+Searchers outside the snapshot registry and platforms without shared
+memory downgrade to inline execution with ``process_fallbacks`` /
+``last_fallback_reason`` recording why — and the answers stay
+identical either way.
 """
 
-import numpy as np
 import pytest
 
 import repro.parallel as parallel_pkg
@@ -14,7 +13,6 @@ from repro.baselines import PreFilterSearcher
 from repro.core.params import AcornParams
 from repro.engine.engine import QueryBatch, SearchEngine
 from repro.predicates import Equals
-from repro.shard.faults import FaultInjector, FaultPlan
 from repro.shard.partition import HashPartitioner
 from repro.shard.sharded import ShardedAcornIndex
 
@@ -22,7 +20,7 @@ from tests.parallel.conftest import make_labeled_world
 
 
 class TestEngineFallbacks:
-    def test_unregistered_searcher_falls_back_to_threads(
+    def test_unregistered_searcher_runs_inline(
         self, small_vectors, labeled_table, result_key
     ):
         searcher = PreFilterSearcher(small_vectors[0], labeled_table)
@@ -31,13 +29,13 @@ class TestEngineFallbacks:
             [Equals("label", i % 6) for i in range(6)],
             k=4,
         )
-        with SearchEngine(searcher, num_workers=2,
-                          executor="thread") as engine:
+        with SearchEngine(searcher, executor="sync") as engine:
             baseline = result_key(engine.search_batch(batch))
         with SearchEngine(searcher, num_workers=2,
                           executor="process") as engine:
             outcome = engine.search_batch(batch)
             assert result_key(outcome) == baseline
+            assert outcome.num_workers == 1  # a counted fallback ran inline
             assert engine.process_fallbacks == 1
             assert "not process-executable" in engine.last_fallback_reason
             # every batch re-counts: the downgrade is never sticky-silent
@@ -49,8 +47,7 @@ class TestEngineFallbacks:
     ):
         batch = QueryBatch.build(small_vectors[0][:6],
                                  Equals("label", 1), k=4, ef_search=32)
-        with SearchEngine(acorn_index, num_workers=2,
-                          executor="thread") as engine:
+        with SearchEngine(acorn_index, executor="sync") as engine:
             baseline = result_key(engine.search_batch(batch))
         monkeypatch.setattr(parallel_pkg, "parallel_available",
                             lambda: False)
@@ -62,44 +59,21 @@ class TestEngineFallbacks:
             assert engine.last_fallback_reason == "shared memory unavailable"
 
     def test_invalid_executor_rejected(self, acorn_index):
-        with pytest.raises(ValueError, match="executor"):
-            SearchEngine(acorn_index, executor="fork")
+        for executor in ("fork", "thread"):  # threads are not an executor
+            with pytest.raises(ValueError, match="executor"):
+                SearchEngine(acorn_index, executor=executor)
 
 
 class TestShardedFallbacks:
-    def test_fault_wrapped_shards_probe_in_process(self):
-        """Chaos wrappers live outside the snapshot registry, so the
-        fault view downgrades to in-process probes — counted — while
-        fault-free answers stay identical to the base index."""
-        vectors, table = make_labeled_world(n=240, seed=121)
-        sharded = ShardedAcornIndex.build(
-            vectors, table, HashPartitioner(3),
-            params=AcornParams(m=8, gamma=3, m_beta=8, ef_construction=40),
-            seed=11, shard_workers=1, executor="process",
-        )
-        chaos = sharded.with_faults(
-            FaultInjector(FaultPlan(faults={}), seed=0)
-        )
-        try:
-            base = sharded.search(vectors[0], Equals("label", 0), 4,
-                                  ef_search=40)
-            assert sharded.process_fallbacks == 0
-            got = chaos.search(vectors[0], Equals("label", 0), 4,
-                               ef_search=40)
-            assert chaos.process_fallbacks == 1
-            assert "not process-executable" in chaos.last_fallback_reason
-            assert np.array_equal(base.ids, got.ids)
-            assert np.array_equal(base.distances, got.distances)
-        finally:
-            chaos.close()
-            sharded.close()
-
     def test_invalid_executor_rejected(self):
+        """The sharded front probes inline; its ``executor=`` keyword
+        survives for compatibility and accepts ``"sync"`` only."""
         vectors, table = make_labeled_world(n=120, seed=131)
-        with pytest.raises(ValueError, match="executor"):
-            ShardedAcornIndex.build(
-                vectors, table, HashPartitioner(2),
-                params=AcornParams(m=8, gamma=3, m_beta=8,
-                                   ef_construction=32),
-                seed=12, executor="greenlet",
-            )
+        for executor in ("greenlet", "thread", "process"):
+            with pytest.raises(ValueError, match="executor"):
+                ShardedAcornIndex.build(
+                    vectors, table, HashPartitioner(2),
+                    params=AcornParams(m=8, gamma=3, m_beta=8,
+                                       ef_construction=32),
+                    seed=12, executor=executor,
+                )

@@ -1,5 +1,7 @@
 """ProcessPool lifecycle: calls, remote errors, crashes, respawns."""
 
+import pickle
+
 import pytest
 
 from repro.parallel import ProcessPool, RemoteError, WorkerCrash
@@ -18,12 +20,27 @@ class TestCalls:
 
     def test_map_calls_preserves_call_order(self, shared_pool):
         replies = shared_pool.map_calls([
-            (0, "ping", None, None),
             (1, "ping", None, None),
             (0, "ping", None, None),
         ])
         pids = shared_pool.worker_pids()
-        assert [r["pid"] for r in replies] == [pids[0], pids[1], pids[0]]
+        assert [r["pid"] for r in replies] == [pids[1], pids[0]]
+
+    def test_map_calls_takes_one_call_per_slot(self, shared_pool):
+        with pytest.raises(ValueError, match="one call per slot"):
+            shared_pool.map_calls([(0, "ping", None, None),
+                                   (2, "ping", None, None)])  # 2 % 2 == 0
+
+    def test_unpicklable_payload_leaves_pipes_in_step(self, shared_pool):
+        """The failed call is raised only after the other slot's reply
+        is read, so the next call on that slot gets its own reply."""
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            shared_pool.map_calls([(1, "ping", None, None),
+                                   (0, "ping", lambda: None, None)])
+        # A stale ping reply would answer these instead.
+        for slot in (1, 0):
+            reply = shared_pool.call(slot, "unpin", {"token": "none"})
+            assert reply == {"unpinned": "none"}
 
     def test_stats_counts_live_workers(self, shared_pool):
         shared_pool.call(0, "ping")
@@ -64,6 +81,20 @@ class TestCrashes:
             second_pid = pool.call(0, "ping")["pid"]
             assert second_pid != first_pid
             assert pool.stats()["spawns"] == 2
+
+    def test_map_calls_returns_a_crash_in_its_slot(self):
+        """One dead worker does not cost the other call its reply: the
+        crash comes back in place, for the caller to retry."""
+        with ProcessPool(2) as pool:
+            pids = [pool.call(slot, "ping")["pid"] for slot in (0, 1)]
+            pool.call(0, "die_next")
+            crashed, alive = pool.map_calls([(0, "ping", None, None),
+                                             (1, "ping", None, None)])
+            assert isinstance(crashed, WorkerCrash)
+            assert crashed.worker_id == 0
+            assert alive["pid"] == pids[1]
+            assert pool.stats()["deaths"] == 1
+            assert pool.call(0, "ping")["pid"] != pids[0]
 
     def test_worker_crash_is_a_plain_exception(self):
         """Crashes must flow through resilience accounting, which

@@ -16,18 +16,13 @@ from repro.parallel import (
     COPY_FIXUPS,
     SnapshotArena,
     UnsupportedSearcher,
-    build_sharded_snapshot,
     build_snapshot,
     materialize,
-    materialize_shard,
     reset_fixup_counters,
-    sharded_snapshot_token,
     snapshot_token,
 )
 from repro.predicates import Equals, TruePredicate
 from repro.predicates.base import CompiledPredicate
-from repro.shard.partition import HashPartitioner
-from repro.shard.sharded import ShardedAcornIndex
 
 from tests.parallel.conftest import make_labeled_world
 
@@ -187,7 +182,7 @@ class TestRegistry:
 
     def test_subclass_is_unsupported(self):
         """Exact-type registry: a subclass may carry Python-side state
-        the spec would drop, so it must take the thread path."""
+        the spec would drop, so it must run inline."""
 
         class Tweaked(AcornIndex):
             pass
@@ -208,44 +203,3 @@ class TestRegistry:
         )
         with pytest.raises(UnsupportedSearcher, match="empty"):
             snapshot_token(index)
-
-
-class TestSharded:
-    @pytest.fixture(scope="class")
-    def sharded(self):
-        vectors, table = make_labeled_world(seed=51)
-        return ShardedAcornIndex.build(
-            vectors, table, HashPartitioner(3),
-            params=AcornParams(m=8, gamma=3, m_beta=8, ef_construction=40),
-            seed=5,
-        )
-
-    def test_per_shard_materialization_matches(self, sharded):
-        spec, arrays = build_sharded_snapshot(sharded)
-        assert len(spec.shards) == 3
-        rng = np.random.default_rng(9)
-        query = rng.standard_normal(12).astype(np.float32)
-        for shard_id, shard in enumerate(sharded.shards):
-            clone = materialize_shard(spec, arrays, shard_id)
-            mask = Equals("label", 1).compile(shard.table).mask
-            got = shard.search(query, Equals("label", 1), 4, ef_search=40)
-            cloned = clone.search(query, CompiledPredicate(None, mask),
-                                  4, ef_search=40)
-            assert_identical(got, cloned)
-            assert np.shares_memory(clone.store._data,
-                                    arrays[f"s{shard_id}.vectors"])
-
-    def test_sharded_token_covers_every_shard(self, sharded):
-        token = sharded_snapshot_token(sharded)
-        assert token.startswith("sharded:")
-        assert token.count("|") == 2
-
-    def test_route_planner_state_is_unsupported(self, sharded):
-        sharded._shard_planners = []
-        try:
-            with pytest.raises(UnsupportedSearcher, match="planner"):
-                build_sharded_snapshot(sharded)
-            with pytest.raises(UnsupportedSearcher, match="planner"):
-                sharded_snapshot_token(sharded)
-        finally:
-            sharded._shard_planners = None

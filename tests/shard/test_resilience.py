@@ -314,22 +314,18 @@ class TestBaseExceptionPropagation:
             return getattr(self.inner, name)
 
     @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
-    @pytest.mark.parametrize("shard_workers", [1, 2])
     @pytest.mark.parametrize("with_policy", [True, False])
-    def test_base_exception_propagates(self, exc_type, shard_workers,
-                                       with_policy):
+    def test_base_exception_propagates(self, exc_type, with_policy):
         clock = FakeClock()
         policy = _policy(clock) if with_policy else None
         vectors, table = _world()
         index = ShardedAcornIndex.build(
             vectors, table, partitioner=HashPartitioner(N_SHARDS),
             variant="flat", seed=SEED, resilience=policy,
-            shard_workers=shard_workers,
         )
         index.shards[1] = self.PoisonShard(index.shards[1], exc_type)
         with pytest.raises(exc_type):
             index.search(vectors[0], TruePredicate(), K, ef_search=N)
-        index.close()
 
     def test_plain_exception_still_propagates_without_policy(self):
         vectors, table = _world()
@@ -404,7 +400,7 @@ class TestRecallCeiling:
         chaos = index.with_faults(FaultInjector(plan, clock=clock))
         batch = QueryBatch.build(vectors[:4], TruePredicate(), k=K,
                                  ef_search=N)
-        with SearchEngine(chaos, num_workers=1) as engine:
+        with SearchEngine(chaos) as engine:
             outcome = engine.search_batch(batch)
         assert all(s.degraded for s in outcome.stats)
         summary = outcome.summary()

@@ -176,7 +176,7 @@ def test_range_partitioner_prunes_selective_predicates():
     predicate = Between("year", 2000, 2003)
     plan = sharded.plan(predicate, k=K, ef_search=64)
     assert plan.n_pruned >= 1
-    with SearchEngine(sharded, num_workers=2) as engine:
+    with SearchEngine(sharded) as engine:
         batch = QueryBatch.build(_queries, predicate, k=K, ef_search=64)
         outcome = engine.search_batch(batch)
     for stats in outcome.stats:

@@ -65,8 +65,7 @@ class TestExports:
 
         expected = {
             "LifecycleIndex", "LifecycleConfig", "EpochSnapshot",
-            "BackgroundCompactor", "CompactorFaultPlan",
-            "ShardedLifecycleIndex", "DeltaJournal",
+            "BackgroundCompactor", "CompactorFaultPlan", "DeltaJournal",
             "save_lifecycle", "load_lifecycle",
         }
         missing = expected - set(dir(lifecycle))
@@ -75,10 +74,10 @@ class TestExports:
         import repro
 
         for name in ("LifecycleIndex", "LifecycleConfig",
-                     "EpochSnapshot", "BackgroundCompactor",
-                     "ShardedLifecycleIndex"):
+                     "EpochSnapshot", "BackgroundCompactor"):
             assert hasattr(repro, name)
             assert name in repro.__all__
+        assert not hasattr(lifecycle, "ShardedLifecycleIndex")
 
     def test_serving_exports_pinned(self):
         """The serving surface other layers and docs rely on."""
@@ -139,3 +138,5 @@ class TestDeterminism:
             assert hasattr(parallel, name), (
                 f"repro.parallel.__all__ exports missing {name}"
             )
+        # Two paths: inline, or engine batches on worker processes.
+        assert parallel.EXECUTORS == ("sync", "process")
