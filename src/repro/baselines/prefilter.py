@@ -13,11 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attributes.table import AttributeTable
-from repro.core.quantsearch import exact_top_k
 from repro.engine.batching import BatchSearchMixin
 from repro.hnsw.hnsw import SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
-from repro.vectors.distance import Metric
+from repro.vectors.distance import Metric, exact_top_k
 from repro.vectors.store import VectorStore
 
 

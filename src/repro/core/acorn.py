@@ -22,7 +22,6 @@ import numpy as np
 from repro.attributes.table import AttributeTable
 from repro.core import construction as cons
 from repro.core.params import AcornParams, PruningStrategy
-from repro.core.quantsearch import exact_top_k, reranked_result
 from repro.core.search import (
     FrozenLevel,
     assert_frozen,
@@ -44,11 +43,7 @@ from repro.hnsw.traversal import (
     search_live_level,
 )
 from repro.predicates.base import CompiledPredicate, Predicate
-from repro.vectors.distance import DistanceComputer, Metric
-from repro.vectors.quantized_store import (
-    QuantizedStore,
-    resolve_quantization,
-)
+from repro.vectors.distance import DistanceComputer, Metric, exact_top_k
 from repro.vectors.store import VectorStore
 
 
@@ -66,12 +61,6 @@ class AcornIndex(BatchSearchMixin):
         seed: level-assignment seed.
         labels: single-attribute integer labels, required only by the
             metadata-aware RNG pruning ablation (Figure 12).
-        quantization: None (default, float32 search), a codec kind
-            (``"sq8"``/``"pq"``), or a
-            :class:`~repro.vectors.quantized_store.QuantizationConfig`.
-            When set, the bottom-level traversal ranks candidates by
-            quantized distances and an exact float32 tail re-scores
-            ``rerank_factor * k`` of them (``docs/quantization.md``).
     """
 
     def __init__(
@@ -82,7 +71,6 @@ class AcornIndex(BatchSearchMixin):
         metric: "Metric | str" = Metric.L2,
         seed: int | np.random.Generator | None = None,
         labels: np.ndarray | None = None,
-        quantization=None,
     ) -> None:
         self.params = params if params is not None else AcornParams()
         self.table = table
@@ -100,8 +88,6 @@ class AcornIndex(BatchSearchMixin):
             raise ValueError("metadata-aware pruning requires `labels`")
         self.pruning_stats = cons.PruningStats()
         self._frozen: list[FrozenLevel] | None = None
-        self.quantization = resolve_quantization(quantization)
-        self._quant: QuantizedStore | None = None
         self._deleted: set[int] = set()
         # Tombstone-composed predicate masks, keyed on (mask identity,
         # deleted-set version); see _effective_mask.
@@ -140,19 +126,14 @@ class AcornIndex(BatchSearchMixin):
         metric: "Metric | str" = Metric.L2,
         seed: int | np.random.Generator | None = None,
         labels: np.ndarray | None = None,
-        quantization=None,
     ) -> "AcornIndex":
         """Construct an index over ``vectors`` aligned with ``table`` rows.
 
         Every vector enters through :meth:`add`, in row order.
-
-        Args:
-            quantization: forwarded to the constructor.
         """
         return cls._build(
             vectors, table,
             params=params, metric=metric, seed=seed, labels=labels,
-            quantization=quantization,
         )
 
     @classmethod
@@ -389,32 +370,6 @@ class AcornIndex(BatchSearchMixin):
             return lambda c: compressed_neighbors(adjacency, c, mask, m_beta)
         return lambda c: filtered_neighbors(adjacency, c, mask)
 
-    # ------------------------------------------------------------------
-    # Quantization
-    # ------------------------------------------------------------------
-
-    def enable_quantization(self, config="sq8") -> None:
-        """Activate (or with None, deactivate) the quantized hot path.
-
-        Trains the codec on the currently stored vectors; later inserts
-        are encoded with the frozen codec at the next search.
-        """
-        self.quantization = resolve_quantization(config)
-        self._quant = None
-        if self.quantization is not None and len(self.store):
-            self._quant_store()
-
-    def _quant_store(self) -> QuantizedStore | None:
-        """The code mirror, trained lazily and synced to the store."""
-        if self.quantization is None or len(self.store) == 0:
-            return None
-        if self._quant is None:
-            qs = QuantizedStore(self.quantization, self.metric)
-            qs.train(self.store.vectors)
-            self._quant = qs
-        self._quant.sync(self.store)
-        return self._quant
-
     def _level_csr(self, level: int) -> tuple[np.ndarray, np.ndarray] | None:
         """The candidate CSR the frozen kernels walk on ``level``.
 
@@ -440,13 +395,7 @@ class AcornIndex(BatchSearchMixin):
         stats: TraversalStats,
         monitor=None,
     ) -> list[tuple[float, int]]:
-        """One level of a frozen search, in a fresh visited scope.
-
-        ``computer`` is the distance provider that ranks the walk: the
-        exact computer, or a quantized index's
-        :class:`~repro.vectors.quantized_store.QuantizedComputer` on
-        level 0 (:meth:`_search_bottom_quantized`).
-        """
+        """One level of a frozen search, in a fresh visited scope."""
         scratch = thread_scratch(len(self.store))
         csr = self._level_csr(level)
         if csr is not None:
@@ -503,7 +452,6 @@ class AcornIndex(BatchSearchMixin):
                 f"got {entry_point!r}"
             )
         computer = self.store.computer()
-        qstore = self._quant_store()
         computer.defer_counts()
         try:
             query = computer.set_query(query)
@@ -526,11 +474,6 @@ class AcornIndex(BatchSearchMixin):
 
             entry_points = self._bottom_seeds(computer, query, [best])
             tstats.visited += len(entry_points)
-            if qstore is not None:
-                return self._search_bottom_quantized(
-                    computer, qstore, query, mask, entry_points, k,
-                    max(ef_search, k), tstats, monitor,
-                )
             found = self._search_level(
                 computer, query, entry_points, max(ef_search, k), 0, mask,
                 tstats, monitor,
@@ -547,37 +490,6 @@ class AcornIndex(BatchSearchMixin):
             hops=tstats.hops,
             visited_nodes=tstats.visited,
         )
-
-    def _search_bottom_quantized(
-        self,
-        computer: DistanceComputer,
-        qstore: QuantizedStore,
-        query: np.ndarray,
-        mask: np.ndarray,
-        entry_points: list[tuple[float, int]],
-        k: int,
-        ef: int,
-        tstats: TraversalStats,
-        monitor,
-    ) -> SearchResult:
-        """Level 0 ranked by codes, then the exact rerank tail.
-
-        The descent already ran in float32 (few, high-leverage
-        distances); level 0 — where nearly all evaluations happen — is
-        the float path's own :meth:`_search_level` walk with the
-        quantized computer as its distance provider.
-        """
-        qcomp = qstore.computer()
-        seed_ids = np.asarray([nid for _, nid in entry_points], dtype=np.intp)
-        seeds = list(zip(qcomp.distances_to(query, seed_ids).tolist(),
-                         seed_ids.tolist()))
-        found = self._search_level(qcomp, query, seeds, ef, 0, mask, tstats,
-                                   monitor)
-        # Seeds may fail the predicate; everything else was
-        # mask-filtered before scoring.
-        passing = [nid for _, nid in found if mask[nid]]
-        return reranked_result(computer, qcomp, query, passing, k,
-                               self.quantization.rerank_factor, tstats)
 
     def _effective_mask(self, mask: np.ndarray) -> np.ndarray:
         """The predicate mask with tombstones composed in, cached.
@@ -622,7 +534,7 @@ class AcornIndex(BatchSearchMixin):
         return seeds
 
     # ``search_batch`` comes from BatchSearchMixin: batches run through
-    # repro.engine (predicate-mask caching, optional thread fan-out,
+    # repro.engine (predicate-mask caching, optional process fan-out,
     # per-query QueryStats) and return list[SearchResult] as before.
 
     def _compile(self, predicate: "Predicate | CompiledPredicate") -> CompiledPredicate:
@@ -701,8 +613,6 @@ class AcornIndex(BatchSearchMixin):
             ],
             "avg_out_degree": self.out_degree_by_level(),
             "nbytes": self.nbytes(),
-            "quantization": (self.quantization.kind
-                             if self.quantization is not None else None),
             "params": {
                 "m": self.params.m,
                 "gamma": self.params.gamma,
@@ -737,7 +647,6 @@ class AcornOneIndex(AcornIndex):
         ef_construction: int = 40,
         metric: "Metric | str" = Metric.L2,
         seed: int | np.random.Generator | None = None,
-        quantization=None,
     ) -> None:
         super().__init__(
             dim,
@@ -745,7 +654,6 @@ class AcornOneIndex(AcornIndex):
             params=AcornParams.acorn_1(m=m, ef_construction=ef_construction),
             metric=metric,
             seed=seed,
-            quantization=quantization,
         )
 
     @classmethod
@@ -757,13 +665,11 @@ class AcornOneIndex(AcornIndex):
         ef_construction: int = 40,
         metric: "Metric | str" = Metric.L2,
         seed: int | np.random.Generator | None = None,
-        quantization=None,
     ) -> "AcornOneIndex":
         """Construct an ACORN-1 index over ``vectors``."""
         return cls._build(
             vectors, table,
             m=m, ef_construction=ef_construction, metric=metric, seed=seed,
-            quantization=quantization,
         )
 
     def _attach_expansions(self, frozen: list[FrozenLevel]) -> None:

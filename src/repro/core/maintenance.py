@@ -64,17 +64,10 @@ def build_like(
     seed: int | np.random.Generator | None = 0,
 ) -> AcornIndex:
     """Build ``vectors``/``table`` from scratch with ``index``'s class,
-    parameters, metric and quantization config (codes retrained over
-    ``vectors``, as if built with ``quantization=`` directly)."""
-    new_index = type(index).build(
+    parameters and metric."""
+    return type(index).build(
         vectors, table, seed=seed, **_variant_kwargs(index),
     )
-    if index.quantization is not None:
-        # enable_quantization retrains the codec over the live vectors —
-        # byte-identical to building with quantization= up front, and it
-        # works uniformly across the family (flat builds lack the kwarg).
-        new_index.enable_quantization(index.quantization)
-    return new_index
 
 
 def rebuild(
@@ -82,9 +75,6 @@ def rebuild(
     seed: int | np.random.Generator | None = 0,
 ) -> tuple[AcornIndex, np.ndarray]:
     """Compact an index: drop tombstoned entities, rebuild the graph.
-
-    Quantization state survives the rebuild: a quantized source yields
-    a quantized result with the same config.
 
     Args:
         index: any ACORN-family index (γ / 1 / flat).
@@ -98,7 +88,11 @@ def rebuild(
     keep, vectors, table = live_subset(index)
     id_map = np.full(len(index), -1, dtype=np.int64)
     id_map[keep] = np.arange(keep.shape[0])
-    return build_like(index, vectors, table, seed), id_map
+    kwargs = _variant_kwargs(index)
+    if index._labels is not None:
+        # Metadata-aware pruning (Figure 12) needs the kept rows' labels.
+        kwargs["labels"] = index._labels[keep]
+    return type(index).build(vectors, table, seed=seed, **kwargs), id_map
 
 
 def fold(
@@ -129,7 +123,7 @@ def fold(
         table: attribute rows aligned with ``vectors``.
 
     Returns:
-        The new index, unfrozen, with ``index``'s quantization config.
+        The new index, unfrozen.
     """
     n_keep = int(keep.shape[0])
     new = type(index)(vectors.shape[1], table, **_variant_kwargs(index))
@@ -179,8 +173,6 @@ def fold(
         new.add(vector)
     if flat:
         new.reanchor_entry_point()
-    if index.quantization is not None:
-        new.enable_quantization(index.quantization)
     return new
 
 

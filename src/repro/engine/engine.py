@@ -203,7 +203,7 @@ class BatchResult:
         one entry per ``summary`` row the :class:`QueryStats` fields
         declare (latency and distance-computation p50/p95/p99 via
         :func:`repro.eval.stats.percentile_summary`, cache
-        effectiveness, shard/route/quantization totals, ...).
+        effectiveness, shard/route totals, ...).
         """
         out = {
             "queries": len(self.results),

@@ -77,10 +77,6 @@ class SweepPoint:
     mean_abs_estimator_error: float = _column(
         ".6f", "estimator_error", 0.0, reducer=lambda v: np.mean(np.abs(v))
     )
-    mean_quantized_distances: float = _column(
-        ".2f", "quantized_distances", 0.0
-    )
-    mean_rerank_distances: float = _column(".2f", "rerank_distances", 0.0)
     mean_queue_wait_ms: float = _column(".3f", "queue_wait_ms", 0.0)
     mean_batch_size_served: float = _column(".2f", "batch_size_served", 0.0)
 

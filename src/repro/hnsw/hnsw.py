@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.quantsearch import exact_top_k, reranked_result
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.heuristics import select_neighbors_heuristic
 from repro.hnsw.levels import LevelGenerator
@@ -22,11 +21,6 @@ from repro.hnsw.traversal import (
 )
 from repro.telemetry import SearchResult
 from repro.vectors.distance import DistanceComputer, Metric
-from repro.vectors.quantized_store import (
-    QuantizedComputer,
-    QuantizedStore,
-    resolve_quantization,
-)
 from repro.vectors.store import VectorStore
 
 
@@ -40,12 +34,6 @@ class HnswIndex:
         ef_construction: candidate-list size during insertion (efc).
         metric: ``l2`` (default), ``ip``, or ``cosine``.
         seed: seed for the stochastic level assignment.
-        quantization: None (default, float32 search), a codec kind
-            (``"sq8"``/``"pq"``), or a
-            :class:`~repro.vectors.quantized_store.QuantizationConfig`.
-            When set, bottom-level search ranks candidates by quantized
-            distances and re-scores a ``rerank_factor * k`` tail
-            exactly (see ``docs/quantization.md``).
     """
 
     def __init__(
@@ -55,7 +43,6 @@ class HnswIndex:
         ef_construction: int = 40,
         metric: "Metric | str" = Metric.L2,
         seed: int | np.random.Generator | None = None,
-        quantization=None,
     ) -> None:
         if m < 2:
             raise ValueError(f"M must be at least 2, got {m}")
@@ -69,8 +56,6 @@ class HnswIndex:
         self._levels = LevelGenerator(self.m, seed=seed)
         self._frozen = None
         self._all_pass: np.ndarray | None = None
-        self.quantization = resolve_quantization(quantization)
-        self._quant: QuantizedStore | None = None
 
     def __len__(self) -> int:
         return len(self.store)
@@ -153,18 +138,14 @@ class HnswIndex:
         ef_construction: int = 40,
         metric: "Metric | str" = Metric.L2,
         seed: int | np.random.Generator | None = None,
-        quantization=None,
     ) -> "HnswIndex":
         """Construct an index over ``vectors`` (n, d) in insertion order.
 
         Every vector enters through :meth:`add`.
-
-        Args:
-            quantization: forwarded to the constructor.
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         index = cls(vectors.shape[1], m=m, ef_construction=ef_construction,
-                    metric=metric, seed=seed, quantization=quantization)
+                    metric=metric, seed=seed)
         index.add_batch(vectors)
         return index
 
@@ -238,32 +219,6 @@ class HnswIndex:
         assert_frozen(frozen)
         return frozen
 
-    # ------------------------------------------------------------------
-    # Quantization
-    # ------------------------------------------------------------------
-
-    def enable_quantization(self, config="sq8") -> None:
-        """Activate (or with None, deactivate) the quantized hot path.
-
-        Trains the codec on the currently stored vectors; later inserts
-        are encoded with the frozen codec at the next search.
-        """
-        self.quantization = resolve_quantization(config)
-        self._quant = None
-        if self.quantization is not None and len(self.store):
-            self._quant_store()
-
-    def _quant_store(self) -> QuantizedStore | None:
-        """The code mirror, trained lazily and synced to the store."""
-        if self.quantization is None or len(self.store) == 0:
-            return None
-        if self._quant is None:
-            qs = QuantizedStore(self.quantization, self.metric)
-            qs.train(self.store.vectors)
-            self._quant = qs
-        self._quant.sync(self.store)
-        return self._quant
-
     def search(self, query: np.ndarray, k: int, ef_search: int = 64) -> SearchResult:
         """K-nearest-neighbor search (paper Algorithm 1).
 
@@ -278,23 +233,17 @@ class HnswIndex:
         if len(self.graph) == 0:
             return SearchResult.empty()
         computer = self.store.computer()
-        qstore = self._quant_store()
-        qcomp = None if qstore is None else qstore.computer()
         computer.defer_counts()
         try:
             query = computer.set_query(query)
             tstats = TraversalStats()
             found = self._search_candidates(
-                computer, query, max(ef_search, k), tstats, qcomp,
+                computer, query, max(ef_search, k), tstats,
             )
-            if qcomp is None:
-                return SearchResult.from_pairs(
-                    found[:k], distance_computations=computer.count,
-                    hops=tstats.hops, visited_nodes=tstats.visited,
-                )
-            return reranked_result(
-                computer, qcomp, query, [nid for _, nid in found], k,
-                self.quantization.rerank_factor, tstats)
+            return SearchResult.from_pairs(
+                found[:k], distance_computations=computer.count,
+                hops=tstats.hops, visited_nodes=tstats.visited,
+            )
         finally:
             computer.flush_counts()
 
@@ -304,25 +253,17 @@ class HnswIndex:
         """Raw ef-search: (dist, id) candidates plus distance-comp count.
 
         Exposed for the post-filtering baseline, which over-searches for
-        ``K/s`` candidates and filters afterwards (paper §7.2).  On the
-        quantized path every candidate is re-scored exactly (a full
-        rerank) so downstream filtering still sees float32 distances.
+        ``K/s`` candidates and filters afterwards (paper §7.2).
         """
         if len(self.graph) == 0:
             return [], 0
         computer = self.store.computer()
-        qstore = self._quant_store()
-        qcomp = None if qstore is None else qstore.computer()
         computer.defer_counts()
         try:
             query = computer.set_query(query)
             found = self._search_candidates(
-                computer, query, ef_search, TraversalStats(), qcomp,
+                computer, query, ef_search, TraversalStats(),
             )
-            if qcomp is not None:
-                ids = np.asarray([nid for _, nid in found], dtype=np.intp)
-                ids, dists = exact_top_k(computer, query, ids, len(ids))
-                found = list(zip(dists.tolist(), ids.tolist()))
         finally:
             computer.flush_counts()
         return found, computer.count
@@ -352,24 +293,13 @@ class HnswIndex:
         query: np.ndarray,
         ef: int,
         stats: TraversalStats,
-        qcomp: QuantizedComputer | None = None,
     ) -> list[tuple[float, int]]:
-        """Float32 descent, then the level-0 walk.
-
-        Level 0 is ranked by ``qcomp`` on a quantized index (its
-        distances are quantized; the exact rerank is the caller's) and
-        by ``computer`` otherwise — one walk, two distance providers.
-        """
+        """Greedy descent, then the level-0 walk."""
         best = self._descend(computer, query, stats)
         stats.visited += 1
-        ranker = computer
-        if qcomp is not None:
-            ranker = qcomp
-            seed = np.asarray([best[1]], dtype=np.intp)
-            best = (float(qcomp.distances_to(query, seed)[0]), best[1])
         level0 = self._adjacency()[0]
         return search_frozen_level(
-            ranker, query, [best], ef, level0.indptr, level0.indices,
+            computer, query, [best], ef, level0.indptr, level0.indices,
             self._all_pass, thread_scratch(len(self.store)), stats=stats,
         )
 

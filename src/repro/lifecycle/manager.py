@@ -189,7 +189,6 @@ class LifecycleIndex(BatchSearchMixin):
         params=None,
         metric="l2",
         seed: int = 0,
-        quantization=None,
         index_cls: type[AcornIndex] = AcornIndex,
         config: LifecycleConfig | None = None,
         clock: Clock | None = None,
@@ -197,7 +196,6 @@ class LifecycleIndex(BatchSearchMixin):
         """Build a lifecycle from scratch over an initial dataset."""
         base = index_cls.build(
             vectors, table, params=params, metric=metric, seed=seed,
-            quantization=quantization,
         )
         return cls(base, config=config, clock=clock)
 

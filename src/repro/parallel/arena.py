@@ -1,7 +1,7 @@
 """Zero-copy shared-memory snapshots for process-parallel search.
 
 A :class:`SnapshotArena` packs one epoch's read-only arrays — CSR
-``indptr``/``indices`` per level, float32 vectors, SQ8/PQ codes, norms,
+``indptr``/``indices`` per level, float32 vectors, norms,
 tombstone masks — into a single named ``multiprocessing.shared_memory``
 block.  Worker processes map the block and reconstruct numpy views at
 recorded offsets, so the traversal hot path reads the *same physical

@@ -1,12 +1,12 @@
 """Searcher ⇄ arena translation: build specs, materialize workers' views.
 
 :func:`build_snapshot` decomposes a built ACORN index into (a) a small
-picklable :class:`IndexSpec` — parameters, entry point, codec constants
+picklable :class:`IndexSpec` — parameters, entry point, level layout
 — and (b) the big read-only arrays destined for a
 :class:`~repro.parallel.arena.SnapshotArena`.  :func:`materialize`
 inverts it inside a worker: a *real* ``AcornIndex`` /
 ``AcornOneIndex`` / ``FlatAcornIndex`` instance is reconstructed whose
-store, frozen CSR levels, and quantized codes are views straight into
+store and frozen CSR levels are views straight into
 the shared block.  Because workers then execute the exact same search
 methods over byte-identical arrays, process-parallel results match the
 inline path bit for bit — the determinism contract
@@ -30,7 +30,6 @@ from repro.core.flat import FlatAcornIndex
 from repro.core.search import FrozenLevel
 from repro.parallel.arena import canonical_array
 from repro.vectors.distance import Metric
-from repro.vectors.quantized_store import QuantizedStore
 from repro.vectors.store import VectorStore
 
 
@@ -66,9 +65,6 @@ class IndexSpec:
         expansions: per level, the ``m_beta`` keys whose materialized
             expansion CSRs ride in the arena.
         has_norms: whether a cosine norm cache array is present.
-        quant: ``None`` or the codec constants dict (config plus the
-            small ``min``/``scale`` or ``codebooks`` arrays — these are
-            KBs, so they ship in the spec pickle rather than the arena).
     """
 
     kind: str
@@ -82,7 +78,6 @@ class IndexSpec:
     params: object
     expansions: tuple
     has_norms: bool
-    quant: dict | None
 
 
 class _GraphStub:
@@ -129,42 +124,6 @@ class _TableStub:
         return self._n
 
 
-def _quant_spec_and_arrays(index, arrays: dict) -> dict | None:
-    """Extract the quantized store's codes + codec constants, if any."""
-    qs = index._quant_store()
-    if qs is None:
-        return None
-    if qs.codec is None or qs.codes is None:
-        return None
-    arrays["quant.codes"] = canonical_array(
-        "quant.codes", qs.codes, dtype=np.uint8
-    )
-    quant: dict = {"config": qs.config, "kind": qs.config.kind}
-    if qs._row_sq is not None:
-        arrays["quant.row_sq"] = canonical_array("quant.row_sq", qs._row_sq)
-        quant["has_row_sq"] = True
-    else:
-        quant["has_row_sq"] = False
-    if qs._row_norm is not None:
-        arrays["quant.row_norm"] = canonical_array("quant.row_norm",
-                                                   qs._row_norm)
-        quant["has_row_norm"] = True
-    else:
-        quant["has_row_norm"] = False
-    if qs.config.kind == "sq8":
-        quant["codec"] = {
-            "min": np.asarray(qs.codec.min, dtype=np.float32),
-            "scale": np.asarray(qs.codec.scale, dtype=np.float32),
-        }
-    else:
-        quant["codec"] = {
-            "codebooks": np.stack(qs.codec.codebooks).astype(
-                np.float32, copy=False
-            ),
-        }
-    return quant
-
-
 def searcher_kind(searcher) -> str | None:
     """The registry key for a process-executable searcher, else None."""
     return _KINDS.get(type(searcher))
@@ -173,12 +132,12 @@ def searcher_kind(searcher) -> str | None:
 def snapshot_token(searcher) -> str:
     """Cheap epoch identity for one searcher's current frozen state.
 
-    Built from the object identities of the frozen snapshot, the code
-    mirror, and the vector buffer plus the tombstone version — each of
-    which changes whenever search-visible state changes (``add``
-    invalidates ``_frozen``, deletes bump ``_deleted_version``,
-    quantization toggles swap ``_quant``).  The arena record pins those
-    same objects, so a live token can never collide via id reuse.
+    Built from the object identities of the frozen snapshot and the
+    vector buffer plus the tombstone version — each of which changes
+    whenever search-visible state changes (``add`` invalidates
+    ``_frozen``, deletes bump ``_deleted_version``).  The arena record
+    pins those same objects, so a live token can never collide via id
+    reuse.
 
     Raises:
         UnsupportedSearcher: for searcher types outside the registry or
@@ -193,18 +152,16 @@ def snapshot_token(searcher) -> str:
     if len(searcher.store) == 0 or len(searcher.graph) == 0:
         raise UnsupportedSearcher("empty index has no snapshot to share")
     frozen = searcher.freeze()
-    quant = searcher._quant_store() if searcher.quantization is not None else None
     return (
         f"{kind}:{id(searcher):x}:f{id(frozen):x}:"
         f"d{searcher._deleted_version}:n{len(searcher.store)}:"
-        f"q{id(quant):x}:b{id(searcher.store._data):x}"
+        f"b{id(searcher.store._data):x}"
     )
 
 
 def snapshot_refs(searcher) -> tuple:
     """The objects a live arena record must pin (see token docstring)."""
-    return (searcher, searcher._frozen, searcher._quant,
-            searcher.store._data)
+    return (searcher, searcher._frozen, searcher.store._data)
 
 
 def build_snapshot(searcher) -> tuple[IndexSpec, dict[str, np.ndarray]]:
@@ -212,7 +169,7 @@ def build_snapshot(searcher) -> tuple[IndexSpec, dict[str, np.ndarray]]:
 
     All arrays pass through
     :func:`~repro.parallel.arena.canonical_array` with their canonical
-    dtypes (float32 vectors, int32 CSR, uint8 codes, bool tombstones),
+    dtypes (float32 vectors, int32 CSR, bool tombstones),
     so a mis-dtyped or Fortran-ordered producer is repaired — counted
     and warned — rather than shipped.
     """
@@ -257,7 +214,6 @@ def build_snapshot(searcher) -> tuple[IndexSpec, dict[str, np.ndarray]]:
             arrays[f"L{lev}.e{m_beta}.indices"] = canonical_array(
                 f"L{lev}.e{m_beta}.indices", exp_indices, dtype=np.int32
             )
-    quant = _quant_spec_and_arrays(searcher, arrays)
     entry = searcher.graph.entry_point
     spec = IndexSpec(
         kind=kind,
@@ -271,7 +227,6 @@ def build_snapshot(searcher) -> tuple[IndexSpec, dict[str, np.ndarray]]:
         params=searcher.params,
         expansions=tuple(expansions),
         has_norms=has_norms,
-        quant=quant,
     )
     return spec, arrays
 
@@ -291,43 +246,14 @@ def _materialize_store(spec: IndexSpec, arrays) -> VectorStore:
     return store
 
 
-def _materialize_quant(spec: IndexSpec, arrays, metric):
-    if spec.quant is None:
-        return None
-    from repro.vectors.quantization import ProductQuantizer, ScalarQuantizer
-
-    quant = spec.quant
-    qs = QuantizedStore.__new__(QuantizedStore)
-    qs.config = quant["config"]
-    qs.metric = metric
-    if quant["kind"] == "sq8":
-        codec = ScalarQuantizer.__new__(ScalarQuantizer)
-        codec.min = quant["codec"]["min"]
-        codec.scale = quant["codec"]["scale"]
-        codec.dim = int(codec.min.shape[0])
-    else:
-        books = quant["codec"]["codebooks"]
-        codec = ProductQuantizer.__new__(ProductQuantizer)
-        codec.n_subspaces = int(books.shape[0])
-        codec.sub_dim = int(books.shape[2])
-        codec.dim = codec.n_subspaces * codec.sub_dim
-        codec.codebooks = [books[sub] for sub in range(books.shape[0])]
-    qs.codec = codec
-    qs.codes = arrays["quant.codes"]
-    qs._row_sq = arrays["quant.row_sq"] if quant["has_row_sq"] else None
-    qs._row_norm = (arrays["quant.row_norm"]
-                    if quant["has_row_norm"] else None)
-    return qs
-
-
 def materialize(spec: IndexSpec, arrays):
     """Reconstruct a searchable index over arena-backed array views.
 
     ``arrays`` is any mapping of role name → ndarray — an attached
     arena's :meth:`~repro.parallel.arena.SnapshotArena.views` in
     workers, or the raw freeze-time dict for in-process equivalence
-    tests.  No array data is copied: the store, every frozen level, and
-    the code mirror reference the provided buffers directly.
+    tests.  No array data is copied: the store and every frozen level
+    reference the provided buffers directly.
     """
     cls = _CLASSES[spec.kind]
     index = cls.__new__(cls)
@@ -353,9 +279,6 @@ def materialize(spec: IndexSpec, arrays):
     index._labels = None
     index._levels = None
     index._edge_dists = []
-    index.quantization = (spec.quant["config"]
-                          if spec.quant is not None else None)
-    index._quant = _materialize_quant(spec, arrays, index.store.metric)
     deleted = np.flatnonzero(arrays["tombstones"])
     index._deleted = set(int(node) for node in deleted)
     index._deleted_version = 0

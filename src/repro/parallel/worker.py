@@ -133,8 +133,6 @@ def _op_introspect(pins: dict, payload: dict):
             searcher.store._data.flags.writeable
         ),
     }
-    if searcher._quant is not None:
-        report["codes_shared"] = shares("quant.codes", searcher._quant.codes)
     return report
 
 

@@ -8,8 +8,8 @@ module serializes :class:`~repro.hnsw.hnsw.HnswIndex`,
 tables) into a single compressed numpy archive and restores them
 exactly: same graph, same entry point, same parameters, the level
 generator's stream position and — for the ACORN indices — the same
-per-edge distances, so incremental insertion resumes after loading
-exactly where it stopped.
+per-edge distances and pruning labels, so incremental insertion resumes
+after loading exactly where it stopped.
 
 String and keyword columns are stored as object arrays, so loading uses
 ``allow_pickle=True``; only load archives you trust, the standard numpy
@@ -31,24 +31,9 @@ from repro.core.params import AcornParams, PruningStrategy
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.hnsw import HnswIndex
 from repro.hnsw.levels import LevelGenerator
-from repro.vectors.quantized_store import (
-    QuantizationConfig,
-    QuantizedStore,
-    codes_checksum,
-)
 from repro.vectors.store import VectorStore
 
 _FORMAT_VERSION = 1
-
-
-class QuantLoadError(RuntimeError):
-    """An archive's quantized-code payload is incomplete or corrupt.
-
-    Raised with the offending npz array named in the message (mirroring
-    :class:`repro.shard.persistence.ShardLoadError`), so operators know
-    exactly which artifact to restore; the index is never built over
-    silently corrupted codes.
-    """
 
 
 def file_sha256(path: Path) -> str:
@@ -106,68 +91,6 @@ def verified_file(
             f"(expected sha256 {expected[:12]}...)"
         )
     return target
-
-
-def _pack_quantization(index, payload: dict) -> None:
-    """Add the quantized-code arrays (if any) to a save payload.
-
-    Keys are additive and optional — archives written without
-    quantization load unchanged, and old readers ignore the extra keys
-    — so the format version stays at 1.  The code array ships with a
-    sha256 fingerprint (``quant_checksum``) verified on load.
-    """
-    if getattr(index, "quantization", None) is None:
-        return
-    qstore = index._quant_store()
-    if qstore is None:
-        return
-    payload["quant_config"] = np.asarray(
-        [index.quantization.to_json()], dtype=object
-    )
-    arrays = qstore.state_arrays()
-    payload.update(arrays)
-    payload["quant_checksum"] = np.asarray(
-        [codes_checksum(arrays["quant_codes"])], dtype=object
-    )
-
-
-def _unpack_quantization(index, archive) -> None:
-    """Restore the quantized-code mirror saved by :func:`_pack_quantization`.
-
-    Raises:
-        QuantLoadError: when the config is present but a code array is
-            missing, or the stored checksum does not match the loaded
-            ``quant_codes`` bytes.
-    """
-    if "quant_config" not in archive:
-        return
-    config = QuantizationConfig.from_json(str(archive["quant_config"][0]))
-    needed = ["quant_codes"]
-    needed += (["quant_sq_min", "quant_sq_scale"] if config.kind == "sq8"
-               else ["quant_pq_codebooks"])
-    arrays = {}
-    for name in needed:
-        if name not in archive:
-            raise QuantLoadError(
-                f"archive is missing quantized artifact {name!r}; restore "
-                "the file or re-save the index"
-            )
-        arrays[name] = archive[name]
-    expected = (str(archive["quant_checksum"][0])
-                if "quant_checksum" in archive else None)
-    if expected is not None:
-        actual = codes_checksum(np.asarray(arrays["quant_codes"],
-                                           dtype=np.uint8))
-        if actual != expected:
-            raise QuantLoadError(
-                "checksum mismatch for quantized artifact 'quant_codes'; "
-                f"the code array is corrupt (expected sha256 "
-                f"{expected[:12]}..., got {actual[:12]}...)"
-            )
-    index.quantization = config
-    index._quant = QuantizedStore.from_state(
-        config, index.store.metric, arrays
-    )
 
 
 def _unpack_level_rng(index, archive) -> None:
@@ -279,10 +202,9 @@ def save_index(index, path) -> None:
         "metric": np.asarray([index.store.metric.value], dtype=object),
     }
     _pack_graph(index.graph, payload)
-    _pack_quantization(index, payload)
     if isinstance(index._levels, LevelGenerator):
-        # Additive and optional like the quantization keys: the format
-        # version stays at 1 and older archives load with a fresh stream.
+        # Additive and optional: the format version stays at 1 and
+        # older archives load with a fresh stream.
         payload["level_rng"] = np.asarray([index._levels.state], dtype=object)
     if isinstance(index, AcornIndex):
         if isinstance(index, AcornOneIndex):
@@ -293,6 +215,10 @@ def save_index(index, path) -> None:
             kind = "acorn"
         payload["kind"] = np.asarray([kind], dtype=object)
         payload["deleted"] = np.asarray(sorted(index._deleted), dtype=np.int64)
+        if index._labels is not None:
+            # Additive and optional like ``level_rng``: only metadata-aware
+            # pruning (Figure 12) reads them.
+            payload["labels"] = np.asarray(index._labels)
         p = index.params
         payload["params"] = np.asarray(
             [
@@ -358,7 +284,6 @@ def load_index(path):
             )
             index.store = VectorStore.from_array(vectors, metric=metric)
             index.graph = graph
-            _unpack_quantization(index, archive)
             _unpack_level_rng(index, archive)
             return index
 
@@ -372,6 +297,7 @@ def load_index(path):
             truncate_construction=params["truncate_construction"],
             compressed_levels=params["compressed_levels"],
         )
+        labels = archive["labels"] if "labels" in archive else None
         if kind == "acorn1":
             index = AcornOneIndex(
                 vectors.shape[1], table, m=acorn_params.m,
@@ -379,15 +305,16 @@ def load_index(path):
             )
         elif kind == "acorn-flat":
             index = FlatAcornIndex(
-                vectors.shape[1], table, params=acorn_params, metric=metric
+                vectors.shape[1], table, params=acorn_params, metric=metric,
+                labels=labels,
             )
         else:
             index = AcornIndex(
-                vectors.shape[1], table, params=acorn_params, metric=metric
+                vectors.shape[1], table, params=acorn_params, metric=metric,
+                labels=labels,
             )
         index.store = VectorStore.from_array(vectors, metric=metric)
         index.graph = graph
-        _unpack_quantization(index, archive)
         _unpack_level_rng(index, archive)
         if "deleted" in archive:
             index._deleted = set(archive["deleted"].tolist())

@@ -70,16 +70,6 @@ class CostModel:
             to one graph-walk distance (the pre-filter route's
             per-computation discount).  A fixed constant so routing
             stays deterministic; 1.0 recovers raw-count costing.
-        quant_unit_cost: cost of one quantized (int8/PQ-code) distance
-            relative to one exact graph-walk distance.  Graph routes in
-            ``quantized_routes`` have their walk predictions scaled by
-            it, and :meth:`observed_units` converts observed quantized
-            counts with it — so the feedback loop keeps calibrating the
-            discount from real queries.
-        quantized_routes: the routes whose backend index runs the
-            quantized traversal hot path (empty by default; the
-            planner marks them from each index's ``quantization``
-            config).
     """
 
     def __init__(
@@ -90,8 +80,6 @@ class CostModel:
         s_floor: float = 1e-4,
         correlation_weight: float = 1.0,
         scan_unit_cost: float = 0.25,
-        quant_unit_cost: float = 0.25,
-        quantized_routes=(),
     ) -> None:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
@@ -104,34 +92,9 @@ class CostModel:
             raise ValueError(
                 f"scan_unit_cost must be positive, got {scan_unit_cost}"
             )
-        if quant_unit_cost <= 0:
-            raise ValueError(
-                f"quant_unit_cost must be positive, got {quant_unit_cost}"
-            )
-        for route in quantized_routes:
-            if route not in ALL_ROUTES:
-                raise ValueError(
-                    f"unknown quantized route {route!r}; "
-                    f"choose from {ALL_ROUTES}"
-                )
         self.s_floor = float(s_floor)
         self.correlation_weight = float(correlation_weight)
         self.scan_unit_cost = float(scan_unit_cost)
-        self.quant_unit_cost = float(quant_unit_cost)
-        self.quantized_routes = frozenset(quantized_routes)
-
-    def mark_quantized(self, *routes: str) -> None:
-        """Flag ``routes`` as running the quantized traversal hot path.
-
-        Their predicted walk costs pick up the ``quant_unit_cost``
-        discount from the next :meth:`units` call on.
-        """
-        for route in routes:
-            if route not in ALL_ROUTES:
-                raise ValueError(
-                    f"unknown route {route!r}; choose from {ALL_ROUTES}"
-                )
-        self.quantized_routes = self.quantized_routes | frozenset(routes)
 
     def unit_cost(self, route: str) -> float:
         """Cost units per distance computation on ``route``.
@@ -146,20 +109,14 @@ class CostModel:
             )
         return self.scan_unit_cost if route == ROUTE_PRE_FILTER else 1.0
 
-    def observed_units(
-        self, route: str, exact_comps: int, quantized_comps: int = 0
-    ) -> float:
-        """Convert one query's realized computation counts into units.
+    def observed_units(self, route: str, exact_comps: int) -> float:
+        """Convert one query's realized computation count into units.
 
-        Exact computations bill at :meth:`unit_cost`; quantized code
-        scans bill at ``quant_unit_cost``.  This is what the planner
-        feeds the feedback store, so observations on a quantized route
-        stay comparable to the (discounted) predictions.
+        Computations bill at :meth:`unit_cost`.  This is what the
+        planner feeds the feedback store, so observations stay
+        comparable to the predictions.
         """
-        return (
-            exact_comps * self.unit_cost(route)
-            + quantized_comps * self.quant_unit_cost
-        )
+        return exact_comps * self.unit_cost(route)
 
     def _graph_units(
         self,
@@ -202,29 +159,18 @@ class CostModel:
                 :func:`repro.datasets.correlation.point_correlation`).
         """
         s = min(max(float(selectivity), self.s_floor), 1.0)
-        # A route on the quantized hot path walks over codes: its
-        # per-computation price drops to quant_unit_cost (the exact
-        # rerank tail is K·rerank_factor computations — second-order
-        # next to the walk, and the feedback loop absorbs it anyway).
-        discount = (
-            self.quant_unit_cost if route in self.quantized_routes else 1.0
-        )
         if route == ROUTE_PRE_FILTER:
             return (s * self.n + k) * self.scan_unit_cost
         if route == ROUTE_ACORN_GAMMA:
-            return discount * self._graph_units(
-                s, k, ef_search, self.gamma, correlation
-            )
+            return self._graph_units(s, k, ef_search, self.gamma, correlation)
         if route == ROUTE_ACORN_ONE:
             # 2-hop expansion recovers ≈ M passing candidates per hop
             # when s·M·(1+M) ≥ M, i.e. its effective densification is M.
-            return discount * self._graph_units(
-                s, k, ef_search, self.m, correlation
-            )
+            return self._graph_units(s, k, ef_search, self.m, correlation)
         if route == ROUTE_POST_FILTER:
             budget = min(max(ef_search, math.ceil(k / s)), self.n or 1)
             penalty = 1.0 + self.correlation_weight * max(-correlation, 0.0)
-            return discount * budget * self.m * penalty
+            return budget * self.m * penalty
         raise ValueError(f"unknown route {route!r}; choose from {ALL_ROUTES}")
 
     def all_units(

@@ -153,17 +153,6 @@ class RoutePlanner(BatchSearchMixin):
                 n=len(index), m=index.params.m, gamma=index.params.gamma
             )
         )
-        if cost_model is None:
-            # Routes whose backend walks quantized codes are cheaper
-            # per computation; tell the model so its predictions (and
-            # the feedback conversions) carry the discount.
-            if getattr(index, "quantization", None) is not None:
-                self.cost_model.mark_quantized(ROUTE_ACORN_GAMMA)
-            if (
-                acorn_one is not None
-                and getattr(acorn_one, "quantization", None) is not None
-            ):
-                self.cost_model.mark_quantized(ROUTE_ACORN_ONE)
         self.feedback = feedback if feedback is not None else RoutingFeedback()
         self.walk_budget = walk_budget
         self.correlation_samples = int(correlation_samples)
@@ -415,7 +404,6 @@ class RoutePlanner(BatchSearchMixin):
             attempt = walk if fallback else result
             observed = self.cost_model.observed_units(
                 plan.route, attempt.distance_computations,
-                attempt.quantized_distances,
             )
             scan_units = (
                 result.distance_computations

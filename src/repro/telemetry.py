@@ -48,8 +48,7 @@ class QueryStats:
         distance_computations: *exact float32* distances evaluated
             answering this query, the paper's hardware-independent cost
             measure (Table 3) — equal to the delta of the global
-            distance tally for a lone query.  On the quantized path
-            this counts the descent plus the rerank tail only.
+            distance tally for a lone query.
         hops: graph nodes expanded during traversal (0 for flat scans).
         visited_nodes: visited-set insertions during traversal (0 for
             flat scans).
@@ -89,16 +88,6 @@ class QueryStats:
             (``estimate - exact``) of the routing decision — the mean
             across probed shards under per-shard routing (0.0 when
             unrouted).
-        quantized_distances: approximate distances evaluated on the
-            quantized (int8/PQ) hot path for this query — disjoint
-            from ``distance_computations``, which stays exact-float32
-            only (0 for unquantized searchers).
-        rerank_distances: exact float32 distances spent re-scoring the
-            quantized candidate head (a subset of
-            ``distance_computations``; 0 when unquantized).
-        rerank_factor: the rerank budget multiplier in effect
-            (``rerank_factor * k`` candidates re-scored; 0.0 when
-            unquantized).
         queue_wait_ms: milliseconds between the serving layer admitting
             the query and its batch starting on the dispatch thread —
             coalescing buffer plus any wait behind an earlier batch
@@ -138,11 +127,6 @@ class QueryStats:
     estimator_error: float = _telemetry(
         0.0, mean_abs_estimator_error="mean_abs"
     )
-    quantized_distances: int = _telemetry(
-        0, "sum", total_quantized_distances="sum"
-    )
-    rerank_distances: int = _telemetry(0, "sum", total_rerank_distances="sum")
-    rerank_factor: float = _telemetry(0.0, "max")
     queue_wait_ms: float = _telemetry(0.0, mean_queue_wait_ms="mean")
     batch_size_served: int = _telemetry(0, mean_batch_size_served="mean")
     tenant_id: str = _telemetry("", tenant_counts="tally")

@@ -17,12 +17,6 @@ from repro.vectors.distance import (
     resolve_metric,
 )
 from repro.vectors.quantization import ProductQuantizer, ScalarQuantizer
-from repro.vectors.quantized_store import (
-    QuantizationConfig,
-    QuantizedStore,
-    rerank_budget,
-    resolve_quantization,
-)
 from repro.vectors.store import VectorStore
 
 __all__ = [
@@ -30,12 +24,8 @@ __all__ = [
     "DistanceComputer",
     "Metric",
     "ProductQuantizer",
-    "QuantizationConfig",
-    "QuantizedStore",
     "ScalarQuantizer",
     "VectorStore",
     "pairwise_distances",
-    "rerank_budget",
     "resolve_metric",
-    "resolve_quantization",
 ]

@@ -211,7 +211,7 @@ class DistanceComputer:
         deferred mode the increment is a plain local addition settled by
         :meth:`flush_counts`.  Use this instead of ``computer.count +=
         n`` (a racy read-modify-write) when accounting for evaluations
-        performed outside the computer — e.g. quantized-code distances.
+        performed outside the computer.
         """
         if self._deferred:
             self._pending += int(n)
@@ -311,3 +311,14 @@ class DistanceComputer:
         if self._base_norms is not None:
             return _cosine_from_norms(self.base, self._base_norms, query)
         return self._kernel(self.base, query)
+
+
+def exact_top_k(computer, query: np.ndarray, ids: np.ndarray, k: int):
+    """The ``k`` of ``ids`` nearest ``query`` by (distance, id), exactly.
+
+    The one exact ranking shared by ``AcornIndex.search``'s scan and
+    :class:`~repro.baselines.prefilter.PreFilterSearcher`.
+    """
+    dists = np.asarray(computer.distances_to(query, ids), dtype=np.float32)
+    order = np.lexsort((ids, dists))[:k]
+    return ids[order].astype(np.intp, copy=False), dists[order]

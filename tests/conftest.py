@@ -14,13 +14,11 @@ import pytest
 
 from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornOneIndex, AcornParams
-from repro.core.quantsearch import exact_rerank
 from repro.datasets import make_laion_like, make_sift1m_like, make_tripclick_like
 from repro.hnsw import HnswIndex
 from repro.hnsw.hnsw import SearchResult
 from repro.hnsw.scratch import TraversalScratch
 from repro.hnsw.traversal import TraversalStats, search_layer
-from repro.vectors.quantized_store import rerank_budget
 
 
 def assert_results_identical(got, want, counters=True):
@@ -77,33 +75,11 @@ def _reference_level(computer, query, seeds, ef, neighbor_fn, scratch, n,
                         stats=stats, monitor=monitor)
 
 
-def _level0_ranker(index, computer, query, seeds):
-    """Level 0's distance provider and seeds: the exact computer, or — on
-    a quantized index — its ``QuantizedComputer``, seeds re-scored."""
-    qstore = index._quant_store()
-    if qstore is None:
-        return computer, seeds
-    qcomp = qstore.computer()
-    ids = np.asarray([nid for _, nid in seeds], dtype=np.intp)
-    return qcomp, list(zip(qcomp.distances_to(query, ids).tolist(),
-                           ids.tolist()))
-
-
-def _reference_result(index, computer, ranker, query, found, k, stats):
-    """The top ``k`` of ``found`` — exactly reranked when codes ranked it."""
-    if ranker is computer:
-        return SearchResult.from_pairs(
-            found[:k], distance_computations=computer.count,
-            hops=stats.hops, visited_nodes=stats.visited,
-        )
-    rf = index.quantization.rerank_factor
-    ids, dists, n_rerank = exact_rerank(
-        computer, query, [nid for _, nid in found], k, rerank_budget(k, rf))
-    return SearchResult(
-        ids=ids, distances=dists, distance_computations=computer.count,
+def _reference_result(computer, found, k, stats):
+    """The top ``k`` of ``found`` with the walk's counters."""
+    return SearchResult.from_pairs(
+        found[:k], distance_computations=computer.count,
         hops=stats.hops, visited_nodes=stats.visited,
-        quantized_distances=ranker.count, rerank_distances=n_rerank,
-        rerank_factor=rf,
     )
 
 
@@ -113,9 +89,8 @@ def reference_search(index, query, predicate, k, ef_search=64,
 
     Same entry, same per-level lookups (``_neighbor_fn``), same seeds and
     final mask application — but every level runs ``search_layer`` with
-    epoch-stamped visited marks, never ``search_frozen_level``.  On a
-    quantized index level 0 ranks by the codes and the exact tail
-    reranks.  The production path must equal this byte for byte —
+    epoch-stamped visited marks, never ``search_frozen_level``.  The
+    production path must equal this byte for byte —
     including its scan: with no ``entry_point`` and at most
     ``max(ef_search, k) · M / 2`` passing rows, every passing row is
     scored and the answer is the exact top ``k`` by (distance, id).
@@ -143,13 +118,11 @@ def reference_search(index, query, predicate, k, ef_search=64,
                                  stats)
     seeds = index._bottom_seeds(computer, query, seeds)
     stats.visited += len(seeds)
-    ranker, seeds = _level0_ranker(index, computer, query, seeds)
-    found = _reference_level(ranker, query, seeds, max(ef_search, k),
+    found = _reference_level(computer, query, seeds, max(ef_search, k),
                              index._neighbor_fn(0, mask), scratch, n, stats,
                              monitor)
     passing = [(dist, nid) for dist, nid in found if mask[nid]]
-    return _reference_result(index, computer, ranker, query, passing, k,
-                             stats)
+    return _reference_result(computer, passing, k, stats)
 
 
 def reference_hnsw_search(index, query, k, ef_search=64):
@@ -166,11 +139,10 @@ def reference_hnsw_search(index, query, k, ef_search=64):
             computer, query, found, 1,
             lambda c, lev=lev: graph.neighbors(c, lev), scratch, n, stats)
     stats.visited += 1
-    ranker, seeds = _level0_ranker(index, computer, query, found)
-    found = _reference_level(ranker, query, seeds, max(ef_search, k),
+    found = _reference_level(computer, query, found, max(ef_search, k),
                              lambda c: graph.neighbors(c, 0), scratch, n,
                              stats)
-    return _reference_result(index, computer, ranker, query, found, k, stats)
+    return _reference_result(computer, found, k, stats)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornParams
 from repro.datasets.ground_truth import filtered_knn
 from repro.predicates import Equals, TruePredicate
+from tests.conftest import assert_results_identical, reference_search
 
 
 class TestConstruction:
@@ -180,6 +181,31 @@ class TestIntrospection:
             compressed.graph.average_out_degree(0)
             < uncompressed.graph.average_out_degree(0)
         )
+
+
+class TestFloatPathUnchanged:
+    def test_acorn_results_and_counters_pinned(self):
+        """Two builds from one seed answer byte for byte, counters
+        included, and both equal the reference driver — walked (ef 16:
+        cutoff 48 under each label's ≈ 80 rows) and scanned (ef 48)."""
+        gen = np.random.default_rng(11)
+        vectors = gen.standard_normal((240, 12)).astype(np.float32)
+        table = AttributeTable(240)
+        table.add_int_column("label", gen.integers(0, 3, size=240))
+        queries = vectors[gen.choice(240, size=20, replace=False)] + 0.05
+        params = AcornParams(m=6, gamma=3, m_beta=12, ef_construction=32)
+        first, second = (AcornIndex.build(vectors, table, params=params,
+                                          seed=0) for _ in range(2))
+        for i, query in enumerate(queries):
+            for ef in (16, 48):
+                predicate = Equals("label", i % 3)
+                got = first.search(query, predicate, 5, ef_search=ef)
+                assert (got.hops > 0) == (ef == 16)
+                assert_results_identical(
+                    got, second.search(query, predicate, 5, ef_search=ef))
+                assert_results_identical(
+                    got, reference_search(first, query, predicate, 5,
+                                          ef_search=ef))
 
 
 def _subtable(table: AttributeTable, n: int) -> AttributeTable:

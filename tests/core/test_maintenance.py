@@ -5,7 +5,8 @@ import pytest
 
 from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornOneIndex, AcornParams
-from repro.core.maintenance import rebuild
+from repro.core.maintenance import live_subset, rebuild
+from repro.core.params import PruningStrategy
 from repro.predicates import Equals, TruePredicate
 
 
@@ -121,57 +122,29 @@ class TestRebuild:
         np.testing.assert_array_equal(id_map, np.arange(len(vectors)))
 
 
-class TestRebuildQuantization:
-    """Rebuilding a quantized index must preserve the quantized path."""
-
-    def _quantized_world(self):
+class TestRebuildMetadataPruning:
+    def test_rebuild_keeps_the_live_labels(self):
+        """A metadata-aware-pruned index (Figure 12) rebuilds over the
+        live rows' labels: the graph a direct build of the live subset,
+        with those labels, produces."""
         gen = np.random.default_rng(97)
         n = 200
         vectors = gen.standard_normal((n, 10)).astype(np.float32)
+        labels = gen.integers(0, 3, size=n)
         table = AttributeTable(n)
-        table.add_int_column("label", gen.integers(0, 3, size=n))
-        params = AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24)
+        table.add_int_column("label", labels)
+        params = AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24,
+                             pruning=PruningStrategy.RNG_METADATA)
         index = AcornIndex.build(vectors, table, params=params, seed=0,
-                                 quantization="sq8")
-        for victim in (3, 50, 50 + 1, 199):
+                                 labels=labels)
+        for victim in (3, 50, 51, 199):
             index.mark_deleted(victim)
-        return index, vectors, table, params, gen
-
-    def test_config_survives_rebuild(self):
-        index, *_ = self._quantized_world()
         new_index, _ = rebuild(index, seed=1)
-        assert new_index.quantization is not None
-        assert new_index.quantization.to_json() == index.quantization.to_json()
-
-    def test_quantized_search_equals_fresh_build(self):
-        """rebuild() of a quantized index answers a quantized batch
-        identically to an index freshly built (same seed) over the live
-        subset with quantization enabled up front — the codec retrain is
-        not allowed to drift from the build-time path."""
-        from repro.core.maintenance import live_subset
-
-        index, vectors, table, params, gen = self._quantized_world()
-        new_index, id_map = rebuild(index, seed=1)
-
-        _, live_vectors, live_table = live_subset(index)
-        fresh = AcornIndex.build(live_vectors, live_table, params=params,
-                                 seed=1, quantization="sq8")
-
-        queries = vectors[gen.choice(len(vectors), size=8, replace=False)]
-        predicates = [Equals("label", int(i % 3)) for i in range(8)]
-        # ef 16 keeps the scan cutoff (16·M/2 = 48) below each label's
-        # ≈ 65 passing rows, so the searches walk the codes.
-        got = new_index.search_batch(queries, predicates, 5, ef_search=16)
-        want = fresh.search_batch(queries, predicates, 5, ef_search=16)
-        for a, b in zip(got, want):
-            assert a.quantized_distances == b.quantized_distances > 0
-            np.testing.assert_array_equal(a.ids, b.ids)
-            np.testing.assert_allclose(a.distances, b.distances)
-
-    def test_unquantized_rebuild_stays_unquantized(self, deleted_world):
-        index, _, _ = deleted_world
-        new_index, _ = rebuild(index, seed=1)
-        assert new_index.quantization is None
+        keep, live_vectors, live_table = live_subset(index)
+        direct = AcornIndex.build(live_vectors, live_table, params=params,
+                                  seed=1, labels=labels[keep])
+        np.testing.assert_array_equal(new_index._labels, labels[keep])
+        assert new_index.graph.checksum() == direct.graph.checksum()
 
 
 class TestRebuildPersistenceRoundtrip:
@@ -210,28 +183,3 @@ class TestRebuildPersistenceRoundtrip:
             b = restored.search(q, TruePredicate(), 5, ef_search=48)
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_allclose(a.distances, b.distances)
-
-    def test_quantized_rebuild_roundtrips(self, tmp_path):
-        from repro.persistence import load_index, save_index
-
-        gen = np.random.default_rng(101)
-        n = 150
-        vectors = gen.standard_normal((n, 8)).astype(np.float32)
-        table = AttributeTable(n)
-        table.add_int_column("label", gen.integers(0, 3, size=n))
-        index = AcornIndex.build(
-            vectors, table,
-            params=AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24),
-            seed=0, quantization="sq8",
-        )
-        index.mark_deleted(7)
-        new_index, _ = rebuild(index, seed=1)
-        save_index(new_index, tmp_path / "q.npz")
-        restored = load_index(tmp_path / "q.npz")
-        assert restored.quantization is not None
-        queries = vectors[:4]
-        predicates = [Equals("label", 0)] * 4
-        a = new_index.search_batch(queries, predicates, 5)
-        b = restored.search_batch(queries, predicates, 5)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.ids, y.ids)

@@ -5,9 +5,12 @@ import pytest
 
 from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornOneIndex, AcornParams
+from repro.core.params import PruningStrategy
 from repro.hnsw import HnswIndex
 from repro.persistence import load_index, save_index
 from repro.predicates import ContainsAny, Equals
+from repro.vectors.quantization import ScalarQuantizer
+from tests.conftest import assert_results_identical
 
 
 @pytest.fixture
@@ -193,99 +196,57 @@ class TestFlatAndTombstoneRoundtrip:
         assert 3 not in result.ids
 
 
-class TestQuantizedRoundtrip:
-    """Quantized codes persist alongside the floats and are verified."""
-
-    @pytest.fixture
-    def index(self, world):
-        vectors, table = world
-        params = AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24)
-        return AcornIndex.build(vectors, table, params=params, seed=0,
-                                quantization="sq8")
-
-    def test_sq8_roundtrip_search_identical(self, world, index, tmp_path):
-        vectors, _ = world
-        path = tmp_path / "quant-sq8.npz"
-        save_index(index, path)
-        restored = load_index(path)
-        assert restored.quantization == index.quantization
-        np.testing.assert_array_equal(
-            restored._quant_store().codes, index._quant_store().codes
-        )
-        for q in vectors[:10]:
-            a = index.search(q, Equals("label", 1), 5, ef_search=32)
-            b = restored.search(q, Equals("label", 1), 5, ef_search=32)
-            np.testing.assert_array_equal(a.ids, b.ids)
-            np.testing.assert_array_equal(a.distances, b.distances)
-            assert a.quantized_distances == b.quantized_distances
-
-    def test_pq_roundtrip_search_identical(self, world, tmp_path):
-        vectors, table = world
-        params = AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24)
-        index = AcornIndex.build(
-            vectors, table, params=params, seed=0,
-            quantization={"kind": "pq", "pq_subspaces": 4,
-                          "pq_centroids": 32},
-        )
-        path = tmp_path / "quant-pq.npz"
-        save_index(index, path)
-        restored = load_index(path)
-        assert restored.quantization.kind == "pq"
-        for q in vectors[:10]:
-            a = index.search(q, Equals("label", 1), 5, ef_search=32)
-            b = restored.search(q, Equals("label", 1), 5, ef_search=32)
-            np.testing.assert_array_equal(a.ids, b.ids)
-
-    def test_hnsw_quantized_roundtrip(self, world, tmp_path):
-        vectors, _ = world
-        index = HnswIndex.build(vectors, m=6, ef_construction=24, seed=0,
-                                quantization="sq8")
-        path = tmp_path / "hnsw-quant.npz"
-        save_index(index, path)
-        restored = load_index(path)
-        for q in vectors[:10]:
-            np.testing.assert_array_equal(
-                index.search(q, 5, ef_search=32).ids,
-                restored.search(q, 5, ef_search=32).ids,
-            )
-
-    def test_unquantized_archive_loads_unquantized(self, world, tmp_path):
+class TestArchiveCompatibility:
+    def test_archive_with_quantized_codes_loads_as_float32(self, world,
+                                                           tmp_path):
+        """Archives that carry SQ8 codes (``quant_*`` keys, written before
+        the quantized walk was deleted) load as the float32 index they
+        contain: the extra keys are ignored, search is byte-identical."""
         vectors, table = world
         params = AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24)
         index = AcornIndex.build(vectors, table, params=params, seed=0)
-        path = tmp_path / "plain.npz"
+        path = tmp_path / "with-codes.npz"
         save_index(index, path)
-        restored = load_index(path)
-        assert restored.quantization is None
-        assert restored._quant_store() is None
-
-    def _resave(self, path, mutate):
-        """Round-trip the npz payload through ``mutate``."""
+        codec = ScalarQuantizer(vectors)
         with np.load(path, allow_pickle=True) as archive:
             payload = {name: archive[name] for name in archive.files}
-        mutate(payload)
+        payload.update(
+            quant_config=np.asarray(['{"kind": "sq8", "rerank_factor": 3.0}'],
+                                    dtype=object),
+            quant_codes=codec.encode(vectors),
+            quant_sq_min=codec.min,
+            quant_sq_scale=codec.scale,
+            quant_checksum=np.asarray(["0" * 64], dtype=object),
+        )
         np.savez_compressed(path, **payload)
+        restored = load_index(path)
+        assert not hasattr(restored, "quantization")
+        for q in vectors[:10]:
+            for ef in (4, 32):  # a walk and a scan
+                assert_results_identical(
+                    restored.search(q, Equals("label", 1), 5, ef_search=ef),
+                    index.search(q, Equals("label", 1), 5, ef_search=ef))
 
-    def test_corrupt_codes_named_in_error(self, index, tmp_path):
-        from repro.persistence import QuantLoadError
 
-        path = tmp_path / "corrupt.npz"
-        save_index(index, path)
-
-        def flip(payload):
-            codes = payload["quant_codes"].copy()
-            codes[0, 0] ^= 0xFF
-            payload["quant_codes"] = codes
-
-        self._resave(path, flip)
-        with pytest.raises(QuantLoadError, match="quant_codes"):
-            load_index(path)
-
-    def test_missing_artifact_named_in_error(self, index, tmp_path):
-        from repro.persistence import QuantLoadError
-
-        path = tmp_path / "missing.npz"
-        save_index(index, path)
-        self._resave(path, lambda p: p.pop("quant_sq_scale"))
-        with pytest.raises(QuantLoadError, match="quant_sq_scale"):
-            load_index(path)
+class TestMetadataPruningRoundtrip:
+    def test_labels_survive_and_adds_replay(self, world, tmp_path):
+        """A metadata-aware-pruned index (Figure 12) keeps its labels: it
+        loads, searches identically, and 20 adds after the load build
+        the graph 20 adds on the never-saved index build."""
+        vectors, table = world
+        labels = np.asarray(table.column("label"))
+        params = AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24,
+                             pruning=PruningStrategy.RNG_METADATA)
+        index = AcornIndex.build(vectors[:-20], table, params=params, seed=5,
+                                 labels=labels)
+        save_index(index, tmp_path / "rng-metadata.npz")
+        restored = load_index(tmp_path / "rng-metadata.npz")
+        np.testing.assert_array_equal(restored._labels, labels)
+        for q in vectors[:5]:
+            assert_results_identical(
+                restored.search(q, Equals("label", 1), 5, ef_search=4),
+                index.search(q, Equals("label", 1), 5, ef_search=4))
+        for vector in vectors[-20:]:
+            index.add(vector)
+            restored.add(vector)
+        assert restored.graph.checksum() == index.graph.checksum()

@@ -176,22 +176,3 @@ class TestScanCounters:
                 got, reference_search(index, queries[2], pred, K,
                                       ef_search=EF, entry_point=entry))
 
-
-class TestQuantizedScan:
-    @pytest.mark.parametrize("kind", ["sq8", "pq"])
-    def test_scans_in_float32(self, world, kind):
-        vectors, table, queries = world
-        config = (kind if kind == "sq8"
-                  else {"kind": "pq", "pq_subspaces": 2, "pq_centroids": 16})
-        quant = AcornIndex.build(vectors, table, params=PARAMS, seed=3,
-                                 quantization=config)
-        plain = AcornIndex.build(vectors, table, params=PARAMS, seed=3)
-        gen = np.random.default_rng(8)
-        for query in queries:
-            ids = _ids(gen, 40)
-            got = quant.search(query, _pred(quant, ids), K, ef_search=EF)
-            assert got.quantized_distances == 0
-            assert got.rerank_distances == 0
-            assert got.ids.tolist() == _brute_force(vectors, query, ids, K)
-            assert_results_identical(
-                got, plain.search(query, _pred(plain, ids), K, ef_search=EF))

@@ -33,9 +33,6 @@ QUERY_STATS_FIELDS = (
     "route_reason",
     "fallback_triggered",
     "estimator_error",
-    "quantized_distances",
-    "rerank_distances",
-    "rerank_factor",
     "queue_wait_ms",
     "batch_size_served",
     "tenant_id",
@@ -61,8 +58,6 @@ SUMMARY_KEYS = (
     "route_counts",
     "fallbacks_triggered",
     "mean_abs_estimator_error",
-    "total_quantized_distances",
-    "total_rerank_distances",
     "mean_queue_wait_ms",
     "mean_batch_size_served",
     "tenant_counts",
@@ -75,7 +70,6 @@ CSV_HEADER = (
     "mean_shards_probed,mean_shards_pruned,mean_shards_failed,"
     "mean_shards_timed_out,degraded_fraction,mean_recall_ceiling,"
     "fallback_fraction,mean_abs_estimator_error,"
-    "mean_quantized_distances,mean_rerank_distances,"
     "mean_queue_wait_ms,mean_batch_size_served"
 )
 
@@ -94,7 +88,6 @@ def _stats_pair():
         route_chosen="pre-filter",
         route_reason="fallback from acorn-gamma: hop budget exhausted",
         fallback_triggered=True, estimator_error=-0.05,
-        quantized_distances=640, rerank_distances=30, rerank_factor=3.0,
         queue_wait_ms=4.0, batch_size_served=2, tenant_id="acme",
         epoch=7,
     )
@@ -126,9 +119,6 @@ class TestQueryStatsGolden:
             "route_reason": "",
             "fallback_triggered": False,
             "estimator_error": 0.0,
-            "quantized_distances": 0,
-            "rerank_distances": 0,
-            "rerank_factor": 0.0,
             "queue_wait_ms": 0.0,
             "batch_size_served": 0,
             "tenant_id": "",
@@ -181,10 +171,6 @@ class TestBatchSummaryGolden:
         assert summary["route_counts"] == {"pre-filter": 1}
         assert summary["fallbacks_triggered"] == 1
         assert summary["mean_abs_estimator_error"] == pytest.approx(0.025)
-        # Only the degraded query ran quantized; totals sum per-query
-        # counters and the healthy query contributes zero.
-        assert summary["total_quantized_distances"] == 640
-        assert summary["total_rerank_distances"] == 30
         # Only the degraded query rode a coalesced serving batch; the
         # healthy query was a direct engine call contributing zeros to
         # both means and no tenant to the tally.
@@ -219,14 +205,13 @@ class TestSweepCsvGolden:
             mean_shards_timed_out=0.75, degraded_fraction=0.5,
             mean_recall_ceiling=0.9375, fallback_fraction=0.125,
             mean_abs_estimator_error=0.015625,
-            mean_quantized_distances=512.25, mean_rerank_distances=30.5,
             mean_queue_wait_ms=1.25, mean_batch_size_served=3.75,
         )
         sweep = MethodSweep(method="acorn", points=[point])
         assert sweep.to_csv().splitlines()[1] == (
             "acorn,40,0.950000,1234.500,321.00,0.000800,0.000700,"
             "0.001100,0.001300,3.50,0.50,0.25,0.75,0.5000,0.9375,"
-            "0.1250,0.015625,512.25,30.50,1.250,3.75"
+            "0.1250,0.015625,1.250,3.75"
         )
 
     def test_failure_columns_default_to_healthy(self):
@@ -240,7 +225,5 @@ class TestSweepCsvGolden:
         assert point.mean_recall_ceiling == 1.0
         assert point.fallback_fraction == 0.0
         assert point.mean_abs_estimator_error == 0.0
-        assert point.mean_quantized_distances == 0.0
-        assert point.mean_rerank_distances == 0.0
         assert point.mean_queue_wait_ms == 0.0
         assert point.mean_batch_size_served == 0.0

@@ -79,9 +79,8 @@ VECTORS, TABLE = _world()
 QUERY = np.random.default_rng(4).standard_normal(DIM).astype(np.float32)
 
 
-def _index(vectors, table, quantization):
-    return AcornIndex.build(vectors, table, params=PARAMS, seed=1,
-                            quantization=quantization)
+def _index(vectors, table):
+    return AcornIndex.build(vectors, table, params=PARAMS, seed=1)
 
 
 # ----------------------------------------------------------------------
@@ -89,9 +88,8 @@ def _index(vectors, table, quantization):
 # fields the composite owns).
 # ----------------------------------------------------------------------
 
-def _planner_static(quantization):
-    planner = RoutePlanner(_index(VECTORS, TABLE, quantization),
-                           policy="static")
+def _planner_static():
+    planner = RoutePlanner(_index(VECTORS, TABLE), policy="static")
 
     def children(result):
         assert result.route_chosen == "acorn-gamma"
@@ -100,12 +98,12 @@ def _planner_static(quantization):
     return planner, children, ROUTE_FIELDS
 
 
-def _planner_fallback(quantization):
+def _planner_fallback():
     def make():
         # An optimistic graph scale forces a graph attempt; a one-hop
         # budget guarantees the walk aborts.
         return RoutePlanner(
-            _index(VECTORS, TABLE, quantization), policy="adaptive",
+            _index(VECTORS, TABLE), policy="adaptive",
             feedback=RoutingFeedback(initial_scales={"acorn-gamma": 1e-6}),
             walk_budget=WalkBudget(hop_budget=1),
         )
@@ -126,11 +124,11 @@ def _planner_fallback(quantization):
 
 
 def _sharded(n_shards, fail_shard=None):
-    def case(quantization):
+    def case():
         clock = FakeClock()
         index = ShardedAcornIndex.build(
             VECTORS, TABLE, HashPartitioner(n_shards),
-            build_shard=lambda v, t: _index(v, t, quantization),
+            build_shard=_index,
             resilience=(
                 None if fail_shard is None else ResiliencePolicy(
                     shard_deadline_s=1.0, max_retries=0,
@@ -166,9 +164,8 @@ def _sharded(n_shards, fail_shard=None):
 
 
 def _lifecycle(churn):
-    def case(quantization):
-        lc = LifecycleIndex.build(VECTORS, TABLE, params=PARAMS, seed=1,
-                                  quantization=quantization)
+    def case():
+        lc = LifecycleIndex.build(VECTORS, TABLE, params=PARAMS, seed=1)
         if churn:
             rng = np.random.default_rng(9)
             for _ in range(12):
@@ -207,11 +204,11 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("quantization", [None, "sq8"],
-                         ids=["float32", "sq8"])
+# The "float32" tag keeps the ids these tests had beside an sq8 arm.
+@pytest.mark.parametrize("vectors", ["float32"])
 @pytest.mark.parametrize("case", CASES)
-def test_composite_folds_its_children(case, quantization):
-    composite, children_of, owned = CASES[case](quantization)
+def test_composite_folds_its_children(case, vectors):
+    composite, children_of, owned = CASES[case]()
     result = composite.search(QUERY, PREDICATE, K, ef_search=EF)
     children = children_of(result)
     assert isinstance(result, SearchResult)
@@ -221,21 +218,14 @@ def test_composite_folds_its_children(case, quantization):
         want = rule([getattr(child, name) for child in children])
         assert getattr(result, name) == want, name
         assert type(getattr(result, name)) is type(want), name
-    if quantization is not None:
-        assert result.quantized_distances > 0
-        assert result.rerank_distances > 0
-        assert result.rerank_factor > 0
     assert result.distance_computations > 0
 
 
-@pytest.mark.parametrize("quantization", [None, "sq8"],
-                         ids=["float32", "sq8"])
+@pytest.mark.parametrize("vectors", ["float32"])
 @pytest.mark.parametrize("case", CASES)
-def test_engine_stats_equal_result_telemetry(case, quantization):
-    direct = CASES[case](quantization)[0].search(
-        QUERY, PREDICATE, K, ef_search=EF
-    )
-    composite = CASES[case](quantization)[0]
+def test_engine_stats_equal_result_telemetry(case, vectors):
+    direct = CASES[case]()[0].search(QUERY, PREDICATE, K, ef_search=EF)
+    composite = CASES[case]()[0]
     with SearchEngine(composite) as engine:
         outcome = engine.search_batch(QUERY[None], [PREDICATE], k=K,
                                       ef_search=EF)
@@ -249,8 +239,6 @@ def test_engine_stats_equal_result_telemetry(case, quantization):
     summary = outcome.summary()
     assert summary["total_distance_computations"] == (
         result.distance_computations)
-    assert summary["total_quantized_distances"] == result.quantized_distances
-    assert summary["total_rerank_distances"] == result.rerank_distances
 
 
 def test_fold_with_no_children_keeps_defaults():
@@ -289,7 +277,6 @@ def test_no_other_dataclass_redeclares_a_telemetry_field():
 
     A lone shared word is a different concept, not a second record
     (``TraversalStats.hops`` is the kernel's own tally,
-    ``QuantizationConfig.rerank_factor`` the knob the counter reports,
     ``BatchResult.wall_time_s`` the whole batch's clock), and
     ``tenant_id``/``epoch`` are identities that request/response
     envelopes legitimately carry — so the guard is: no other dataclass

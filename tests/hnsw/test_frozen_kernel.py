@@ -5,9 +5,7 @@ kernel pops, pushes, counts and aborts exactly like ``search_layer``
 over the matching per-node lookup — checked at the kernel (random
 graphs, both CSR kinds, every metric, the ``ef`` edge cases, tombstones,
 both monitor aborts) and at every index family through the reference
-drivers in ``tests/conftest.py`` — for every distance provider, the
-exact float32 computer and the SQ8 / PQ ``QuantizedComputer`` a
-quantized index ranks level 0 with.  (2) The per-thread eligibility
+drivers in ``tests/conftest.py``.  (2) The per-thread eligibility
 buffer cannot leak state between levels, queries, masks or threads.
 """
 
@@ -39,8 +37,6 @@ from repro.predicates import Equals, TruePredicate
 from repro.predicates.base import CompiledPredicate
 from repro.routing.monitor import WalkBudget, WalkMonitor
 from repro.vectors.distance import METRICS, DistanceComputer
-from repro.vectors.quantized_store import QuantizationConfig, QuantizedStore
-from repro.vectors.store import VectorStore
 from tests.conftest import (
     assert_results_identical,
     on_threads,
@@ -48,14 +44,11 @@ from tests.conftest import (
     reference_search,
 )
 
-PROVIDERS = ("sq8", "pq")
 # Index-level walks run at this ef so that the scan cutoff,
 # ef·M/2 ≤ 32 on the ``families`` indexes, stays below every label's
 # passing count (≥ 36 with every third node tombstoned): they test the
 # walk, not ``AcornIndex.search``'s scan of a small passing set.
 WALK_EF = 8
-QUANT_CONFIGS = {"sq8": "sq8",
-                 "pq": {"kind": "pq", "pq_subspaces": 4, "pq_centroids": 32}}
 
 MONITORS = {
     "none": lambda: None,
@@ -68,24 +61,13 @@ MONITORS = {
 
 
 def assert_kernels_agree(vectors, metric, indptr, indices, neighbor_fn, mask,
-                         seed_ids, ef, make_monitor=MONITORS["none"],
-                         make_computer=None):
-    """Run one level through both kernels and compare everything.
-
-    ``make_computer`` supplies another distance provider (a
-    ``QuantizedComputer``); by default both walks rank in float32.
-    """
+                         seed_ids, ef, make_monitor=MONITORS["none"]):
+    """Run one level through both kernels and compare everything."""
     outcomes = []
     for frozen in (False, True):
-        if make_computer is None:
-            computer = DistanceComputer(vectors, metric)
-            query = computer.set_query(vectors[0] * 0.5 + 0.1)
-            seeds = [(computer.distance_one(query, s), s) for s in seed_ids]
-        else:
-            computer = make_computer()
-            query = vectors[0] * 0.5 + 0.1
-            dists = computer.distances_to(query, np.asarray(seed_ids))
-            seeds = list(zip(dists.tolist(), seed_ids))
+        computer = DistanceComputer(vectors, metric)
+        query = computer.set_query(vectors[0] * 0.5 + 0.1)
+        seeds = [(computer.distance_one(query, s), s) for s in seed_ids]
         stats, monitor, scratch = TraversalStats(), make_monitor(), \
             TraversalScratch()
         if frozen:
@@ -129,22 +111,6 @@ def csr_kinds(acorn_index, level0):
     }
 
 
-@pytest.fixture(scope="module")
-def code_stores(small_vectors):
-    """{(codec, metric): trained QuantizedStore} over the shared vectors."""
-    vectors = small_vectors[0]
-    stores = {}
-    for kind in PROVIDERS:
-        for metric in METRICS:
-            store = VectorStore.from_array(vectors, metric=metric)
-            codes = QuantizedStore(QuantizationConfig(
-                kind=kind, pq_subspaces=4, pq_centroids=32), metric)
-            codes.train(store.vectors)
-            codes.sync(store)
-            stores[kind, metric] = codes
-    return stores
-
-
 def _masks(n, tombstones):
     gen = np.random.default_rng(21)
     masks = [np.ones(n, dtype=bool), gen.random(n) < 0.15,
@@ -176,29 +142,6 @@ class TestKernelIdentity:
             aborted.append(outcome[-1] is not None and outcome[-1][1])
         if monitor == "hop-budget" and ef > 1:
             assert any(aborted)
-
-    @pytest.mark.parametrize("monitor", sorted(MONITORS))
-    @pytest.mark.parametrize("tombstones", [False, True])
-    @pytest.mark.parametrize("ef,n_seeds", [(1, 1), (3, 6), (5000, 2)],
-                             ids=["ef1", "ef<seeds", "ef>reachable"])
-    @pytest.mark.parametrize("metric", METRICS)
-    @pytest.mark.parametrize("kind", ["raw", "expansion"])
-    @pytest.mark.parametrize("provider", PROVIDERS)
-    def test_quantized_provider_matches_search_layer(
-        self, small_vectors, csr_kinds, code_stores, provider, kind, metric,
-        ef, n_seeds, tombstones, monitor,
-    ):
-        """The float32 matrix above, ranked by codes: one kernel, any
-        distance provider — counts are the ``QuantizedComputer``'s."""
-        vectors = small_vectors[0]
-        indptr, indices, lookup = csr_kinds[kind]
-        for i, mask in enumerate(_masks(len(vectors), tombstones)):
-            seed_ids = [(37 * i + 101 * j) % len(vectors)
-                        for j in range(n_seeds)]
-            assert_kernels_agree(
-                vectors, metric, indptr, indices, lookup(mask), mask,
-                seed_ids, ef, MONITORS[monitor],
-                make_computer=code_stores[provider, metric].computer)
 
     def test_passing_rate_abort_fires(self, small_vectors, csr_kinds):
         """The parametrized budget really aborts a sparse-mask walk."""
@@ -370,58 +313,6 @@ class TestIndexIdentity:
             assert got.hops > 0 and got.visited_nodes > got.hops
             assert_results_identical(
                 got, reference_hnsw_search(hnsw, query, 5, ef_search=24))
-
-    @pytest.mark.parametrize("monitor", sorted(MONITORS))
-    @pytest.mark.parametrize("family", ["acorn", "acorn1", "acorn-dynamic",
-                                        "acorn1-dynamic", "flat"])
-    @pytest.mark.parametrize("provider", PROVIDERS)
-    def test_quantized_acorn_families(self, families, provider, family,
-                                      monitor):
-        """Level 0 ranked by codes, CSR or fallback, then the exact tail."""
-        vectors, indexes, _ = families
-        index = indexes[family]
-        preds = [Equals("label", i % 4) for i in range(7)] + [TruePredicate()]
-        index.enable_quantization(QUANT_CONFIGS[provider])
-        try:
-            for tombstoned in (False, True):
-                if tombstoned:
-                    for node in range(0, len(index), 3):
-                        index.mark_deleted(node)
-                for query, pred in zip(_queries(vectors), preds):
-                    got_mon, want_mon = (MONITORS[monitor](),
-                                         MONITORS[monitor]())
-                    got = index.search(query, pred, 5, ef_search=WALK_EF,
-                                       monitor=got_mon)
-                    want = reference_search(index, query, pred, 5,
-                                            ef_search=WALK_EF,
-                                            monitor=want_mon)
-                    assert got.hops > 0
-                    assert_results_identical(got, want)
-                    assert got.quantized_distances > 0
-                    assert (got.quantized_distances, got.rerank_distances) \
-                        == (want.quantized_distances, want.rerank_distances)
-                    if got_mon is not None:
-                        assert (got_mon.hops, got_mon.abort_reason) == (
-                            want_mon.hops, want_mon.abort_reason)
-        finally:
-            index.enable_quantization(None)
-            for node in range(0, len(index), 3):
-                index.unmark_deleted(node)
-
-    @pytest.mark.parametrize("provider", PROVIDERS)
-    def test_quantized_hnsw(self, families, provider):
-        vectors, _, hnsw = families
-        hnsw.enable_quantization(QUANT_CONFIGS[provider])
-        try:
-            for query in _queries(vectors):
-                got = hnsw.search(query, 5, ef_search=24)
-                want = reference_hnsw_search(hnsw, query, 5, ef_search=24)
-                assert_results_identical(got, want)
-                assert got.quantized_distances > 0
-                assert (got.quantized_distances, got.rerank_distances) == (
-                    want.quantized_distances, want.rerank_distances)
-        finally:
-            hnsw.enable_quantization(None)
 
     def test_entry_point_override(self, families):
         vectors, indexes, _ = families

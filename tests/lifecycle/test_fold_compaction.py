@@ -52,10 +52,7 @@ from tests.lifecycle.conftest import (
     assert_matches_oracle,
     make_world,
 )
-from tests.lifecycle.test_equivalence_harness import (
-    graph_fingerprint,
-    ops_tape,
-)
+from tests.lifecycle.test_equivalence_harness import ops_tape
 
 pytestmark = pytest.mark.lifecycle
 
@@ -146,9 +143,9 @@ class TestInsertOnlyFoldIsTheSequentialBuild:
 
         sequential = build(vectors, table, metric=metric, seed=seed)
         rebuilt, _ = rebuild(lc._base, seed=seed)
-        folded = graph_fingerprint(lc._base)
-        assert folded == graph_fingerprint(sequential)
-        assert folded == graph_fingerprint(rebuilt)
+        folded = lc._base.graph.checksum()
+        assert folded == sequential.graph.checksum()
+        assert folded == rebuilt.graph.checksum()
         assert lc._base._edge_dists == sequential._edge_dists
         assert lc._base._frozen is not None  # installed frozen
 
@@ -175,7 +172,7 @@ class TestFoldStructure:
             assume(2 * survivors > len(lc._base_ids))  # the fold branch
 
             old_base = lc._base
-            before = (graph_fingerprint(old_base),
+            before = (old_base.graph.checksum(),
                       copy.deepcopy(old_base._edge_dists),
                       copy.deepcopy(old_base._levels))
             snap = lc.acquire_read_snapshot()
@@ -187,7 +184,7 @@ class TestFoldStructure:
             check_structure(lc._base)
             check_rows(lc, oracle)
             assert lc._base is not old_base
-            assert graph_fingerprint(old_base) == before[0]
+            assert old_base.graph.checksum() == before[0]
             assert old_base._edge_dists == before[1]
             if variant != "flat":
                 assert old_base._levels.state == before[2].state
@@ -249,7 +246,7 @@ class TestEdgeCuts:
             np.stack([op[1] for op in tape]), lc._base.table,
             params=PARAMS, seed=lc.config.build_seed,
         )
-        assert graph_fingerprint(lc._base) == graph_fingerprint(fresh)
+        assert lc._base.graph.checksum() == fresh.graph.checksum()
 
     def test_half_the_base_deleted_takes_the_rebuild_branch(self, branches):
         lc, oracle, rng, queries = self._world()
@@ -390,7 +387,7 @@ class TestFoldDeterminism:
                     lc.compact(on_stage=kill)
             if compactor.tick() is not None:
                 published.append((lc.current_epoch,
-                                  graph_fingerprint(lc._base),
+                                  lc._base.graph.checksum(),
                                   lc._base_ids.tolist()))
         return published
 
@@ -415,8 +412,7 @@ class TestFoldDeterminism:
         stayed.compact()
         loaded.compact()
         assert branches == ["fold", "fold"]
-        assert graph_fingerprint(loaded._base) == graph_fingerprint(
-            stayed._base)
+        assert loaded._base.graph.checksum() == stayed._base.graph.checksum()
         assert loaded._base_ids.tolist() == stayed._base_ids.tolist()
 
     @pytest.mark.parametrize("stage", COMPACTION_STAGES)

@@ -18,8 +18,6 @@ import numpy as np
 import pytest
 
 from repro.attributes.table import AttributeTable
-from repro.core.acorn import AcornIndex
-from repro.core.params import AcornParams
 from repro.parallel import ProcessPool
 
 
@@ -52,17 +50,6 @@ def no_leaks(request):
                      .worker_pids().values())
     assert _arenas() - arenas == set(), "leaked shared-memory arenas"
     assert _children() - children - exempt == set(), "leaked workers"
-
-
-@pytest.fixture(scope="session")
-def quant_acorn(small_vectors, labeled_table):
-    """An ACORN-gamma build with SQ8 quantization enabled."""
-    params = AcornParams(m=8, gamma=6, m_beta=16, ef_construction=32)
-    index = AcornIndex.build(
-        small_vectors[0], labeled_table, params=params, seed=2
-    )
-    index.enable_quantization("sq8")
-    return index
 
 
 @pytest.fixture(scope="session")

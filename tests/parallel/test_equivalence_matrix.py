@@ -1,6 +1,6 @@
 """Executor equivalence matrix.
 
-``sync`` × ``process`` over {ACORN-γ, ACORN-1, quantized ACORN-γ} ×
+``sync`` × ``process`` over {ACORN-γ, ACORN-1} ×
 predicate families must produce *byte-identical* batches — ids,
 distances, and per-query counters — because both executors run the
 same search methods over the same frozen arrays.  The process column
@@ -14,16 +14,15 @@ import pytest
 from repro.engine.engine import QueryBatch, SearchEngine
 from repro.predicates import Between, Equals, Not, Or, TruePredicate
 
-INDEXES = ("acorn", "acorn1", "quant")
+INDEXES = ("acorn", "acorn1")
 PREDICATE_FAMILIES = ("true", "equals", "range", "boolean")
 
 
 @pytest.fixture(scope="module")
-def matrix_indexes(acorn_index, acorn_one_index, quant_acorn):
+def matrix_indexes(acorn_index, acorn_one_index):
     return {
         "acorn": acorn_index,
         "acorn1": acorn_one_index,
-        "quant": quant_acorn,
     }
 
 
@@ -120,18 +119,3 @@ class TestWorkerZeroCopy:
         assert report["arena_nbytes"] == record.arena.nbytes
         assert report["pid"] > 0
 
-    def test_quantized_codes_are_shared_too(
-        self, quant_acorn, matrix_queries, shared_pool
-    ):
-        batch = QueryBatch.build(matrix_queries, TruePredicate(), k=5,
-                                 ef_search=40)
-        with SearchEngine(quant_acorn, num_workers=2, executor="process",
-                          process_pool=shared_pool) as engine:
-            engine.search_batch(batch)
-            record = engine._arena_manager.current
-            pin = (record.token, {"manifest": record.arena.manifest(),
-                                  "spec": record.spec})
-            report = shared_pool.call(
-                0, "introspect", {"token": record.token}, pin=pin
-            )
-        assert report["codes_shared"] is True

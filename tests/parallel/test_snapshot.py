@@ -61,18 +61,6 @@ class TestMaterializeEquivalence:
             )
             assert_identical(got, cloned)
 
-    def test_quantized_clone_matches(
-        self, quant_acorn, labeled_table, small_vectors
-    ):
-        spec, arrays = build_snapshot(quant_acorn)
-        assert spec.quant is not None
-        clone = materialize(spec, arrays)
-        got, cloned = _search_pair(
-            quant_acorn, clone, labeled_table, small_vectors[0][3],
-            TruePredicate(),
-        )
-        assert_identical(got, cloned)
-
     def test_tombstones_survive_the_roundtrip(self):
         vectors, table = make_labeled_world(seed=21)
         index = AcornIndex.build(
@@ -120,12 +108,6 @@ class TestZeroCopy:
                                     arena.view("L0.indices"))
         finally:
             arena.unlink()
-
-    def test_quant_codes_share_buffers(self, quant_acorn):
-        spec, arrays = build_snapshot(quant_acorn)
-        clone = materialize(spec, arrays)
-        assert np.shares_memory(clone._quant.codes,
-                                arrays["quant.codes"])
 
     def test_fortran_float64_store_is_repaired_at_freeze(self):
         """Satellite regression: a mis-dtyped, Fortran-ordered vector

@@ -99,6 +99,11 @@ class TestShape:
         for route in (ROUTE_ACORN_GAMMA, ROUTE_ACORN_ONE, ROUTE_POST_FILTER):
             assert model.unit_cost(route) == 1.0
 
+    def test_observed_units_bill_at_unit_cost(self, model):
+        for route in ALL_ROUTES:
+            assert model.observed_units(route, 100) == pytest.approx(
+                100 * model.unit_cost(route))
+
     def test_all_units_covers_requested_routes(self, model):
         units = model.all_units(ALL_ROUTES, 0.3, 10, 64)
         assert tuple(units) == ALL_ROUTES
@@ -109,44 +114,3 @@ class TestShape:
         for route in ALL_ROUTES:
             assert model.units(route, 0.5, 10, 64) >= 0.0
 
-
-class TestQuantizedDiscount:
-    def test_rejects_nonpositive_quant_unit_cost(self):
-        with pytest.raises(ValueError, match="quant_unit_cost"):
-            CostModel(n=100, m=8, gamma=4, quant_unit_cost=0.0)
-
-    def test_rejects_unknown_quantized_route(self):
-        with pytest.raises(ValueError):
-            CostModel(n=100, m=8, gamma=4, quantized_routes=("warp",))
-        model = CostModel(n=100, m=8, gamma=4)
-        with pytest.raises(ValueError):
-            model.mark_quantized("warp")
-
-    def test_marked_route_is_discounted(self, model):
-        base = model.units(ROUTE_ACORN_GAMMA, selectivity=0.5, ef_search=64, k=10)
-        model.mark_quantized(ROUTE_ACORN_GAMMA)
-        discounted = model.units(ROUTE_ACORN_GAMMA, selectivity=0.5,
-                                 ef_search=64, k=10)
-        assert discounted == pytest.approx(base * model.quant_unit_cost)
-        # Unmarked routes keep their full price.
-        assert model.units(ROUTE_ACORN_ONE, selectivity=0.5, ef_search=64, k=10) \
-            == pytest.approx(
-                CostModel(n=10_000, m=16, gamma=12).units(
-                    ROUTE_ACORN_ONE, selectivity=0.5, ef_search=64, k=10)
-            )
-
-    def test_prefilter_never_discounted(self, model):
-        base = model.units(ROUTE_PRE_FILTER, selectivity=0.5, ef_search=64, k=10)
-        model.mark_quantized(*ALL_ROUTES)
-        assert model.units(ROUTE_PRE_FILTER, selectivity=0.5, ef_search=64, k=10) \
-            == pytest.approx(base)
-
-    def test_observed_units_blends_exact_and_quantized(self, model):
-        units = model.observed_units(ROUTE_ACORN_GAMMA, 100, 400)
-        expected = (100 * model.unit_cost(ROUTE_ACORN_GAMMA)
-                    + 400 * model.quant_unit_cost)
-        assert units == pytest.approx(expected)
-        # No quantized work → same as the exact-only bill.
-        assert model.observed_units(ROUTE_ACORN_GAMMA, 100) == pytest.approx(
-            100 * model.unit_cost(ROUTE_ACORN_GAMMA)
-        )

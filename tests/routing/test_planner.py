@@ -460,63 +460,3 @@ class TestShardedRouting:
                 seed=2, route_policy="wat",
             )
 
-
-class TestQuantizedRouting:
-    """The planner's cost model knows when a route runs on codes."""
-
-    @pytest.fixture
-    def quant_world(self):
-        gen = np.random.default_rng(21)
-        vectors = gen.standard_normal((300, 16)).astype(np.float32)
-        from repro.attributes import AttributeTable
-
-        table = AttributeTable(300)
-        table.add_int_column("label", gen.integers(0, 3, size=300))
-        from repro.core import AcornIndex, AcornParams
-
-        params = AcornParams(m=6, gamma=6, m_beta=12, ef_construction=24)
-        index = AcornIndex.build(vectors, table, params=params, seed=0,
-                                 quantization="sq8")
-        return vectors, table, index
-
-    def test_default_cost_model_marks_quantized_routes(self, quant_world,
-                                                       acorn_index):
-        _, _, index = quant_world
-        from repro.routing.cost import ROUTE_ACORN_GAMMA
-
-        planner = RoutePlanner(index)
-        assert ROUTE_ACORN_GAMMA in planner.cost_model.quantized_routes
-        # An unquantized index keeps the undiscounted model.
-        plain = RoutePlanner(acorn_index)
-        assert not plain.cost_model.quantized_routes
-
-    def test_quantized_counters_thread_through(self, quant_world):
-        vectors, _, index = quant_world
-        planner = RoutePlanner(index, policy="static")
-        seen_quantized = False
-        # ef 16 keeps the scan cutoff (48) below each label's ≈ 100 rows.
-        for i in range(10):
-            res = planner.search(vectors[i], Equals("label", i % 3), 5,
-                                 ef_search=16)
-            assert isinstance(res, SearchResult)
-            if res.route_chosen != ROUTE_PRE_FILTER:
-                assert res.quantized_distances > 0
-                assert res.rerank_distances > 0
-                assert res.rerank_factor > 0
-                seen_quantized = True
-        assert seen_quantized
-
-    def test_quantized_counters_reach_engine_summary(self, quant_world):
-        vectors, _, index = quant_world
-        planner = RoutePlanner(index, policy="static")
-        batch = QueryBatch.build(
-            np.stack([vectors[i] for i in range(8)]),
-            [Equals("label", i % 3) for i in range(8)],
-            k=5, ef_search=32,
-        )
-        with SearchEngine(planner, num_workers=1) as engine:
-            outcome = engine.search_batch(batch)
-        summary = outcome.summary()
-        assert summary["total_quantized_distances"] > 0
-        assert summary["total_rerank_distances"] > 0
-        assert any(s.quantized_distances > 0 for s in outcome.stats)
