@@ -25,9 +25,7 @@ from repro.core.params import AcornParams, PruningStrategy
 from repro.core.search import (
     FrozenLevel,
     assert_frozen,
-    attach_expansion,
     compressed_neighbors,
-    expanded_neighbors,
     filtered_neighbors,
     freeze_graph,
 )
@@ -39,7 +37,6 @@ from repro.hnsw.scratch import thread_scratch
 from repro.hnsw.traversal import (
     TraversalStats,
     search_frozen_level,
-    search_layer,
     search_live_level,
 )
 from repro.predicates.base import CompiledPredicate, Predicate
@@ -326,63 +323,42 @@ class AcornIndex(BatchSearchMixin):
 
     def _adjacency(self) -> list[FrozenLevel]:
         if self._frozen is None:
-            frozen = freeze_graph(self.graph)
-            self._attach_expansions(frozen)
+            frozen = freeze_graph(self.graph, self._level_m_beta)
+            assert_frozen(frozen)
             self._frozen = frozen
         return self._frozen
-
-    def _attach_expansions(self, frozen: list[FrozenLevel]) -> None:
-        """Materialize compressed-level expansion lists on the snapshot.
-
-        Done while the snapshot is built (before it is published to
-        ``_frozen``), so engine workers only ever read a complete one.
-        Levels whose expansion would blow the size bound keep the
-        dynamic per-hop lookup (see
-        :func:`~repro.core.search.attach_expansion`).
-        """
-        for level in range(len(frozen)):
-            if self._is_compressed(level):
-                attach_expansion(frozen[level], self.params.m_beta)
 
     def freeze(self) -> list[FrozenLevel]:
         """Materialize (and cache) the read-only adjacency snapshot.
 
         The batch engine calls this before fanning a batch across
-        threads so every worker shares one immutable snapshot instead of
-        racing to build it.  The snapshot honours the
-        :func:`~repro.core.search.freeze_graph` immutability contract
-        (verified here); it is invalidated by :meth:`add`.
+        threads so every worker shares one snapshot instead of racing to
+        build it.  Only the raw CSR is built (and checked against the
+        :func:`~repro.core.search.freeze_graph` immutability contract,
+        once); each node's candidate row is built by the first walk that
+        expands it.  Invalidated by :meth:`add`.
         """
-        frozen = self._adjacency()
-        assert_frozen(frozen)
-        return frozen
+        return self._adjacency()
+
+    def _level_m_beta(self, level: int) -> int | None:
+        """The lookup of ``level`` (:attr:`FrozenLevel.m_beta`).
+
+        Uncompressed levels filter their stored (M·γ-wide) lists; the
+        compressed levels expand past Mβ to recover pruned edges.
+        """
+        return self.params.m_beta if self._is_compressed(level) else None
 
     def _neighbor_fn(self, level: int, mask: np.ndarray):
-        """The per-level neighbor-lookup strategy for ACORN-γ.
+        """``level``'s lookup as a per-node function (Figure 4a/4b/4c).
 
-        Uncompressed levels use the filter strategy over the stored
-        (M·γ-wide) lists; the compressed level 0 uses the 2-hop
-        expansion lookup that recovers pruned edges.
+        The definition the frozen kernel's rows are tested against; the
+        graph-quality statistics read it too.
         """
         adjacency = self._adjacency()[level]
-        if self._is_compressed(level):
-            m_beta = self.params.m_beta
-            return lambda c: compressed_neighbors(adjacency, c, mask, m_beta)
-        return lambda c: filtered_neighbors(adjacency, c, mask)
-
-    def _level_csr(self, level: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """The candidate CSR the frozen kernels walk on ``level``.
-
-        The one place a level's lookup is decided: ``(indptr, indices)``
-        of the raw adjacency for the filter strategy, of the
-        materialized expansion lists for the compressed lookup — or
-        None when that expansion blew ``attach_expansion``'s budget and
-        only the per-node :meth:`_neighbor_fn` lookup remains.
-        """
-        frozen = self._adjacency()[level]
-        if self._is_compressed(level):
-            return frozen._expansions.get(self.params.m_beta)
-        return frozen.indptr, frozen.indices
+        m_beta = adjacency.m_beta
+        if m_beta is None:
+            return lambda c: filtered_neighbors(adjacency, c, mask)
+        return lambda c: compressed_neighbors(adjacency, c, mask, m_beta)
 
     def _search_level(
         self,
@@ -396,20 +372,9 @@ class AcornIndex(BatchSearchMixin):
         monitor=None,
     ) -> list[tuple[float, int]]:
         """One level of a frozen search, in a fresh visited scope."""
-        scratch = thread_scratch(len(self.store))
-        csr = self._level_csr(level)
-        if csr is not None:
-            return search_frozen_level(
-                computer, query, seeds, ef, csr[0], csr[1], mask, scratch,
-                stats=stats, monitor=monitor,
-            )
-        scratch.begin(len(self.store))
-        for _, seed_node in seeds:
-            scratch.mark(seed_node)
-        return search_layer(
-            computer, query, seeds, ef=ef,
-            neighbor_fn=self._neighbor_fn(level, mask), scratch=scratch,
-            stats=stats, monitor=monitor,
+        return search_frozen_level(
+            computer, query, seeds, ef, self._adjacency()[level], mask,
+            thread_scratch(len(self.store)), stats=stats, monitor=monitor,
         )
 
     def search(
@@ -672,24 +637,6 @@ class AcornOneIndex(AcornIndex):
             m=m, ef_construction=ef_construction, metric=metric, seed=seed,
         )
 
-    def _attach_expansions(self, frozen: list[FrozenLevel]) -> None:
-        """ACORN-1 expands every stored entry, i.e. ``m_beta = 0``.
-
-        Its unpruned 2-hop sets usually exceed the materialization
-        bound, in which case level 0 keeps the dynamic lookup.
-        """
-        if frozen:
-            attach_expansion(frozen[0], 0)
-
-    def _neighbor_fn(self, level: int, mask: np.ndarray):
-        adjacency = self._adjacency()[level]
-        return lambda c: expanded_neighbors(adjacency, c, mask)
-
-    def _level_csr(self, level: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """ACORN-1's 2-hop lookup: the ``m_beta = 0`` expansion CSR.
-
-        Only level 0 ever carries one, and only when the unpruned 2-hop
-        lists fit the materialization bound; every other level falls
-        back to the dynamic per-node expansion.
-        """
-        return self._adjacency()[level]._expansions.get(0)
+    def _level_m_beta(self, level: int) -> int:
+        """ACORN-1 expands every stored entry on every level (Fig 4c)."""
+        return 0

@@ -32,26 +32,25 @@ Lookups operate on a frozen CSR adjacency snapshot (one
 :class:`FrozenLevel` per level) so every strategy is a handful of numpy
 slice/gather operations: the predicate mask is applied as
 ``mask[indices[start:stop]]`` and 2-hop expansion is an ``indptr``
-gather + ``np.concatenate`` + stable dedup, with no per-neighbor Python
-iteration.
+gather + scatter + stable dedup, with no per-neighbor Python iteration.
 
 Who calls what.  A frozen float32 search does not call the per-node
-strategies at all: every level that has a *candidate CSR* — the raw
-``indptr``/``indices`` on filter levels, the :func:`attach_expansion`
-lists on compressed ones — is walked directly by
-:func:`repro.hnsw.traversal.search_frozen_level`, which applies the
-mask itself (fused with the visited test).  The per-node functions here
-remain the definition of each strategy: they serve the levels without a
-candidate CSR (ACORN-1's upper levels, an expansion over the size
-bound) through ``search_layer``, the graph-quality statistics, and the
-reference the frozen kernel is tested against
-(``tests/core/test_csr_equivalence.py`` checks them against Figure 4
-read as a sequential loop).
+strategies at all: :func:`repro.hnsw.traversal.search_frozen_level`
+reads each expanded node's *candidate row* from its level's memo
+(:attr:`FrozenLevel.rows`) — the raw list on a filter level, the
+deduplicated 2-hop sequence on an expanding one — building it with
+:meth:`FrozenLevel.fill` the first time any walk expands that node, and
+applies the mask itself (fused with the visited test).  The per-node
+functions here remain the definition of each strategy: they serve the
+graph-quality statistics and the reference the frozen kernel is tested
+against (``tests/core/test_csr_equivalence.py`` checks them against
+Figure 4 read as a sequential loop).
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 
 import numpy as np
 
@@ -80,22 +79,64 @@ class FrozenLevel:
             (ascending-distance) order.
         node_ids: int32 array of the node ids present on this level,
             ascending.
+        m_beta: the level's lookup — None for the filter strategy (a
+            row is the stored list), else the compression/expansion
+            cut (a row is the deduplicated Figure 4b sequence; 0 is
+            ACORN-1's full 2-hop expansion, Fig 4c).
+        rows: the candidate-row memo, one slot per global id; None
+            until :meth:`fill` stores the node's read-only row.
 
-    A level may additionally carry *materialized expansion lists* (see
-    :func:`attach_expansion`): a second CSR pair per ``m_beta`` holding
-    each node's deduplicated 2-hop candidate sequence, which turns the
-    compression/expansion lookups into a single slice + mask gather.
+    Rows are built on demand, never at freeze time: the expansion costs
+    tens of microseconds a node, and a snapshot whose readers all scan
+    would pay it for nothing.  Stored entries are capped at
+    ``max_ratio`` times the level's edges (ACORN-1's unpruned 2-hop
+    sets can blow far past it); past the cap a row is computed on every
+    expansion and not stored.
     """
 
-    __slots__ = ("indptr", "indices", "node_ids", "_expansions")
+    __slots__ = ("indptr", "indices", "node_ids", "m_beta", "rows", "_room",
+                 "_lock")
 
     def __init__(
-        self, indptr: np.ndarray, indices: np.ndarray, node_ids: np.ndarray
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        node_ids: np.ndarray,
+        m_beta: int | None = None,
+        max_ratio: float = 16.0,
     ) -> None:
         self.indptr = indptr
         self.indices = indices
         self.node_ids = node_ids
-        self._expansions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.m_beta = m_beta
+        self.rows: list[np.ndarray | None] = [None] * (indptr.size - 1)
+        self._room = int(max_ratio * indices.size)
+        self._lock = threading.Lock()
+
+    def fill(self, node: int) -> np.ndarray:
+        """The candidate row of ``node``: built, and memoized if it fits.
+
+        Filtering commutes with first-occurrence dedup — a mask passes
+        every occurrence of an id or none — so the deduplicated sequence
+        depends only on the graph, and one row serves every predicate:
+        ``row[mask[row]]`` equals :func:`compressed_neighbors` (or
+        :func:`filtered_neighbors` on a filter level) byte for byte.
+        Concurrent fills of one node compute equal rows; the first to
+        take the lock stores it.
+        """
+        if self.m_beta is None:
+            row = self.indices[self.indptr[node]:self.indptr[node + 1]]
+        else:
+            row, expanded = _expansion_candidates(
+                self.indptr, self.indices, node, self.m_beta)
+            if expanded:
+                row = _stable_unique(row, self.num_ids)
+                row.setflags(write=False)
+        with self._lock:
+            if self.rows[node] is None and row.size < self._room:
+                self._room -= row.size
+                self.rows[node] = row
+        return row
 
     def __len__(self) -> int:
         """Number of nodes present on the level."""
@@ -120,17 +161,24 @@ class FrozenLevel:
         return int(self.indices.size)
 
 
-def freeze_graph(graph: LayeredGraph) -> list[FrozenLevel]:
+def freeze_graph(
+    graph: LayeredGraph,
+    m_beta_of: Callable[[int], int | None] = lambda level: None,
+) -> list[FrozenLevel]:
     """Snapshot each level's adjacency as a read-only CSR layout.
 
-    Immutability contract: the returned arrays are marked
-    non-writeable, so any attempted in-place mutation raises a numpy
-    ``ValueError``.  Frozen snapshots are shared by every concurrent
-    reader of the batch engine (``repro.engine``); code that needs to
-    change the graph must mutate the live :class:`LayeredGraph` and
-    re-freeze (``AcornIndex.add`` invalidates the cached snapshot),
-    never write through a frozen level.  :func:`assert_frozen` checks
-    the contract.
+    ``m_beta_of(level)`` names each level's lookup (see
+    :attr:`FrozenLevel.m_beta`; the default filters everywhere, as HNSW
+    does).  No row is built here.
+
+    Immutability contract: the returned arrays — and every row the memo
+    later stores — are marked non-writeable, so any attempted in-place
+    mutation raises a numpy ``ValueError``.  Frozen snapshots are shared
+    by every concurrent reader of the batch engine (``repro.engine``);
+    code that needs to change the graph must mutate the live
+    :class:`LayeredGraph` and re-freeze (``AcornIndex.add`` invalidates
+    the cached snapshot), never write through a frozen level.
+    :func:`assert_frozen` checks the contract.
     """
     num_ids = len(graph)
     frozen: list[FrozenLevel] = []
@@ -154,12 +202,12 @@ def freeze_graph(graph: LayeredGraph) -> list[FrozenLevel]:
         ids = np.asarray(sorted(node_ids), dtype=_INDEX_DTYPE)
         for arr in (indptr, indices, ids):
             arr.setflags(write=False)
-        frozen.append(FrozenLevel(indptr, indices, ids))
+        frozen.append(FrozenLevel(indptr, indices, ids, m_beta_of(level)))
     return frozen
 
 
 def assert_frozen(frozen: list[FrozenLevel]) -> None:
-    """Assert every CSR array in ``frozen`` is non-writeable.
+    """Assert every CSR array and memoized row in ``frozen`` is non-writeable.
 
     Raises:
         AssertionError: if any level holds a writeable array — i.e. the
@@ -177,13 +225,12 @@ def assert_frozen(frozen: list[FrozenLevel]) -> None:
                 f"frozen {name} at level {level} is writeable; snapshots "
                 "shared across search threads must be immutable"
             )
-        for m_beta, (exp_indptr, exp_indices) in csr._expansions.items():
-            for arr in (exp_indptr, exp_indices):
-                assert not arr.flags.writeable, (
-                    f"expansion (m_beta={m_beta}) at level {level} is "
-                    "writeable; snapshots shared across search threads "
-                    "must be immutable"
-                )
+        for node, row in enumerate(csr.rows):
+            assert row is None or not row.flags.writeable, (
+                f"memoized row of node {node} at level {level} is "
+                "writeable; snapshots shared across search threads must "
+                "be immutable"
+            )
 
 
 _DEDUP_LOCAL = threading.local()
@@ -267,61 +314,6 @@ def _expansion_candidates(
     return candidates, True
 
 
-def attach_expansion(
-    level: FrozenLevel, m_beta: int, max_ratio: float = 16.0
-) -> bool:
-    """Materialize per-node expansion lists on a frozen level.
-
-    The compression/expansion lookup's candidate sequence — and its
-    stable dedup — depend only on the graph, never on the query
-    predicate: a mask either passes every occurrence of a value or
-    none, so filtering commutes with first-occurrence dedup.  Both can
-    therefore be computed once per snapshot, turning each query-time
-    lookup into one CSR slice plus one mask gather while returning
-    byte-identical candidate sequences.
-
-    This spends memory to buy traversal speed, so it is bounded: if the
-    materialized lists would exceed ``max_ratio`` times the level's
-    stored edges (as happens for ACORN-1's unpruned 2-hop sets), the
-    build aborts and lookups fall back to the dynamic per-hop path.
-
-    Returns:
-        True if the expansion was attached (or already present), False
-        if the size bound was hit and the level is left unchanged.
-    """
-    if m_beta in level._expansions:
-        return True
-    indptr = level.indptr
-    indices = level.indices
-    num_ids = level.num_ids
-    budget = int(max_ratio * max(indices.size, 1))
-    counts_out = np.zeros(num_ids, dtype=np.int64)
-    chunks: list[np.ndarray] = []
-    total = 0
-    for node in level.node_ids.tolist():
-        cand, expanded = _expansion_candidates(indptr, indices, node, m_beta)
-        if expanded:
-            cand = _stable_unique(cand, num_ids)
-        total += cand.size
-        if total > budget:
-            return False
-        counts_out[node] = cand.size
-        chunks.append(cand)
-    if total >= np.iinfo(_INDEX_DTYPE).max:
-        return False
-    exp_indptr = np.zeros(num_ids + 1, dtype=np.int64)
-    np.cumsum(counts_out, out=exp_indptr[1:])
-    exp_indptr = exp_indptr.astype(_INDEX_DTYPE)
-    exp_indices = (
-        np.concatenate(chunks).astype(_INDEX_DTYPE, copy=False)
-        if chunks else np.empty(0, dtype=_INDEX_DTYPE)
-    )
-    exp_indptr.setflags(write=False)
-    exp_indices.setflags(write=False)
-    level._expansions[m_beta] = (exp_indptr, exp_indices)
-    return True
-
-
 def compressed_neighbors(
     adjacency: FrozenLevel,
     node: int,
@@ -336,16 +328,7 @@ def compressed_neighbors(
     predicate-agnostic pruning dropped).  One mask gather filters the
     interleaved candidates; a stable dedup keeps first occurrences, so
     the output order matches the sequential reference exactly.
-
-    When the level carries a materialized expansion for this ``m_beta``
-    (:func:`attach_expansion`), the whole lookup collapses to a slice
-    of the precomputed deduplicated sequence plus the mask gather.
     """
-    expansion = adjacency._expansions.get(m_beta)
-    if expansion is not None:
-        exp_indptr, exp_indices = expansion
-        cand = exp_indices[exp_indptr[node] : exp_indptr[node + 1]]
-        return cand[mask[cand]]
     candidates, expanded = _expansion_candidates(
         adjacency.indptr, adjacency.indices, node, m_beta
     )

@@ -198,26 +198,25 @@ class HnswIndex:
         search is the frozen kernel under a predicate everything passes.
         """
         if self._frozen is None:
-            from repro.core.search import freeze_graph
+            from repro.core.search import assert_frozen, freeze_graph
 
             all_pass = np.ones(len(self.store), dtype=bool)
             all_pass.setflags(write=False)
             self._all_pass = all_pass
-            self._frozen = freeze_graph(self.graph)
+            frozen = freeze_graph(self.graph)
+            assert_frozen(frozen)
+            self._frozen = frozen
         return self._frozen
 
     def freeze(self):
         """Materialize (and cache) the read-only CSR adjacency snapshot.
 
         The batch engine calls this before fanning a batch across
-        threads so every worker shares one immutable snapshot.
-        Invalidated by :meth:`add`.
+        threads so every worker shares one snapshot; each node's row is
+        memoized by the first walk that expands it.  Invalidated by
+        :meth:`add`.
         """
-        from repro.core.search import assert_frozen
-
-        frozen = self._adjacency()
-        assert_frozen(frozen)
-        return frozen
+        return self._adjacency()
 
     def search(self, query: np.ndarray, k: int, ef_search: int = 64) -> SearchResult:
         """K-nearest-neighbor search (paper Algorithm 1).
@@ -282,8 +281,8 @@ class HnswIndex:
         stats.visited += 1
         for lev in range(self.graph.node_level(entry), 0, -1):
             best = search_frozen_level(
-                computer, query, [best], 1, frozen[lev].indptr,
-                frozen[lev].indices, self._all_pass, scratch, stats=stats,
+                computer, query, [best], 1, frozen[lev], self._all_pass,
+                scratch, stats=stats,
             )[0]
         return best
 
@@ -297,9 +296,8 @@ class HnswIndex:
         """Greedy descent, then the level-0 walk."""
         best = self._descend(computer, query, stats)
         stats.visited += 1
-        level0 = self._adjacency()[0]
         return search_frozen_level(
-            computer, query, [best], ef, level0.indptr, level0.indices,
+            computer, query, [best], ef, self._adjacency()[0],
             self._all_pass, thread_scratch(len(self.store)), stats=stats,
         )
 

@@ -5,11 +5,12 @@ same best-first loop; the only difference between the two papers'
 listings is how the neighborhood of a visited node is produced.  Three
 float32 kernels implement that loop, with distinct jobs:
 
-- :func:`search_frozen_level` walks a frozen level's *candidate CSR*
-  directly (the raw adjacency on filter levels, the materialized
-  expansion lists on compressed ones) and is the only kernel a frozen
-  float32 search runs: each hop is one slice, one probe of a fused
-  ``mask ∧ ¬visited`` eligibility buffer and one compress.
+- :func:`search_frozen_level` walks a frozen level's *candidate rows*
+  (:attr:`repro.core.search.FrozenLevel.rows`: the raw list on filter
+  levels, the deduplicated 2-hop sequence on expanding ones, each built
+  the first time a walk expands its node) and is the only kernel a
+  frozen float32 search runs: each hop is one list read, one probe of a
+  fused ``mask ∧ ¬visited`` eligibility buffer and one compress.
 - :func:`search_live_level` walks a *live* level's ``{node: list}``
   adjacency directly and is the only kernel construction runs
   (``add()`` and its greedy descent, in every index family): each hop
@@ -17,12 +18,9 @@ float32 kernels implement that loop, with distinct jobs:
   comprehension over plain-list epoch stamps — a dozen Python ints, not
   five numpy calls — before the one distance call.
 - :func:`search_layer` takes the neighborhood policy as a callable.  It
-  has exactly two jobs: the **fallback** for the few frozen levels that
-  have no candidate CSR (ACORN-1's upper levels, an expansion that blew
-  ``attach_expansion``'s budget), and the byte-identity **reference**
-  the tests compare both specialised kernels against.  Visited state is
-  the epoch-stamped array of
-  :class:`~repro.hnsw.scratch.TraversalScratch`.
+  is the byte-identity **reference** the tests compare both specialised
+  kernels against; no index search runs it.  Visited state is the
+  epoch-stamped array of :class:`~repro.hnsw.scratch.TraversalScratch`.
 
 All three pop, push, count and return identically over matching
 lookups (see the kernel table in ``docs/performance.md``).  Python
@@ -76,9 +74,8 @@ def search_layer(
 ) -> list[tuple[float, int]]:
     """Best-first search on one level; returns ``ef`` nearest as (dist, id).
 
-    The callback kernel: fallback for frozen levels without a candidate
-    CSR and the reference :func:`search_frozen_level` and
-    :func:`search_live_level` are tested against.  Nothing in
+    The callback kernel: the reference :func:`search_frozen_level` and
+    :func:`search_live_level` are tested against.  Neither search nor
     construction calls it.
 
     Args:
@@ -159,18 +156,17 @@ def search_frozen_level(
     query: np.ndarray,
     seeds: Sequence[tuple[float, int]],
     ef: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
+    level,
     mask: np.ndarray,
     scratch: TraversalScratch,
     stats: TraversalStats | None = None,
     monitor=None,
 ) -> list[tuple[float, int]]:
-    """Best-first search on one frozen level, straight off its CSR.
+    """Best-first search on one frozen level, straight off its row memo.
 
     Byte-identical to :func:`search_layer` run over the lookup
-    ``c -> cand[mask[cand]]`` with ``cand = indices[indptr[c]:indptr[c+1]]``
-    and the seeds pre-marked: same pop order, same result list, same
+    ``c -> cand[mask[cand]]`` with ``cand = level.fill(c)`` and the
+    seeds pre-marked: same pop order, same result list, same
     ``hops``/``visited`` and distance counts, same monitor verdicts.
 
     Args:
@@ -179,8 +175,11 @@ def search_frozen_level(
         seeds: (distance, id) entry points (duplicates and ids failing
             ``mask`` are fine; they count as visited, as today).
         ef: size of the dynamic candidate list.
-        indptr / indices: the level's candidate CSR, indexed by global
-            node id.
+        level: the frozen level (duck-typed to
+            :class:`repro.core.search.FrozenLevel`): ``rows[c]`` is
+            node ``c``'s memoized candidate row or None, and
+            ``fill(c)`` builds (and memoizes) it on a miss.  Only nodes
+            this walk expands are filled.
         mask: the query's predicate mask (tombstones composed in); an
             all-true array for unfiltered HNSW search.  Treated as an
             immutable value while bound to ``scratch``.
@@ -211,6 +210,7 @@ def search_frozen_level(
     heappop, heappush, heapreplace = (
         heapq.heappop, heapq.heappush, heapq.heapreplace)
     distances_to = computer.distances_to
+    rows, fill = level.rows, level.fill
     eligible = scratch.bind(mask)
     probe = eligible.take
     cleared: list[np.ndarray] = []
@@ -223,7 +223,9 @@ def search_frozen_level(
             if dist_c > worst and n_results >= ef:
                 break
             hops += 1
-            cand = indices[indptr[current]:indptr[current + 1]]
+            cand = rows[current]
+            if cand is None:
+                cand = fill(current)
             if monitor is not None and not monitor.observe(
                 int(np.count_nonzero(mask.take(cand)))
             ):

@@ -527,9 +527,8 @@ class LifecycleIndex(BatchSearchMixin):
                 new_base = build_like(base, vectors, new_table, seed=seed)
             else:
                 new_base = fold(base, keep, vectors, new_table)
-            # Freeze here, off the reader path: the frozen view is a
-            # cache of the same graph, and an epoch installed without it
-            # makes its first reader pay freeze + expansion.
+            # Freeze the raw CSR here, off the reader path; each node's
+            # candidate row is left to the first walk that expands it.
             new_base.freeze()
             if on_stage is not None:
                 on_stage("install")

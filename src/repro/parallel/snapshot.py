@@ -62,8 +62,9 @@ class IndexSpec:
         metric: metric value string.
         entry_point / entry_level / graph_len: the graph stub's state.
         params: the index's ``AcornParams`` (picklable dataclass).
-        expansions: per level, the ``m_beta`` keys whose materialized
-            expansion CSRs ride in the arena.
+        levels: frozen levels whose raw CSR rides in the arena (each
+            worker builds its own candidate rows as its walks expand
+            nodes).
         has_norms: whether a cosine norm cache array is present.
     """
 
@@ -76,7 +77,7 @@ class IndexSpec:
     entry_level: int
     graph_len: int
     params: object
-    expansions: tuple
+    levels: int
     has_norms: bool
 
 
@@ -193,7 +194,6 @@ def build_snapshot(searcher) -> tuple[IndexSpec, dict[str, np.ndarray]]:
     if searcher._deleted:
         tombstones[list(searcher._deleted)] = True
     arrays["tombstones"] = tombstones
-    expansions = []
     for lev, level in enumerate(frozen):
         arrays[f"L{lev}.indptr"] = canonical_array(
             f"L{lev}.indptr", level.indptr, dtype=np.int32
@@ -204,16 +204,6 @@ def build_snapshot(searcher) -> tuple[IndexSpec, dict[str, np.ndarray]]:
         arrays[f"L{lev}.node_ids"] = canonical_array(
             f"L{lev}.node_ids", level.node_ids, dtype=np.int32
         )
-        betas = tuple(sorted(level._expansions))
-        expansions.append(betas)
-        for m_beta in betas:
-            exp_indptr, exp_indices = level._expansions[m_beta]
-            arrays[f"L{lev}.e{m_beta}.indptr"] = canonical_array(
-                f"L{lev}.e{m_beta}.indptr", exp_indptr, dtype=np.int32
-            )
-            arrays[f"L{lev}.e{m_beta}.indices"] = canonical_array(
-                f"L{lev}.e{m_beta}.indices", exp_indices, dtype=np.int32
-            )
     entry = searcher.graph.entry_point
     spec = IndexSpec(
         kind=kind,
@@ -225,7 +215,7 @@ def build_snapshot(searcher) -> tuple[IndexSpec, dict[str, np.ndarray]]:
         entry_level=searcher.graph.node_level(entry),
         graph_len=len(searcher.graph),
         params=searcher.params,
-        expansions=tuple(expansions),
+        levels=len(frozen),
         has_norms=has_norms,
     )
     return spec, arrays
@@ -253,7 +243,8 @@ def materialize(spec: IndexSpec, arrays):
     arena's :meth:`~repro.parallel.arena.SnapshotArena.views` in
     workers, or the raw freeze-time dict for in-process equivalence
     tests.  No array data is copied: the store and every frozen level
-    reference the provided buffers directly.
+    reference the provided buffers directly; each level's row memo
+    starts empty and fills as this process's walks expand nodes.
     """
     cls = _CLASSES[spec.kind]
     index = cls.__new__(cls)
@@ -262,20 +253,15 @@ def materialize(spec: IndexSpec, arrays):
     index.store = _materialize_store(spec, arrays)
     index.graph = _GraphStub(spec.entry_point, spec.entry_level,
                              spec.graph_len)
-    frozen = []
-    for lev, betas in enumerate(spec.expansions):
-        level = FrozenLevel(
+    index._frozen = [
+        FrozenLevel(
             arrays[f"L{lev}.indptr"],
             arrays[f"L{lev}.indices"],
             arrays[f"L{lev}.node_ids"],
+            index._level_m_beta(lev),
         )
-        for m_beta in betas:
-            level._expansions[int(m_beta)] = (
-                arrays[f"L{lev}.e{m_beta}.indptr"],
-                arrays[f"L{lev}.e{m_beta}.indices"],
-            )
-        frozen.append(level)
-    index._frozen = frozen
+        for lev in range(spec.levels)
+    ]
     index._labels = None
     index._levels = None
     index._edge_dists = []

@@ -1,8 +1,8 @@
 """Frozen search vs its references: byte-identical results.
 
-The CSR layout, the materialized expansions and the frozen beam kernel
-are pure performance changes; these tests pin the contract that makes
-them safe.  Full searches: for every index type the production path
+The CSR layout, the memoized candidate rows and the frozen kernel are
+pure performance changes; these tests pin the contract that makes them
+safe.  Full searches: for every index type the production path
 returns *exactly* what the same descent returns through the reference
 kernel (``search_layer`` + ``_neighbor_fn``; ``tests/conftest.py``) —
 same ids, same distance bytes, same distance-computation counts, same
@@ -22,7 +22,8 @@ import pytest
 
 from repro.core import AcornParams, FlatAcornIndex
 from repro.core.search import (
-    attach_expansion,
+    FrozenLevel,
+    assert_frozen,
     compressed_neighbors,
     expanded_neighbors,
     filtered_neighbors,
@@ -275,68 +276,77 @@ class TestFrozenLevelContract:
 
 
 class TestMaterializedExpansion:
-    """attach_expansion's fast path vs the dynamic path vs Figure 4b.
+    """The row memo vs the dynamic per-node lookup vs Figure 4b.
 
-    The materialized lists must be invisible at the result level: for
-    every mask, slicing the precomputed deduplicated sequence and
-    gathering the mask yields exactly what the dynamic per-hop
-    expansion (and the sequential reference loop) yields.
+    A memoized row must be invisible at the result level: for every
+    mask, gathering the mask over the stored deduplicated sequence
+    yields exactly what the dynamic per-hop expansion (and the
+    sequential reference loop) yields.
     """
 
-    @pytest.fixture()
-    def fresh_level(self, acorn_index):
-        # A private snapshot so attaching here never leaks into the
+    @staticmethod
+    def fresh_level(acorn_index, m_beta, max_ratio=16.0):
+        # A private level, so filling here never leaks into the
         # module-scoped fixtures used by the other test classes.
-        return freeze_graph(acorn_index.graph)[0]
+        level = freeze_graph(acorn_index.graph)[0]
+        return FrozenLevel(level.indptr, level.indices, level.node_ids,
+                           m_beta, max_ratio)
 
     @pytest.mark.parametrize("m_beta", [0, 2, 8, 16])
-    def test_fast_path_matches_dynamic_and_dict(
-        self, acorn_index, fresh_level, m_beta
-    ):
+    def test_fast_path_matches_dynamic_and_dict(self, acorn_index, m_beta):
+        level = self.fresh_level(acorn_index, m_beta)
         dict_level = level_lists(acorn_index.graph)[0]
-        dynamic = {}
         n = len(acorn_index)
         gen = np.random.default_rng(11)
         masks = [np.ones(n, dtype=bool), np.zeros(n, dtype=bool),
                  gen.random(n) < 0.3]
         nodes = list(dict_level)[::5]
-        for i, mask in enumerate(masks):
+        for node in nodes:
+            assert level.rows[node] is None
+            level.fill(node)
+        for mask in masks:
             for node in nodes:
-                dynamic[i, node] = compressed_neighbors(
-                    fresh_level, node, mask, m_beta
-                ).tolist()
-        assert attach_expansion(fresh_level, m_beta)
-        assert m_beta in fresh_level._expansions
-        for i, mask in enumerate(masks):
-            for node in nodes:
-                fast = compressed_neighbors(
-                    fresh_level, node, mask, m_beta
-                ).tolist()
-                assert fast == dynamic[i, node]
+                row = level.rows[node]
+                fast = row[mask[row]].tolist()
+                assert fast == compressed_neighbors(
+                    level, node, mask, m_beta).tolist()
                 assert fast == fig4_compress(dict_level, node, mask, m_beta)
 
-    def test_attach_is_idempotent(self, fresh_level):
-        assert attach_expansion(fresh_level, 4)
-        first = fresh_level._expansions[4]
-        assert attach_expansion(fresh_level, 4)
-        assert fresh_level._expansions[4] is first
+    def test_fill_is_idempotent(self, acorn_index):
+        level = self.fresh_level(acorn_index, 4)
+        node = int(level.node_ids[0])
+        first = level.fill(node)
+        room = level._room
+        again = level.fill(node)
+        assert level.rows[node] is first and level._room == room
+        assert again.tobytes() == first.tobytes()
 
-    def test_budget_rejection_leaves_level_unchanged(self, fresh_level):
-        # An absurdly small bound must refuse to materialize; the
-        # dynamic path still answers correctly afterwards.
-        assert not attach_expansion(fresh_level, 4, max_ratio=0.01)
-        assert 4 not in fresh_level._expansions
-        mask = np.ones(fresh_level.num_ids, dtype=bool)
-        node = int(fresh_level.node_ids[0])
-        got = compressed_neighbors(fresh_level, node, mask, 4)
-        assert isinstance(got, np.ndarray)
+    def test_budget_rejection_leaves_level_unchanged(self, acorn_index):
+        # No room stores nothing; a small room stores rows until it runs
+        # out.  Either way every fill still answers correctly.
+        dict_level = level_lists(acorn_index.graph)[0]
+        mask = np.ones(len(acorn_index), dtype=bool)
+        for max_ratio in (0.0, 0.5):
+            level = self.fresh_level(acorn_index, 4, max_ratio)
+            budget = level._room
+            for node in level.node_ids.tolist():
+                assert level.fill(node).tolist() == fig4_compress(
+                    dict_level, node, mask, 4)
+            kept = [row for row in level.rows if row is not None]
+            assert sum(row.size for row in kept) <= budget
+            assert bool(kept) == (max_ratio > 0)
+            assert len(kept) < len(level)
 
-    def test_expansion_arrays_read_only(self, fresh_level):
-        assert attach_expansion(fresh_level, 8)
-        exp_indptr, exp_indices = fresh_level._expansions[8]
-        assert not exp_indptr.flags.writeable
-        assert not exp_indices.flags.writeable
+    def test_expansion_arrays_read_only(self, acorn_index):
+        for m_beta in (None, 8):
+            level = self.fresh_level(acorn_index, m_beta)
+            for node in level.node_ids.tolist():
+                assert not level.fill(node).flags.writeable
+            assert all(row is not None for row in
+                       (level.rows[v] for v in level.node_ids.tolist()))
+            assert_frozen([level])
 
-    def test_production_acorn_gamma_attaches(self, acorn_index):
+    def test_production_acorn_gamma_expands_level0(self, acorn_index):
         frozen = acorn_index.freeze()
-        assert acorn_index.params.m_beta in frozen[0]._expansions
+        assert frozen[0].m_beta == acorn_index.params.m_beta
+        assert all(level.m_beta is None for level in frozen[1:])

@@ -1,12 +1,14 @@
 """``search_frozen_level``: the frozen-search kernel's own contract.
 
-Two promises.  (1) Byte identity: over a level's candidate CSR the
+Three promises.  (1) Byte identity: over a level's candidate rows the
 kernel pops, pushes, counts and aborts exactly like ``search_layer``
 over the matching per-node lookup — checked at the kernel (random
-graphs, both CSR kinds, every metric, the ``ef`` edge cases, tombstones,
-both monitor aborts) and at every index family through the reference
-drivers in ``tests/conftest.py``.  (2) The per-thread eligibility
-buffer cannot leak state between levels, queries, masks or threads.
+graphs, both lookups, every metric, the ``ef`` edge cases, tombstones,
+both monitor aborts, memo on and off) and at every index family through
+the reference drivers in ``tests/conftest.py``.  (2) The row memo holds
+exactly the nodes walks expanded, and concurrent fills equal a
+sequential run.  (3) The per-thread eligibility buffer cannot leak state
+between levels, queries, masks or threads.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornOneIndex, AcornParams, FlatAcornIndex
 from repro.core.search import (
-    attach_expansion,
+    FrozenLevel,
+    assert_frozen,
     compressed_neighbors,
     filtered_neighbors,
 )
@@ -60,8 +63,8 @@ MONITORS = {
 }
 
 
-def assert_kernels_agree(vectors, metric, indptr, indices, neighbor_fn, mask,
-                         seed_ids, ef, make_monitor=MONITORS["none"]):
+def assert_kernels_agree(vectors, metric, level, neighbor_fn, mask, seed_ids,
+                         ef, make_monitor=MONITORS["none"]):
     """Run one level through both kernels and compare everything."""
     outcomes = []
     for frozen in (False, True):
@@ -72,7 +75,7 @@ def assert_kernels_agree(vectors, metric, indptr, indices, neighbor_fn, mask,
             TraversalScratch()
         if frozen:
             found = search_frozen_level(
-                computer, query, seeds, ef, indptr, indices, mask, scratch,
+                computer, query, seeds, ef, level, mask, scratch,
                 stats=stats, monitor=monitor)
             assert scratch.bound_mask is mask
             assert np.array_equal(scratch.eligible, mask)
@@ -100,14 +103,21 @@ def level0(acorn_index):
 
 @pytest.fixture(scope="module")
 def csr_kinds(acorn_index, level0):
-    """{kind: (indptr, indices, mask -> search_layer lookup)}."""
+    """{kind: (private FrozenLevel, mask -> search_layer lookup)}.
+
+    Each kind's memo is its own and shared across the parametrized
+    cases, so early cases fill rows that later ones read back.
+    """
     m_beta = acorn_index.params.m_beta
+    raw = FrozenLevel(level0.indptr, level0.indices, level0.node_ids)
+    expansion = FrozenLevel(level0.indptr, level0.indices, level0.node_ids,
+                            m_beta)
     return {
-        "raw": (level0.indptr, level0.indices,
-                lambda mask: lambda c: filtered_neighbors(level0, c, mask)),
-        "expansion": (*level0._expansions[m_beta],
+        "raw": (raw,
+                lambda mask: lambda c: filtered_neighbors(raw, c, mask)),
+        "expansion": (expansion,
                       lambda mask: lambda c: compressed_neighbors(
-                          level0, c, mask, m_beta)),
+                          expansion, c, mask, m_beta)),
     }
 
 
@@ -131,14 +141,14 @@ class TestKernelIdentity:
     def test_matches_search_layer(self, small_vectors, csr_kinds, kind,
                                   metric, ef, n_seeds, tombstones, monitor):
         vectors = small_vectors[0]
-        indptr, indices, lookup = csr_kinds[kind]
+        level, lookup = csr_kinds[kind]
         aborted = []
         for i, mask in enumerate(_masks(len(vectors), tombstones)):
             seed_ids = [(37 * i + 101 * j) % len(vectors)
                         for j in range(n_seeds)]
             outcome = assert_kernels_agree(
-                vectors, metric, indptr, indices, lookup(mask), mask,
-                seed_ids, ef, MONITORS[monitor])
+                vectors, metric, level, lookup(mask), mask, seed_ids, ef,
+                MONITORS[monitor])
             aborted.append(outcome[-1] is not None and outcome[-1][1])
         if monitor == "hop-budget" and ef > 1:
             assert any(aborted)
@@ -146,10 +156,10 @@ class TestKernelIdentity:
     def test_passing_rate_abort_fires(self, small_vectors, csr_kinds):
         """The parametrized budget really aborts a sparse-mask walk."""
         vectors = small_vectors[0]
-        indptr, indices, lookup = csr_kinds["raw"]
+        level, lookup = csr_kinds["raw"]
         mask = _masks(len(vectors), True)[1]
         outcome = assert_kernels_agree(
-            vectors, "l2", indptr, indices, lookup(mask), mask, [0], 64,
+            vectors, "l2", level, lookup(mask), mask, [0], 64,
             MONITORS["passing-rate"])
         assert outcome[-1][1] and "passing rate" in outcome[-1][2]
 
@@ -158,22 +168,21 @@ class TestKernelIdentity:
         computer = DistanceComputer(vectors)
         with pytest.raises(ValueError, match="ef must be positive"):
             search_frozen_level(
-                computer, vectors[0], [(0.0, 0)], 0, level0.indptr,
-                level0.indices, np.ones(len(vectors), dtype=bool),
-                TraversalScratch())
+                computer, vectors[0], [(0.0, 0)], 0, level0,
+                np.ones(len(vectors), dtype=bool), TraversalScratch())
 
     def test_no_seeds_is_empty(self, small_vectors, level0):
         vectors = small_vectors[0]
         assert search_frozen_level(
-            DistanceComputer(vectors), vectors[0], [], 4, level0.indptr,
-            level0.indices, np.ones(len(vectors), dtype=bool),
-            TraversalScratch()) == []
+            DistanceComputer(vectors), vectors[0], [], 4, level0,
+            np.ones(len(vectors), dtype=bool), TraversalScratch()) == []
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_random_graphs(self, data):
         """Tiny random digraphs: duplicate seeds, seeds failing the mask,
-        empty masks, isolated nodes, ``ef`` on either side of everything."""
+        empty masks, isolated nodes, ``ef`` on either side of everything,
+        both lookups, a memo that stores everything, some rows or none."""
         n = data.draw(st.integers(1, 20), label="n")
         lists = [
             data.draw(st.lists(st.integers(0, n - 1), max_size=6,
@@ -187,6 +196,9 @@ class TestKernelIdentity:
             st.lists(st.integers(0, n - 1), min_size=1, max_size=4),
             label="seeds")
         ef = data.draw(st.integers(1, 8), label="ef")
+        m_beta = data.draw(st.sampled_from([None, 0, 1, 3]), label="m_beta")
+        max_ratio = data.draw(st.sampled_from([0.0, 0.5, 16.0]),
+                              label="max_ratio")
         metric = data.draw(st.sampled_from(METRICS), label="metric")
         monitor = data.draw(st.sampled_from(sorted(MONITORS)),
                             label="monitor")
@@ -197,13 +209,18 @@ class TestKernelIdentity:
         np.cumsum([len(lst) for lst in lists], out=indptr[1:])
         indices = np.asarray([v for lst in lists for v in lst],
                              dtype=np.int32)
+        for arr in (indptr, indices):
+            arr.setflags(write=False)
+        level = FrozenLevel(indptr, indices, np.arange(n, dtype=np.int32),
+                            m_beta, max_ratio)
 
         def lookup(c):
-            cand = indices[indptr[c]:indptr[c + 1]]
-            return cand[mask[cand]]
+            if m_beta is None:
+                return filtered_neighbors(level, c, mask)
+            return compressed_neighbors(level, c, mask, m_beta)
 
-        assert_kernels_agree(vectors, metric, indptr, indices, lookup, mask,
-                             seed_ids, ef, MONITORS[monitor])
+        assert_kernels_agree(vectors, metric, level, lookup, mask, seed_ids,
+                             ef, MONITORS[monitor])
 
 
 def _world(n=240, rows=260, seed=5):
@@ -235,14 +252,23 @@ def families(request):
                "acorn-dynamic": acorn(), "acorn1-dynamic": acorn_one(),
                "flat": FlatAcornIndex.build(vectors, table, params=params,
                                             seed=3, metric=metric)}
-    # ACORN-1's 2-hop lists fit the bound at this size; make sure, then
-    # drop the expansions of the "-dynamic" twins as if they had not.
-    assert attach_expansion(indexes["acorn1"].freeze()[0], 0,
-                            max_ratio=float("inf"))
+    # The "-dynamic" twins' snapshots have no room: every row is built
+    # on every expansion and none is stored.
     for name in ("acorn-dynamic", "acorn1-dynamic"):
-        indexes[name].freeze()[0]._expansions.clear()
+        index = indexes[name]
+        index._frozen = [
+            FrozenLevel(level.indptr, level.indices, level.node_ids,
+                        level.m_beta, max_ratio=0.0)
+            for level in index.freeze()]
     return vectors, indexes, HnswIndex.build(
         vectors, m=6, ef_construction=24, seed=1, metric=metric)
+
+
+def memoized(index) -> dict[tuple[int, int], bytes]:
+    """``index``'s stored candidate rows, keyed by (level, node)."""
+    return {(lev, node): row.tobytes()
+            for lev, level in enumerate(index.freeze())
+            for node, row in enumerate(level.rows) if row is not None}
 
 
 def _queries(vectors, n=8, seed=9):
@@ -256,16 +282,19 @@ class TestIndexIdentity:
     """Every family × metric × tombstones × monitor vs the reference."""
 
     def test_resolver_covers_both_outcomes(self, families):
-        _, indexes, _ = families
+        """Each level names its lookup: ACORN-γ filters above its
+        compressed level 0, ACORN-1 expands on every level (Fig 4c),
+        HNSW filters everywhere."""
+        _, indexes, hnsw = families
+        assert len(indexes["acorn"].freeze()) > 1
         for name, index in indexes.items():
-            has_csr = [index._level_csr(lev) is not None
-                       for lev in range(len(index.freeze()))]
-            if name.endswith("-dynamic"):
-                assert not has_csr[0]
-            elif name == "acorn1":
-                assert has_csr[0] and not any(has_csr[1:])
+            lookups = [level.m_beta for level in index.freeze()]
+            if name.startswith("acorn1"):
+                assert lookups == [0] * len(lookups)
             else:
-                assert all(has_csr)
+                assert lookups == [index.params.m_beta] + [None] * (
+                    len(lookups) - 1)
+        assert {level.m_beta for level in hnsw.freeze()} == {None}
 
     @pytest.mark.parametrize("monitor", sorted(MONITORS))
     @pytest.mark.parametrize("family", ["acorn", "acorn1", "acorn-dynamic",
@@ -295,6 +324,7 @@ class TestIndexIdentity:
         finally:
             for node in range(0, len(index), 3):
                 index.unmark_deleted(node)
+        assert bool(memoized(index)) != family.endswith("-dynamic")
 
     def test_hnsw(self, families):
         vectors, _, hnsw = families
@@ -336,6 +366,70 @@ class TestIndexIdentity:
             assert_results_identical(
                 got, reference_search(index, vectors[3], nothing, 5,
                                       ef_search=24))
+
+
+class TestRowMemo:
+    """Rows are built by the walks that expand their nodes, and only then."""
+
+    @pytest.mark.parametrize("family", ["acorn", "acorn1", "flat"])
+    def test_walk_memoizes_only_expanded_nodes(self, families, family,
+                                               monkeypatch):
+        vectors, indexes, _ = families
+        index = indexes[family]
+        index._frozen = None  # a fresh snapshot: nothing memoized yet
+        expanded = set()
+        real = AcornIndex._neighbor_fn
+
+        def spy(self, level, mask):
+            lookup = real(self, level, mask)
+
+            def record(c):
+                expanded.add((level, c))
+                return lookup(c)
+            return record
+
+        query, pred = _queries(vectors)[2], Equals("label", 3)
+        monkeypatch.setattr(AcornIndex, "_neighbor_fn", spy)
+        want = reference_search(index, query, pred, 5, ef_search=WALK_EF)
+        monkeypatch.undo()
+        assert not memoized(index)  # the reference lookups store nothing
+        got = index.search(query, pred, 5, ef_search=WALK_EF)
+        assert_results_identical(got, want)
+        assert len(expanded) == got.hops
+        # An edgeless level (a lone top-level entry) has no memo room.
+        frozen = index.freeze()
+        stored = {(lev, c) for lev, c in expanded if frozen[lev].num_edges}
+        assert set(memoized(index)) == stored
+        again = index.search(query, pred, 5, ef_search=WALK_EF)
+        assert_results_identical(again, want)
+        assert set(memoized(index)) == stored
+
+    def test_concurrent_fills_equal_sync(self, families):
+        vectors, indexes, _ = families
+        index = indexes["acorn"]
+        gen = np.random.default_rng(4)
+        queries = vectors[gen.integers(0, len(vectors), size=120)] + (
+            0.05 * gen.standard_normal((120, vectors.shape[1]))
+        ).astype(np.float32)
+        preds = [index._compile(Equals("label", i % 4)) for i in range(120)]
+
+        def run(i):
+            return index.search(queries[i], preds[i], 5, ef_search=WALK_EF)
+
+        index._frozen = None
+        want = [run(i) for i in range(120)]
+        want_rows = memoized(index)
+        index._frozen = None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = on_threads(run, range(120), 4)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, want):
+            assert_results_identical(a, b)
+        assert memoized(index) == want_rows
+        assert_frozen(index.freeze())
 
 
 def _buffer_is_clean(scratch) -> bool:

@@ -99,7 +99,8 @@ class TestKillAtEveryStage:
         assert np.array_equal(lc_a.live_ids(), lc_b.live_ids())
 
     def test_epoch_is_installed_frozen(self):
-        """The compactor, not the first reader, pays freeze + expansion."""
+        """The compactor freezes the raw CSR; the first walk to expand a
+        node pays that node's candidate row, and nothing else does."""
         lc, oracle, rng = make_mutated()
         frozen_at_install = []
 
@@ -112,12 +113,22 @@ class TestKillAtEveryStage:
         lc.compact(seed=0, on_stage=spy)
         new_base = lc._published.base
         assert frozen_at_install == [old_base] and new_base is not old_base
-        assert new_base._frozen is not None
-        assert new_base._level_csr(0) is not None
         frozen = new_base._frozen
+        assert frozen is not None
+
+        def memoized():
+            return sum(row is not None for level in frozen
+                       for row in level.rows)
+
+        assert memoized() == 0
         queries = rng.standard_normal((2, DIM)).astype(np.float32)
         assert_matches_oracle(lc, oracle, queries, [TruePredicate()])
-        assert new_base._frozen is frozen  # the read reused it
+        assert memoized() == 0  # these reads scan the small live set
+        walk = new_base.search(queries[0], TruePredicate(), 5,
+                               ef_search=EF_EXHAUSTIVE,
+                               entry_point=new_base.graph.entry_point)
+        assert 0 < memoized() <= walk.hops
+        assert new_base._frozen is frozen  # the reads reused it
 
 
 class TestSeededBackgroundChaos:
