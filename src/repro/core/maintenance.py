@@ -187,6 +187,7 @@ def _repair(new, heirs, orphaned) -> None:
     """
     computer = new.store.computer()
     computer.defer_counts()
+    base = computer.base
     try:
         for level, owner, lost in orphaned:
             pool = set()
@@ -196,11 +197,11 @@ def _repair(new, heirs, orphaned) -> None:
             pool.difference_update(new.graph.neighbors(owner, level))
             if not pool:
                 continue
-            candidates = list(pool)
-            query = computer.set_query(new.store.get(owner))
-            dists = computer.distances_to(query, candidates).tolist()
+            cands = np.fromiter(pool, dtype=np.intp, count=len(pool))
+            dists = computer.distances_to(base[owner], cands)
             # Ties break on the id, so the set's order never shows.
-            for dist, cand in sorted(zip(dists, candidates))[: len(lost)]:
+            best = np.lexsort((cands, dists))[: len(lost)]
+            for dist, cand in zip(dists[best].tolist(), cands[best].tolist()):
                 new._add_reverse_edge(computer, owner, cand, dist, level)
     finally:
         computer.flush_counts()

@@ -31,6 +31,9 @@ from repro.vectors import Metric, VectorStore
 
 __all__ = ["DeltaIndex", "DeltaView", "table_schema"]
 
+_EMPTY_DISTS = np.empty(0, dtype=np.float32)
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
+
 
 def table_schema(table: AttributeTable) -> list[tuple[str, ColumnKind]]:
     """The (name, kind) column signature of ``table``, in column order.
@@ -87,35 +90,28 @@ class DeltaView:
         query: np.ndarray,
         predicate: "Predicate | CompiledPredicate",
         k: int,
-        tombstones,
-    ) -> tuple[list[tuple[float, int]], int]:
+        alive: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
         """Exact top-k over live, passing delta entries.
 
-        Returns a ``(distance, external_id)`` stream sorted ascending
-        (ties on id) ready for the shard-layer streaming merge, plus
-        the number of distances evaluated.
+        ``alive`` is the entries' liveness mask, computed once per
+        epoch when the snapshot is published.  Returns ``(distances,
+        external_ids, scored)``: the top-k ascending by (distance, id)
+        and the number of distances evaluated.
         """
         if len(self) == 0 or k <= 0:
-            return [], 0
+            return _EMPTY_DISTS, _EMPTY_IDS, 0
         raw = (predicate.predicate
                if isinstance(predicate, CompiledPredicate) else predicate)
-        mask = np.asarray(raw.mask(self.table), dtype=bool).copy()
-        if tombstones:
-            for pos, ext in enumerate(self.external_ids.tolist()):
-                if ext in tombstones:
-                    mask[pos] = False
-        passing = np.flatnonzero(mask)
+        passing = np.flatnonzero(
+            np.asarray(raw.mask(self.table), dtype=bool) & alive)
         if passing.size == 0:
-            return [], 0
+            return _EMPTY_DISTS, _EMPTY_IDS, 0
         computer = self.store.computer()
-        q = computer.set_query(query)
-        dists = computer.distances_to(q, passing)
-        order = np.lexsort((self.external_ids[passing], dists))[:k]
-        stream = [
-            (float(dists[i]), int(self.external_ids[passing[i]]))
-            for i in order.tolist()
-        ]
-        return stream, int(passing.size)
+        dists = computer.distances_to(computer.set_query(query), passing)
+        ids = self.external_ids[passing]
+        order = np.lexsort((ids, dists))[:k]
+        return dists[order], ids[order], int(passing.size)
 
     def entries(self):
         """Iterate ``(external_id, vector, row)`` in write order."""
@@ -132,8 +128,9 @@ class DeltaIndex:
 
     Owned and locked by :class:`~repro.lifecycle.manager.LifecycleIndex`;
     this class itself does no synchronization.  Deletes never touch the
-    delta — the lifecycle's external tombstone set hides entries at
-    search time, uniformly with base entities.
+    delta — each published epoch turns the lifecycle's external
+    tombstone set into an alive mask per segment, uniformly with base
+    entities.
     """
 
     def __init__(

@@ -5,19 +5,21 @@ dataset at one epoch: the frozen graph **base** (with an external-id
 translation array), zero or more frozen **delta** segments (recent
 writes, searched exactly), and the epoch's **tombstone set**.  Search
 runs the base's graph traversal and a brute-force pass over each delta
-segment, then folds the per-segment ``(distance, external_id)`` streams
-through the shard layer's streaming top-k merge
-(:func:`repro.shard.sharded.merge_topk`) — the same heap that merges
-scatter-gather shard results, reused here for the base/delta merge.
+segment, then merges the per-segment ``(distances, external_ids)``
+arrays with the shard layer's top-k merge
+(:func:`repro.shard.sharded.merge_topk`) — the same concatenate-and-
+lexsort that merges scatter-gather shard results.
 
 Immutability contract: a snapshot holds every array it needs; writers
 publishing later epochs and the compactor swapping the base never
 touch a previously published snapshot, so a reader holding one sees
-bit-identical results forever.  Tombstones compose into the base's
-predicate mask exactly like a failing attribute (the
-``_effective_mask`` pattern from :mod:`repro.core.acorn`), and hide
-delta entries inside :meth:`DeltaView.topk` — a deleted entity can
-never surface from either side.
+bit-identical results forever.  The tombstone set is turned into one
+alive mask per segment (base and each delta) when the snapshot is
+published; the base's composes into its predicate mask exactly like a
+failing attribute (the ``_effective_mask`` pattern from
+:mod:`repro.core.acorn`), and each delta's into
+:meth:`DeltaView.topk`'s — a deleted entity can never surface from
+either side, and no read consults the tombstone set itself.
 """
 
 from __future__ import annotations
@@ -30,6 +32,18 @@ from repro.shard.sharded import merge_topk
 from repro.telemetry import QueryStats, SearchResult, fold_telemetry
 
 __all__ = ["EpochSnapshot"]
+
+
+def _alive(ids: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """Read-only mask of the ascending ``ids`` that are not in ``dead``."""
+    alive = np.ones(ids.shape[0], dtype=bool)
+    if dead.size and ids.shape[0]:
+        pos = np.searchsorted(ids, dead)
+        in_range = pos < ids.shape[0]
+        pos, dead = pos[in_range], dead[in_range]
+        alive[pos[ids[pos] == dead]] = False
+    alive.setflags(write=False)
+    return alive
 
 
 class EpochSnapshot:
@@ -47,7 +61,7 @@ class EpochSnapshot:
 
     __slots__ = (
         "epoch", "base", "base_ids", "deltas", "tombstones",
-        "_base_alive", "_readers",
+        "_base_alive", "_delta_alive", "_readers",
     )
 
     def __init__(
@@ -64,15 +78,12 @@ class EpochSnapshot:
         self.base_ids.setflags(write=False)
         self.deltas = tuple(deltas)
         self.tombstones = frozenset(tombstones)
-        alive = np.ones(self.base_ids.shape[0], dtype=bool)
-        if self.tombstones and self.base_ids.shape[0]:
-            dead = np.asarray(sorted(self.tombstones), dtype=np.int64)
-            pos = np.searchsorted(self.base_ids, dead)
-            in_range = pos < self.base_ids.shape[0]
-            pos, dead = pos[in_range], dead[in_range]
-            alive[pos[self.base_ids[pos] == dead]] = False
-        alive.setflags(write=False)
-        self._base_alive = alive
+        dead = np.fromiter(self.tombstones, dtype=np.int64,
+                           count=len(self.tombstones))
+        self._base_alive = _alive(self.base_ids, dead)
+        self._delta_alive = tuple(
+            _alive(view.external_ids, dead) for view in self.deltas
+        )
         self._readers = 0
 
     # ------------------------------------------------------------------
@@ -86,22 +97,16 @@ class EpochSnapshot:
 
     def live_count(self) -> int:
         """Live entities visible at this epoch (base + deltas)."""
-        n = int(self._base_alive.sum())
-        for view in self.deltas:
-            for ext in view.external_ids.tolist():
-                if ext not in self.tombstones:
-                    n += 1
-        return n
+        return sum(int(alive.sum())
+                   for alive in (self._base_alive, *self._delta_alive))
 
     def live_ids(self) -> np.ndarray:
         """Sorted external ids of every live entity at this epoch."""
-        ids = [int(e) for e in self.base_ids[self._base_alive].tolist()]
-        for view in self.deltas:
-            ids.extend(
-                int(e) for e in view.external_ids.tolist()
-                if e not in self.tombstones
-            )
-        return np.asarray(sorted(ids), dtype=np.int64)
+        return np.sort(np.concatenate([
+            self.base_ids[self._base_alive],
+            *(view.external_ids[alive]
+              for view, alive in zip(self.deltas, self._delta_alive)),
+        ]))
 
     def delta_size(self) -> int:
         """Total entries across the snapshot's delta segments."""
@@ -120,14 +125,9 @@ class EpochSnapshot:
             if self.base is not None and len(self.base) > 0
             else np.empty((0, 0), dtype=np.float32)
         ]
-        for view in self.deltas:
-            keep = np.asarray(
-                [e not in self.tombstones
-                 for e in view.external_ids.tolist()],
-                dtype=bool,
-            )
-            ids_parts.append(view.external_ids[keep])
-            vec_parts.append(view.vectors[keep])
+        for view, alive in zip(self.deltas, self._delta_alive):
+            ids_parts.append(view.external_ids[alive])
+            vec_parts.append(view.vectors[alive])
         vec_parts = [v for v in vec_parts if v.size or v.shape[0]]
         ids = np.concatenate(ids_parts)
         vectors = (np.concatenate(vec_parts) if vec_parts
@@ -160,7 +160,7 @@ class EpochSnapshot:
             raise ValueError(f"k must be positive, got {k}")
         raw = (predicate.predicate
                if isinstance(predicate, CompiledPredicate) else predicate)
-        streams: list[list[tuple[float, int]]] = []
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
         children: list[QueryStats] = []
         base_candidates = delta_candidates = 0
 
@@ -180,21 +180,18 @@ class EpochSnapshot:
             )
             children.append(result)
             base_candidates = len(result)
-            streams.append([
-                (float(d), int(self.base_ids[i]))
-                for d, i in zip(result.distances.tolist(),
-                                result.ids.tolist())
-            ])
+            parts.append((result.distances, self.base_ids[result.ids]))
 
-        for view in self.deltas:
-            stream, scored = view.topk(query, raw, k, self.tombstones)
+        for view, alive in zip(self.deltas, self._delta_alive):
+            dists, ids, scored = view.topk(query, raw, k, alive)
             children.append(QueryStats(distance_computations=scored))
-            delta_candidates += len(stream)
-            streams.append(stream)
+            delta_candidates += ids.shape[0]
+            parts.append((dists, ids))
 
-        merged = merge_topk(streams, k)
-        return SearchResult.from_pairs(
-            merged,
+        distances, ids = merge_topk(parts, k)
+        return SearchResult(
+            ids=ids,
+            distances=distances,
             delta_candidates=delta_candidates,
             base_candidates=base_candidates,
             **fold_telemetry(children, epoch=self.epoch),
@@ -218,7 +215,7 @@ class EpochSnapshot:
             raise ValueError(f"k must be positive, got {k}")
         raw = (predicate.predicate
                if isinstance(predicate, CompiledPredicate) else predicate)
-        streams: list[list[tuple[float, int]]] = []
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
         ndist = 0
         if self.base is not None and len(self.base) > 0:
             mask = (np.asarray(raw.mask(self.base.table), dtype=bool)
@@ -227,18 +224,13 @@ class EpochSnapshot:
             if passing.size:
                 computer = self.base.store.computer()
                 q = computer.set_query(query)
-                dists = computer.distances_to(q, passing)
-                ext = self.base_ids[passing]
-                order = np.lexsort((ext, dists))[:k]
-                streams.append([
-                    (float(dists[i]), int(ext[i])) for i in order.tolist()
-                ])
+                parts.append((computer.distances_to(q, passing),
+                              self.base_ids[passing]))
                 ndist += int(passing.size)
-        for view in self.deltas:
-            stream, scored = view.topk(query, raw, k, self.tombstones)
-            streams.append(stream)
+        for view, alive in zip(self.deltas, self._delta_alive):
+            dists, ids, scored = view.topk(query, raw, k, alive)
+            parts.append((dists, ids))
             ndist += scored
-        merged = merge_topk(streams, k)
-        return SearchResult.from_pairs(
-            merged, distance_computations=ndist, epoch=self.epoch
-        )
+        distances, ids = merge_topk(parts, k)
+        return SearchResult(ids=ids, distances=distances,
+                            distance_computations=ndist, epoch=self.epoch)

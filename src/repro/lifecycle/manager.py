@@ -432,14 +432,15 @@ class LifecycleIndex(BatchSearchMixin):
                 int(self.config.compact_delta_fraction * max(base_n, 1)),
             ):
                 return True
+            # Only tombstones in the base count, and there are at most
+            # len(tombstones) of them: below the fraction, skip the scan.
+            fraction = self.config.compact_tombstone_fraction
+            if base_n == 0 or len(self._tombstones) / base_n < fraction:
+                return False
             dead = np.fromiter(self._tombstones, dtype=np.int64,
                                count=len(self._tombstones))
             dead_in_base = int(np.isin(dead, self._base_ids).sum())
-            return (
-                base_n > 0
-                and dead_in_base / base_n
-                >= self.config.compact_tombstone_fraction
-            )
+            return dead_in_base / base_n >= fraction
 
     def compact(
         self,

@@ -3,7 +3,7 @@
 The serving-scale layer above a single ACORN index: partition the base
 vectors and their :class:`~repro.attributes.table.AttributeTable` across
 N shards, build one frozen-CSR ACORN index per shard, and answer hybrid
-queries by scatter-gather with a streaming top-k merge.  A
+queries by scatter-gather with an array top-k merge.  A
 :class:`ShardRouter` consults per-shard attribute summaries (numeric
 min/max, exact small-domain value counts, keyword Bloom digests,
 equi-width histograms) to skip shards whose predicate mask is provably

@@ -1,4 +1,4 @@
-"""Sharded ACORN index: scatter-gather search with streaming top-k merge.
+"""Sharded ACORN index: scatter-gather search with an array top-k merge.
 
 :class:`ShardedAcornIndex` partitions the base vectors and their
 attribute table with a :class:`~repro.shard.partition.Partitioner`,
@@ -11,9 +11,9 @@ flat substrate), and answers hybrid queries shard-by-shard:
    ``ef_search`` by estimated local selectivity);
 3. each probed shard searches its local predicate subgraph over its
    sliced mask;
-4. per-shard results — already sorted by distance — are merged with a
-   streaming k-way heap merge (:func:`merge_topk`) into the global
-   top-k, mapping shard-local ids back to global ids.
+4. per-shard results, with shard-local ids mapped back to global ids,
+   are merged into the global top-k by one concatenation and one
+   ``(distance, id)`` lexsort (:func:`merge_topk`).
 
 Merge semantics: when every probed shard's search is exhaustive over
 its passing rows (per-shard ``ef_search ≥`` shard size), the merge
@@ -33,9 +33,8 @@ layer owns.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 import numpy as np
 
@@ -63,17 +62,23 @@ from repro.vectors.distance import Metric
 
 
 def merge_topk(
-    streams: Iterable[Iterable[tuple[float, int]]], k: int
-) -> list[tuple[float, int]]:
-    """Streaming k-way merge of per-shard ``(distance, id)`` streams.
+    parts: list[tuple[np.ndarray, np.ndarray]], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The global top-k of per-part ``(distances, ids)`` arrays.
 
-    Each stream must already be sorted ascending (per-shard searches
-    return sorted results); the merge walks all streams heap-wise and
-    stops after ``k`` emissions, so no concatenation of full result
-    lists is ever materialized.  Ties break on id, making the merged
-    order deterministic regardless of shard enumeration order.
+    Concatenates every part and keeps the first ``k`` of one
+    ``np.lexsort`` by (distance, id), so parts need not be sorted.
+    Ties break on id, making the merged order deterministic regardless
+    of part order.  Returns ``(distances, ids)`` as float32 and
+    ``intp`` arrays, ascending.
     """
-    return list(heapq.merge(*streams))[:k] if k > 0 else []
+    if k <= 0 or not parts:
+        return np.empty(0, dtype=np.float32), np.empty(0, dtype=np.intp)
+    dists = np.concatenate([d for d, _ in parts])
+    ids = np.concatenate([i for _, i in parts])
+    order = np.lexsort((ids, dists))[:k]
+    return (dists[order].astype(np.float32, copy=False),
+            ids[order].astype(np.intp, copy=False))
 
 
 def _default_build_shard(
@@ -437,9 +442,8 @@ class ShardedAcornIndex(BatchSearchMixin):
 
         The predicate compiles once against the global table; the plan
         prunes provably-empty shards; each probed shard in turn searches
-        its local subgraph over the sliced mask; sorted per-shard results
-        merge
-        streamingly into the global top-k.  Under a resilience policy,
+        its local subgraph over the sliced mask; the per-shard results
+        merge into the global top-k.  Under a resilience policy,
         shards that fail past their retry budget are dropped and the
         result degrades to the survivors' partial top-k with exact
         ``shards_failed``/``shards_timed_out`` accounting.
@@ -452,7 +456,7 @@ class ShardedAcornIndex(BatchSearchMixin):
             d.shard_id: self._probe_shard(d, compiled, query, k)
             for d in plan.decisions if not d.pruned
         }
-        streams = []
+        parts = []
         children = []
         est_rows: list[float] = []
         statuses: list[str] = []
@@ -474,16 +478,13 @@ class ShardedAcornIndex(BatchSearchMixin):
             )
             statuses.append(record["status"])
             if found is not None:
-                streams.append(zip(
-                    found.distances.tolist(),
-                    gids[found.ids].tolist(),
-                ))
+                parts.append((found.distances, gids[found.ids]))
                 children.append(found)
 
         failed = statuses.count("failed")
         timed_out = statuses.count("timed_out")
         degraded = (failed + timed_out) > 0
-        merged = merge_topk(streams, k)
+        distances, ids = merge_topk(parts, k)
         owned = {}
         routed = [c for c in children if c.route_chosen]
         if routed:
@@ -504,8 +505,9 @@ class ShardedAcornIndex(BatchSearchMixin):
             owned["estimator_error"] = float(
                 np.mean([c.estimator_error for c in routed])
             )
-        return SearchResult.from_pairs(
-            merged,
+        return SearchResult(
+            ids=ids,
+            distances=distances,
             per_shard=tuple(per_shard),
             **fold_telemetry(
                 children,

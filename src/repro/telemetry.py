@@ -225,7 +225,7 @@ class SearchResult(QueryStats):
     @classmethod
     def from_pairs(cls, pairs, **values) -> "SearchResult":
         """A result from ascending ``(distance, id)`` pairs — what the
-        beam kernels and the streaming merge hand back."""
+        beam kernels hand back."""
         return cls(
             ids=np.asarray([i for _, i in pairs], dtype=np.intp),
             distances=np.asarray([d for d, _ in pairs], dtype=np.float32),

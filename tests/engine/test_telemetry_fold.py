@@ -181,8 +181,8 @@ def _lifecycle(churn):
                 QUERY, CompiledPredicate(PREDICATE, mask & snap._base_alive),
                 K, ef_search=EF,
             )]
-            for view in snap.deltas:
-                _, scored = view.topk(QUERY, PREDICATE, K, snap.tombstones)
+            for view, alive in zip(snap.deltas, snap._delta_alive):
+                _, _, scored = view.topk(QUERY, PREDICATE, K, alive)
                 found.append(QueryStats(distance_computations=scored))
             assert len(found) == 1 + churn
             assert result.epoch == lc.current_epoch

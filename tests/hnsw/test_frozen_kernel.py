@@ -419,7 +419,11 @@ class TestRowMemo:
         index._frozen = None
         want = [run(i) for i in range(120)]
         want_rows = memoized(index)
+        # A fresh, empty memo, frozen before the fan-out as the engine
+        # does: threads racing to build the snapshot itself would each
+        # fill a private copy, and all but one copy's rows would be lost.
         index._frozen = None
+        index.freeze()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

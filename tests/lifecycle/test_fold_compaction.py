@@ -12,7 +12,10 @@ must guarantee, strongest first:
   the old base or a snapshot a reader still holds;
 * chained folds do not drift: recall and distance computations stay
   with a fresh ``rebuild()`` of the same live set;
-* everything is deterministic per op tape, crashes included.
+* everything is deterministic per op tape, crashes included, and
+  chained removal folds reproduce pinned graph digests.
+
+The compaction policy's tombstone check is pinned here too.
 
 Oracle equality in the exhaustive regime is the unchanged job of
 ``test_equivalence_harness.py`` / ``test_chaos_compactor.py``.
@@ -31,6 +34,7 @@ from repro.core.acorn import AcornIndex, AcornOneIndex
 from repro.core.flat import FlatAcornIndex
 from repro.core.maintenance import rebuild
 from repro.core.params import AcornParams
+from repro.datasets import make_laion_like
 from repro.lifecycle import (
     COMPACTION_STAGES,
     BackgroundCompactor,
@@ -422,6 +426,104 @@ class TestFoldDeterminism:
         # A crash may re-publish the old state, so epochs can differ;
         # the graphs and their id spaces may not.
         assert [p[1:] for p in crashed] == [p[1:] for p in clean]
+
+
+class TestRemovalFoldPins:
+    """(f) Folds with deletes, byte for byte: three chained 60-delete +
+    60-insert folds over a ``churn_read_write``-shaped corpus (1,200
+    laion-like rows, dim 32, m 12 / γ 12 / Mβ 24).  Coordinates sit on
+    a 1/16 grid, so every distance is exact whatever the summation
+    order and the digests do not depend on BLAS or SIMD.  The repair
+    ranks each owner's pool by (distance, id); these digests were
+    recorded when it still sorted ``(distance, id)`` tuples."""
+
+    GOLDEN = [
+        "c61e849e3f2ca4c9109038fd1727f8e6",
+        "d98c94b46064cd3987fa56df599569b1",
+        "d96e37b704af77b381b903c80f0a91bc",
+    ]
+
+    def test_chained_removal_folds_match_the_golden_digests(self, branches):
+        n, writes = 1200, 60
+        world = make_laion_like(n=n + 3 * writes, dim=32, n_queries=4, seed=7)
+        vectors = (np.round(world.vectors * 16) / 16).astype(np.float32)
+        lc = LifecycleIndex.build(
+            vectors[:n], subset_table(world.table, np.arange(n)),
+            params=AcornParams(m=12, gamma=12, m_beta=24), seed=7)
+        rng = np.random.default_rng(3)
+        live = list(range(n))
+        digests = []
+        for _ in self.GOLDEN:
+            for _ in range(writes):
+                assert lc.delete(live.pop(int(rng.integers(0, len(live)))))
+            for _ in range(writes):
+                row = lc.next_external_id
+                live.append(lc.insert(vectors[row], world.table.row(row)))
+            lc.compact()
+            digests.append(lc._base.graph.checksum())
+        assert branches == ["fold"] * len(self.GOLDEN)
+        assert digests == self.GOLDEN
+
+
+class TestCompactionPolicy:
+    """(g) ``should_compact`` skips the base-membership scan whenever
+    the tombstone count alone cannot reach the fraction; on every row
+    it agrees with the full rule (tombstones *in the base* over the
+    base size).  The size rule is kept out of reach."""
+
+    ROWS = {
+        # name: (base rows, fraction, base deletes, delta deletes)
+        "none": (40, 0.25, 0, 0),
+        "just-below": (40, 0.25, 9, 0),
+        "equal": (40, 0.25, 10, 0),
+        "equal-inexact": (10, 0.3, 3, 0),  # 0.3 * 10 > 3 in floats
+        "above": (40, 0.25, 12, 0),
+        "delta-only": (40, 0.25, 0, 12),
+        "count-above-base-below": (40, 0.25, 9, 3),
+        "empty-base": (0, 0.25, 0, 1),
+    }
+
+    @staticmethod
+    def _lifecycle(n_base, fraction, base_dead, delta_dead):
+        vectors, table, rng = make_world(5, n_base or 12)
+        lc = LifecycleIndex.build(
+            vectors, table, params=PARAMS, seed=0,
+            config=LifecycleConfig(compact_min_delta=10_000,
+                                   compact_tombstone_fraction=fraction))
+        if n_base == 0:
+            for ext in range(len(vectors)):
+                assert lc.delete(ext)
+            lc.compact(seed=0)
+        for ext in range(base_dead):
+            assert lc.delete(ext)
+        fresh = [lc.insert(v, {"v": 1})
+                 for v in rng.standard_normal((delta_dead + 1, DIM))]
+        for ext in fresh[:delta_dead]:
+            assert lc.delete(ext)
+        assert len(lc._base_ids) == n_base
+        return lc
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_early_out_agrees_with_the_full_rule(self, name, monkeypatch):
+        n_base, fraction, base_dead, delta_dead = self.ROWS[name]
+        lc = self._lifecycle(n_base, fraction, base_dead, delta_dead)
+        tombstones = np.fromiter(lc._tombstones, dtype=np.int64)
+        full = n_base > 0 and (
+            np.isin(tombstones, lc._base_ids).sum() / n_base >= fraction)
+        assert full == (n_base > 0 and base_dead / n_base >= fraction)
+
+        scans = []
+        real_isin = np.isin
+
+        def spy(*args, **kwargs):
+            scans.append(args)
+            return real_isin(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isin", spy)
+        assert lc.should_compact() == full
+        monkeypatch.undo()
+        count = base_dead + delta_dead
+        assert bool(scans) == (n_base > 0 and count / n_base >= fraction)
 
 
 class TestInertBuildOption:

@@ -2,15 +2,14 @@
 ground truth, for any seeded fault plan with at least one survivor.
 
 Worlds use small-integer vector grids so duplicate distances (exact
-ties) occur constantly — the merge-heap's deterministic tie handling is
-part of what these properties pin.  Everything runs on a
+ties) occur constantly — the merge's deterministic (distance, id)
+tie-break is part of what these properties pin.  Everything runs on a
 :class:`~repro.utils.clock.FakeClock`; no real sleeping anywhere.
 """
 
 import functools
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -61,7 +60,7 @@ def _survivor_reference(index, query, compiled, k, ef, dead):
     """Scatter-gather over surviving probed shards, merged exactly as
     the production path merges."""
     plan = index.plan(compiled, k=k, ef_search=ef)
-    streams = []
+    parts = []
     for decision in plan.decisions:
         if decision.pruned or decision.shard_id in dead:
             continue
@@ -73,9 +72,8 @@ def _survivor_reference(index, query, compiled, k, ef, dead):
             query, type(compiled)(compiled.predicate, local_mask),
             k, ef_search=decision.ef_search,
         )
-        streams.append(zip(found.distances.tolist(),
-                           gids[found.ids].tolist()))
-    return merge_topk(streams, k)
+        parts.append((found.distances, gids[found.ids]))
+    return merge_topk(parts, k)
 
 
 @settings(max_examples=40, deadline=None,
@@ -117,12 +115,10 @@ def test_degraded_equals_survivor_scatter(n_shards, k, query_seed,
     compiled = predicate.compile(table)
 
     result = chaos.search(query, compiled, k, ef_search=N)
-    expected = _survivor_reference(index, query, compiled, k, N, dead)
+    distances, ids = _survivor_reference(index, query, compiled, k, N, dead)
 
-    assert result.ids.tolist() == [gid for _, gid in expected]
-    assert result.distances.tolist() == pytest.approx(
-        [d for d, _ in expected]
-    )
+    assert result.ids.tolist() == ids.tolist()
+    assert result.distances.tobytes() == distances.tobytes()
     probed_dead = sum(
         1 for rec in result.per_shard
         if not rec["pruned"] and rec["shard"] in dead
@@ -131,6 +127,17 @@ def test_degraded_equals_survivor_scatter(n_shards, k, query_seed,
     assert result.degraded == (probed_dead > 0)
     assert 0.0 <= result.recall_ceiling <= 1.0
     assert result.shards_probed + result.shards_pruned == n_shards
+
+
+def _parts(streams):
+    """``(distances, ids)`` arrays from ``(distance, id)`` pair lists."""
+    return [(np.asarray([d for d, _ in s], dtype=np.float32),
+             np.asarray([i for _, i in s], dtype=np.int64)) for s in streams]
+
+
+def _pairs(merged):
+    distances, ids = merged
+    return list(zip(distances.tolist(), ids.tolist()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,17 +155,17 @@ def test_degraded_equals_survivor_scatter(n_shards, k, query_seed,
     k=st.integers(0, 12),
 )
 def test_merge_topk_matches_global_sort_under_ties(streams, k):
-    """The streaming merge equals sorting the concatenation by
-    (distance, id) — including duplicate distances across and within
-    streams — then truncating to k."""
-    sorted_streams = [sorted(s) for s in streams]
-    merged = merge_topk([iter(s) for s in sorted_streams], k)
-    flat = sorted(pair for s in sorted_streams for pair in s)
+    """The merge equals sorting the concatenation by (distance, id) —
+    including duplicate distances across and within parts, in any
+    order inside a part — then truncating to k."""
+    merged = _pairs(merge_topk(_parts(streams), k))
+    flat = sorted(pair for s in streams for pair in s)
     assert merged == flat[:k]
 
 
 def test_merge_topk_tie_break_is_deterministic_across_stream_order():
     streams_a = [[(0.5, 7), (1.0, 1)], [(0.5, 3), (0.5, 9)]]
     streams_b = [[(0.5, 3), (0.5, 9)], [(0.5, 7), (1.0, 1)]]
-    assert (merge_topk([iter(s) for s in streams_a], 3)
-            == merge_topk([iter(s) for s in streams_b], 3))
+    merged = _pairs(merge_topk(_parts(streams_a), 3))
+    assert merged == _pairs(merge_topk(_parts(streams_b), 3))
+    assert merged == [(0.5, 3), (0.5, 7), (0.5, 9)]
