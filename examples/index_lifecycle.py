@@ -8,13 +8,13 @@ What a production deployment does beyond one-shot search: suggest
 parameters from a workload sample, build, persist to disk, reload in a
 "fresh process", keep inserting, tombstone deletions, and inspect the
 index — exercising `suggest_params`, `save_index`/`load_index`,
-`mark_deleted`, `stats()`, and the router's EXPLAIN.
+`mark_deleted`, `stats()`, and whether a query scans or walks.
 """
 
 import tempfile
 from pathlib import Path
 
-from repro import AcornIndex, RoutePlanner, load_index, save_index
+from repro import AcornIndex, load_index, save_index
 from repro.core.tuning import suggest_params_from_predicates
 from repro.datasets import make_tripclick_like
 from repro.predicates import Between, ContainsAny
@@ -49,27 +49,29 @@ def main() -> None:
         index = load_index(path)
         print("reloaded; graph intact:", index.graph.max_level + 1, "levels")
 
-    searcher = RoutePlanner(index, policy="static")
     query = dataset.queries[0].vector
 
-    # 4. EXPLAIN before running.
+    # 4. EXPLAIN before running: the index ranks a passing set below
+    # s_min of the live rows (or one a walk would visit anyway) exactly.
     for predicate in (
         ContainsAny("areas", ["cardiology"]),
         ContainsAny("areas", ["dermatology"]) & Between("year", 1950, 1960),
     ):
-        plan = searcher.plan(predicate, k=5)
-        print(f"\nEXPLAIN {predicate!r}\n  -> route={plan.route}, "
-              f"s={plan.estimated_selectivity:.4f} ({plan.reason})")
-        result = searcher.search(query, predicate, k=5)
+        compiled = predicate.compile(table)
+        plan = "scan" if index.scans(compiled.cardinality, 5, 64) else "walk"
+        print(f"\nEXPLAIN {predicate!r}\n  -> {plan} "
+              f"{compiled.cardinality} passing rows "
+              f"(s={compiled.selectivity:.4f}, s_min={index.params.s_min:.3f})")
+        result = index.search(query, compiled, k=5)
         print(f"  ran: {len(result)} results, "
               f"{result.distance_computations} actual distance comps")
 
     # 5. Tombstone the top result and show it disappears.
     predicate = ContainsAny("areas", ["cardiology"])
-    before = searcher.search(query, predicate, k=3)
+    before = index.search(query, predicate, k=3)
     victim = int(before.ids[0])
     index.mark_deleted(victim)
-    after = searcher.search(query, predicate, k=3)
+    after = index.search(query, predicate, k=3)
     print(f"\ndeleted passage #{victim}: "
           f"{'gone' if victim not in after.ids else 'STILL PRESENT'} "
           f"from results ({index.num_deleted} tombstones)")

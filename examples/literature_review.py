@@ -13,7 +13,7 @@ pre-filtering for quality and cost.
 """
 
 
-from repro import AcornIndex, AcornParams, And, Between, ContainsAny, RoutePlanner
+from repro import AcornIndex, AcornParams, And, Between, ContainsAny
 from repro.baselines import PreFilterSearcher
 from repro.datasets import make_tripclick_like
 
@@ -28,7 +28,6 @@ def main() -> None:
     params = AcornParams(m=16, gamma=8, m_beta=32, ef_construction=40)
     print(f"building ACORN-gamma (M={params.m}, gamma={params.gamma})...")
     index = AcornIndex.build(dataset.vectors, table, params=params, seed=0)
-    searcher = RoutePlanner(index, policy="static")
     exact = PreFilterSearcher(dataset.vectors, table)
 
     # A "query passage" the researcher wants related work for.
@@ -45,11 +44,11 @@ def main() -> None:
     }
 
     for title, predicate in reviews.items():
-        result = searcher.search(query, predicate, k=8, ef_search=64)
+        result = index.search(query, predicate, k=8, ef_search=64)
         truth = exact.search(query, predicate, k=8)
         overlap = len(set(result.ids.tolist()) & set(truth.ids.tolist()))
         print(f"\n--- {title} ---")
-        print(f"selectivity {result.est_selectivity:.3f}"
+        print(f"selectivity {predicate.compile(table).selectivity:.3f}"
               f" | ACORN {result.distance_computations} distance comps vs"
               f" exact scan {truth.distance_computations}"
               f" | agreement {overlap}/8")

@@ -19,7 +19,6 @@ from repro import (
     AttributeTable,
     Between,
     Equals,
-    RoutePlanner,
 )
 
 
@@ -42,12 +41,12 @@ def main() -> None:
     )
 
     # Build once.  gamma = 8 serves predicates down to ~12.5% selectivity
-    # before the router falls back to exact pre-filtering.
+    # by graph search; below that the index ranks the passing rows
+    # exactly instead of walking.
     params = AcornParams(m=16, gamma=8, m_beta=32, ef_construction=40)
     print(f"building ACORN-gamma over {n} products "
           f"(M={params.m}, gamma={params.gamma}, M_beta={params.m_beta})...")
     index = AcornIndex.build(vectors, table, params=params, seed=0)
-    searcher = RoutePlanner(index, policy="static")
 
     # A reference product to search "more like this" from.
     query = vectors[17]
@@ -62,10 +61,10 @@ def main() -> None:
         ),
     }
     for title, predicate in scenarios.items():
-        result = searcher.search(query, predicate, k=5, ef_search=48)
+        result = index.search(query, predicate, k=5, ef_search=48)
         print(f"\n{title}  "
-              f"[selectivity={result.est_selectivity:.3f},"
-              f" routed to {result.route_chosen}]")
+              f"[selectivity={predicate.compile(table).selectivity:.3f},"
+              f" {'scanned' if result.hops == 0 else 'walked'}]")
         for node, dist in zip(result.ids, result.distances):
             row = table.row(int(node))
             print(f"  #{node:>4}  dist={dist:8.2f}  "

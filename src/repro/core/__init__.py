@@ -10,10 +10,11 @@ HNSW (paper §5):
 - :class:`AcornOneIndex` — ACORN-1, which builds a plain (unpruned)
   HNSW and instead expands one-hop+two-hop neighborhoods during search.
 
-:class:`repro.routing.RoutePlanner` wraps either index with the paper's
-cost-based router (§5.2; ``policy="static"`` is the rule verbatim):
-queries whose estimated selectivity falls below ``s_min = 1/γ`` fall
-back to pre-filtering.
+The paper's §5.2 fallback is inside ``AcornIndex.search``: a passing
+set below ``s_min = 1/γ`` of the live rows (or small enough that a walk
+would visit it anyway) is ranked exactly instead of walked.
+:class:`repro.routing.RoutePlanner` adds a cost-based choice between
+ACORN-γ, ACORN-1 and post-filtering when those indexes are supplied.
 """
 
 from repro.core.acorn import AcornIndex, AcornOneIndex

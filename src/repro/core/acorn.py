@@ -393,8 +393,9 @@ class AcornIndex(BatchSearchMixin):
         is reached, then best-first traversal of the subgraph with the
         dynamic list ``ef_search``.
 
-        At most ``max(ef_search, k) · M / 2`` passing rows are scanned,
-        not walked (DESIGN.md §7, deviation 5): the exact top-k, ``hops = 0``.
+        A passing set small enough for :meth:`scans` is ranked exactly,
+        not walked (DESIGN.md §7, deviation 5): the exact top-k,
+        ``hops = 0``.
 
         Args:
             entry_point: start node override (defaults to the index's
@@ -423,7 +424,7 @@ class AcornIndex(BatchSearchMixin):
             mask = self._effective_mask(compiled.mask)
             if entry_point is None:  # spare table rows have no vector
                 passing = np.flatnonzero(mask[: len(self.store)])
-                if passing.size <= max(ef_search, k) * self.params.m // 2:
+                if self.scans(passing.size, k, ef_search):
                     ids, dists = exact_top_k(computer, query, passing, k)
                     return SearchResult(
                         ids=ids, distances=dists, visited_nodes=passing.size,
@@ -455,6 +456,22 @@ class AcornIndex(BatchSearchMixin):
             hops=tstats.hops,
             visited_nodes=tstats.visited,
         )
+
+    def scans(self, count: int, k: int, ef_search: int) -> bool:
+        """Whether :meth:`search` ranks ``count`` passing rows exactly.
+
+        ``count`` counts live stored rows.  The scan runs when the walk
+        would visit about as many rows anyway (``max(ef_search, k) ·
+        M / 2``) or when the set is below the paper's §5.2 threshold,
+        ``s_min · n_live`` with ``n_live`` stored rows minus tombstones.
+        The threshold needs γ > 1: ACORN-1's γ = 1 would scan every
+        query.
+        """
+        if count <= max(ef_search, k) * self.params.m // 2:
+            return True
+        gamma = self.params.gamma
+        return gamma > 1 and count * gamma <= len(self.store) - len(
+            self._deleted)
 
     def _effective_mask(self, mask: np.ndarray) -> np.ndarray:
         """The predicate mask with tombstones composed in, cached.

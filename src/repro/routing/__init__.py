@@ -1,12 +1,12 @@
 """Adaptive cost-based query routing with runtime feedback.
 
-The planner (:class:`RoutePlanner`) chooses among pre-filter / ACORN-γ /
-ACORN-1 / post-filter per query from estimated selectivity, a query-
-predicate correlation signal, and observed feedback
-(:class:`RoutingFeedback`); monitored graph walks
-(:class:`WalkMonitor`) that degenerate fall back to exact
-pre-filtering, so routing mistakes cost efficiency, never recall.
-See ``docs/routing.md``.
+The planner (:class:`RoutePlanner`) chooses among ACORN-γ / ACORN-1 /
+post-filter per query from estimated selectivity, a query-predicate
+correlation signal, and observed feedback (:class:`RoutingFeedback`).
+The §5.2 pre-filter rule is ACORN-γ's own: its search scans a passing
+set below ``s_min``.  Monitored graph walks (:class:`WalkMonitor`) that
+degenerate fall back to an exact ranking, so routing mistakes cost
+efficiency, never recall.  See ``docs/routing.md``.
 """
 
 from repro.routing.cost import (

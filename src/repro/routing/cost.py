@@ -1,13 +1,15 @@
 """Route cost model in the paper's hardware-independent units.
 
-Predicts distance computations per query for each of the four hybrid
-strategies (§3.2, §6.3.2):
+Predicts distance computations per query for each graph-backed hybrid
+strategy (§3.2, §6.3.2):
 
-- **pre-filter** — an exhaustive scan of the passing set: ``s·n + K``.
 - **ACORN-γ** — a two-stage graph walk expanding ``O(ef + log(s·n))``
   nodes whose filtered neighborhoods hold ``min(M, s·M·γ)`` candidates
   each; below ``s_min = 1/γ`` the predicate subgraph loses its
   navigability guarantee, modeled as a ``1/(γ·s)`` connectivity blow-up.
+  When the index will scan the passing set instead of walking it
+  (:meth:`~repro.core.acorn.AcornIndex.scans`), the planner prices it as
+  that scan, :meth:`CostModel.scan_units`: ``rows + K``.
 - **ACORN-1** — the same walk over 2-hop expansions, whose filtered
   neighborhoods recover ``≈ s·M·(1+M)`` candidates (Figure 4c); its
   effective densification is M, so its blow-up threshold is ``1/M``.
@@ -18,16 +20,15 @@ strategies (§3.2, §6.3.2):
 Negative query correlation (paper §3.2.1: passing vectors sit *farther*
 from the query than chance) inflates every graph-walking route — the
 walk must traverse non-passing territory to reach its targets — while
-leaving the scan-everything pre-filter untouched.
+leaving a scan of the passing set untouched.
 
 Costs are expressed in *graph-walk distance-computation equivalents*,
-not raw counts: the pre-filter scan computes its distances in one
-vectorized batch, so each of its computations costs a fixed
-``scan_unit_cost`` fraction of a graph walk's pointer-chasing
-computation (the paper's §3.2 cost model likewise notes brute-force
-scans are the cheap regime at low selectivity).  The discount is a
-fixed constant — never a measured time — so routing decisions stay
-deterministic run-to-run.
+not raw counts: a scan computes its distances in one vectorized batch,
+so each of its computations costs a fixed ``scan_unit_cost`` fraction
+of a graph walk's pointer-chasing computation (the paper's §3.2 cost
+model likewise notes brute-force scans are the cheap regime at low
+selectivity).  The discount is a fixed constant — never a measured
+time — so routing decisions stay deterministic run-to-run.
 
 The constants here are deliberately coarse: the planner multiplies each
 prediction by the :class:`~repro.routing.feedback.RoutingFeedback`
@@ -41,15 +42,17 @@ from __future__ import annotations
 
 import math
 
-ROUTE_PRE_FILTER = "pre-filter"
 ROUTE_ACORN_GAMMA = "acorn-gamma"
 ROUTE_ACORN_ONE = "acorn-1"
 ROUTE_POST_FILTER = "post-filter"
 
-#: Deterministic tie-break order: cheaper-to-be-wrong routes first
-#: (pre-filter is exact whatever the estimate).
+#: The ``route_chosen`` of a query whose monitored walk aborted: its
+#: answer is the exact ranking of the passing rows.  Not a route.
+ROUTE_PRE_FILTER = "pre-filter"
+
+#: Deterministic tie-break order: ACORN-γ, which scans whenever the
+#: passing set is small, first.
 ALL_ROUTES = (
-    ROUTE_PRE_FILTER,
     ROUTE_ACORN_GAMMA,
     ROUTE_ACORN_ONE,
     ROUTE_POST_FILTER,
@@ -67,9 +70,9 @@ class CostModel:
         correlation_weight: how strongly negative correlation inflates
             graph-route predictions (0 disables the signal).
         scan_unit_cost: cost of one vectorized scan distance relative
-            to one graph-walk distance (the pre-filter route's
-            per-computation discount).  A fixed constant so routing
-            stays deterministic; 1.0 recovers raw-count costing.
+            to one graph-walk distance (a scan's per-computation
+            discount).  A fixed constant so routing stays
+            deterministic; 1.0 recovers raw-count costing.
     """
 
     def __init__(
@@ -96,27 +99,18 @@ class CostModel:
         self.correlation_weight = float(correlation_weight)
         self.scan_unit_cost = float(scan_unit_cost)
 
-    def unit_cost(self, route: str) -> float:
-        """Cost units per distance computation on ``route``.
+    def scan_units(self, rows: int, k: int) -> float:
+        """Predicted cost units of scanning ``rows`` passing rows."""
+        return (rows + k) * self.scan_unit_cost
 
-        Converts observed raw computation counts into the model's
-        units, so feedback observations stay comparable to
-        predictions.
-        """
-        if route not in ALL_ROUTES:
-            raise ValueError(
-                f"unknown route {route!r}; choose from {ALL_ROUTES}"
-            )
-        return self.scan_unit_cost if route == ROUTE_PRE_FILTER else 1.0
-
-    def observed_units(self, route: str, exact_comps: int) -> float:
+    def observed_units(self, exact_comps: int, scan: bool) -> float:
         """Convert one query's realized computation count into units.
 
-        Computations bill at :meth:`unit_cost`.  This is what the
-        planner feeds the feedback store, so observations stay
-        comparable to the predictions.
+        A scan's computations bill at ``scan_unit_cost``, a walk's at 1.
+        This is what the planner feeds the feedback store, so
+        observations stay comparable to the predictions.
         """
-        return exact_comps * self.unit_cost(route)
+        return exact_comps * (self.scan_unit_cost if scan else 1.0)
 
     def _graph_units(
         self,
@@ -159,8 +153,6 @@ class CostModel:
                 :func:`repro.datasets.correlation.point_correlation`).
         """
         s = min(max(float(selectivity), self.s_floor), 1.0)
-        if route == ROUTE_PRE_FILTER:
-            return (s * self.n + k) * self.scan_unit_cost
         if route == ROUTE_ACORN_GAMMA:
             return self._graph_units(s, k, ef_search, self.gamma, correlation)
         if route == ROUTE_ACORN_ONE:

@@ -1,30 +1,24 @@
-"""Adaptive per-query route planning across the four hybrid strategies.
+"""Per-query route planning across the hybrid strategies.
 
-:class:`RoutePlanner` generalizes the paper's static §5.2 rule
-("pre-filter below ``s_min = 1/γ``, graph search above") into a
-cost-based planner in the spirit of NaviX (arxiv 2506.23397): each
-query's route — pre-filter, ACORN-γ, ACORN-1, or post-filter — is the
-argmin of predicted cost, where the prediction combines
+The paper's §5.2 rule is the index's own: ``AcornIndex.search`` ranks a
+passing set below ``s_min = 1/γ`` exactly instead of walking it
+(:meth:`~repro.core.acorn.AcornIndex.scans`).  Over ACORN-γ alone,
+:class:`RoutePlanner` has nothing to decide: a query compiles, runs
+``index.search`` and is stamped with its route.  With an ACORN-1 index
+or a post-filter searcher beside it, each query's route is the argmin of
+predicted cost, in the spirit of NaviX (arxiv 2506.23397), from the
+estimated selectivity, an optional query-predicate correlation signal
+(:func:`repro.datasets.correlation.point_correlation`) and observed
+feedback (:class:`~repro.routing.feedback.RoutingFeedback`), which
+calibrates the :class:`~repro.routing.cost.CostModel` online and
+replaces predictions for already-seen predicate signatures.  ACORN-γ is
+priced as the scan whenever the index will scan.
 
-1. estimated selectivity from any
-   :class:`~repro.predicates.selectivity.SelectivityEstimator`,
-2. a per-query correlation signal
-   (:func:`repro.datasets.correlation.point_correlation`), and
-3. observed feedback from earlier queries in the batch
-   (:class:`~repro.routing.feedback.RoutingFeedback`), which calibrates
-   the :class:`~repro.routing.cost.CostModel`'s constants online and
-   outright replaces predictions for already-seen predicate signatures.
-
-Graph routes additionally run under a
-:class:`~repro.routing.monitor.WalkMonitor`: a walk whose frontier
-passing-rate collapses (or whose hop budget runs out) is abandoned for
-an exact pre-filter fallback — the RACORN-1 recovery — so every planner
-decision, right or wrong, preserves result quality.  Misroutes and
-aborted walks cost distance computations, never recall; the misroute
-regression suite pins exactly that.
-
-``policy="static"`` *is* the paper's §5.2 threshold rule: pre-filter
-below ``s_min``, ``index.search`` otherwise, tombstones composed once.
+Graph routes run under a :class:`~repro.routing.monitor.WalkMonitor`: a
+walk whose frontier passing-rate collapses (or whose hop budget runs
+out) is abandoned for an exact ranking of the walked index's passing
+rows — the RACORN-1 recovery — so a misroute costs distance
+computations, never recall.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.baselines.prefilter import PreFilterSearcher
 from repro.core.acorn import AcornIndex
 from repro.datasets.correlation import point_correlation
 from repro.engine.batching import BatchSearchMixin
@@ -43,7 +36,6 @@ from repro.predicates.selectivity import (
     SelectivityEstimator,
 )
 from repro.routing.cost import (
-    ALL_ROUTES,
     ROUTE_ACORN_GAMMA,
     ROUTE_ACORN_ONE,
     ROUTE_POST_FILTER,
@@ -53,8 +45,12 @@ from repro.routing.cost import (
 from repro.routing.feedback import RoutingFeedback
 from repro.routing.monitor import WalkBudget, WalkMonitor
 from repro.telemetry import SearchResult, fold_telemetry
+from repro.vectors.distance import exact_top_k
 
-POLICIES = ("static", "adaptive")
+POLICIES = ("adaptive",)
+
+_SCANS = f"adaptive: {ROUTE_ACORN_GAMMA}, the only route, scans"
+_WALKS = f"adaptive: {ROUTE_ACORN_GAMMA}, the only route, walks"
 
 
 @dataclasses.dataclass
@@ -64,20 +60,24 @@ class RoutePlan:
     Attributes:
         route: the route the planner would execute first.
         reason: human-readable decision rationale.
-        policy: the planner policy that produced the decision.
         estimated_selectivity: the selectivity estimate used.
         correlation: the per-query correlation signal used (0.0 when
             disabled or unavailable).
-        predicted_costs: per-route predicted distance computations
-            (empty for the static policy, which never costs routes).
+        predicted_costs: per-route predicted cost units (empty when
+            ACORN-γ is the only route: nothing is costed).
     """
 
     route: str
     reason: str
-    policy: str
     estimated_selectivity: float
     correlation: float
     predicted_costs: dict[str, float]
+
+
+def _only_route(estimate: float, scans: bool) -> RoutePlan:
+    """The plan over ACORN-γ alone: nothing is costed."""
+    return RoutePlan(ROUTE_ACORN_GAMMA, _SCANS if scans else _WALKS,
+                     float(estimate), 0.0, {})
 
 
 class RoutePlanner(BatchSearchMixin):
@@ -94,9 +94,8 @@ class RoutePlanner(BatchSearchMixin):
         estimator: selectivity estimator consulted for raw predicates
             (exact mask evaluation by default — what a system with
             precomputed filter bitmaps effectively has).
-        policy: ``"adaptive"`` (cost-based, the default) or
-            ``"static"`` (the paper's §5.2 threshold rule).
-        s_min: static-policy threshold (defaults to the index's 1/γ).
+        policy: ``"adaptive"``, the only policy (kept as a keyword for
+            callers that name it).
         cost_model: route cost model (defaults to one shaped by the
             index's n/M/γ).
         feedback: the online feedback store; supply a shared instance
@@ -119,7 +118,6 @@ class RoutePlanner(BatchSearchMixin):
         postfilter=None,
         estimator: SelectivityEstimator | None = None,
         policy: str = "adaptive",
-        s_min: float | None = None,
         cost_model: CostModel | None = None,
         feedback: RoutingFeedback | None = None,
         walk_budget="auto",
@@ -139,13 +137,11 @@ class RoutePlanner(BatchSearchMixin):
         self.table = index.table
         self.acorn_one = acorn_one
         self.postfilter = postfilter
-        self.policy = policy
         self.estimator = (
             estimator
             if estimator is not None
             else ExactSelectivityEstimator(index.table)
         )
-        self.s_min = s_min if s_min is not None else index.params.s_min
         self.cost_model = (
             cost_model
             if cost_model is not None
@@ -157,9 +153,6 @@ class RoutePlanner(BatchSearchMixin):
         self.walk_budget = walk_budget
         self.correlation_samples = int(correlation_samples)
         self.correlation_seed = int(correlation_seed)
-        self.prefilter = PreFilterSearcher(
-            index.store.vectors, index.table, metric=index.metric
-        )
         self.last_plan: RoutePlan | None = None
 
     # ------------------------------------------------------------------
@@ -186,62 +179,45 @@ class RoutePlanner(BatchSearchMixin):
 
     def routes(self) -> tuple[str, ...]:
         """Available routes, in deterministic tie-break order."""
-        available = [ROUTE_PRE_FILTER, ROUTE_ACORN_GAMMA]
+        available = [ROUTE_ACORN_GAMMA]
         if self.acorn_one is not None:
             available.append(ROUTE_ACORN_ONE)
         if self.postfilter is not None:
             available.append(ROUTE_POST_FILTER)
-        return tuple(r for r in ALL_ROUTES if r in available)
+        return tuple(available)
 
-    def _decide(
-        self,
-        signature: str,
-        estimate: float,
-        k: int,
-        ef_search: int,
-        correlation: float,
-    ) -> RoutePlan:
-        """The routing decision for one query, without executing it."""
-        if self.policy == "static":
-            if estimate < self.s_min:
-                route, op = ROUTE_PRE_FILTER, "<"
-            else:
-                route, op = ROUTE_ACORN_GAMMA, ">="
-            return RoutePlan(
-                route=route,
-                reason=(
-                    f"static: estimate {estimate:.4f} {op} "
-                    f"s_min {self.s_min:.4f}"
-                ),
-                policy=self.policy,
-                estimated_selectivity=float(estimate),
-                correlation=0.0,
-                predicted_costs={},
-            )
-        available = self.routes()
-        model_units = self.cost_model.all_units(
-            available, estimate, k, ef_search, correlation
-        )
-        predicted = {
-            route: self.feedback.predict(signature, route, units)
-            for route, units in model_units.items()
-        }
-        # min() is stable, and ``available`` follows ALL_ROUTES order,
-        # so ties break toward the route that is cheapest to be wrong
-        # about (pre-filter first) — deterministically.
-        route = min(available, key=predicted.__getitem__)
-        return RoutePlan(
-            route=route,
-            reason=(
-                f"adaptive: argmin predicted cost "
-                f"{predicted[route]:.0f} (est s={estimate:.4f}, "
-                f"corr={correlation:+.2f})"
-            ),
-            policy=self.policy,
-            estimated_selectivity=float(estimate),
-            correlation=float(correlation),
-            predicted_costs=predicted,
-        )
+    def _decide(self, signature: str, estimate: float, k: int,
+                ef_search: int, correlation: float,
+                scan_rows: int | None) -> RoutePlan:
+        """The routing decision for one query, without executing it.
+
+        ``scan_rows`` is the live passing count when ACORN-γ will scan
+        it (None when it walks); ACORN-γ is then priced as that scan.
+        """
+        if self.acorn_one is None and self.postfilter is None:
+            return _only_route(estimate, scans=scan_rows is not None)
+        routes = self.routes()
+        units = self.cost_model.all_units(
+            routes, estimate, k, ef_search, correlation)
+        if scan_rows is not None:
+            units[ROUTE_ACORN_GAMMA] = self.cost_model.scan_units(
+                scan_rows, k)
+        predicted = {route: self.feedback.predict(signature, route, cost)
+                     for route, cost in units.items()}
+        # min() is stable and ``routes`` follows ALL_ROUTES order, so
+        # ties break toward ACORN-γ — deterministically.
+        route = min(routes, key=predicted.__getitem__)
+        reason = (f"adaptive: argmin predicted cost {predicted[route]:.0f} "
+                  f"(est s={estimate:.4f}, corr={correlation:+.2f})")
+        return RoutePlan(route, reason, float(estimate), float(correlation),
+                         predicted)
+
+    def _scan_rows(self, compiled: CompiledPredicate, k: int,
+                   ef_search: int) -> int | None:
+        """The live stored passing count if ACORN-γ scans it, else None."""
+        mask = self.index._effective_mask(compiled.mask)
+        count = int(np.count_nonzero(mask[: len(self.index)]))
+        return count if self.index.scans(count, k, ef_search) else None
 
     def plan(
         self,
@@ -255,14 +231,13 @@ class RoutePlanner(BatchSearchMixin):
         without one uses a neutral 0.0.
         """
         if isinstance(predicate, CompiledPredicate):
-            raw = predicate.predicate
+            raw, compiled = predicate.predicate, predicate
             estimate = predicate.selectivity
         else:
-            raw = predicate
+            raw, compiled = predicate, predicate.compile(self.table)
             estimate = self.estimator.estimate(predicate)
-        return self._decide(
-            raw.fingerprint(), estimate, k, ef_search, correlation=0.0
-        )
+        return self._decide(raw.fingerprint(), estimate, k, ef_search, 0.0,
+                            self._scan_rows(compiled, k, ef_search))
 
     # ------------------------------------------------------------------
     # Execution
@@ -292,6 +267,29 @@ class RoutePlanner(BatchSearchMixin):
             metric=self.index.metric,
         )
 
+    def _walk(self, target, query, compiled, k, ef_search):
+        """``target.search`` under the walk monitor, as
+        ``(result, walk, abort_reason)``.
+
+        After an abort the walk is kept as ``walk`` (its counters are
+        the realized price of the misroute) and ``result`` is the exact
+        top-k of the walked index's live passing rows.
+        """
+        monitor = None
+        if self.walk_budget is not None:
+            monitor = self._make_monitor(k, ef_search, target)
+        result = target.search(query, compiled, k, ef_search=ef_search,
+                               monitor=monitor)
+        if monitor is None or not monitor.aborted:
+            return result, None, ""
+        computer = target.store.computer()
+        mask = target._effective_mask(compiled.mask)
+        ids, dists = exact_top_k(computer, computer.set_query(query),
+                                 np.flatnonzero(mask[: len(target.store)]), k)
+        exact = SearchResult(ids=ids, distances=dists,
+                             distance_computations=computer.count)
+        return exact, result, monitor.abort_reason
+
     def search(
         self,
         query: np.ndarray,
@@ -311,119 +309,86 @@ class RoutePlanner(BatchSearchMixin):
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         if isinstance(predicate, CompiledPredicate):
-            raw = predicate.predicate
-            compiled = predicate
+            raw, compiled = predicate.predicate, predicate
         else:
-            raw = predicate
-            compiled = predicate.compile(self.table)
-        exact = compiled.selectivity
+            raw, compiled = predicate, predicate.compile(self.table)
         if selectivity_hint is not None:
             estimate = float(selectivity_hint)
-        elif isinstance(predicate, CompiledPredicate) and (
-            self.policy == "static"
-            or isinstance(self.estimator, ExactSelectivityEstimator)
+        elif compiled is predicate and isinstance(
+            self.estimator, ExactSelectivityEstimator
         ):
-            # A pre-compiled predicate carries its exact selectivity
-            # (no mask re-evaluation by an exact estimator).  An
-            # adaptive planner with a *non-exact* estimator still
-            # consults it, so estimator error stays a live signal under
-            # the batch engine's predicate cache.
+            # A pre-compiled predicate carries its exact selectivity.  A
+            # *non-exact* estimator is still consulted, so estimator
+            # error stays a live signal under the engine's predicate
+            # cache.
             estimate = compiled.selectivity
         else:
             estimate = self.estimator.estimate(raw)
 
-        correlation = 0.0
-        if self.policy == "adaptive":
-            correlation = self._correlation(query, compiled)
-        signature = raw.fingerprint()
-        plan = self._decide(signature, estimate, k, ef_search, correlation)
-        self.last_plan = plan
+        if self.acorn_one is None and self.postfilter is None:
+            result, walk, abort = self._walk(self.index, query, compiled, k,
+                                             ef_search)
+            self.last_plan = _only_route(
+                estimate, scans=walk is None and result.hops == 0)
+            return self._stamp(self.last_plan, result, walk, abort,
+                               estimate, compiled.selectivity)
 
         # Tombstones compose once; the graph indexes re-derive the same
         # composed mask from their per-predicate cache, so no route can
         # resurrect a deleted row.
-        exec_compiled = compiled
+        exact = compiled.selectivity
         if self.index.num_deleted:
             mask = self.index._effective_mask(compiled.mask)
-            exec_compiled = CompiledPredicate(compiled.predicate, mask)
-
-        walk = None
-        reason = plan.reason
-        if plan.route == ROUTE_PRE_FILTER:
-            result = self.prefilter.search(query, exec_compiled, k)
-        elif plan.route == ROUTE_POST_FILTER:
-            result = self.postfilter.search(
-                query, exec_compiled, k, ef_search=ef_search
-            )
+            compiled = CompiledPredicate(compiled.predicate, mask)
+        signature = raw.fingerprint()
+        scan_rows = self._scan_rows(compiled, k, ef_search)
+        plan = self._decide(signature, estimate, k, ef_search,
+                            self._correlation(query, compiled), scan_rows)
+        self.last_plan = plan
+        if plan.route == ROUTE_POST_FILTER:
+            walk, abort = None, ""
+            result = self.postfilter.search(query, compiled, k,
+                                            ef_search=ef_search)
         else:
-            target = (
-                self.index
-                if plan.route == ROUTE_ACORN_GAMMA
-                else self.acorn_one
-            )
-            monitor = None
-            if self.policy == "adaptive" and self.walk_budget is not None:
-                monitor = self._make_monitor(k, ef_search, target)
-            if monitor is None:
-                result = target.search(
-                    query, exec_compiled, k, ef_search=ef_search
-                )
-            else:
-                result = target.search(
-                    query, exec_compiled, k, ef_search=ef_search,
-                    monitor=monitor,
-                )
-            if monitor is not None and monitor.aborted:
-                # RACORN-1 recovery: discard the degenerate walk and
-                # answer exactly.  The walk stays a child of the
-                # query's record — its counters are the realized price
-                # of the misroute.
-                reason = f"fallback from {plan.route}: {monitor.abort_reason}"
-                walk = result
-                result = self.prefilter.search(query, exec_compiled, k)
+            target = (self.index if plan.route == ROUTE_ACORN_GAMMA
+                      else self.acorn_one)
+            result, walk, abort = self._walk(target, query, compiled, k,
+                                             ef_search)
+        routed = self._stamp(plan, result, walk, abort, estimate, exact)
 
+        # Bill the *attempted* route with the query's full realized cost
+        # (walk + any fallback scan), in the model's units per leg, so
+        # observations stay comparable to predictions.
+        attempt = result if walk is None else walk
+        observed = self.cost_model.observed_units(
+            attempt.distance_computations,
+            scan=plan.route == ROUTE_ACORN_GAMMA and scan_rows is not None)
+        if walk is not None:
+            observed += self.cost_model.observed_units(
+                result.distance_computations, scan=True)
+        self.feedback.record(signature, plan.route, observed,
+                             model_cost=plan.predicted_costs.get(plan.route),
+                             hops=routed.hops)
+        return routed
+
+    @staticmethod
+    def _stamp(plan, result, walk, abort, estimate, exact) -> SearchResult:
+        """``result`` with the plan's telemetry; an aborted ``walk`` is
+        folded in as a child."""
         fallback = walk is not None
-        routed = SearchResult(
+        return SearchResult(
             ids=result.ids,
             distances=result.distances,
             est_selectivity=float(estimate),
             **fold_telemetry(
                 (walk, result) if fallback else (result,),
                 route_chosen=ROUTE_PRE_FILTER if fallback else plan.route,
-                route_reason=reason,
+                route_reason=(f"fallback from {plan.route}: {abort}"
+                              if fallback else plan.reason),
                 fallback_triggered=fallback,
                 estimator_error=float(estimate - exact),
             ),
         )
-
-        if self.policy == "adaptive":
-            # Bill the *attempted* route with the query's full realized
-            # cost (walk + any fallback): that is what choosing it
-            # cost.  Raw counts convert to the model's units per leg,
-            # so observations stay comparable to predictions.
-            attempt = walk if fallback else result
-            observed = self.cost_model.observed_units(
-                plan.route, attempt.distance_computations,
-            )
-            scan_units = (
-                result.distance_computations
-                * self.cost_model.unit_cost(ROUTE_PRE_FILTER)
-            )
-            if fallback:
-                observed += scan_units
-            self.feedback.record(
-                signature,
-                plan.route,
-                observed,
-                model_cost=plan.predicted_costs.get(plan.route),
-                hops=routed.hops,
-            )
-            if fallback:
-                # The fallback leg doubles as an unbiased pre-filter
-                # observation for this signature.
-                self.feedback.record(signature, ROUTE_PRE_FILTER, scan_units)
-
-        return routed
 
     # ``search_batch`` comes from BatchSearchMixin: batches run through
     # repro.engine, which calls ``begin_batch`` before fanning out and

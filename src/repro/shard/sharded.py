@@ -140,11 +140,11 @@ class ShardedAcornIndex(BatchSearchMixin):
             never folds into failure accounting.
         route_policy: per-shard query routing.  ``None`` (default)
             probes each shard's graph directly — the historical
-            behavior.  ``"static"`` or ``"adaptive"`` wraps each shard
-            in a :class:`~repro.routing.planner.RoutePlanner` of that
-            policy, seeded with the shard router's summary-based local
-            selectivity estimate as the prior; route telemetry
-            surfaces on the result and in per-shard records.
+            behavior.  ``"adaptive"`` wraps each shard in a
+            :class:`~repro.routing.planner.RoutePlanner`, seeded with
+            the shard router's summary-based local selectivity
+            estimate as the prior; route telemetry surfaces on the
+            result and in per-shard records.
         executor: compatibility keyword with no effect — the frozen
             ``benchmarks/e2e/workloads.py`` still passes
             ``executor="sync"``.  Probes always run one after another on
@@ -488,12 +488,13 @@ class ShardedAcornIndex(BatchSearchMixin):
         owned = {}
         routed = [c for c in children if c.route_chosen]
         if routed:
-            from repro.routing.cost import ALL_ROUTES
+            from repro.routing.cost import ALL_ROUTES, ROUTE_PRE_FILTER
 
             counts = Counter(c.route_chosen for c in routed)
-            # Majority route across probed shards; ties break in
-            # ALL_ROUTES order (pre-filter first).
-            order = {r: i for i, r in enumerate(ALL_ROUTES)}
+            # Majority route across probed shards; ties break toward
+            # the fallback label, then in ALL_ROUTES order.
+            order = {r: i for i, r in enumerate((ROUTE_PRE_FILTER,
+                                                 *ALL_ROUTES))}
             owned["route_chosen"] = max(
                 counts,
                 key=lambda r: (counts[r], -order.get(r, len(order))),

@@ -92,16 +92,19 @@ def reference_search(index, query, predicate, k, ef_search=64,
     epoch-stamped visited marks, never ``search_frozen_level``.  The
     production path must equal this byte for byte —
     including its scan: with no ``entry_point`` and at most
-    ``max(ef_search, k) · M / 2`` passing rows, every passing row is
-    scored and the answer is the exact top ``k`` by (distance, id).
+    ``max(ef_search, k) · M / 2`` passing rows, or (γ > 1) at most
+    ``n_live / γ``, every passing row is scored and the answer is the
+    exact top ``k`` by (distance, id).
     """
     computer = index.store.computer()
     query = computer.set_query(query)
     mask = index._effective_mask(index._compile(predicate).mask)
     n, stats, scratch = len(index), TraversalStats(), TraversalScratch()
     passing = np.flatnonzero(mask[:n])
-    if (entry_point is None
-            and passing.size <= max(ef_search, k) * index.params.m // 2):
+    gamma, n_live = index.params.gamma, n - index.num_deleted
+    if entry_point is None and (
+            passing.size <= max(ef_search, k) * index.params.m // 2
+            or (gamma > 1 and passing.size * gamma <= n_live)):
         if passing.size == 0:
             return SearchResult.empty()
         dists = computer.distances_to(query, passing).astype(np.float32)

@@ -187,13 +187,14 @@ class TestFloatPathUnchanged:
     def test_acorn_results_and_counters_pinned(self):
         """Two builds from one seed answer byte for byte, counters
         included, and both equal the reference driver — walked (ef 16:
-        cutoff 48 under each label's ≈ 80 rows) and scanned (ef 48)."""
+        cutoff 48, and n/γ = 60, under each label's ≥ 74 rows) and
+        scanned (ef 48)."""
         gen = np.random.default_rng(11)
         vectors = gen.standard_normal((240, 12)).astype(np.float32)
         table = AttributeTable(240)
         table.add_int_column("label", gen.integers(0, 3, size=240))
         queries = vectors[gen.choice(240, size=20, replace=False)] + 0.05
-        params = AcornParams(m=6, gamma=3, m_beta=12, ef_construction=32)
+        params = AcornParams(m=6, gamma=4, m_beta=12, ef_construction=32)
         first, second = (AcornIndex.build(vectors, table, params=params,
                                           seed=0) for _ in range(2))
         for i, query in enumerate(queries):

@@ -31,7 +31,7 @@ from repro.core.search import (
     truncated_neighbors,
 )
 from repro.engine import QueryBatch, SearchEngine
-from repro.predicates import Equals, Not, TruePredicate
+from repro.predicates import Equals, Not, OneOf, TruePredicate
 from tests.conftest import (
     assert_results_identical,
     reference_hnsw_search,
@@ -40,8 +40,9 @@ from tests.conftest import (
 
 K = 10
 # Small enough that the scan cutoff max(EF, K)·M/2 (40 at M = 8, 80 for
-# the M = 16 ACORN-1 fixture) stays below every label's passing count
-# (≥ 97 of 600): these searches walk, they do not scan.
+# the M = 16 ACORN-1 fixture) stays below every predicate's passing
+# count (two labels, ≥ 194 of 600, above n/γ = 100): these searches
+# walk, they do not scan.
 EF = 10
 
 
@@ -63,7 +64,7 @@ def _queries(small_vectors, n=12, seed=424):
 
 
 def _predicates(n=12):
-    preds = [Equals("label", i % 6) for i in range(n - 1)]
+    preds = [OneOf("label", (i % 6, (i + 1) % 6)) for i in range(n - 1)]
     preds.append(TruePredicate())
     return preds
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.attributes import AttributeTable
+from repro.baselines.prefilter import PreFilterSearcher
 from repro.core import AcornIndex, AcornParams
 from repro.predicates import Equals, TruePredicate
+from repro.predicates.base import CompiledPredicate
 from repro.routing import RoutePlanner
 
 
@@ -72,16 +74,34 @@ class TestTombstones:
             idx.mark_deleted(10_000)
 
     def test_router_prefilter_path_respects_tombstones(self, index):
+        """70 passing rows sit under s_min · n_live = 75 (74.75 with
+        one tombstone) and over the ef-8 cutoff of 24: the index's
+        pre-filter scan answers, exactly."""
         idx, vectors = index
-        # s_min > 1 forces the pre-filter route.
-        searcher = RoutePlanner(idx, policy="static", s_min=1.1)
-        top = searcher.search(vectors[7], TruePredicate(), 1)
-        assert top.ids[0] == 7
+        ids = np.random.default_rng(3).choice(
+            np.arange(8, len(idx)), size=69, replace=False)
+        mask = np.zeros(len(idx), dtype=bool)
+        mask[ids] = True
+        mask[7] = True
+        pred = CompiledPredicate(TruePredicate(), mask, table=idx.table)
+        searcher = RoutePlanner(idx)
+        top = searcher.search(vectors[7], pred, 1, ef_search=8)
+        assert top.ids[0] == 7 and top.hops == 0
         idx.mark_deleted(7)
-        after = searcher.search(vectors[7], TruePredicate(), 5)
-        assert searcher.last_plan.route == "pre-filter"
-        assert 7 not in after.ids
-        idx.unmark_deleted(7)
+        try:
+            after = searcher.search(vectors[7], pred, 5, ef_search=8)
+            assert searcher.last_plan.route == "acorn-gamma"
+            assert after.hops == 0
+            assert 7 not in after.ids
+            live = mask.copy()
+            live[7] = False
+            want = PreFilterSearcher(vectors, idx.table).search(
+                vectors[7], CompiledPredicate(TruePredicate(), live), 5)
+            assert after.ids.tobytes() == want.ids.tobytes()
+            assert after.distances.tobytes() == want.distances.tobytes()
+            assert after.distance_computations == len(ids)
+        finally:
+            idx.unmark_deleted(7)
 
 
 class TestTombstoneMaskCache:

@@ -35,11 +35,12 @@ class TestMalformedQueries:
         self, acorn_index, small_vectors
     ):
         vectors, _ = small_vectors
-        searcher = RoutePlanner(acorn_index, policy="static")
+        searcher = RoutePlanner(acorn_index)
         result = searcher.search(vectors[0], Equals("label", 777), 5)
         assert len(result) == 0
-        # Empty predicate estimates s=0 < s_min, so routing prefilters.
-        assert searcher.last_plan.route == "pre-filter"
+        # Nothing passes: the index scans an empty set.
+        assert searcher.last_plan.route == "acorn-gamma"
+        assert (result.hops, result.distance_computations) == (0, 0)
 
 
 class TestEntryPointValidation:

@@ -1,4 +1,4 @@
-"""The static route planner over every index variant, plus metric
+"""The route planner over every index variant, plus metric
 round-trips."""
 
 import numpy as np
@@ -27,15 +27,17 @@ class TestRouterOverVariants:
         vectors, table = world
         index = AcornOneIndex.build(vectors, table, m=12, ef_construction=24,
                                     seed=0)
-        searcher = RoutePlanner(index, policy="static")
+        searcher = RoutePlanner(index)
         predicate = Equals("label", 1)
         compiled = predicate.compile(table)
-        result = searcher.search(vectors[0], predicate, 5, ef_search=48)
+        result = searcher.search(vectors[0], predicate, 5, ef_search=8)
         assert compiled.passes_many(result.ids).all()
-        # gamma=1 -> s_min=1.0: every real predicate pre-filters, which
-        # is the honest routing for an index that cannot promise
-        # sub-s_min coverage.
-        assert searcher.s_min == pytest.approx(1.0)
+        # gamma=1 -> s_min=1.0 would scan every query, so the threshold
+        # does not apply: ≈ 100 passing rows walk above the count
+        # cutoff of 8·12/2 = 48.
+        assert index.params.s_min == pytest.approx(1.0)
+        assert searcher.last_plan.route == "acorn-gamma"
+        assert result.hops > 0
 
     def test_flat(self, world):
         vectors, table = world
@@ -44,12 +46,14 @@ class TestRouterOverVariants:
             params=AcornParams(m=8, gamma=6, m_beta=12, ef_construction=24),
             seed=0,
         )
-        searcher = RoutePlanner(index, s_min=0.05, policy="static")
+        searcher = RoutePlanner(index)
         predicate = Equals("label", 2)
         compiled = predicate.compile(table)
-        result = searcher.search(vectors[3], predicate, 5, ef_search=48)
+        result = searcher.search(vectors[3], predicate, 5, ef_search=8)
         assert searcher.last_plan.route == "acorn-gamma"
         assert compiled.passes_many(result.ids).all()
+        # ≈ 100 passing rows, above s_min · n = 50 and the cutoff of 32.
+        assert result.hops > 0
 
 
 class TestCosinePersistence:

@@ -2,8 +2,10 @@
 
 When at most ``max(ef_search, k) · M / 2`` entities pass, the walk would
 visit all of them anyway, so the search scores the whole passing set
-with one exact distance call instead.  The answer must be brute force's,
-ties broken on id; above the cutoff the walk must run untouched.
+with one exact distance call instead.  The same holds below the paper's
+§5.2 threshold, ``s_min · n_live`` (γ > 1 only).  The answer must be
+brute force's, ties broken on id; above the cutoff the walk must run
+untouched.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import pytest
 
 from repro.attributes import AttributeTable
 from repro.baselines.prefilter import PreFilterSearcher
-from repro.core import AcornIndex, AcornParams
+from repro.core import AcornIndex, AcornOneIndex, AcornParams
 from repro.predicates import TruePredicate
 from repro.predicates.base import CompiledPredicate
 from tests.conftest import assert_results_identical, reference_search
@@ -176,3 +178,83 @@ class TestScanCounters:
                 got, reference_search(index, queries[2], pred, K,
                                       ef_search=EF, entry_point=entry))
 
+
+
+class TestSelectivityThreshold:
+    """At ef 4 and k 2 the count cutoff is 16, so ``s_min · n_live``
+    (60 rows at n = 240, γ = 4) is the bound that decides."""
+
+    EF_T, K_T = 4, 2
+
+    def _search(self, index, query, pred):
+        return index.search(query, pred, self.K_T, ef_search=self.EF_T)
+
+    def test_threshold_scans_and_one_more_walks(self, world, index):
+        vectors, _, queries = world
+        threshold = N // PARAMS.gamma
+        assert max(self.EF_T, self.K_T) * PARAMS.m // 2 < threshold
+        gen = np.random.default_rng(8)
+        for query in queries:
+            ids = _ids(gen, threshold)
+            at = self._search(index, query, _pred(index, ids))
+            assert at.hops == 0 and at.distance_computations == threshold
+            assert at.ids.tolist() == _brute_force(vectors, query, ids,
+                                                   self.K_T)
+            above = _pred(index, _ids(gen, threshold + 1))
+            got = self._search(index, query, above)
+            assert got.hops > 0
+            assert_results_identical(got, reference_search(
+                index, query, above, self.K_T, ef_search=self.EF_T))
+
+    def test_tombstones_lower_n_live(self, world, index):
+        vectors, _, queries = world
+        gen = np.random.default_rng(9)
+        dead = _ids(gen, 20)
+        pool = [i for i in range(N) if i not in set(dead)]
+        n_live = N - len(dead)
+        threshold = n_live // PARAMS.gamma
+        try:
+            for node in dead:
+                index.mark_deleted(node)
+            for query in queries[:3]:
+                picks = gen.choice(pool, size=threshold + 1, replace=False)
+                ids = sorted(picks.tolist())
+                at = self._search(index, query, _pred(index, ids[:-1]))
+                assert at.hops == 0 and at.distance_computations == threshold
+                # Passing but dead rows do not count as live.
+                padded = self._search(index, query,
+                                      _pred(index, ids[:-1] + dead))
+                assert padded.hops == 0
+                assert_results_identical(padded, at)
+                above = _pred(index, ids)
+                got = self._search(index, query, above)
+                assert got.hops > 0
+                assert_results_identical(got, reference_search(
+                    index, query, above, self.K_T, ef_search=self.EF_T))
+        finally:
+            for node in dead:
+                index.unmark_deleted(node)
+
+    @pytest.mark.parametrize("family", ["acorn-1", "gamma-1"])
+    def test_gamma_one_walks_above_the_count_cutoff(self, world, family):
+        """γ = 1 would make s_min = 1, a scan of every query: the
+        threshold does not apply, only the count cutoff."""
+        vectors, table, queries = world
+        if family == "acorn-1":
+            index = AcornOneIndex.build(vectors, table, m=8,
+                                        ef_construction=24, seed=3)
+        else:
+            index = AcornIndex.build(
+                vectors, table, seed=3,
+                params=AcornParams(m=8, gamma=1, m_beta=8,
+                                   ef_construction=24))
+        cutoff = max(self.EF_T, self.K_T) * index.params.m // 2
+        gen = np.random.default_rng(10)
+        for query in queries[:3]:
+            at = self._search(index, query, _pred(index, _ids(gen, cutoff)))
+            assert at.hops == 0
+            above = _pred(index, _ids(gen, cutoff + 1))
+            got = self._search(index, query, above)
+            assert got.hops > 0
+            assert_results_identical(got, reference_search(
+                index, query, above, self.K_T, ef_search=self.EF_T))

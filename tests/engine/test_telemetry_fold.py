@@ -36,11 +36,11 @@ from repro import (
     LifecycleIndex,
     OneOf,
     RoutePlanner,
-    RoutingFeedback,
     SearchEngine,
     ShardedAcornIndex,
     WalkBudget,
 )
+from repro.baselines.prefilter import PreFilterSearcher
 from repro.predicates.base import CompiledPredicate
 from repro.shard import Fault, FaultInjector, FaultPlan, ResiliencePolicy
 from repro.telemetry import QueryStats, SearchResult, fold_telemetry
@@ -88,8 +88,8 @@ def _index(vectors, table):
 # fields the composite owns).
 # ----------------------------------------------------------------------
 
-def _planner_static():
-    planner = RoutePlanner(_index(VECTORS, TABLE), policy="static")
+def _planner_single_route():
+    planner = RoutePlanner(_index(VECTORS, TABLE))
 
     def children(result):
         assert result.route_chosen == "acorn-gamma"
@@ -100,12 +100,10 @@ def _planner_static():
 
 def _planner_fallback():
     def make():
-        # An optimistic graph scale forces a graph attempt; a one-hop
-        # budget guarantees the walk aborts.
+        # ACORN-γ, the only route, walks PREDICATE; a one-hop budget
+        # guarantees the walk aborts.
         return RoutePlanner(
-            _index(VECTORS, TABLE), policy="adaptive",
-            feedback=RoutingFeedback(initial_scales={"acorn-gamma": 1e-6}),
-            walk_budget=WalkBudget(hop_budget=1),
+            _index(VECTORS, TABLE), walk_budget=WalkBudget(hop_budget=1),
         )
 
     planner = make()
@@ -118,7 +116,8 @@ def _planner_fallback():
             QUERY, PREDICATE, K, ef_search=EF,
             monitor=twin._make_monitor(K, EF, twin.index),
         )
-        return [walk, twin.prefilter.search(QUERY, PREDICATE, K)]
+        exact = PreFilterSearcher(VECTORS, TABLE).search(QUERY, PREDICATE, K)
+        return [walk, exact]
 
     return planner, children, ROUTE_FIELDS
 
@@ -193,8 +192,10 @@ def _lifecycle(churn):
     return case
 
 
+# "planner-static" keeps its id: a planner over ACORN-γ alone, whose one
+# route runs the index's own static §5.2 rule.
 CASES = {
-    "planner-static": _planner_static,
+    "planner-static": _planner_single_route,
     "planner-fallback": _planner_fallback,
     "sharded-1": _sharded(1),
     "sharded-3": _sharded(3),

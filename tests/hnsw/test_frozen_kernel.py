@@ -235,9 +235,13 @@ def _world(n=240, rows=260, seed=5):
 
 @pytest.fixture(scope="module", params=METRICS)
 def families(request):
-    """One small index of every family, per metric (spare table rows)."""
+    """One small index of every family, per metric (spare table rows).
+
+    γ = 6 keeps every label (≥ 53 of 240 rows, ≥ 36 of 160 live) above
+    ``s_min · n_live``, so ``WALK_EF`` searches walk.
+    """
     vectors, table = _world()
-    params = AcornParams(m=6, gamma=4, m_beta=10, ef_construction=24)
+    params = AcornParams(m=6, gamma=6, m_beta=10, ef_construction=24)
     metric = request.param
 
     def acorn():

@@ -37,28 +37,34 @@ class TestRouterPipeline:
         index = AcornIndex.build(
             sift_tiny.vectors, sift_tiny.table, params=params, seed=0
         )
-        searcher = RoutePlanner(index, policy="static")
-        routes = set()
+        searcher = RoutePlanner(index)
+        scanned = set()
         for query, compiled in zip(
             sift_tiny.queries, sift_tiny.compiled_predicates()
         ):
-            searcher.search(query.vector, compiled, 10, ef_search=48)
-            routes.add(searcher.last_plan.route)
-        # s_min = 0.25 > label selectivity 1/12: every query prefilters.
-        assert routes == {"pre-filter"}
+            result = searcher.search(query.vector, compiled, 10,
+                                     ef_search=48)
+            assert searcher.last_plan.route == "acorn-gamma"
+            scanned.add(result.hops == 0)
+        # s_min = 0.25 > label selectivity 1/12: the index pre-filters
+        # every query.
+        assert scanned == {True}
 
     def test_router_uses_graph_when_selective_enough(self, sift_tiny):
         params = AcornParams(m=8, gamma=24, m_beta=16, ef_construction=32)
         index = AcornIndex.build(
             sift_tiny.vectors, sift_tiny.table, params=params, seed=0
         )
-        searcher = RoutePlanner(index, policy="static")
-        searcher.search(
-            sift_tiny.queries[0].vector,
-            sift_tiny.compiled_predicates()[0],
-            10,
+        searcher = RoutePlanner(index)
+        compiled = sift_tiny.compiled_predicates()[0]
+        result = searcher.search(
+            sift_tiny.queries[0].vector, compiled, 5, ef_search=5,
         )
         assert searcher.last_plan.route == "acorn-gamma"
+        # s_min = 1/24 < label selectivity 1/12, and the passing count
+        # exceeds the cutoff of 5·8/2 = 20: the index walks.
+        assert compiled.cardinality > max(20, len(index) / 24)
+        assert result.hops > 0
 
 
 class TestTripclickPipeline:
@@ -95,7 +101,7 @@ class TestRegexPipeline:
         index = AcornIndex.build(
             dataset.vectors, dataset.table, params=params, seed=1
         )
-        searcher = RoutePlanner(index, policy="static")
+        searcher = RoutePlanner(index)
         runner = SweepRunner(dataset, k=10)
         sweep = runner.sweep("acorn+router", searcher, efforts=[64])
         assert sweep.max_recall() > 0.8

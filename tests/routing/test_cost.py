@@ -35,14 +35,15 @@ class TestValidation:
     def test_unknown_route_raises(self, model):
         with pytest.raises(ValueError):
             model.units("teleport", 0.5, 10, 64)
+        # Pre-filtering is ACORN-γ's scan, priced by scan_units.
         with pytest.raises(ValueError):
-            model.unit_cost("teleport")
+            model.units(ROUTE_PRE_FILTER, 0.5, 10, 64)
 
 
 class TestShape:
     def test_prefilter_linear_in_selectivity(self, model):
-        cheap = model.units(ROUTE_PRE_FILTER, 0.01, 10, 64)
-        dear = model.units(ROUTE_PRE_FILTER, 0.5, 10, 64)
+        cheap = model.scan_units(0.01 * 10_000, 10)
+        dear = model.scan_units(0.5 * 10_000, 10)
         assert dear > cheap
         # s·n + k, discounted by the scan unit cost.
         assert dear == pytest.approx(
@@ -52,11 +53,11 @@ class TestShape:
     def test_prefilter_wins_at_low_selectivity(self, model):
         s = 0.001  # far below s_min = 1/12
         units = model.all_units(ALL_ROUTES, s, 10, 64)
-        assert min(units, key=units.__getitem__) == ROUTE_PRE_FILTER
+        assert model.scan_units(s * 10_000, 10) < min(units.values())
 
     def test_graph_wins_at_high_selectivity(self, model):
         s = 0.9
-        pre = model.units(ROUTE_PRE_FILTER, s, 10, 64)
+        pre = model.scan_units(s * 10_000, 10)
         gamma = model.units(ROUTE_ACORN_GAMMA, s, 10, 64)
         assert gamma < pre
 
@@ -77,12 +78,12 @@ class TestShape:
         assert one > gamma
 
     def test_negative_correlation_inflates_graph_not_prefilter(self, model):
-        neutral = model.units(ROUTE_ACORN_GAMMA, 0.2, 10, 64, correlation=0.0)
-        anti = model.units(ROUTE_ACORN_GAMMA, 0.2, 10, 64, correlation=-0.8)
-        assert anti > neutral
-        assert model.units(
-            ROUTE_PRE_FILTER, 0.2, 10, 64, correlation=-0.8
-        ) == model.units(ROUTE_PRE_FILTER, 0.2, 10, 64, correlation=0.0)
+        # Every route walks a graph; the scan price (scan_units) takes
+        # no correlation at all.
+        for route in ALL_ROUTES:
+            neutral = model.units(route, 0.2, 10, 64, correlation=0.0)
+            anti = model.units(route, 0.2, 10, 64, correlation=-0.8)
+            assert anti > neutral, route
 
     def test_positive_correlation_is_not_a_discount(self, model):
         neutral = model.units(ROUTE_ACORN_GAMMA, 0.2, 10, 64, correlation=0.0)
@@ -95,14 +96,13 @@ class TestShape:
         assert capped == pytest.approx(10_000 * 16)
 
     def test_unit_cost_discounts_only_prefilter(self, model):
-        assert model.unit_cost(ROUTE_PRE_FILTER) == model.scan_unit_cost
-        for route in (ROUTE_ACORN_GAMMA, ROUTE_ACORN_ONE, ROUTE_POST_FILTER):
-            assert model.unit_cost(route) == 1.0
+        assert model.observed_units(1, scan=True) == model.scan_unit_cost
+        assert model.observed_units(1, scan=False) == 1.0
 
     def test_observed_units_bill_at_unit_cost(self, model):
-        for route in ALL_ROUTES:
-            assert model.observed_units(route, 100) == pytest.approx(
-                100 * model.unit_cost(route))
+        assert model.observed_units(100, scan=True) == pytest.approx(
+            model.scan_units(100, 0))
+        assert model.observed_units(100, scan=False) == 100
 
     def test_all_units_covers_requested_routes(self, model):
         units = model.all_units(ALL_ROUTES, 0.3, 10, 64)

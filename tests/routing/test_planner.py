@@ -1,11 +1,12 @@
 """Routing-correctness harness for the cost-based planner.
 
-Pins the PR's core contracts:
+Pins the planner's contracts:
 
-- ``policy="static"`` is byte-identical to the paper's §5.2 threshold
-  rule written out by hand (routes, results, and counters);
-- the adaptive planner's routing decisions are deterministic
-  run-to-run;
+- a planner over ACORN-γ alone is byte-identical to the paper's §5.2
+  threshold rule written out by hand (results and counters) — the rule
+  is the index's own, so there is nothing left to decide;
+- with ACORN-1 beside it, the adaptive planner's routing decisions are
+  deterministic run-to-run and follow the recorded feedback;
 - a monitored walk that aborts falls back to results identical to the
   pre-filter baseline;
 - routing telemetry threads through the batch engine into
@@ -29,6 +30,7 @@ from repro.routing import (
 )
 from repro.routing.cost import ALL_ROUTES, ROUTE_PRE_FILTER
 from repro.telemetry import SearchResult
+from tests.conftest import assert_results_identical
 
 
 def _query_stream(rng, n_queries, dim=16):
@@ -57,7 +59,7 @@ class TestConstruction:
 
     def test_routes_follow_availability(self, acorn_index, acorn_one_index):
         base = RoutePlanner(acorn_index)
-        assert base.routes() == ("pre-filter", "acorn-gamma")
+        assert base.routes() == ("acorn-gamma",)
         full = RoutePlanner(acorn_index, acorn_one=acorn_one_index,
                             postfilter=object())
         assert full.routes() == ALL_ROUTES
@@ -73,8 +75,9 @@ class TestStaticByteCompat:
     def test_matches_hybrid_searcher_exactly(self, acorn_index,
                                              small_vectors):
         """The §5.2 rule the deleted ``HybridSearcher`` implemented,
-        written out: pre-filter below ``s_min`` (tombstones composed
-        into the mask), ``index.search`` otherwise."""
+        written out: pre-filter at or below ``s_min`` of the live rows
+        or the count cutoff (tombstones composed into the mask),
+        ``index.search`` otherwise."""
         from repro.attributes import AttributeTable
         from repro.core import AcornIndex, AcornParams
 
@@ -93,50 +96,57 @@ class TestStaticByteCompat:
             prefilter = PreFilterSearcher(
                 index.store.vectors, index.table, metric=index.metric
             )
+            n_live = len(index) - index.num_deleted
+            cutoff = 16 * index.params.m // 2
+            scans = 0
 
             def rule(query, pred):
                 compiled = pred.compile(index.table)
-                if compiled.selectivity >= index.params.s_min:
-                    return index.search(query, pred, 10, ef_search=48)
                 mask = index._effective_mask(compiled.mask)
+                count = int(mask.sum())
+                if count * index.params.gamma > n_live and count > cutoff:
+                    return index.search(query, pred, 10, ef_search=16)
                 return prefilter.search(
                     query, CompiledPredicate(compiled.predicate, mask), 10
                 )
 
-            static = RoutePlanner(index, policy="static")
+            planner = RoutePlanner(index)
             rng = np.random.default_rng(11)
             for query, pred in zip(_query_stream(rng, 24),
                                    _predicate_stream(24)):
                 a = rule(query, pred)
-                b = static.search(query, pred, 10, ef_search=48)
-                assert a.ids.tobytes() == b.ids.tobytes()
-                assert a.distances.tobytes() == b.distances.tobytes()
-                assert a.distance_computations == b.distance_computations
-                assert (a.hops, a.visited_nodes) == (b.hops, b.visited_nodes)
+                b = planner.search(query, pred, 10, ef_search=16)
+                assert b.route_chosen == "acorn-gamma"
+                assert_results_identical(a, b, counters=a.hops > 0)
+                scans += b.hops == 0
+            assert 0 < scans < 24
 
     def test_static_route_matches_threshold_rule(self, acorn_index):
-        static = RoutePlanner(acorn_index, policy="static")
+        """The index scans exactly the queries the rule sends to
+        pre-filter; the route is ACORN-γ either way."""
+        planner = RoutePlanner(acorn_index)
         rng = np.random.default_rng(12)
         query = rng.standard_normal(16).astype(np.float32)
         for pred in _predicate_stream(12):
-            result = static.search(query, pred, 5)
-            s = pred.compile(acorn_index.table).selectivity
-            expected = ("pre-filter" if s < acorn_index.params.s_min
-                        else "acorn-gamma")
-            assert result.route_chosen == expected
-            assert "static" in result.route_reason
+            result = planner.search(query, pred, 5, ef_search=16)
+            count = pred.compile(acorn_index.table).cardinality
+            below = (count <= len(acorn_index) * acorn_index.params.s_min
+                     or count <= 16 * acorn_index.params.m // 2)
+            assert result.route_chosen == "acorn-gamma"
+            assert (result.hops == 0) is below
+            assert ("scans" in result.route_reason) is below
 
     def test_static_never_uses_monitor(self, acorn_index):
-        # Static must not attach a monitor (the §5.2 rule never aborts
-        # a walk).
-        static = RoutePlanner(
-            acorn_index, policy="static",
-            walk_budget=WalkBudget(hop_budget=1),
+        # A scan below s_min never meets the walk monitor: even a
+        # one-hop budget cannot abort it.
+        planner = RoutePlanner(
+            acorn_index, walk_budget=WalkBudget(hop_budget=1),
         )
         rng = np.random.default_rng(13)
         query = rng.standard_normal(16).astype(np.float32)
-        result = static.search(query, OneOf("label", (0, 1, 2, 3)), 5)
+        result = planner.search(query, Equals("label", 3), 5, ef_search=16)
         assert result.fallback_triggered is False
+        assert result.hops == 0
 
 
 class TestAdaptive:
@@ -159,10 +169,13 @@ class TestAdaptive:
             assert np.array_equal(got.ids, expected.ids)
             assert np.allclose(got.distances, expected.distances)
 
-    def test_recall_not_below_static_below_exhaustive_ef(self, acorn_index):
+    def test_recall_not_below_static_below_exhaustive_ef(
+        self, acorn_index, acorn_one_index
+    ):
         """Where routes are approximate (ef << n) the cost-based choice
         may move work between routes but must not buy it with recall:
-        adaptive stays within 0.01 of the static threshold rule."""
+        adaptive stays within 0.01 of the static threshold rule, which
+        is the bare index."""
         pre = PreFilterSearcher(
             acorn_index.store.vectors, acorn_index.table,
             metric=acorn_index.metric,
@@ -172,15 +185,15 @@ class TestAdaptive:
         truth = [pre.search(q, p.compile(acorn_index.table), 10).ids
                  for q, p in zip(queries, preds)]
 
-        def recall(policy):
-            planner = RoutePlanner(acorn_index, policy=policy)
+        def recall(searcher):
             return mean_recall_at_k(
-                [planner.search(q, p, 10, ef_search=16).ids
+                [searcher.search(q, p, 10, ef_search=16).ids
                  for q, p in zip(queries, preds)],
                 truth, 10,
             )
 
-        assert recall("adaptive") >= recall("static") - 0.01
+        planner = RoutePlanner(acorn_index, acorn_one=acorn_one_index)
+        assert recall(planner) >= recall(acorn_index) - 0.01
 
     def test_decisions_deterministic_across_fresh_planners(
         self, acorn_index
@@ -212,12 +225,14 @@ class TestAdaptive:
             Equals("label", 2).compile(acorn_index.table).selectivity
         )
 
-    def test_feedback_learns_and_redirects(self, acorn_index):
+    def test_feedback_learns_and_redirects(self, acorn_index,
+                                           acorn_one_index):
         """Once a route's observed cost is recorded, a signature whose
         model guess was wrong must flip to the truly-cheaper route."""
         feedback = RoutingFeedback()
         planner = RoutePlanner(
-            acorn_index, policy="adaptive", feedback=feedback,
+            acorn_index, acorn_one=acorn_one_index, policy="adaptive",
+            feedback=feedback,
         )
         rng = np.random.default_rng(23)
         query = rng.standard_normal(16).astype(np.float32)
@@ -263,14 +278,11 @@ class TestAdaptive:
 
 class TestFallback:
     def _fallback_planner(self, acorn_index):
-        # Optimistic graph scale forces a graph attempt; a one-hop
-        # budget guarantees the walk aborts.
+        # ACORN-γ, the only route, walks every predicate above s_min;
+        # a one-hop budget guarantees the walk aborts.
         return RoutePlanner(
             acorn_index,
             policy="adaptive",
-            feedback=RoutingFeedback(
-                initial_scales={"acorn-gamma": 1e-6}
-            ),
             walk_budget=WalkBudget(hop_budget=1),
         )
 
@@ -315,9 +327,6 @@ class TestFallback:
         planner = RoutePlanner(
             acorn_index,
             policy="adaptive",
-            feedback=RoutingFeedback(
-                initial_scales={"acorn-gamma": 1e-6}
-            ),
             walk_budget=None,
         )
         rng = np.random.default_rng(33)
@@ -368,17 +377,22 @@ class TestEngineIntegration:
 
 
 class TestPlanExplain:
-    def test_plan_without_executing(self, acorn_index):
-        planner = RoutePlanner(acorn_index, policy="adaptive")
+    def test_plan_without_executing(self, acorn_index, acorn_one_index):
+        planner = RoutePlanner(acorn_index, acorn_one=acorn_one_index)
         plan = planner.plan(Equals("label", 0), k=10)
         assert plan.route in planner.routes()
         assert set(plan.predicted_costs) == set(planner.routes())
+        # Label 0 passes 97 rows, under s_min · n = 100: ACORN-γ is
+        # priced as the scan it will run, which no walk undercuts.
+        assert plan.route == "acorn-gamma"
+        assert plan.predicted_costs["acorn-gamma"] == pytest.approx(
+            planner.cost_model.scan_units(97, 10))
 
-    def test_static_plan_has_no_costs(self, acorn_index):
-        planner = RoutePlanner(acorn_index, policy="static")
+    def test_single_route_plan_has_no_costs(self, acorn_index):
+        planner = RoutePlanner(acorn_index)
         plan = planner.plan(Equals("label", 0), k=10)
         assert plan.predicted_costs == {}
-        assert plan.policy == "static"
+        assert planner.plan(Equals("label", 0), k=10) == plan
 
 
 class TestShardedRouting:
