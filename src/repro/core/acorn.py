@@ -462,16 +462,22 @@ class AcornIndex(BatchSearchMixin):
 
         ``count`` counts live stored rows.  The scan runs when the walk
         would visit about as many rows anyway (``max(ef_search, k) ·
-        M / 2``) or when the set is below the paper's §5.2 threshold,
-        ``s_min · n_live`` with ``n_live`` stored rows minus tombstones.
-        The threshold needs γ > 1: ACORN-1's γ = 1 would scan every
-        query.
+        M / 2``), when the set is below the paper's §5.2 threshold,
+        ``s_min · n_live`` with ``n_live`` stored rows minus tombstones,
+        or when the walk would reach every live row: about
+        ``max(ef_search, k)`` pops each read up to Mβ direct neighbours,
+        so ``n_live ≤ max(ef_search, k) · Mβ`` makes it exhaustive
+        whatever the selectivity.  The last two need γ > 1: ACORN-1's
+        γ = 1 would scan every query, and its Mβ is M.
         """
-        if count <= max(ef_search, k) * self.params.m // 2:
+        width = max(ef_search, k)
+        if count <= width * self.params.m // 2:
             return True
         gamma = self.params.gamma
-        return gamma > 1 and count * gamma <= len(self.store) - len(
-            self._deleted)
+        if gamma == 1:
+            return False
+        n_live = len(self.store) - len(self._deleted)
+        return count * gamma <= n_live or n_live <= width * self.params.m_beta
 
     def _effective_mask(self, mask: np.ndarray) -> np.ndarray:
         """The predicate mask with tombstones composed in, cached.

@@ -93,8 +93,9 @@ def reference_search(index, query, predicate, k, ef_search=64,
     production path must equal this byte for byte —
     including its scan: with no ``entry_point`` and at most
     ``max(ef_search, k) · M / 2`` passing rows, or (γ > 1) at most
-    ``n_live / γ``, every passing row is scored and the answer is the
-    exact top ``k`` by (distance, id).
+    ``n_live / γ`` passing rows or at most ``max(ef_search, k) · Mβ``
+    live rows in the index, every passing row is scored and the answer
+    is the exact top ``k`` by (distance, id).
     """
     computer = index.store.computer()
     query = computer.set_query(query)
@@ -102,9 +103,11 @@ def reference_search(index, query, predicate, k, ef_search=64,
     n, stats, scratch = len(index), TraversalStats(), TraversalScratch()
     passing = np.flatnonzero(mask[:n])
     gamma, n_live = index.params.gamma, n - index.num_deleted
+    width = max(ef_search, k)
     if entry_point is None and (
-            passing.size <= max(ef_search, k) * index.params.m // 2
-            or (gamma > 1 and passing.size * gamma <= n_live)):
+            passing.size <= width * index.params.m // 2
+            or (gamma > 1 and (passing.size * gamma <= n_live
+                               or n_live <= width * index.params.m_beta))):
         if passing.size == 0:
             return SearchResult.empty()
         dists = computer.distances_to(query, passing).astype(np.float32)

@@ -3,9 +3,10 @@
 When at most ``max(ef_search, k) · M / 2`` entities pass, the walk would
 visit all of them anyway, so the search scores the whole passing set
 with one exact distance call instead.  The same holds below the paper's
-§5.2 threshold, ``s_min · n_live`` (γ > 1 only).  The answer must be
-brute force's, ties broken on id; above the cutoff the walk must run
-untouched.
+§5.2 threshold, ``s_min · n_live``, and when the walk would reach every
+live row, ``n_live ≤ max(ef_search, k) · Mβ`` (both γ > 1 only).  The
+answer must be brute force's, ties broken on id; above the cutoff the
+walk must run untouched.
 """
 
 from __future__ import annotations
@@ -63,6 +64,17 @@ def _brute_force(vectors, query, ids, k):
 
 def _ids(gen, count, high=N):
     return sorted(gen.choice(high, size=count, replace=False).tolist())
+
+
+def _gamma_one_index(world, family):
+    """ACORN-1, or ACORN-γ built with γ = 1 (M = Mβ = 8)."""
+    vectors, table, _ = world
+    if family == "acorn-1":
+        return AcornOneIndex.build(vectors, table, m=8, ef_construction=24,
+                                   seed=3)
+    return AcornIndex.build(
+        vectors, table, seed=3,
+        params=AcornParams(m=8, gamma=1, m_beta=8, ef_construction=24))
 
 
 class TestScanAnswer:
@@ -239,15 +251,8 @@ class TestSelectivityThreshold:
     def test_gamma_one_walks_above_the_count_cutoff(self, world, family):
         """γ = 1 would make s_min = 1, a scan of every query: the
         threshold does not apply, only the count cutoff."""
-        vectors, table, queries = world
-        if family == "acorn-1":
-            index = AcornOneIndex.build(vectors, table, m=8,
-                                        ef_construction=24, seed=3)
-        else:
-            index = AcornIndex.build(
-                vectors, table, seed=3,
-                params=AcornParams(m=8, gamma=1, m_beta=8,
-                                   ef_construction=24))
+        _, _, queries = world
+        index = _gamma_one_index(world, family)
         cutoff = max(self.EF_T, self.K_T) * index.params.m // 2
         gen = np.random.default_rng(10)
         for query in queries[:3]:
@@ -258,3 +263,84 @@ class TestSelectivityThreshold:
             assert got.hops > 0
             assert_results_identical(got, reference_search(
                 index, query, above, self.K_T, ef_search=self.EF_T))
+
+
+class TestReach:
+    """At ef 19 the walk's reach is ``19 · Mβ = 228`` rows, just under
+    n = 240; the passing sets here (100 rows) are above the count cutoff
+    (76) and ``s_min · n_live`` (60), so only the reach term decides."""
+
+    EF_R, C = 19, 100
+    REACH = EF_R * PARAMS.m_beta
+
+    def _search(self, index, query, pred, k=K, ef=EF_R):
+        return index.search(query, pred, k, ef_search=ef)
+
+    def _exact(self, vectors, index, query, ids, k=K):
+        """Brute force's ids, and its distances through the index's own
+        distance kernel (for byte comparison)."""
+        want = _brute_force(vectors, query, ids, k)
+        computer = index.store.computer()
+        dists = computer.distances_to(computer.set_query(query),
+                                      np.asarray(want, dtype=np.intp))
+        return want, dists.astype(np.float32)
+
+    def test_one_live_row_above_walks_at_reach_scans(self, world, index):
+        vectors, _, queries = world
+        assert self.REACH < N
+        assert self.C > max(self.EF_R * PARAMS.m // 2, N // PARAMS.gamma)
+        gen = np.random.default_rng(11)
+        ids = _ids(gen, self.C)
+        pred = _pred(index, ids)
+        spare = [i for i in range(N) if i not in set(ids)]
+        dead = gen.choice(spare, size=N - self.REACH, replace=False)
+        try:
+            # n_live = REACH + 1: the walk runs, as the reference walks.
+            for node in dead[1:]:
+                index.mark_deleted(int(node))
+            for query in queries[:3]:
+                got = self._search(index, query, pred)
+                assert got.hops > 0
+                assert_results_identical(got, reference_search(
+                    index, query, pred, K, ef_search=self.EF_R))
+            # n_live = REACH: the same passing set is ranked exactly.
+            index.mark_deleted(int(dead[0]))
+            for query in queries:
+                got = self._search(index, query, pred)
+                assert got.hops == 0
+                assert got.distance_computations == self.C
+                want, dists = self._exact(vectors, index, query, ids)
+                assert got.ids.tolist() == want
+                assert got.distances.tobytes() == dists.tobytes()
+        finally:
+            for node in dead:
+                index.unmark_deleted(int(node))
+
+    def test_k_above_ef_sets_the_reach(self, world, index):
+        """``max(ef, k)``: at ef 16 k = 5 walks (reach 192 < 240), k = 20
+        reaches all 240 rows and scans."""
+        vectors, _, queries = world
+        ids = _ids(np.random.default_rng(12), self.C)
+        pred = _pred(index, ids)
+        assert self._search(index, queries[0], pred, k=K, ef=EF).hops > 0
+        k = N // PARAMS.m_beta
+        got = self._search(index, queries[0], pred, k=k, ef=EF)
+        assert got.hops == 0 and got.distance_computations == self.C
+        want, dists = self._exact(vectors, index, queries[0], ids, k)
+        assert got.ids.tolist() == want
+        assert got.distances.tobytes() == dists.tobytes()
+
+    @pytest.mark.parametrize("family", ["acorn-1", "gamma-1"])
+    def test_gamma_one_still_walks(self, world, family):
+        """γ = 1 has no reach term: at ef 30 ``ef · Mβ = 240`` covers
+        every row, yet a set above the count cutoff (120) walks."""
+        _, _, queries = world
+        index = _gamma_one_index(world, family)
+        ef = N // index.params.m_beta
+        pred = _pred(index, _ids(np.random.default_rng(13), 150))
+        assert 150 > ef * index.params.m // 2
+        for query in queries[:3]:
+            got = self._search(index, query, pred, ef=ef)
+            assert got.hops > 0
+            assert_results_identical(got, reference_search(
+                index, query, pred, K, ef_search=ef))

@@ -62,16 +62,20 @@ def test_variant_serves_dataset(datasets, dataset_name, variant):
     dataset = datasets[dataset_name]
     index = VARIANTS[variant](dataset)
     gt = dataset.ground_truth(10)
-    recalls = []
+    recalls, walks = [], 0
     for query, compiled, truth in zip(
         dataset.queries, dataset.compiled_predicates(), gt
     ):
-        result = index.search(query.vector, compiled, 10, ef_search=64)
+        # ef 40 · Mβ 16 < 700 rows: a large passing set is walked.
+        result = index.search(query.vector, compiled, 10, ef_search=40)
         assert compiled.passes_many(result.ids).all(), (
             f"{variant} on {dataset_name}: returned non-passing entity"
         )
         recalls.append(recall_at_k(result.ids, truth, 10))
+        walks += result.hops > 0
     mean_recall = float(np.mean(recalls))
     assert mean_recall >= FLOORS[variant], (
         f"{variant} on {dataset_name}: recall {mean_recall:.3f}"
     )
+    # SIFT's and LAION's predicates pass few rows and always scan.
+    assert walks or not dataset_name.startswith("tripclick")

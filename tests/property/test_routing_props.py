@@ -32,6 +32,9 @@ _index = AcornIndex.build(
     seed=5,
 )
 _prefilter = PreFilterSearcher(_vectors, _table, metric=_index.metric)
+# max(EF_WALK, k ≤ 8) · Mβ = 72 < N: at a larger ef every query would
+# scan the whole index, so no walk (and no walk monitor) would run.
+EF_WALK = 9
 
 predicates = st.one_of(
     st.integers(0, N_LABELS - 1).map(lambda v: Equals("label", v)),
@@ -80,7 +83,7 @@ def test_fallback_is_identical_to_prefilter(seed, k, pred):
         walk_budget=WalkBudget(hop_budget=1),
     )
     query = _query(seed)
-    result = planner.search(query, pred, k, ef_search=24)
+    result = planner.search(query, pred, k, ef_search=EF_WALK)
     if result.fallback_triggered:
         expected = _prefilter.search(query, pred.compile(_table), k)
         assert np.array_equal(result.ids, expected.ids)
@@ -91,7 +94,7 @@ def test_fallback_is_identical_to_prefilter(seed, k, pred):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), k=st.integers(1, 6),
-       ef=st.integers(4, 64), pred=predicates)
+       ef=st.integers(4, EF_WALK), pred=predicates)
 def test_search_contract_holds_on_every_route(seed, k, ef, pred):
     """Whatever the planner decides: unique, predicate-passing,
     distance-sorted results, at most k of them."""

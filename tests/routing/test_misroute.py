@@ -216,7 +216,11 @@ class TestLyingEstimators:
 class TestFallbackSafetyNet:
     def test_fallback_equals_prefilter_baseline(self, acorn_index):
         """Even with a hostile estimator AND a starved hop budget, an
-        aborted walk answers byte-identically to pre-filter."""
+        aborted walk answers byte-identically to pre-filter.
+
+        At ef 32 the index walks (32 · Mβ = 512 < 600 live rows), so the
+        OneOf predicates (≈ 200 rows, above both other scan terms) reach
+        the monitor and its hop-budget-1 abort."""
         planner = RoutePlanner(
             acorn_index,
             policy="adaptive",
@@ -232,9 +236,9 @@ class TestFallbackSafetyNet:
         queries, preds = _workload(rng, n_queries=10)
         fallbacks = 0
         for query, pred in zip(queries, preds):
-            result = planner.search(query, pred, 10, ef_search=48)
+            result = planner.search(query, pred, 10, ef_search=32)
             expected = pre.search(query, pred.compile(acorn_index.table), 10)
-            assert np.array_equal(result.ids, expected.ids)
-            assert np.allclose(result.distances, expected.distances)
+            assert result.ids.tobytes() == expected.ids.tobytes()
+            assert result.distances.tobytes() == expected.distances.tobytes()
             fallbacks += result.fallback_triggered
         assert fallbacks > 0

@@ -237,8 +237,10 @@ class TestAdaptive:
         rng = np.random.default_rng(23)
         query = rng.standard_normal(16).astype(np.float32)
         pred = OneOf("label", (0, 1, 2, 3, 4))
-        first = planner.search(query, pred, 10, ef_search=64)
-        second = planner.search(query, pred, 10, ef_search=64)
+        # ef 32 · Mβ 16 < 600 rows: ACORN-γ is priced and run as a walk.
+        first = planner.search(query, pred, 10, ef_search=32)
+        second = planner.search(query, pred, 10, ef_search=32)
+        assert first.hops > 0
         sig = pred.fingerprint()
         # The attempted route was billed.
         assert feedback.observation(sig, first.route_chosen) is not None
@@ -330,9 +332,14 @@ class TestFallback:
             walk_budget=None,
         )
         rng = np.random.default_rng(33)
+        walks = 0
         for query, pred in zip(_query_stream(rng, 8),
                                _predicate_stream(8)):
-            assert not planner.search(query, pred, 5).fallback_triggered
+            # At ef 32 the three-label sets are walked, unmonitored.
+            result = planner.search(query, pred, 5, ef_search=32)
+            assert not result.fallback_triggered
+            walks += result.hops > 0
+        assert walks
 
 
 class TestEngineIntegration:
