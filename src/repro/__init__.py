@@ -79,7 +79,6 @@ from repro.routing import (
 )
 from repro.serving import (
     AcornService,
-    ArrivalSchedule,
     ServedResponse,
     ServingConfig,
     TenantQuota,
@@ -102,7 +101,6 @@ __all__ = [
     "AcornParams",
     "AcornService",
     "And",
-    "ArrivalSchedule",
     "AttributeRangePartitioner",
     "AttributeTable",
     "BackgroundCompactor",

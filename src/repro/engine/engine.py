@@ -68,7 +68,6 @@ _SUMMARY_RULES = {
     "sum": lambda column, _: sum(column),
     "count": lambda column, _: sum(1 for value in column if value),
     "count_false": lambda column, _: sum(1 for value in column if not value),
-    "min": lambda column, default: min(column, default=default),
     "max": lambda column, default: max(column, default=default),
     "mean": lambda column, _: _mean(column),
     "mean_abs": lambda column, _: _mean([abs(value) for value in column]),

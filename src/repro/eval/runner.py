@@ -69,10 +69,6 @@ class SweepPoint:
     p99_latency_s: float = _column(".6f", default=0.0)
     mean_shards_probed: float = _column(".2f", "shards_probed", 0.0)
     mean_shards_pruned: float = _column(".2f", "shards_pruned", 0.0)
-    mean_shards_failed: float = _column(".2f", "shards_failed", 0.0)
-    mean_shards_timed_out: float = _column(".2f", "shards_timed_out", 0.0)
-    degraded_fraction: float = _column(".4f", "degraded", 0.0)
-    mean_recall_ceiling: float = _column(".4f", "recall_ceiling", 1.0)
     fallback_fraction: float = _column(".4f", "fallback_triggered", 0.0)
     mean_abs_estimator_error: float = _column(
         ".6f", "estimator_error", 0.0, reducer=lambda v: np.mean(np.abs(v))

@@ -8,8 +8,7 @@ policy plus its own interval on the **pluggable clock**, so a
 :class:`~repro.utils.clock.FakeClock` replay makes every compaction
 fire at exactly the same virtual instant on every run.
 
-Crash testing reuses the seeded-injection idiom of
-:mod:`repro.shard.faults`: a :class:`CompactorFaultPlan` decides from a
+Crash testing is seeded: a :class:`CompactorFaultPlan` decides from a
 seed at which (attempt, stage) the compactor "dies" mid-merge, raising
 :class:`CompactorKilled` out of the lifecycle's ``on_stage`` hook.  The
 lifecycle guarantees a killed compaction leaves the old epoch fully

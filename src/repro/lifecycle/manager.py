@@ -32,7 +32,7 @@ identical epochs.
 
 Crash safety: a compaction that dies after the cut leaves its sealed
 segment in place — readers keep the old epoch (every entity still
-reachable, ``recall_ceiling`` stays 1.0) and a respawned compactor
+reachable) and a respawned compactor
 re-seals and retries.  No partially built epoch is ever visible.
 """
 

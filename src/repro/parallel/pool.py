@@ -7,11 +7,10 @@ pool tracks which arena epochs each worker has pinned and prepends a
 chunk ships only query rows and mask bytes, never index data.
 
 Failure model: a worker that dies mid-call (chaos ``die`` op, SIGKILL,
-OOM) surfaces as :class:`WorkerCrash` — an ``Exception`` subclass so
-the shard resilience layer folds it into breaker/degraded accounting
-exactly like any other probe failure — and the dead slot respawns
-lazily on its next use (``deaths``/``spawns`` counters record both
-sides).  An op that *raises* inside a healthy worker comes back as
+OOM) surfaces as :class:`WorkerCrash` — an ``Exception`` subclass the
+engine answers by retrying the chunk once and then running it inline —
+and the dead slot respawns lazily on its next use (``deaths``/``spawns``
+counters record both sides).  An op that *raises* inside a healthy worker comes back as
 :class:`RemoteError` carrying the worker's traceback; the worker
 survives.
 
@@ -41,9 +40,9 @@ _PIPE_ERRORS = (BrokenPipeError, EOFError, ConnectionResetError, OSError)
 class WorkerCrash(RuntimeError):
     """A worker process died before answering.
 
-    Deliberately an ``Exception`` (not ``BaseException``): crashes must
-    flow into :func:`~repro.shard.resilience.resilient_probe`'s failure
-    accounting, where they degrade the query instead of killing it.
+    Deliberately an ``Exception`` (not ``BaseException``): a crash is a
+    failed call the engine handles — it retries the chunk once, then
+    runs it inline — never an interrupt.
     """
 
     def __init__(self, worker_id: int, detail: str = "") -> None:

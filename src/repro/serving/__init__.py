@@ -4,22 +4,12 @@ The request-path front end of the reproduction: work-conserving
 coalescing (batches form only while the dispatcher is busy, under a
 latency budget), per-tenant admission control
 (token buckets, bounded queues, partitioned predicate-cache
-namespaces), breaker-aware load shedding with explicit
-rejected/degraded accounting, and a seeded open-loop load harness —
-all on a pluggable clock so every behaviour is testable without
-sleeping.  See ``docs/serving.md``.
+namespaces) with explicit ok/failed/rejected accounting — all on a
+pluggable clock so every behaviour is testable without sleeping.  See
+``docs/serving.md``.
 """
 
-from repro.serving.loadgen import (
-    Arrival,
-    ArrivalSchedule,
-    generate_arrivals,
-    replay,
-    replay_realtime,
-    summarize_load,
-)
 from repro.serving.service import (
-    REJECT_BREAKERS,
     REJECT_CLOSED,
     REJECT_OVERLOAD,
     REJECT_TENANT_QUEUE,
@@ -34,9 +24,6 @@ from repro.serving.tenancy import TenantQuota, TenantRegistry, TokenBucket
 
 __all__ = [
     "AcornService",
-    "Arrival",
-    "ArrivalSchedule",
-    "REJECT_BREAKERS",
     "REJECT_CLOSED",
     "REJECT_OVERLOAD",
     "REJECT_TENANT_QUEUE",
@@ -48,8 +35,4 @@ __all__ = [
     "TenantQuota",
     "TenantRegistry",
     "TokenBucket",
-    "generate_arrivals",
-    "replay",
-    "replay_realtime",
-    "summarize_load",
 ]

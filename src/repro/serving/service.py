@@ -22,16 +22,15 @@ Three mechanisms compose:
   thread, or in chunks on its worker processes under
   ``executor="process"``.
 - **Admission control.**  Before a query may enter the buffer it must
-  pass, in order: circuit-breaker shedding (fraction of open shard
-  breakers vs ``shed_breaker_fraction``), the global ``max_pending``
-  backlog bound, the tenant's bounded queue, and the tenant's token
-  bucket (:mod:`repro.serving.tenancy`).  A failed check resolves the
-  call *immediately* with ``status="rejected"`` and a machine-readable
+  pass, in order: the global ``max_pending`` backlog bound, the
+  tenant's bounded queue, and the tenant's token bucket
+  (:mod:`repro.serving.tenancy`).  A failed check resolves the call
+  *immediately* with ``status="rejected"`` and a machine-readable
   reason — load shedding is explicit, never an exception or a hang.
-- **Degraded accounting.**  Queries that execute against a partially
-  failed sharded index surface ``status="degraded"`` with the engine's
-  exact ``recall_ceiling`` bookkeeping intact, so SLO dashboards can
-  separate "fast but partial" from "healthy".
+- **Failure accounting.**  When the searcher raises, every query of
+  that batch gets the exception itself from its ``submit`` and is
+  counted ``failed``; the service keeps serving, and after
+  :meth:`AcornService.drain` ``ok + failed + rejected == offered``.
 
 All time flows through a pluggable :class:`~repro.utils.clock.Clock`.
 Under a :class:`~repro.utils.clock.SystemClock` (``realtime=True``) the
@@ -39,9 +38,9 @@ idle check runs and the deadline flush is driven by one
 ``loop.call_later`` timer for the oldest pending query.  Under a
 :class:`~repro.utils.clock.FakeClock` a batch takes zero virtual time,
 so "idle" carries no information and no real timers exist: only the
-size and deadline triggers apply, and a driver (the load generator, or
-a test) advances the clock and calls :meth:`AcornService.pump` /
-:meth:`AcornService.drain`, which makes every admission decision, batch
+size and deadline triggers apply, and the caller (a test) advances
+the clock and calls :meth:`AcornService.pump` / :meth:`AcornService.drain`,
+which makes every admission decision, batch
 composition, and latency figure bit-for-bit deterministic — no test
 sleeps.
 """
@@ -60,14 +59,12 @@ from repro.telemetry import QueryStats
 from repro.utils.clock import Clock, SystemClock
 
 # Machine-readable rejection reasons (the admission log records these).
-REJECT_BREAKERS = "breakers-open"
 REJECT_OVERLOAD = "service-overloaded"
 REJECT_TENANT_QUEUE = "tenant-queue-full"
 REJECT_TENANT_QUOTA = "tenant-quota"
 REJECT_CLOSED = "service-closed"
 
 STATUS_OK = "ok"
-STATUS_DEGRADED = "degraded"
 STATUS_REJECTED = "rejected"
 STATUS_APPLIED = "applied"
 
@@ -93,10 +90,6 @@ class ServingConfig:
         default_quota: admission quota for tenants without an explicit
             override.
         quotas: per-tenant quota overrides keyed by tenant id.
-        shed_breaker_fraction: when the serving searcher exposes shard
-            circuit breakers and at least this fraction of them is
-            open, new arrivals are shed with ``breakers-open``
-            (``None`` disables breaker-aware shedding).
         engine_workers: worker processes of the internal
             :class:`~repro.engine.engine.SearchEngine` under
             ``executor="process"`` (unused by ``"sync"``).
@@ -115,7 +108,6 @@ class ServingConfig:
     max_pending: int = 256
     default_quota: TenantQuota = dataclasses.field(default_factory=TenantQuota)
     quotas: dict[str, TenantQuota] = dataclasses.field(default_factory=dict)
-    shed_breaker_fraction: float | None = None
     engine_workers: int = 1
     executor: str = "sync"
 
@@ -135,24 +127,16 @@ class ServingConfig:
             raise ValueError(
                 f"max_pending must be >= 1, got {self.max_pending}"
             )
-        if self.shed_breaker_fraction is not None and not (
-            0.0 < self.shed_breaker_fraction <= 1.0
-        ):
-            raise ValueError(
-                "shed_breaker_fraction must be in (0, 1], got "
-                f"{self.shed_breaker_fraction}"
-            )
 
 
 @dataclasses.dataclass(frozen=True)
 class ServedResponse:
     """What one ``submit`` call resolves to — never an exception for
-    load shedding or degraded shards.
+    load shedding.
 
     Attributes:
         tenant_id: the submitting tenant.
-        status: ``"ok"``, ``"degraded"`` (partial top-k with a recall
-            ceiling), or ``"rejected"`` (shed at admission).
+        status: ``"ok"`` or ``"rejected"`` (shed at admission).
         reason: machine-readable shed reason (``""`` unless rejected).
         result: the :class:`~repro.hnsw.hnsw.SearchResult` (``None``
             when rejected).
@@ -189,17 +173,13 @@ class ServedResponse:
     def rejected(self) -> bool:
         return self.status == STATUS_REJECTED
 
-    @property
-    def degraded(self) -> bool:
-        return self.status == STATUS_DEGRADED
-
 
 @dataclasses.dataclass(frozen=True)
 class WriteResponse:
     """What one ``submit_write`` call resolves to.
 
-    Writes share the read path's admission gate (breakers, backlog,
-    tenant queue, tenant quota) so a tenant cannot starve readers by
+    Writes share the read path's admission gate (backlog, tenant
+    queue, tenant quota) so a tenant cannot starve readers by
     flooding mutations, but they apply synchronously against the
     lifecycle delta rather than riding a coalesced GEMM batch.
 
@@ -309,6 +289,9 @@ class AcornService:
             "admitted": 0,
             "rejected": 0,
             "ok": 0,
+            "failed": 0,
+            # No partial answers exist; the key stays (always 0) for
+            # callers that sum ok + degraded + rejected.
             "degraded": 0,
             "batches_dispatched": 0,
         }
@@ -343,27 +326,16 @@ class AcornService:
     # Admission + submission
     # ------------------------------------------------------------------
 
-    def open_breaker_fraction(self) -> float:
-        """Fraction of the searcher's shard breakers currently open
-        (0.0 for searchers without circuit breakers)."""
-        probe = getattr(self.searcher, "open_breaker_fraction", None)
-        if callable(probe):
-            return float(probe())
-        return 0.0
-
     def _admission_verdict(self, tenant: TenantState) -> str | None:
         """None to admit, else the rejection reason.
 
-        Check order matters and is part of the contract: service-level
-        health (breakers), then the global backlog bound, then the
-        tenant's queue bound, and only then the tenant's token bucket —
-        a query must have a seat before it spends a token.
+        Check order matters and is part of the contract: the global
+        backlog bound, then the tenant's queue bound, and only then the
+        tenant's token bucket — a query must have a seat before it
+        spends a token.
         """
         if self._closed:
             return REJECT_CLOSED
-        shed_at = self.config.shed_breaker_fraction
-        if shed_at is not None and self.open_breaker_fraction() >= shed_at:
-            return REJECT_BREAKERS
         # max_pending bounds the whole service-side backlog: queries
         # coalescing *plus* queries dispatched but not yet answered —
         # otherwise saturation just moves the unbounded queue behind
@@ -384,9 +356,9 @@ class AcornService:
     ) -> ServedResponse:
         """Admit, coalesce, and answer one hybrid query.
 
-        Never raises for load shedding or shard degradation — those
-        resolve to ``rejected`` / ``degraded`` responses.  Searcher
-        exceptions (no resilience policy installed) do propagate.
+        Never raises for load shedding — that resolves to a
+        ``rejected`` response.  An exception the searcher raises for
+        this query's batch is raised here as itself.
         """
         loop = asyncio.get_running_loop()
         if self._loop is None:
@@ -622,17 +594,22 @@ class AcornService:
             start_s, outcome = await self._loop.run_in_executor(
                 self._dispatch_pool, self._search_stamped, batch
             )
-        except BaseException as exc:  # searcher bug: fail every rider fast
+        except BaseException as exc:
+            # Every rider gets the searcher's own exception; the batch
+            # task itself ends cleanly so drain() and aclose() complete.
             for item in queries:
+                self.tenants.get(item.tenant_id).failed += 1
+                self._counters["failed"] += 1
                 if not item.future.done():
                     item.future.set_exception(exc)
-            raise
+            if not isinstance(exc, Exception):
+                raise  # interrupts and cancellation still propagate
+            return
         # A batch flushed while the dispatch thread is busy queues behind
         # it; that is waiting, not service.  (Zero on a virtual clock.)
         behind_s = max(start_s - handoff_s, 0.0)
         # Execution cost is the clock delta across the engine call:
-        # real seconds under a SystemClock, and exactly the searcher's
-        # own virtual sleeps (resilience backoff) under a FakeClock —
+        # real seconds under a SystemClock, zero under a FakeClock —
         # the inter-arrival jumps a virtual driver makes while a batch
         # is parked must not masquerade as service time.
         exec_ms = max(self.clock.monotonic() - start_s, 0.0) * 1000.0
@@ -651,18 +628,11 @@ class AcornService:
                 batch_size_served=len(queries),
                 tenant_id=item.tenant_id,
             )
-            tenant = self.tenants.get(item.tenant_id)
-            if enriched.degraded:
-                status = STATUS_DEGRADED
-                tenant.degraded += 1
-                self._counters["degraded"] += 1
-            else:
-                status = STATUS_OK
-                tenant.ok += 1
-                self._counters["ok"] += 1
+            self.tenants.get(item.tenant_id).ok += 1
+            self._counters["ok"] += 1
             response = ServedResponse(
                 tenant_id=item.tenant_id,
-                status=status,
+                status=STATUS_OK,
                 result=result,
                 stats=enriched,
                 latency_ms=wait_ms + exec_ms,
@@ -689,8 +659,9 @@ class AcornService:
 
     async def drain(self) -> None:
         """Flush everything pending regardless of deadline and wait for
-        completion.  Every admitted query's future resolves before this
-        returns — the no-hang guarantee the fault suite pins."""
+        completion.  Every admitted query's future resolves (with its
+        response, or with the searcher's exception) before this
+        returns."""
         while self._pending:
             self._flush(self.clock.monotonic())
         while self._inflight:
@@ -723,8 +694,8 @@ class AcornService:
         """JSON-serializable service counters.
 
         ``offered == admitted + rejected`` always; after :meth:`drain`,
-        ``ok + degraded + rejected == offered`` — the accounting
-        invariant ``tests/serving/test_loadgen.py`` pins.
+        ``ok + failed + rejected == offered``.  ``degraded`` is always 0
+        (no partial answers exist).
         """
         return {
             **self._counters,

@@ -118,9 +118,10 @@ class TenantState:
         cache: the tenant's private predicate-bitmask cache.
         queue_depth: requests currently waiting in the coalescing
             buffer on this tenant's behalf.
-        admitted / rejected / ok / degraded: cumulative *read-side*
-            outcome counters (``admitted == ok + degraded`` once
-            drained, ``admitted + rejected`` == queries offered).
+        admitted / rejected / ok / failed: cumulative *read-side*
+            outcome counters (``admitted == ok + failed`` once drained,
+            ``admitted + rejected`` == queries offered; ``failed``
+            counts queries whose batch raised).
         writes_rejected: write submissions shed at admission.  Kept
             out of ``rejected`` so the read-side reconciliation above
             survives mixed read/write workloads — the service-level
@@ -135,7 +136,7 @@ class TenantState:
     admitted: int = 0
     rejected: int = 0
     ok: int = 0
-    degraded: int = 0
+    failed: int = 0
     writes_rejected: int = 0
 
     def counters(self) -> dict:
@@ -144,7 +145,7 @@ class TenantState:
             "admitted": self.admitted,
             "rejected": self.rejected,
             "ok": self.ok,
-            "degraded": self.degraded,
+            "failed": self.failed,
             "writes_rejected": self.writes_rejected,
         }
 

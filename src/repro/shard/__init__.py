@@ -23,26 +23,15 @@ Quickstart::
     result = sharded.search(query, Between("year", 2001, 2004), k=10)
     result.shards_pruned, result.shards_probed   # routing visibility
 
-With a :class:`ResiliencePolicy`, probed shards run under per-shard
-deadlines, bounded retries, and circuit breakers; failed shards drop
-out and the query returns a degraded partial top-k with exact
-accounting (``shards_failed``, ``shards_timed_out``, ``degraded``,
-``recall_ceiling``).  The deterministic chaos harness
-(:class:`FaultPlan` / :class:`FaultInjector`) wraps any shard set with
-seeded, wall-clock-free faults for testing.
+Shards are probed one after another on the calling thread.  An
+exception raised inside a shard's search reaches the caller of
+:meth:`ShardedAcornIndex.search` unchanged — there is no partial
+answer.
 
 See ``docs/sharding.md`` for partitioner choice, routing rules, merge
-semantics, and the stats contract, and ``docs/resilience.md`` for the
-failure model.
+semantics, and the stats contract.
 """
 
-from repro.shard.faults import (
-    Fault,
-    FaultInjector,
-    FaultPlan,
-    FaultyShard,
-    ShardFault,
-)
 from repro.shard.partition import (
     AttributeRangePartitioner,
     HashPartitioner,
@@ -52,15 +41,6 @@ from repro.shard.partition import (
     subset_table,
 )
 from repro.shard.persistence import ShardLoadError, load_sharded, save_sharded
-from repro.shard.resilience import (
-    BreakerState,
-    CircuitBreaker,
-    ProbeOutcome,
-    ResiliencePolicy,
-    recall_ceiling,
-    resilient_probe,
-    validate_shard_result,
-)
 from repro.shard.router import ShardDecision, ShardPlan, ShardRouter
 from repro.shard.sharded import (
     ShardedAcornIndex,
@@ -76,22 +56,13 @@ from repro.shard.summary import (
 
 __all__ = [
     "AttributeRangePartitioner",
-    "BreakerState",
-    "CircuitBreaker",
-    "Fault",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultyShard",
     "HashPartitioner",
     "KeywordDigest",
     "KeywordSummary",
     "NumericSummary",
     "Partitioner",
-    "ProbeOutcome",
-    "ResiliencePolicy",
     "ShardAssignment",
     "ShardDecision",
-    "ShardFault",
     "ShardLoadError",
     "ShardPlan",
     "ShardRouter",
@@ -100,9 +71,6 @@ __all__ = [
     "load_sharded",
     "merge_topk",
     "partitioner_from_spec",
-    "recall_ceiling",
-    "resilient_probe",
     "save_sharded",
     "subset_table",
-    "validate_shard_result",
 ]

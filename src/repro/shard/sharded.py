@@ -27,8 +27,9 @@ The class plugs straight into the PR-1 batch engine: it exposes
 ``search``/``freeze``/``table`` and returns
 :class:`~repro.telemetry.SearchResult` records: child counters folded
 by :func:`~repro.telemetry.fold_telemetry`, plus the shard accounting
-(``shards_*``, ``degraded``, ``recall_ceiling``, ``per_shard``) this
-layer owns.
+(``shards_probed``, ``shards_pruned``, ``per_shard``) this layer owns.
+Shards are probed in plan order on the calling thread; an exception
+raised inside a shard's search propagates to the caller unchanged.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ from repro.shard.partition import (
     Partitioner,
     ShardAssignment,
     subset_table,
-)
-from repro.shard.resilience import (
-    BreakerState,
-    ResiliencePolicy,
-    recall_ceiling,
-    resilient_probe,
 )
 from repro.shard.router import ShardDecision, ShardPlan, ShardRouter
 from repro.shard.summary import summarize_table
@@ -128,16 +123,6 @@ class ShardedAcornIndex(BatchSearchMixin):
             by estimated local selectivity (efficiency mode); when
             False every probed shard uses the caller's ``ef_search``
             (the equivalence-preserving default).
-        resilience: optional
-            :class:`~repro.shard.resilience.ResiliencePolicy`.  Without
-            one (the default), shard failures propagate and no
-            deadline/retry/breaker machinery runs — the historical
-            fail-fast semantics.  With one, probes run under per-shard
-            deadlines with retry-and-backoff and per-shard circuit
-            breakers, and queries degrade gracefully to a partial
-            top-k over surviving shards with exact failure accounting.
-            ``BaseException`` raised inside a probe always propagates,
-            never folds into failure accounting.
         route_policy: per-shard query routing.  ``None`` (default)
             probes each shard's graph directly — the historical
             behavior.  ``"adaptive"`` wraps each shard in a
@@ -161,7 +146,6 @@ class ShardedAcornIndex(BatchSearchMixin):
         table: AttributeTable,
         router: ShardRouter | None = None,
         scale_ef: bool = False,
-        resilience: ResiliencePolicy | None = None,
         route_policy: str | None = None,
         executor: str = "sync",
     ) -> None:
@@ -190,11 +174,6 @@ class ShardedAcornIndex(BatchSearchMixin):
             else ShardRouter([summarize_table(s.table) for s in shards])
         )
         self.scale_ef = bool(scale_ef)
-        self.resilience = resilience
-        self.breakers = (
-            resilience.make_breakers(len(shards))
-            if resilience is not None else None
-        )
         self.route_policy = route_policy
         self._shard_planners = None
         if route_policy is not None:
@@ -225,7 +204,6 @@ class ShardedAcornIndex(BatchSearchMixin):
         acorn1_ef_construction: int = 40,
         build_shard: Callable[[np.ndarray, AttributeTable], AcornIndex] | None = None,
         scale_ef: bool = False,
-        resilience: ResiliencePolicy | None = None,
         route_policy: str | None = None,
         executor: str = "sync",
     ) -> "ShardedAcornIndex":
@@ -248,7 +226,6 @@ class ShardedAcornIndex(BatchSearchMixin):
             build_shard: optional ``(vectors, table) -> index`` factory
                 overriding ``variant`` entirely.
             scale_ef: forwarded to the instance (see class docs).
-            resilience: forwarded to the instance (see class docs).
             route_policy: forwarded to the instance (see class docs).
             executor: forwarded to the instance (see class docs).
         """
@@ -270,27 +247,8 @@ class ShardedAcornIndex(BatchSearchMixin):
         ]
         return cls(
             shards=shards, assignment=assignment, partitioner=partitioner,
-            table=table, scale_ef=scale_ef, resilience=resilience,
-            route_policy=route_policy, executor=executor,
-        )
-
-    def with_faults(self, injector) -> "ShardedAcornIndex":
-        """A chaos view of this index: same shards, decorated by
-        ``injector`` (see :class:`~repro.shard.faults.FaultInjector`).
-
-        The view shares the assignment, table, router, and policy
-        configuration but gets fresh circuit breakers, so injected
-        failures never poison the undecorated index's state.
-        """
-        return type(self)(
-            shards=injector.wrap(self.shards),
-            assignment=self.assignment,
-            partitioner=self.partitioner,
-            table=self.table,
-            router=self.router,
-            scale_ef=self.scale_ef,
-            resilience=self.resilience,
-            route_policy=self.route_policy,
+            table=table, scale_ef=scale_ef, route_policy=route_policy,
+            executor=executor,
         )
 
     def __len__(self) -> int:
@@ -354,15 +312,9 @@ class ShardedAcornIndex(BatchSearchMixin):
 
         Returns ``(record, found, gids)`` where ``record`` is the
         per-shard telemetry dict, ``found`` is the local
-        :class:`~repro.hnsw.hnsw.SearchResult` (``None`` when the shard
-        had nothing to search or its probe failed under the resilience
-        policy), and ``gids`` maps local ids back to global ids.
-
-        Exceptions from the shard propagate when no resilience policy
-        is attached (fail-fast).  With a policy, ``Exception``s are
-        absorbed into the record's ``status``/``failure`` accounting;
-        ``BaseException`` (``KeyboardInterrupt``/``SystemExit``) always
-        propagates regardless of policy.
+        :class:`~repro.telemetry.SearchResult` (``None`` when the
+        shard's slice of the mask is empty), and ``gids`` maps local
+        ids back to global ids.  Exceptions from the shard propagate.
         """
         record = {
             "shard": decision.shard_id,
@@ -373,52 +325,25 @@ class ShardedAcornIndex(BatchSearchMixin):
             "distance_computations": 0,
             "hops": 0,
             "returned": 0,
-            "status": "ok",
-            "attempts": 0,
-            "failure": None,
         }
         gids = self.assignment.global_ids[decision.shard_id]
         local_mask = compiled.mask[gids]
         if not local_mask.any():
             # Probed per the plan, but the materialized local mask is
-            # empty — nothing to search, trivially successful.
+            # empty — nothing to search.
             return record, None, gids
-        shard = self.shards[decision.shard_id]
         local = CompiledPredicate(compiled.predicate, local_mask)
-
         if self._shard_planners is not None:
-            planner = self._shard_planners[decision.shard_id]
-
-            def run_search():
-                """One planner-routed attempt (resilience closure).
-
-                The shard router's summary-based local selectivity
-                estimate rides along as the planner's prior.
-                """
-                return planner.search(
-                    query, local, k, ef_search=decision.ef_search,
-                    selectivity_hint=decision.est_selectivity,
-                )
-        else:
-            def run_search():
-                """One attempt of the local search (resilience closure)."""
-                return shard.search(query, local, k,
-                                    ef_search=decision.ef_search)
-
-        if self.resilience is None:
-            found = run_search()
-            record["attempts"] = 1
-        else:
-            outcome = resilient_probe(
-                decision.shard_id, run_search, len(shard),
-                self.resilience, self.breakers[decision.shard_id],
+            # The shard router's summary-based local selectivity
+            # estimate rides along as the planner's prior.
+            found = self._shard_planners[decision.shard_id].search(
+                query, local, k, ef_search=decision.ef_search,
+                selectivity_hint=decision.est_selectivity,
             )
-            record["status"] = outcome.status
-            record["attempts"] = outcome.attempts
-            record["failure"] = outcome.failure
-            if not outcome.ok:
-                return record, None, gids
-            found = outcome.result
+        else:
+            found = self.shards[decision.shard_id].search(
+                query, local, k, ef_search=decision.ef_search,
+            )
         record["distance_computations"] = int(found.distance_computations)
         record["hops"] = int(found.hops)
         record["returned"] = int(len(found))
@@ -443,23 +368,15 @@ class ShardedAcornIndex(BatchSearchMixin):
         The predicate compiles once against the global table; the plan
         prunes provably-empty shards; each probed shard in turn searches
         its local subgraph over the sliced mask; the per-shard results
-        merge into the global top-k.  Under a resilience policy,
-        shards that fail past their retry budget are dropped and the
-        result degrades to the survivors' partial top-k with exact
-        ``shards_failed``/``shards_timed_out`` accounting.
+        merge into the global top-k.  An exception raised by a shard
+        propagates unchanged.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         compiled = self._compile(predicate)
         plan = self.plan(compiled, k=k, ef_search=ef_search)
-        outcomes = {
-            d.shard_id: self._probe_shard(d, compiled, query, k)
-            for d in plan.decisions if not d.pruned
-        }
         parts = []
         children = []
-        est_rows: list[float] = []
-        statuses: list[str] = []
         per_shard = []
         for decision in plan.decisions:
             if decision.pruned:
@@ -471,19 +388,13 @@ class ShardedAcornIndex(BatchSearchMixin):
                     "ef_search": decision.ef_search,
                 })
                 continue
-            record, found, gids = outcomes[decision.shard_id]
+            record, found, gids = self._probe_shard(
+                decision, compiled, query, k)
             per_shard.append(record)
-            est_rows.append(
-                decision.est_selectivity * len(self.shards[decision.shard_id])
-            )
-            statuses.append(record["status"])
             if found is not None:
                 parts.append((found.distances, gids[found.ids]))
                 children.append(found)
 
-        failed = statuses.count("failed")
-        timed_out = statuses.count("timed_out")
-        degraded = (failed + timed_out) > 0
         distances, ids = merge_topk(parts, k)
         owned = {}
         routed = [c for c in children if c.route_chosen]
@@ -514,13 +425,6 @@ class ShardedAcornIndex(BatchSearchMixin):
                 children,
                 shards_probed=plan.n_probed,
                 shards_pruned=plan.n_pruned,
-                shards_failed=failed,
-                shards_timed_out=timed_out,
-                degraded=degraded,
-                recall_ceiling=(
-                    recall_ceiling(est_rows, [s == "ok" for s in statuses])
-                    if degraded else 1.0
-                ),
                 **owned,
             ),
         )
@@ -560,30 +464,6 @@ class ShardedAcornIndex(BatchSearchMixin):
         """Total vector + adjacency footprint across shards."""
         return sum(shard.nbytes() for shard in self.shards)
 
-    def breaker_states(self) -> list[str] | None:
-        """Per-shard circuit-breaker state names (``None`` without a
-        resilience policy)."""
-        if self.breakers is None:
-            return None
-        return [breaker.state.value for breaker in self.breakers]
-
-    def open_breaker_fraction(self) -> float:
-        """Fraction of shard circuit breakers currently open (0.0
-        without a resilience policy).
-
-        The serving layer's breaker-aware load shedding reads this as
-        its health signal: when the fraction crosses the configured
-        threshold, new arrivals are rejected instead of queued against
-        an index that can only answer degraded.
-        """
-        if self.breakers is None or not self.breakers:
-            return 0.0
-        open_count = sum(
-            1 for breaker in self.breakers
-            if breaker.state is BreakerState.OPEN
-        )
-        return open_count / len(self.breakers)
-
     def stats(self) -> dict:
         """Operator-facing build summary: shard sizes and per-shard stats."""
         return {
@@ -592,6 +472,5 @@ class ShardedAcornIndex(BatchSearchMixin):
             "num_deleted": self.num_deleted,
             "partitioner": self.partitioner.spec(),
             "shard_sizes": [len(shard) for shard in self.shards],
-            "breakers": self.breaker_states(),
             "shards": [shard.stats() for shard in self.shards],
         }

@@ -5,7 +5,7 @@ scatter-gather, lifecycle snapshot, batch engine, serving — reports on
 one record.  :class:`QueryStats` declares each telemetry field once,
 with the two rules every other enumeration is derived from: ``fold``
 (how a composite combines the field across the child results it
-gathered — ``sum``/``any``/``min``/``max``, or ``own``: not folded, the
+gathered — ``sum``/``any``/``max``, or ``own``: not folded, the
 default unless the owning layer sets it) and ``summary`` (the
 ``{key: rule}`` rows it feeds into ``BatchResult.summary()``).
 :class:`SearchResult` is the same record plus the answer, so a counter
@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-_FOLD_RULES = {"sum": sum, "any": any, "min": min, "max": max}
+_FOLD_RULES = {"sum": sum, "any": any, "max": max}
 
 
 def _telemetry(default, fold: str = "own", **summary: str):
@@ -63,17 +63,6 @@ class QueryStats:
             (0 for unsharded searchers).  For a sharded searcher
             ``shards_probed + shards_pruned`` equals its shard count —
             the accounting invariant the shard test suite pins.
-        shards_failed: probed shards that exhausted their resilience
-            retry budget on exceptions, invalid payloads, or open
-            circuit breakers (0 without a resilience policy).
-        shards_timed_out: probed shards dropped for exceeding their
-            per-shard deadline; disjoint from ``shards_failed``, and
-            ``shards_failed + shards_timed_out <= shards_probed``.
-        degraded: True when this query returned a partial top-k over
-            surviving shards rather than the full scatter-gather.
-        recall_ceiling: estimated upper bound on this query's recall
-            given shard failures (1.0 when not degraded), from the
-            router's per-shard selectivity estimates.
         route_chosen: the route that produced this query's final
             results (``""`` for searchers without a route planner;
             ``"pre-filter"`` after a mid-search fallback; the majority
@@ -115,10 +104,6 @@ class QueryStats:
     wall_time_s: float = _telemetry(0.0, latency_s="percentiles")
     shards_probed: int = _telemetry(0, "sum", shards_probed="sum")
     shards_pruned: int = _telemetry(0, "sum", shards_pruned="sum")
-    shards_failed: int = _telemetry(0, "sum", shards_failed="sum")
-    shards_timed_out: int = _telemetry(0, "sum", shards_timed_out="sum")
-    degraded: bool = _telemetry(False, "any", degraded_queries="count")
-    recall_ceiling: float = _telemetry(1.0, "min", min_recall_ceiling="min")
     route_chosen: str = _telemetry("", route_counts="tally")
     route_reason: str = _telemetry("")
     fallback_triggered: bool = _telemetry(
@@ -200,8 +185,7 @@ class SearchResult(QueryStats):
         distances: matching distances (rank-preserving metric values).
         per_shard: scatter-gather only — one dict per shard (plan order)
             with the routing decision and, for probed shards, the local
-            search's counters plus resilience accounting
-            (``status``/``attempts``/``failure``).
+            search's counters.
         est_selectivity: route planner only — the selectivity estimate
             the routing decision used.
         delta_candidates: lifecycle only — delta entries that passed

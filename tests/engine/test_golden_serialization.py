@@ -25,10 +25,6 @@ QUERY_STATS_FIELDS = (
     "wall_time_s",
     "shards_probed",
     "shards_pruned",
-    "shards_failed",
-    "shards_timed_out",
-    "degraded",
-    "recall_ceiling",
     "route_chosen",
     "route_reason",
     "fallback_triggered",
@@ -51,10 +47,6 @@ SUMMARY_KEYS = (
     "cache_misses",
     "shards_probed",
     "shards_pruned",
-    "shards_failed",
-    "shards_timed_out",
-    "degraded_queries",
-    "min_recall_ceiling",
     "route_counts",
     "fallbacks_triggered",
     "mean_abs_estimator_error",
@@ -67,31 +59,29 @@ SUMMARY_KEYS = (
 CSV_HEADER = (
     "method,effort,recall,qps,mean_distance_computations,"
     "mean_latency_s,p50_latency_s,p95_latency_s,p99_latency_s,"
-    "mean_shards_probed,mean_shards_pruned,mean_shards_failed,"
-    "mean_shards_timed_out,degraded_fraction,mean_recall_ceiling,"
+    "mean_shards_probed,mean_shards_pruned,"
     "fallback_fraction,mean_abs_estimator_error,"
     "mean_queue_wait_ms,mean_batch_size_served"
 )
 
 
 def _stats_pair():
-    healthy = QueryStats(
+    plain = QueryStats(
         query_index=0, distance_computations=120, hops=40,
         visited_nodes=55, predicate_cache_hit=False, wall_time_s=0.002,
         shards_probed=3, shards_pruned=1,
     )
-    degraded = QueryStats(
+    served = QueryStats(
         query_index=1, distance_computations=80, hops=25,
         visited_nodes=30, predicate_cache_hit=True, wall_time_s=0.004,
-        shards_probed=2, shards_pruned=2, shards_failed=1,
-        shards_timed_out=1, degraded=True, recall_ceiling=0.625,
+        shards_probed=2, shards_pruned=2,
         route_chosen="pre-filter",
         route_reason="fallback from acorn-gamma: hop budget exhausted",
         fallback_triggered=True, estimator_error=-0.05,
         queue_wait_ms=4.0, batch_size_served=2, tenant_id="acme",
         epoch=7,
     )
-    return healthy, degraded
+    return plain, served
 
 
 class TestQueryStatsGolden:
@@ -101,8 +91,8 @@ class TestQueryStatsGolden:
         ) == QUERY_STATS_FIELDS
 
     def test_to_dict_golden(self):
-        healthy, _ = _stats_pair()
-        assert healthy.to_dict() == {
+        plain, _ = _stats_pair()
+        assert plain.to_dict() == {
             "query_index": 0,
             "distance_computations": 120,
             "hops": 40,
@@ -111,10 +101,6 @@ class TestQueryStatsGolden:
             "wall_time_s": 0.002,
             "shards_probed": 3,
             "shards_pruned": 1,
-            "shards_failed": 0,
-            "shards_timed_out": 0,
-            "degraded": False,
-            "recall_ceiling": 1.0,
             "route_chosen": "",
             "route_reason": "",
             "fallback_triggered": False,
@@ -125,26 +111,19 @@ class TestQueryStatsGolden:
             "epoch": 0,
         }
 
-    def test_failure_fields_default_to_healthy(self):
-        healthy, _ = _stats_pair()
-        assert healthy.shards_failed == 0
-        assert healthy.shards_timed_out == 0
-        assert healthy.degraded is False
-        assert healthy.recall_ceiling == 1.0
-
     def test_routing_fields_default_to_unrouted(self):
-        healthy, _ = _stats_pair()
-        assert healthy.route_chosen == ""
-        assert healthy.route_reason == ""
-        assert healthy.fallback_triggered is False
-        assert healthy.estimator_error == 0.0
+        plain, _ = _stats_pair()
+        assert plain.route_chosen == ""
+        assert plain.route_reason == ""
+        assert plain.fallback_triggered is False
+        assert plain.estimator_error == 0.0
 
 
 class TestBatchSummaryGolden:
     def _summary(self):
-        healthy, degraded = _stats_pair()
+        plain, served = _stats_pair()
         batch = BatchResult(
-            results=[None, None], stats=[healthy, degraded],
+            results=[None, None], stats=[plain, served],
             wall_time_s=0.01, num_workers=2,
         )
         return batch.summary()
@@ -162,23 +141,19 @@ class TestBatchSummaryGolden:
         assert summary["cache_misses"] == 1
         assert summary["shards_probed"] == 5
         assert summary["shards_pruned"] == 3
-        assert summary["shards_failed"] == 1
-        assert summary["shards_timed_out"] == 1
-        assert summary["degraded_queries"] == 1
-        assert summary["min_recall_ceiling"] == pytest.approx(0.625)
-        # Only the degraded query carries a route; the healthy query
-        # ran unrouted and must not appear in the tally.
+        # Only the second query carries a route; the first ran
+        # unrouted and must not appear in the tally.
         assert summary["route_counts"] == {"pre-filter": 1}
         assert summary["fallbacks_triggered"] == 1
         assert summary["mean_abs_estimator_error"] == pytest.approx(0.025)
-        # Only the degraded query rode a coalesced serving batch; the
-        # healthy query was a direct engine call contributing zeros to
-        # both means and no tenant to the tally.
+        # Only the second query rode a coalesced serving batch; the
+        # first was a direct engine call contributing zeros to both
+        # means and no tenant to the tally.
         assert summary["mean_queue_wait_ms"] == pytest.approx(2.0)
         assert summary["mean_batch_size_served"] == pytest.approx(1.0)
         assert summary["tenant_counts"] == {"acme": 1}
-        # The degraded query ran at lifecycle epoch 7; the healthy one
-        # was un-epoched (0), and the summary reports the newest seen.
+        # The second query ran at lifecycle epoch 7; the first was
+        # un-epoched (0), and the summary reports the newest seen.
         assert summary["max_epoch"] == 7
         assert summary["latency_s"] == pytest.approx({
             "count": 2, "mean": 0.003, "p50": 0.003, "p95": 0.0039,
@@ -201,16 +176,14 @@ class TestSweepCsvGolden:
             mean_distance_computations=321.0, mean_latency_s=0.0008,
             p50_latency_s=0.0007, p95_latency_s=0.0011,
             p99_latency_s=0.0013, mean_shards_probed=3.5,
-            mean_shards_pruned=0.5, mean_shards_failed=0.25,
-            mean_shards_timed_out=0.75, degraded_fraction=0.5,
-            mean_recall_ceiling=0.9375, fallback_fraction=0.125,
+            mean_shards_pruned=0.5, fallback_fraction=0.125,
             mean_abs_estimator_error=0.015625,
             mean_queue_wait_ms=1.25, mean_batch_size_served=3.75,
         )
         sweep = MethodSweep(method="acorn", points=[point])
         assert sweep.to_csv().splitlines()[1] == (
             "acorn,40,0.950000,1234.500,321.00,0.000800,0.000700,"
-            "0.001100,0.001300,3.50,0.50,0.25,0.75,0.5000,0.9375,"
+            "0.001100,0.001300,3.50,0.50,"
             "0.1250,0.015625,1.250,3.75"
         )
 
@@ -219,10 +192,8 @@ class TestSweepCsvGolden:
             effort=10, recall=0.5, qps=1.0,
             mean_distance_computations=1.0, mean_latency_s=0.1,
         )
-        assert point.mean_shards_failed == 0.0
-        assert point.mean_shards_timed_out == 0.0
-        assert point.degraded_fraction == 0.0
-        assert point.mean_recall_ceiling == 1.0
+        assert point.mean_shards_probed == 0.0
+        assert point.mean_shards_pruned == 0.0
         assert point.fallback_fraction == 0.0
         assert point.mean_abs_estimator_error == 0.0
         assert point.mean_queue_wait_ms == 0.0

@@ -42,16 +42,14 @@ from repro import (
 )
 from repro.baselines.prefilter import PreFilterSearcher
 from repro.predicates.base import CompiledPredicate
-from repro.shard import Fault, FaultInjector, FaultPlan, ResiliencePolicy
 from repro.telemetry import QueryStats, SearchResult, fold_telemetry
-from repro.utils.clock import FakeClock
 
 # EF keeps the scan cutoff, max(EF, K)·M/2 = 24, below the ≈ 53 rows
 # PREDICATE passes per shard of three, so every child walks.
 N, DIM, K, EF = 240, 8, 5, 8
 PARAMS = AcornParams(m=6, gamma=4, m_beta=10, ef_construction=16)
 PREDICATE = OneOf("label", (0, 1, 2, 3))
-RULES = {"sum": sum, "any": any, "min": min, "max": max}
+RULES = {"sum": sum, "any": any, "max": max}
 FOLDED = {
     f.name: RULES[f.metadata["fold"]]
     for f in dataclasses.fields(QueryStats) if f.metadata["fold"] != "own"
@@ -60,10 +58,7 @@ ENGINE_STAMPED = {"query_index", "predicate_cache_hit", "wall_time_s"}
 ROUTE_FIELDS = {
     "route_chosen", "route_reason", "fallback_triggered", "estimator_error",
 }
-SHARD_FIELDS = {
-    "shards_probed", "shards_pruned", "shards_failed", "shards_timed_out",
-    "degraded", "recall_ceiling",
-}
+SHARD_FIELDS = {"shards_probed", "shards_pruned"}
 
 
 def _world():
@@ -122,39 +117,25 @@ def _planner_fallback():
     return planner, children, ROUTE_FIELDS
 
 
-def _sharded(n_shards, fail_shard=None):
+def _sharded(n_shards):
     def case():
-        clock = FakeClock()
         index = ShardedAcornIndex.build(
-            VECTORS, TABLE, HashPartitioner(n_shards),
-            build_shard=_index,
-            resilience=(
-                None if fail_shard is None else ResiliencePolicy(
-                    shard_deadline_s=1.0, max_retries=0,
-                    breaker_threshold=100, clock=clock,
-                )
-            ),
+            VECTORS, TABLE, HashPartitioner(n_shards), build_shard=_index,
         )
-        healthy = index
-        if fail_shard is not None:
-            plan = FaultPlan({fail_shard: (Fault(kind="error"),)})
-            index = index.with_faults(FaultInjector(plan, clock=clock))
 
         def children(result):
             compiled = PREDICATE.compile(TABLE)
             found = []
             for record in result.per_shard:
-                if record["pruned"] or record["status"] != "ok":
+                if record["pruned"]:
                     continue
-                gids = healthy.assignment.global_ids[record["shard"]]
+                gids = index.assignment.global_ids[record["shard"]]
                 local = CompiledPredicate(PREDICATE, compiled.mask[gids])
-                found.append(healthy.shards[record["shard"]].search(
+                found.append(index.shards[record["shard"]].search(
                     QUERY, local, K, ef_search=record["ef_search"]
                 ))
-            assert len(found) == n_shards - (fail_shard is not None)
+            assert len(found) == n_shards
             assert result.shards_probed == n_shards
-            assert result.shards_failed == (fail_shard is not None)
-            assert result.degraded == (fail_shard is not None)
             return found
 
         return index, children, SHARD_FIELDS
@@ -199,7 +180,6 @@ CASES = {
     "planner-fallback": _planner_fallback,
     "sharded-1": _sharded(1),
     "sharded-3": _sharded(3),
-    "sharded-3-one-failed": _sharded(3, fail_shard=1),
     "lifecycle-base-only": _lifecycle(churn=False),
     "lifecycle-delta-tombstones": _lifecycle(churn=True),
 }
@@ -246,7 +226,7 @@ def test_fold_with_no_children_keeps_defaults():
     assert fold_telemetry([]) == {}
     assert fold_telemetry([], epoch=3) == {"epoch": 3}
     result = SearchResult.empty()
-    assert result.recall_ceiling == 1.0 and not result.degraded
+    assert result.shards_probed == 0 and not result.fallback_triggered
 
 
 def test_default_is_each_fold_rules_identity():

@@ -120,7 +120,7 @@ class TestSubmitWrite:
     def test_write_rejections_stay_off_tenant_read_ledger(self):
         """A shed write bills tenant.writes_rejected, never the shared
         `rejected` counter — per-tenant read accounting (admitted +
-        rejected == reads offered, admitted == ok + degraded) must
+        rejected == reads offered, admitted == ok + failed) must
         keep reconciling in summary() under mixed read/write load."""
         service, _, _, clock, rng = make_lifecycle_service(
             quotas={"greedy": TenantQuota(rate_qps=0.001, burst=2.0,
@@ -156,7 +156,7 @@ class TestSubmitWrite:
         assert tenant["rejected"] == 0  # read side untouched
         assert tenant["admitted"] == 1
         assert tenant["admitted"] + tenant["rejected"] == 1  # == reads offered
-        assert tenant["ok"] + tenant["degraded"] == tenant["admitted"]
+        assert tenant["ok"] + tenant["failed"] == tenant["admitted"]
         # the service-level write ledger still records the shed write
         assert service.write_counters["rejected"] == 1
 

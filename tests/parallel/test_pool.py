@@ -97,8 +97,8 @@ class TestCrashes:
             assert pool.call(0, "ping")["pid"] != pids[0]
 
     def test_worker_crash_is_a_plain_exception(self):
-        """Crashes must flow through resilience accounting, which
-        catches ``Exception`` — never escape as BaseException."""
+        """A crash is a failed call the engine retries and then runs
+        inline — it must never escape as a BaseException."""
         assert issubclass(WorkerCrash, Exception)
         assert not issubclass(WorkerCrash, KeyboardInterrupt)
 

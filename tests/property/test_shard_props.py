@@ -10,6 +10,8 @@ so predicate subgraphs stay connected and graph search is exact over
 passing rows on both sides — making exact equality a theorem, not a
 statistical accident.  ``derandomize=True`` keeps example selection
 deterministic: the suite's verdict never depends on hypothesis' RNG.
+The merge itself (``merge_topk``) is pinned against a global
+``(distance, id)`` sort, duplicate distances included.
 """
 
 import numpy as np
@@ -30,6 +32,7 @@ from repro.shard import (
     AttributeRangePartitioner,
     HashPartitioner,
     ShardedAcornIndex,
+    merge_topk,
 )
 
 PARAMS = AcornParams(m=8, gamma=8, m_beta=16, ef_construction=48)
@@ -127,3 +130,45 @@ def test_plan_accounting_invariant(seed, n, n_shards, spec):
     assert plan.n_shards == n_shards
     assert plan.n_probed + plan.n_pruned == n_shards
     assert sorted(d.shard_id for d in plan.decisions) == list(range(n_shards))
+
+
+def _parts(streams):
+    """``(distances, ids)`` arrays from ``(distance, id)`` pair lists."""
+    return [(np.asarray([d for d, _ in s], dtype=np.float32),
+             np.asarray([i for _, i in s], dtype=np.int64)) for s in streams]
+
+
+def _pairs(merged):
+    distances, ids = merged
+    return list(zip(distances.tolist(), ids.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    streams=st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 2.0]),
+                st.integers(0, 99),
+            ),
+            max_size=8,
+        ),
+        max_size=5,
+    ),
+    k=st.integers(0, 12),
+)
+def test_merge_topk_matches_global_sort_under_ties(streams, k):
+    """The merge equals sorting the concatenation by (distance, id) —
+    including duplicate distances across and within parts, in any
+    order inside a part — then truncating to k."""
+    merged = _pairs(merge_topk(_parts(streams), k))
+    flat = sorted(pair for s in streams for pair in s)
+    assert merged == flat[:k]
+
+
+def test_merge_topk_tie_break_is_deterministic_across_stream_order():
+    streams_a = [[(0.5, 7), (1.0, 1)], [(0.5, 3), (0.5, 9)]]
+    streams_b = [[(0.5, 3), (0.5, 9)], [(0.5, 7), (1.0, 1)]]
+    merged = _pairs(merge_topk(_parts(streams_a), 3))
+    assert merged == _pairs(merge_topk(_parts(streams_b), 3))
+    assert merged == [(0.5, 3), (0.5, 7), (0.5, 9)]

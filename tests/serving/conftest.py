@@ -30,8 +30,8 @@ def forbid_real_sleep(monkeypatch):
 
     ``time.sleep`` raises outright; ``asyncio.sleep`` raises for any
     positive delay but still permits the zero-delay hop
-    (``asyncio.sleep(0)``) the virtual replay uses to let submissions
-    reach the coalescing buffer.
+    (``asyncio.sleep(0)``) :func:`replay` uses to let submissions reach
+    the coalescing buffer.
     """
 
     def _no_sleep(seconds):
@@ -99,3 +99,28 @@ def make_service(index, clock=None, **overrides):
 def run(coro):
     """Run one coroutine to completion on a fresh event loop."""
     return asyncio.run(coro)
+
+
+async def replay(service, arrivals, queries, predicates):
+    """Replay an open-loop arrival trace against a FakeClock service.
+
+    For each ``(time_s, tenant_id, query_index)`` arrival: advance the
+    clock to it, pump the deadlines that expired before it (so batch
+    composition depends only on the trace), submit without waiting,
+    and take one zero-delay hop so the submission reaches the buffer.
+    Then drain.  Returns one response per arrival, in arrival order.
+    """
+    clock = service.clock
+    tasks = []
+    for time_s, tenant_id, query_index in arrivals:
+        gap = time_s - clock.monotonic()
+        if gap > 0:
+            clock.advance(gap)
+        await service.pump()
+        tasks.append(asyncio.ensure_future(service.submit(
+            queries[query_index], predicates[query_index],
+            tenant_id=tenant_id,
+        )))
+        await asyncio.sleep(0)
+    await service.drain()
+    return list(await asyncio.gather(*tasks))

@@ -11,11 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import Arrival
-from repro.serving.loadgen import replay
 from repro.utils.clock import FakeClock
 
-from tests.serving.conftest import make_service, run
+from tests.serving.conftest import make_service, replay, run
 
 # Gaps straddle the 10ms budget: same-instant coalescing, mid-window
 # arrivals, and gaps long enough to force a deadline flush in between.
@@ -45,22 +43,16 @@ def test_batched_results_equal_per_query(serving_world, specs, max_batch):
     arrivals = []
     for gap_s, query_index, tenant in specs:
         t += gap_s
-        arrivals.append(
-            Arrival(
-                time_s=t,
-                tenant_id=f"tenant-{tenant}",
-                query_index=query_index,
-            )
-        )
+        arrivals.append((t, f"tenant-{tenant}", query_index))
 
     responses = run(replay(service, arrivals, queries, predicates))
 
     assert len(responses) == len(arrivals)
     assert all(not r.rejected for r in responses)  # quotas are unlimited
-    for arrival, response in zip(arrivals, responses):
+    for (_, tenant_id, query_index), response in zip(arrivals, responses):
         direct = index.search(
-            queries[arrival.query_index],
-            predicates[arrival.query_index],
+            queries[query_index],
+            predicates[query_index],
             service.config.k,
             ef_search=service.config.ef_search,
         )
@@ -68,7 +60,7 @@ def test_batched_results_equal_per_query(serving_world, specs, max_batch):
         np.testing.assert_array_equal(
             response.result.distances, direct.distances
         )
-        assert response.tenant_id == arrival.tenant_id
+        assert response.tenant_id == tenant_id
         assert 1 <= response.batch_size_served <= max_batch
         assert response.stats.batch_size_served == (
             response.batch_size_served

@@ -14,7 +14,6 @@ import pytest
 from repro.predicates import Equals, TruePredicate
 from repro.serving import TenantQuota, TokenBucket
 from repro.serving.service import (
-    REJECT_BREAKERS,
     REJECT_CLOSED,
     REJECT_OVERLOAD,
     REJECT_TENANT_QUEUE,
@@ -24,20 +23,6 @@ from repro.serving.service import (
 from repro.utils.clock import FakeClock
 
 from tests.serving.conftest import make_service, run
-
-
-class _BreakerStub:
-    """Delegates to a real index but reports a chosen breaker fraction."""
-
-    def __init__(self, index, fraction):
-        self._index = index
-        self.fraction = fraction
-
-    def open_breaker_fraction(self):
-        return self.fraction
-
-    def __getattr__(self, name):
-        return getattr(self._index, name)
 
 
 class TestTokenBucket:
@@ -81,8 +66,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"k": 0}, {"max_batch": 0}, {"latency_budget_ms": -1.0},
-        {"max_pending": 0}, {"shed_breaker_fraction": 0.0},
-        {"shed_breaker_fraction": 1.5},
+        {"max_pending": 0},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -264,25 +248,26 @@ class TestAdmission:
         )
         assert responses[3].reason == REJECT_OVERLOAD
 
-    def test_breaker_shedding_and_check_order(self, serving_world):
+    def test_backlog_shedding_spends_no_token(self, serving_world):
         _, _, index, queries, predicates = serving_world
-        stub = _BreakerStub(index, fraction=0.5)
         service = make_service(
-            stub, shed_breaker_fraction=0.25, max_batch=1,
+            index, max_batch=100, max_pending=1,
             default_quota=TenantQuota(rate_qps=1e-6, burst=4.0),
         )
 
         async def drive():
-            shed = await service.submit(queries[0], predicates[0], "acme")
-            stub.fraction = 0.0
-            served = await service.submit(queries[0], predicates[0], "acme")
+            first = asyncio.ensure_future(
+                service.submit(queries[0], predicates[0], "acme")
+            )
+            await asyncio.sleep(0)
+            shed = await service.submit(queries[1], predicates[1], "acme")
             await service.drain()
-            return shed, served
+            return await first, shed
 
-        shed, served = run(drive())
-        assert shed.rejected and shed.reason == REJECT_BREAKERS
+        served, shed = run(drive())
         assert served.ok
-        # Breaker shedding precedes the token bucket: the shed request
+        assert shed.rejected and shed.reason == REJECT_OVERLOAD
+        # The backlog bound precedes the token bucket: the shed request
         # spent no token (contractual admission-check order).
         bucket = service.tenants.get("acme").bucket
         assert bucket.tokens == pytest.approx(3.0)
@@ -393,9 +378,8 @@ class TestAccounting:
         summary = service.summary()
         assert summary["offered"] == 6
         assert summary["admitted"] + summary["rejected"] == 6
-        assert (
-            summary["ok"] + summary["degraded"] + summary["rejected"] == 6
-        )
+        assert summary["ok"] + summary["failed"] + summary["rejected"] == 6
+        assert summary["failed"] == summary["degraded"] == 0
         assert summary["pending"] == 0 and summary["inflight"] == 0
         # Tenant "a" ran into its burst of 2; "limited" into its burst
         # of 1 — the rejects are attributed per tenant.

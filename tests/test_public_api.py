@@ -86,8 +86,6 @@ class TestExports:
         expected = {
             "AcornService", "ServingConfig", "ServedResponse",
             "TenantQuota", "TenantRegistry", "TokenBucket",
-            "ArrivalSchedule", "Arrival", "generate_arrivals",
-            "replay", "replay_realtime", "summarize_load",
         }
         missing = expected - set(dir(serving))
         assert not missing, f"repro.serving missing exports: {missing}"
@@ -95,9 +93,10 @@ class TestExports:
         import repro
 
         for name in ("AcornService", "ServingConfig", "ServedResponse",
-                     "TenantQuota", "ArrivalSchedule"):
+                     "TenantQuota"):
             assert name in repro.__all__
             assert hasattr(repro, name)
+        assert not hasattr(serving, "ArrivalSchedule")
 
 
 class TestDeterminism:
