@@ -70,13 +70,7 @@ from repro.predicates import (
     RegexMatch,
     TruePredicate,
 )
-from repro.routing import (
-    CostModel,
-    RoutePlanner,
-    RoutingFeedback,
-    WalkBudget,
-    WalkMonitor,
-)
+from repro.routing import RoutePlanner
 from repro.serving import (
     AcornService,
     ServedResponse,
@@ -108,7 +102,6 @@ __all__ = [
     "Between",
     "Bitset",
     "ContainsAll",
-    "CostModel",
     "ContainsAny",
     "EpochSnapshot",
     "Equals",
@@ -131,7 +124,6 @@ __all__ = [
     "QueryStats",
     "RegexMatch",
     "RoutePlanner",
-    "RoutingFeedback",
     "SearchEngine",
     "SearchResult",
     "ServedResponse",
@@ -142,8 +134,6 @@ __all__ = [
     "TenantQuota",
     "TruePredicate",
     "VectorStore",
-    "WalkBudget",
-    "WalkMonitor",
     "__version__",
     "load_index",
     "make_laion_like",

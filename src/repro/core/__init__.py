@@ -13,8 +13,8 @@ HNSW (paper §5):
 The paper's §5.2 fallback is inside ``AcornIndex.search``: a passing
 set below ``s_min = 1/γ`` of the live rows (or small enough that a walk
 would visit it anyway) is ranked exactly instead of walked.
-:class:`repro.routing.RoutePlanner` adds a cost-based choice between
-ACORN-γ, ACORN-1 and post-filtering when those indexes are supplied.
+That is the only route a query takes; :class:`repro.routing.RoutePlanner`
+only stamps it on the result.
 """
 
 from repro.core.acorn import AcornIndex, AcornOneIndex

@@ -369,12 +369,11 @@ class AcornIndex(BatchSearchMixin):
         level: int,
         mask: np.ndarray,
         stats: TraversalStats,
-        monitor=None,
     ) -> list[tuple[float, int]]:
         """One level of a frozen search, in a fresh visited scope."""
         return search_frozen_level(
             computer, query, seeds, ef, self._adjacency()[level], mask,
-            thread_scratch(len(self.store)), stats=stats, monitor=monitor,
+            thread_scratch(len(self.store)), stats=stats,
         )
 
     def search(
@@ -384,7 +383,6 @@ class AcornIndex(BatchSearchMixin):
         k: int,
         ef_search: int = 64,
         entry_point: int | None = None,
-        monitor=None,
     ) -> SearchResult:
         """Hybrid search: K nearest neighbors passing ``predicate``.
 
@@ -401,13 +399,11 @@ class AcornIndex(BatchSearchMixin):
             entry_point: start node override (defaults to the index's
                 fixed entry point; used by the entry-point ablation).
                 An explicit entry point always walks.
-            monitor: optional walk-budget hook for the bottom-level
-                traversal (see :class:`repro.routing.monitor.WalkMonitor`
-                and the adaptive planner's fallback); None keeps the
-                default search path untouched.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if ef_search <= 0:
+            raise ValueError(f"ef_search must be positive, got {ef_search}")
         compiled = self._compile(predicate)
         if len(self.graph) == 0:
             return SearchResult.empty()
@@ -442,7 +438,7 @@ class AcornIndex(BatchSearchMixin):
             tstats.visited += len(entry_points)
             found = self._search_level(
                 computer, query, entry_points, max(ef_search, k), 0, mask,
-                tstats, monitor,
+                tstats,
             )
         finally:
             computer.flush_counts()

@@ -116,7 +116,7 @@ class AcornParams:
         """Choose γ = ceil(1/s_min) from a target minimum selectivity.
 
         This is the paper's recommended parameterization: pick the
-        lowest selectivity the graph should serve before the router
+        lowest selectivity the graph should serve before the search
         pre-filters, and size γ accordingly.
         """
         if not 0.0 < s_min <= 1.0:

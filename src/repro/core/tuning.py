@@ -37,7 +37,8 @@ def suggest_params(
             sample, so roughly that fraction of queries fall back to
             pre-filtering (their cheapest regime anyway — Figure 9).
         gamma_cap: upper bound on γ, limiting construction cost; the
-            router's fall-back keeps correctness when the cap binds.
+            search's exact scan below s_min keeps correctness when the
+            cap binds.
         ef_construction: efc passed through.
 
     Returns:

@@ -80,54 +80,3 @@ def query_correlation(
     if not contributions:
         raise ValueError("no query with a non-empty predicate to measure")
     return float(np.mean(contributions))
-
-
-def point_correlation(
-    vectors: np.ndarray,
-    query: np.ndarray,
-    passing_ids: np.ndarray,
-    n_samples: int = 32,
-    seed: int | np.random.Generator | None = 0,
-    metric: str = "l2",
-) -> float:
-    """Cheap per-query correlation proxy for the routing cost model.
-
-    The workload-level C(D, Q) above is too expensive to evaluate per
-    query at plan time; this proxy compares the nearest of a small
-    evenly-spaced sample of *passing* vectors against the nearest of a
-    uniform sample of *all* vectors, normalized into [-1, 1]:
-
-        (d_random - d_passing) / max(d_random, d_passing)
-
-    Positive values mean the predicate's passing set sits closer to the
-    query than chance (positively correlated), negative means farther
-    (anti-correlated — the regime where graph walks and post-filtering
-    degrade; §3.2.1 / Figure 10).  The passing sample is taken at
-    evenly-spaced ranks of ``passing_ids`` and only the uniform sample
-    consumes RNG, so for a fixed seed the signal is deterministic.
-
-    Costs ``O(n_samples)`` distance evaluations outside the search
-    path's distance tally (planning overhead, like selectivity
-    estimation).
-    """
-    if n_samples <= 0:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
-    passing_ids = np.asarray(passing_ids)
-    n = vectors.shape[0]
-    if n == 0 or passing_ids.size == 0:
-        return 0.0
-    rng = default_rng(seed)
-    take = min(n_samples, int(passing_ids.size))
-    ranks = np.linspace(0, passing_ids.size - 1, take).astype(np.intp)
-    passing_sample = passing_ids[ranks]
-    random_sample = rng.choice(n, size=min(n_samples, n), replace=False)
-    d_passing = float(
-        pairwise_distances(vectors[passing_sample], query, metric=metric).min()
-    )
-    d_random = float(
-        pairwise_distances(vectors[random_sample], query, metric=metric).min()
-    )
-    denom = max(d_passing, d_random)
-    if denom <= 0.0:
-        return 0.0
-    return float(np.clip((d_random - d_passing) / denom, -1.0, 1.0))

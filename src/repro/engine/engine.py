@@ -128,10 +128,12 @@ class QueryBatch:
                 broadcast to every query (the engine's cache then
                 materializes its mask exactly once).
             k: neighbors per query (must be positive).
-            ef_search: search-effort knob.
+            ef_search: search-effort knob (must be positive).
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if ef_search <= 0:
+            raise ValueError(f"ef_search must be positive, got {ef_search}")
         queries = np.asarray(queries, dtype=np.float32)
         if queries.size == 0:
             queries = queries.reshape(0, queries.shape[-1] if queries.ndim >= 2 else 0)
@@ -499,8 +501,9 @@ class SearchEngine:
         snapshot = acquire() if callable(acquire) else None
         searcher = self.searcher if snapshot is None else snapshot
         try:
-            # Batch-lifecycle hook: adaptive routers reset/mark their
-            # per-batch feedback epoch here, before the first query runs.
+            # Batch-lifecycle hook, called before the first query runs
+            # (no library searcher defines it; tests hold a batch in
+            # flight with it).
             begin_batch = getattr(self.searcher, "begin_batch", None)
             if callable(begin_batch):
                 begin_batch()

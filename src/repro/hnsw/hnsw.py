@@ -229,6 +229,8 @@ class HnswIndex:
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if ef_search <= 0:
+            raise ValueError(f"ef_search must be positive, got {ef_search}")
         if len(self.graph) == 0:
             return SearchResult.empty()
         computer = self.store.computer()

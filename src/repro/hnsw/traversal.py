@@ -70,7 +70,6 @@ def search_layer(
     neighbor_fn: NeighborFn,
     scratch: TraversalScratch,
     stats: TraversalStats | None = None,
-    monitor=None,
 ) -> list[tuple[float, int]]:
     """Best-first search on one level; returns ``ef`` nearest as (dist, id).
 
@@ -94,13 +93,6 @@ def search_layer(
             :meth:`~repro.hnsw.scratch.TraversalScratch.begin` and marks
             the seeds.
         stats: optional per-query counters, incremented in place.
-        monitor: optional walk-budget hook (duck-typed to
-            :class:`repro.routing.monitor.WalkMonitor`): its
-            ``observe(n_passing)`` is called once per expanded node
-            with the filtered-neighborhood size, and the walk stops
-            early — returning the best results found so far — as soon
-            as it returns False.  None (the default) keeps the
-            unmonitored hot loop byte-identical.
 
     Returns:
         Up to ``ef`` (distance, id) pairs sorted by ascending distance.
@@ -127,8 +119,6 @@ def search_layer(
         neighbor_ids = neighbor_fn(current)
         if not isinstance(neighbor_ids, np.ndarray):
             neighbor_ids = np.asarray(neighbor_ids, dtype=np.intp)
-        if monitor is not None and not monitor.observe(int(neighbor_ids.size)):
-            break
         if neighbor_ids.size == 0:
             continue
         unvisited = neighbor_ids[visited[neighbor_ids] != epoch]
@@ -160,14 +150,13 @@ def search_frozen_level(
     mask: np.ndarray,
     scratch: TraversalScratch,
     stats: TraversalStats | None = None,
-    monitor=None,
 ) -> list[tuple[float, int]]:
     """Best-first search on one frozen level, straight off its row memo.
 
     Byte-identical to :func:`search_layer` run over the lookup
     ``c -> cand[mask[cand]]`` with ``cand = level.fill(c)`` and the
     seeds pre-marked: same pop order, same result list, same
-    ``hops``/``visited`` and distance counts, same monitor verdicts.
+    ``hops``/``visited`` and distance counts.
 
     Args:
         computer: distance computer bound to the base vectors.
@@ -190,9 +179,6 @@ def search_frozen_level(
             buffer equals ``mask`` again afterwards; an exception
             unbinds it instead of trusting a partial restore.
         stats: optional per-query counters, incremented in place.
-        monitor: optional walk-budget hook; ``observe`` receives the
-            number of candidates passing ``mask`` (visited or not) once
-            per expanded node, exactly what ``search_layer`` feeds it.
 
     Returns:
         Up to ``ef`` (distance, id) pairs sorted by ascending distance.
@@ -226,10 +212,6 @@ def search_frozen_level(
             cand = rows[current]
             if cand is None:
                 cand = fill(current)
-            if monitor is not None and not monitor.observe(
-                int(np.count_nonzero(mask.take(cand)))
-            ):
-                break
             fresh = cand[probe(cand)]
             if fresh.size == 0:
                 continue

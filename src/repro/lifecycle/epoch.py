@@ -158,6 +158,8 @@ class EpochSnapshot:
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if ef_search <= 0:
+            raise ValueError(f"ef_search must be positive, got {ef_search}")
         raw = (predicate.predicate
                if isinstance(predicate, CompiledPredicate) else predicate)
         parts: list[tuple[np.ndarray, np.ndarray]] = []

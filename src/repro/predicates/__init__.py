@@ -12,8 +12,8 @@ provides the predicate algebra the paper's workloads use —
 - ``RegexMatch``: LAION caption regex workloads,
 - ``And`` / ``Or`` / ``Not``: arbitrary boolean composition —
 
-plus vectorized evaluation into boolean masks and the selectivity
-estimators the ACORN router (paper §5.2's cost model) consumes.
+plus vectorized evaluation into boolean masks and the sampling
+selectivity estimator the γ rule of paper §5.2 is tuned from.
 """
 
 from repro.predicates.base import CompiledPredicate, Predicate, TruePredicate
@@ -22,8 +22,6 @@ from repro.predicates.compare import Between, Equals, OneOf
 from repro.predicates.contains import ContainsAll, ContainsAny
 from repro.predicates.regex import RegexMatch
 from repro.predicates.selectivity import (
-    ExactSelectivityEstimator,
-    HistogramSelectivityEstimator,
     SamplingSelectivityEstimator,
     SelectivityEstimator,
 )
@@ -35,8 +33,6 @@ __all__ = [
     "ContainsAll",
     "ContainsAny",
     "Equals",
-    "ExactSelectivityEstimator",
-    "HistogramSelectivityEstimator",
     "Not",
     "OneOf",
     "Or",

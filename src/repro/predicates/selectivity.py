@@ -1,22 +1,14 @@
-"""Selectivity estimation for the ACORN router.
+"""Selectivity estimation from a sample of entities.
 
-The paper's cost model (§5.2) routes a query to pre-filtering when its
-*estimated* predicate selectivity falls below ``1/γ``.  The paper notes
-estimation errors degrade only efficiency, never result quality — our
-router preserves that property, and the sampling estimator here lets
-tests exercise both kinds of misroute.
-
-Three estimators are provided:
-
-- :class:`ExactSelectivityEstimator` evaluates the full mask (what a
-  system with precomputed filter bitmaps effectively has),
-- :class:`SamplingSelectivityEstimator` evaluates the predicate on a
-  fixed random sample of entities, the classical database approach when
-  the predicate set is unbounded and masks cannot be precomputed, and
-- :class:`HistogramSelectivityEstimator` answers scalar predicates from
-  per-column equi-width histograms, falling back to sampling for other
-  shapes (and for empty or all-categorical tables, which build no
-  histograms at all).
+The paper's γ rule (§5.2) sets γ = 1/s_min from the selectivities a
+workload is expected to serve, and notes they "can be estimated
+empirically with or without knowing the predicate set".
+:class:`SamplingSelectivityEstimator` evaluates a predicate on a fixed
+random sample of entities, the classical database approach when the
+predicate set is unbounded and masks cannot be precomputed;
+:func:`repro.core.tuning.suggest_params_from_predicates` consults it.
+The search path itself never estimates: a compiled predicate carries
+its exact selectivity.
 """
 
 from __future__ import annotations
@@ -36,128 +28,6 @@ class SelectivityEstimator(abc.ABC):
     @abc.abstractmethod
     def estimate(self, predicate: Predicate) -> float:
         """Estimated selectivity in [0, 1]."""
-
-
-class ExactSelectivityEstimator(SelectivityEstimator):
-    """Exact selectivity via full mask evaluation."""
-
-    def __init__(self, table: AttributeTable) -> None:
-        self._table = table
-
-    def estimate(self, predicate: Predicate) -> float:
-        n = len(self._table)
-        if n == 0:
-            return 0.0
-        return float(predicate.mask(self._table).sum()) / n
-
-
-class HistogramSelectivityEstimator(SelectivityEstimator):
-    """Classical equi-width-histogram estimation for scalar predicates.
-
-    Databases estimate range/equality selectivity from per-column
-    histograms rather than evaluating predicates; this estimator builds
-    one histogram per int/float column and answers
-    :class:`~repro.predicates.compare.Equals`, ``OneOf`` and ``Between``
-    from bucket counts (uniformity assumed within a bucket).  Other
-    predicate shapes fall back to the wrapped estimator (sampling by
-    default), so it is a drop-in router companion.
-    """
-
-    def __init__(
-        self,
-        table: AttributeTable,
-        n_buckets: int = 64,
-        fallback: SelectivityEstimator | None = None,
-        seed: int | np.random.Generator | None = 0,
-    ) -> None:
-        if n_buckets <= 0:
-            raise ValueError(f"n_buckets must be positive, got {n_buckets}")
-        from repro.attributes.table import ColumnKind
-
-        self._table = table
-        self._fallback = (
-            fallback
-            if fallback is not None
-            else SamplingSelectivityEstimator(table, seed=seed)
-        )
-        self._histograms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for name in table.column_names:
-            if table.column_kind(name) in (ColumnKind.INT, ColumnKind.FLOAT):
-                values = np.asarray(table.column(name), dtype=np.float64)
-                if values.size == 0:
-                    # An empty table has no distribution to summarize —
-                    # np.histogram would silently invent a phantom
-                    # [0, 1] domain.  Skip the column so predicates
-                    # over it take the explicit fallback path below
-                    # (the fallback estimator returns 0.0 on zero
-                    # rows).
-                    continue
-                counts, edges = np.histogram(values, bins=n_buckets)
-                self._histograms[name] = (counts.astype(np.float64), edges)
-        # All-categorical (or empty) tables build no histograms at all:
-        # every estimate then routes through the fallback estimator,
-        # which handles any predicate shape.
-
-    def _mass_between(self, column: str, low: float, high: float) -> float:
-        counts, edges = self._histograms[column]
-        total = counts.sum()
-        if total == 0:
-            return 0.0
-        mass = 0.0
-        for i in range(counts.shape[0]):
-            left, right = edges[i], edges[i + 1]
-            width = right - left
-            overlap_left = max(left, low)
-            overlap_right = min(right, high)
-            if overlap_right < overlap_left:
-                continue
-            if width <= 0:
-                mass += counts[i]
-            else:
-                mass += counts[i] * (overlap_right - overlap_left) / width
-        return float(mass / total)
-
-    def _point_estimate(self, column: str, value: float) -> float:
-        """Selectivity of ``attr == value`` from the bucket containing it.
-
-        Assumes unit-granular values (integers): the point claims
-        ``min(1, 1/width)`` of its bucket's mass, the whole bucket when
-        buckets are narrower than one unit.
-        """
-        counts, edges = self._histograms[column]
-        total = counts.sum()
-        if total == 0 or value < edges[0] or value > edges[-1]:
-            return 0.0
-        bucket = int(np.clip(np.searchsorted(edges, value, side="right") - 1,
-                             0, counts.shape[0] - 1))
-        width = edges[bucket + 1] - edges[bucket]
-        fraction = 1.0 if width <= 1.0 else 1.0 / width
-        return float(counts[bucket] * fraction / total)
-
-    def estimate(self, predicate: Predicate) -> float:
-        from repro.predicates.compare import Between, Equals, OneOf
-
-        if isinstance(predicate, Between) and predicate.column in self._histograms:
-            if predicate.low == predicate.high:
-                return self._point_estimate(
-                    predicate.column, float(predicate.low)
-                )
-            return self._mass_between(
-                predicate.column, float(predicate.low), float(predicate.high)
-            )
-        if isinstance(predicate, Equals) and predicate.column in self._histograms:
-            return self._point_estimate(predicate.column, float(predicate.value))
-        if isinstance(predicate, OneOf) and predicate.column in self._histograms:
-            return float(
-                min(
-                    1.0,
-                    sum(
-                        self.estimate(Equals(predicate.column, v))
-                        for v in predicate.values
-                    ),
-                )
-            )
-        return self._fallback.estimate(predicate)
 
 
 class SamplingSelectivityEstimator(SelectivityEstimator):

@@ -117,6 +117,10 @@ class ServingConfig:
         resolve_executor(self.executor)
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
+        if self.ef_search <= 0:
+            raise ValueError(
+                f"ef_search must be positive, got {self.ef_search}"
+            )
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.latency_budget_ms < 0:

@@ -34,7 +34,6 @@ raised inside a shard's search propagates to the caller unchanged.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 
 import numpy as np
@@ -123,13 +122,6 @@ class ShardedAcornIndex(BatchSearchMixin):
             by estimated local selectivity (efficiency mode); when
             False every probed shard uses the caller's ``ef_search``
             (the equivalence-preserving default).
-        route_policy: per-shard query routing.  ``None`` (default)
-            probes each shard's graph directly — the historical
-            behavior.  ``"adaptive"`` wraps each shard in a
-            :class:`~repro.routing.planner.RoutePlanner`, seeded with
-            the shard router's summary-based local selectivity
-            estimate as the prior; route telemetry surfaces on the
-            result and in per-shard records.
         executor: compatibility keyword with no effect — the frozen
             ``benchmarks/e2e/workloads.py`` still passes
             ``executor="sync"``.  Probes always run one after another on
@@ -146,7 +138,6 @@ class ShardedAcornIndex(BatchSearchMixin):
         table: AttributeTable,
         router: ShardRouter | None = None,
         scale_ef: bool = False,
-        route_policy: str | None = None,
         executor: str = "sync",
     ) -> None:
         if executor != "sync":
@@ -174,17 +165,6 @@ class ShardedAcornIndex(BatchSearchMixin):
             else ShardRouter([summarize_table(s.table) for s in shards])
         )
         self.scale_ef = bool(scale_ef)
-        self.route_policy = route_policy
-        self._shard_planners = None
-        if route_policy is not None:
-            from repro.routing.planner import RoutePlanner
-
-            # One planner (and one private feedback store) per shard:
-            # shard sizes differ, so observed costs must not mix.
-            self._shard_planners = [
-                RoutePlanner(shard, policy=route_policy)
-                for shard in self.shards
-            ]
 
     # ------------------------------------------------------------------
     # Construction
@@ -204,7 +184,6 @@ class ShardedAcornIndex(BatchSearchMixin):
         acorn1_ef_construction: int = 40,
         build_shard: Callable[[np.ndarray, AttributeTable], AcornIndex] | None = None,
         scale_ef: bool = False,
-        route_policy: str | None = None,
         executor: str = "sync",
     ) -> "ShardedAcornIndex":
         """Partition ``vectors``/``table`` and build one index per shard.
@@ -226,7 +205,6 @@ class ShardedAcornIndex(BatchSearchMixin):
             build_shard: optional ``(vectors, table) -> index`` factory
                 overriding ``variant`` entirely.
             scale_ef: forwarded to the instance (see class docs).
-            route_policy: forwarded to the instance (see class docs).
             executor: forwarded to the instance (see class docs).
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
@@ -247,8 +225,7 @@ class ShardedAcornIndex(BatchSearchMixin):
         ]
         return cls(
             shards=shards, assignment=assignment, partitioner=partitioner,
-            table=table, scale_ef=scale_ef, route_policy=route_policy,
-            executor=executor,
+            table=table, scale_ef=scale_ef, executor=executor,
         )
 
     def __len__(self) -> int:
@@ -269,13 +246,6 @@ class ShardedAcornIndex(BatchSearchMixin):
         for shard in self.shards:
             if len(shard):
                 shard.freeze()
-
-    def begin_batch(self) -> None:
-        """Batch-engine hook: open a feedback batch on every shard
-        planner (no-op without per-shard routing)."""
-        if self._shard_planners is not None:
-            for planner in self._shard_planners:
-                planner.begin_batch()
 
     # ------------------------------------------------------------------
     # Search
@@ -333,27 +303,12 @@ class ShardedAcornIndex(BatchSearchMixin):
             # empty — nothing to search.
             return record, None, gids
         local = CompiledPredicate(compiled.predicate, local_mask)
-        if self._shard_planners is not None:
-            # The shard router's summary-based local selectivity
-            # estimate rides along as the planner's prior.
-            found = self._shard_planners[decision.shard_id].search(
-                query, local, k, ef_search=decision.ef_search,
-                selectivity_hint=decision.est_selectivity,
-            )
-        else:
-            found = self.shards[decision.shard_id].search(
-                query, local, k, ef_search=decision.ef_search,
-            )
+        found = self.shards[decision.shard_id].search(
+            query, local, k, ef_search=decision.ef_search,
+        )
         record["distance_computations"] = int(found.distance_computations)
         record["hops"] = int(found.hops)
         record["returned"] = int(len(found))
-        if self._shard_planners is not None:
-            # Route telemetry only exists on planner-routed results;
-            # the key set of default-path records stays pinned.
-            record["route_chosen"] = found.route_chosen
-            record["route_reason"] = found.route_reason
-            record["fallback_triggered"] = found.fallback_triggered
-            record["estimator_error"] = found.estimator_error
         return record, found, gids
 
     def search(
@@ -373,6 +328,8 @@ class ShardedAcornIndex(BatchSearchMixin):
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if ef_search <= 0:
+            raise ValueError(f"ef_search must be positive, got {ef_search}")
         compiled = self._compile(predicate)
         plan = self.plan(compiled, k=k, ef_search=ef_search)
         parts = []
@@ -396,27 +353,6 @@ class ShardedAcornIndex(BatchSearchMixin):
                 children.append(found)
 
         distances, ids = merge_topk(parts, k)
-        owned = {}
-        routed = [c for c in children if c.route_chosen]
-        if routed:
-            from repro.routing.cost import ALL_ROUTES, ROUTE_PRE_FILTER
-
-            counts = Counter(c.route_chosen for c in routed)
-            # Majority route across probed shards; ties break toward
-            # the fallback label, then in ALL_ROUTES order.
-            order = {r: i for i, r in enumerate((ROUTE_PRE_FILTER,
-                                                 *ALL_ROUTES))}
-            owned["route_chosen"] = max(
-                counts,
-                key=lambda r: (counts[r], -order.get(r, len(order))),
-            )
-            owned["route_reason"] = "shards: " + ", ".join(
-                f"{r}x{counts[r]}"
-                for r in sorted(counts, key=lambda r: order.get(r, len(order)))
-            )
-            owned["estimator_error"] = float(
-                np.mean([c.estimator_error for c in routed])
-            )
         return SearchResult(
             ids=ids,
             distances=distances,
@@ -425,7 +361,6 @@ class ShardedAcornIndex(BatchSearchMixin):
                 children,
                 shards_probed=plan.n_probed,
                 shards_pruned=plan.n_pruned,
-                **owned,
             ),
         )
 

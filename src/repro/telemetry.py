@@ -63,20 +63,18 @@ class QueryStats:
             (0 for unsharded searchers).  For a sharded searcher
             ``shards_probed + shards_pruned`` equals its shard count —
             the accounting invariant the shard test suite pins.
-        route_chosen: the route that produced this query's final
-            results (``""`` for searchers without a route planner;
-            ``"pre-filter"`` after a mid-search fallback; the majority
-            route across probed shards under per-shard routing).
-        route_reason: the planner's decision rationale, the walk
-            monitor's abort reason after a fallback, or the per-shard
-            route tally (``""`` when unrouted).
-        fallback_triggered: True when a monitored graph walk was
-            abandoned mid-search and the results come from the
-            pre-filter fallback.
-        estimator_error: signed selectivity-estimation error
-            (``estimate - exact``) of the routing decision — the mean
-            across probed shards under per-shard routing (0.0 when
-            unrouted).
+        route_chosen: ``"acorn-gamma"`` on a result a
+            :class:`~repro.routing.RoutePlanner` stamped (``""`` for
+            every other searcher).
+        route_reason: the planner's stamp: whether the index scanned
+            or walked (``""`` when unrouted).
+        fallback_triggered: always False: no layer abandons a walk any
+            more.  The field stays only because the benchmark's
+            ``workloads.py`` reads it.
+        estimator_error: always 0.0: the planner stamps the compiled
+            predicate's exact selectivity, so there is no estimate to
+            miss.  The field stays only because the benchmark's
+            ``workloads.py`` reads it.
         queue_wait_ms: milliseconds between the serving layer admitting
             the query and its batch starting on the dispatch thread —
             coalescing buffer plus any wait behind an earlier batch
@@ -186,8 +184,8 @@ class SearchResult(QueryStats):
         per_shard: scatter-gather only — one dict per shard (plan order)
             with the routing decision and, for probed shards, the local
             search's counters.
-        est_selectivity: route planner only — the selectivity estimate
-            the routing decision used.
+        est_selectivity: route planner only — the compiled predicate's
+            exact selectivity.
         delta_candidates: lifecycle only — delta entries that passed
             the predicate and were scored exactly.
         base_candidates: lifecycle only — results the base graph search

@@ -66,13 +66,13 @@ def on_threads(fn, items, n_threads):
 
 
 def _reference_level(computer, query, seeds, ef, neighbor_fn, scratch, n,
-                     stats=None, monitor=None):
+                     stats=None):
     """One level through ``search_layer`` in a fresh epoch scope."""
     scratch.begin(n)
     for _, node in seeds:
         scratch.mark(node)
     return search_layer(computer, query, seeds, ef, neighbor_fn, scratch,
-                        stats=stats, monitor=monitor)
+                        stats=stats)
 
 
 def _reference_result(computer, found, k, stats):
@@ -84,7 +84,7 @@ def _reference_result(computer, found, k, stats):
 
 
 def reference_search(index, query, predicate, k, ef_search=64,
-                     entry_point=None, monitor=None):
+                     entry_point=None):
     """``AcornIndex.search``'s float32 descent through the reference kernel.
 
     Same entry, same per-level lookups (``_neighbor_fn``), same seeds and
@@ -125,8 +125,7 @@ def reference_search(index, query, predicate, k, ef_search=64,
     seeds = index._bottom_seeds(computer, query, seeds)
     stats.visited += len(seeds)
     found = _reference_level(computer, query, seeds, max(ef_search, k),
-                             index._neighbor_fn(0, mask), scratch, n, stats,
-                             monitor)
+                             index._neighbor_fn(0, mask), scratch, n, stats)
     passing = [(dist, nid) for dist, nid in found if mask[nid]]
     return _reference_result(computer, passing, k, stats)
 

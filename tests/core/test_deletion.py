@@ -90,7 +90,7 @@ class TestTombstones:
         idx.mark_deleted(7)
         try:
             after = searcher.search(vectors[7], pred, 5, ef_search=8)
-            assert searcher.last_plan.route == "acorn-gamma"
+            assert after.route_chosen == "acorn-gamma"
             assert after.hops == 0
             assert 7 not in after.ids
             live = mask.copy()

@@ -39,7 +39,7 @@ class TestMalformedQueries:
         result = searcher.search(vectors[0], Equals("label", 777), 5)
         assert len(result) == 0
         # Nothing passes: the index scans an empty set.
-        assert searcher.last_plan.route == "acorn-gamma"
+        assert result.route_chosen == "acorn-gamma"
         assert (result.hops, result.distance_computations) == (0, 0)
 
 

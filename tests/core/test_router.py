@@ -1,34 +1,26 @@
 """The paper's §5.2 selectivity rule through ``RoutePlanner(index)``.
 
 The rule — rank a passing set below ``s_min = 1/γ`` exactly instead of
-walking it — is ``AcornIndex.search``'s own (``AcornIndex.scans``).  A
-planner over ACORN-γ alone has nothing left to decide: it runs the
-index and stamps the route.  On the shared fixture (600 rows, γ = 6)
-``s_min · n`` is 100 rows; at ``ef_search`` 16 the count cutoff is 64,
-so label 3 (97 rows) scans and label 2 (101 rows) walks.
+walking it — is ``AcornIndex.search``'s own (``AcornIndex.scans``).  The
+planner runs the index and stamps the route: its answer and counters are
+the index's, byte for byte, in both regimes and over every index family.
+On the shared fixture (600 rows, γ = 6) ``s_min · n`` is 100 rows; at
+``ef_search`` 16 the count cutoff is 64, so label 3 (97 rows) scans and
+label 2 (101 rows) walks.
 """
 
 import numpy as np
 import pytest
 
+from repro.attributes import AttributeTable
 from repro.baselines.prefilter import PreFilterSearcher
-from repro.predicates import Equals, OneOf, TruePredicate
+from repro.core import AcornIndex, AcornOneIndex, AcornParams, FlatAcornIndex
+from repro.predicates import Equals, TruePredicate
 from repro.predicates.base import CompiledPredicate
-from repro.predicates.selectivity import SelectivityEstimator
 from repro.routing import RoutePlanner
 
 EF = 16
 LOW, HIGH = Equals("label", 3), Equals("label", 2)
-
-
-class FixedEstimator(SelectivityEstimator):
-    """Test double returning a canned selectivity."""
-
-    def __init__(self, value: float) -> None:
-        self.value = value
-
-    def estimate(self, predicate) -> float:
-        return self.value
 
 
 def _exact(index, query, predicate, k):
@@ -43,24 +35,105 @@ def _assert_exact(result, want):
     assert result.distance_computations == want.distance_computations
 
 
+@pytest.fixture(scope="module")
+def world():
+    gen = np.random.default_rng(81)
+    n = 300
+    vectors = gen.standard_normal((n, 10)).astype(np.float32)
+    table = AttributeTable(n)
+    table.add_int_column("label", gen.integers(0, 3, size=n))
+    return vectors, table
+
+
+@pytest.fixture(scope="module")
+def families(world):
+    """ACORN-γ, ACORN-1 and flat over the same 300 rows."""
+    vectors, table = world
+    params = AcornParams(m=8, gamma=6, m_beta=12, ef_construction=24)
+    return {
+        "acorn-gamma": AcornIndex.build(vectors, table, params=params,
+                                        seed=0),
+        "acorn-1": AcornOneIndex.build(vectors, table, m=12,
+                                       ef_construction=24, seed=0),
+        "flat": FlatAcornIndex.build(vectors, table, params=params, seed=0),
+    }
+
+
+def _predicate(table, regime):
+    """20 passing rows (under every family's count cutoff at ef 8: 32
+    for M = 8, 48 for ACORN-1's M = 12) scan; label 1 (≈ 100 rows, above
+    s_min · n = 50 and the cutoffs, n = 300 above ef · Mβ = 96) walks."""
+    if regime == "walk":
+        return Equals("label", 1).compile(table)
+    mask = np.zeros(len(table), dtype=bool)
+    mask[np.random.default_rng(3).choice(len(table), 20, replace=False)] = 1
+    return CompiledPredicate(TruePredicate(), mask, table=table)
+
+
+class TestPlannerIsTheIndex:
+    @pytest.mark.parametrize("regime", ["scan", "walk"])
+    @pytest.mark.parametrize("family", ["acorn-gamma", "acorn-1", "flat"])
+    def test_same_answer_and_counters(self, world, families, family, regime):
+        vectors, table = world
+        index = families[family]
+        planner = RoutePlanner(index)
+        compiled = _predicate(table, regime)
+        for query in vectors[:6] + 0.05:
+            want = index.search(query, compiled, 5, ef_search=8)
+            got = planner.search(query, compiled, 5, ef_search=8)
+            assert (want.hops == 0) is (regime == "scan")
+            assert got.ids.tobytes() == want.ids.tobytes()
+            assert got.distances.tobytes() == want.distances.tobytes()
+            assert (got.distance_computations, got.hops,
+                    got.visited_nodes) == (want.distance_computations,
+                                           want.hops, want.visited_nodes)
+            assert got.route_chosen == "acorn-gamma"
+            assert got.route_reason.endswith(
+                "scans" if regime == "scan" else "walks")
+            assert got.est_selectivity == compiled.selectivity
+            assert got.estimator_error == 0.0
+            assert got.fallback_triggered is False
+
+    def test_raw_predicate_compiles_against_the_table(self, world, families):
+        vectors, table = world
+        index = families["acorn-gamma"]
+        got = RoutePlanner(index).search(vectors[0], Equals("label", 1), 5,
+                                         ef_search=8)
+        want = index.search(vectors[0], Equals("label", 1), 5, ef_search=8)
+        assert got.ids.tobytes() == want.ids.tobytes()
+        assert got.est_selectivity == Equals("label", 1).compile(
+            table).selectivity
+
+    def test_freeze_forwards_to_the_index(self, world):
+        vectors, table = world
+        index = AcornIndex.build(vectors[:50], AttributeTable(50), seed=0,
+                                 params=AcornParams(m=4, gamma=2, m_beta=8))
+        assert index._frozen is None
+        RoutePlanner(index).freeze()
+        assert index._frozen is not None
+
+    def test_rejects_any_other_keyword(self, families):
+        with pytest.raises(TypeError):
+            RoutePlanner(families["acorn-gamma"], acorn_one=None)
+
+
 class TestRouting:
     def test_low_selectivity_prefilters(self, acorn_index, small_vectors):
         vectors, _ = small_vectors
-        # The index decides on the exact count, whatever the estimate.
-        searcher = RoutePlanner(acorn_index, estimator=FixedEstimator(0.5))
-        result = searcher.search(vectors[0], LOW, 5, ef_search=EF)
+        result = RoutePlanner(acorn_index).search(vectors[0], LOW, 5,
+                                                  ef_search=EF)
         assert result.hops == 0
-        assert searcher.last_plan.route == "acorn-gamma"
-        assert "scans" in searcher.last_plan.reason
+        assert result.route_chosen == "acorn-gamma"
+        assert "scans" in result.route_reason
         _assert_exact(result, _exact(acorn_index, vectors[0], LOW, 5))
 
     def test_high_selectivity_uses_graph(self, acorn_index, small_vectors):
         vectors, _ = small_vectors
-        searcher = RoutePlanner(acorn_index, estimator=FixedEstimator(0.01))
-        result = searcher.search(vectors[0], HIGH, 5, ef_search=EF)
+        result = RoutePlanner(acorn_index).search(vectors[0], HIGH, 5,
+                                                  ef_search=EF)
         assert result.hops > 0
-        assert searcher.last_plan.route == "acorn-gamma"
-        assert "walks" in searcher.last_plan.reason
+        assert result.route_chosen == "acorn-gamma"
+        assert "walks" in result.route_reason
 
     def test_s_min_defaults_to_index(self, acorn_index, small_vectors):
         """The threshold is the index's own ``s_min · n``: 100 passing
@@ -85,18 +158,10 @@ class TestRouting:
     ):
         vectors, _ = small_vectors
         compiled = LOW.compile(acorn_index.table)
-        searcher = RoutePlanner(acorn_index)
-        searcher.search(vectors[0], compiled, 5, ef_search=EF)
-        # Compiled predicates carry exact selectivity.
-        assert searcher.last_plan.estimated_selectivity == pytest.approx(
-            compiled.selectivity
-        )
-        # A lying estimator shows in the telemetry, not in the decision.
-        liar = RoutePlanner(acorn_index, estimator=FixedEstimator(0.9))
-        result = liar.search(vectors[0], compiled, 5, ef_search=EF)
-        assert result.hops == 0
-        assert result.estimator_error == pytest.approx(
-            0.9 - compiled.selectivity)
+        result = RoutePlanner(acorn_index).search(vectors[0], compiled, 5,
+                                                  ef_search=EF)
+        assert result.est_selectivity == compiled.selectivity
+        assert result.estimator_error == 0.0
 
     def test_prefilter_route_has_perfect_results(self, acorn_index,
                                                  small_vectors):
@@ -108,44 +173,6 @@ class TestRouting:
             assert compiled.passes_many(result.ids).all()
             assert (np.diff(result.distances) >= 0).all()
             _assert_exact(result, _exact(acorn_index, query, LOW, 5))
-
-    def test_misestimate_degrades_only_efficiency(
-        self, acorn_index, small_vectors
-    ):
-        """Paper §5.2: a wrong estimate still returns valid passing results."""
-        vectors, _ = small_vectors
-        predicate = OneOf("label", [0, 1, 2])  # actually high selectivity
-        compiled = predicate.compile(acorn_index.table)
-        wrong = RoutePlanner(acorn_index, estimator=FixedEstimator(0.001))
-        result = wrong.search(vectors[0], predicate, 5, ef_search=EF)
-        assert wrong.last_plan.route == "acorn-gamma"
-        assert result.hops > 0
-        assert result.estimator_error < 0
-        assert compiled.passes_many(result.ids).all()
-        assert len(result) == 5
-
-
-class TestExplain:
-    def test_prefilter_plan(self, acorn_index):
-        searcher = RoutePlanner(acorn_index, estimator=FixedEstimator(0.01))
-        plan = searcher.plan(LOW, 5, ef_search=EF)
-        assert plan.route == "acorn-gamma"
-        assert plan.estimated_selectivity == pytest.approx(0.01)
-        assert "scans" in plan.reason
-
-    def test_graph_plan(self, acorn_index):
-        searcher = RoutePlanner(acorn_index, estimator=FixedEstimator(0.5))
-        plan = searcher.plan(HIGH, 5, ef_search=EF)
-        assert plan.route == "acorn-gamma"
-        assert "walks" in plan.reason
-        # A single route is never costed.
-        assert plan.predicted_costs == {}
-
-    def test_compiled_predicate_uses_exact(self, acorn_index):
-        compiled = Equals("label", 2).compile(acorn_index.table)
-        searcher = RoutePlanner(acorn_index, estimator=FixedEstimator(0.0))
-        plan = searcher.plan(compiled, 5)
-        assert plan.estimated_selectivity == pytest.approx(compiled.selectivity)
 
 
 class TestStats:

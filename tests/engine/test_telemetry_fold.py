@@ -38,9 +38,7 @@ from repro import (
     RoutePlanner,
     SearchEngine,
     ShardedAcornIndex,
-    WalkBudget,
 )
-from repro.baselines.prefilter import PreFilterSearcher
 from repro.predicates.base import CompiledPredicate
 from repro.telemetry import QueryStats, SearchResult, fold_telemetry
 
@@ -89,30 +87,6 @@ def _planner_single_route():
     def children(result):
         assert result.route_chosen == "acorn-gamma"
         return [planner.index.search(QUERY, PREDICATE, K, ef_search=EF)]
-
-    return planner, children, ROUTE_FIELDS
-
-
-def _planner_fallback():
-    def make():
-        # ACORN-γ, the only route, walks PREDICATE; a one-hop budget
-        # guarantees the walk aborts.
-        return RoutePlanner(
-            _index(VECTORS, TABLE), walk_budget=WalkBudget(hop_budget=1),
-        )
-
-    planner = make()
-
-    def children(result):
-        assert result.fallback_triggered
-        assert result.route_chosen == "pre-filter"
-        twin = make()
-        walk = twin.index.search(
-            QUERY, PREDICATE, K, ef_search=EF,
-            monitor=twin._make_monitor(K, EF, twin.index),
-        )
-        exact = PreFilterSearcher(VECTORS, TABLE).search(QUERY, PREDICATE, K)
-        return [walk, exact]
 
     return planner, children, ROUTE_FIELDS
 
@@ -173,11 +147,10 @@ def _lifecycle(churn):
     return case
 
 
-# "planner-static" keeps its id: a planner over ACORN-γ alone, whose one
-# route runs the index's own static §5.2 rule.
+# "planner-static" keeps its id: the planner runs the index, whose §5.2
+# rule is its only route.
 CASES = {
     "planner-static": _planner_single_route,
-    "planner-fallback": _planner_fallback,
     "sharded-1": _sharded(1),
     "sharded-3": _sharded(3),
     "lifecycle-base-only": _lifecycle(churn=False),

@@ -1,10 +1,10 @@
 """``search_frozen_level``: the frozen-search kernel's own contract.
 
 Three promises.  (1) Byte identity: over a level's candidate rows the
-kernel pops, pushes, counts and aborts exactly like ``search_layer``
-over the matching per-node lookup — checked at the kernel (random
-graphs, both lookups, every metric, the ``ef`` edge cases, tombstones,
-both monitor aborts, memo on and off) and at every index family through
+kernel pops, pushes and counts exactly like ``search_layer`` over the
+matching per-node lookup — checked at the kernel (random graphs, both
+lookups, every metric, the ``ef`` edge cases, tombstones, memo on and
+off) and at every index family through
 the reference drivers in ``tests/conftest.py``.  (2) The row memo holds
 exactly the nodes walks expanded, and concurrent fills equal a
 sequential run.  (3) The per-thread eligibility buffer cannot leak state
@@ -38,7 +38,6 @@ from repro.hnsw.traversal import (
 )
 from repro.predicates import Equals, TruePredicate
 from repro.predicates.base import CompiledPredicate
-from repro.routing.monitor import WalkBudget, WalkMonitor
 from repro.vectors.distance import METRICS, DistanceComputer
 from tests.conftest import (
     assert_results_identical,
@@ -53,30 +52,20 @@ from tests.conftest import (
 # walk, not ``AcornIndex.search``'s scan of a small passing set.
 WALK_EF = 8
 
-MONITORS = {
-    "none": lambda: None,
-    "hop-budget": lambda: WalkMonitor(
-        WalkBudget(hop_budget=5, min_passing_rate=0.0, grace_hops=0), m=8),
-    "passing-rate": lambda: WalkMonitor(
-        WalkBudget(hop_budget=10_000, min_passing_rate=0.5, grace_hops=2),
-        m=40),
-}
-
 
 def assert_kernels_agree(vectors, metric, level, neighbor_fn, mask, seed_ids,
-                         ef, make_monitor=MONITORS["none"]):
+                         ef):
     """Run one level through both kernels and compare everything."""
     outcomes = []
     for frozen in (False, True):
         computer = DistanceComputer(vectors, metric)
         query = computer.set_query(vectors[0] * 0.5 + 0.1)
         seeds = [(computer.distance_one(query, s), s) for s in seed_ids]
-        stats, monitor, scratch = TraversalStats(), make_monitor(), \
-            TraversalScratch()
+        stats, scratch = TraversalStats(), TraversalScratch()
         if frozen:
             found = search_frozen_level(
                 computer, query, seeds, ef, level, mask, scratch,
-                stats=stats, monitor=monitor)
+                stats=stats)
             assert scratch.bound_mask is mask
             assert np.array_equal(scratch.eligible, mask)
         else:
@@ -84,13 +73,11 @@ def assert_kernels_agree(vectors, metric, level, neighbor_fn, mask, seed_ids,
             for node in seed_ids:
                 scratch.mark(node)
             found = search_layer(computer, query, seeds, ef, neighbor_fn,
-                                 scratch, stats=stats, monitor=monitor)
+                                 scratch, stats=stats)
         outcomes.append((
             [node for _, node in found],
             np.asarray([dist for dist, _ in found]).tobytes(),
             computer.count, stats.hops, stats.visited,
-            None if monitor is None
-            else (monitor.hops, monitor.aborted, monitor.abort_reason),
         ))
     assert outcomes[0] == outcomes[1]
     return outcomes[0]
@@ -132,36 +119,20 @@ def _masks(n, tombstones):
 
 
 class TestKernelIdentity:
-    @pytest.mark.parametrize("monitor", sorted(MONITORS))
     @pytest.mark.parametrize("tombstones", [False, True])
     @pytest.mark.parametrize("ef,n_seeds", [(1, 1), (3, 6), (5000, 2)],
                              ids=["ef1", "ef<seeds", "ef>reachable"])
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("kind", ["raw", "expansion"])
     def test_matches_search_layer(self, small_vectors, csr_kinds, kind,
-                                  metric, ef, n_seeds, tombstones, monitor):
+                                  metric, ef, n_seeds, tombstones):
         vectors = small_vectors[0]
         level, lookup = csr_kinds[kind]
-        aborted = []
         for i, mask in enumerate(_masks(len(vectors), tombstones)):
             seed_ids = [(37 * i + 101 * j) % len(vectors)
                         for j in range(n_seeds)]
-            outcome = assert_kernels_agree(
-                vectors, metric, level, lookup(mask), mask, seed_ids, ef,
-                MONITORS[monitor])
-            aborted.append(outcome[-1] is not None and outcome[-1][1])
-        if monitor == "hop-budget" and ef > 1:
-            assert any(aborted)
-
-    def test_passing_rate_abort_fires(self, small_vectors, csr_kinds):
-        """The parametrized budget really aborts a sparse-mask walk."""
-        vectors = small_vectors[0]
-        level, lookup = csr_kinds["raw"]
-        mask = _masks(len(vectors), True)[1]
-        outcome = assert_kernels_agree(
-            vectors, "l2", level, lookup(mask), mask, [0], 64,
-            MONITORS["passing-rate"])
-        assert outcome[-1][1] and "passing rate" in outcome[-1][2]
+            assert_kernels_agree(
+                vectors, metric, level, lookup(mask), mask, seed_ids, ef)
 
     def test_rejects_non_positive_ef(self, small_vectors, level0):
         vectors = small_vectors[0]
@@ -200,8 +171,6 @@ class TestKernelIdentity:
         max_ratio = data.draw(st.sampled_from([0.0, 0.5, 16.0]),
                               label="max_ratio")
         metric = data.draw(st.sampled_from(METRICS), label="metric")
-        monitor = data.draw(st.sampled_from(sorted(MONITORS)),
-                            label="monitor")
         vectors = np.random.default_rng(
             data.draw(st.integers(0, 2**16), label="vector seed")
         ).standard_normal((n, 4)).astype(np.float32)
@@ -220,7 +189,7 @@ class TestKernelIdentity:
             return compressed_neighbors(level, c, mask, m_beta)
 
         assert_kernels_agree(vectors, metric, level, lookup, mask, seed_ids,
-                             ef, MONITORS[monitor])
+                             ef)
 
 
 def _world(n=240, rows=260, seed=5):
@@ -283,7 +252,7 @@ def _queries(vectors, n=8, seed=9):
 
 
 class TestIndexIdentity:
-    """Every family × metric × tombstones × monitor vs the reference."""
+    """Every family × metric × tombstones vs the reference."""
 
     def test_resolver_covers_both_outcomes(self, families):
         """Each level names its lookup: ACORN-γ filters above its
@@ -300,10 +269,9 @@ class TestIndexIdentity:
                     len(lookups) - 1)
         assert {level.m_beta for level in hnsw.freeze()} == {None}
 
-    @pytest.mark.parametrize("monitor", sorted(MONITORS))
     @pytest.mark.parametrize("family", ["acorn", "acorn1", "acorn-dynamic",
                                         "acorn1-dynamic", "flat"])
-    def test_acorn_families(self, families, family, monitor):
+    def test_acorn_families(self, families, family):
         vectors, indexes, _ = families
         index = indexes[family]
         preds = [Equals("label", i % 4) for i in range(7)] + [TruePredicate()]
@@ -313,18 +281,11 @@ class TestIndexIdentity:
                     for node in range(0, len(index), 3):
                         index.mark_deleted(node)
                 for query, pred in zip(_queries(vectors), preds):
-                    got_mon, want_mon = (MONITORS[monitor](),
-                                         MONITORS[monitor]())
-                    got = index.search(query, pred, 5, ef_search=WALK_EF,
-                                       monitor=got_mon)
+                    got = index.search(query, pred, 5, ef_search=WALK_EF)
                     want = reference_search(index, query, pred, 5,
-                                            ef_search=WALK_EF,
-                                            monitor=want_mon)
+                                            ef_search=WALK_EF)
                     assert got.hops > 0
                     assert_results_identical(got, want)
-                    if got_mon is not None:
-                        assert (got_mon.hops, got_mon.abort_reason) == (
-                            want_mon.hops, want_mon.abort_reason)
         finally:
             for node in range(0, len(index), 3):
                 index.unmark_deleted(node)
@@ -452,7 +413,7 @@ class TestEligibilityBuffer:
     def index(self, families):
         return families[1]["acorn"]
 
-    def test_clean_after_normal_aborted_and_failed_search(
+    def test_clean_after_normal_and_failed_search(
         self, families, index, monkeypatch
     ):
         vectors = families[0]
@@ -460,10 +421,6 @@ class TestEligibilityBuffer:
         pred = index._compile(Equals("label", 2))
         index.search(vectors[5], pred, 5, ef_search=WALK_EF)
         assert scratch.bound_mask is pred.mask and _buffer_is_clean(scratch)
-
-        monitor = MONITORS["hop-budget"]()
-        index.search(vectors[5], pred, 5, ef_search=WALK_EF, monitor=monitor)
-        assert monitor.aborted and _buffer_is_clean(scratch)
 
         calls = {"n": 0}
         real = DistanceComputer.distances_to

@@ -44,7 +44,7 @@ class TestRouterPipeline:
         ):
             result = searcher.search(query.vector, compiled, 10,
                                      ef_search=48)
-            assert searcher.last_plan.route == "acorn-gamma"
+            assert result.route_chosen == "acorn-gamma"
             scanned.add(result.hops == 0)
         # s_min = 0.25 > label selectivity 1/12: the index pre-filters
         # every query.
@@ -60,7 +60,7 @@ class TestRouterPipeline:
         result = searcher.search(
             sift_tiny.queries[0].vector, compiled, 5, ef_search=5,
         )
-        assert searcher.last_plan.route == "acorn-gamma"
+        assert result.route_chosen == "acorn-gamma"
         # s_min = 1/24 < label selectivity 1/12, and the passing count
         # exceeds the cutoff of 5·8/2 = 20: the index walks.
         assert compiled.cardinality > max(20, len(index) / 24)

@@ -5,10 +5,7 @@ import pytest
 
 from repro.attributes.table import AttributeTable
 from repro.predicates import Equals
-from repro.predicates.selectivity import (
-    ExactSelectivityEstimator,
-    SamplingSelectivityEstimator,
-)
+from repro.predicates.selectivity import SamplingSelectivityEstimator
 
 
 @pytest.fixture
@@ -17,19 +14,6 @@ def table():
     t = AttributeTable(2000)
     t.add_int_column("label", gen.integers(0, 10, size=2000))
     return t
-
-
-class TestExact:
-    def test_matches_ground_truth(self, table):
-        estimator = ExactSelectivityEstimator(table)
-        predicate = Equals("label", 3)
-        truth = predicate.mask(table).mean()
-        assert estimator.estimate(predicate) == pytest.approx(truth)
-
-    def test_empty_table(self):
-        empty = AttributeTable(0)
-        empty.add_int_column("label", [])
-        assert ExactSelectivityEstimator(empty).estimate(Equals("label", 1)) == 0.0
 
 
 class TestSampling:
@@ -60,90 +44,3 @@ class TestSampling:
     def test_rejects_bad_sample_size(self, table):
         with pytest.raises(ValueError):
             SamplingSelectivityEstimator(table, sample_size=0)
-
-
-class TestHistogram:
-    def test_between_close_to_truth(self, table):
-        from repro.predicates import Between, HistogramSelectivityEstimator
-
-        estimator = HistogramSelectivityEstimator(table, n_buckets=32)
-        predicate = Between("label", 2, 6)
-        truth = predicate.mask(table).mean()
-        assert abs(estimator.estimate(predicate) - truth) < 0.1
-
-    def test_equals_close_to_truth(self, table):
-        from repro.predicates import HistogramSelectivityEstimator
-
-        estimator = HistogramSelectivityEstimator(table, n_buckets=10)
-        predicate = Equals("label", 4)
-        truth = predicate.mask(table).mean()
-        assert abs(estimator.estimate(predicate) - truth) < 0.08
-
-    def test_oneof_sums_and_caps(self, table):
-        from repro.predicates import HistogramSelectivityEstimator, OneOf
-
-        estimator = HistogramSelectivityEstimator(table, n_buckets=10)
-        wide = OneOf("label", list(range(10)))
-        assert 0.5 < estimator.estimate(wide) <= 1.0
-
-    def test_fallback_for_unsupported_shapes(self, table):
-        from repro.predicates import HistogramSelectivityEstimator, Not
-
-        estimator = HistogramSelectivityEstimator(table, n_buckets=10, seed=0)
-        predicate = Not(Equals("label", 3))
-        truth = predicate.mask(table).mean()
-        assert abs(estimator.estimate(predicate) - truth) < 0.1
-
-    def test_out_of_range_between(self, table):
-        from repro.predicates import Between, HistogramSelectivityEstimator
-
-        estimator = HistogramSelectivityEstimator(table)
-        assert estimator.estimate(Between("label", 50, 60)) == 0.0
-
-    def test_rejects_bad_buckets(self, table):
-        from repro.predicates import HistogramSelectivityEstimator
-
-        with pytest.raises(ValueError):
-            HistogramSelectivityEstimator(table, n_buckets=0)
-
-    def test_empty_table_builds_no_histograms(self):
-        """Regression: an empty int column must not produce a phantom
-        histogram (np.histogram silently invents a [0, 1] domain on
-        empty input); estimates route to the fallback and return 0.0."""
-        from repro.predicates import HistogramSelectivityEstimator
-
-        empty = AttributeTable(0)
-        empty.add_int_column("label", [])
-        estimator = HistogramSelectivityEstimator(empty, seed=0)
-        assert estimator._histograms == {}
-        assert estimator.estimate(Equals("label", 3)) == 0.0
-
-    def test_empty_table_between_and_oneof(self):
-        from repro.predicates import (
-            Between,
-            HistogramSelectivityEstimator,
-            OneOf,
-        )
-
-        empty = AttributeTable(0)
-        empty.add_int_column("score", [])
-        estimator = HistogramSelectivityEstimator(empty, seed=0)
-        assert estimator.estimate(Between("score", 0, 10)) == 0.0
-        assert estimator.estimate(OneOf("score", (1, 2))) == 0.0
-
-    def test_all_categorical_table_uses_fallback(self):
-        """A table with only string columns builds zero histograms and
-        every estimate goes through the fallback estimator."""
-        from repro.predicates import HistogramSelectivityEstimator
-
-        t = AttributeTable(100)
-        t.add_string_column(
-            "color", ["red" if i % 4 == 0 else "blue" for i in range(100)]
-        )
-        estimator = HistogramSelectivityEstimator(
-            t, fallback=ExactSelectivityEstimator(t)
-        )
-        assert estimator._histograms == {}
-        assert estimator.estimate(Equals("color", "red")) == pytest.approx(
-            0.25
-        )

@@ -1,13 +1,8 @@
-"""Property-based tests for the adaptive route planner.
+"""Property-based tests for the route planner.
 
-Two invariants pin the planner's safety story (ISSUE satellites):
-
-1. At exhaustive ``ef_search`` the adaptive planner returns exactly the
-   brute-force top-k restricted to passing entities — whichever route
-   its cost model picked.
-2. Whenever ``fallback_triggered`` is set, the results are identical to
-   the pre-filter baseline (the RACORN-1 recovery is exact, not merely
-   approximate).
+At exhaustive ``ef_search`` the planner returns exactly the brute-force
+top-k restricted to passing entities, and at any effort its results
+keep the search contract.
 """
 
 import numpy as np
@@ -15,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attributes import AttributeTable
-from repro.baselines.prefilter import PreFilterSearcher
 from repro.core import AcornIndex, AcornParams
 from repro.predicates import Equals, OneOf
-from repro.routing import RoutePlanner, RoutingFeedback, WalkBudget
+from repro.routing import ROUTE_ACORN_GAMMA, RoutePlanner
 
 N, DIM, N_LABELS = 80, 6, 4
 
@@ -31,9 +25,8 @@ _index = AcornIndex.build(
     params=AcornParams(m=4, gamma=3, m_beta=8, ef_construction=16),
     seed=5,
 )
-_prefilter = PreFilterSearcher(_vectors, _table, metric=_index.metric)
 # max(EF_WALK, k ≤ 8) · Mβ = 72 < N: at a larger ef every query would
-# scan the whole index, so no walk (and no walk monitor) would run.
+# scan the whole index, so no walk would run.
 EF_WALK = 9
 
 predicates = st.one_of(
@@ -69,29 +62,6 @@ def test_exhaustive_ef_matches_brute_force(seed, k, pred):
     assert (np.diff(result.distances) >= -1e-5).all()
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), k=st.integers(1, 8), pred=predicates)
-def test_fallback_is_identical_to_prefilter(seed, k, pred):
-    # Optimistic graph scales plus a one-hop budget force a monitored
-    # graph attempt that immediately aborts for most draws.
-    planner = RoutePlanner(
-        _index,
-        policy="adaptive",
-        feedback=RoutingFeedback(
-            initial_scales={"acorn-gamma": 1e-6, "acorn-1": 1e-6}
-        ),
-        walk_budget=WalkBudget(hop_budget=1),
-    )
-    query = _query(seed)
-    result = planner.search(query, pred, k, ef_search=EF_WALK)
-    if result.fallback_triggered:
-        expected = _prefilter.search(query, pred.compile(_table), k)
-        assert np.array_equal(result.ids, expected.ids)
-        assert np.allclose(result.distances, expected.distances)
-        assert result.route_chosen == "pre-filter"
-        assert "fallback from" in result.route_reason
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), k=st.integers(1, 6),
        ef=st.integers(4, EF_WALK), pred=predicates)
@@ -101,7 +71,7 @@ def test_search_contract_holds_on_every_route(seed, k, ef, pred):
     planner = RoutePlanner(_index, policy="adaptive")
     result = planner.search(_query(seed), pred, k, ef_search=ef)
     compiled = pred.compile(_table)
-    assert result.route_chosen in planner.routes()
+    assert result.route_chosen == ROUTE_ACORN_GAMMA
     assert len(result) <= k
     assert len(set(result.ids.tolist())) == len(result)
     if len(result):

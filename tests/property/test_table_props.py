@@ -1,11 +1,10 @@
-"""Property-based tests for the attribute table and estimators."""
+"""Property-based tests for the attribute table."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attributes.table import AttributeTable
-from repro.predicates import Between, Equals
-from repro.predicates.selectivity import HistogramSelectivityEstimator
+from repro.predicates import Equals
 
 keyword_pool = ["a", "b", "c", "d", "e"]
 
@@ -58,28 +57,3 @@ def test_keyword_postings_consistent(world, keyword):
     rows = set(column.rows_containing(keyword).tolist())
     expected = {i for i, kws in enumerate(lists) if keyword in kws}
     assert rows == expected
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(st.integers(0, 100), min_size=50, max_size=300),
-    st.tuples(st.integers(0, 100), st.integers(0, 100)).filter(
-        lambda b: abs(b[0] - b[1]) >= 5
-    ),
-)
-def test_histogram_between_bounded_error(values, bounds):
-    """For proper (multi-bucket) ranges the equi-width error is
-    bounded by the boundary buckets' mass.  Point queries on skewed
-    data legitimately exceed this (classic histogram limitation) and
-    are covered by the unit tests instead."""
-    low, high = min(bounds), max(bounds)
-    table = AttributeTable(len(values))
-    table.add_int_column("v", values)
-    estimator = HistogramSelectivityEstimator(table, n_buckets=32)
-    predicate = Between("v", low, high)
-    truth = predicate.mask(table).mean()
-    counts, _ = estimator._histograms["v"]
-    max_bucket_mass = counts.max() / max(counts.sum(), 1)
-    assert abs(estimator.estimate(predicate) - truth) <= (
-        2 * max_bucket_mass + 0.05
-    )

@@ -31,6 +31,20 @@ class TestExports:
         assert AcornParams and AttributeTable and HnswIndex
         assert RoutePlanner and load_index and save_index
 
+    def test_routing_exports_pinned(self):
+        """The route stamp is all that is left of ``repro.routing``."""
+        from repro import predicates, routing
+
+        assert set(routing.__all__) == {
+            "POLICIES", "ROUTE_ACORN_GAMMA", "RoutePlanner"}
+        for name in ("RoutingFeedback", "WalkBudget", "WalkMonitor",
+                     "CostModel", "RoutePlan"):
+            assert not hasattr(routing, name)
+            assert name not in repro.__all__
+        for name in ("ExactSelectivityEstimator",
+                     "HistogramSelectivityEstimator"):
+            assert not hasattr(predicates, name)
+
     def test_baselines_namespace(self):
         from repro import baselines
 
