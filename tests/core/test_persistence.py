@@ -158,24 +158,6 @@ class TestAcornRoundtrip:
         np.testing.assert_array_equal(a.ids, b.ids)
 
 
-class TestCosinePersistence:
-    def test_cosine_index_roundtrip(self, world, tmp_path):
-        vectors, table = world
-        index = AcornIndex.build(
-            vectors, table,
-            params=AcornParams(m=8, gamma=4, m_beta=12, ef_construction=24),
-            metric="cosine", seed=0,
-        )
-        path = tmp_path / "cosine.npz"
-        save_index(index, path)
-        restored = load_index(path)
-        assert restored.metric.value == "cosine"
-        q = vectors[9]
-        a = index.search(q, Equals("label", 0), 5, ef_search=32)
-        b = restored.search(q, Equals("label", 0), 5, ef_search=32)
-        np.testing.assert_array_equal(a.ids, b.ids)
-
-
 class TestErrors:
     def test_unsupported_type(self, tmp_path):
         with pytest.raises(TypeError, match="serialize"):

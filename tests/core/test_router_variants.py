@@ -36,7 +36,7 @@ class TestRouterOverVariants:
         # does not apply: ≈ 100 passing rows walk above the count
         # cutoff of 8·12/2 = 48.
         assert index.params.s_min == pytest.approx(1.0)
-        assert searcher.last_plan.route == "acorn-gamma"
+        assert result.route_chosen == "acorn-gamma"
         assert result.hops > 0
 
     def test_flat(self, world):
@@ -50,7 +50,7 @@ class TestRouterOverVariants:
         predicate = Equals("label", 2)
         compiled = predicate.compile(table)
         result = searcher.search(vectors[3], predicate, 5, ef_search=8)
-        assert searcher.last_plan.route == "acorn-gamma"
+        assert result.route_chosen == "acorn-gamma"
         assert compiled.passes_many(result.ids).all()
         # ≈ 100 passing rows, above s_min · n = 50 and the cutoff of 32.
         assert result.hops > 0
