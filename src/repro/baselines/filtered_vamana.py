@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attributes.table import AttributeTable
-from repro.engine.batching import BatchSearchMixin
 from repro.baselines.vamana_common import extract_equality_label, greedy_search, robust_prune
+from repro.core.searcher import Searcher, check_search_args
 from repro.hnsw.hnsw import SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.utils.rng import default_rng
@@ -22,7 +22,7 @@ from repro.vectors.distance import Metric
 from repro.vectors.store import VectorStore
 
 
-class FilteredVamanaIndex(BatchSearchMixin):
+class FilteredVamanaIndex(Searcher):
     """Label-filtered Vamana graph (equality predicates only).
 
     Args:
@@ -131,8 +131,7 @@ class FilteredVamanaIndex(BatchSearchMixin):
         ef_search: int = 64,
     ) -> SearchResult:
         """FilteredGreedySearch from the query label's start node."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+        check_search_args(k, ef_search)
         label = extract_equality_label(predicate, self.label_column)
         if label not in self.start_nodes:
             return SearchResult.empty()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attributes.table import AttributeTable
-from repro.engine.batching import BatchSearchMixin
+from repro.core.searcher import Searcher, check_search_args
 from repro.hnsw.hnsw import SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.utils.rng import default_rng
@@ -57,7 +57,7 @@ def kmeans(
     return centroids, assignments
 
 
-class IvfFlatIndex(BatchSearchMixin):
+class IvfFlatIndex(Searcher):
     """Inverted-file index with exact in-cell distances.
 
     Args:
@@ -111,17 +111,12 @@ class IvfFlatIndex(BatchSearchMixin):
         ``nprobe`` defaults to a value derived from ``ef_search`` so the
         harness can sweep one knob across all methods.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+        check_search_args(k, ef_search)
         if nprobe is None:
             # Map the harness's ef knob onto a probe count: ef=64 on a
             # sqrt(n)-cell index probes ~ 1/8th of the cells.
             nprobe = max(1, min(self.n_clusters, ef_search * self.n_clusters // 512))
-        compiled = (
-            predicate
-            if isinstance(predicate, CompiledPredicate)
-            else predicate.compile(self.table)
-        )
+        compiled = self._compile(predicate)
         computer = self.store.computer()
         query = computer.set_query(query)
         cell_dists = pairwise_distances(self.centroids, query, metric=self.store.metric)[0]

@@ -21,8 +21,8 @@ import heapq
 import numpy as np
 
 from repro.attributes.table import AttributeTable
-from repro.engine.batching import BatchSearchMixin
 from repro.baselines.vamana_common import extract_equality_label
+from repro.core.searcher import Searcher, check_search_args
 from repro.hnsw.hnsw import SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.utils.rng import default_rng
@@ -30,7 +30,7 @@ from repro.vectors.distance import Metric, pairwise_distances
 from repro.vectors.store import VectorStore
 
 
-class NhqIndex(BatchSearchMixin):
+class NhqIndex(Searcher):
     """Fusion-distance KNN graph over vectors plus one equality attribute.
 
     Args:
@@ -110,8 +110,7 @@ class NhqIndex(BatchSearchMixin):
         are final-filtered to exact matches since fusion routing is a
         soft constraint.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+        check_search_args(k, ef_search)
         label = extract_equality_label(predicate, self.label_column)
         computer = self.store.computer()
         query = computer.set_query(query)

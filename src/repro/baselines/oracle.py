@@ -16,7 +16,7 @@ from collections.abc import Callable, Hashable, Iterable
 import numpy as np
 
 from repro.attributes.table import AttributeTable
-from repro.engine.batching import BatchSearchMixin
+from repro.core.searcher import Searcher, check_search_args
 from repro.hnsw.hnsw import HnswIndex, SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.vectors.distance import Metric
@@ -27,7 +27,7 @@ def _default_key(predicate: Predicate) -> Hashable:
     return repr(predicate)
 
 
-class OraclePartitionIndex(BatchSearchMixin):
+class OraclePartitionIndex(Searcher):
     """One HNSW partition per known query predicate.
 
     Args:
@@ -95,6 +95,7 @@ class OraclePartitionIndex(BatchSearchMixin):
         ef_search: int = 64,
     ) -> SearchResult:
         """Search the partition matching ``predicate`` exactly."""
+        check_search_args(k, ef_search)
         if isinstance(predicate, CompiledPredicate):
             predicate = predicate.predicate
         index, ids = self._partitions[self._require(predicate)]

@@ -17,12 +17,12 @@ import math
 import numpy as np
 
 from repro.attributes.table import AttributeTable
-from repro.engine.batching import BatchSearchMixin
+from repro.core.searcher import Searcher, check_search_args
 from repro.hnsw.hnsw import HnswIndex, SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
 
 
-class PostFilterSearcher(BatchSearchMixin):
+class PostFilterSearcher(Searcher):
     """Post-filtering over an unfiltered HNSW index.
 
     Args:
@@ -65,13 +65,8 @@ class PostFilterSearcher(BatchSearchMixin):
         ef_search: int = 64,
     ) -> SearchResult:
         """K nearest passing neighbors via over-search + filter."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        compiled = (
-            predicate
-            if isinstance(predicate, CompiledPredicate)
-            else predicate.compile(self.table)
-        )
+        check_search_args(k, ef_search)
+        compiled = self._compile(predicate)
         budget = self.candidate_budget(k, compiled.selectivity, ef_search)
         candidates, ncomp = self.index.search_candidates(query, max(budget, k))
         mask = compiled.mask

@@ -13,14 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attributes.table import AttributeTable
-from repro.engine.batching import BatchSearchMixin
+from repro.core.searcher import Searcher, check_search_args
 from repro.hnsw.hnsw import SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.vectors.distance import Metric, exact_top_k
 from repro.vectors.store import VectorStore
 
 
-class PreFilterSearcher(BatchSearchMixin):
+class PreFilterSearcher(Searcher):
     """Brute-force hybrid search over the predicate-passing subset."""
 
     def __init__(
@@ -45,21 +45,15 @@ class PreFilterSearcher(BatchSearchMixin):
         query: np.ndarray,
         predicate: "Predicate | CompiledPredicate",
         k: int,
-        **_ignored,
+        ef_search: int = 64,
     ) -> SearchResult:
         """Exact K nearest passing neighbors (perfect recall).
 
-        Extra keyword arguments (e.g. ``ef_search``) are accepted and
-        ignored so pre-filtering is interchangeable with graph searchers
-        in the benchmark harness.
+        ``ef_search`` is validated like every searcher's and otherwise
+        ignored: the scan is exhaustive whatever the effort.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        compiled = (
-            predicate
-            if isinstance(predicate, CompiledPredicate)
-            else predicate.compile(self.table)
-        )
+        check_search_args(k, ef_search)
+        compiled = self._compile(predicate)
         computer = self.store.computer()
         ids, dists = exact_top_k(computer, computer.set_query(query),
                                  compiled.passing_ids, k)

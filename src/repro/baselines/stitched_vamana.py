@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attributes.table import AttributeTable
-from repro.engine.batching import BatchSearchMixin
 from repro.baselines.vamana_common import extract_equality_label, greedy_search, robust_prune
+from repro.core.searcher import Searcher, check_search_args
 from repro.hnsw.hnsw import SearchResult
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.utils.rng import default_rng
@@ -84,7 +84,7 @@ def build_vamana_adjacency(
     }
 
 
-class StitchedVamanaIndex(BatchSearchMixin):
+class StitchedVamanaIndex(Searcher):
     """Per-label Vamana graphs stitched into one filtered index.
 
     Args:
@@ -160,8 +160,7 @@ class StitchedVamanaIndex(BatchSearchMixin):
         ef_search: int = 64,
     ) -> SearchResult:
         """FilteredGreedySearch from the query label's start node."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+        check_search_args(k, ef_search)
         label = extract_equality_label(predicate, self.label_column)
         if label not in self.start_nodes:
             return SearchResult.empty()

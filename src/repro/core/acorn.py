@@ -29,7 +29,7 @@ from repro.core.search import (
     filtered_neighbors,
     freeze_graph,
 )
-from repro.engine.batching import BatchSearchMixin
+from repro.core.searcher import Searcher, check_search_args
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.hnsw import SearchResult
 from repro.hnsw.levels import LevelGenerator
@@ -44,7 +44,7 @@ from repro.vectors.distance import DistanceComputer, Metric, exact_top_k
 from repro.vectors.store import VectorStore
 
 
-class AcornIndex(BatchSearchMixin):
+class AcornIndex(Searcher):
     """ACORN-γ: a predicate-agnostic hybrid-search index.
 
     Args:
@@ -400,10 +400,7 @@ class AcornIndex(BatchSearchMixin):
                 fixed entry point; used by the entry-point ablation).
                 An explicit entry point always walks.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if ef_search <= 0:
-            raise ValueError(f"ef_search must be positive, got {ef_search}")
+        check_search_args(k, ef_search)
         compiled = self._compile(predicate)
         if len(self.graph) == 0:
             return SearchResult.empty()
@@ -516,20 +513,6 @@ class AcornIndex(BatchSearchMixin):
         graph built with single-seed candidate searches fragments.
         """
         return seeds
-
-    # ``search_batch`` comes from BatchSearchMixin: batches run through
-    # repro.engine (predicate-mask caching, optional process fan-out,
-    # per-query QueryStats) and return list[SearchResult] as before.
-
-    def _compile(self, predicate: "Predicate | CompiledPredicate") -> CompiledPredicate:
-        if isinstance(predicate, CompiledPredicate):
-            if len(predicate) != len(self.table):
-                raise ValueError(
-                    f"compiled predicate covers {len(predicate)} entities, "
-                    f"table has {len(self.table)}"
-                )
-            return predicate
-        return predicate.compile(self.table)
 
     # ------------------------------------------------------------------
     # Deletion (tombstones)

@@ -19,23 +19,15 @@ Quickstart::
     result.summary()["latency_s"]["p95"]
 """
 
-from repro.engine.batching import BatchSearchMixin
 from repro.engine.cache import CacheInfo, PredicateCache
-from repro.engine.engine import (
-    BatchResult,
-    QueryBatch,
-    SearchEngine,
-    resolve_table,
-)
+from repro.engine.engine import BatchResult, QueryBatch, SearchEngine
 from repro.engine.instrumentation import QueryStats
 
 __all__ = [
     "BatchResult",
-    "BatchSearchMixin",
     "CacheInfo",
     "PredicateCache",
     "QueryBatch",
     "QueryStats",
     "SearchEngine",
-    "resolve_table",
 ]

@@ -11,8 +11,8 @@ identical to a sequential loop — with one
 :class:`~repro.engine.instrumentation.QueryStats` record per query and
 batch-level p50/p95/p99 summaries.
 
-Any searcher exposing ``search(query, predicate, k, ef_search=...) ->
-SearchResult`` works: the ACORN indices, the router, and every baseline.
+Any :class:`~repro.core.searcher.Searcher` works: the ACORN indices,
+the router, the sharded and lifecycle indexes, and every baseline.
 The engine starts no threads of its own, but callers may drive one
 engine or index from several; that rests on two invariants established
 elsewhere:
@@ -32,6 +32,7 @@ from collections import Counter
 
 import numpy as np
 
+from repro.core.searcher import check_search_args
 from repro.engine.cache import CacheInfo, PredicateCache
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.telemetry import QueryStats, SearchResult
@@ -88,19 +89,6 @@ _SUMMARY_ROWS = sorted(
 )
 
 
-def resolve_table(searcher):
-    """Find the attribute table a searcher compiles predicates against.
-
-    Checks ``searcher.table`` first, then ``searcher.index.table`` (the
-    router's shape).  Returns None when the searcher carries no table —
-    such engines only accept pre-compiled predicates.
-    """
-    table = getattr(searcher, "table", None)
-    if table is not None:
-        return table
-    return getattr(getattr(searcher, "index", None), "table", None)
-
-
 @dataclasses.dataclass
 class QueryBatch:
     """An ordered batch of hybrid queries sharing one K and ef_search.
@@ -130,10 +118,7 @@ class QueryBatch:
             k: neighbors per query (must be positive).
             ef_search: search-effort knob (must be positive).
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if ef_search <= 0:
-            raise ValueError(f"ef_search must be positive, got {ef_search}")
+        check_search_args(k, ef_search)
         queries = np.asarray(queries, dtype=np.float32)
         if queries.size == 0:
             queries = queries.reshape(0, queries.shape[-1] if queries.ndim >= 2 else 0)
@@ -229,15 +214,15 @@ class SearchEngine:
     distance computer, and compiled masks are read-only inputs).
 
     Args:
-        searcher: any object exposing ``search(query, predicate, k,
-            ef_search=...) -> SearchResult``.
+        searcher: a :class:`~repro.core.searcher.Searcher`; the engine
+            calls its ``search``, ``freeze``, read-snapshot pair and
+            ``table``.
         num_workers: worker processes under ``executor="process"`` (a
             batch splits into at most this many contiguous chunks);
             unused by ``"sync"``.
         cache_size: LRU capacity of the compiled-predicate cache.
         table: attribute table for predicate compilation; defaults to
-            the searcher's own table (``searcher.table`` or
-            ``searcher.index.table``).
+            the pinned searcher's own ``table``.
         executor: ``"sync"`` (default) answers every query inline on
             the calling thread; ``"process"`` ships contiguous chunks
             of a batch to a persistent spawned worker pool reading the
@@ -289,7 +274,7 @@ class SearchEngine:
     def table(self):
         """The table predicates currently compile against.
 
-        Re-resolved from the searcher on every read (unless an explicit
+        Re-read from the searcher on every access (unless an explicit
         ``table=`` was given) because lifecycle searchers swap their
         base table on compaction — a table pinned at construction would
         go stale and compile masks against rows the published epoch no
@@ -297,7 +282,7 @@ class SearchEngine:
         """
         if self._table_override is not None:
             return self._table_override
-        return resolve_table(self.searcher)
+        return self.searcher.table
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -490,34 +475,19 @@ class SearchEngine:
         start = time.perf_counter()
         # Materialize the frozen snapshot up front so every query (and
         # the arena, on the process path) reads one immutable adjacency.
-        freeze = getattr(self.searcher, "freeze", None)
-        if callable(freeze):
-            freeze()
-        # Snapshot-per-batch hook: lifecycle searchers pin one published
-        # epoch here, so every query in the batch reads the same
-        # immutable (base, delta, tombstone) state even while writers
-        # publish newer epochs concurrently.  Released after the batch.
-        acquire = getattr(self.searcher, "acquire_read_snapshot", None)
-        snapshot = acquire() if callable(acquire) else None
-        searcher = self.searcher if snapshot is None else snapshot
+        self.searcher.freeze()
+        # Lifecycle searchers pin one published epoch here, so every
+        # query in the batch reads the same immutable (base, delta,
+        # tombstone) state even while writers publish newer epochs
+        # concurrently; any other searcher pins itself.
+        searcher = self.searcher.acquire_read_snapshot()
         try:
-            # Batch-lifecycle hook, called before the first query runs
-            # (no library searcher defines it; tests hold a batch in
-            # flight with it).
-            begin_batch = getattr(self.searcher, "begin_batch", None)
-            if callable(begin_batch):
-                begin_batch()
-            # Compile against the pinned snapshot's base table when one
-            # exists: the searcher's current table can move to a newer
-            # epoch mid-batch, and masks must match the table the
-            # queries will actually be filtered over.
+            # Compile against the pinned table: the searcher's current
+            # one can move to a newer epoch mid-batch, and masks must
+            # match the table the queries will actually be filtered over.
             table = self._table_override
-            if table is None and snapshot is not None:
-                table = getattr(
-                    getattr(snapshot, "base", None), "table", None
-                )
             if table is None:
-                table = self.table
+                table = searcher.table
             compiled, hit_flags = self._compile_predicates(
                 batch.predicates, table
             )
@@ -542,8 +512,7 @@ class SearchEngine:
                 dispatched = [run_one(i) for i in range(len(batch))], 1
             pairs, ways = dispatched
         finally:
-            if snapshot is not None:
-                self.searcher.release_read_snapshot(snapshot)
+            self.searcher.release_read_snapshot(searcher)
 
         return BatchResult(
             results=[result for result, _ in pairs],

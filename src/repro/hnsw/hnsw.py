@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.searcher import check_search_args
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.heuristics import select_neighbors_heuristic
 from repro.hnsw.levels import LevelGenerator
@@ -227,10 +228,7 @@ class HnswIndex:
             ef_search: dynamic candidate-list size on level 0 (efs);
                 effective value is ``max(ef_search, k)``.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if ef_search <= 0:
-            raise ValueError(f"ef_search must be positive, got {ef_search}")
+        check_search_args(k, ef_search)
         if len(self.graph) == 0:
             return SearchResult.empty()
         computer = self.store.computer()

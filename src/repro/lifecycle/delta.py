@@ -26,7 +26,7 @@ import dataclasses
 import numpy as np
 
 from repro.attributes.table import AttributeTable, ColumnKind, build_table
-from repro.predicates.base import CompiledPredicate, Predicate
+from repro.predicates.base import Predicate
 from repro.vectors import Metric, VectorStore
 
 __all__ = ["DeltaIndex", "DeltaView", "table_schema"]
@@ -88,11 +88,11 @@ class DeltaView:
     def topk(
         self,
         query: np.ndarray,
-        predicate: "Predicate | CompiledPredicate",
+        predicate: Predicate,
         k: int,
         alive: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Exact top-k over live, passing delta entries.
+        """Exact top-k over live entries passing the raw ``predicate``.
 
         ``alive`` is the entries' liveness mask, computed once per
         epoch when the snapshot is published.  Returns ``(distances,
@@ -101,10 +101,8 @@ class DeltaView:
         """
         if len(self) == 0 or k <= 0:
             return _EMPTY_DISTS, _EMPTY_IDS, 0
-        raw = (predicate.predicate
-               if isinstance(predicate, CompiledPredicate) else predicate)
         passing = np.flatnonzero(
-            np.asarray(raw.mask(self.table), dtype=bool) & alive)
+            np.asarray(predicate.mask(self.table), dtype=bool) & alive)
         if passing.size == 0:
             return _EMPTY_DISTS, _EMPTY_IDS, 0
         computer = self.store.computer()

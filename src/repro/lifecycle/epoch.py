@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.searcher import Searcher, check_search_args
 from repro.lifecycle.delta import DeltaView
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.shard.sharded import merge_topk
@@ -46,13 +47,12 @@ def _alive(ids: np.ndarray, dead: np.ndarray) -> np.ndarray:
     return alive
 
 
-class EpochSnapshot:
+class EpochSnapshot(Searcher):
     """One published, immutable epoch of a :class:`LifecycleIndex`.
 
     Args:
         epoch: monotonically increasing publication counter.
-        base: the frozen graph index (any ACORN-family class), or None
-            for a delta-only lifecycle.
+        base: the frozen graph index (any ACORN-family class).
         base_ids: (len(base),) int64 external id of each base-internal
             node, strictly ascending.
         deltas: frozen delta segments, oldest first.
@@ -91,6 +91,12 @@ class EpochSnapshot:
     # ------------------------------------------------------------------
 
     @property
+    def table(self):
+        """The base's attribute table, which raw predicates compile
+        against for the base side."""
+        return self.base.table
+
+    @property
     def readers(self) -> int:
         """Readers currently holding this snapshot (acquire/release)."""
         return self._readers
@@ -122,7 +128,7 @@ class EpochSnapshot:
         ids_parts = [self.base_ids[self._base_alive]]
         vec_parts = [
             self.base.store.vectors[self._base_alive]
-            if self.base is not None and len(self.base) > 0
+            if len(self.base) > 0
             else np.empty((0, 0), dtype=np.float32)
         ]
         for view, alive in zip(self.deltas, self._delta_alive):
@@ -148,33 +154,21 @@ class EpochSnapshot:
     ) -> SearchResult:
         """Merged hybrid search over base + deltas, minus tombstones.
 
-        Result ids are **external ids**.  A pre-compiled predicate is
-        honored on the base side only when it was compiled against
-        *this snapshot's* base table (``compiled.table is base.table``
-        — the batch engine compiles against the table of the epoch it
-        pins); anything else — including a mask of coincidentally equal
-        length compiled before a compaction swapped the base — is
-        recompiled from the raw predicate.
+        Result ids are **external ids**.  The predicate resolves
+        against the base's table (:meth:`Searcher._compile`): a mask
+        compiled against another table — say of coincidentally equal
+        length, before a compaction swapped the base — is recompiled
+        from its source predicate, which also filters the deltas.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if ef_search <= 0:
-            raise ValueError(f"ef_search must be positive, got {ef_search}")
-        raw = (predicate.predicate
-               if isinstance(predicate, CompiledPredicate) else predicate)
+        check_search_args(k, ef_search)
+        compiled = self._compile(predicate)
+        raw = compiled.predicate
         parts: list[tuple[np.ndarray, np.ndarray]] = []
         children: list[QueryStats] = []
         base_candidates = delta_candidates = 0
 
-        if self.base is not None and len(self.base) > 0:
-            if (isinstance(predicate, CompiledPredicate)
-                    and predicate.table is self.base.table):
-                base_mask = predicate.mask
-            else:
-                base_mask = np.asarray(
-                    raw.mask(self.base.table), dtype=bool
-                )
-            composed = base_mask & self._base_alive
+        if len(self.base) > 0:
+            composed = compiled.mask & self._base_alive
             composed.setflags(write=False)
             result = self.base.search(
                 query, CompiledPredicate(raw, composed), k,
@@ -215,14 +209,11 @@ class EpochSnapshot:
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        raw = (predicate.predicate
-               if isinstance(predicate, CompiledPredicate) else predicate)
+        compiled = self._compile(predicate)
         parts: list[tuple[np.ndarray, np.ndarray]] = []
         ndist = 0
-        if self.base is not None and len(self.base) > 0:
-            mask = (np.asarray(raw.mask(self.base.table), dtype=bool)
-                    & self._base_alive)
-            passing = np.flatnonzero(mask)
+        if len(self.base) > 0:
+            passing = np.flatnonzero(compiled.mask & self._base_alive)
             if passing.size:
                 computer = self.base.store.computer()
                 q = computer.set_query(query)
@@ -230,7 +221,8 @@ class EpochSnapshot:
                               self.base_ids[passing]))
                 ndist += int(passing.size)
         for view, alive in zip(self.deltas, self._delta_alive):
-            dists, ids, scored = view.topk(query, raw, k, alive)
+            dists, ids, scored = view.topk(query, compiled.predicate, k,
+                                           alive)
             parts.append((dists, ids))
             ndist += scored
         distances, ids = merge_topk(parts, k)

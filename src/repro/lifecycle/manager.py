@@ -46,7 +46,7 @@ import numpy as np
 from repro.attributes.table import subset_table
 from repro.core.acorn import AcornIndex
 from repro.core.maintenance import build_like, fold
-from repro.engine.batching import BatchSearchMixin
+from repro.core.searcher import Searcher
 from repro.lifecycle.delta import DeltaIndex, table_schema
 from repro.lifecycle.epoch import EpochSnapshot
 from repro.telemetry import SearchResult
@@ -138,7 +138,7 @@ class CompactionReport:
     duration_s: float
 
 
-class LifecycleIndex(BatchSearchMixin):
+class LifecycleIndex(Searcher):
     """A log-structured, epoch-published view over an ACORN-family base.
 
     Args:
@@ -211,7 +211,7 @@ class LifecycleIndex(BatchSearchMixin):
         """The current base's attribute table (predicate compilation
         target for the batch engine; delta rows recompile per
         snapshot)."""
-        return self._published.base.table
+        return self._published.table
 
     @property
     def metric(self):
@@ -406,7 +406,7 @@ class LifecycleIndex(BatchSearchMixin):
     def freeze(self) -> None:
         """Engine hook: warm the published base's frozen adjacency."""
         base = self._published.base
-        if base is not None and len(base):
+        if len(base):
             base.freeze()
 
     def search(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.acorn import AcornIndex
-from repro.engine.batching import BatchSearchMixin
+from repro.core.searcher import Searcher, check_search_args
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.telemetry import SearchResult, fold_telemetry
 
@@ -21,7 +21,7 @@ POLICIES = ("adaptive",)
 ROUTE_ACORN_GAMMA = "acorn-gamma"
 
 
-class RoutePlanner(BatchSearchMixin):
+class RoutePlanner(Searcher):
     """``index.search`` with its route stamped on the result.
 
     Args:
@@ -54,8 +54,8 @@ class RoutePlanner(BatchSearchMixin):
         ``route_reason`` says whether the index scanned or walked, and
         ``est_selectivity`` is the compiled predicate's exact
         selectivity."""
-        if not isinstance(predicate, CompiledPredicate):
-            predicate = predicate.compile(self.table)
+        check_search_args(k, ef_search)
+        predicate = self._compile(predicate)
         result = self.index.search(query, predicate, k, ef_search=ef_search)
         how = "scans" if result.hops == 0 else "walks"
         return SearchResult(

@@ -14,11 +14,9 @@ from repro.serving.service import (
     REJECT_OVERLOAD,
     REJECT_TENANT_QUEUE,
     REJECT_TENANT_QUOTA,
-    STATUS_APPLIED,
     AcornService,
     ServedResponse,
     ServingConfig,
-    WriteResponse,
 )
 from repro.serving.tenancy import TenantQuota, TenantRegistry, TokenBucket
 
@@ -28,10 +26,8 @@ __all__ = [
     "REJECT_OVERLOAD",
     "REJECT_TENANT_QUEUE",
     "REJECT_TENANT_QUOTA",
-    "STATUS_APPLIED",
     "ServedResponse",
     "ServingConfig",
-    "WriteResponse",
     "TenantQuota",
     "TenantRegistry",
     "TokenBucket",

@@ -53,7 +53,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.engine.engine import QueryBatch, SearchEngine, resolve_table
+from repro.core.searcher import check_search_args
+from repro.engine.engine import QueryBatch, SearchEngine
 from repro.serving.tenancy import TenantQuota, TenantRegistry, TenantState
 from repro.telemetry import QueryStats
 from repro.utils.clock import Clock, SystemClock
@@ -66,7 +67,6 @@ REJECT_CLOSED = "service-closed"
 
 STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
-STATUS_APPLIED = "applied"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,12 +115,7 @@ class ServingConfig:
         from repro.parallel import resolve_executor
 
         resolve_executor(self.executor)
-        if self.k <= 0:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.ef_search <= 0:
-            raise ValueError(
-                f"ef_search must be positive, got {self.ef_search}"
-            )
+        check_search_args(self.k, self.ef_search)
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.latency_budget_ms < 0:
@@ -178,45 +173,6 @@ class ServedResponse:
         return self.status == STATUS_REJECTED
 
 
-@dataclasses.dataclass(frozen=True)
-class WriteResponse:
-    """What one ``submit_write`` call resolves to.
-
-    Writes share the read path's admission gate (backlog, tenant
-    queue, tenant quota) so a tenant cannot starve readers by
-    flooding mutations, but they apply synchronously against the
-    lifecycle delta rather than riding a coalesced GEMM batch.
-
-    Attributes:
-        tenant_id: the submitting tenant.
-        op: ``"insert"`` or ``"delete"``.
-        status: ``"applied"`` or ``"rejected"``.
-        reason: machine-readable shed reason (``""`` unless rejected).
-        external_id: the id the lifecycle assigned (insert) or the id
-            targeted (delete); -1 when rejected.
-        applied: for deletes, whether the id was live (inserts: True
-            when applied).
-        epoch: the lifecycle epoch current after the write (0 when
-            rejected or when the searcher has no epoch counter).
-    """
-
-    tenant_id: str
-    op: str
-    status: str
-    reason: str = ""
-    external_id: int = -1
-    applied: bool = False
-    epoch: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_APPLIED
-
-    @property
-    def rejected(self) -> bool:
-        return self.status == STATUS_REJECTED
-
-
 @dataclasses.dataclass
 class _PendingQuery:
     """One admitted query parked in the coalescing buffer."""
@@ -240,8 +196,8 @@ class AcornService:
     single-thread dispatch pool).
 
     Args:
-        searcher: anything the batch engine accepts (``search(query,
-            predicate, k, ef_search=...)``).
+        searcher: any :class:`~repro.core.searcher.Searcher` (what the
+            batch engine accepts).
         config: serving knobs; defaults are test-friendly.
         clock: time source.  A :class:`SystemClock` (default) runs the
             deadline flush on real ``loop.call_later`` timers; any
@@ -258,7 +214,6 @@ class AcornService:
         config: ServingConfig | None = None,
         clock: Clock | None = None,
         table=None,
-        compactor=None,
     ) -> None:
         self.config = config or ServingConfig()
         self.clock = clock or SystemClock()
@@ -299,32 +254,21 @@ class AcornService:
             "degraded": 0,
             "batches_dispatched": 0,
         }
-        # Writes keep their own ledger so summary()'s pinned read-side
-        # accounting (offered == admitted + rejected) stays untouched.
-        self.compactor = compactor
-        self.write_counters = {
-            "offered": 0,
-            "applied": 0,
-            "rejected": 0,
-            "inserts": 0,
-            "deletes": 0,
-            "compactor_ticks": 0,
-        }
 
     @property
     def table(self):
         """The table tenant predicates currently compile against.
 
-        Re-resolved from the searcher on every read (unless an explicit
+        Re-read from the searcher on every access (unless an explicit
         ``table=`` was given): lifecycle searchers swap their base
         table on compaction, and a mask compiled against a stale table
-        must not be applied to the new base.  Epoch snapshots validate
-        masks by table identity, so a mask compiled here just before a
+        must not be applied to the new base.  Searchers validate masks
+        by table identity, so a mask compiled here just before a
         compaction is recompiled snapshot-side rather than misapplied.
         """
         if self._table_override is not None:
             return self._table_override
-        return resolve_table(self.searcher)
+        return self.searcher.table
 
     # ------------------------------------------------------------------
     # Admission + submission
@@ -406,91 +350,6 @@ class AcornService:
             self._arm_timer()
         return await pending.future
 
-    async def submit_write(
-        self,
-        op: str,
-        *,
-        tenant_id: str = "default",
-        vector=None,
-        row=None,
-        external_id: int | None = None,
-    ) -> WriteResponse:
-        """Admit and apply one mutation against the lifecycle searcher.
-
-        ``op="insert"`` requires ``vector`` and ``row``; ``op="delete"``
-        requires ``external_id``.  Writes pass through the same
-        admission gate as reads (same check order, same token bucket),
-        then apply synchronously to the searcher's delta index — the
-        searcher must expose ``insert``/``delete``
-        (:class:`~repro.lifecycle.manager.LifecycleIndex` does).
-        Rejections resolve to a ``rejected`` response, never an
-        exception; malformed calls (missing operands, unknown op,
-        searcher without a write path) do raise.
-        """
-        if op not in ("insert", "delete"):
-            raise ValueError(f"unknown write op {op!r}")
-        apply = getattr(self.searcher, op, None)
-        if not callable(apply):
-            raise TypeError(
-                "submit_write needs a searcher with insert/delete "
-                "(e.g. repro.lifecycle.LifecycleIndex); "
-                f"{type(self.searcher).__name__} has no {op}()"
-            )
-        if op == "insert" and (vector is None or row is None):
-            raise ValueError("insert requires vector= and row=")
-        if op == "delete" and external_id is None:
-            raise ValueError("delete requires external_id=")
-        loop = asyncio.get_running_loop()
-        if self._loop is None:
-            self._loop = loop
-        elif self._loop is not loop:
-            raise RuntimeError(
-                "AcornService is bound to another event loop; create one "
-                "service per loop"
-            )
-        self.write_counters["offered"] += 1
-        tenant = self.tenants.get(tenant_id)
-        verdict = self._admission_verdict(tenant)
-        self.admission_log.append((tenant_id, verdict or f"admit-{op}"))
-        if verdict is not None:
-            # Billed to the tenant's write ledger, not `rejected`:
-            # read-side offered/admitted/rejected must keep reconciling
-            # in summary() under mixed read/write load.
-            tenant.writes_rejected += 1
-            self.write_counters["rejected"] += 1
-            return WriteResponse(
-                tenant_id=tenant_id, op=op, status=STATUS_REJECTED,
-                reason=verdict,
-            )
-        if op == "insert":
-            new_id = int(apply(vector, row))
-            applied = True
-            self.write_counters["inserts"] += 1
-        else:
-            new_id = int(external_id)
-            applied = bool(apply(new_id))
-            self.write_counters["deletes"] += 1
-        self.write_counters["applied"] += 1
-        self._tick_compactor()
-        return WriteResponse(
-            tenant_id=tenant_id, op=op, status=STATUS_APPLIED,
-            external_id=new_id, applied=applied,
-            epoch=int(getattr(self.searcher, "current_epoch", 0)),
-        )
-
-    def _tick_compactor(self) -> None:
-        """Give the attached compactor (if any) a chance to run.
-
-        Ticked after every applied write and on every :meth:`poll`, so
-        compaction progresses on the service's clock — under a
-        :class:`~repro.utils.clock.FakeClock` the whole maintenance
-        schedule replays deterministically.
-        """
-        if self.compactor is None:
-            return
-        self.write_counters["compactor_ticks"] += 1
-        self.compactor.tick()
-
     # ------------------------------------------------------------------
     # Coalescing + dispatch
     # ------------------------------------------------------------------
@@ -538,7 +397,6 @@ class AcornService:
         ):
             self._flush(now)
             dispatched += 1
-        self._tick_compactor()
         return dispatched
 
     def _flush(self, now: float) -> None:
@@ -709,16 +567,3 @@ class AcornService:
                 t.tenant_id: t.counters() for t in self.tenants.known()
             },
         }
-
-    def write_summary(self) -> dict:
-        """JSON-serializable write-path counters.
-
-        ``offered == applied + rejected`` always.  Kept separate from
-        :meth:`summary` so the read-side accounting invariant is
-        untouched by write traffic.
-        """
-        out = dict(self.write_counters)
-        out["epoch"] = int(getattr(self.searcher, "current_epoch", 0))
-        if self.compactor is not None:
-            out["compactor"] = self.compactor.stats()
-        return out

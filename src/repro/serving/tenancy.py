@@ -122,10 +122,6 @@ class TenantState:
             outcome counters (``admitted == ok + failed`` once drained,
             ``admitted + rejected`` == queries offered; ``failed``
             counts queries whose batch raised).
-        writes_rejected: write submissions shed at admission.  Kept
-            out of ``rejected`` so the read-side reconciliation above
-            survives mixed read/write workloads — the service-level
-            write ledger is likewise separate.
     """
 
     tenant_id: str
@@ -137,7 +133,6 @@ class TenantState:
     rejected: int = 0
     ok: int = 0
     failed: int = 0
-    writes_rejected: int = 0
 
     def counters(self) -> dict:
         """JSON-serializable outcome counters for this tenant."""
@@ -146,7 +141,6 @@ class TenantState:
             "rejected": self.rejected,
             "ok": self.ok,
             "failed": self.failed,
-            "writes_rejected": self.writes_rejected,
         }
 
 

@@ -42,7 +42,7 @@ from repro.attributes.table import AttributeTable
 from repro.core.acorn import AcornIndex, AcornOneIndex
 from repro.core.flat import FlatAcornIndex
 from repro.core.params import AcornParams
-from repro.engine.batching import BatchSearchMixin
+from repro.core.searcher import Searcher, check_search_args
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.shard.partition import (
     Partitioner,
@@ -102,7 +102,7 @@ def _default_build_shard(
     )
 
 
-class ShardedAcornIndex(BatchSearchMixin):
+class ShardedAcornIndex(Searcher):
     """N ACORN shards behind one predicate-aware scatter-gather front.
 
     Build with :meth:`build`; the constructor wires together
@@ -251,25 +251,13 @@ class ShardedAcornIndex(BatchSearchMixin):
     # Search
     # ------------------------------------------------------------------
 
-    def _compile(self, predicate: "Predicate | CompiledPredicate") -> CompiledPredicate:
-        if isinstance(predicate, CompiledPredicate):
-            if len(predicate) != len(self.table):
-                raise ValueError(
-                    f"compiled predicate covers {len(predicate)} entities, "
-                    f"table has {len(self.table)}"
-                )
-            return predicate
-        return predicate.compile(self.table)
-
     def plan(
         self, predicate: "Predicate | CompiledPredicate", k: int,
         ef_search: int = 64,
     ) -> ShardPlan:
         """The routing plan one query would execute (EXPLAIN-style)."""
-        raw = (predicate.predicate
-               if isinstance(predicate, CompiledPredicate) else predicate)
-        return self.router.plan(raw, k=k, ef_search=ef_search,
-                                scale_ef=self.scale_ef)
+        return self.router.plan(self._compile(predicate).predicate, k=k,
+                                ef_search=ef_search, scale_ef=self.scale_ef)
 
     def _probe_shard(
         self,
@@ -326,10 +314,7 @@ class ShardedAcornIndex(BatchSearchMixin):
         merge into the global top-k.  An exception raised by a shard
         propagates unchanged.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if ef_search <= 0:
-            raise ValueError(f"ef_search must be positive, got {ef_search}")
+        check_search_args(k, ef_search)
         compiled = self._compile(predicate)
         plan = self.plan(compiled, k=k, ef_search=ef_search)
         parts = []
@@ -363,9 +348,6 @@ class ShardedAcornIndex(BatchSearchMixin):
                 shards_pruned=plan.n_pruned,
             ),
         )
-
-    # ``search_batch`` comes from BatchSearchMixin: batches run through
-    # repro.engine and the shard counters surface in QueryStats.
 
     # ------------------------------------------------------------------
     # Deletion (tombstones route to the owning shard)

@@ -6,7 +6,7 @@ import pytest
 from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornParams
 from repro.datasets.ground_truth import filtered_knn
-from repro.predicates import Equals, TruePredicate
+from repro.predicates import CompiledPredicate, Equals, TruePredicate
 from tests.conftest import assert_results_identical, reference_search
 
 
@@ -137,8 +137,12 @@ class TestHybridSearch:
         other = AttributeTable(3)
         other.add_int_column("label", [1, 2, 3])
         compiled = Equals("label", 1).compile(other)
+        # A mask carrying its table is recompiled against this index's
+        # own; stripped of the table, nothing says which rows it names.
+        assert acorn_index._compile(compiled).table is acorn_index.table
+        ad_hoc = CompiledPredicate(compiled.predicate, compiled.mask)
         with pytest.raises(ValueError, match="entities"):
-            acorn_index.search(vectors[0], compiled, 5)
+            acorn_index.search(vectors[0], ad_hoc, 5)
 
     def test_rejects_non_positive_k(self, acorn_index, small_vectors):
         vectors, _ = small_vectors

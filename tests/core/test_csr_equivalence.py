@@ -30,6 +30,7 @@ from repro.core.search import (
     freeze_graph,
     truncated_neighbors,
 )
+from repro.core.searcher import Searcher
 from repro.engine import QueryBatch, SearchEngine
 from repro.predicates import Equals, Not, OneOf, TruePredicate
 from tests.conftest import (
@@ -100,7 +101,7 @@ def fig4_compress(lists, node, mask, m_beta):
     return out
 
 
-class ReferenceSearcher:
+class ReferenceSearcher(Searcher):
     """An index whose ``search`` runs the reference kernel (engine-ready)."""
 
     def __init__(self, index) -> None:

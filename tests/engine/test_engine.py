@@ -13,12 +13,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.searcher import Searcher
 from repro.engine import (
     PredicateCache,
     QueryBatch,
     QueryStats,
     SearchEngine,
-    resolve_table,
 )
 from repro.predicates import Equals, TruePredicate
 from repro.vectors.distance import GLOBAL_TALLY
@@ -204,7 +204,7 @@ def test_precompiled_predicates_count_as_hits(
 
 
 def test_engine_without_table_rejects_raw_predicates(engine_queries):
-    class Bare:
+    class Bare(Searcher):
         """Searcher with no attribute table anywhere."""
 
         def search(self, query, predicate, k, ef_search=64):
@@ -214,18 +214,6 @@ def test_engine_without_table_rejects_raw_predicates(engine_queries):
     assert engine.table is None
     with pytest.raises(ValueError, match="attribute table"):
         engine.search_batch(engine_queries, Equals("label", 0), k=K)
-
-
-def test_resolve_table_checks_searcher_then_index(labeled_table):
-    class WithTable:
-        table = labeled_table
-
-    class Router:
-        index = WithTable()
-
-    assert resolve_table(WithTable()) is labeled_table
-    assert resolve_table(Router()) is labeled_table
-    assert resolve_table(object()) is None
 
 
 def test_predicate_cache_lru_eviction(labeled_table):

@@ -199,8 +199,7 @@ class TestCompactionContention:
     ``should_compact()`` drops the lock before ``compact()`` reacquires
     it, so two concurrent tickers can both see the policy fire; the
     loser must quietly yield instead of propagating a RuntimeError out
-    of whatever host drove the tick (e.g. an applied write's
-    ``AcornService.submit_write``)."""
+    of whatever host drove the tick."""
 
     def test_compact_raises_typed_in_progress_error(self):
         from repro.lifecycle import CompactionInProgress

@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from repro.core.searcher import Searcher
 from repro.serving.service import REJECT_CLOSED, AcornService, ServingConfig
 from repro.utils.clock import SystemClock
 
@@ -24,12 +25,13 @@ TIMEOUT_S = 10.0
 LONG_BUDGET_MS = 60_000.0  # a deadline no test in this file can reach
 
 
-class _GatedSearcher:
+class _GatedSearcher(Searcher):
     """The real index behind a gate every batch must pass.
 
-    ``begin_batch`` is the engine's once-per-batch hook and runs on the
-    service's dispatch thread: ``entered`` is released when a batch gets
-    that far, then the batch blocks until ``gate`` is set.
+    The engine calls ``freeze`` once per batch, on the service's
+    dispatch thread, before the first query runs: ``entered`` is
+    released when a batch gets that far, then the batch blocks until
+    ``gate`` is set.
     """
 
     def __init__(self, index, open_gate=False):
@@ -40,7 +42,7 @@ class _GatedSearcher:
         if open_gate:
             self.gate.set()
 
-    def begin_batch(self):
+    def freeze(self):
         self.entered.release()
         assert self.gate.wait(TIMEOUT_S), "test never opened the gate"
 

@@ -417,3 +417,37 @@ class TestAccounting:
             np.testing.assert_array_equal(r.result.ids, direct.ids)
             np.testing.assert_allclose(r.result.distances, direct.distances)
             assert r.stats.tenant_id == "acme"
+
+
+class TestLifecycleSearcher:
+    def test_answers_at_the_published_epoch(self):
+        """Rows written straight to the lifecycle (one compacted into
+        the base, one still in the delta) are served at the epoch the
+        lifecycle publishes."""
+        from repro.lifecycle import LifecycleIndex
+        from tests.lifecycle.conftest import DIM, PARAMS, make_world
+
+        vectors, table, rng = make_world(seed=23, n=24)
+        lc = LifecycleIndex.build(vectors, table, params=PARAMS, seed=0)
+        for i in range(8):
+            lc.insert(rng.standard_normal(DIM).astype(np.float32),
+                      {"v": i % 4})
+        lc.compact()
+        lc.insert(rng.standard_normal(DIM).astype(np.float32), {"v": 0})
+        query = rng.standard_normal(DIM).astype(np.float32)
+        service = make_service(lc)
+
+        async def drive():
+            fut = asyncio.ensure_future(service.submit(query, TruePredicate()))
+            await asyncio.sleep(0)
+            await service.drain()
+            response = await fut
+            await service.aclose()
+            return response
+
+        response = run(drive())
+        assert response.ok
+        assert response.stats.epoch == lc.current_epoch > 0
+        direct = lc.search(query, TruePredicate(), service.config.k,
+                           ef_search=service.config.ef_search)
+        np.testing.assert_array_equal(response.result.ids, direct.ids)

@@ -22,6 +22,17 @@ from repro import (
     ServingConfig,
     ShardedAcornIndex,
 )
+from repro.baselines import (
+    FilteredVamanaIndex,
+    IvfFlatIndex,
+    IvfPqIndex,
+    IvfSq8Index,
+    NhqIndex,
+    OraclePartitionIndex,
+    PostFilterSearcher,
+    PreFilterSearcher,
+    StitchedVamanaIndex,
+)
 
 BAD = pytest.mark.parametrize("ef", [0, -5])
 PARAMS = AcornParams(m=4, gamma=2, m_beta=8, ef_construction=16)
@@ -93,3 +104,28 @@ def test_hnsw_search(world, ef):
 def test_serving_config(ef):
     with _refused(ef):
         ServingConfig(ef_search=ef)
+
+
+BASELINES = {
+    "prefilter": PreFilterSearcher,
+    "postfilter": lambda v, t: PostFilterSearcher(
+        HnswIndex.build(v, m=4, ef_construction=16, seed=1), t),
+    "ivf_flat": lambda v, t: IvfFlatIndex(v, t, seed=1),
+    "ivf_sq8": lambda v, t: IvfSq8Index(v, t, seed=1),
+    "ivf_pq": lambda v, t: IvfPqIndex(v, t, n_subspaces=3, n_centroids=8,
+                                      seed=1),
+    "nhq": lambda v, t: NhqIndex(v, t, "label"),
+    "filtered_vamana": lambda v, t: FilteredVamanaIndex(
+        v, t, "label", r=8, l=16, seed=1),
+    "stitched_vamana": lambda v, t: StitchedVamanaIndex(
+        v, t, "label", r_small=8, l_small=16, r_stitched=12, seed=1),
+    "oracle": lambda v, t: OraclePartitionIndex(
+        v, t, [PRED], m=4, ef_construction=16, seed=1),
+}
+
+
+@BAD
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_baseline_search(world, name, ef):
+    with _refused(ef):
+        BASELINES[name](*world).search(world[0][0], PRED, 5, ef_search=ef)

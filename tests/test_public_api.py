@@ -112,6 +112,24 @@ class TestExports:
             assert hasattr(repro, name)
         assert not hasattr(serving, "ArrivalSchedule")
 
+    def test_one_search_front_door(self):
+        """Searchers share ``repro.core.searcher.Searcher``; the mixin,
+        the engine's table probe and the serving write path are gone."""
+        from repro import engine, serving
+        from repro.core.searcher import Searcher
+
+        for name in ("BatchSearchMixin", "resolve_table"):
+            assert not hasattr(engine, name)
+            assert name not in repro.__all__
+        for name in ("WriteResponse", "STATUS_APPLIED"):
+            assert not hasattr(serving, name)
+            assert name not in repro.__all__
+        assert not hasattr(serving.AcornService, "submit_write")
+        for cls in (repro.AcornIndex, repro.ShardedAcornIndex,
+                    repro.LifecycleIndex, repro.EpochSnapshot,
+                    repro.RoutePlanner):
+            assert issubclass(cls, Searcher)
+
 
 class TestDeterminism:
     """Identical seeds must give identical indexes and results —
