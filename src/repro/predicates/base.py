@@ -117,7 +117,7 @@ class CompiledPredicate:
         self.mask = np.asarray(mask, dtype=bool)
         self.table = table
         self._passing: np.ndarray | None = None
-        self._count = int(self.mask.sum())
+        self._count: int | None = None
 
     def __len__(self) -> int:
         return self.mask.shape[0]
@@ -139,14 +139,17 @@ class CompiledPredicate:
 
     @property
     def cardinality(self) -> int:
-        """Number of passing entities, ``|X_p|``."""
+        """Number of passing entities, ``|X_p|`` (counted lazily,
+        cached: most searches never ask)."""
+        if self._count is None:
+            self._count = int(self.mask.sum())
         return self._count
 
     @property
     def selectivity(self) -> float:
         """Exact selectivity ``s = |X_p| / n`` (paper §3.1)."""
         n = self.mask.shape[0]
-        return self._count / n if n else 0.0
+        return self.cardinality / n if n else 0.0
 
     def __repr__(self) -> str:
         return (
