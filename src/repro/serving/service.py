@@ -204,8 +204,6 @@ class AcornService:
             other clock (e.g. :class:`~repro.utils.clock.FakeClock`)
             switches the service to virtual mode, where a driver calls
             :meth:`pump`/:meth:`drain` instead and nothing sleeps.
-        table: attribute table predicates compile against; defaults to
-            the searcher's own.
     """
 
     def __init__(
@@ -213,21 +211,18 @@ class AcornService:
         searcher,
         config: ServingConfig | None = None,
         clock: Clock | None = None,
-        table=None,
     ) -> None:
         self.config = config or ServingConfig()
         self.clock = clock or SystemClock()
         self.realtime = isinstance(self.clock, SystemClock)
         self.searcher = searcher
-        self._table_override = table
         if self.table is None:
             raise ValueError(
-                "AcornService needs an attribute table to compile tenant "
-                "predicates against; pass table= or use a searcher that "
-                "carries one"
+                "AcornService needs a searcher with an attribute table to "
+                "compile tenant predicates against"
             )
         self.engine = SearchEngine(
-            searcher, num_workers=self.config.engine_workers, table=table,
+            searcher, num_workers=self.config.engine_workers,
             executor=self.config.executor,
         )
         self.tenants = TenantRegistry(
@@ -259,15 +254,13 @@ class AcornService:
     def table(self):
         """The table tenant predicates currently compile against.
 
-        Re-read from the searcher on every access (unless an explicit
-        ``table=`` was given): lifecycle searchers swap their base
-        table on compaction, and a mask compiled against a stale table
-        must not be applied to the new base.  Searchers validate masks
-        by table identity, so a mask compiled here just before a
-        compaction is recompiled snapshot-side rather than misapplied.
+        Re-read from the searcher on every access: lifecycle searchers
+        swap their base table on compaction, and a mask compiled against
+        a stale table must not be applied to the new base.  Searchers
+        validate masks by table identity, so a mask compiled here just
+        before a compaction is recompiled snapshot-side rather than
+        misapplied.
         """
-        if self._table_override is not None:
-            return self._table_override
         return self.searcher.table
 
     # ------------------------------------------------------------------

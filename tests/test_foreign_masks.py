@@ -85,10 +85,3 @@ def test_wrong_length_ad_hoc_mask_raises(world, searcher):
             f"compiled predicate covers {N + 100} entities, table has {N}")):
         searcher.search(vectors[0], ad_hoc, K, ef_search=64)
 
-
-def test_own_table_mask_passes_through(world, searcher):
-    vectors, table = world
-    compiled = PRED.compile(searcher.table)
-    assert searcher._compile(compiled) is compiled
-    ad_hoc = CompiledPredicate(PRED, PRED.mask(table))
-    assert searcher._compile(ad_hoc) is ad_hoc
