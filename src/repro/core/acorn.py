@@ -415,8 +415,14 @@ class AcornIndex(Searcher):
         try:
             query = computer.set_query(query)
             mask = self._effective_mask(compiled.mask)
-            if entry_point is None:  # spare table rows have no vector
-                passing = np.flatnonzero(mask[: len(self.store)])
+            if entry_point is None:
+                n = len(self.store)
+                if mask is compiled.mask and mask.shape[0] == n:
+                    # The compiled set itself: counted once, and the
+                    # predicate's cardinality reads this same array.
+                    passing = compiled.passing_ids
+                else:  # tombstones, or spare table rows with no vector
+                    passing = np.flatnonzero(mask[:n])
                 if self.scans(passing.size, k, ef_search):
                     ids, dists = exact_top_k(computer, query, passing, k)
                     return SearchResult(

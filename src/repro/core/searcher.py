@@ -14,19 +14,35 @@ snapshot pair.
 
 from __future__ import annotations
 
+import operator
+
 from repro.predicates.base import CompiledPredicate, Predicate
 
 
-def check_search_args(k: int, ef_search: int) -> None:
-    """Refuse a non-positive ``k`` or ``ef_search``.
+def check_search_args(k: int, ef_search: int) -> tuple[int, int]:
+    """Refuse a non-integral or non-positive ``k`` or ``ef_search``;
+    returns both as ``int``.
 
-    Every entry widens its walk to ``max(ef_search, k)``, which would
-    otherwise answer a nonsensical effort as if it were ``k``.
+    Any integer type passes (``operator.index``: numpy integers too); a
+    float is refused, never truncated.  Every entry widens its walk to
+    ``max(ef_search, k)``, which would otherwise answer a nonsensical
+    effort as if it were ``k``.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer, got {k!r}") from None
+    try:
+        ef_search = operator.index(ef_search)
+    except TypeError:
+        raise TypeError(
+            f"ef_search must be an integer, got {ef_search!r}"
+        ) from None
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if ef_search <= 0:
         raise ValueError(f"ef_search must be positive, got {ef_search}")
+    return k, ef_search
 
 
 class Searcher:

@@ -37,15 +37,37 @@ from repro.engine.cache import CacheInfo, PredicateCache
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.telemetry import QueryStats, SearchResult
 
+#: The fields a per-query record copies from a result's telemetry.
+_STATS_FIELDS = QueryStats.__dataclass_fields__.keys()
+
 
 def _result_stats(
     index: int, result: SearchResult, elapsed: float, cache_hit: bool
 ) -> QueryStats:
     """The result's telemetry plus the three fields the engine owns
     (shared by every executor path, so counters agree across them)."""
-    return result.stamped(
-        query_index=index, predicate_cache_hit=cache_hit, wall_time_s=elapsed
-    )
+    values = {
+        name: value for name, value in result.__dict__.items()
+        if name in _STATS_FIELDS
+    }
+    values["query_index"] = index
+    values["predicate_cache_hit"] = cache_hit
+    values["wall_time_s"] = elapsed
+    return QueryStats(**values)
+
+
+def _run_inline(searcher, batch, compiled, hit_flags, rows, results, stats):
+    """Answer ``rows`` of ``batch`` on the calling thread, appending each
+    query's result and record to ``results`` / ``stats``."""
+    search = searcher.search
+    queries, k, ef_search = batch.queries, batch.k, batch.ef_search
+    clock = time.perf_counter
+    for index in rows:
+        begin = clock()
+        result = search(queries[index], compiled[index], k, ef_search=ef_search)
+        elapsed = clock() - begin
+        results.append(result)
+        stats.append(_result_stats(index, result, elapsed, hit_flags[index]))
 
 
 def _tally(values) -> dict[str, int]:
@@ -115,15 +137,26 @@ class QueryBatch:
             predicates: one predicate per query, or a single predicate
                 broadcast to every query (the engine's cache then
                 materializes its mask exactly once).
-            k: neighbors per query (must be positive).
-            ef_search: search-effort knob (must be positive).
+            k: neighbors per query (a positive integer).
+            ef_search: search-effort knob (a positive integer).
+
+        Raises:
+            ValueError: on a non-positive ``k`` / ``ef_search``, queries
+                of more than two dimensions, or a predicate count that
+                does not match the query count.
+            TypeError: on a non-integral ``k`` / ``ef_search``.
         """
-        check_search_args(k, ef_search)
+        k, ef_search = check_search_args(k, ef_search)
         queries = np.asarray(queries, dtype=np.float32)
+        if queries.ndim > 2:
+            raise ValueError(
+                f"queries must be one vector or a (q, dim) matrix, got "
+                f"shape {queries.shape}"
+            )
         if queries.size == 0:
-            queries = queries.reshape(0, queries.shape[-1] if queries.ndim >= 2 else 0)
-        else:
-            queries = np.atleast_2d(queries)
+            queries = queries.reshape(0, queries.shape[-1] if queries.ndim == 2 else 0)
+        elif queries.ndim < 2:
+            queries = queries.reshape(1, -1)
         if isinstance(predicates, (Predicate, CompiledPredicate)):
             predicates = [predicates] * queries.shape[0]
         else:
@@ -136,10 +169,7 @@ class QueryBatch:
                     "CompiledPredicate to broadcast across the batch"
                 )
         return cls(
-            queries=queries,
-            predicates=predicates,
-            k=int(k),
-            ef_search=int(ef_search),
+            queries=queries, predicates=predicates, k=k, ef_search=ef_search
         )
 
     def __len__(self) -> int:
@@ -364,16 +394,18 @@ class SearchEngine:
             self._proc_pool.unpin_all(old_token)
         return record
 
-    def _process_pairs(self, searcher, batch, compiled, hit_flags, run_one):
+    def _run_process(self, searcher, batch, compiled, hit_flags,
+                     results, stats):
         """Run contiguous query chunks on the process pool.
 
-        Returns ordered ``(result, stats)`` pairs and the number of
-        chunks dispatched, or ``None`` when the process path cannot run
-        (unsupported searcher, shared memory unavailable) and the
-        caller should run the batch inline instead — the fallback is
-        counted, never silent.  A chunk whose worker crashes is retried
-        once on the respawned slot, then runs inline in the parent: a
-        dying worker degrades throughput, never the batch.
+        Appends every query's result and record to ``results`` /
+        ``stats`` in order and returns the number of chunks dispatched,
+        or returns ``None`` with nothing appended when the process path
+        cannot run (unsupported searcher, shared memory unavailable) and
+        the caller should run the batch inline instead — the fallback
+        is counted, never silent.  A chunk whose worker crashes is
+        retried once on the respawned slot, then runs inline in the
+        parent: a dying worker degrades throughput, never the batch.
         """
         from repro import parallel as par
 
@@ -428,18 +460,17 @@ class SearchEngine:
                 retried = pool.map_calls([calls[i] for i in crashed])
                 for i, reply in zip(crashed, retried):
                     replies[i] = reply
-            pairs = []
             for (lo, hi), reply in zip(chunks, replies):
                 if isinstance(reply, par.WorkerCrash):
                     self.chunk_inline_fallbacks += 1
-                    pairs += [run_one(i) for i in range(lo, hi)]
+                    _run_inline(searcher, batch, compiled, hit_flags,
+                                range(lo, hi), results, stats)
                     continue
-                pairs += [
-                    (result, _result_stats(lo + offset, result, elapsed,
-                                           hit_flags[lo + offset]))
-                    for offset, (result, elapsed) in enumerate(reply)
-                ]
-            return pairs, len(chunks)
+                for index, (result, elapsed) in enumerate(reply, lo):
+                    results.append(result)
+                    stats.append(_result_stats(
+                        index, result, elapsed, hit_flags[index]))
+            return len(chunks)
         finally:
             manager.release(record)
 
@@ -491,32 +522,23 @@ class SearchEngine:
             compiled, hit_flags = self._compile_predicates(
                 batch.predicates, table
             )
-
-            def run_one(index: int) -> tuple[SearchResult, QueryStats]:
-                begin = time.perf_counter()
-                result = searcher.search(
-                    batch.queries[index], compiled[index], batch.k,
-                    ef_search=batch.ef_search,
-                )
-                elapsed = time.perf_counter() - begin
-                return result, _result_stats(
-                    index, result, elapsed, hit_flags[index]
-                )
-
-            dispatched = None
+            results: list[SearchResult] = []
+            stats: list[QueryStats] = []
+            ways = None
             if self.executor == "process" and len(batch) > 1:
-                dispatched = self._process_pairs(
-                    searcher, batch, compiled, hit_flags, run_one
+                ways = self._run_process(
+                    searcher, batch, compiled, hit_flags, results, stats
                 )
-            if dispatched is None:
-                dispatched = [run_one(i) for i in range(len(batch))], 1
-            pairs, ways = dispatched
+            if ways is None:
+                _run_inline(searcher, batch, compiled, hit_flags,
+                            range(len(batch)), results, stats)
+                ways = 1
         finally:
             self.searcher.release_read_snapshot(searcher)
 
         return BatchResult(
-            results=[result for result, _ in pairs],
-            stats=[stats for _, stats in pairs],
+            results=results,
+            stats=stats,
             wall_time_s=time.perf_counter() - start,
             num_workers=ways,
         )

@@ -140,9 +140,12 @@ class CompiledPredicate:
     @property
     def cardinality(self) -> int:
         """Number of passing entities, ``|X_p|`` (counted lazily,
-        cached: most searches never ask)."""
+        cached: most searches never ask; the size of
+        :attr:`passing_ids` when a search already listed them)."""
         if self._count is None:
-            self._count = int(self.mask.sum())
+            passing = self._passing
+            self._count = (int(self.mask.sum()) if passing is None
+                           else passing.size)
         return self._count
 
     @property

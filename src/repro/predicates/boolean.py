@@ -24,6 +24,9 @@ class _Junction(Predicate):
             raise ValueError(f"{type(self).__name__} requires at least two children")
         self.children = tuple(children)
         self.row_scan = any(child.row_scan for child in children)
+        # Evaluation order, fixed once: vectorised children first, row
+        # scans last, each group in declaration order.
+        self._ordered = tuple(sorted(children, key=lambda child: child.row_scan))
 
     def mask(self, table: AttributeTable) -> np.ndarray:
         return self._evaluate(table, None)
@@ -34,19 +37,20 @@ class _Junction(Predicate):
     def _evaluate(self, table: AttributeTable, rows: np.ndarray | None) -> np.ndarray:
         # rows None: every row.  Every child is called even when no row
         # is left undecided, so column/kind errors surface regardless.
-        def over_rows(child: Predicate) -> np.ndarray:
-            return child.mask(table) if rows is None else child.mask_rows(table, rows)
-
-        ordered = sorted(self.children, key=lambda child: child.row_scan)
-        out = over_rows(ordered[0]).copy()
-        for child in ordered[1:]:
+        first, *rest = self._ordered
+        out = (first.mask(table) if rows is None
+               else first.mask_rows(table, rows)).copy()
+        conj = self._conj
+        for child in rest:
             if child.row_scan:
-                todo = np.flatnonzero(out if self._conj else ~out)
+                todo = np.flatnonzero(out if conj else ~out)
                 out[todo] = child.mask_rows(table, todo if rows is None else rows[todo])
-            elif self._conj:
-                out &= over_rows(child)
+                continue
+            part = child.mask(table) if rows is None else child.mask_rows(table, rows)
+            if conj:
+                out &= part
             else:
-                out |= over_rows(child)
+                out |= part
         return out
 
     def __repr__(self) -> str:

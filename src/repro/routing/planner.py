@@ -15,10 +15,14 @@ import numpy as np
 from repro.core.acorn import AcornIndex
 from repro.core.searcher import Searcher, check_search_args
 from repro.predicates.base import CompiledPredicate, Predicate
-from repro.telemetry import SearchResult, fold_telemetry
+from repro.telemetry import SearchResult
 
 POLICIES = ("adaptive",)
 ROUTE_ACORN_GAMMA = "acorn-gamma"
+#: ``route_reason`` when the index ranked the passing set exactly.
+REASON_SCANS = f"adaptive: {ROUTE_ACORN_GAMMA}, the only route, scans"
+#: ``route_reason`` when the index walked the graph.
+REASON_WALKS = f"adaptive: {ROUTE_ACORN_GAMMA}, the only route, walks"
 
 
 class RoutePlanner(Searcher):
@@ -57,15 +61,8 @@ class RoutePlanner(Searcher):
         check_search_args(k, ef_search)
         predicate = self._compile(predicate)
         result = self.index.search(query, predicate, k, ef_search=ef_search)
-        how = "scans" if result.hops == 0 else "walks"
-        return SearchResult(
-            ids=result.ids,
-            distances=result.distances,
-            est_selectivity=predicate.selectivity,
-            **fold_telemetry(
-                (result,),
-                route_chosen=ROUTE_ACORN_GAMMA,
-                route_reason=f"adaptive: {ROUTE_ACORN_GAMMA}, the only "
-                             f"route, {how}",
-            ),
-        )
+        values = dict(result.__dict__)
+        values["est_selectivity"] = predicate.selectivity
+        values["route_chosen"] = ROUTE_ACORN_GAMMA
+        values["route_reason"] = REASON_WALKS if result.hops else REASON_SCANS
+        return SearchResult(**values)

@@ -130,17 +130,6 @@ class QueryStats:
         """The record as a plain JSON-serializable dict."""
         return dataclasses.asdict(self)
 
-    def stamped(self, **owned) -> "QueryStats":
-        """This record's telemetry as a plain :class:`QueryStats`, with
-        the caller's own fields (``owned``) set — one construction, no
-        per-field copying."""
-        values = {
-            name: value for name, value in self.__dict__.items()
-            if name in QueryStats.__dataclass_fields__
-        }
-        values.update(owned)
-        return QueryStats(**values)
-
 
 _FOLDED = {
     f.name: _FOLD_RULES[f.metadata["fold"]]

@@ -261,12 +261,22 @@ class DistanceComputer:
         self.count = 0
 
     def set_query(self, query: np.ndarray) -> np.ndarray:
-        """Validate and coerce ``query``; returns the float32 view."""
-        query = np.asarray(query, dtype=np.float32).reshape(-1)
-        if query.shape[0] != self.dim:
+        """Validate and coerce ``query``; returns the float32 vector.
+
+        The one place every search binds its query, so the one refusal
+        of a query that is not a single ``(dim,)`` or ``(1, dim)`` row
+        of finite values.
+        """
+        query = np.asarray(query, dtype=np.float32)
+        if query.ndim == 2 and query.shape[0] == 1:
+            query = query.reshape(-1)
+        if query.shape != (self.dim,):
             raise ValueError(
-                f"query has dim {query.shape[0]}, base has dim {self.dim}"
+                f"query has shape {query.shape}, base has dim {self.dim}: "
+                f"expected ({self.dim},) or (1, {self.dim})"
             )
+        if not np.isfinite(query).all():
+            raise ValueError("query contains non-finite values (NaN or inf)")
         return query
 
     def distances_to(self, query: np.ndarray, ids: np.ndarray) -> np.ndarray:

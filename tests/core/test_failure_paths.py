@@ -31,6 +31,23 @@ class TestMalformedQueries:
         with pytest.raises(ValueError, match="dim"):
             acorn_index.search(np.zeros(3), Equals("label", 1), 5)
 
+    def test_single_row_matrix_is_one_query(self, acorn_index, small_vectors):
+        vectors, _ = small_vectors
+        want = acorn_index.search(vectors[0], Equals("label", 1), 5)
+        got = acorn_index.search(vectors[:1], Equals("label", 1), 5)
+        np.testing.assert_array_equal(got.ids, want.ids)
+        assert got.distances.tobytes() == want.distances.tobytes()
+
+    def test_numpy_integer_k_and_ef_search_pass(
+        self, acorn_index, small_vectors
+    ):
+        vectors, _ = small_vectors
+        want = acorn_index.search(vectors[0], Equals("label", 1), 5,
+                                  ef_search=40)
+        got = acorn_index.search(vectors[0], Equals("label", 1), np.int64(5),
+                                 ef_search=np.int32(40))
+        np.testing.assert_array_equal(got.ids, want.ids)
+
     def test_router_empty_predicate_returns_empty(
         self, acorn_index, small_vectors
     ):

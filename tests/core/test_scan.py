@@ -143,6 +143,76 @@ class TestScanAnswer:
         assert len(index.search(queries[0], only_spare, K, ef_search=EF)) == 0
 
 
+class _Listed(CompiledPredicate):
+    """A compiled predicate that records whether ``passing_ids`` was read."""
+
+    listed = False
+
+    @property
+    def passing_ids(self):
+        self.listed = True
+        return super().passing_ids
+
+
+class TestPassingIdsShortcut:
+    """The scan ranks the compiled predicate's own ``passing_ids`` only
+    when its mask is the scan's set: no tombstones, and the table holds
+    exactly the stored rows."""
+
+    @pytest.fixture(scope="class")
+    def full(self, world):
+        vectors, _, _ = world
+        table = AttributeTable(N)
+        table.add_int_column("label", np.zeros(N, dtype=np.int64))
+        return AcornIndex.build(vectors, table, params=PARAMS, seed=3)
+
+    def _listed(self, index, ids):
+        rows = len(index.table)
+        return _Listed(TruePredicate(), _mask(ids, rows), table=index.table)
+
+    def test_taken_without_tombstones_on_a_full_table(self, world, full):
+        vectors, _, queries = world
+        ids = _ids(np.random.default_rng(11), 40)
+        for query in queries:
+            pred = self._listed(full, ids)
+            got = full.search(query, pred, K, ef_search=EF)
+            assert pred.listed
+            assert got.ids.tolist() == _brute_force(vectors, query, ids, K)
+            assert pred.cardinality == len(ids)
+
+    def test_skipped_with_tombstones(self, world, full):
+        vectors, _, queries = world
+        ids = _ids(np.random.default_rng(12), 40)
+        dead = ids[1::3]
+        live = [i for i in ids if i not in dead]
+        try:
+            for node in dead:
+                full.mark_deleted(node)
+            for query in queries:
+                pred = self._listed(full, ids)
+                got = full.search(query, pred, K, ef_search=EF)
+                assert not pred.listed
+                assert got.ids.tolist() == _brute_force(vectors, query,
+                                                        live, K)
+                assert got.distance_computations == len(live)
+                assert pred.cardinality == len(ids)
+        finally:
+            for node in dead:
+                full.unmark_deleted(node)
+
+    def test_skipped_with_spare_table_rows(self, world, index):
+        vectors, _, queries = world
+        ids = _ids(np.random.default_rng(13), 30, high=ROWS)
+        stored = [i for i in ids if i < N]
+        assert len(stored) < len(ids)
+        for query in queries:
+            pred = self._listed(index, ids)
+            got = index.search(query, pred, K, ef_search=EF)
+            assert not pred.listed
+            assert got.ids.tolist() == _brute_force(vectors, query, stored, K)
+            assert got.distance_computations == len(stored)
+
+
 class TestScanCounters:
     def test_counters_read_the_passing_count(self, world, index):
         _, _, queries = world

@@ -1,9 +1,10 @@
 """One accounting invariant across every composite searcher.
 
-Each composite (route planner, scatter-gather, lifecycle snapshot)
-builds its result with
-:func:`repro.telemetry.fold_telemetry`.  For every case below the test
-re-runs the *children* the composite searched, directly, and checks
+Each composite (scatter-gather, lifecycle snapshot) builds its result
+with :func:`repro.telemetry.fold_telemetry`; the route planner copies
+its one child's record and stamps its route fields.  For every case
+below the test re-runs the *children* the composite searched, directly,
+and checks
 
 - every folded field of the composite result equals its declared rule
   (``sum``/``any``/``min``/``max``) over those child results, apart from
@@ -193,6 +194,39 @@ def test_engine_stats_equal_result_telemetry(case, vectors):
     summary = outcome.summary()
     assert summary["total_distance_computations"] == (
         result.distance_computations)
+
+
+# The process executor ships only plain ACORN indexes to its workers.
+@pytest.mark.parametrize("searcher, executor", [
+    ("planner", "sync"), ("index", "sync"), ("index", "process"),
+])
+def test_engine_record_is_result_telemetry_plus_engine_fields(
+    searcher, executor
+):
+    """Each ``stats[i]`` is a plain ``QueryStats`` equal to the record
+    built field by field: the result's telemetry plus ``query_index``,
+    ``predicate_cache_hit`` and ``wall_time_s``."""
+    index = _index(VECTORS, TABLE)
+    target = RoutePlanner(index) if searcher == "planner" else index
+    queries = np.stack([QUERY, VECTORS[5], VECTORS[9], QUERY])
+    predicates = [PREDICATE, OneOf("label", (0,)), PREDICATE,
+                  OneOf("label", (5,))]
+    with SearchEngine(target, executor=executor, num_workers=2) as engine:
+        outcome = engine.search_batch(queries, predicates, k=K, ef_search=EF)
+        assert engine.process_fallbacks == 0
+    assert outcome.num_workers == (2 if executor == "process" else 1)
+    hits = [False, False, True, False]
+    for i, (result, stats) in enumerate(zip(outcome.results, outcome.stats)):
+        assert type(stats) is QueryStats
+        want = {f.name: getattr(result, f.name)
+                for f in dataclasses.fields(QueryStats)}
+        want.update(query_index=i, predicate_cache_hit=hits[i],
+                    wall_time_s=stats.wall_time_s)
+        assert stats.to_dict() == want
+        assert stats.wall_time_s > 0
+        assert stats.distance_computations == result.distance_computations > 0
+    assert {s.route_chosen for s in outcome.stats} == (
+        {"acorn-gamma"} if searcher == "planner" else {""})
 
 
 def test_fold_with_no_children_keeps_defaults():

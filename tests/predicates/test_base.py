@@ -46,6 +46,18 @@ class TestCompiledPredicate:
         assert compiled.cardinality == 4
         assert compiled.selectivity == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("ids_first", [True, False])
+    def test_cardinality_counts_the_mask_either_way(self, table, ids_first):
+        """The count reads ``passing_ids``'s size once a search listed
+        them, and sums the mask otherwise; both are the mask's sum."""
+        for value in (0, 1, 2, 7):
+            compiled = Equals("label", value).compile(table)
+            if ids_first:
+                compiled.passing_ids
+            assert compiled.cardinality == int(compiled.mask.sum())
+            assert type(compiled.cardinality) is int
+            assert compiled.passing_ids.size == compiled.cardinality
+
     def test_len(self, table):
         assert len(Equals("label", 0).compile(table)) == 10
 

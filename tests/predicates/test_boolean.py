@@ -111,6 +111,15 @@ class TestRestrictedEvaluation:
         assert Not(regex).row_scan and And(year, Not(Or(year, regex))).row_scan
         assert not And(year, Not(year)).row_scan
 
+    def test_declaration_order_is_kept_for_identity(self):
+        """Row scans run last, but repr and fingerprint keep the order
+        the children were given in."""
+        regex, year = RegexMatch("caption", "dog"), Equals("year", 2000)
+        pred = And(regex, year)
+        assert pred.children == (regex, year)
+        assert repr(pred) == f"And({regex!r}, {year!r})"
+        assert pred.fingerprint() != And(year, regex).fingerprint()
+
     @pytest.mark.parametrize("regex_first", [True, False])
     def test_and_scans_survivors_only(self, captions, regex_first):
         regex, year = RegexMatch("caption", "dog"), Equals("year", 2000)

@@ -13,9 +13,10 @@ import pytest
 
 from repro.baselines.prefilter import PreFilterSearcher
 from repro.engine import QueryBatch, SearchEngine
-from repro.predicates import Equals, OneOf
+from repro.predicates import Equals, OneOf, TruePredicate
 from repro.predicates.base import CompiledPredicate
 from repro.routing import ROUTE_ACORN_GAMMA, RoutePlanner
+from repro.routing.planner import REASON_SCANS, REASON_WALKS
 from repro.telemetry import SearchResult
 from tests.conftest import assert_results_identical
 
@@ -146,6 +147,45 @@ class TestAdaptive:
         assert result.est_selectivity == pytest.approx(
             Equals("label", 2).compile(acorn_index.table).selectivity
         )
+
+class TestStamp:
+    """The stamped result is the index's record plus the planner's
+    three route fields: ids, distance bytes and every counter are the
+    index's own."""
+
+    ROUTE_FIELDS = {"route_chosen", "route_reason", "est_selectivity"}
+
+    @pytest.mark.parametrize("route", ["scans", "walks"])
+    def test_index_record_plus_route_fields(self, acorn_index, route):
+        rng = np.random.default_rng(5)
+        query = rng.standard_normal(16).astype(np.float32)
+        table = acorn_index.table
+        if route == "scans":
+            mask = np.zeros(len(table), dtype=bool)
+            mask[rng.choice(len(table), size=20, replace=False)] = True
+            pred = CompiledPredicate(TruePredicate(), mask, table=table)
+            want_reason = REASON_SCANS
+        else:
+            pred = OneOf("label", (0, 1, 2))
+            want_reason = REASON_WALKS
+        direct = acorn_index.search(query, pred, 5, ef_search=16)
+        stamped = RoutePlanner(acorn_index).search(query, pred, 5,
+                                                   ef_search=16)
+        assert (direct.hops > 0) is (route == "walks")
+        assert direct.distance_computations > 0
+        assert stamped.ids.tobytes() == direct.ids.tobytes()
+        assert stamped.distances.tobytes() == direct.distances.tobytes()
+
+        def record(result):
+            return {name: value for name, value in result.to_dict().items()
+                    if name not in self.ROUTE_FIELDS | {"ids", "distances"}}
+
+        assert record(stamped) == record(direct)
+        assert stamped.route_chosen == ROUTE_ACORN_GAMMA
+        assert stamped.route_reason == want_reason
+        compiled = pred if route == "scans" else pred.compile(table)
+        assert stamped.est_selectivity == int(compiled.mask.sum()) / len(table)
+
 
 class TestEngineIntegration:
     def test_stats_carry_routing_fields(self, acorn_index):
