@@ -56,7 +56,7 @@ from repro.lifecycle import (
     LifecycleConfig,
     LifecycleIndex,
 )
-from repro.persistence import load_index, save_index
+from repro.persistence import ArchiveError, load_index, save_index
 from repro.predicates import (
     And,
     Between,
@@ -80,7 +80,6 @@ from repro.serving import (
 from repro.shard import (
     AttributeRangePartitioner,
     HashPartitioner,
-    ShardLoadError,
     ShardRouter,
     ShardedAcornIndex,
 )
@@ -94,6 +93,7 @@ __all__ = [
     "AcornOneIndex",
     "AcornParams",
     "AcornService",
+    "ArchiveError",
     "And",
     "AttributeRangePartitioner",
     "AttributeTable",
@@ -128,7 +128,6 @@ __all__ = [
     "SearchResult",
     "ServedResponse",
     "ServingConfig",
-    "ShardLoadError",
     "ShardRouter",
     "ShardedAcornIndex",
     "TenantQuota",

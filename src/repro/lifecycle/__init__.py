@@ -23,17 +23,11 @@ from repro.lifecycle.compactor import (
 )
 from repro.lifecycle.delta import DeltaIndex, DeltaView
 from repro.lifecycle.epoch import EpochSnapshot
-from repro.lifecycle.journal import DeltaJournal, JournalError
 from repro.lifecycle.manager import (
     CompactionInProgress,
     CompactionReport,
     LifecycleConfig,
     LifecycleIndex,
-)
-from repro.lifecycle.persistence import (
-    LifecycleLoadError,
-    load_lifecycle,
-    save_lifecycle,
 )
 
 __all__ = [
@@ -44,13 +38,8 @@ __all__ = [
     "CompactorFaultPlan",
     "CompactorKilled",
     "DeltaIndex",
-    "DeltaJournal",
     "DeltaView",
     "EpochSnapshot",
-    "JournalError",
     "LifecycleConfig",
     "LifecycleIndex",
-    "LifecycleLoadError",
-    "load_lifecycle",
-    "save_lifecycle",
 ]

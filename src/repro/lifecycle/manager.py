@@ -594,7 +594,7 @@ class LifecycleIndex(Searcher):
             return None
 
     # ------------------------------------------------------------------
-    # Persistence handoff (see repro.lifecycle.persistence)
+    # Persistence handoff (see repro.persistence)
     # ------------------------------------------------------------------
 
     @classmethod
@@ -606,13 +606,13 @@ class LifecycleIndex(Searcher):
         tombstones: set[int],
         next_external_id: int,
         epoch: int,
-        config: LifecycleConfig | None = None,
-        clock: Clock | None = None,
+        config: LifecycleConfig,
     ) -> "LifecycleIndex":
-        """Reconstruct a lifecycle from persisted state (internal)."""
+        """Reconstruct a lifecycle from persisted state (internal); it
+        runs on a :class:`~repro.utils.clock.SystemClock`."""
         lifecycle = cls.__new__(cls)
-        lifecycle.config = config or LifecycleConfig()
-        lifecycle.clock = clock or SystemClock()
+        lifecycle.config = config
+        lifecycle.clock = SystemClock()
         lifecycle._lock = threading.RLock()
         lifecycle._base = base
         lifecycle._base_ids = np.asarray(base_ids, dtype=np.int64)

@@ -40,7 +40,6 @@ from repro.shard.partition import (
     partitioner_from_spec,
     subset_table,
 )
-from repro.shard.persistence import ShardLoadError, load_sharded, save_sharded
 from repro.shard.router import ShardDecision, ShardPlan, ShardRouter
 from repro.shard.sharded import (
     ShardedAcornIndex,
@@ -63,14 +62,11 @@ __all__ = [
     "Partitioner",
     "ShardAssignment",
     "ShardDecision",
-    "ShardLoadError",
     "ShardPlan",
     "ShardRouter",
     "ShardSummary",
     "ShardedAcornIndex",
-    "load_sharded",
     "merge_topk",
     "partitioner_from_spec",
-    "save_sharded",
     "subset_table",
 ]

@@ -112,7 +112,7 @@ class ShardedAcornIndex(Searcher):
         shards: one ACORN index per shard, aligned with ``assignment``.
         assignment: the global ↔ (shard, local) id mapping.
         partitioner: the policy that produced ``assignment`` (kept for
-            the persistence manifest).
+            the persisted archive).
         table: the *global* attribute table; query predicates are
             compiled against it exactly as on an unsharded index.
         router: routing policy; defaults to a

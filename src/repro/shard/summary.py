@@ -13,7 +13,7 @@ router answer two questions without touching the shard:
   machinery as :mod:`repro.predicates.selectivity`.
 
 Summaries are JSON-serializable (:meth:`ShardSummary.to_dict`) so the
-sharded-persistence manifest can carry them verbatim.
+sharded index archive can carry them verbatim.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class KeywordDigest:
         return bool(self.bits[self._positions(keyword, self.bits.size)].all())
 
     def to_hex(self) -> str:
-        """The bitset packed into a hex string (for the manifest)."""
+        """The bitset packed into a hex string (for the archive)."""
         return np.packbits(self.bits).tobytes().hex()
 
     @classmethod
@@ -173,7 +173,7 @@ class ShardSummary:
     keywords: dict[str, KeywordSummary]
 
     def to_dict(self) -> dict:
-        """The summary as a JSON-serializable dict (manifest payload)."""
+        """The summary as a JSON-serializable dict (archive payload)."""
         return {
             "n_rows": self.n_rows,
             "numeric": {

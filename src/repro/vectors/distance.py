@@ -82,11 +82,16 @@ def pairwise_distances(
     base = np.asarray(base, dtype=np.float32)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
     if metric is Metric.L2:
-        b_sq = np.einsum("ij,ij->i", base, base)
-        q_sq = np.einsum("ij,ij->i", queries, queries)
-        cross = queries @ base.T
-        out = q_sq[:, None] + b_sq[None, :] - 2.0 * cross
-        return np.maximum(out, 0.0)
+        # ‖q‖² + ‖b‖² − 2q·b cancels catastrophically in float32 for
+        # close rows of large norm (a self-distance of 0.0156 at values
+        # near 97), so it is accumulated in float64 — in place, so the
+        # peak memory stays one float64 matrix.
+        base, queries = base.astype(np.float64), queries.astype(np.float64)
+        out = queries @ base.T
+        out *= -2.0
+        out += np.einsum("ij,ij->i", queries, queries)[:, None]
+        out += np.einsum("ij,ij->i", base, base)[None, :]
+        return np.maximum(out, 0.0, out=out).astype(np.float32)
     if metric is Metric.INNER_PRODUCT:
         return -(queries @ base.T)
     qn = np.linalg.norm(queries, axis=1)

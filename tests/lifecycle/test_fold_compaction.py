@@ -41,9 +41,8 @@ from repro.lifecycle import (
     CompactorKilled,
     LifecycleConfig,
     LifecycleIndex,
-    load_lifecycle,
-    save_lifecycle,
 )
+from repro.persistence import load_index, save_index
 from repro.predicates import Equals, TruePredicate
 from repro.shard.partition import subset_table
 from repro.utils.clock import FakeClock
@@ -412,7 +411,8 @@ class TestFoldDeterminism:
             return lc
 
         stayed, saved = mutated(), mutated()
-        loaded = load_lifecycle(save_lifecycle(saved, tmp_path / "archive"))
+        save_index(saved, tmp_path / "archive.npz")
+        loaded = load_index(tmp_path / "archive.npz")
         stayed.compact()
         loaded.compact()
         assert branches == ["fold", "fold"]

@@ -1,7 +1,7 @@
-"""Sharded save/load: manifest round-trips, corruption is loud."""
+"""Sharded save/load: one archive keeps shards, router and table."""
 
 import json
-import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -12,10 +12,8 @@ from repro.predicates import Between, TruePredicate
 from repro.shard import (
     AttributeRangePartitioner,
     HashPartitioner,
-    ShardLoadError,
     ShardedAcornIndex,
 )
-from repro.shard.persistence import load_sharded, save_sharded
 
 from tests.shard.conftest import make_world
 
@@ -44,22 +42,23 @@ def query():
 
 class TestRoundTrip:
     def test_layout(self, sharded_index, tmp_path):
-        root = tmp_path / "idx"
-        save_sharded(sharded_index, root)
-        names = sorted(os.listdir(root))
-        assert names == [
-            "assignment.npz", "manifest.json", "shard_00000.npz",
-            "shard_00001.npz", "shard_00002.npz", "table.npz",
-        ]
-        manifest = json.loads((root / "manifest.json").read_text())
-        assert manifest["n_shards"] == 3
-        assert manifest["n_rows"] == N
-        assert manifest["partitioner"]["type"] == "attribute-range"
-        assert set(manifest["checksums"]) == set(names) - {"manifest.json"}
+        """Each shard's members sit under ``shard{s}.`` beside the
+        assignment, the global table and one JSON meta member."""
+        save_index(sharded_index, tmp_path / "idx.npz")
+        with zipfile.ZipFile(tmp_path / "idx.npz") as archive:
+            names = {n[: -len(".npy")] for n in archive.namelist()}
+            meta = json.loads(str(np.load(archive.open("meta.npy"),
+                                          allow_pickle=True)[0]))
+        prefixes = {n.split(".")[0] for n in names if "." in n}
+        assert prefixes == {"shard0", "shard1", "shard2", "table"}
+        assert {"format_version", "kind", "meta", "shard_of"} <= names
+        assert {"shard0.vectors", "shard2.params", "table.table_schema"} <= names
+        assert meta["n_shards"] == 3
+        assert meta["partitioner"]["type"] == "attribute-range"
 
     def test_results_preserved(self, sharded_index, tmp_path, query):
-        save_sharded(sharded_index, tmp_path / "idx")
-        loaded = load_sharded(tmp_path / "idx")
+        save_index(sharded_index, tmp_path / "idx.npz")
+        loaded = load_index(tmp_path / "idx.npz")
         for predicate in (TruePredicate(), Between("year", 2002, 2008)):
             before = sharded_index.search(query, predicate, 8, ef_search=N)
             after = loaded.search(query, predicate, 8, ef_search=N)
@@ -69,15 +68,15 @@ class TestRoundTrip:
             assert after.shards_pruned == before.shards_pruned
 
     def test_tombstones_preserved(self, sharded_index, tmp_path):
-        save_sharded(sharded_index, tmp_path / "idx")
-        loaded = load_sharded(tmp_path / "idx")
+        save_index(sharded_index, tmp_path / "idx.npz")
+        loaded = load_index(tmp_path / "idx.npz")
         assert loaded.is_deleted(17)
         assert loaded.is_deleted(42)
         assert loaded.num_deleted == 2
 
     def test_partitioner_and_router_preserved(self, sharded_index, tmp_path):
-        save_sharded(sharded_index, tmp_path / "idx")
-        loaded = load_sharded(tmp_path / "idx")
+        save_index(sharded_index, tmp_path / "idx.npz")
+        loaded = load_index(tmp_path / "idx.npz")
         assert loaded.partitioner.spec() == sharded_index.partitioner.spec()
         plan_before = sharded_index.plan(Between("year", 2002, 2004), k=5)
         plan_after = loaded.plan(Between("year", 2002, 2004), k=5)
@@ -88,8 +87,8 @@ class TestRoundTrip:
     def test_save_index_load_index_dispatch(self, sharded_index, tmp_path,
                                             query):
         """The generic persistence entry points route sharded indexes."""
-        save_index(sharded_index, tmp_path / "idx")
-        loaded = load_index(tmp_path / "idx")
+        save_index(sharded_index, tmp_path / "idx.npz")
+        loaded = load_index(tmp_path / "idx.npz")
         assert isinstance(loaded, ShardedAcornIndex)
         before = sharded_index.search(query, TruePredicate(), 5, ef_search=N)
         after = loaded.search(query, TruePredicate(), 5, ef_search=N)
@@ -101,63 +100,8 @@ class TestRoundTrip:
             vectors, table, partitioner=HashPartitioner(4, seed=2),
             params=PARAMS, seed=11,
         )
-        save_sharded(index, tmp_path / "idx")
-        loaded = load_sharded(tmp_path / "idx")
+        save_index(index, tmp_path / "idx.npz")
+        loaded = load_index(tmp_path / "idx.npz")
         before = index.search(query, TruePredicate(), 6, ef_search=80)
         after = loaded.search(query, TruePredicate(), 6, ef_search=80)
         assert np.array_equal(before.ids, after.ids)
-
-
-class TestCorruption:
-    def _saved(self, sharded_index, tmp_path):
-        root = tmp_path / "idx"
-        save_sharded(sharded_index, root)
-        return root
-
-    def test_missing_shard_file_names_it(self, sharded_index, tmp_path):
-        root = self._saved(sharded_index, tmp_path)
-        (root / "shard_00001.npz").unlink()
-        with pytest.raises(ShardLoadError, match="shard_00001.npz"):
-            load_sharded(root)
-
-    def test_corrupt_shard_file_names_it(self, sharded_index, tmp_path):
-        root = self._saved(sharded_index, tmp_path)
-        target = root / "shard_00002.npz"
-        blob = bytearray(target.read_bytes())
-        blob[20:24] = b"\x00\x01\x02\x03"
-        target.write_bytes(bytes(blob))
-        with pytest.raises(ShardLoadError, match="shard_00002.npz"):
-            load_sharded(root)
-
-    def test_corrupt_assignment(self, sharded_index, tmp_path):
-        root = self._saved(sharded_index, tmp_path)
-        (root / "assignment.npz").write_bytes(b"not an archive")
-        with pytest.raises(ShardLoadError, match="assignment.npz"):
-            load_sharded(root)
-
-    def test_missing_manifest(self, sharded_index, tmp_path):
-        root = self._saved(sharded_index, tmp_path)
-        (root / "manifest.json").unlink()
-        with pytest.raises(ShardLoadError, match="manifest.json"):
-            load_sharded(root)
-
-    def test_corrupt_manifest_json(self, sharded_index, tmp_path):
-        root = self._saved(sharded_index, tmp_path)
-        (root / "manifest.json").write_text("{not json")
-        with pytest.raises(ShardLoadError, match="corrupt"):
-            load_sharded(root)
-
-    def test_wrong_format_version(self, sharded_index, tmp_path):
-        root = self._saved(sharded_index, tmp_path)
-        manifest = json.loads((root / "manifest.json").read_text())
-        manifest["format_version"] = 99
-        (root / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ShardLoadError, match="version"):
-            load_sharded(root)
-
-    def test_no_partial_index_on_failure(self, sharded_index, tmp_path):
-        """A failed load raises; it never returns a half-built index."""
-        root = self._saved(sharded_index, tmp_path)
-        (root / "table.npz").unlink()
-        with pytest.raises(ShardLoadError, match="table.npz"):
-            load_sharded(root)

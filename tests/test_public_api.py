@@ -79,8 +79,7 @@ class TestExports:
 
         expected = {
             "LifecycleIndex", "LifecycleConfig", "EpochSnapshot",
-            "BackgroundCompactor", "CompactorFaultPlan", "DeltaJournal",
-            "save_lifecycle", "load_lifecycle",
+            "BackgroundCompactor", "CompactorFaultPlan",
         }
         missing = expected - set(dir(lifecycle))
         assert not missing, f"repro.lifecycle missing exports: {missing}"
