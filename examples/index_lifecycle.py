@@ -42,10 +42,9 @@ def main() -> None:
 
     # 3. Persist and reload (a fresh process would do exactly this).
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "corpus.npz"
+        path = Path(tmp) / "corpus.index"
         save_index(index, path)
-        print(f"saved to {path.name} ({path.stat().st_size / 1e6:.2f} MB "
-              "compressed)")
+        print(f"saved to {path.name} ({path.stat().st_size / 1e6:.2f} MB)")
         index = load_index(path)
         print("reloaded; graph intact:", index.graph.max_level + 1, "levels")
 

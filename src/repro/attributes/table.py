@@ -34,22 +34,21 @@ class ColumnKind(enum.Enum):
 
 
 class _KeywordColumn:
-    """CSR-encoded lists of interned keyword tokens."""
+    """CSR-encoded lists of interned keyword tokens.
 
-    def __init__(self, lists: Sequence[Iterable[str]]) -> None:
-        self.vocab: dict[str, int] = {}
-        tokens: list[int] = []
-        offsets = np.zeros(len(lists) + 1, dtype=np.int64)
-        for row, kws in enumerate(lists):
-            for kw in kws:
-                token = self.vocab.setdefault(kw, len(self.vocab))
-                tokens.append(token)
-            offsets[row + 1] = len(tokens)
+    ``words[token]`` is the keyword a token stands for; row ``i`` holds
+    ``tokens[offsets[i]:offsets[i + 1]]``.
+    """
+
+    def __init__(self, words: list[str], offsets: np.ndarray,
+                 tokens: np.ndarray) -> None:
+        self.words = words
+        self.vocab = {word: token for token, word in enumerate(words)}
         self.offsets = offsets
-        self.tokens = np.asarray(tokens, dtype=np.int64)
+        self.tokens = tokens
         # Posting lists: rows containing each token, for inverted lookups.
         row_of_token = np.repeat(
-            np.arange(len(lists), dtype=np.int64), np.diff(offsets)
+            np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets)
         )
         order = np.argsort(self.tokens, kind="stable")
         self._sorted_rows = row_of_token[order]
@@ -57,14 +56,25 @@ class _KeywordColumn:
         self._posting_bounds = np.searchsorted(
             self._sorted_tokens, np.arange(len(self.vocab) + 1)
         )
-        self._words = list(self.vocab)  # token -> keyword (interned in order)
+
+    @classmethod
+    def interned(cls, lists: Sequence[Iterable[str]]) -> "_KeywordColumn":
+        """Intern ``lists`` (one keyword list per row) in first-seen order."""
+        vocab: dict[str, int] = {}
+        tokens: list[int] = []
+        offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+        for row, kws in enumerate(lists):
+            for kw in kws:
+                tokens.append(vocab.setdefault(kw, len(vocab)))
+            offsets[row + 1] = len(tokens)
+        return cls(list(vocab), offsets, np.asarray(tokens, dtype=np.int64))
 
     def __len__(self) -> int:
         return self.offsets.shape[0] - 1
 
     def row_keywords(self, row: int) -> list[str]:
         lo, hi = self.offsets[row], self.offsets[row + 1]
-        return [self._words[t] for t in self.tokens[lo:hi]]
+        return [self.words[t] for t in self.tokens[lo:hi]]
 
     def rows_containing(self, keyword: str) -> np.ndarray:
         """Rows whose list contains ``keyword`` (empty if unseen)."""
@@ -196,7 +206,17 @@ class AttributeTable:
 
     def add_keywords_column(self, name: str, lists: Sequence[Iterable[str]]) -> None:
         """Add a keyword-list column (e.g. clinical areas, CLIP keywords)."""
-        col = _KeywordColumn(lists)
+        col = _KeywordColumn.interned(lists)
+        self._check_new(name, len(col))
+        self._columns[name] = (ColumnKind.KEYWORDS, col)
+
+    def add_keywords_csr(self, name: str, words: list[str],
+                         offsets: np.ndarray, tokens: np.ndarray) -> None:
+        """Add a keyword-list column already interned: ``words[token]``
+        is a token's keyword and row ``i`` holds
+        ``tokens[offsets[i]:offsets[i + 1]]`` (how an index image
+        stores one)."""
+        col = _KeywordColumn(words, offsets, tokens)
         self._check_new(name, len(col))
         self._columns[name] = (ColumnKind.KEYWORDS, col)
 

@@ -376,7 +376,8 @@ class SearchEngine:
         its refcount drains) and broadcasts an unpin so warm workers
         drop their stale mappings instead of accumulating them.
         """
-        from repro.parallel import ArenaManager, build_snapshot, snapshot_refs
+        from repro.parallel import ArenaManager, snapshot_refs
+        from repro.persistence import encode_index
 
         if self._arena_manager is None:
             self._arena_manager = ArenaManager()
@@ -385,10 +386,8 @@ class SearchEngine:
         if record is not None and record.token == token:
             return record
         old_token = record.token if record is not None else None
-        spec, arrays = build_snapshot(searcher)
-        record = manager.publish(
-            token, arrays, spec, refs=snapshot_refs(searcher)
-        )
+        record = manager.publish(token, encode_index(searcher),
+                                 refs=snapshot_refs(searcher))
         if old_token is not None and self._proc_pool is not None \
                 and not self._proc_pool.closed:
             self._proc_pool.unpin_all(old_token)
@@ -425,8 +424,7 @@ class SearchEngine:
         manager.acquire(record)
         try:
             pool = self._process_pool()
-            pin = (token, {"manifest": record.arena.manifest(),
-                           "spec": record.spec})
+            pin = (token, {"arena": record.arena.handle()})
             nq = len(batch)
             # One chunk per slot: map_calls takes one call per worker.
             ways = min(self.num_workers, pool.num_workers, nq)

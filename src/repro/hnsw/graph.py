@@ -26,6 +26,22 @@ class LayeredGraph:
         self._node_levels: list[int] = []
         self.entry_point = -1
 
+    @classmethod
+    def from_adjacency(
+        cls,
+        node_levels: list[int],
+        levels: list[dict[int, list[int]]],
+        entry_point: int,
+    ) -> "LayeredGraph":
+        """A graph holding ``levels`` (one ``{node_id: neighbor list}``
+        mapping per level, nodes in ascending id order) as they are —
+        how a loaded index rebuilds its graph from the stored CSR."""
+        graph = cls()
+        graph._node_levels = node_levels
+        graph._levels = levels
+        graph.entry_point = entry_point
+        return graph
+
     def __len__(self) -> int:
         return len(self._node_levels)
 

@@ -201,12 +201,14 @@ class HnswIndex:
         if self._frozen is None:
             from repro.core.search import assert_frozen, freeze_graph
 
-            all_pass = np.ones(len(self.store), dtype=bool)
-            all_pass.setflags(write=False)
-            self._all_pass = all_pass
             frozen = freeze_graph(self.graph)
             assert_frozen(frozen)
             self._frozen = frozen
+            self._all_pass = None
+        if self._all_pass is None:  # a fresh snapshot or a loaded one
+            all_pass = np.ones(len(self.store), dtype=bool)
+            all_pass.setflags(write=False)
+            self._all_pass = all_pass
         return self._frozen
 
     def freeze(self):

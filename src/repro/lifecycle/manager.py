@@ -608,26 +608,16 @@ class LifecycleIndex(Searcher):
         epoch: int,
         config: LifecycleConfig,
     ) -> "LifecycleIndex":
-        """Reconstruct a lifecycle from persisted state (internal); it
-        runs on a :class:`~repro.utils.clock.SystemClock`."""
-        lifecycle = cls.__new__(cls)
-        lifecycle.config = config
-        lifecycle.clock = SystemClock()
-        lifecycle._lock = threading.RLock()
-        lifecycle._base = base
+        """Reconstruct a lifecycle from persisted state (internal): built
+        through ``__init__`` (so it runs on a
+        :class:`~repro.utils.clock.SystemClock`), then given the saved
+        ids, delta rows, tombstones and epoch."""
+        lifecycle = cls(base, config=config)
         lifecycle._base_ids = np.asarray(base_ids, dtype=np.int64)
-        lifecycle._schema = table_schema(base.table)
-        lifecycle._metric = base.metric
-        lifecycle._dim = base.store.dim
-        lifecycle._sealed = []
-        lifecycle._delta = lifecycle._fresh_delta()
         for ext, vec, row in delta_entries:
             lifecycle._delta.insert(ext, vec, row)
         lifecycle._tombstones = set(int(t) for t in tombstones)
         lifecycle._next_external_id = int(next_external_id)
         lifecycle._epoch = int(epoch)
-        lifecycle._compacting = False
-        lifecycle._compactions = 0
-        lifecycle._last_compaction_s = None
         lifecycle._published = lifecycle._make_snapshot(int(epoch))
         return lifecycle

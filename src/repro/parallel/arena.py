@@ -1,204 +1,89 @@
 """Zero-copy shared-memory snapshots for process-parallel search.
 
-A :class:`SnapshotArena` packs one epoch's read-only arrays — CSR
-``indptr``/``indices`` per level, float32 vectors, norms,
-tombstone masks — into a single named ``multiprocessing.shared_memory``
-block.  Worker processes map the block and reconstruct numpy views at
-recorded offsets, so the traversal hot path reads the *same physical
-pages* as the parent: no pickling, no copies, no per-worker duplication
-of the index payload.
-
-Layout: arrays are packed back-to-back at 64-byte-aligned offsets
-(cache-line aligned, so a view never straddles a line shared with its
-neighbor's tail).  A manifest — one :class:`ArraySpec` per array with
-name, offset, shape, dtype, and a sha256 stamp over the bytes — travels
-to workers as a small pickle; attaching verifies the stamps, so a
-corrupt or torn mapping names the broken array instead of silently
-serving garbage adjacency.
-
-Freeze-time hygiene (the GEMM kernels and this arena both need it):
-:func:`canonical_array` enforces C-contiguity and the declared dtype,
-copying *once* with a counted warning when an input violates the
-contract — e.g. a Fortran-ordered or float64 vector matrix smuggled in
-through ``VectorStore`` internals.
+A :class:`SnapshotArena` holds one epoch's index image — the bytes
+:func:`~repro.persistence.save_index` would write to a file, laid out
+by :func:`~repro.persistence.image_layout`: a header, a JSON manifest
+(meta plus one name / offset / shape / dtype / sha256 entry per array),
+then the arrays at 64-byte-aligned offsets — in a single named
+``multiprocessing.shared_memory`` block.  Worker processes map the
+block and read it with :func:`~repro.persistence.read_image`, which
+verifies every sha256 and hands out read-only views at the recorded
+offsets, so the traversal hot path reads the *same physical pages* as
+the parent: no pickling, no copies, no per-worker duplication of the
+index payload.  Only the block's name and the epoch token travel to
+workers; a corrupt or torn mapping names the broken array instead of
+silently serving garbage adjacency.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import secrets
 import threading
-import warnings
 from multiprocessing import shared_memory
 
 import numpy as np
 
-_ALIGN = 64
-
-#: Arrays silently copied into canonical (C-contiguous, declared-dtype)
-#: form at freeze time, by role name.  A correctness backstop that is
-#: expected to stay empty: every producer in the library already emits
-#: canonical arrays, and each role warns at most once per process.
-COPY_FIXUPS: dict[str, int] = {}
-
-_WARNED: set[str] = set()
-_FIXUP_LOCK = threading.Lock()
-
-
-def reset_fixup_counters() -> None:
-    """Clear the freeze-time copy counters (test isolation hook)."""
-    with _FIXUP_LOCK:
-        COPY_FIXUPS.clear()
-        _WARNED.clear()
-
-
-def canonical_array(
-    name: str, array: np.ndarray, dtype=None
-) -> np.ndarray:
-    """Return ``array`` as C-contiguous with the declared dtype.
-
-    The no-copy path is the contract; a violation (wrong dtype, Fortran
-    order, or a strided view) is repaired with one copy, counted in
-    :data:`COPY_FIXUPS` and warned once per role so the producer can be
-    fixed at the source.
-    """
-    array = np.asarray(array)
-    want = array.dtype if dtype is None else np.dtype(dtype)
-    if array.dtype == want and array.flags.c_contiguous:
-        return array
-    with _FIXUP_LOCK:
-        COPY_FIXUPS[name] = COPY_FIXUPS.get(name, 0) + 1
-        first = name not in _WARNED
-        _WARNED.add(name)
-    if first:
-        warnings.warn(
-            f"snapshot array {name!r} was {array.dtype}/"
-            f"{'C' if array.flags.c_contiguous else 'non-contiguous'} "
-            f"instead of {want}/C-contiguous; copied once at freeze "
-            "time — fix the producer to avoid the copy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return np.ascontiguousarray(array, dtype=want)
-
-
-@dataclasses.dataclass(frozen=True)
-class ArraySpec:
-    """Where one array lives inside an arena block.
-
-    Attributes:
-        name: role name (``"vectors"``, ``"L0.indices"``, ...).
-        offset: byte offset of the array's first element in the block.
-        shape: array shape.
-        dtype: numpy dtype string (``np.dtype(spec.dtype)`` rebuilds it).
-        sha256: hex digest over the array's packed bytes.
-    """
-
-    name: str
-    offset: int
-    shape: tuple
-    dtype: str
-    sha256: str
-
-    @property
-    def nbytes(self) -> int:
-        """Payload size in bytes."""
-        count = 1
-        for dim in self.shape:
-            count *= int(dim)
-        return count * np.dtype(self.dtype).itemsize
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _digest(view: np.ndarray) -> str:
-    return hashlib.sha256(view.tobytes()).hexdigest()
+from repro.persistence import image_layout, read_image
 
 
 class SnapshotArena:
-    """One epoch's arrays frozen into a named shared-memory block.
+    """One epoch's index image in a named shared-memory block.
 
     Build with :meth:`create` in the publishing process; workers attach
-    through :func:`attach_arena` using the picklable :meth:`manifest`.
+    through :func:`attach_arena` using the picklable :meth:`handle`.
     The creating side owns the block's lifetime (:meth:`unlink`);
     attachments only unmap (:meth:`close`).
     """
 
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        specs: dict[str, ArraySpec],
-        token: str,
-        owner: bool,
-    ) -> None:
+    def __init__(self, shm: shared_memory.SharedMemory, token: str,
+                 owner: bool) -> None:
         self.shm = shm
-        self.specs = specs
         self.token = token
         self._owner = owner
-        self._views: dict[str, np.ndarray] = {}
+        self.meta: dict | None = None
+        self._views: dict[str, np.ndarray] | None = None
         self._closed = False
 
     @classmethod
-    def create(
-        cls, arrays: dict[str, np.ndarray], token: str
-    ) -> "SnapshotArena":
-        """Pack ``arrays`` into a fresh shared-memory block.
-
-        Every array passes through :func:`canonical_array` (with its own
-        dtype as the declared one — producers canonicalize dtypes before
-        handing arrays here), so the block holds a dense C-order image
-        that views reconstruct without any deserialization step.
-        """
-        packed: dict[str, np.ndarray] = {}
-        offset = 0
-        layout: list[tuple[str, int, np.ndarray]] = []
-        for name in sorted(arrays):
-            arr = canonical_array(name, arrays[name])
-            offset = _aligned(offset)
-            layout.append((name, offset, arr))
-            packed[name] = arr
-            offset += arr.nbytes
-        total = max(offset, 1)
+    def create(cls, image: tuple[dict, dict], token: str) -> "SnapshotArena":
+        """Lay the ``(meta, arrays)`` image out in a fresh block."""
+        size, pieces = image_layout(*image)
         name = f"repro-arena-{os.getpid():x}-{secrets.token_hex(6)}"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=total)
-        specs: dict[str, ArraySpec] = {}
-        for role, off, arr in layout:
-            dest = np.ndarray(arr.shape, dtype=arr.dtype,
-                              buffer=shm.buf, offset=off)
-            dest[...] = arr
-            specs[role] = ArraySpec(
-                name=role, offset=off, shape=tuple(arr.shape),
-                dtype=arr.dtype.str, sha256=_digest(dest),
-            )
-        return cls(shm, specs, token, owner=True)
+        shm = shared_memory.SharedMemory(name=name, create=True,
+                                         size=max(size, 1))
+        arena = cls(shm, token, owner=True)
+        block = arena._block()
+        for offset, raw in pieces:
+            block[offset:offset + raw.size] = raw
+        return arena
 
-    def manifest(self) -> dict:
+    def handle(self) -> dict:
         """Picklable description workers attach from."""
-        return {
-            "shm_name": self.shm.name,
-            "token": self.token,
-            "size": self.shm.size,
-            "arrays": [dataclasses.asdict(s) for s in self.specs.values()],
-        }
+        return {"shm_name": self.shm.name, "token": self.token}
 
-    def view(self, name: str) -> np.ndarray:
-        """Read-only view of one packed array (cached)."""
-        got = self._views.get(name)
-        if got is None:
-            spec = self.specs[name]
-            got = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype),
-                             buffer=self.shm.buf, offset=spec.offset)
-            got.flags.writeable = False
-            self._views[name] = got
-        return got
+    def _block(self) -> np.ndarray:
+        # Built with ndarray(buffer=), which holds no export on the
+        # mapping, so close() can always unmap; views must not be read
+        # after it.
+        return np.ndarray((self.shm.size,), dtype=np.uint8,
+                          buffer=self.shm.buf)
 
     def views(self) -> dict[str, np.ndarray]:
-        """All packed arrays as read-only views."""
-        return {name: self.view(name) for name in self.specs}
+        """All packed arrays as read-only views (verified once, cached)."""
+        if self._views is None:
+            self.meta, self._views = read_image(self._block(), self.source)
+        return self._views
+
+    def view(self, name: str) -> np.ndarray:
+        """Read-only view of one packed array."""
+        return self.views()[name]
+
+    @property
+    def source(self) -> str:
+        """How errors name the block."""
+        return f"arena {self.shm.name!r}"
 
     @property
     def nbytes(self) -> int:
@@ -206,27 +91,20 @@ class SnapshotArena:
         return self.shm.size
 
     def verify(self) -> None:
-        """Re-hash every array against its manifest stamp.
+        """Re-hash the manifest and every array against their sha256.
 
         Raises:
-            ValueError: naming the first array whose bytes do not match
-                its sha256 stamp.
+            ~repro.persistence.ArchiveError: naming the arena and the
+                first array whose bytes do not match (a ``ValueError``).
         """
-        for name, spec in self.specs.items():
-            actual = _digest(self.view(name))
-            if actual != spec.sha256:
-                raise ValueError(
-                    f"arena {self.shm.name!r} array {name!r} failed its "
-                    f"sha256 check (expected {spec.sha256[:12]}..., got "
-                    f"{actual[:12]}...)"
-                )
+        read_image(self._block(), self.source)
 
     def close(self) -> None:
         """Unmap the block (idempotent).  Views become invalid."""
         if self._closed:
             return
         self._closed = True
-        self._views.clear()
+        self._views = self.meta = None
         self.shm.close()
 
     def unlink(self) -> None:
@@ -266,31 +144,16 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = original
 
 
-def attach_arena(manifest: dict, verify: bool = True) -> SnapshotArena:
-    """Map a published arena from its :meth:`SnapshotArena.manifest`.
-
-    Args:
-        manifest: the creator's manifest dict.
-        verify: re-hash every array against its sha256 stamp (one pass
-            over the block at pin time; catches corrupt mappings before
-            any query reads them).
-    """
-    shm = _attach_untracked(manifest["shm_name"])
-    specs = {
-        entry["name"]: ArraySpec(
-            name=entry["name"], offset=int(entry["offset"]),
-            shape=tuple(entry["shape"]), dtype=entry["dtype"],
-            sha256=entry["sha256"],
-        )
-        for entry in manifest["arrays"]
-    }
-    arena = SnapshotArena(shm, specs, manifest["token"], owner=False)
-    if verify:
-        try:
-            arena.verify()
-        except Exception:
-            arena.close()
-            raise
+def attach_arena(handle: dict) -> SnapshotArena:
+    """Map a published arena from its :meth:`SnapshotArena.handle`,
+    verifying every array's sha256 before any query reads it."""
+    arena = SnapshotArena(_attach_untracked(handle["shm_name"]),
+                          handle["token"], owner=False)
+    try:
+        arena.views()
+    except Exception:
+        arena.close()
+        raise
     return arena
 
 
@@ -328,7 +191,6 @@ class ArenaRecord:
 
     Attributes:
         arena: the shared block.
-        spec: the searcher-reconstruction spec shipped alongside.
         refs: parent-side objects pinned for the record's lifetime so
             the ``id()``-based epoch token can never be recycled while
             this arena is live.
@@ -338,7 +200,6 @@ class ArenaRecord:
     """
 
     arena: SnapshotArena
-    spec: object
     refs: tuple
     refcount: int = 0
     retired: bool = False
@@ -371,15 +232,12 @@ class ArenaManager:
         """The live record, or None before the first publish."""
         return self._current
 
-    def publish(
-        self, token: str, arrays: dict[str, np.ndarray], spec,
-        refs: tuple = (),
-    ) -> ArenaRecord:
-        """Freeze ``arrays`` as the new current epoch, retiring the old."""
-        record = ArenaRecord(
-            arena=SnapshotArena.create(arrays, token), spec=spec,
-            refs=refs,
-        )
+    def publish(self, token: str, image: tuple[dict, dict],
+                refs: tuple = ()) -> ArenaRecord:
+        """Lay ``image`` (an :func:`~repro.persistence.encode_index`
+        pair) out as the new current epoch, retiring the old."""
+        record = ArenaRecord(arena=SnapshotArena.create(image, token),
+                             refs=refs)
         with self._lock:
             old = self._current
             self._current = record

@@ -2,10 +2,12 @@
 
 Each worker is a spawned process holding one duplex pipe to the parent
 pool.  It serves a tiny op loop: ``pin`` maps a published arena
-(verifying sha256 stamps), over whose views a real index object is
-materialized on first use; ``search_chunk`` runs that index's own
-``search`` method; ``introspect`` answers the zero-copy assertions the
-test suite makes *from inside the worker*.
+(verifying sha256 stamps), whose image
+:func:`~repro.persistence.decode_index` — the decoder ``load_index``
+runs — turns into a real index over the shared views on first use;
+``search_chunk`` runs that index's own ``search`` method;
+``introspect`` answers the zero-copy assertions the test suite makes
+*from inside the worker*.
 
 Everything protocol-level is defensive: any ``Exception`` during an op
 is caught and shipped back as a traceback string (the parent raises
@@ -29,25 +31,25 @@ class _Pin:
 
     Attributes:
         arena: the attached (verified) shared block.
-        spec: the :class:`~repro.parallel.snapshot.IndexSpec`.
         masks: compiled-predicate cache keyed by mask digest, so a mask
             shipped once per chunk is reused across its queries.
     """
 
-    __slots__ = ("arena", "spec", "masks", "_searcher")
+    __slots__ = ("arena", "masks", "_searcher")
 
-    def __init__(self, arena, spec) -> None:
+    def __init__(self, arena) -> None:
         self.arena = arena
-        self.spec = spec
         self.masks: dict = {}
         self._searcher = None
 
     def searcher(self):
-        """The pinned epoch's index (materialized on first use)."""
+        """The pinned epoch's index (decoded on first use)."""
         if self._searcher is None:
-            from repro.parallel.snapshot import materialize
+            from repro.persistence import decode_index
 
-            self._searcher = materialize(self.spec, self.arena.views())
+            views = self.arena.views()
+            self._searcher = decode_index(self.arena.meta, views,
+                                          self.arena.source)
         return self._searcher
 
 
@@ -68,10 +70,9 @@ def _compiled_mask(pin: _Pin, digest: bytes, payload_masks: dict):
 def _op_pin(pins: dict, payload: dict):
     from repro.parallel.arena import attach_arena
 
-    token = payload["manifest"]["token"]
+    token = payload["arena"]["token"]
     if token not in pins:
-        arena = attach_arena(payload["manifest"], verify=True)
-        pins[token] = _Pin(arena, payload["spec"])
+        pins[token] = _Pin(attach_arena(payload["arena"]))
     return {"pinned": token, "pid": os.getpid()}
 
 

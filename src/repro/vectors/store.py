@@ -39,6 +39,17 @@ class VectorStore:
         store._size = len(vectors)
         return store
 
+    @classmethod
+    def wrap(cls, vectors: np.ndarray, metric: "Metric | str" = Metric.L2) -> "VectorStore":
+        """A store over ``vectors`` (n, d) float32 as they are, without a
+        copy — a loaded index reads its image in place; the first
+        :meth:`add` grows into a fresh buffer."""
+        store = cls(vectors.shape[1], metric=metric, capacity=1)
+        if len(vectors):
+            store._data = vectors
+            store._size = len(vectors)
+        return store
+
     def __len__(self) -> int:
         return self._size
 

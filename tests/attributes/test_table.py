@@ -75,7 +75,7 @@ class TestRow:
         t = AttributeTable(n)
         t.add_keywords_column("tags", lists)
         col = t.column("tags")
-        words = col._words
+        words = col.words
         assert words == list(col.vocab)
         assert all(col.vocab[word] == token for token, word in enumerate(words))
 
@@ -91,7 +91,7 @@ class TestRow:
         col.vocab = CountingVocab(col.vocab)
         assert [t.row(i)["tags"] for i in range(n)] == lists
         assert CountingVocab.walks == 0
-        assert col._words is words
+        assert col.words is words
 
 
 class TestKeywordColumn:

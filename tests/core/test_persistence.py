@@ -5,11 +5,11 @@ import pytest
 
 from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornOneIndex, AcornParams
+from repro.core.flat import FlatAcornIndex
 from repro.core.params import PruningStrategy
 from repro.hnsw import HnswIndex
 from repro.persistence import load_index, save_index
 from repro.predicates import ContainsAny, Equals
-from repro.vectors.quantization import ScalarQuantizer
 from tests.conftest import assert_results_identical
 
 
@@ -104,7 +104,7 @@ class TestAcornRoundtrip:
         assert new_id == len(vectors)
         restored.graph.validate()
 
-    @pytest.mark.parametrize("kind", ["acorn", "acorn1", "hnsw"])
+    @pytest.mark.parametrize("kind", ["acorn", "acorn1", "hnsw", "flat"])
     def test_adds_after_load_replay_the_unsaved_index(self, world, tmp_path,
                                                       kind):
         """The level stream survives the round trip: 20 adds after a load
@@ -119,6 +119,11 @@ class TestAcornRoundtrip:
         elif kind == "acorn1":
             index = AcornOneIndex.build(head, table, m=8, ef_construction=24,
                                         seed=5)
+        elif kind == "flat":
+            index = FlatAcornIndex.build(
+                head, table, seed=5,
+                params=AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24),
+            )
         else:
             index = HnswIndex.build(head, m=6, ef_construction=24, seed=5)
         save_index(index, tmp_path / "index.npz")
@@ -127,22 +132,6 @@ class TestAcornRoundtrip:
             index.add(vector)
             restored.add(vector)
         assert restored.graph.checksum() == index.graph.checksum()
-
-    def test_archive_without_level_stream_still_loads(self, world, index,
-                                                      tmp_path):
-        """Archives written before the stream was saved load as before."""
-        path = tmp_path / "acorn.npz"
-        save_index(index, path)
-        with np.load(path, allow_pickle=True) as archive:
-            payload = {k: archive[k] for k in archive.files
-                       if k != "level_rng"}
-        np.savez_compressed(path, **payload)
-        restored = load_index(path)
-        q = world[0][3]
-        np.testing.assert_array_equal(
-            restored.search(q, Equals("label", 2), 5, ef_search=32).ids,
-            index.search(q, Equals("label", 2), 5, ef_search=32).ids,
-        )
 
     def test_acorn_one_kind_restored(self, world, tmp_path):
         vectors, table = world
@@ -166,8 +155,6 @@ class TestErrors:
 
 class TestFlatAndTombstoneRoundtrip:
     def test_flat_kind_restored(self, world, tmp_path):
-        from repro.core.flat import FlatAcornIndex
-
         vectors, table = world
         params = AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24)
         index = FlatAcornIndex.build(vectors, table, params=params, seed=0)
@@ -198,38 +185,6 @@ class TestFlatAndTombstoneRoundtrip:
         result = restored.search(vectors[3], TruePredicate(), 5, ef_search=16)
         assert result.hops > 0
         assert 3 not in result.ids
-
-
-class TestArchiveCompatibility:
-    def test_archive_with_quantized_codes_loads_as_float32(self, world,
-                                                           tmp_path):
-        """Archives that carry SQ8 codes (``quant_*`` keys, written before
-        the quantized walk was deleted) load as the float32 index they
-        contain: the extra keys are ignored, search is byte-identical."""
-        vectors, table = world
-        params = AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24)
-        index = AcornIndex.build(vectors, table, params=params, seed=0)
-        path = tmp_path / "with-codes.npz"
-        save_index(index, path)
-        codec = ScalarQuantizer(vectors)
-        with np.load(path, allow_pickle=True) as archive:
-            payload = {name: archive[name] for name in archive.files}
-        payload.update(
-            quant_config=np.asarray(['{"kind": "sq8", "rerank_factor": 3.0}'],
-                                    dtype=object),
-            quant_codes=codec.encode(vectors),
-            quant_sq_min=codec.min,
-            quant_sq_scale=codec.scale,
-            quant_checksum=np.asarray(["0" * 64], dtype=object),
-        )
-        np.savez_compressed(path, **payload)
-        restored = load_index(path)
-        assert not hasattr(restored, "quantization")
-        for q in vectors[:10]:
-            for ef in (4, 32):  # a walk and a scan
-                assert_results_identical(
-                    restored.search(q, Equals("label", 1), 5, ef_search=ef),
-                    index.search(q, Equals("label", 1), 5, ef_search=ef))
 
 
 class TestMetadataPruningRoundtrip:

@@ -14,6 +14,12 @@ from repro.parallel import (
     parallel_available,
     reset_fixup_counters,
 )
+from repro.persistence import (
+    ArchiveError,
+    encode_index,
+    read_image,
+    save_index,
+)
 
 
 def sample_arrays(seed=0):
@@ -23,6 +29,21 @@ def sample_arrays(seed=0):
         "L0.indptr": np.arange(21, dtype=np.int32),
         "tombstones": rng.random(20) < 0.2,
     }
+
+
+def sample_image(seed=0):
+    return {"seed": seed}, sample_arrays(seed)
+
+
+def _block(arena):
+    """A writable byte view of the whole block."""
+    return np.ndarray((arena.nbytes,), dtype=np.uint8, buffer=arena.shm.buf)
+
+
+def _offset(arena, name):
+    """Byte offset of ``name``'s payload inside the block."""
+    return (arena.view(name).__array_interface__["data"][0]
+            - _block(arena).__array_interface__["data"][0])
 
 
 class TestCanonicalArray:
@@ -70,10 +91,11 @@ class TestCanonicalArray:
 class TestSnapshotArena:
     def test_pack_attach_roundtrip(self):
         arrays = sample_arrays()
-        arena = SnapshotArena.create(arrays, "tok-roundtrip")
+        arena = SnapshotArena.create(({"seed": 0}, arrays), "tok-roundtrip")
         try:
-            attached = attach_arena(arena.manifest())
+            attached = attach_arena(arena.handle())
             try:
+                assert attached.meta == {"seed": 0}
                 for name, arr in arrays.items():
                     view = attached.view(name)
                     assert view.dtype == arr.dtype
@@ -85,18 +107,18 @@ class TestSnapshotArena:
             arena.unlink()
 
     def test_offsets_are_cache_line_aligned(self):
-        arena = SnapshotArena.create(sample_arrays(), "tok-align")
+        arena = SnapshotArena.create(sample_image(), "tok-align")
         try:
-            for spec in arena.specs.values():
-                assert spec.offset % 64 == 0
+            for name in arena.views():
+                assert _offset(arena, name) % 64 == 0
             assert arena.nbytes >= sum(
-                spec.nbytes for spec in arena.specs.values()
+                view.nbytes for view in arena.views().values()
             )
         finally:
             arena.unlink()
 
     def test_views_reject_writes(self):
-        arena = SnapshotArena.create(sample_arrays(), "tok-ro")
+        arena = SnapshotArena.create(sample_image(), "tok-ro")
         try:
             with pytest.raises(ValueError, match="read-only"):
                 arena.view("vectors")[0, 0] = 1.0
@@ -104,32 +126,42 @@ class TestSnapshotArena:
             arena.unlink()
 
     def test_tampered_manifest_is_rejected(self):
-        arena = SnapshotArena.create(sample_arrays(), "tok-sha")
+        arena = SnapshotArena.create(sample_image(), "tok-sha")
         try:
-            manifest = arena.manifest()
-            manifest["arrays"][0]["sha256"] = "0" * 64
-            name = manifest["arrays"][0]["name"]
-            with pytest.raises(ValueError, match=name):
-                attach_arena(manifest)
+            _block(arena)[60] ^= 0xFF  # inside the JSON manifest
+            with pytest.raises(ValueError, match="manifest failed its sha256"):
+                attach_arena(arena.handle())
         finally:
             arena.unlink()
 
     def test_corrupted_bytes_fail_verification(self):
-        arena = SnapshotArena.create(sample_arrays(), "tok-corrupt")
+        arena = SnapshotArena.create(sample_image(), "tok-corrupt")
         try:
-            spec = arena.specs["L0.indptr"]
-            writable = np.ndarray(
-                spec.shape, dtype=np.dtype(spec.dtype),
-                buffer=arena.shm.buf, offset=spec.offset,
-            )
-            writable[0] = 999
-            with pytest.raises(ValueError, match="L0.indptr"):
+            _block(arena)[_offset(arena, "L0.indptr")] ^= 0xFF
+            with pytest.raises(ArchiveError, match="L0.indptr"):
                 arena.verify()
         finally:
             arena.unlink()
 
+    def test_file_and_block_hold_one_image(self, acorn_index, tmp_path):
+        """save_index's file and the process executor's block are one
+        image: equal manifests and equal payload bytes."""
+        path = tmp_path / "index.npz"
+        save_index(acorn_index, path)
+        blob = path.read_bytes()
+        arena = SnapshotArena.create(encode_index(acorn_index), "tok-file")
+        try:
+            assert bytes(arena.shm.buf[:len(blob)]) == blob
+            meta, arrays = read_image(blob, path)
+            assert arena.views().keys() == arrays.keys()
+            assert arena.meta == meta
+            for name, array in arrays.items():
+                assert arena.view(name).tobytes() == array.tobytes()
+        finally:
+            arena.unlink()
+
     def test_unlink_is_idempotent(self):
-        arena = SnapshotArena.create(sample_arrays(), "tok-unlink")
+        arena = SnapshotArena.create(sample_image(), "tok-unlink")
         arena.unlink()
         arena.unlink()
         arena.close()
@@ -141,8 +173,8 @@ class TestSnapshotArena:
 class TestArenaManager:
     def test_publish_retires_and_unlinks_unread_epoch(self):
         manager = ArenaManager()
-        manager.publish("epoch-1", sample_arrays(0), spec=None)
-        manager.publish("epoch-2", sample_arrays(1), spec=None)
+        manager.publish("epoch-1", sample_image(0))
+        manager.publish("epoch-2", sample_image(1))
         assert manager.current.token == "epoch-2"
         assert manager.published == 2
         assert manager.retired_unlinked == 1
@@ -151,9 +183,9 @@ class TestArenaManager:
 
     def test_inflight_reader_defers_unlink_until_release(self):
         manager = ArenaManager()
-        old = manager.publish("epoch-1", sample_arrays(0), spec=None)
+        old = manager.publish("epoch-1", sample_image(0))
         manager.acquire(old)
-        manager.publish("epoch-2", sample_arrays(1), spec=None)
+        manager.publish("epoch-2", sample_image(1))
         assert old.retired
         assert manager.live_arenas() == 2
         assert manager.retired_unlinked == 0
@@ -166,16 +198,16 @@ class TestArenaManager:
         manager = ArenaManager()
         source = np.zeros(8, dtype=np.float32)
         record = manager.publish(
-            "epoch-1", {"vectors": source}, spec=None, refs=(source,)
+            "epoch-1", ({}, {"vectors": source}), refs=(source,)
         )
         assert source is record.refs[0]
         manager.close()
 
     def test_close_unlinks_everything_and_is_idempotent(self):
         manager = ArenaManager()
-        held = manager.publish("epoch-1", sample_arrays(0), spec=None)
+        held = manager.publish("epoch-1", sample_image(0))
         manager.acquire(held)
-        manager.publish("epoch-2", sample_arrays(1), spec=None)
+        manager.publish("epoch-2", sample_image(1))
         manager.close()
         assert manager.live_arenas() == 0
         assert manager.current is None

@@ -1,6 +1,6 @@
 """Executor equivalence matrix.
 
-``sync`` × ``process`` over {ACORN-γ, ACORN-1} ×
+``sync`` × ``process`` over {ACORN-γ, ACORN-1, flat} ×
 predicate families must produce *byte-identical* batches — ids,
 distances, and per-query counters — because both executors run the
 same search methods over the same frozen arrays.  The process column
@@ -11,19 +11,23 @@ additionally asserts zero fallbacks and, via the worker-side
 import numpy as np
 import pytest
 
+from repro.core.flat import FlatAcornIndex
+from repro.core.params import AcornParams
 from repro.engine.engine import QueryBatch, SearchEngine
 from repro.predicates import Between, Equals, Not, Or, TruePredicate
 
-INDEXES = ("acorn", "acorn1")
+INDEXES = ("acorn", "acorn1", "flat")
 PREDICATE_FAMILIES = ("true", "equals", "range", "boolean")
 
 
 @pytest.fixture(scope="module")
-def matrix_indexes(acorn_index, acorn_one_index):
-    return {
-        "acorn": acorn_index,
-        "acorn1": acorn_one_index,
-    }
+def matrix_indexes(acorn_index, acorn_one_index, small_vectors,
+                   labeled_table):
+    flat = FlatAcornIndex.build(
+        small_vectors[0], labeled_table, seed=2,
+        params=AcornParams(m=8, gamma=6, m_beta=16, ef_construction=32),
+    )
+    return {"acorn": acorn_index, "acorn1": acorn_one_index, "flat": flat}
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +55,8 @@ def family_predicates(family):
 @pytest.mark.parametrize("family", PREDICATE_FAMILIES)
 class TestExecutorEquivalence:
     def _batch(self, matrix_queries, family):
-        # ef 32 · Mβ 16 < 600 rows: ACORN-γ walks every family but
-        # "equals", whose ≈ 100 rows are under the count cutoff.
+        # ef 32 · Mβ 16 < 600 rows: ACORN-γ and flat walk every family
+        # but "equals", whose ≈ 100 rows are under the count cutoff.
         return QueryBatch.build(
             matrix_queries, family_predicates(family), k=5, ef_search=32
         )
@@ -104,16 +108,15 @@ class TestWorkerZeroCopy:
         self, acorn_index, matrix_queries, shared_pool
     ):
         """The in-worker half of the zero-copy contract: the
-        materialized searcher's vectors and CSR arrays share memory
-        with the mapped arena block, read-only."""
+        decoded searcher's vectors and CSR arrays share memory with the
+        mapped arena block, read-only."""
         batch = QueryBatch.build(matrix_queries, TruePredicate(), k=5,
                                  ef_search=40)
         with SearchEngine(acorn_index, num_workers=2, executor="process",
                           process_pool=shared_pool) as engine:
             engine.search_batch(batch)
             record = engine._arena_manager.current
-            pin = (record.token, {"manifest": record.arena.manifest(),
-                                  "spec": record.spec})
+            pin = (record.token, {"arena": record.arena.handle()})
             report = shared_pool.call(
                 0, "introspect", {"token": record.token}, pin=pin
             )

@@ -1,9 +1,11 @@
-"""Snapshot build/materialize: equivalence, zero-copy, and the registry.
+"""The image a worker decodes: equivalence, zero-copy, and the registry.
 
-The in-process half of the zero-copy contract lives here (buffer
-identity via ``np.shares_memory`` against the freeze arrays and an
-attached arena); the in-worker half is the pool's ``introspect`` op,
-exercised by the equivalence matrix.
+Workers rebuild an index with :func:`~repro.persistence.decode_index`
+over an arena's views of the :func:`~repro.persistence.encode_index`
+image.  The in-process half of the zero-copy contract lives here
+(buffer identity via ``np.shares_memory`` against the encoded arrays
+and an attached arena); the in-worker half is the pool's
+``introspect`` op, exercised by the equivalence matrix.
 """
 
 import numpy as np
@@ -16,11 +18,10 @@ from repro.parallel import (
     COPY_FIXUPS,
     SnapshotArena,
     UnsupportedSearcher,
-    build_snapshot,
-    materialize,
     reset_fixup_counters,
     snapshot_token,
 )
+from repro.persistence import decode_index, encode_index
 from repro.predicates import Equals, TruePredicate
 from repro.predicates.base import CompiledPredicate
 
@@ -28,10 +29,10 @@ from tests.parallel.conftest import make_labeled_world
 
 
 def _search_pair(original, clone, table, query, predicate, k=5, ef=32):
-    """Search the real index and its materialized clone identically.
+    """Search the real index and its decoded clone identically.
 
-    The clone's table is a length-only stub, so it gets the predicate
-    pre-compiled to a mask — exactly what workers receive.
+    The clone gets the predicate pre-compiled to a mask — exactly what
+    workers receive.
     """
     mask = predicate.compile(table).mask
     got = original.search(query, predicate, k, ef_search=ef)
@@ -50,8 +51,7 @@ class TestMaterializeEquivalence:
     def test_materialized_clone_matches_byte_for_byte(
         self, acorn_index, labeled_table, small_vectors
     ):
-        spec, arrays = build_snapshot(acorn_index)
-        clone = materialize(spec, arrays)
+        clone = decode_index(*encode_index(acorn_index))
         rng = np.random.default_rng(17)
         for label in range(4):
             query = small_vectors[0][rng.integers(0, 500)]
@@ -70,8 +70,7 @@ class TestMaterializeEquivalence:
         )
         index.mark_deleted(5)
         index.mark_deleted(17)
-        spec, arrays = build_snapshot(index)
-        clone = materialize(spec, arrays)
+        clone = decode_index(*encode_index(index))
         assert clone._deleted == {5, 17}
         # ef 24 · Mβ 8 < 238 live rows: the clone's graph is walked.
         got, cloned = _search_pair(
@@ -85,12 +84,12 @@ class TestMaterializeEquivalence:
 class TestZeroCopy:
     def test_freeze_produces_no_canonicalization_copies(self, acorn_index):
         reset_fixup_counters()
-        build_snapshot(acorn_index)
+        encode_index(acorn_index)
         assert sum(COPY_FIXUPS.values()) == 0
 
     def test_clone_arrays_share_freeze_buffers(self, acorn_index):
-        spec, arrays = build_snapshot(acorn_index)
-        clone = materialize(spec, arrays)
+        meta, arrays = encode_index(acorn_index)
+        clone = decode_index(meta, arrays)
         assert np.shares_memory(clone.store._data, arrays["vectors"])
         for lev, level in enumerate(clone._frozen):
             assert np.shares_memory(level.indices,
@@ -99,10 +98,11 @@ class TestZeroCopy:
                                     arrays[f"L{lev}.indptr"])
 
     def test_arena_backed_clone_reads_the_shared_block(self, acorn_index):
-        spec, arrays = build_snapshot(acorn_index)
-        arena = SnapshotArena.create(arrays, "tok-zero-copy")
+        arena = SnapshotArena.create(encode_index(acorn_index),
+                                     "tok-zero-copy")
         try:
-            clone = materialize(spec, arena.views())
+            views = arena.views()
+            clone = decode_index(arena.meta, views)
             assert np.shares_memory(clone.store._data,
                                     arena.view("vectors"))
             assert not clone.store._data.flags.writeable
@@ -129,11 +129,11 @@ class TestZeroCopy:
         )
         reset_fixup_counters()
         with pytest.warns(RuntimeWarning, match="copied once at freeze"):
-            spec, arrays = build_snapshot(index)
+            meta, arrays = encode_index(index)
         assert COPY_FIXUPS["vectors"] == 1
         assert arrays["vectors"].dtype == np.float32
         assert arrays["vectors"].flags.c_contiguous
-        clone = materialize(spec, arrays)
+        clone = decode_index(meta, arrays)
         mask = TruePredicate().compile(table).mask
         cloned = clone.search(vectors[0], CompiledPredicate(None, mask),
                               5, ef_search=24)
@@ -162,12 +162,10 @@ class TestRegistry:
                                ef_construction=32, seed=1)
         with pytest.raises(UnsupportedSearcher, match="HnswIndex"):
             snapshot_token(hnsw)
-        with pytest.raises(UnsupportedSearcher):
-            build_snapshot(hnsw)
 
     def test_subclass_is_unsupported(self):
         """Exact-type registry: a subclass may carry Python-side state
-        the spec would drop, so it must run inline."""
+        the image would drop, so it must run inline."""
 
         class Tweaked(AcornIndex):
             pass

@@ -1,13 +1,10 @@
 """Sharded save/load: one archive keeps shards, router and table."""
 
-import json
-import zipfile
-
 import numpy as np
 import pytest
 
 from repro.core.params import AcornParams
-from repro.persistence import load_index, save_index
+from repro.persistence import load_index, read_image, save_index
 from repro.predicates import Between, TruePredicate
 from repro.shard import (
     AttributeRangePartitioner,
@@ -42,18 +39,18 @@ def query():
 
 class TestRoundTrip:
     def test_layout(self, sharded_index, tmp_path):
-        """Each shard's members sit under ``shard{s}.`` beside the
-        assignment, the global table and one JSON meta member."""
+        """Each shard's arrays sit under ``shard{s}.`` beside the
+        assignment and the global table; the meta nests the shards'."""
         save_index(sharded_index, tmp_path / "idx.npz")
-        with zipfile.ZipFile(tmp_path / "idx.npz") as archive:
-            names = {n[: -len(".npy")] for n in archive.namelist()}
-            meta = json.loads(str(np.load(archive.open("meta.npy"),
-                                          allow_pickle=True)[0]))
-        prefixes = {n.split(".")[0] for n in names if "." in n}
+        meta, arrays = read_image(
+            np.fromfile(tmp_path / "idx.npz", dtype=np.uint8), "idx")
+        prefixes = {n.split(".")[0] for n in arrays if "." in n}
         assert prefixes == {"shard0", "shard1", "shard2", "table"}
-        assert {"format_version", "kind", "meta", "shard_of"} <= names
-        assert {"shard0.vectors", "shard2.params", "table.table_schema"} <= names
-        assert meta["n_shards"] == 3
+        assert "shard_of" in arrays
+        assert {"shard0.vectors", "shard2.L0.indices",
+                "table.col0"} <= set(arrays)
+        assert meta["kind"] == "sharded"
+        assert len(meta["shards"]) == 3
         assert meta["partitioner"]["type"] == "attribute-range"
 
     def test_results_preserved(self, sharded_index, tmp_path, query):

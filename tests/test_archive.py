@@ -1,18 +1,22 @@
-"""Every persistable index saves to and loads from one ``.npz`` file.
+"""Every persistable index saves to and loads from one image file.
 
 Round trips keep answers, tombstones and each kind's own state; every
-corruption (a flipped byte in any member class, a truncated file, a
-dropped member, a directory) raises :class:`ArchiveError` naming the
-file and, where there is one, the member.
+corruption (a flipped byte in any member class or the manifest, a
+truncated file, a dropped member, another format version, a format-1
+zip, a CSR the kernel cannot read, a directory) raises
+:class:`ArchiveError` naming the file and, where there is one, the
+member.  Loading never unpickles.
 """
 
 import os
+import pickle
 import re
-import zipfile
 
 import numpy as np
 import pytest
 
+from repro import persistence
+from repro.persistence import image_layout, read_image
 from repro import (
     AcornIndex,
     AcornOneIndex,
@@ -151,23 +155,43 @@ class TestRoundTrip:
             assert hit.ids.tolist() == [new_id]
 
 
-def _member_classes(path):
-    """The first member of each class: digits in names collapse."""
-    seen = {}
-    with zipfile.ZipFile(path) as archive:
-        for info in archive.infolist():
-            seen.setdefault(re.sub(r"\d+", "N", info.filename), info)
-    return list(seen.values())
+def _image(path):
+    """``(meta, arrays)`` of the image file at ``path`` (arrays copied)."""
+    meta, arrays = read_image(np.fromfile(path, dtype=np.uint8), path)
+    return meta, {name: np.array(array) for name, array in arrays.items()}
+
+
+def _write(target, meta, arrays):
+    """A well-formed image file of ``meta`` and ``arrays`` (every sha256
+    recomputed)."""
+    size, pieces = image_layout(meta, arrays)
+    block = np.zeros(size, dtype=np.uint8)
+    for offset, raw in pieces:
+        block[offset:offset + raw.size] = raw
+    block.tofile(target)
+    return target
 
 
 def _rewrite(path, target, drop=None, replace=None):
-    """A well-formed copy of the archive without member ``drop`` or with
+    """A well-formed copy of the image without member ``drop`` or with
     ``replace`` (a ``{name: array}`` dict) swapped in."""
-    with np.load(path, allow_pickle=True) as archive:
-        members = {name: archive[name] for name in archive.files}
-    members.pop(drop, None)
-    np.savez_compressed(target, **{**members, **(replace or {})})
-    return target
+    meta, arrays = _image(path)
+    arrays.pop(drop, None)
+    return _write(target, meta, {**arrays, **(replace or {})})
+
+
+def _member_offsets(path):
+    """``{name: (offset, size)}`` of each member's bytes in the file, for
+    the first non-empty member of each class (digits in names collapse)."""
+    data = np.fromfile(path, dtype=np.uint8)
+    start = data.__array_interface__["data"][0]
+    seen = {}
+    for name, array in read_image(data, path)[1].items():
+        if array.size:
+            seen.setdefault(re.sub(r"\d+", "N", name), (
+                name, array.__array_interface__["data"][0] - start,
+                array.nbytes))
+    return list(seen.values())
 
 
 def _raises(path, member=None):
@@ -181,18 +205,18 @@ class TestCorruption:
     def test_flipped_byte_in_every_member_class(self, saved, tmp_path):
         _, path, _ = saved
         blob = path.read_bytes()
-        for info in _member_classes(path):
-            # The local header is 30 bytes plus the name and extra field.
-            header = blob[info.header_offset: info.header_offset + 30]
-            start = (info.header_offset + 30
-                     + int.from_bytes(header[26:28], "little")
-                     + int.from_bytes(header[28:30], "little"))
+        target = tmp_path / "flipped.npz"
+        for name, offset, size in _member_offsets(path):
             broken = bytearray(blob)
-            broken[start + info.compress_size // 2] ^= 0xFF
-            target = tmp_path / "flipped.npz"
+            broken[offset + size // 2] ^= 0xFF
             target.write_bytes(bytes(broken))
-            with _raises(target, info.filename[: -len(".npy")]):
+            with _raises(target, name):
                 load_index(target)
+        broken = bytearray(blob)
+        broken[100] ^= 0xFF  # inside the JSON manifest
+        target.write_bytes(bytes(broken))
+        with pytest.raises(ArchiveError, match="manifest failed its sha256"):
+            load_index(target)
 
     def test_truncated_file(self, saved, tmp_path):
         _, path, _ = saved
@@ -205,16 +229,27 @@ class TestCorruption:
         kind, path, _ = saved
         member = {"range-sharded": "shard1.vectors",
                   "hash-sharded": "shard_of", "lifecycle": "delta_vectors",
-                  "lifecycle-sealed": "base.level0_edges"}.get(kind, "vectors")
+                  "lifecycle-sealed": "base.L0.indices"}.get(kind, "vectors")
         target = _rewrite(path, tmp_path / "dropped.npz", drop=member)
         with _raises(target, member):
             load_index(target)
 
-    def test_other_format_version(self, saved, tmp_path):
+    def test_other_format_version(self, saved, tmp_path, monkeypatch):
         _, path, _ = saved
-        target = _rewrite(path, tmp_path / "v2.npz",
-                          replace={"format_version": np.asarray([2])})
-        with _raises(target, "format_version"):
+        meta, arrays = _image(path)
+        monkeypatch.setattr(persistence, "_FORMAT_VERSION", 3)
+        target = _write(tmp_path / "v3.npz", meta, arrays)
+        monkeypatch.undo()
+        with pytest.raises(ArchiveError, match=re.escape(str(target))
+                           + ".*format version 3 \\(expected 2\\)"):
+            load_index(target)
+
+    def test_format_one_zip_is_refused(self, tmp_path):
+        """A zip ``.npz`` from before the image format is named, not read."""
+        target = tmp_path / "old.npz"
+        np.savez_compressed(target, format_version=np.asarray([1]))
+        with pytest.raises(ArchiveError, match=re.escape(str(target))
+                           + ".*format-1 \\(zip\\) archive"):
             load_index(target)
 
     def test_base_ids_must_cover_the_base(self, tmp_path):
@@ -226,7 +261,7 @@ class TestCorruption:
             load_index(target)
 
     def test_directory_is_refused(self, tmp_path):
-        with pytest.raises(ArchiveError, match="now single .npz files"):
+        with pytest.raises(ArchiveError, match="is a directory"):
             load_index(tmp_path)
 
     def test_missing_file_is_named(self, tmp_path):
@@ -234,9 +269,122 @@ class TestCorruption:
             load_index(tmp_path / "absent.npz")
 
 
+def _bad_edge(arrays):
+    arrays["L0.indices"][0] = N + 5
+
+
+def _decreasing_indptr(arrays):
+    indptr = arrays["L0.indptr"]
+    indptr[1], indptr[2] = indptr[2], indptr[1] - 1
+
+
+def _level_disagrees(arrays):
+    levels = arrays["node_levels"]
+    levels[np.flatnonzero(levels == 0)[0]] = 1
+
+
+def _short_dists(arrays):
+    arrays["L0.dists"] = arrays["L0.dists"][:-1]
+
+
+class TestCsrValidation:
+    """The kernel reads the loaded CSR as it is, so every image is
+    checked first; each fault names its member (the sha256 of the
+    re-packed image is valid)."""
+
+    @pytest.mark.parametrize("edit, member", [
+        (_bad_edge, "L0.indices"),
+        (_decreasing_indptr, "L0.indptr"),
+        (_level_disagrees, "L1.node_ids"),
+        (_short_dists, "L0.dists"),
+    ])
+    def test_bad_csr_is_refused(self, tmp_path, edit, member):
+        path = tmp_path / "acorn.npz"
+        save_index(_build("acorn"), path)
+        meta, arrays = _image(path)
+        assert meta["levels"] >= 2
+        edit(arrays)
+        target = _write(tmp_path / "bad.npz", meta, arrays)
+        with _raises(target, member):
+            load_index(target)
+
+
+class TestNoPickle:
+    def test_load_never_unpickles(self, saved, monkeypatch):
+        """Only numbers, bools and JSON: a load runs with pickle gone."""
+        kind, path, state = saved
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_index unpickled something")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "load", refuse)
+        assert _state(load_index(path)) == state
+
+
+class TestExactState:
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    def test_edge_distances_round_trip_exactly(self, tmp_path, metric):
+        """Edge distances are stored as float32: every one the build
+        computed is a float32 value, so the round trip is exact."""
+        index = AcornIndex.build(VECTORS, TABLE, params=PARAMS, seed=0,
+                                 metric=metric)
+        save_index(index, tmp_path / "index.npz")
+        loaded = load_index(tmp_path / "index.npz")
+        assert loaded._edge_dists == index._edge_dists
+        assert loaded.graph.checksum() == index.graph.checksum()
+
+    def test_edge_distances_round_trip_exactly_after_a_fold(self, tmp_path):
+        lc = _build("lifecycle")
+        lc.compact()
+        assert lc.delta_size() == 0
+        save_index(lc, tmp_path / "folded.npz")
+        loaded = load_index(tmp_path / "folded.npz")
+        assert loaded._base._edge_dists == lc._base._edge_dists
+
+    def test_every_param_survives(self, tmp_path):
+        """All of AcornParams round-trips, ``flatten_levels`` too (the
+        format-1 archive dropped it, so adds after a load drew levels
+        at the wrong rate)."""
+        params = AcornParams(m=6, gamma=4, m_beta=8, ef_construction=24,
+                             flatten_levels=True)
+        index = AcornIndex.build(VECTORS[:-2], TABLE, params=params, seed=0)
+        save_index(index, tmp_path / "flat-levels.npz")
+        loaded = load_index(tmp_path / "flat-levels.npz")
+        assert loaded.params == params
+        for vector in VECTORS[-2:]:
+            index.add(vector)
+            loaded.add(vector)
+        assert loaded.graph.checksum() == index.graph.checksum()
+
+    def test_loaded_lifecycle_has_every_field_of_a_fresh_one(self, tmp_path):
+        """The loader builds through ``__init__``: a field added there
+        cannot be missing from a loaded lifecycle."""
+        lc = _build("lifecycle")
+        save_index(lc, tmp_path / "lc.npz")
+        fresh = LifecycleIndex(AcornIndex.build(VECTORS, TABLE,
+                                                params=PARAMS, seed=0))
+        assert sorted(vars(load_index(tmp_path / "lc.npz"))) == sorted(
+            vars(fresh))
+
+    def test_loaded_index_reads_its_image_in_place(self, tmp_path):
+        """The store wraps the image's vectors and the frozen snapshot
+        is its CSR — read-only, not copied, not re-frozen — and the
+        first add() grows into a fresh buffer."""
+        save_index(_build("acorn"), tmp_path / "index.npz")
+        loaded = load_index(tmp_path / "index.npz")
+        frozen = loaded._frozen
+        assert frozen is not None and loaded.freeze() is frozen
+        assert not loaded.store._data.flags.owndata
+        assert not loaded.store._data.flags.writeable
+        assert all(not level.indices.flags.writeable for level in frozen)
+        loaded.add(VECTORS[-1])
+        assert loaded.store._data.flags.writeable
+
+
 class TestSaveTarget:
     def test_saves_exactly_the_path(self, tmp_path):
-        """No ``.npz`` is appended: the file lands where it was asked."""
+        """No suffix is appended: the file lands where it was asked."""
         index = _build("acorn")
         save_index(index, tmp_path / "idx")
         assert os.listdir(tmp_path) == ["idx"]
@@ -247,12 +395,18 @@ class TestSaveTarget:
         path = tmp_path / "index.npz"
         save_index(_build("acorn"), path)
         before = path.read_bytes()
+        layout = persistence.image_layout
 
-        def dies_midway(handle, **members):
-            handle.write(b"PK\x03\x04 partial")
-            raise KeyboardInterrupt
+        def dies_midway(meta, arrays):
+            size, pieces = layout(meta, arrays)
 
-        monkeypatch.setattr(np, "savez_compressed", dies_midway)
+            def first_piece_then_interrupt():
+                yield pieces[0]
+                raise KeyboardInterrupt
+
+            return size, first_piece_then_interrupt()
+
+        monkeypatch.setattr(persistence, "image_layout", dies_midway)
         with pytest.raises(KeyboardInterrupt):
             save_index(_build("hnsw"), path)
         assert path.read_bytes() == before
