@@ -80,7 +80,6 @@ from repro.serving import (
 from repro.shard import (
     AttributeRangePartitioner,
     HashPartitioner,
-    ShardRouter,
     ShardedAcornIndex,
 )
 from repro.telemetry import SearchResult
@@ -128,7 +127,6 @@ __all__ = [
     "SearchResult",
     "ServedResponse",
     "ServingConfig",
-    "ShardRouter",
     "ShardedAcornIndex",
     "TenantQuota",
     "TruePredicate",

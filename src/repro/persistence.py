@@ -53,9 +53,7 @@ from repro.hnsw.hnsw import HnswIndex
 from repro.hnsw.levels import LevelGenerator
 from repro.lifecycle.manager import LifecycleConfig, LifecycleIndex
 from repro.shard.partition import ShardAssignment, partitioner_from_spec
-from repro.shard.router import ShardRouter
 from repro.shard.sharded import ShardedAcornIndex
-from repro.shard.summary import ShardSummary
 from repro.vectors.store import VectorStore
 
 _FORMAT_VERSION = 2
@@ -302,9 +300,6 @@ def _encode_sharded(index: ShardedAcornIndex, arrays: dict) -> dict:
     return {
         "kind": "sharded",
         "partitioner": index.partitioner.spec(),
-        "scale_ef": index.scale_ef,
-        "min_ef": index.router.min_ef,
-        "summaries": [s.to_dict() for s in index.router.summaries],
         "shards": [_encode_graph(shard, f"shard{s}.", arrays)
                    for s, shard in enumerate(index.shards)],
         "table": _encode_table(index.table, "table.", arrays),
@@ -512,6 +507,9 @@ def _decode_graph(meta: dict, image: _Reader):
 
 
 def _decode_sharded(meta: dict, image: _Reader) -> ShardedAcornIndex:
+    # Archives written while shards kept summaries also hold "scale_ef",
+    # "min_ef" and "summaries"; pruning reads the query's mask, so
+    # nothing here reads them.
     n_shards = len(meta["shards"])
     return ShardedAcornIndex(
         shards=[_decode_graph(shard, image.sub(f"shard{s}."))
@@ -520,11 +518,6 @@ def _decode_sharded(meta: dict, image: _Reader) -> ShardedAcornIndex:
             image.get("shard_of", np.int64), n_shards),
         partitioner=partitioner_from_spec(meta["partitioner"]),
         table=_decode_table(meta["table"], image.sub("table.")),
-        router=ShardRouter(
-            [ShardSummary.from_dict(s) for s in meta["summaries"]],
-            min_ef=int(meta["min_ef"]),
-        ),
-        scale_ef=bool(meta["scale_ef"]),
     )
 
 

@@ -7,20 +7,22 @@ Three mechanisms compose:
 
 - **Work-conserving coalescing.**  ``await service.submit(...)`` parks
   each admitted query in a FIFO buffer, and the buffer leaves as one
-  :class:`~repro.engine.engine.QueryBatch` for the single dispatch
-  thread (``loop.run_in_executor``) when the first of three things
-  happens: it holds ``max_batch`` queries; **nothing is in flight** —
-  checked when a query arrives and again when a batch completes, so an
-  idle dispatcher takes a query at once and arrivals during a search
-  ride together as the next batch ("batch while busy", the group-commit
-  shape); or the oldest query's ``latency_budget_ms`` deadline expires.
-  Batch size is therefore a consequence of load — about one under light
-  traffic, growing toward ``max_batch`` as the dispatcher saturates —
-  and the budget is the *maximum* time a query sits in the buffer, never
-  an intended one.  The batch runs through the
-  :class:`~repro.engine.engine.SearchEngine` — inline on the dispatch
-  thread, or in chunks on its worker processes under
-  ``executor="process"``.
+  :class:`~repro.engine.engine.QueryBatch` when the first of three
+  things happens: it holds ``max_batch`` queries; **nothing is in
+  flight** — checked when a query arrives and again when a batch
+  completes, so an idle service takes a query at once; or the oldest
+  query's ``latency_budget_ms`` deadline expires.  Where the batch runs
+  depends on the engine's executor.  Under ``executor="sync"`` the
+  engine searches in-process, and the GIL would keep a second thread
+  from overlapping anything, so the batch runs on the event-loop thread
+  inside the flush: nothing is ever in flight, and a realtime batch
+  holds one query.  Under ``executor="process"`` the batch goes to a
+  single dispatch thread (``loop.run_in_executor``) that ships it to
+  the worker processes while the loop keeps admitting, and arrivals
+  during a search ride together as the next batch ("batch while busy",
+  the group-commit shape).  Batch size is therefore a consequence of
+  load, and the budget is the *maximum* time a query sits in the
+  buffer, never an intended one.
 - **Admission control.**  Before a query may enter the buffer it must
   pass, in order: the global ``max_pending`` backlog bound, the
   tenant's bounded queue, and the tenant's token bucket
@@ -94,11 +96,12 @@ class ServingConfig:
             :class:`~repro.engine.engine.SearchEngine` under
             ``executor="process"`` (unused by ``"sync"``).
         executor: the engine's executor — ``"sync"`` (default) runs
-            each batch inline on the dispatch thread; ``"process"``
-            ships multi-query batches to the zero-copy shared-memory
-            worker pool (``docs/parallelism.md``).  Byte-identical
-            results either way; ``"process"`` moves the GIL-bound
-            traversal loops off the event loop's host process.
+            each batch inline on the event-loop thread; ``"process"``
+            hands it to a dispatch thread that ships multi-query
+            batches to the zero-copy shared-memory worker pool
+            (``docs/parallelism.md``).  Byte-identical results either
+            way; ``"process"`` moves the GIL-bound traversal loops off
+            the event loop's host process.
     """
 
     k: int = 10
@@ -116,15 +119,20 @@ class ServingConfig:
 
         resolve_executor(self.executor)
         check_search_args(self.k, self.ef_search)
-        if self.max_batch < 1:
+        # Written as ``not value >= bound`` so NaN is refused too.
+        if not self.max_batch >= 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.latency_budget_ms < 0:
+        if not self.latency_budget_ms >= 0:
             raise ValueError(
                 f"latency_budget_ms must be >= 0, got {self.latency_budget_ms}"
             )
-        if self.max_pending < 1:
+        if not self.max_pending >= 1:
             raise ValueError(
                 f"max_pending must be >= 1, got {self.max_pending}"
+            )
+        if not self.engine_workers >= 1:
+            raise ValueError(
+                f"engine_workers must be >= 1, got {self.engine_workers}"
             )
 
 
@@ -154,9 +162,9 @@ class ServedResponse:
 
     @property
     def queue_wait_ms(self) -> float:
-        """Milliseconds from admission until the batch started on the
-        dispatch thread: buffer time plus time queued behind an earlier
-        batch (0.0 when rejected)."""
+        """Milliseconds from admission until the batch's search started:
+        buffer time, plus (process executor only) time queued behind an
+        earlier batch on the dispatch thread (0.0 when rejected)."""
         return self.stats.queue_wait_ms if self.stats is not None else 0.0
 
     @property
@@ -191,9 +199,10 @@ class AcornService:
 
     A service instance binds to the first event loop that calls
     :meth:`submit` and must stay on it.  Admission decisions, buffer
-    mutation, and future resolution all happen on that loop; only the
-    batched search itself leaves it (``run_in_executor`` on a
-    single-thread dispatch pool).
+    mutation, and future resolution all happen on that loop; so does
+    the batched search under ``executor="sync"``.  Only a process
+    engine's batch leaves it (``run_in_executor`` on a single-thread
+    dispatch pool, started by the first such batch).
 
     Args:
         searcher: any :class:`~repro.core.searcher.Searcher` (what the
@@ -232,9 +241,9 @@ class AcornService:
         self._inflight: set[asyncio.Task] = set()
         self._inflight_queries = 0
         self._timer: asyncio.TimerHandle | None = None
-        self._dispatch_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serving-dispatch"
-        )
+        #: The process executor's dispatch thread, started by its first
+        #: batch; an in-process engine never has one.
+        self._dispatch_pool: ThreadPoolExecutor | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._closed = False
         self.admission_log: list[tuple[str, str]] = []
@@ -348,8 +357,9 @@ class AcornService:
     # ------------------------------------------------------------------
 
     def _idle(self) -> bool:
-        """True when the realtime dispatch thread has nothing to do, so
-        holding a query back could not buy it any company.
+        """True when no realtime batch is in flight, so holding a query
+        back could not buy it any company (always, under an in-process
+        engine).
 
         Always False on a virtual clock: a batch takes zero virtual time
         there, and batch composition must stay a pure function of the
@@ -394,8 +404,13 @@ class AcornService:
 
     def _flush(self, now: float) -> None:
         """Hand the oldest ``<= max_batch`` pending queries to the
-        dispatch thread as one batch — the one exit from the buffer,
-        whichever trigger (size, idle dispatcher, deadline) fired."""
+        engine as one batch — the one exit from the buffer, whichever
+        trigger (size, idle dispatcher, deadline) fired.
+
+        An in-process engine (``executor="sync"``) answers the batch
+        right here on the event-loop thread; a process engine's batch
+        leaves for the dispatch thread, and the loop keeps admitting.
+        """
         if not self._pending or self._loop is None:
             return
         take = min(len(self._pending), self.config.max_batch)
@@ -407,67 +422,100 @@ class AcornService:
         # clock jumped past it) is billed at the deadline, not the
         # observation time, so queue-wait accounting stays exact.
         dispatch_s = min(now, min(q.deadline_s for q in queries))
-        self._inflight_queries += take
-        task = self._loop.create_task(self._run_batch(queries, dispatch_s))
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
         self._counters["batches_dispatched"] += 1
-        # The oldest pending query changed: its deadline gets the timer.
+        # The oldest pending query changes: its deadline gets the timer.
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+        if self.engine.executor == "process":
+            self._inflight_queries += take
+            task = self._loop.create_task(self._run_batch(queries, dispatch_s))
+            self._inflight.add(task)
+            task.add_done_callback(self._inflight.discard)
+        else:
+            # Nothing is ever in flight, so the wait is the buffer's
+            # alone and the service is the clock delta across the search.
+            start_s = self.clock.monotonic()
+            try:
+                outcome = self.engine.search_batch(self._batch(queries))
+            except BaseException as exc:
+                self._resolve(queries, exc, dispatch_s)
+                if not isinstance(exc, Exception):
+                    raise  # interrupts still propagate
+            else:
+                self._resolve(queries, outcome, dispatch_s, 0.0,
+                              self.clock.monotonic() - start_s)
         self._arm_timer()
 
-    async def _run_batch(
-        self, queries: list[_PendingQuery], dispatch_s: float
-    ) -> None:
-        try:
-            await self._execute_batch(queries, dispatch_s)
-        finally:
-            self._inflight_queries -= len(queries)
-            # Whatever arrived during this search leaves together now.
-            if self._idle():
-                self._flush(self.clock.monotonic())
+    def _batch(self, queries: list[_PendingQuery]) -> QueryBatch:
+        return QueryBatch.build(
+            np.stack([q.query for q in queries]),
+            [q.compiled for q in queries],
+            k=self.config.k,
+            ef_search=self.config.ef_search,
+        )
 
     def _search_stamped(self, batch: QueryBatch):
         """Runs on the dispatch thread: when the search really started,
         and its outcome."""
         return self.clock.monotonic(), self.engine.search_batch(batch)
 
-    async def _execute_batch(
+    async def _run_batch(
         self, queries: list[_PendingQuery], dispatch_s: float
     ) -> None:
-        batch = QueryBatch.build(
-            np.stack([q.query for q in queries]),
-            [q.compiled for q in queries],
-            k=self.config.k,
-            ef_search=self.config.ef_search,
-        )
-        assert self._loop is not None
+        """A process engine's batch, run on the dispatch thread."""
+        if self._dispatch_pool is None:
+            self._dispatch_pool = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serving-dispatch"
+            )
+        batch = self._batch(queries)
         handoff_s = self.clock.monotonic()
         try:
             start_s, outcome = await self._loop.run_in_executor(
                 self._dispatch_pool, self._search_stamped, batch
             )
         except BaseException as exc:
-            # Every rider gets the searcher's own exception; the batch
-            # task itself ends cleanly so drain() and aclose() complete.
+            self._resolve(queries, exc, dispatch_s)
+            if not isinstance(exc, Exception):
+                raise  # interrupts and cancellation still propagate
+        else:
+            # A batch flushed while the dispatch thread is busy queues
+            # behind it; that is waiting, not service.
+            self._resolve(queries, outcome, dispatch_s,
+                          max(start_s - handoff_s, 0.0),
+                          self.clock.monotonic() - start_s)
+        finally:
+            self._inflight_queries -= len(queries)
+            # Whatever arrived during this search leaves together now.
+            if self._idle():
+                self._flush(self.clock.monotonic())
+
+    def _resolve(
+        self,
+        queries: list[_PendingQuery],
+        outcome,
+        dispatch_s: float,
+        behind_s: float = 0.0,
+        exec_s: float = 0.0,
+    ) -> None:
+        """Settle one batch's futures, on the loop thread.
+
+        ``outcome`` is the engine's :class:`BatchResult`, or the
+        exception the search raised: then every rider gets that
+        exception itself and is counted ``failed``.  A query waited from
+        admission to ``dispatch_s``, plus ``behind_s`` queued behind an
+        earlier batch; ``exec_s`` is the clock delta across the engine
+        call (zero under a FakeClock, so the clock jumps a virtual-time
+        replay makes between arrivals never masquerade as service time).
+        """
+        if isinstance(outcome, BaseException):
             for item in queries:
                 self.tenants.get(item.tenant_id).failed += 1
                 self._counters["failed"] += 1
                 if not item.future.done():
-                    item.future.set_exception(exc)
-            if not isinstance(exc, Exception):
-                raise  # interrupts and cancellation still propagate
+                    item.future.set_exception(outcome)
             return
-        # A batch flushed while the dispatch thread is busy queues behind
-        # it; that is waiting, not service.  (Zero on a virtual clock.)
-        behind_s = max(start_s - handoff_s, 0.0)
-        # Execution cost is the clock delta across the engine call:
-        # real seconds under a SystemClock, zero under a FakeClock —
-        # the inter-arrival jumps a virtual driver makes while a batch
-        # is parked must not masquerade as service time.
-        exec_ms = max(self.clock.monotonic() - start_s, 0.0) * 1000.0
+        exec_ms = max(exec_s, 0.0) * 1000.0
         for item, result, stats in zip(
             queries, outcome.results, outcome.stats
         ):
@@ -527,7 +575,8 @@ class AcornService:
         self._closed = True
         # The flush that empties the buffer also drops the deadline timer.
         await self.drain()
-        self._dispatch_pool.shutdown(wait=True)
+        if self._dispatch_pool is not None:
+            self._dispatch_pool.shutdown(wait=True)
         self.engine.close()
 
     async def __aenter__(self) -> "AcornService":

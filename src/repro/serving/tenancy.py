@@ -49,13 +49,14 @@ class TenantQuota:
     cache_size: int = 32
 
     def __post_init__(self) -> None:
-        if self.rate_qps <= 0:
+        # Written as ``not value > bound`` so NaN is refused too.
+        if not self.rate_qps > 0:
             raise ValueError(f"rate_qps must be positive, got {self.rate_qps}")
-        if self.burst < 1:
+        if not self.burst >= 1:
             raise ValueError(f"burst must be >= 1, got {self.burst}")
-        if self.max_queue < 1:
+        if not self.max_queue >= 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.cache_size < 1:
+        if not self.cache_size >= 1:
             raise ValueError(
                 f"cache_size must be >= 1, got {self.cache_size}"
             )

@@ -3,11 +3,11 @@
 Two placement policies cover the classical trade-off:
 
 - :class:`HashPartitioner` spreads rows uniformly (balanced shards, no
-  routing leverage — every shard must be probed for every predicate);
+  pruning leverage — nearly every predicate passes rows in every shard);
 - :class:`AttributeRangePartitioner` splits on a numeric column's value
-  ranges (shards become selective for predicates on that column, which
-  is what gives the :class:`~repro.shard.router.ShardRouter` provable
-  prunes).
+  ranges (shards become selective for predicates on that column, so
+  :meth:`~repro.shard.sharded.ShardedAcornIndex.plan` finds shards
+  without a passing row to prune).
 
 Both are pure functions of (row ids, attribute values): the same inputs
 always produce the same :class:`ShardAssignment`, which persistence

@@ -6,9 +6,8 @@ builds one ACORN index per shard (any variant: ACORN-γ, ACORN-1, or the
 flat substrate), and answers hybrid queries shard-by-shard:
 
 1. the query predicate is compiled once against the *global* table;
-2. the :class:`~repro.shard.router.ShardRouter` prunes shards whose
-   predicate mask is provably empty (and may scale per-shard
-   ``ef_search`` by estimated local selectivity);
+2. :meth:`ShardedAcornIndex.plan` groups the mask by shard in one
+   gather and prunes exactly the shards whose slice has no passing row;
 3. each probed shard searches its local predicate subgraph over its
    sliced mask;
 4. per-shard results, with shard-local ids mapped back to global ids,
@@ -23,18 +22,19 @@ contract the equivalence suite pins.  At lower effort each shard
 contributes its usual graph-search approximation and the merge is
 exact over whatever the shards returned.
 
-The class plugs straight into the PR-1 batch engine: it exposes
+The class plugs straight into the batch engine: it exposes
 ``search``/``freeze``/``table`` and returns
 :class:`~repro.telemetry.SearchResult` records: child counters folded
 by :func:`~repro.telemetry.fold_telemetry`, plus the shard accounting
 (``shards_probed``, ``shards_pruned``, ``per_shard``) this layer owns.
-Shards are probed in plan order on the calling thread; an exception
+Shards are probed in shard order on the calling thread; an exception
 raised inside a shard's search propagates to the caller unchanged.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,6 @@ from repro.shard.partition import (
     ShardAssignment,
     subset_table,
 )
-from repro.shard.router import ShardDecision, ShardPlan, ShardRouter
-from repro.shard.summary import summarize_table
 from repro.telemetry import SearchResult, fold_telemetry
 from repro.vectors.distance import Metric
 
@@ -73,6 +71,55 @@ def merge_topk(
     order = np.lexsort((ids, dists))[:k]
     return (dists[order].astype(np.float32, copy=False),
             ids[order].astype(np.intp, copy=False))
+
+
+class ShardDecision(NamedTuple):
+    """One shard's part in one query's plan.
+
+    Attributes:
+        shard_id: which shard this decision covers.
+        pruned: True when no row of the shard passes the predicate, so
+            the shard is not probed.
+        reason: ``"probe"`` or ``"no passing rows"``.
+        est_selectivity: the exact local selectivity — passing rows
+            over shard rows (0.0 for an empty shard).
+        ef_search: dynamic-list size the probe uses (0 when pruned).
+    """
+
+    shard_id: int
+    pruned: bool
+    reason: str
+    est_selectivity: float
+    ef_search: int
+
+
+class ShardPlan(NamedTuple):
+    """One query's decisions, one per shard in shard order (so
+    ``n_pruned + n_probed == n_shards``), and each shard's slice of the
+    query's mask."""
+
+    decisions: list[ShardDecision]
+    masks: list[np.ndarray]
+
+    @property
+    def n_shards(self) -> int:
+        """Total shards covered by the plan."""
+        return len(self.decisions)
+
+    @property
+    def n_pruned(self) -> int:
+        """Shards without a passing row."""
+        return sum(1 for d in self.decisions if d.pruned)
+
+    @property
+    def n_probed(self) -> int:
+        """Shards that will execute a search."""
+        return self.n_shards - self.n_pruned
+
+    @property
+    def probed(self) -> list[ShardDecision]:
+        """Decisions for the shards that will be searched, in shard order."""
+        return [d for d in self.decisions if not d.pruned]
 
 
 def _default_build_shard(
@@ -103,7 +150,8 @@ def _default_build_shard(
 
 
 class ShardedAcornIndex(Searcher):
-    """N ACORN shards behind one predicate-aware scatter-gather front.
+    """N ACORN shards behind one scatter-gather front that probes only
+    the shards holding a passing row.
 
     Build with :meth:`build`; the constructor wires together
     already-built pieces (persistence uses it directly).
@@ -115,13 +163,6 @@ class ShardedAcornIndex(Searcher):
             the persisted archive).
         table: the *global* attribute table; query predicates are
             compiled against it exactly as on an unsharded index.
-        router: routing policy; defaults to a
-            :class:`~repro.shard.router.ShardRouter` over fresh
-            summaries of each shard's table.
-        scale_ef: when True the router scales per-shard ``ef_search``
-            by estimated local selectivity (efficiency mode); when
-            False every probed shard uses the caller's ``ef_search``
-            (the equivalence-preserving default).
         executor: compatibility keyword with no effect — the frozen
             ``benchmarks/e2e/workloads.py`` still passes
             ``executor="sync"``.  Probes always run one after another on
@@ -136,8 +177,6 @@ class ShardedAcornIndex(Searcher):
         assignment: ShardAssignment,
         partitioner: Partitioner,
         table: AttributeTable,
-        router: ShardRouter | None = None,
-        scale_ef: bool = False,
         executor: str = "sync",
     ) -> None:
         if executor != "sync":
@@ -160,11 +199,11 @@ class ShardedAcornIndex(Searcher):
         self.assignment = assignment
         self.partitioner = partitioner
         self.table = table
-        self.router = (
-            router if router is not None
-            else ShardRouter([summarize_table(s.table) for s in shards])
-        )
-        self.scale_ef = bool(scale_ef)
+        # Global row ids grouped by shard: one gather of a query's mask
+        # through _order leaves every shard's slice as a view.
+        self._order = np.concatenate(assignment.global_ids)
+        stops = np.cumsum([gids.shape[0] for gids in assignment.global_ids])
+        self._spans = list(zip([0, *stops[:-1].tolist()], stops.tolist()))
 
     # ------------------------------------------------------------------
     # Construction
@@ -183,7 +222,6 @@ class ShardedAcornIndex(Searcher):
         acorn1_m: int = 32,
         acorn1_ef_construction: int = 40,
         build_shard: Callable[[np.ndarray, AttributeTable], AcornIndex] | None = None,
-        scale_ef: bool = False,
         executor: str = "sync",
     ) -> "ShardedAcornIndex":
         """Partition ``vectors``/``table`` and build one index per shard.
@@ -204,7 +242,6 @@ class ShardedAcornIndex(Searcher):
             acorn1_m / acorn1_ef_construction: ACORN-1 build knobs.
             build_shard: optional ``(vectors, table) -> index`` factory
                 overriding ``variant`` entirely.
-            scale_ef: forwarded to the instance (see class docs).
             executor: forwarded to the instance (see class docs).
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
@@ -225,7 +262,7 @@ class ShardedAcornIndex(Searcher):
         ]
         return cls(
             shards=shards, assignment=assignment, partitioner=partitioner,
-            table=table, scale_ef=scale_ef, executor=executor,
+            table=table, executor=executor,
         )
 
     def __len__(self) -> int:
@@ -252,52 +289,27 @@ class ShardedAcornIndex(Searcher):
     # ------------------------------------------------------------------
 
     def plan(
-        self, predicate: "Predicate | CompiledPredicate", k: int,
-        ef_search: int = 64,
+        self, predicate: "Predicate | CompiledPredicate", ef_search: int = 64,
     ) -> ShardPlan:
-        """The routing plan one query would execute (EXPLAIN-style)."""
-        return self.router.plan(self._compile(predicate).predicate, k=k,
-                                ef_search=ef_search, scale_ef=self.scale_ef)
+        """Which shards one query probes (EXPLAIN-style).
 
-    def _probe_shard(
-        self,
-        decision: ShardDecision,
-        compiled: CompiledPredicate,
-        query: np.ndarray,
-        k: int,
-    ) -> tuple[dict, object | None, np.ndarray]:
-        """Execute one probed shard's local search.
-
-        Returns ``(record, found, gids)`` where ``record`` is the
-        per-shard telemetry dict, ``found`` is the local
-        :class:`~repro.telemetry.SearchResult` (``None`` when the
-        shard's slice of the mask is empty), and ``gids`` maps local
-        ids back to global ids.  Exceptions from the shard propagate.
+        One gather of the compiled mask groups it by shard; a shard is
+        pruned exactly when its slice has no passing row, and each
+        decision carries the exact local selectivity.
         """
-        record = {
-            "shard": decision.shard_id,
-            "pruned": decision.pruned,
-            "reason": decision.reason,
-            "est_selectivity": decision.est_selectivity,
-            "ef_search": decision.ef_search,
-            "distance_computations": 0,
-            "hops": 0,
-            "returned": 0,
-        }
-        gids = self.assignment.global_ids[decision.shard_id]
-        local_mask = compiled.mask[gids]
-        if not local_mask.any():
-            # Probed per the plan, but the materialized local mask is
-            # empty — nothing to search.
-            return record, None, gids
-        local = CompiledPredicate(compiled.predicate, local_mask)
-        found = self.shards[decision.shard_id].search(
-            query, local, k, ef_search=decision.ef_search,
-        )
-        record["distance_computations"] = int(found.distance_computations)
-        record["hops"] = int(found.hops)
-        record["returned"] = int(len(found))
-        return record, found, gids
+        grouped = self._compile(predicate).mask[self._order]
+        masks = [grouped[start:stop] for start, stop in self._spans]
+        decisions = []
+        for shard_id, local in enumerate(masks):
+            count = int(np.count_nonzero(local))
+            decisions.append(ShardDecision(
+                shard_id,
+                count == 0,
+                "probe" if count else "no passing rows",
+                count / local.shape[0] if count else 0.0,
+                int(ef_search) if count else 0,
+            ))
+        return ShardPlan(decisions, masks)
 
     def search(
         self,
@@ -309,33 +321,41 @@ class ShardedAcornIndex(Searcher):
         """Scatter-gather hybrid search: global top-k passing entities.
 
         The predicate compiles once against the global table; the plan
-        prunes provably-empty shards; each probed shard in turn searches
-        its local subgraph over the sliced mask; the per-shard results
-        merge into the global top-k.  An exception raised by a shard
-        propagates unchanged.
+        prunes the shards without a passing row; each probed shard in
+        turn searches its local subgraph over its slice of the mask;
+        the per-shard results merge into the global top-k.  An
+        exception raised by a shard propagates unchanged.
         """
         check_search_args(k, ef_search)
         compiled = self._compile(predicate)
-        plan = self.plan(compiled, k=k, ef_search=ef_search)
+        plan = self.plan(compiled, ef_search=ef_search)
         parts = []
         children = []
         per_shard = []
         for decision in plan.decisions:
-            if decision.pruned:
-                per_shard.append({
-                    "shard": decision.shard_id,
-                    "pruned": True,
-                    "reason": decision.reason,
-                    "est_selectivity": decision.est_selectivity,
-                    "ef_search": decision.ef_search,
-                })
-                continue
-            record, found, gids = self._probe_shard(
-                decision, compiled, query, k)
+            record = {
+                "shard": decision.shard_id,
+                "pruned": decision.pruned,
+                "reason": decision.reason,
+                "est_selectivity": decision.est_selectivity,
+                "ef_search": decision.ef_search,
+            }
             per_shard.append(record)
-            if found is not None:
-                parts.append((found.distances, gids[found.ids]))
-                children.append(found)
+            if decision.pruned:
+                continue
+            local = CompiledPredicate(compiled.predicate,
+                                      plan.masks[decision.shard_id])
+            found = self.shards[decision.shard_id].search(
+                query, local, k, ef_search=decision.ef_search,
+            )
+            record.update(
+                distance_computations=int(found.distance_computations),
+                hops=int(found.hops),
+                returned=int(len(found)),
+            )
+            gids = self.assignment.global_ids[decision.shard_id]
+            parts.append((found.distances, gids[found.ids]))
+            children.append(found)
 
         distances, ids = merge_topk(parts, k)
         return SearchResult(

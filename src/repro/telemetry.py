@@ -59,7 +59,7 @@ class QueryStats:
             ``search`` call, measured on the worker thread.
         shards_probed: shards that executed a search for this query
             (0 for unsharded searchers).
-        shards_pruned: shards the router proved empty and skipped
+        shards_pruned: shards without a passing row, skipped
             (0 for unsharded searchers).  For a sharded searcher
             ``shards_probed + shards_pruned`` equals its shard count —
             the accounting invariant the shard test suite pins.

@@ -2,8 +2,9 @@
 
 For random data, predicates, k, and shard counts 1-8, the sharded
 index must return exactly the ids and distances of an unsharded index
-built from the same rows, and its routing must account for every shard
-(``shards_probed + shards_pruned == n_shards``).
+built from the same rows, and its plan must account for every shard
+(``shards_probed + shards_pruned == n_shards``), pruning exactly the
+shards whose slice of the compiled mask is empty.
 
 Runs in the exhaustive regime: ``ef_search = n`` with ``M * gamma >= n``
 so predicate subgraphs stay connected and graph search is exact over
@@ -26,6 +27,8 @@ from repro.predicates import (
     ContainsAny,
     Equals,
     Not,
+    Or,
+    RegexMatch,
     TruePredicate,
 )
 from repro.shard import (
@@ -50,6 +53,7 @@ def make_random_world(seed: int, n: int):
         "kw",
         [list(rng.choice(TOKENS, size=2, replace=False)) for _ in range(n)],
     )
+    table.add_string_column("s", list(rng.choice(TOKENS, size=n)))
     return vectors, table, rng
 
 
@@ -64,6 +68,17 @@ predicate_specs = st.one_of(
     st.integers(0, 3).map(lambda v: ("not-equals", v)),
 )
 
+#: The shapes above plus a regex, a ``Not`` over a range and an ``Or``.
+mask_specs = st.one_of(
+    predicate_specs,
+    st.sampled_from(["a", "b", "^[ab]$", "z"]).map(
+        lambda pattern: ("regex", pattern)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+        lambda ab: ("not-between", min(ab), max(ab))),
+    st.tuples(st.integers(0, 3), st.sampled_from(TOKENS)).map(
+        lambda pair: ("or", *pair)),
+)
+
 
 def build_predicate(spec):
     """Materialize one drawn predicate spec."""
@@ -76,6 +91,12 @@ def build_predicate(spec):
         return Between("v", spec[1], spec[2])
     if kind == "contains":
         return ContainsAny("kw", spec[1])
+    if kind == "regex":
+        return RegexMatch("s", spec[1])
+    if kind == "not-between":
+        return Not(Between("v", spec[1], spec[2]))
+    if kind == "or":
+        return Or(Equals("v", spec[1]), ContainsAny("kw", (spec[2],)))
     return Not(Equals("v", spec[1]))
 
 
@@ -126,10 +147,64 @@ def test_plan_accounting_invariant(seed, n, n_shards, spec):
         partitioner=AttributeRangePartitioner("v", n_shards=n_shards),
         params=PARAMS, seed=seed,
     )
-    plan = sharded.plan(build_predicate(spec), k=5, ef_search=32)
+    plan = sharded.plan(build_predicate(spec), ef_search=32)
     assert plan.n_shards == n_shards
     assert plan.n_probed + plan.n_pruned == n_shards
     assert sorted(d.shard_id for d in plan.decisions) == list(range(n_shards))
+
+
+def brute_force_per_shard(vectors, mask, assignment, query, k):
+    """The oracle: each shard's exact top-k over its passing rows, then
+    the global top-k of those by (distance, id)."""
+    found = []
+    for gids in assignment.global_ids:
+        passing = gids[mask[gids]]
+        dists = ((vectors[passing] - query) ** 2).sum(axis=1)
+        order = np.lexsort((passing, dists))[:k]
+        found += zip(dists[order].tolist(), passing[order].tolist())
+    found.sort()
+    return [i for _, i in found[:k]], [d for d, _ in found[:k]]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(30, 60),
+    n_shards=st.integers(1, 8),
+    k=st.integers(1, 8),
+    use_range=st.booleans(),
+    spec=mask_specs,
+)
+def test_plan_prunes_exactly_the_empty_mask_slices(
+    seed, n, n_shards, k, use_range, spec
+):
+    """The plan prunes a shard iff its slice of the mask is empty, and
+    the answer equals the per-shard brute-force oracle."""
+    vectors, table, _ = make_random_world(seed, n)
+    predicate = build_predicate(spec)
+    partitioner = (
+        AttributeRangePartitioner("v", n_shards=n_shards)
+        if use_range else HashPartitioner(n_shards, seed=seed)
+    )
+    sharded = ShardedAcornIndex.build(
+        vectors, table, partitioner=partitioner, params=PARAMS, seed=seed
+    )
+    mask = predicate.compile(table).mask
+    plan = sharded.plan(predicate, ef_search=n)
+    empty = [not mask[gids].any() for gids in sharded.assignment.global_ids]
+    assert [d.pruned for d in plan.decisions] == empty
+    assert plan.n_probed + plan.n_pruned == n_shards
+
+    query = np.random.default_rng(seed + 1).standard_normal(
+        DIM
+    ).astype(np.float32)
+    got = sharded.search(query, predicate, k, ef_search=n)
+    assert got.shards_probed + got.shards_pruned == n_shards
+    assert got.shards_pruned == sum(empty)
+    ids, dists = brute_force_per_shard(
+        vectors, mask, sharded.assignment, query, k)
+    assert got.ids.tolist() == ids
+    assert np.allclose(got.distances, dists, rtol=1e-4, atol=1e-5)
 
 
 def _parts(streams):

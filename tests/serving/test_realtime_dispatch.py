@@ -2,11 +2,18 @@
 
 The rest of ``tests/serving`` runs on a FakeClock, where a batch takes
 zero virtual time and only the size/deadline triggers exist.  Here the
-service runs in realtime mode (a :class:`SystemClock`) over a searcher
-whose batches block on a ``threading.Event``, so "a batch is in flight"
-is a state the test holds open for as long as it likes — no sleeps, no
-timing margins.  The one case that has to let a real ``call_later``
-deadline fire uses a 2 ms budget and spins on zero-delay loop hops.
+service runs in realtime mode (a :class:`SystemClock`).
+
+Under ``executor="sync"`` a batch runs on the event-loop thread inside
+the flush, so nothing is ever in flight.  Only ``executor="process"``
+hands a batch to the dispatch thread and can be busy: there the
+searcher's batches block on a ``threading.Event``, so "a batch is in
+flight" is a state the test holds open for as long as it likes — no
+sleeps, no timing margins.  The gated searcher cannot be shipped to
+worker processes, so the engine runs it inline on the dispatch thread
+and no worker starts.  The one case that has to let a real
+``call_later`` deadline fire uses a 2 ms budget and spins on zero-delay
+loop hops.
 """
 
 import asyncio
@@ -28,10 +35,10 @@ LONG_BUDGET_MS = 60_000.0  # a deadline no test in this file can reach
 class _GatedSearcher(Searcher):
     """The real index behind a gate every batch must pass.
 
-    The engine calls ``freeze`` once per batch, on the service's
-    dispatch thread, before the first query runs: ``entered`` is
-    released when a batch gets that far, then the batch blocks until
-    ``gate`` is set.
+    The engine calls ``freeze`` once per batch, on the thread that runs
+    the batch, before the first query runs: ``entered`` is released
+    when a batch gets that far, then the batch blocks until ``gate`` is
+    set.  ``threads`` records the thread each search ran on.
     """
 
     def __init__(self, index, open_gate=False):
@@ -39,6 +46,7 @@ class _GatedSearcher(Searcher):
         self.table = index.table
         self.entered = threading.Semaphore(0)
         self.gate = threading.Event()
+        self.threads = []
         if open_gate:
             self.gate.set()
 
@@ -47,6 +55,7 @@ class _GatedSearcher(Searcher):
         assert self.gate.wait(TIMEOUT_S), "test never opened the gate"
 
     def search(self, query, predicate, k, ef_search=None):
+        self.threads.append(threading.get_ident())
         return self.index.search(query, predicate, k, ef_search=ef_search)
 
 
@@ -68,6 +77,17 @@ def _service(searcher, clock=None, **overrides):
     service = AcornService(searcher, ServingConfig(**config), clock=clock)
     assert service.realtime
     return service
+
+
+def _process_service(searcher, clock=None, **overrides):
+    """A service whose batches leave the loop for the dispatch thread:
+    the only configuration that can be busy."""
+    return _service(searcher, clock, executor="process", **overrides)
+
+
+def _dispatch_threads():
+    return {t for t in threading.enumerate()
+            if t.name.startswith("repro-serving-dispatch")}
 
 
 def _submit(service, world, i):
@@ -143,12 +163,74 @@ class TestIdleDispatch:
             )
 
 
+class TestInProcessDispatch:
+    """``executor="sync"``: the batch runs on the event-loop thread."""
+
+    def test_sync_search_runs_on_the_event_loop_thread(self, serving_world):
+        searcher = _GatedSearcher(serving_world[2], open_gate=True)
+        before = _dispatch_threads()
+
+        async def drive():
+            async with _service(searcher) as service:
+                responses = [await _submit(service, serving_world, 0)]
+                responses += await asyncio.gather(
+                    *[_submit(service, serving_world, i) for i in (1, 2)])
+                started = _dispatch_threads() - before
+                return (threading.get_ident(), responses, service.summary(),
+                        started)
+
+        loop_thread, responses, summary, started = run(drive())
+        assert searcher.threads == [loop_thread] * 3
+        assert started == set()  # no dispatch thread was ever started
+        # Nothing is ever in flight, so each arrival leaves alone.
+        assert [r.batch_size_served for r in responses] == [1, 1, 1]
+        assert summary["batches_dispatched"] == 3
+        assert summary["ok"] == summary["offered"] == 3
+
+    def test_wait_is_the_buffer_and_service_is_the_search(
+        self, serving_world
+    ):
+        """No queue behind a dispatch thread: ``queue_wait_ms`` is the
+        buffer wait, and the clock delta across the engine call is the
+        rest of the latency."""
+        clock = _SteppedClock()
+
+        class _Slow(_GatedSearcher):
+            def freeze(self):
+                clock.now += 0.5  # the batch's search takes 500 ms
+
+        searcher = _Slow(serving_world[2])
+
+        async def drive():
+            async with _service(searcher, clock=clock) as service:
+                return await _submit(service, serving_world, 0)
+
+        response = run(drive())
+        assert response.queue_wait_ms == 0.0
+        assert response.latency_ms == 500.0
+
+    def test_process_search_leaves_the_event_loop_thread(
+        self, serving_world
+    ):
+        searcher = _GatedSearcher(serving_world[2], open_gate=True)
+
+        async def drive():
+            async with _process_service(searcher) as service:
+                await _submit(service, serving_world, 0)
+                assert len(_dispatch_threads()) >= 1
+                return threading.get_ident()
+
+        loop_thread = run(drive())
+        assert len(searcher.threads) == 1
+        assert searcher.threads[0] != loop_thread
+
+
 class TestBatchWhileBusy:
     def test_arrivals_during_a_search_leave_together(self, serving_world):
         searcher = _GatedSearcher(serving_world[2])
 
         async def drive():
-            async with _service(searcher) as service:
+            async with _process_service(searcher) as service:
                 first = await _hold_first(service, searcher, serving_world)
                 riders = [_submit(service, serving_world, i) for i in (1, 2)]
                 await _hops()
@@ -176,7 +258,7 @@ class TestBatchWhileBusy:
         searcher = _GatedSearcher(serving_world[2])
 
         async def drive():
-            async with _service(searcher, max_batch=3) as service:
+            async with _process_service(searcher, max_batch=3) as service:
                 first = await _hold_first(service, searcher, serving_world)
                 riders = [_submit(service, serving_world, i)
                           for i in range(1, 6)]
@@ -199,7 +281,7 @@ class TestBatchWhileBusy:
         budget_ms = 2.0
 
         async def drive():
-            async with _service(
+            async with _process_service(
                 searcher, latency_budget_ms=budget_ms
             ) as service:
                 first = await _hold_first(service, searcher, serving_world)
@@ -228,7 +310,7 @@ class TestBatchWhileBusy:
         searcher = _GatedSearcher(serving_world[2])
 
         async def drive():
-            service = _service(searcher)
+            service = _process_service(searcher)
             first = await _hold_first(service, searcher, serving_world)
             buffered = [_submit(service, serving_world, i) for i in (1, 2)]
             await _hops()
@@ -260,7 +342,9 @@ class TestWaitVersusService:
         clock = _SteppedClock()
 
         async def drive():
-            async with _service(searcher, clock=clock, max_batch=2) as service:
+            async with _process_service(
+                searcher, clock=clock, max_batch=2
+            ) as service:
                 first = await _hold_first(service, searcher, serving_world)
                 clock.now = 0.25
                 early = _submit(service, serving_world, 1)

@@ -59,14 +59,23 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"rate_qps": 0.0}, {"rate_qps": -1.0}, {"burst": 0.5},
         {"max_queue": 0}, {"cache_size": 0},
+        # NaN passes every ``<`` check; admitted, it rejected every
+        # query of the tenant (burst) or never refilled (rate).
+        {"rate_qps": math.nan}, {"burst": math.nan},
     ])
     def test_bad_quota_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TenantQuota(**kwargs)
 
+    def test_infinite_rate_is_valid(self):
+        assert TenantQuota(rate_qps=math.inf).rate_qps == math.inf
+
     @pytest.mark.parametrize("kwargs", [
         {"k": 0}, {"max_batch": 0}, {"latency_budget_ms": -1.0},
         {"max_pending": 0},
+        # A NaN budget is a deadline that never fires.
+        {"latency_budget_ms": math.nan},
+        {"engine_workers": 0}, {"engine_workers": -3},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

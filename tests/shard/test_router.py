@@ -1,9 +1,19 @@
-"""Router and summary tests: pruning soundness and plan accounting."""
+"""Shard-plan tests: which shards a query probes, read from its mask.
+
+``ShardedAcornIndex.plan`` counts the compiled mask's passing rows per
+shard and prunes exactly the shards with none.  These tests pin that
+rule against each shard's own table: a pruned shard has no passing row,
+a probed one has at least one, and every decision carries the exact
+local selectivity and the caller's ``ef_search``.
+"""
+
+import functools
 
 import numpy as np
 import pytest
 
-from repro.attributes.table import AttributeTable
+from repro.attributes.table import subset_table
+from repro.core.params import AcornParams
 from repro.predicates import (
     And,
     Between,
@@ -16,64 +26,30 @@ from repro.predicates import (
     RegexMatch,
     TruePredicate,
 )
-from repro.shard.partition import AttributeRangePartitioner, subset_table
-from repro.shard.router import ShardRouter
-from repro.shard.summary import (
-    KeywordDigest,
-    ShardSummary,
-    summarize_table,
-)
+from repro.shard import AttributeRangePartitioner, ShardedAcornIndex
 
 from tests.shard.conftest import make_world
 
-
-def make_shard_summaries(table, partitioner):
-    """Partition ``table`` and summarize each shard, returning both."""
-    assignment = partitioner.partition(table)
-    tables = [subset_table(table, gids) for gids in assignment.global_ids]
-    return assignment, tables, [summarize_table(t) for t in tables]
+PARAMS = AcornParams(m=8, gamma=6, m_beta=12, ef_construction=24)
 
 
-class TestKeywordDigest:
-    def test_no_false_negatives(self):
-        words = [f"word{i}" for i in range(300)]
-        digest = KeywordDigest.build(words)
-        assert all(digest.might_contain(w) for w in words)
-
-    def test_misses_prune(self):
-        digest = KeywordDigest.build(["alpha", "beta"])
-        # With 2048 bits and 2 words, an arbitrary probe word is
-        # overwhelmingly likely to miss; assert a known miss exists.
-        assert not all(
-            digest.might_contain(f"probe{i}") for i in range(50)
-        )
-
-    def test_hex_roundtrip(self):
-        digest = KeywordDigest.build(["x", "y", "z"])
-        clone = KeywordDigest.from_hex(digest.to_hex(), digest.bits.size)
-        assert np.array_equal(clone.bits, digest.bits)
-
-
-class TestSummaryRoundtrip:
-    def test_to_from_dict(self, shard_world):
-        _, table = shard_world
-        summary = summarize_table(table)
-        clone = ShardSummary.from_dict(summary.to_dict())
-        assert clone.n_rows == summary.n_rows
-        for name, numeric in summary.numeric.items():
-            other = clone.numeric[name]
-            assert other.min == numeric.min
-            assert other.max == numeric.max
-            assert other.value_counts == numeric.value_counts
-            assert np.array_equal(other.hist_counts, numeric.hist_counts)
-        for name, kw in summary.keywords.items():
-            other = clone.keywords[name]
-            assert np.array_equal(other.digest.bits, kw.digest.bits)
-            assert other.n_distinct == kw.n_distinct
+@functools.lru_cache(maxsize=None)
+def sharded_world(n, seed, n_shards=None, boundaries=None):
+    """A range-sharded index over ``make_world(n, seed)`` and each
+    shard's attribute table."""
+    vectors, table = make_world(n=n, seed=seed)
+    partitioner = AttributeRangePartitioner(
+        "year", n_shards=n_shards,
+        boundaries=None if boundaries is None else list(boundaries))
+    index = ShardedAcornIndex.build(vectors, table, partitioner,
+                                    params=PARAMS, seed=seed)
+    tables = [subset_table(table, gids)
+              for gids in index.assignment.global_ids]
+    return index, tables
 
 
 class TestPruningSoundness:
-    """Every pruned shard must have a provably-empty local mask."""
+    """A shard is pruned exactly when its slice of the mask is empty."""
 
     PREDICATES = [
         TruePredicate(),
@@ -100,97 +76,70 @@ class TestPruningSoundness:
         "predicate", PREDICATES, ids=[repr(p)[:50] for p in PREDICATES]
     )
     def test_pruned_shards_are_truly_empty(self, predicate):
-        _, table = make_world(n=200, seed=9)
-        assignment, tables, summaries = make_shard_summaries(
-            table, AttributeRangePartitioner("year", n_shards=4)
-        )
-        router = ShardRouter(summaries)
-        plan = router.plan(predicate, k=5, ef_search=32)
+        index, tables = sharded_world(200, 9, n_shards=4)
+        plan = index.plan(predicate, ef_search=32)
         assert plan.n_pruned + plan.n_probed == plan.n_shards == 4
         for decision in plan.decisions:
-            if decision.pruned:
-                local_mask = predicate.compile(
-                    tables[decision.shard_id]
-                ).mask
-                assert not local_mask.any(), (
-                    f"router pruned shard {decision.shard_id} "
-                    f"({decision.reason!r}) but {int(local_mask.sum())} "
-                    "rows pass"
-                )
+            local_mask = predicate.compile(tables[decision.shard_id]).mask
+            assert decision.pruned == (not local_mask.any()), (
+                f"shard {decision.shard_id} ({decision.reason!r}) has "
+                f"{int(local_mask.sum())} passing rows"
+            )
+            assert decision.reason == (
+                "no passing rows" if decision.pruned else "probe")
 
     def test_disjoint_range_prunes(self):
-        _, table = make_world(n=200, seed=9)
-        _, _, summaries = make_shard_summaries(
-            table, AttributeRangePartitioner("year", n_shards=4)
-        )
-        router = ShardRouter(summaries)
-        plan = router.plan(Between("year", 2000, 2002), k=5, ef_search=32)
+        index, _ = sharded_world(200, 9, n_shards=4)
+        plan = index.plan(Between("year", 2000, 2002), ef_search=32)
         assert plan.n_pruned >= 1
 
     def test_empty_shard_always_pruned(self):
-        empty = summarize_table(AttributeTable(0))
-        router = ShardRouter([empty])
-        plan = router.plan(TruePredicate(), k=5, ef_search=32)
-        assert plan.decisions[0].pruned
-        assert plan.decisions[0].reason == "empty shard"
+        # Boundaries outside the column's range leave shards 0 and 2
+        # without a row.
+        index, _ = sharded_world(60, 4, boundaries=(1900.0, 2100.0))
+        assert [len(shard) for shard in index.shards] == [0, 60, 0]
+        plan = index.plan(TruePredicate(), ef_search=32)
+        assert [d.pruned for d in plan.decisions] == [True, False, True]
+        assert plan.decisions[0].reason == "no passing rows"
 
-    def test_regex_never_pruned(self):
-        _, table = make_world(n=100, seed=2)
-        _, _, summaries = make_shard_summaries(
-            table, AttributeRangePartitioner("year", n_shards=3)
-        )
-        plan = ShardRouter(summaries).plan(
-            RegexMatch("cat", r"nothing-matches"), k=5, ef_search=32
-        )
-        assert plan.n_pruned == 0
+    def test_regex_prunes_on_its_mask(self):
+        """A regex prunes like any other predicate: the plan reads the
+        mask it compiled to, whatever its shape."""
+        index, tables = sharded_world(100, 2, n_shards=3)
+        plan = index.plan(RegexMatch("cat", r"nothing-matches"), ef_search=32)
+        assert plan.n_pruned == 3
+        # Every row's ``cat`` matches; ``year`` splits the shards, so
+        # the conjunction passes rows of shard 0 only.
+        first_year = int(np.asarray(tables[0].column("year")).min())
+        plan = index.plan(And(RegexMatch("cat", r"c\d"),
+                              Equals("year", first_year)), ef_search=32)
+        assert [d.pruned for d in plan.decisions] == [False, True, True]
 
 
 class TestEstimates:
     def test_estimates_in_unit_interval(self):
-        _, table = make_world(n=150, seed=4)
-        _, _, summaries = make_shard_summaries(
-            table, AttributeRangePartitioner("year", n_shards=3)
-        )
-        router = ShardRouter(summaries)
-        predicates = TestPruningSoundness.PREDICATES
-        for predicate in predicates:
-            for shard_id in range(3):
-                est = router.estimate(shard_id, predicate)
-                assert 0.0 <= est <= 1.0, (predicate, est)
+        """Each decision's selectivity is the shard's exact share of
+        passing rows."""
+        index, tables = sharded_world(150, 4, n_shards=3)
+        for predicate in TestPruningSoundness.PREDICATES:
+            plan = index.plan(predicate, ef_search=32)
+            for decision in plan.decisions:
+                local_mask = predicate.compile(tables[decision.shard_id]).mask
+                assert 0.0 <= decision.est_selectivity <= 1.0
+                assert decision.est_selectivity == local_mask.mean()
 
     def test_true_predicate_estimates_full(self):
-        _, table = make_world(n=60, seed=4)
-        summary = summarize_table(table)
-        router = ShardRouter([summary])
-        assert router.estimate(0, TruePredicate()) == 1.0
+        index, _ = sharded_world(60, 4, n_shards=1)
+        (decision,) = index.plan(TruePredicate(), ef_search=32).decisions
+        assert decision.est_selectivity == 1.0
 
 
 class TestEfScaling:
-    def _router(self):
-        _, table = make_world(n=200, seed=9)
-        _, _, summaries = make_shard_summaries(
-            table, AttributeRangePartitioner("year", n_shards=4)
-        )
-        return ShardRouter(summaries, min_ef=8)
+    """The plan never scales effort: a probe runs at the caller's
+    ``ef_search``, a pruned shard at none."""
 
     def test_scaling_off_keeps_caller_ef(self):
-        plan = self._router().plan(
-            Between("year", 2000, 2010), k=5, ef_search=64, scale_ef=False
-        )
+        index, _ = sharded_world(200, 9, n_shards=4)
+        plan = index.plan(Between("year", 2000, 2010), ef_search=64)
         assert all(d.ef_search == 64 for d in plan.probed)
-
-    def test_scaling_bounded(self):
-        plan = self._router().plan(
-            Between("year", 2000, 2004), k=5, ef_search=64, scale_ef=True
-        )
-        for decision in plan.probed:
-            assert 8 <= decision.ef_search <= 64
-        # the most selective probed shard drives the scale: at least
-        # one shard runs at the caller's full effort
-        assert any(d.ef_search == 64 for d in plan.probed)
-
-    def test_floor_respects_k(self):
-        plan = self._router().plan(
-            Between("year", 2000, 2004), k=40, ef_search=64, scale_ef=True
-        )
-        assert all(d.ef_search >= 40 for d in plan.probed)
+        assert all(d.ef_search == 0 for d in plan.decisions if d.pruned)

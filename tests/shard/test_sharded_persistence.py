@@ -1,10 +1,16 @@
-"""Sharded save/load: one archive keeps shards, router and table."""
+"""Sharded save/load: one archive keeps shards, partitioner and table."""
 
 import numpy as np
 import pytest
 
 from repro.core.params import AcornParams
-from repro.persistence import load_index, read_image, save_index
+from repro.persistence import (
+    encode_index,
+    image_layout,
+    load_index,
+    read_image,
+    save_index,
+)
 from repro.predicates import Between, TruePredicate
 from repro.shard import (
     AttributeRangePartitioner,
@@ -71,15 +77,45 @@ class TestRoundTrip:
         assert loaded.is_deleted(42)
         assert loaded.num_deleted == 2
 
-    def test_partitioner_and_router_preserved(self, sharded_index, tmp_path):
+    def test_partitioner_and_plan_preserved(self, sharded_index, tmp_path):
         save_index(sharded_index, tmp_path / "idx.npz")
         loaded = load_index(tmp_path / "idx.npz")
         assert loaded.partitioner.spec() == sharded_index.partitioner.spec()
-        plan_before = sharded_index.plan(Between("year", 2002, 2004), k=5)
-        plan_after = loaded.plan(Between("year", 2002, 2004), k=5)
-        assert [d.pruned for d in plan_after.decisions] == [
-            d.pruned for d in plan_before.decisions
-        ]
+        plan_before = sharded_index.plan(Between("year", 2002, 2004))
+        plan_after = loaded.plan(Between("year", 2002, 2004))
+        assert plan_after.decisions == plan_before.decisions
+        assert plan_after.n_pruned >= 1
+
+    def test_meta_holds_no_summaries(self, sharded_index, tmp_path):
+        """Pruning reads the query's mask, so the archive keeps no
+        per-shard summaries and no effort-scaling settings."""
+        save_index(sharded_index, tmp_path / "idx.npz")
+        meta, _ = read_image(
+            np.fromfile(tmp_path / "idx.npz", dtype=np.uint8), "idx")
+        assert not {"scale_ef", "min_ef", "summaries"} & set(meta)
+
+    def test_older_archive_with_summaries_loads(self, sharded_index,
+                                                tmp_path, query):
+        """An archive written while the index still kept summaries
+        carries three more meta keys; the decoder ignores them and the
+        index answers byte-identically."""
+        meta, arrays = encode_index(sharded_index)
+        older = {**meta, "scale_ef": False, "min_ef": 16, "summaries": [
+            {"n_rows": len(shard), "numeric": {}, "keywords": {}}
+            for shard in sharded_index.shards]}
+        size, pieces = image_layout(older, arrays)
+        with open(tmp_path / "older.npz", "wb") as handle:
+            for offset, piece in pieces:
+                handle.seek(offset)
+                handle.write(piece)
+            handle.truncate(size)
+        loaded = load_index(tmp_path / "older.npz")
+        for predicate in (TruePredicate(), Between("year", 2002, 2008)):
+            before = sharded_index.search(query, predicate, 8, ef_search=N)
+            after = loaded.search(query, predicate, 8, ef_search=N)
+            assert after.ids.tobytes() == before.ids.tobytes()
+            assert after.distances.tobytes() == before.distances.tobytes()
+            assert after.per_shard == before.per_shard
 
     def test_save_index_load_index_dispatch(self, sharded_index, tmp_path,
                                             query):

@@ -95,8 +95,7 @@ def _state(index):
         state.update(deleted=sorted(index._deleted), params=index.params)
     if isinstance(index, ShardedAcornIndex):
         state.update(
-            partitioner=index.partitioner.spec(), scale_ef=index.scale_ef,
-            summaries=[s.to_dict() for s in index.router.summaries],
+            partitioner=index.partitioner.spec(),
             deleted=[sorted(s._deleted) for s in index.shards],
         )
     if isinstance(index, LifecycleIndex):

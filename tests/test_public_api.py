@@ -65,6 +65,18 @@ class TestExports:
                 f"repro.serving.__all__ exports missing {name}"
             )
 
+    def test_shard_exports_pinned(self):
+        """Pruning reads the compiled mask: no router or summaries."""
+        from repro import shard
+
+        for name in shard.__all__:
+            assert hasattr(shard, name)
+        for name in ("ShardRouter", "ShardSummary", "KeywordDigest",
+                     "NumericSummary", "KeywordSummary", "summarize_table"):
+            assert not hasattr(shard, name)
+            assert name not in repro.__all__
+        assert {"ShardPlan", "ShardDecision"} <= set(shard.__all__)
+
     def test_lifecycle_namespace(self):
         from repro import lifecycle
 
