@@ -61,7 +61,7 @@ def greedy_search(
     starts = [s for s in starts if allowed is None or allowed[s]]
     if not starts:
         return [], []
-    dists = computer.distances_to(query, np.asarray(starts, dtype=np.intp))
+    dists = computer.distances_to(query, starts)
     beam = sorted(zip(dists.tolist(), starts))[:list_size]
     in_beam = {node for _, node in beam}
     expanded: set[int] = set()
@@ -81,7 +81,7 @@ def greedy_search(
         ]
         if not fresh:
             continue
-        fresh_dists = computer.distances_to(query, np.asarray(fresh, dtype=np.intp))
+        fresh_dists = computer.distances_to(query, fresh)
         for node, dist in zip(fresh, fresh_dists.tolist()):
             beam.append((dist, node))
             in_beam.add(node)

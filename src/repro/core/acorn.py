@@ -44,6 +44,16 @@ from repro.vectors.distance import DistanceComputer, Metric, exact_top_k
 from repro.vectors.store import VectorStore
 
 
+def _insort_edge(
+    neighbor_ids: list[int], dists: list[float], neighbor: int, dist: float
+) -> None:
+    """Insert ``neighbor`` at ``dist`` into a distance-sorted edge list
+    (after any equal distance)."""
+    pos = bisect.bisect(dists, dist)
+    neighbor_ids.insert(pos, neighbor)
+    dists.insert(pos, dist)
+
+
 class AcornIndex(Searcher):
     """ACORN-γ: a predicate-agnostic hybrid-search index.
 
@@ -200,10 +210,20 @@ class AcornIndex(Searcher):
                 ][: self.params.max_degree]
                 selected = self._select_edges(computer, node, candidates, lev)
                 self.graph.set_neighbors(node, lev, [nid for _, nid in selected])
-                self._edge_dists[lev][node] = [dist for dist, _ in selected]
+                edge_dists = self._edge_dists[lev]
+                edge_dists[node] = [dist for dist, _ in selected]
+                # Reverse edges: an owner with room takes the new node in
+                # distance order; a full one goes through the shrink.
+                adjacency = self.graph.level_adjacency(lev)
+                cap = self._level_cap(lev)
                 for dist, neighbor in selected:
-                    self._add_reverse_edge(computer, neighbor, node, dist, lev,
-                                           fresh=True)
+                    neighbor_ids = adjacency[neighbor]
+                    if len(neighbor_ids) < cap:
+                        _insort_edge(neighbor_ids, edge_dists[neighbor],
+                                     node, dist)
+                    else:
+                        self._add_reverse_edge(computer, neighbor, node, dist,
+                                               lev, fresh=True)
                 entry_points = found
 
             if level > top:
@@ -231,6 +251,14 @@ class AcornIndex(Searcher):
             computer, query, [best], 1, self.graph.level_adjacency(level),
             thread_scratch(len(self.store)), trunc=trunc,
         )[0]
+
+    def _level_cap(self, level: int) -> int:
+        """Longest list ``level`` keeps before a reverse edge shrinks it.
+
+        A compressed level above 0 implies pruning, where ``_cap0`` is
+        ``max_degree`` too.
+        """
+        return self._cap0 if level == 0 else self.params.max_degree
 
     def _is_compressed(self, level: int) -> bool:
         """Whether ``level`` stores pruned lists (bottom-up nc levels)."""
@@ -294,17 +322,12 @@ class AcornIndex(Searcher):
         dists = self._edge_dists[level][owner]
         if not fresh and new_neighbor in neighbor_ids:
             return
-        pos = bisect.bisect(dists, dist)
-        neighbor_ids.insert(pos, new_neighbor)
-        dists.insert(pos, dist)
-
-        if not self._is_compressed(level):
-            cap = self._cap0 if level == 0 else self.params.max_degree
-            if len(neighbor_ids) > cap:
-                neighbor_ids.pop()
-                dists.pop()
+        _insort_edge(neighbor_ids, dists, new_neighbor, dist)
+        if len(neighbor_ids) <= self._level_cap(level):
             return
-        if len(neighbor_ids) <= self._cap0:
+        if not self._is_compressed(level):
+            neighbor_ids.pop()
+            dists.pop()
             return
         candidates = list(zip(dists, neighbor_ids))
         selected = self._select_edges(computer, owner, candidates, level=level)

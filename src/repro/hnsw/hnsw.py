@@ -180,8 +180,7 @@ class HnswIndex:
         neighbor_ids.append(new_neighbor)
         if len(neighbor_ids) <= cap:
             return
-        ids = np.asarray(neighbor_ids, dtype=np.intp)
-        dists = computer.distances_to(computer.base[owner], ids)
+        dists = computer.distances_to(computer.base[owner], neighbor_ids)
         candidates = list(zip(dists.tolist(), neighbor_ids))
         selected = select_neighbors_heuristic(
             computer.base, candidates, cap, metric=self.metric

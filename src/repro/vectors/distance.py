@@ -46,9 +46,24 @@ def resolve_metric(metric: "Metric | str") -> Metric:
         ) from None
 
 
+# The C function ``np.einsum`` itself calls when ``optimize=False``
+# (numpy 2 moved it to ``numpy._core``), resolved once: calling it
+# directly skips about a microsecond of Python argument handling per
+# call and returns the same bytes by construction.
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy 1.x
+    try:
+        from numpy.core.multiarray import c_einsum as _c_einsum
+    except ImportError:
+        _c_einsum = np.einsum
+
+_FLOAT32 = np.dtype(np.float32)
+
+
 def _l2_sq(base: np.ndarray, query: np.ndarray) -> np.ndarray:
     diff = base - query
-    return np.einsum("ij,ij->i", diff, diff)
+    return _c_einsum("ij,ij->i", diff, diff)
 
 
 def _neg_ip(base: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -182,6 +197,7 @@ class DistanceComputer:
         self.base = base
         self.metric = resolve_metric(metric)
         self._kernel = _KERNELS[self.metric]
+        self._l2 = self.metric is Metric.L2
         if self.metric is Metric.COSINE:
             if base_norms is None:
                 base_norms = np.linalg.norm(base, axis=1)
@@ -284,24 +300,27 @@ class DistanceComputer:
             raise ValueError("query contains non-finite values (NaN or inf)")
         return query
 
-    def distances_to(self, query: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    def distances_to(
+        self, query: np.ndarray, ids: "np.ndarray | list[int]"
+    ) -> np.ndarray:
         """Distances from ``query`` to base rows ``ids`` (counted).
 
-        ``ids`` is gathered with ``take`` rather than fancy indexing:
-        for a non-``intp`` index array (the CSR is int32) fancy indexing
-        first casts the whole index, roughly doubling a small gather.
+        ``ids`` may be a list or an integer array of any width: ``take``
+        converts it itself, and unlike fancy indexing it does not first
+        cast a non-``intp`` array (the CSR is int32) to a fresh index.
+        A float32 L2 call is the gather, an in-place subtract on that
+        private copy and one C reduction; the count is inlined.
         """
-        if not isinstance(ids, np.ndarray):
-            ids = np.asarray(ids, dtype=np.intp)
-        self.add_count(ids.size)
         rows = self.base.take(ids, axis=0)
+        if self._deferred:
+            self._pending += len(rows)
+        else:
+            self.add_count(len(rows))
+        if self._l2 and query.dtype is _FLOAT32:
+            np.subtract(rows, query, out=rows)
+            return _c_einsum("ij,ij->i", rows, rows)
         if self._base_norms is not None:
             return _cosine_from_norms(rows, self._base_norms.take(ids), query)
-        if self.metric is Metric.L2 and query.dtype == rows.dtype:
-            # ``rows`` is a private copy: subtract in place instead of
-            # allocating ``rows - query`` (same arithmetic, same bytes).
-            np.subtract(rows, query, out=rows)
-            return np.einsum("ij,ij->i", rows, rows)
         return self._kernel(rows, query)
 
     def distance_one(self, query: np.ndarray, node_id: int) -> float:
@@ -310,8 +329,12 @@ class DistanceComputer:
         Raises:
             IndexError: if ``node_id`` is outside the base (indexing
                 the row directly, where a slice would be silently
-                empty).
+                empty; a negative id is refused, not wrapped).
         """
+        if node_id < 0:
+            raise IndexError(
+                f"node id {node_id} is outside the base of {len(self)} rows"
+            )
         self.add_count(1)
         row = self.base[node_id][None, :]
         if self._base_norms is not None:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.vectors.distance import (
+    GLOBAL_TALLY,
     DistanceComputer,
     Metric,
+    _c_einsum,
     pairwise_distances,
     resolve_metric,
 )
@@ -86,6 +88,14 @@ class TestDistanceComputer:
         with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
             computer.distance_one(base[0], bad)
 
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    def test_single_negative_id_is_an_index_error(self, base, metric):
+        """Refused, not wrapped around to the last row."""
+        computer = DistanceComputer(base, metric)
+        with pytest.raises(IndexError, match="-1 is outside"):
+            computer.distance_one(base[0], -1)
+        assert computer.count == 0
+
     def test_counts_all(self, base):
         computer = DistanceComputer(base)
         computer.distances_to_all(base[0])
@@ -165,3 +175,82 @@ class TestPrecomputedCosineNorms:
         computer = DistanceComputer(padded, metric="cosine")
         got = computer.distances_to(padded[0], np.array([len(padded) - 1]))
         assert np.isfinite(got).all()
+
+
+def _reference(metric, rows, query):
+    """Each metric's textbook formula, on already-gathered rows."""
+    if metric == "l2":
+        diff = rows - query
+        return np.einsum("ij,ij->i", diff, diff)
+    if metric == "ip":
+        return -(rows @ query)
+    denom = np.maximum(np.linalg.norm(rows, axis=1) * np.linalg.norm(query),
+                       np.finfo(np.float32).tiny)
+    return 1.0 - (rows @ query) / denom
+
+
+class TestLeanEntry:
+    """``distances_to`` takes ids as given and returns the reference bytes."""
+
+    IDS = {
+        "list": [7, 0, 49, 7, 3],
+        "int32": np.array([7, 0, 49, 7, 3], dtype=np.int32),
+        "intp": np.array([7, 0, 49, 7, 3], dtype=np.intp),
+        "empty": np.empty(0, dtype=np.intp),
+        "empty-list": [],
+    }
+
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    @pytest.mark.parametrize("kind", sorted(IDS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_reference(self, base, metric, kind, dtype):
+        ids = self.IDS[kind]
+        query = (base[11] * 0.5 + 0.25).astype(dtype)
+        got = DistanceComputer(base, metric).distances_to(query, ids)
+        want = _reference(metric, base[np.asarray(ids, dtype=np.intp)], query)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    def test_distance_one_equals_a_one_id_call(self, base, metric):
+        computer = DistanceComputer(base, metric)
+        for node in (0, 17, len(base) - 1):
+            batch = computer.distances_to(base[3], [node])
+            assert computer.distance_one(base[3], node) == float(batch[0])
+
+    @pytest.mark.parametrize("kind", ["list", "int32", "intp", "empty"])
+    def test_locked_count_and_tally_advance_per_call(self, base, kind):
+        ids = self.IDS[kind]
+        computer = DistanceComputer(base)
+        before = GLOBAL_TALLY.total
+        computer.distances_to(base[0], ids)
+        computer.distances_to(base[1], ids)
+        assert computer.count == 2 * len(ids)
+        assert GLOBAL_TALLY.total - before == 2 * len(ids)
+
+    @pytest.mark.parametrize("kind", ["list", "int32", "intp", "empty"])
+    def test_deferred_count_settles_on_flush(self, base, kind):
+        ids = self.IDS[kind]
+        computer = DistanceComputer(base)
+        computer.defer_counts()
+        before = GLOBAL_TALLY.total
+        computer.distances_to(base[0], ids)
+        computer.distances_to(base[1], ids)
+        assert computer.count == 2 * len(ids)
+        assert GLOBAL_TALLY.total == before
+        assert computer.flush_counts() == 2 * len(ids)
+        assert computer.count == 2 * len(ids)
+        assert GLOBAL_TALLY.total - before == 2 * len(ids)
+
+    @pytest.mark.parametrize("shape", [(0, 8), (1, 1), (3, 32), (17, 5),
+                                       (64, 128), (1000, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_c_entry_is_numpy_einsum(self, shape, dtype):
+        gen = np.random.default_rng(shape[0] * 1000 + shape[1])
+        a = gen.standard_normal(shape).astype(dtype)
+        b = gen.standard_normal(shape).astype(dtype)
+        for x, y in ((a, a), (a, b)):
+            got = _c_einsum("ij,ij->i", x, y)
+            want = np.einsum("ij,ij->i", x, y)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
