@@ -24,24 +24,16 @@ from repro.core import construction as cons
 from repro.core.params import AcornParams, PruningStrategy
 from repro.core.search import (
     FrozenLevel,
-    assert_frozen,
     compressed_neighbors,
     filtered_neighbors,
-    freeze_graph,
 )
 from repro.core.searcher import Searcher, check_search_args
-from repro.hnsw.graph import LayeredGraph
-from repro.hnsw.hnsw import SearchResult
+from repro.hnsw.heuristics import select_neighbors_heuristic
+from repro.hnsw.hnsw import HnswBase, SearchResult
 from repro.hnsw.levels import LevelGenerator
-from repro.hnsw.scratch import thread_scratch
-from repro.hnsw.traversal import (
-    TraversalStats,
-    search_frozen_level,
-    search_live_level,
-)
+from repro.hnsw.traversal import TraversalStats
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.vectors.distance import DistanceComputer, Metric, exact_top_k
-from repro.vectors.store import VectorStore
 
 
 def _insort_edge(
@@ -54,8 +46,12 @@ def _insort_edge(
     dists.insert(pos, dist)
 
 
-class AcornIndex(Searcher):
+class AcornIndex(HnswBase, Searcher):
     """ACORN-γ: a predicate-agnostic hybrid-search index.
+
+    HNSW's machinery (:class:`~repro.hnsw.hnsw.HnswBase`) with ACORN's
+    edge rules (M·γ candidates, Mβ compression) and a search that walks
+    under the predicate mask.
 
     Args:
         dim: vector dimensionality.
@@ -79,22 +75,19 @@ class AcornIndex(Searcher):
         seed: int | np.random.Generator | None = None,
         labels: np.ndarray | None = None,
     ) -> None:
-        self.params = params if params is not None else AcornParams()
+        self.params = p = params if params is not None else AcornParams()
         self.table = table
-        self.store = VectorStore(dim, metric=metric)
-        self.graph = LayeredGraph()
-        level_base = (
-            self.params.max_degree
-            if self.params.flatten_levels
-            else self.params.m
+        level_base = p.max_degree if p.flatten_levels else p.m
+        super().__init__(
+            dim, metric, LevelGenerator(max(level_base, 2), seed=seed),
+            p.effective_ef_construction,
+            trunc=p.m if p.truncate_construction else None,
         )
-        self._levels = LevelGenerator(max(level_base, 2), seed=seed)
         self._edge_dists: list[dict[int, list[float]]] = []
         self._labels = labels
-        if self.params.pruning is PruningStrategy.RNG_METADATA and labels is None:
+        if p.pruning is PruningStrategy.RNG_METADATA and labels is None:
             raise ValueError("metadata-aware pruning requires `labels`")
         self.pruning_stats = cons.PruningStats()
-        self._frozen: list[FrozenLevel] | None = None
         self._deleted: set[int] = set()
         # Tombstone-composed predicate masks, keyed on (mask identity,
         # deleted-set version); see _effective_mask.
@@ -106,19 +99,10 @@ class AcornIndex(Searcher):
         # unpruned one keeps nearest up to 2·M·γ (mirroring HNSW's 2M
         # with γ=1).  Tighter caps would break the search-time 2-hop
         # recovery, which needs list entries past Mβ to expand.
-        p = self.params
         if p.pruning is PruningStrategy.NONE:
             self._cap0 = 2 * p.max_degree
         else:
             self._cap0 = p.max_degree
-
-    def __len__(self) -> int:
-        return len(self.store)
-
-    @property
-    def metric(self) -> Metric:
-        """The configured distance metric."""
-        return self.store.metric
 
     # ------------------------------------------------------------------
     # Construction (paper §5.2)
@@ -169,68 +153,31 @@ class AcornIndex(Searcher):
                 f"node {len(self.store)} has no attribute row "
                 f"(table has {len(self.table)})"
             )
-        node = self.store.add(vector)
-        self._frozen = None
-        trunc = self.params.m if self.params.truncate_construction else None
-        level = self._levels.draw()
-        if len(self.graph) == 0:
-            self._register_node(node, level)
-            self.graph.entry_point = node
-            return node
+        return super().add(vector)
 
-        computer = self.store.computer()
-        computer.defer_counts()
-        try:
-            query = computer.set_query(vector)
-            entry = self.graph.entry_point
-            top = self.graph.node_level(entry)
-            best = (computer.distance_one(query, entry), entry)
-
-            # Greedy descent above the node's level, truncated-M lookups.
-            for lev in range(top, level, -1):
-                best = self._greedy_step(computer, query, best, lev)
-
-            self._register_node(node, level)
-            ef_cand = self.params.effective_ef_construction
-            scratch = thread_scratch(len(self.store))
-            entry_points = [best]
-            for lev in range(min(level, top), -1, -1):
-                if lev == 0:
-                    entry_points = self._bottom_seeds(computer, query,
-                                                      entry_points)
-                found = search_live_level(
-                    computer, query, entry_points, ef_cand,
-                    self.graph.level_adjacency(lev), scratch, trunc=trunc,
-                )
-                # The node under insertion is already registered; seed
-                # hooks (flat substrate) could surface it — never
-                # self-link.
-                candidates = [
-                    (dist, cand) for dist, cand in found if cand != node
-                ][: self.params.max_degree]
-                selected = self._select_edges(computer, node, candidates, lev)
-                self.graph.set_neighbors(node, lev, [nid for _, nid in selected])
-                edge_dists = self._edge_dists[lev]
-                edge_dists[node] = [dist for dist, _ in selected]
-                # Reverse edges: an owner with room takes the new node in
-                # distance order; a full one goes through the shrink.
-                adjacency = self.graph.level_adjacency(lev)
-                cap = self._level_cap(lev)
-                for dist, neighbor in selected:
-                    neighbor_ids = adjacency[neighbor]
-                    if len(neighbor_ids) < cap:
-                        _insort_edge(neighbor_ids, edge_dists[neighbor],
-                                     node, dist)
-                    else:
-                        self._add_reverse_edge(computer, neighbor, node, dist,
-                                               lev, fresh=True)
-                entry_points = found
-
-            if level > top:
-                self.graph.entry_point = node
-        finally:
-            computer.flush_counts()
-        return node
+    def _link(self, computer, node, found, level):
+        """Keep the nearest M·γ of ``found`` through :meth:`_select_edges`;
+        reverse edges land in distance order."""
+        # The node under insertion is already registered; seed hooks
+        # (flat substrate) could surface it — never self-link.
+        candidates = [
+            (dist, cand) for dist, cand in found if cand != node
+        ][: self.params.max_degree]
+        selected = self._select_edges(computer, node, candidates, level)
+        self.graph.set_neighbors(node, level, [nid for _, nid in selected])
+        edge_dists = self._edge_dists[level]
+        edge_dists[node] = [dist for dist, _ in selected]
+        # Reverse edges: an owner with room takes the new node in
+        # distance order; a full one goes through the shrink.
+        adjacency = self.graph.level_adjacency(level)
+        cap = self._level_cap(level)
+        for dist, neighbor in selected:
+            neighbor_ids = adjacency[neighbor]
+            if len(neighbor_ids) < cap:
+                _insort_edge(neighbor_ids, edge_dists[neighbor], node, dist)
+            else:
+                self._add_reverse_edge(computer, neighbor, node, dist,
+                                       level, fresh=True)
 
     def _register_node(self, node: int, level: int) -> None:
         self.graph.add_node(node, level)
@@ -238,19 +185,6 @@ class AcornIndex(Searcher):
             self._edge_dists.append({})
         for lev in range(level + 1):
             self._edge_dists[lev].setdefault(node, [])
-
-    def _greedy_step(
-        self,
-        computer: DistanceComputer,
-        query: np.ndarray,
-        best: tuple[float, int],
-        level: int,
-    ) -> tuple[float, int]:
-        trunc = self.params.m if self.params.truncate_construction else None
-        return search_live_level(
-            computer, query, [best], 1, self.graph.level_adjacency(level),
-            thread_scratch(len(self.store)), trunc=trunc,
-        )[0]
 
     def _level_cap(self, level: int) -> int:
         """Longest list ``level`` keeps before a reverse edge shrinks it.
@@ -291,8 +225,8 @@ class AcornIndex(Searcher):
                 stats=self.pruning_stats,
             )
         if pruning is PruningStrategy.RNG_BLIND:
-            return cons.prune_rng_blind(
-                candidates, computer.base, self.params.max_degree,
+            return select_neighbors_heuristic(
+                computer.base, candidates, self.params.max_degree,
                 metric=self.metric, stats=self.pruning_stats,
             )
         return cons.prune_rng_metadata(
@@ -344,23 +278,11 @@ class AcornIndex(Searcher):
     # Search (paper §5.1, Algorithm 2)
     # ------------------------------------------------------------------
 
-    def _adjacency(self) -> list[FrozenLevel]:
-        if self._frozen is None:
-            frozen = freeze_graph(self.graph, self._level_m_beta)
-            assert_frozen(frozen)
-            self._frozen = frozen
-        return self._frozen
-
     def freeze(self) -> list[FrozenLevel]:
-        """Materialize (and cache) the read-only adjacency snapshot.
-
-        The batch engine calls this before fanning a batch across
-        threads so every worker shares one snapshot instead of racing to
-        build it.  Only the raw CSR is built (and checked against the
-        :func:`~repro.core.search.freeze_graph` immutability contract,
-        once); each node's candidate row is built by the first walk that
-        expands it.  Invalidated by :meth:`add`.
-        """
+        """The base's :meth:`~repro.hnsw.hnsw.HnswBase.freeze`, restated:
+        the traced benchmark wraps ``build``, ``freeze`` and ``search``
+        through this class's own ``__dict__``
+        (``tests/test_tracer_contract.py``)."""
         return self._adjacency()
 
     def _level_m_beta(self, level: int) -> int | None:
@@ -382,22 +304,6 @@ class AcornIndex(Searcher):
         if m_beta is None:
             return lambda c: filtered_neighbors(adjacency, c, mask)
         return lambda c: compressed_neighbors(adjacency, c, mask, m_beta)
-
-    def _search_level(
-        self,
-        computer: DistanceComputer,
-        query: np.ndarray,
-        seeds: list[tuple[float, int]],
-        ef: int,
-        level: int,
-        mask: np.ndarray,
-        stats: TraversalStats,
-    ) -> list[tuple[float, int]]:
-        """One level of a frozen search, in a fresh visited scope."""
-        return search_frozen_level(
-            computer, query, seeds, ef, self._adjacency()[level], mask,
-            thread_scratch(len(self.store)), stats=stats,
-        )
 
     def search(
         self,
@@ -453,19 +359,8 @@ class AcornIndex(Searcher):
                         distance_computations=passing.size)
 
             tstats = TraversalStats()
-            best = (computer.distance_one(query, entry), entry)
-            tstats.visited += 1
-            for lev in range(self.graph.node_level(entry), 0, -1):
-                best = self._search_level(
-                    computer, query, [best], 1, lev, mask, tstats,
-                )[0]
-
-            entry_points = self._bottom_seeds(computer, query, [best])
-            tstats.visited += len(entry_points)
-            found = self._search_level(
-                computer, query, entry_points, max(ef_search, k), 0, mask,
-                tstats,
-            )
+            found = self._walk(computer, query, entry, max(ef_search, k),
+                               mask, tstats)
         finally:
             computer.flush_counts()
         # Seeds may fail the predicate (the fixed entry point need not
@@ -527,22 +422,6 @@ class AcornIndex(Searcher):
             self._mask_cache[key] = (mask, version, composed)
             return composed
 
-    def _bottom_seeds(
-        self,
-        computer: DistanceComputer,
-        query: np.ndarray,
-        seeds: list[tuple[float, int]],
-    ) -> list[tuple[float, int]]:
-        """Entry points for the bottom-level traversal.
-
-        The hierarchical index needs only the descent's best node: its
-        upper levels already routed the query.  Flat substrates override
-        this to add spread-out extra seeds (they have no hierarchy to
-        route with) — during both search and construction, since a flat
-        graph built with single-seed candidate searches fragments.
-        """
-        return seeds
-
     # ------------------------------------------------------------------
     # Deletion (tombstones)
     # ------------------------------------------------------------------
@@ -577,17 +456,6 @@ class AcornIndex(Searcher):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def nbytes(self) -> int:
-        """Vector payload + adjacency footprint (Table 5 methodology)."""
-        return self.store.nbytes() + self.graph.nbytes()
-
-    def out_degree_by_level(self) -> dict[int, float]:
-        """Average out-degree per level (Table 6 methodology)."""
-        return {
-            lev: self.graph.average_out_degree(lev)
-            for lev in range(self.graph.max_level + 1)
-        }
 
     def stats(self) -> dict:
         """A structured summary of the built index.

@@ -16,10 +16,10 @@ The two construction-time modifications the paper makes to HNSW (§5.2):
    compression-aware search lookup expands (Figure 4b), so every pruned
    edge is recoverable *regardless of the query predicate*.
 
-The alternative pruning rules compared in Figure 12 (HNSW's
-metadata-blind RNG heuristic and FilteredDiskANN's metadata-aware RNG
-rule) live here too, selected by
-:class:`~repro.core.params.PruningStrategy`.
+The alternative pruning rules compared in Figure 12 are selected by
+:class:`~repro.core.params.PruningStrategy`: FilteredDiskANN's
+metadata-aware RNG rule lives here; HNSW's metadata-blind one is
+:func:`repro.hnsw.heuristics.select_neighbors_heuristic` itself.
 """
 
 from __future__ import annotations
@@ -121,36 +121,6 @@ def prune_predicate_agnostic(
             continue
         kept.append((dist, cand))
         two_hop.update(graph.neighbors(cand, level))
-    if stats is not None:
-        stats.record(seen=len(candidates), kept=len(kept))
-    return kept
-
-
-def prune_rng_blind(
-    candidates: Sequence[tuple[float, int]],
-    vectors: np.ndarray,
-    max_keep: int,
-    metric: "Metric | str" = Metric.L2,
-    stats: PruningStats | None = None,
-) -> list[tuple[float, int]]:
-    """HNSW's metadata-blind RNG pruning, applied to ACORN's candidates.
-
-    Included for Figure 12: the paper shows this rule severs predicate
-    subgraphs (the relay node of a pruned triangle may fail the query
-    predicate), significantly degrading hybrid-search recall.
-    """
-    kernel = _KERNELS[resolve_metric(metric)]
-    kept: list[tuple[float, int]] = []
-    kept_ids: list[int] = []
-    for dist_c, cand in candidates:
-        if len(kept) >= max_keep:
-            break
-        if kept_ids:
-            dists = kernel(vectors[kept_ids], vectors[cand])
-            if bool((dists < dist_c).any()):
-                continue
-        kept.append((dist_c, cand))
-        kept_ids.append(cand)
     if stats is not None:
         stats.record(seen=len(candidates), kept=len(kept))
     return kept

@@ -5,13 +5,14 @@ implementation of Malkov & Yashunin's index with exponentially-decaying
 level assignment, greedy layered descent, ef-bounded best-first search,
 and RNG-heuristic neighbor selection.  The ACORN indices in
 :mod:`repro.core` reuse this package's layered graph storage and
-traversal loop, exactly as the paper implements ACORN by extending an
-HNSW library.
+traversal loop and extend its index class (:class:`~repro.hnsw.hnsw.HnswBase`: insert
+loop, frozen snapshot, descent and walk), exactly as the paper
+implements ACORN by extending an HNSW library.
 """
 
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.hnsw import HnswIndex
-from repro.hnsw.heuristics import select_neighbors_heuristic, select_neighbors_simple
+from repro.hnsw.heuristics import select_neighbors_heuristic
 from repro.hnsw.levels import LevelGenerator
 from repro.hnsw.scratch import TraversalScratch, thread_scratch
 from repro.hnsw.traversal import (
@@ -31,6 +32,5 @@ __all__ = [
     "search_layer",
     "search_live_level",
     "select_neighbors_heuristic",
-    "select_neighbors_simple",
     "thread_scratch",
 ]

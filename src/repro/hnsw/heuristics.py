@@ -1,4 +1,4 @@
-"""Neighbor-selection strategies for graph construction.
+"""HNSW's neighbor selection: the RNG heuristic.
 
 HNSW selects at most M edges from its efc candidates using an
 RNG-approximation heuristic (paper §2.1, [31]): iterate candidates from
@@ -8,24 +8,22 @@ longest edge of every candidate triangle.  §5.2 of the ACORN paper shows
 why this *metadata-blind* rule breaks hybrid search: the kept relay node
 may fail the query predicate, severing the pruned path inside the
 predicate subgraph.  ACORN therefore replaces it (see
-``repro.core.construction``); the implementations here serve the HNSW
-baseline, the oracle partitions, and Figure 12's pruning comparison.
+``repro.core.construction``); the heuristic here serves the HNSW
+baseline, the oracle partitions, and Figure 12's metadata-blind pruning
+rule (``PruningStrategy.RNG_BLIND``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.vectors.distance import Metric, _KERNELS, resolve_metric
 
-
-def select_neighbors_simple(
-    candidates: Sequence[tuple[float, int]], m: int
-) -> list[tuple[float, int]]:
-    """Keep the ``m`` nearest candidates (the naive KNN selection)."""
-    return sorted(candidates)[:m]
+if TYPE_CHECKING:
+    from repro.core.construction import PruningStats
 
 
 def select_neighbors_heuristic(
@@ -33,15 +31,22 @@ def select_neighbors_heuristic(
     candidates: Sequence[tuple[float, int]],
     m: int,
     metric: "Metric | str" = Metric.L2,
+    stats: "PruningStats | None" = None,
 ) -> list[tuple[float, int]]:
     """HNSW's RNG-based pruning (Algorithm 4 of Malkov & Yashunin).
+
+    Candidate-to-candidate distances are computed outside any
+    :class:`~repro.vectors.distance.DistanceComputer`, so they are not
+    counted.
 
     Args:
         vectors: base vector matrix used for candidate-to-candidate
             distances.
-        candidates: (distance-to-target, id) pairs.
+        candidates: (distance-to-target, id) pairs, in any order; they
+            are visited in ascending (distance, id) order.
         m: maximum number of neighbors to keep.
         metric: distance metric matching the candidate distances.
+        stats: optional counter sink (one ``record`` per call).
 
     Returns:
         Selected (distance, id) pairs in ascending distance order.
@@ -60,4 +65,6 @@ def select_neighbors_heuristic(
                 continue
         selected.append((dist_c, cand))
         selected_ids.append(cand)
+    if stats is not None:
+        stats.record(seen=len(candidates), kept=len(selected))
     return selected

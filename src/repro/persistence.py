@@ -483,8 +483,8 @@ def _decode_graph(meta: dict, image: _Reader):
                                                   "node_ids"))
         _check_csr(image, level, node_levels, indptr, indices, node_ids)
         adjacency.append(_rows(indptr, indices, node_ids))
-        m_beta = None if cls is HnswIndex else index._level_m_beta(level)
-        frozen.append(FrozenLevel(indptr, indices, node_ids, m_beta))
+        frozen.append(FrozenLevel(indptr, indices, node_ids,
+                                  index._level_m_beta(level)))
         if cls is not HnswIndex:
             flat = image.get(f"L{level}.dists", np.float32)
             image.check(flat.size == indices.size, f"L{level}.dists",

@@ -310,6 +310,12 @@ class DistanceComputer:
         cast a non-``intp`` array (the CSR is int32) to a fresh index.
         A float32 L2 call is the gather, an in-place subtract on that
         private copy and one C reduction; the count is inlined.
+
+        Every id must lie in ``[0, n)`` and none is checked here: a
+        negative one wraps to a row from the end.  The producers check
+        instead — the decoded CSR (``persistence._check_csr``),
+        ``AcornIndex.search``'s ``entry_point=`` range check, and masks'
+        ``np.flatnonzero``, which only yields valid rows.
         """
         rows = self.base.take(ids, axis=0)
         if self._deferred:

@@ -6,10 +6,10 @@ import pytest
 from repro.core.construction import (
     PruningStats,
     prune_predicate_agnostic,
-    prune_rng_blind,
     prune_rng_metadata,
 )
 from repro.hnsw.graph import LayeredGraph
+from repro.hnsw.heuristics import select_neighbors_heuristic
 
 
 def _graph_with_level0(adjacency: dict[int, list[int]]) -> LayeredGraph:
@@ -92,20 +92,26 @@ class TestPredicateAgnosticPruning:
 
 
 class TestRngBlindPruning:
+    """The ablation's rule is HNSW's heuristic, counted into ACORN's stats."""
+
     def test_matches_hnsw_heuristic_semantics(self):
         vectors = np.array(
             [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.5]], dtype=np.float32
         )
         candidates = [(1.0, 1), (4.0, 2), (2.25, 3)]
-        kept = prune_rng_blind(candidates, vectors, max_keep=10)
+        stats = PruningStats()
+        kept = select_neighbors_heuristic(vectors, candidates, 10,
+                                          stats=stats)
         assert [nid for _, nid in kept] == [1, 3]
+        assert (stats.nodes_pruned, stats.candidates_seen,
+                stats.candidates_dropped) == (1, 3, 1)
 
     def test_respects_cap(self):
         gen = np.random.default_rng(1)
         vectors = gen.standard_normal((30, 4)).astype(np.float32)
         dists = ((vectors - vectors[0]) ** 2).sum(axis=1)
         candidates = sorted((float(dists[i]), i) for i in range(1, 30))
-        kept = prune_rng_blind(candidates, vectors, max_keep=4)
+        kept = select_neighbors_heuristic(vectors, candidates, 4)
         assert len(kept) <= 4
 
 

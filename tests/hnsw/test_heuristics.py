@@ -1,19 +1,8 @@
-"""Unit tests for neighbor-selection strategies."""
+"""Unit tests for the RNG neighbor-selection heuristic."""
 
 import numpy as np
 
-from repro.hnsw.heuristics import select_neighbors_heuristic, select_neighbors_simple
-
-
-class TestSimpleSelection:
-    def test_keeps_nearest_m(self):
-        candidates = [(3.0, 3), (1.0, 1), (2.0, 2), (4.0, 4)]
-        got = select_neighbors_simple(candidates, 2)
-        assert got == [(1.0, 1), (2.0, 2)]
-
-    def test_fewer_candidates_than_m(self):
-        got = select_neighbors_simple([(1.0, 1)], 5)
-        assert got == [(1.0, 1)]
+from repro.hnsw.heuristics import select_neighbors_heuristic
 
 
 class TestRngHeuristic:

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.acorn as acorn_module
 import repro.hnsw.hnsw as hnsw_module
 from repro.attributes import AttributeTable
 from repro.core import AcornIndex, AcornOneIndex, AcornParams, FlatAcornIndex
@@ -297,15 +296,24 @@ class TestBuildIdentity:
     def test_build_equals_build_through_reference_kernel(
         self, monkeypatch, family, metric
     ):
-        """The whole insert loop, not one level: same graph, same count."""
+        """The whole insert loop, not one level: same graph, same count.
+
+        Every family inserts through ``HnswBase.add``, so patching the
+        one module it reads the kernel from reroutes them all; the call
+        count proves the patch was not a no-op.
+        """
         vectors, table = _world()
         build = _family_builds(vectors, table, metric)[family]
         got = _fingerprint(build)
-        monkeypatch.setattr(acorn_module, "search_live_level",
-                            reference_live_level)
-        monkeypatch.setattr(hnsw_module, "search_live_level",
-                            reference_live_level)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return reference_live_level(*args, **kwargs)
+
+        monkeypatch.setattr(hnsw_module, "search_live_level", counted)
         assert got == _fingerprint(build)
+        assert len(calls) >= len(vectors) - 1
 
     def test_incremental_adds_match_one_shot_build(self):
         vectors, table = _world()

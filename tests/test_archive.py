@@ -272,6 +272,11 @@ def _bad_edge(arrays):
     arrays["L0.indices"][0] = N + 5
 
 
+def _negative_edge(arrays):
+    # A kernel ``take`` would wrap -1 to the last row without a word.
+    arrays["L0.indices"][0] = -1
+
+
 def _decreasing_indptr(arrays):
     indptr = arrays["L0.indptr"]
     indptr[1], indptr[2] = indptr[2], indptr[1] - 1
@@ -293,6 +298,7 @@ class TestCsrValidation:
 
     @pytest.mark.parametrize("edit, member", [
         (_bad_edge, "L0.indices"),
+        (_negative_edge, "L0.indices"),
         (_decreasing_indptr, "L0.indptr"),
         (_level_disagrees, "L1.node_ids"),
         (_short_dists, "L0.dists"),
