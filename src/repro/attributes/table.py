@@ -33,7 +33,7 @@ class ColumnKind(enum.Enum):
     KEYWORDS = "keywords"
 
 
-class _KeywordColumn:
+class KeywordColumn:
     """CSR-encoded lists of interned keyword tokens.
 
     ``words[token]`` is the keyword a token stands for; row ``i`` holds
@@ -41,9 +41,11 @@ class _KeywordColumn:
     """
 
     def __init__(self, words: list[str], offsets: np.ndarray,
-                 tokens: np.ndarray) -> None:
+                 tokens: np.ndarray,
+                 vocab: dict[str, int] | None = None) -> None:
         self.words = words
-        self.vocab = {word: token for token, word in enumerate(words)}
+        self.vocab = (vocab if vocab is not None
+                      else {word: token for token, word in enumerate(words)})
         self.offsets = offsets
         self.tokens = tokens
         # Posting lists: rows containing each token, for inverted lookups.
@@ -58,7 +60,7 @@ class _KeywordColumn:
         )
 
     @classmethod
-    def interned(cls, lists: Sequence[Iterable[str]]) -> "_KeywordColumn":
+    def interned(cls, lists: Sequence[Iterable[str]]) -> "KeywordColumn":
         """Intern ``lists`` (one keyword list per row) in first-seen order."""
         vocab: dict[str, int] = {}
         tokens: list[int] = []
@@ -69,10 +71,40 @@ class _KeywordColumn:
             offsets[row + 1] = len(tokens)
         return cls(list(vocab), offsets, np.asarray(tokens, dtype=np.int64))
 
+    @classmethod
+    def gathered(cls, parts) -> "KeywordColumn":
+        """``rows`` of each ``(column, rows)`` of ``parts`` in turn,
+        re-interned in first-seen order: the column :meth:`interned`
+        makes of the gathered lists, without a per-row pass."""
+        joint: dict[str, int] = {}
+        pieces, lengths = [], []
+        for column, rows in parts:
+            to_joint = np.fromiter(
+                (joint.setdefault(word, len(joint)) for word in column.words),
+                dtype=np.int64, count=len(column.words))
+            starts = column.offsets[rows]
+            counts = column.offsets[rows + 1] - starts
+            # Token positions: each gathered row's run, laid end to end.
+            at = np.arange(counts.sum()) + np.repeat(
+                starts - (np.cumsum(counts) - counts), counts)
+            pieces.append(to_joint[column.tokens[at]])
+            lengths.append(counts)
+        tokens = np.concatenate(pieces)
+        seen, first = np.unique(tokens, return_index=True)
+        order = seen[np.argsort(first)]  # joint tokens, first seen first
+        dense = np.empty(len(joint), dtype=np.int64)
+        dense[order] = np.arange(order.size)
+        lengths = np.concatenate(lengths)
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        words = list(joint)
+        return cls([words[t] for t in order.tolist()], offsets, dense[tokens])
+
     def __len__(self) -> int:
         return self.offsets.shape[0] - 1
 
     def row_keywords(self, row: int) -> list[str]:
+        """The keyword list of ``row``."""
         lo, hi = self.offsets[row], self.offsets[row + 1]
         return [self.words[t] for t in self.tokens[lo:hi]]
 
@@ -126,6 +158,17 @@ class AttributeTable:
         self.num_rows = int(num_rows)
         self._columns: dict[str, tuple[ColumnKind, object]] = {}
         self._row_memo = _RowMemo()
+
+    @classmethod
+    def from_columns(cls, num_rows: int, columns) -> "AttributeTable":
+        """A table over ``(name, kind, payload)`` triples whose payloads
+        are already in their kind's layout — an int64 / float64 / object
+        array, or a keyword column — installed as they are, not copied."""
+        out = cls(num_rows)
+        for name, kind, payload in columns:
+            out._check_new(name, len(payload))
+            out._columns[name] = (kind, payload)
+        return out
 
     def __getstate__(self) -> dict:
         # The memo and its lock belong to this object, not to a copy.
@@ -206,7 +249,7 @@ class AttributeTable:
 
     def add_keywords_column(self, name: str, lists: Sequence[Iterable[str]]) -> None:
         """Add a keyword-list column (e.g. clinical areas, CLIP keywords)."""
-        col = _KeywordColumn.interned(lists)
+        col = KeywordColumn.interned(lists)
         self._check_new(name, len(col))
         self._columns[name] = (ColumnKind.KEYWORDS, col)
 
@@ -216,7 +259,7 @@ class AttributeTable:
         is a token's keyword and row ``i`` holds
         ``tokens[offsets[i]:offsets[i + 1]]`` (how an index image
         stores one)."""
-        col = _KeywordColumn(words, offsets, tokens)
+        col = KeywordColumn(words, offsets, tokens)
         self._check_new(name, len(col))
         self._columns[name] = (ColumnKind.KEYWORDS, col)
 
@@ -252,51 +295,31 @@ class AttributeTable:
         return out
 
 
-def _from_columns(num_rows: int, columns) -> AttributeTable:
-    """A table from ``(name, kind, values)`` triples — the one place row
-    values are coerced to a column's physical layout."""
-    out = AttributeTable(num_rows)
-    for name, kind, values in columns:
-        if kind is ColumnKind.INT:
-            out.add_int_column(name, np.asarray(values, dtype=np.int64))
-        elif kind is ColumnKind.FLOAT:
-            out.add_float_column(name, np.asarray(values, dtype=np.float64))
-        elif kind is ColumnKind.STRING:
-            out.add_string_column(name, [str(v) for v in values])
-        else:
-            out.add_keywords_column(name, [list(v) for v in values])
-    return out
+def concat_tables(parts) -> AttributeTable:
+    """A new table: for each ``(table, rows)`` of ``parts`` in turn,
+    ``rows`` of ``table`` in order.
 
-
-def build_table(
-    schema: list[tuple[str, ColumnKind]], rows: Sequence[dict]
-) -> AttributeTable:
-    """Materialize an :class:`AttributeTable` from per-entity row dicts."""
-    return _from_columns(
-        len(rows),
-        [(name, kind, [row[name] for row in rows]) for name, kind in schema],
-    )
-
-
-def subset_table(
-    table: AttributeTable, rows, extra_rows: Sequence[dict] = ()
-) -> AttributeTable:
-    """A new table: ``rows`` of ``table`` in order (row ``j`` is the
-    source's ``rows[j]``), then ``extra_rows`` (dicts over every column).
-
-    Columns and kinds are kept; keyword columns are re-interned per
-    subset (vocabularies shrink with a shard).
+    Every part has the first's columns and kinds.  Columns are sliced
+    as arrays; keyword columns are gathered and re-interned in
+    first-seen order (vocabularies shrink with a shard), as interning
+    the rows' lists one by one would.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    parts = [(table, np.asarray(rows, dtype=np.int64)) for table, rows in parts]
+    first = parts[0][0]
     columns = []
-    for name in table.column_names:
-        kind, column = table.column_kind(name), table.column(name)
-        extra = [row[name] for row in extra_rows]
+    for name in first.column_names:
+        kind = first.column_kind(name)
+        sources = [(table.column(name), rows) for table, rows in parts]
         if kind is ColumnKind.KEYWORDS:
-            values = [column.row_keywords(i) for i in rows.tolist()] + extra
+            payload = KeywordColumn.gathered(sources)
         else:
-            values = np.concatenate(
-                [column[rows], np.asarray(extra, dtype=column.dtype)]
-            )
-        columns.append((name, kind, values))
-    return _from_columns(rows.shape[0] + len(extra_rows), columns)
+            payload = np.concatenate([column[rows] for column, rows in sources])
+        columns.append((name, kind, payload))
+    return AttributeTable.from_columns(
+        sum(rows.shape[0] for _, rows in parts), columns)
+
+
+def subset_table(table: AttributeTable, rows) -> AttributeTable:
+    """A new table of ``rows`` of ``table`` in order (row ``j`` is the
+    source's ``rows[j]``); see :func:`concat_tables`."""
+    return concat_tables([(table, rows)])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import threading
+from itertools import chain
 
 import numpy as np
 
@@ -186,6 +187,17 @@ class AcornIndex(HnswBase, Searcher):
         for lev in range(level + 1):
             self._edge_dists[lev].setdefault(node, [])
 
+    def _csr_edge_dists(self, level: int, csr: FrozenLevel,
+                        dtype=np.float32) -> np.ndarray:
+        """``level``'s edge distances in the edge order of its frozen
+        ``csr``: float32 (every distance was computed in float32), or
+        with ``dtype=object`` the stored float objects themselves."""
+        per_node = self._edge_dists[level]
+        return np.fromiter(
+            chain.from_iterable(per_node[v] for v in csr.node_ids.tolist()),
+            dtype=dtype, count=csr.num_edges,
+        )
+
     def _level_cap(self, level: int) -> int:
         """Longest list ``level`` keeps before a reverse edge shrinks it.
 
@@ -228,6 +240,7 @@ class AcornIndex(HnswBase, Searcher):
             return select_neighbors_heuristic(
                 computer.base, candidates, self.params.max_degree,
                 metric=self.metric, stats=self.pruning_stats,
+                counter=computer,
             )
         return cons.prune_rng_metadata(
             candidates, computer.base, self._labels, node,
@@ -246,11 +259,11 @@ class AcornIndex(HnswBase, Searcher):
     ) -> None:
         """Insert ``owner -> new_neighbor`` in distance order; shrink on overflow.
 
-        ``fresh`` promises ``new_neighbor`` was registered by the running
-        ``add()`` and so cannot be in any list yet, which skips the
-        O(degree) membership scan; a fold's repair
-        (:func:`repro.core.maintenance.fold`) re-links existing nodes
-        and leaves it False.
+        ``fresh`` promises ``new_neighbor`` is not in ``owner``'s list,
+        which skips the O(degree) membership scan: the running ``add()``
+        just registered it, or a fold's repair
+        (:func:`repro.core.maintenance.fold`) drew it from a pool that
+        excludes the owner's list.
         """
         neighbor_ids = self.graph.neighbors(owner, level)
         dists = self._edge_dists[level][owner]

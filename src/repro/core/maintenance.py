@@ -12,7 +12,10 @@ and never touching the old one:
   surviving nodes' adjacency, repairs the lists that pointed at removed
   nodes, and ``add()``\\ s the new rows — construction is incremental
   (paper §5), so folding a small change costs that change, not the
-  index.
+  index.  The copy reads the old base's frozen CSR (the arrays every
+  search walks and every image stores): a level's edges are remapped
+  by one gather and the removed ones dropped by one compress, and the
+  lists are cut per node, so the copy runs no Python per edge.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from repro.attributes.table import AttributeTable, subset_table
 from repro.core.acorn import AcornIndex, AcornOneIndex
 from repro.core.flat import FlatAcornIndex
+from repro.hnsw.graph import LayeredGraph, csr_rows
 from repro.vectors.store import VectorStore
 
 
@@ -116,6 +120,12 @@ def fold(
     for byte; with removals it is a different graph of the same quality
     (tests/lifecycle/test_fold_compaction.py pins both).
 
+    The survivors' lists are cut from ``index``'s frozen CSR: per level
+    one gather remaps every edge, one compress drops the removed ones,
+    and the row splitter a decoded image uses
+    (:func:`~repro.hnsw.graph.csr_rows`) hands out the lists — no
+    per-edge Python.
+
     Args:
         keep: ascending ids of ``index``'s nodes to keep.
         vectors: the new index's vectors — the kept nodes' first, then
@@ -131,49 +141,74 @@ def fold(
     new._levels = copy.deepcopy(index._levels)
     remap = np.full(len(index), -1, dtype=np.int64)
     remap[keep] = np.arange(n_keep)
-    remap = remap.tolist()
+    # The lists are gathered from object arrays, so every edge to a node
+    # shares one int object and every distance stays the old base's
+    # float object: the new graph costs its lists' pointers, no more.
+    new_ids = np.empty(len(index), dtype=object)
+    new_ids[:] = remap.tolist()
 
-    old = index.graph
-    for node in keep.tolist():
-        new._register_node(remap[node], old.node_level(node))
-    heirs = {}  # (level, removed old id) -> its surviving out-neighbours
+    frozen = index._adjacency()
+    node_levels = np.zeros(len(index), dtype=np.int64)
+    for level, csr in enumerate(frozen[1:], 1):
+        node_levels[csr.node_ids] = level
+    node_levels = node_levels[keep]
+    adjacency, edge_dists = [], []
+    heirs = []  # per level: {removed old id: its surviving out-neighbours}
     orphaned = []  # (level, new id, removed old out-neighbours)
-    for level in range(new.graph.max_level + 1):
-        adjacency = new.graph.level_adjacency(level)
-        dists = new._edge_dists[level]
-        old_dists = index._edge_dists[level]
-        for node, neighbors in old.level_adjacency(level).items():
-            owner = remap[node]
-            mapped = [remap[nb] for nb in neighbors]
-            if owner < 0:
-                heirs[level, node] = [nb for nb in mapped if nb >= 0]
-            elif -1 not in mapped:
-                adjacency[owner] = mapped
-                dists[owner] = list(old_dists[node])
-            else:
-                adjacency[owner] = [nb for nb in mapped if nb >= 0]
-                dists[owner] = [
-                    d for d, nb in zip(old_dists[node], mapped) if nb >= 0
-                ]
-                orphaned.append((level, owner, [
-                    nb for nb, new_id in zip(neighbors, mapped) if new_id < 0
-                ]))
+    for level in range(int(node_levels.max()) + 1 if n_keep else 0):
+        csr = frozen[level]
+        nodes = csr.node_ids
+        counts = csr.indptr[nodes + 1] - csr.indptr[nodes]
+        kept = remap[csr.indices] >= 0  # edges to a surviving node
+        edge_node = np.repeat(np.arange(nodes.size), counts)
+        kept_counts = np.bincount(edge_node[kept], minlength=nodes.size)
+        kept_at = _offsets(kept_counts)
+        owners = remap[nodes]
+        live = owners >= 0
+        hit = live & (kept_counts < counts)
+        lists = new_ids[csr.indices[kept]].tolist()
+        dists = index._csr_edge_dists(level, csr, dtype=object)
+        dists = dists[kept].tolist()
+        survivors = owners[live].tolist()
+        adjacency.append(_cut(survivors, lists, kept_at, live))
+        edge_dists.append(_cut(survivors, dists, kept_at, live))
+        heirs.append(_cut(nodes[~live].tolist(), lists, kept_at, ~live))
+        lost = _cut(owners[hit].tolist(), csr.indices[~kept].tolist(),
+                    _offsets(counts - kept_counts), hit)
+        orphaned.extend((level, owner, ids) for owner, ids in lost.items())
 
     flat = isinstance(new, FlatAcornIndex)
+    entry = -1
     if n_keep:
-        entry = remap[old.entry_point]
+        entry = int(remap[index.graph.entry_point])
         if flat or entry < 0:
             # What a sequential build over the survivors would hold: the
             # first node to have reached the top level (a flat build
             # anchors at node 0 and re-anchors once it is done).
-            entry = min(new.graph.level_adjacency(new.graph.max_level))
-        new.graph.entry_point = entry
+            entry = min(adjacency[-1])
+    new.graph = LayeredGraph.from_adjacency(node_levels.tolist(), adjacency,
+                                            entry)
+    new._edge_dists = edge_dists
+    if n_keep:
         _repair(new, heirs, orphaned)
     for vector in vectors[n_keep:]:
         new.add(vector)
     if flat:
         new.reanchor_entry_point()
     return new
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets of rows ``counts`` long (a leading 0)."""
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _cut(keys: list, values: list, offsets: np.ndarray, rows) -> dict:
+    """``{key: its row of values}`` for the ``rows`` (a mask over the
+    CSR's rows) that ``keys`` name, in order."""
+    return csr_rows(keys, values, offsets[:-1][rows], offsets[1:][rows])
 
 
 def _repair(new, heirs, orphaned) -> None:
@@ -192,7 +227,7 @@ def _repair(new, heirs, orphaned) -> None:
         for level, owner, lost in orphaned:
             pool = set()
             for gone in lost:
-                pool.update(heirs[level, gone])
+                pool.update(heirs[level][gone])
             pool.discard(owner)
             pool.difference_update(new.graph.neighbors(owner, level))
             if not pool:
@@ -201,7 +236,10 @@ def _repair(new, heirs, orphaned) -> None:
             dists = computer.distances_to(base[owner], cands)
             # Ties break on the id, so the set's order never shows.
             best = np.lexsort((cands, dists))[: len(lost)]
+            # The pool holds neither the owner nor its list and the picks
+            # are distinct, so no pick can already be in the list.
             for dist, cand in zip(dists[best].tolist(), cands[best].tolist()):
-                new._add_reverse_edge(computer, owner, cand, dist, level)
+                new._add_reverse_edge(computer, owner, cand, dist, level,
+                                      fresh=True)
     finally:
         computer.flush_counts()

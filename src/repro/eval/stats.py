@@ -146,6 +146,34 @@ class GraphQuality:
         return float(np.mean(populated)) if populated else 0.0
 
 
+def _graph_quality(graph, mask: np.ndarray, lookup, cap: int) -> GraphQuality:
+    """Figure 13's statistics over the nodes passing ``mask``, each
+    node's edges read through ``lookup(level)(node)`` (self-links
+    dropped) and its out-degree capped at ``cap``."""
+    scc_counts: list[int] = []
+    degrees: list[float] = []
+    height = 0
+    for level in range(graph.max_level + 1):
+        nodes = [v for v in graph.nodes_at_level(level) if mask[v]]
+        if nodes:
+            height = level
+        neighbors = lookup(level)
+        adjacency = {v: [u for u in neighbors(v) if u != v] for v in nodes}
+        scc_counts.append(
+            len(strongly_connected_components(adjacency)) if nodes else 0
+        )
+        degrees.append(
+            float(np.mean([min(len(nbrs), cap) for nbrs in adjacency.values()]))
+            if nodes
+            else 0.0
+        )
+    return GraphQuality(
+        scc_per_level=scc_counts,
+        height=height,
+        avg_filtered_out_degree_by_level=degrees,
+    )
+
+
 def acorn_subgraph_quality(
     index: AcornIndex, mask: np.ndarray, m: int | None = None
 ) -> GraphQuality:
@@ -160,56 +188,18 @@ def acorn_subgraph_quality(
     the recovered neighborhood size capped at M, matching Figure 13c's
     "search-time filtering" semantics.
     """
-    m = m if m is not None else index.params.m
-    graph = index.graph
-    scc_counts: list[int] = []
-    degrees: list[float] = []
-    height = 0
-    for level in range(graph.max_level + 1):
-        nodes = [v for v in graph.nodes_at_level(level) if mask[v]]
-        if nodes:
-            height = level
-        lookup = index._neighbor_fn(level, mask)
-        adjacency = {v: [u for u in lookup(v) if u != v] for v in nodes}
-        scc_counts.append(
-            len(strongly_connected_components(adjacency)) if nodes else 0
-        )
-        if nodes:
-            degrees.append(
-                float(
-                    np.mean([min(len(nbrs), m) for nbrs in adjacency.values()])
-                )
-            )
-        else:
-            degrees.append(0.0)
-    return GraphQuality(
-        scc_per_level=scc_counts,
-        height=height,
-        avg_filtered_out_degree_by_level=degrees,
+    return _graph_quality(
+        index.graph, mask, lambda level: index._neighbor_fn(level, mask),
+        m if m is not None else index.params.m,
     )
 
 
 def hnsw_graph_quality(index: HnswIndex) -> GraphQuality:
-    """The same statistics for a whole HNSW graph (oracle partitions)."""
+    """The same statistics for a whole HNSW graph (oracle partitions):
+    every node, its raw lists, no degree cap (no list is as long as the
+    graph)."""
     graph = index.graph
-    scc_counts: list[int] = []
-    degrees: list[float] = []
-    height = 0
-    for level in range(graph.max_level + 1):
-        nodes = graph.nodes_at_level(level)
-        if nodes:
-            height = level
-        adjacency = {v: list(graph.neighbors(v, level)) for v in nodes}
-        scc_counts.append(
-            len(strongly_connected_components(adjacency)) if nodes else 0
-        )
-        degrees.append(
-            float(np.mean([len(nbrs) for nbrs in adjacency.values()]))
-            if nodes
-            else 0.0
-        )
-    return GraphQuality(
-        scc_per_level=scc_counts,
-        height=height,
-        avg_filtered_out_degree_by_level=degrees,
+    return _graph_quality(
+        graph, np.ones(len(graph), dtype=bool),
+        lambda level: lambda v: graph.neighbors(v, level), len(graph),
     )

@@ -14,6 +14,14 @@ import hashlib
 import numpy as np
 
 
+def csr_rows(keys, values: list, starts: np.ndarray, stops: np.ndarray) -> dict:
+    """``{key: values[start:stop]}`` for each key and its bounds, in
+    order — how per-node lists are cut from a level's CSR (a decoded
+    image's, or a fold's remapped copy of its base's)."""
+    return {key: values[start:stop] for key, start, stop in zip(
+        keys, starts.tolist(), stops.tolist())}
+
+
 class LayeredGraph:
     """A multi-level directed graph over integer node ids.
 

@@ -24,6 +24,7 @@ from repro.vectors.distance import Metric, _KERNELS, resolve_metric
 
 if TYPE_CHECKING:
     from repro.core.construction import PruningStats
+    from repro.vectors.distance import DistanceComputer
 
 
 def select_neighbors_heuristic(
@@ -32,12 +33,13 @@ def select_neighbors_heuristic(
     m: int,
     metric: "Metric | str" = Metric.L2,
     stats: "PruningStats | None" = None,
+    counter: "DistanceComputer | None" = None,
 ) -> list[tuple[float, int]]:
     """HNSW's RNG-based pruning (Algorithm 4 of Malkov & Yashunin).
 
-    Candidate-to-candidate distances are computed outside any
-    :class:`~repro.vectors.distance.DistanceComputer`, so they are not
-    counted.
+    Candidate-to-candidate distances are computed with the metric's
+    bare kernel, so their bytes do not depend on a computer's cached
+    norms; ``counter`` is the computer whose count they join.
 
     Args:
         vectors: base vector matrix used for candidate-to-candidate
@@ -47,6 +49,9 @@ def select_neighbors_heuristic(
         m: maximum number of neighbors to keep.
         metric: distance metric matching the candidate distances.
         stats: optional counter sink (one ``record`` per call).
+        counter: the build's :class:`~repro.vectors.distance.DistanceComputer`;
+            every candidate-to-candidate distance is added to its count
+            (None leaves them uncounted).
 
     Returns:
         Selected (distance, id) pairs in ascending distance order.
@@ -54,10 +59,12 @@ def select_neighbors_heuristic(
     kernel = _KERNELS[resolve_metric(metric)]
     selected: list[tuple[float, int]] = []
     selected_ids: list[int] = []
+    scored = 0
     for dist_c, cand in sorted(candidates):
         if len(selected) >= m:
             break
         if selected_ids:
+            scored += len(selected_ids)
             dists_to_selected = kernel(vectors[selected_ids], vectors[cand])
             # Keep the candidate only if the target is its closest
             # already-selected relay — the RNG triangle rule.
@@ -65,6 +72,8 @@ def select_neighbors_heuristic(
                 continue
         selected.append((dist_c, cand))
         selected_ids.append(cand)
+    if counter is not None and scored:
+        counter.add_count(scored)
     if stats is not None:
         stats.record(seen=len(candidates), kept=len(selected))
     return selected

@@ -313,7 +313,8 @@ class HnswIndex(HnswBase):
         """Keep the RNG heuristic's choice of ``found``; every kept
         neighbour takes the reverse edge."""
         selected = select_neighbors_heuristic(
-            computer.base, found, self.m, metric=self.metric
+            computer.base, found, self.m, metric=self.metric,
+            counter=computer,
         )
         self.graph.set_neighbors(node, level, [nid for _, nid in selected])
         cap = self.m if level > 0 else self.m_max0
@@ -341,7 +342,8 @@ class HnswIndex(HnswBase):
         dists = computer.distances_to(computer.base[owner], neighbor_ids)
         candidates = list(zip(dists.tolist(), neighbor_ids))
         selected = select_neighbors_heuristic(
-            computer.base, candidates, cap, metric=self.metric
+            computer.base, candidates, cap, metric=self.metric,
+            counter=computer,
         )
         self.graph.set_neighbors(owner, level, [nid for _, nid in selected])
 

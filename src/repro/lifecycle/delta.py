@@ -1,14 +1,25 @@
 """Mutable write buffer of the streaming index lifecycle.
 
 A :class:`DeltaIndex` absorbs recent inserts in arrival order.  It is
-deliberately structureless — a row store of (external id, vector,
-attribute row) triples — because the delta stays small by design: the
+deliberately structureless — growing columns of external ids, vectors
+and attribute values — because the delta stays small by design: the
 background compactor folds it into the graph base long before a brute
 force scan over it costs anything.  ``freeze()`` snapshots the buffer
 into an immutable :class:`DeltaView` that epoch snapshots search
 exactly (brute force over the passing rows), so delta results carry no
 approximation: recall loss can only come from the graph base, never
 from recency.
+
+Appending costs one row, and publishing copies none: ``insert`` checks
+and coerces the row into its column's layout (ints and floats into
+arrays, strings into an object array, keyword lists into an
+appendable CSR, the vector into a float32 matrix), each buffer doubling
+as it fills; ``freeze()`` hands out read-only prefix views of those
+buffers (a keyword column builds its posting lists over them, one
+numpy sort).  A view never sees a later row: appends land past its prefix,
+a buffer that grows is copied into a new one (old views keep the old),
+and a keyword new to the vocabulary is added to a copy of the word
+list once a view holds it.
 
 External ids are allocated by the owning
 :class:`~repro.lifecycle.manager.LifecycleIndex` and are strictly
@@ -25,7 +36,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.attributes.table import AttributeTable, ColumnKind, build_table
+from repro.attributes.table import AttributeTable, ColumnKind, KeywordColumn
 from repro.predicates.base import Predicate
 from repro.vectors import Metric, VectorStore
 
@@ -33,6 +44,8 @@ __all__ = ["DeltaIndex", "DeltaView", "table_schema"]
 
 _EMPTY_DISTS = np.empty(0, dtype=np.float32)
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+_DTYPES = {ColumnKind.INT: np.int64, ColumnKind.FLOAT: np.float64,
+          ColumnKind.STRING: object}
 
 
 def table_schema(table: AttributeTable) -> list[tuple[str, ColumnKind]]:
@@ -44,12 +57,34 @@ def table_schema(table: AttributeTable) -> list[tuple[str, ColumnKind]]:
     return [(name, table.column_kind(name)) for name in table.column_names]
 
 
-def check_row(schema: list[tuple[str, ColumnKind]], row: dict) -> dict:
-    """Validate one insert's attribute row against the schema.
+def _coerced(name: str, kind: ColumnKind, value):
+    """``value`` as column ``name`` stores it: an int64 or float64
+    scalar, a ``str``, or a list of hashable keywords."""
+    try:
+        if kind is ColumnKind.STRING:
+            return str(value)
+        if kind is ColumnKind.KEYWORDS:
+            words = list(value)
+            for word in words:
+                hash(word)
+            return words
+        scalar = np.asarray(value, dtype=_DTYPES[kind])
+        if scalar.ndim:
+            raise ValueError("not a scalar")
+        return scalar[()]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"column {name!r} ({kind.value}) cannot hold {value!r}: {exc}"
+        ) from exc
+
+
+def coerce_row(schema: list[tuple[str, ColumnKind]], row: dict) -> list:
+    """One insert's attribute values in schema order, coerced.
 
     Every schema column must be present; unknown keys are rejected so a
     typo'd column name fails loudly instead of silently never matching
-    any predicate.
+    any predicate.  A value its column cannot hold raises here, before
+    the insert has changed anything.
     """
     names = {name for name, _ in schema}
     missing = names - row.keys()
@@ -62,7 +97,83 @@ def check_row(schema: list[tuple[str, ColumnKind]], row: dict) -> dict:
         raise ValueError(
             f"insert row has unknown attribute columns: {sorted(unknown)}"
         )
-    return dict(row)
+    return [_coerced(name, kind, row[name]) for name, kind in schema]
+
+
+class _Buffer:
+    """A doubling array of rows; ``view(n)`` is a read-only prefix."""
+
+    __slots__ = ("data", "size")
+
+    def __init__(self, dtype, width: int | None = None) -> None:
+        self.data = np.empty((16,) if width is None else (16, width),
+                             dtype=dtype)
+        self.size = 0
+
+    def _reserve(self, need: int) -> None:
+        if need > self.data.shape[0]:
+            # A new buffer: views handed out keep the old one.
+            grown = np.empty((max(need, 2 * self.data.shape[0]),)
+                             + self.data.shape[1:], dtype=self.data.dtype)
+            grown[: self.size] = self.data[: self.size]
+            self.data = grown
+
+    def append(self, value) -> None:
+        self._reserve(self.size + 1)
+        self.data[self.size] = value
+        self.size += 1
+
+    def extend(self, values: list) -> None:
+        end = self.size + len(values)
+        self._reserve(end)
+        self.data[self.size:end] = values
+        self.size = end
+
+    def view(self, n: int) -> np.ndarray:
+        out = self.data[:n]
+        out.flags.writeable = False
+        return out
+
+
+class _KeywordBuffer:
+    """An appendable keyword CSR with its growing vocabulary.
+
+    Once a view shares the word list and dict, a new word is added to
+    copies of them, so the view's vocabulary stays the one its tokens
+    were interned against.
+    """
+
+    __slots__ = ("words", "vocab", "shared", "offsets", "tokens")
+
+    def __init__(self) -> None:
+        self.words: list = []
+        self.vocab: dict = {}
+        self.shared = False
+        self.offsets = _Buffer(np.int64)
+        self.offsets.append(0)
+        self.tokens = _Buffer(np.int64)
+
+    def append(self, words: list) -> None:
+        vocab = self.vocab
+        if self.shared and any(word not in vocab for word in words):
+            self.words, self.vocab = list(self.words), dict(vocab)
+            self.shared = False
+            vocab = self.vocab
+        tokens = []
+        for word in words:
+            token = vocab.get(word)
+            if token is None:
+                token = vocab[word] = len(self.words)
+                self.words.append(word)
+            tokens.append(token)
+        self.tokens.extend(tokens)
+        self.offsets.append(self.tokens.size)
+
+    def view(self, n: int) -> KeywordColumn:
+        self.shared = True
+        return KeywordColumn(self.words, self.offsets.view(n + 1),
+                              self.tokens.view(int(self.offsets.data[n])),
+                              vocab=self.vocab)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,9 +182,10 @@ class DeltaView:
 
     Attributes:
         external_ids: (n,) int64 external id per entry, strictly
-            ascending (write order).
+            ascending (write order), read-only.
         vectors: (n, dim) float32 matrix, read-only.
-        table: attribute rows aligned with ``external_ids``.
+        table: attribute rows aligned with ``external_ids`` (read-only
+            columns).
         store: vector store over ``vectors`` (distance arithmetic).
     """
 
@@ -111,18 +223,9 @@ class DeltaView:
         order = np.lexsort((ids, dists))[:k]
         return dists[order], ids[order], int(passing.size)
 
-    def entries(self):
-        """Iterate ``(external_id, vector, row)`` in write order."""
-        for pos in range(len(self)):
-            yield (
-                int(self.external_ids[pos]),
-                self.vectors[pos],
-                self.table.row(pos),
-            )
-
 
 class DeltaIndex:
-    """The mutable insert buffer: an append-only row store.
+    """The mutable insert buffer: append-only columns.
 
     Owned and locked by :class:`~repro.lifecycle.manager.LifecycleIndex`;
     this class itself does no synchronization.  Deletes never touch the
@@ -140,25 +243,48 @@ class DeltaIndex:
         self.dim = int(dim)
         self.schema = list(schema)
         self.metric = metric
-        self._external_ids: list[int] = []
-        self._vectors: list[np.ndarray] = []
-        self._rows: list[dict] = []
-        self._positions: dict[int, int] = {}
+        self._ids = _Buffer(np.int64)
+        self._vectors = _Buffer(np.float32, width=self.dim)
+        self._columns = [
+            _KeywordBuffer() if kind is ColumnKind.KEYWORDS
+            else _Buffer(_DTYPES[kind])
+            for _, kind in self.schema
+        ]
         self._view: DeltaView | None = None
 
     def __len__(self) -> int:
-        return len(self._external_ids)
+        return self._ids.size
 
     def __contains__(self, external_id: int) -> bool:
-        return int(external_id) in self._positions
+        return self._position(external_id) >= 0
+
+    def _position(self, external_id: int) -> int:
+        """The row of ``external_id``, or -1 if it is not here."""
+        ids = self._ids.data[: self._ids.size]
+        pos = int(np.searchsorted(ids, int(external_id)))
+        if pos < ids.shape[0] and ids[pos] == int(external_id):
+            return pos
+        return -1
+
+    def _resident(self, external_id: int) -> int:
+        pos = self._position(external_id)
+        if pos < 0:
+            raise KeyError(f"external id {external_id} is not in the delta")
+        return pos
 
     def insert(self, external_id: int, vector: np.ndarray, row: dict) -> None:
-        """Append one entity.  Ids must arrive strictly ascending."""
+        """Append one entity.  Ids must arrive strictly ascending.
+
+        The id, the vector and every attribute value are checked and
+        coerced before anything is appended, so a refused insert leaves
+        the delta exactly as it was.
+        """
         external_id = int(external_id)
-        if self._external_ids and external_id <= self._external_ids[-1]:
+        n = len(self)
+        if n and external_id <= self._ids.data[n - 1]:
             raise ValueError(
                 f"external id {external_id} not ascending (last was "
-                f"{self._external_ids[-1]})"
+                f"{int(self._ids.data[n - 1])})"
             )
         vector = np.asarray(vector, dtype=np.float32).reshape(-1)
         if vector.shape[0] != self.dim:
@@ -169,41 +295,41 @@ class DeltaIndex:
         if not np.isfinite(vector).all():
             # Would poison the base graph only at the next fold.
             raise ValueError("vector contains non-finite values (NaN or inf)")
-        self._positions[external_id] = len(self._external_ids)
-        self._external_ids.append(external_id)
-        self._vectors.append(vector.copy())
-        self._rows.append(check_row(self.schema, row))
+        values = coerce_row(self.schema, row)
+        self._ids.append(external_id)
+        self._vectors.append(vector)
+        for column, value in zip(self._columns, values):
+            column.append(value)
         self._view = None
 
     def vector_of(self, external_id: int) -> np.ndarray:
         """The stored vector for ``external_id`` (must be resident)."""
-        return self._vectors[self._positions[int(external_id)]]
+        return self.freeze().vectors[self._resident(external_id)]
 
     def row_of(self, external_id: int) -> dict:
-        """A copy of the attribute row for ``external_id``."""
-        return dict(self._rows[self._positions[int(external_id)]])
+        """The attribute row for ``external_id``, as its columns hold it."""
+        return self.freeze().table.row(self._resident(external_id))
 
     def freeze(self) -> DeltaView:
         """Snapshot the buffer into an immutable :class:`DeltaView`.
 
-        Cached until the next :meth:`insert`, so repeated epoch
-        publications over an idle delta share one view.
+        Read-only prefix views of the buffers: no row is copied or
+        re-checked (each was checked when it was inserted); a keyword
+        column sorts its tokens into posting lists.  Cached until
+        the next :meth:`insert`, so repeated epoch publications over an
+        idle delta share one view.
         """
         if self._view is None:
-            n = len(self._external_ids)
-            vectors = (
-                np.stack(self._vectors).astype(np.float32)
-                if n else np.empty((0, self.dim), dtype=np.float32)
-            )
-            vectors.setflags(write=False)
-            external_ids = np.asarray(self._external_ids, dtype=np.int64)
-            external_ids.setflags(write=False)
+            n = len(self)
+            vectors = self._vectors.view(n)
             self._view = DeltaView(
-                external_ids=external_ids,
+                external_ids=self._ids.view(n),
                 vectors=vectors,
-                table=build_table(self.schema, self._rows),
-                store=VectorStore.from_array(
-                    vectors.reshape(n, self.dim), metric=self.metric
-                ),
+                table=AttributeTable.from_columns(n, [
+                    (name, kind, column.view(n))
+                    for (name, kind), column in zip(self.schema,
+                                                    self._columns)
+                ]),
+                store=VectorStore.wrap(vectors, metric=self.metric),
             )
         return self._view

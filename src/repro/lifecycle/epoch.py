@@ -32,10 +32,10 @@ from repro.predicates.base import CompiledPredicate, Predicate
 from repro.shard.sharded import merge_topk
 from repro.telemetry import QueryStats, SearchResult, fold_telemetry
 
-__all__ = ["EpochSnapshot"]
+__all__ = ["EpochSnapshot", "alive_mask"]
 
 
-def _alive(ids: np.ndarray, dead: np.ndarray) -> np.ndarray:
+def alive_mask(ids: np.ndarray, dead: np.ndarray) -> np.ndarray:
     """Read-only mask of the ascending ``ids`` that are not in ``dead``."""
     alive = np.ones(ids.shape[0], dtype=bool)
     if dead.size and ids.shape[0]:
@@ -80,9 +80,9 @@ class EpochSnapshot(Searcher):
         self.tombstones = frozenset(tombstones)
         dead = np.fromiter(self.tombstones, dtype=np.int64,
                            count=len(self.tombstones))
-        self._base_alive = _alive(self.base_ids, dead)
+        self._base_alive = alive_mask(self.base_ids, dead)
         self._delta_alive = tuple(
-            _alive(view.external_ids, dead) for view in self.deltas
+            alive_mask(view.external_ids, dead) for view in self.deltas
         )
         self._readers = 0
 

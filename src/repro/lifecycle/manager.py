@@ -43,12 +43,12 @@ import threading
 
 import numpy as np
 
-from repro.attributes.table import subset_table
+from repro.attributes.table import concat_tables
 from repro.core.acorn import AcornIndex
 from repro.core.maintenance import build_like, fold
 from repro.core.searcher import Searcher
 from repro.lifecycle.delta import DeltaIndex, table_schema
-from repro.lifecycle.epoch import EpochSnapshot
+from repro.lifecycle.epoch import EpochSnapshot, alive_mask
 from repro.telemetry import SearchResult
 from repro.utils.clock import Clock, SystemClock
 
@@ -504,23 +504,25 @@ class LifecycleIndex(Searcher):
             # same history.
             dead = np.fromiter(cut_tombstones, dtype=np.int64,
                                count=len(cut_tombstones))
-            keep = np.flatnonzero(~np.isin(base_ids, dead))
+            keep = np.flatnonzero(alive_mask(base_ids, dead))
             if base.num_deleted:
                 keep = keep[[not base.is_deleted(node)
                              for node in keep.tolist()]]
             merged = [
-                entry for segment in sealed
-                for entry in segment.freeze().entries()
-                if entry[0] not in cut_tombstones
+                (view, np.flatnonzero(alive_mask(view.external_ids, dead)))
+                for view in (segment.freeze() for segment in sealed)
             ]
             if on_stage is not None:
                 on_stage("build")
 
-            vectors = np.vstack(
-                [base.store.vectors[keep], *(vec for _, vec, _ in merged)]
-            )
-            new_table = subset_table(base.table, keep,
-                                     [row for _, _, row in merged])
+            vectors = np.concatenate([
+                base.store.vectors[keep],
+                *(view.vectors[rows] for view, rows in merged),
+            ])
+            new_table = concat_tables([
+                (base.table, keep),
+                *((view.table, rows) for view, rows in merged),
+            ])
             if len(base) - keep.shape[0] >= keep.shape[0]:
                 # Measured (EXPERIMENTS.md, "Where a fold stops paying"):
                 # a fold is never slower, but from half the base removed
@@ -537,7 +539,7 @@ class LifecycleIndex(Searcher):
             id_map = np.full(cut_next, -1, dtype=np.int64)
             new_base_ids = np.concatenate([
                 base_ids[keep],
-                np.asarray([ext for ext, _, _ in merged], dtype=np.int64),
+                *(view.external_ids[rows] for view, rows in merged),
             ])
             id_map[new_base_ids] = np.arange(
                 new_base_ids.shape[0], dtype=np.int64
@@ -564,7 +566,7 @@ class LifecycleIndex(Searcher):
                 epoch_after=snapshot.epoch,
                 n_live=int(new_base_ids.shape[0]),
                 n_dropped=n_dropped,
-                n_merged=len(merged),
+                n_merged=int(new_base_ids.shape[0] - keep.shape[0]),
                 id_map=id_map,
                 duration_s=self.clock.monotonic() - started,
             )

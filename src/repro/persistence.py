@@ -38,17 +38,16 @@ import os
 import struct
 import threading
 import warnings
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from repro.attributes.table import AttributeTable, ColumnKind, build_table
+from repro.attributes.table import AttributeTable, ColumnKind, concat_tables
 from repro.core.acorn import AcornIndex, AcornOneIndex
 from repro.core.flat import FlatAcornIndex
 from repro.core.params import AcornParams, PruningStrategy
 from repro.core.search import FrozenLevel
-from repro.hnsw.graph import LayeredGraph
+from repro.hnsw.graph import LayeredGraph, csr_rows
 from repro.hnsw.hnsw import HnswIndex
 from repro.hnsw.levels import LevelGenerator
 from repro.lifecycle.manager import LifecycleConfig, LifecycleIndex
@@ -265,11 +264,8 @@ def _encode_graph(index, prefix: str, arrays: dict) -> dict:
             arrays[prefix + name] = canonical_array(
                 name, getattr(csr, part), dtype=np.int32)
         if acorn:
-            per_node = index._edge_dists[level]
-            arrays[f"{prefix}L{level}.dists"] = np.fromiter(
-                chain.from_iterable(per_node[v] for v in csr.node_ids.tolist()),
-                dtype=np.float32, count=csr.num_edges,
-            )
+            arrays[f"{prefix}L{level}.dists"] = (
+                index._csr_edge_dists(level, csr))
     meta = {
         # Subclasses first: ACORN-1 and flat are AcornIndex subclasses.
         "kind": next(kind for kind, cls in reversed(_GRAPH_KINDS.items())
@@ -322,12 +318,11 @@ def _encode_lifecycle(lifecycle: LifecycleIndex, arrays: dict) -> dict:
         arrays["base_ids"] = np.array(lifecycle._base_ids, dtype=np.int64)
         arrays["tombstones"] = np.asarray(sorted(lifecycle._tombstones),
                                           dtype=np.int64)
-        schema = lifecycle._schema
-    arrays["delta_ids"] = np.concatenate(
-        [v.external_ids for v in views]).astype(np.int64)
+    arrays["delta_ids"] = np.concatenate([v.external_ids for v in views])
     arrays["delta_vectors"] = np.concatenate([v.vectors for v in views])
-    rows = [v.table.row(i) for v in views for i in range(len(v))]
-    meta["delta"] = _encode_table(build_table(schema, rows), "delta.", arrays)
+    meta["delta"] = _encode_table(
+        concat_tables([(v.table, np.arange(len(v))) for v in views]),
+        "delta.", arrays)
     meta["base"] = _encode_graph(base, "base.", arrays)
     return meta
 
@@ -382,14 +377,6 @@ class _Reader:
                    f"is {array.dtype}{list(array.shape)}, expected a "
                    f"{ndim}-d {np.dtype(dtype)} array")
         return array
-
-
-def _rows(indptr: np.ndarray, flat: np.ndarray, node_ids: np.ndarray) -> dict:
-    """``{node: its slice of flat, as a list}`` for the level's nodes."""
-    values = flat.tolist()
-    return {node: values[start:stop] for node, start, stop in zip(
-        node_ids.tolist(), indptr[node_ids].tolist(),
-        indptr[node_ids + 1].tolist())}
 
 
 def _decode_table(meta: dict, image: _Reader) -> AttributeTable:
@@ -482,7 +469,9 @@ def _decode_graph(meta: dict, image: _Reader):
                                      for part in ("indptr", "indices",
                                                   "node_ids"))
         _check_csr(image, level, node_levels, indptr, indices, node_ids)
-        adjacency.append(_rows(indptr, indices, node_ids))
+        nodes = node_ids.tolist()
+        starts, stops = indptr[node_ids], indptr[node_ids + 1]
+        adjacency.append(csr_rows(nodes, indices.tolist(), starts, stops))
         frozen.append(FrozenLevel(indptr, indices, node_ids,
                                   index._level_m_beta(level)))
         if cls is not HnswIndex:
@@ -490,7 +479,7 @@ def _decode_graph(meta: dict, image: _Reader):
             image.check(flat.size == indices.size, f"L{level}.dists",
                         f"holds {flat.size} distances for {indices.size} "
                         "edges")
-            dists.append(_rows(indptr, flat, node_ids))
+            dists.append(csr_rows(nodes, flat.tolist(), starts, stops))
     index.store = VectorStore.wrap(vectors, metric=metric)
     index.graph = LayeredGraph.from_adjacency(node_levels.tolist(),
                                               adjacency, entry)

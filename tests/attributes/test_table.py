@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from repro.attributes import table as table_module
-from repro.attributes.table import AttributeTable, ColumnKind, MemoInfo
+from repro.attributes.table import (
+    AttributeTable,
+    ColumnKind,
+    MemoInfo,
+    concat_tables,
+)
 
 
 @pytest.fixture
@@ -108,6 +113,49 @@ class TestKeywordColumn:
         np.testing.assert_array_equal(
             col.mask_containing_any(["z", "q"]), [False, False, False, True]
         )
+
+
+class TestConcatTables:
+    """``concat_tables`` slices columns and gathers keyword CSRs; the
+    result must be the table the rows would make if added one by one:
+    same values, keyword vocabulary re-interned in first-seen order."""
+
+    @staticmethod
+    def _by_rows(rows):
+        out = AttributeTable(len(rows))
+        out.add_int_column("year", [r["year"] for r in rows])
+        out.add_float_column("price", [r["price"] for r in rows])
+        out.add_string_column("caption", [r["caption"] for r in rows])
+        out.add_keywords_column("tags", [r["tags"] for r in rows])
+        return out
+
+    @pytest.mark.parametrize("parts", [
+        [[3, 0], [2, 2, 1]],
+        [[], [1]],
+        [[2], []],
+        [[], []],
+    ])
+    def test_equals_the_row_by_row_table(self, table, parts):
+        other = self._by_rows([
+            {"year": 1, "price": 0.5, "caption": "new", "tags": ["w", "y"]},
+            {"year": 2, "price": 1.5, "caption": "newer", "tags": []},
+            {"year": 3, "price": 2.5, "caption": "newest", "tags": ["v", "x"]},
+        ])
+        sources = [(table, parts[0]), (other, parts[1])]
+        got = concat_tables(sources)
+        want = self._by_rows([t.row(i) for t, rows in sources for i in rows])
+        assert len(got) == len(want)
+        assert [got.row(i) for i in range(len(got))] == [
+            want.row(i) for i in range(len(want))]
+        for name in ("year", "price"):
+            assert got.column(name).dtype == want.column(name).dtype
+        tags, want_tags = got.column("tags"), want.column("tags")
+        assert tags.words == want_tags.words
+        np.testing.assert_array_equal(tags.tokens, want_tags.tokens)
+        np.testing.assert_array_equal(tags.offsets, want_tags.offsets)
+        for word in ("x", "y", "w", "q"):
+            np.testing.assert_array_equal(tags.rows_containing(word),
+                                          want_tags.rows_containing(word))
 
 
 class TestRowMemo:

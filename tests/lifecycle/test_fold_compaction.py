@@ -22,6 +22,7 @@ Oracle equality in the exhaustive regime is the unchanged job of
 """
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -435,13 +436,32 @@ class TestRemovalFoldPins:
     a 1/16 grid, so every distance is exact whatever the summation
     order and the digests do not depend on BLAS or SIMD.  The repair
     ranks each owner's pool by (distance, id); these digests were
-    recorded when it still sorted ``(distance, id)`` tuples."""
+    recorded when it still sorted ``(distance, id)`` tuples.
+
+    ``graph.checksum()`` does not cover the edge distances each list is
+    kept sorted by, so every fold's ``_edge_dists`` is pinned too (the
+    float32 bytes of each list, per level, in node order), recorded
+    while the fold still copied its survivors list by list."""
 
     GOLDEN = [
         "c61e849e3f2ca4c9109038fd1727f8e6",
         "d98c94b46064cd3987fa56df599569b1",
         "d96e37b704af77b381b903c80f0a91bc",
     ]
+    EDGE_DISTS = [
+        "7ef8d77991b66ba873ec809a59ed1e9e",
+        "46e4f0b5f77783b2ca7a3b3ea7c9e337",
+        "772c45a3e0b41ce64c972cbf3a1ccae2",
+    ]
+
+    @staticmethod
+    def _edge_dist_digest(index):
+        h = hashlib.blake2b(digest_size=16)
+        for level, per_node in enumerate(index._edge_dists):
+            h.update(b"/L%d" % level)
+            for node in sorted(per_node):
+                h.update(np.asarray(per_node[node], dtype=np.float32).tobytes())
+        return h.hexdigest()
 
     def test_chained_removal_folds_match_the_golden_digests(self, branches):
         n, writes = 1200, 60
@@ -452,7 +472,7 @@ class TestRemovalFoldPins:
             params=AcornParams(m=12, gamma=12, m_beta=24), seed=7)
         rng = np.random.default_rng(3)
         live = list(range(n))
-        digests = []
+        digests, edge_dists = [], []
         for _ in self.GOLDEN:
             for _ in range(writes):
                 assert lc.delete(live.pop(int(rng.integers(0, len(live)))))
@@ -461,8 +481,10 @@ class TestRemovalFoldPins:
                 live.append(lc.insert(vectors[row], world.table.row(row)))
             lc.compact()
             digests.append(lc._base.graph.checksum())
+            edge_dists.append(self._edge_dist_digest(lc._base))
         assert branches == ["fold"] * len(self.GOLDEN)
         assert digests == self.GOLDEN
+        assert edge_dists == self.EDGE_DISTS
 
 
 class TestCompactionPolicy:
