@@ -41,11 +41,9 @@ class KeywordColumn:
     """
 
     def __init__(self, words: list[str], offsets: np.ndarray,
-                 tokens: np.ndarray,
-                 vocab: dict[str, int] | None = None) -> None:
+                 tokens: np.ndarray) -> None:
         self.words = words
-        self.vocab = (vocab if vocab is not None
-                      else {word: token for token, word in enumerate(words)})
+        self.vocab = {word: token for token, word in enumerate(words)}
         self.offsets = offsets
         self.tokens = tokens
         # Posting lists: rows containing each token, for inverted lookups.

@@ -238,9 +238,8 @@ class AcornIndex(HnswBase, Searcher):
             )
         if pruning is PruningStrategy.RNG_BLIND:
             return select_neighbors_heuristic(
-                computer.base, candidates, self.params.max_degree,
-                metric=self.metric, stats=self.pruning_stats,
-                counter=computer,
+                computer, candidates, self.params.max_degree,
+                stats=self.pruning_stats,
             )
         return cons.prune_rng_metadata(
             candidates, computer.base, self._labels, node,

@@ -18,45 +18,38 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.vectors.distance import Metric, _KERNELS, resolve_metric
+from repro.vectors.distance import DistanceComputer, _KERNELS
 
 if TYPE_CHECKING:
     from repro.core.construction import PruningStats
-    from repro.vectors.distance import DistanceComputer
 
 
 def select_neighbors_heuristic(
-    vectors: np.ndarray,
+    computer: DistanceComputer,
     candidates: Sequence[tuple[float, int]],
     m: int,
-    metric: "Metric | str" = Metric.L2,
     stats: "PruningStats | None" = None,
-    counter: "DistanceComputer | None" = None,
 ) -> list[tuple[float, int]]:
     """HNSW's RNG-based pruning (Algorithm 4 of Malkov & Yashunin).
 
-    Candidate-to-candidate distances are computed with the metric's
-    bare kernel, so their bytes do not depend on a computer's cached
-    norms; ``counter`` is the computer whose count they join.
+    Candidate-to-candidate distances are computed over
+    ``computer.base`` with the metric's bare kernel, so their bytes do
+    not depend on the computer's cached norms, and are added to its
+    count.
 
     Args:
-        vectors: base vector matrix used for candidate-to-candidate
-            distances.
+        computer: the build's distance computer; its base matrix and
+            metric must be the ones the candidate distances came from.
         candidates: (distance-to-target, id) pairs, in any order; they
             are visited in ascending (distance, id) order.
         m: maximum number of neighbors to keep.
-        metric: distance metric matching the candidate distances.
         stats: optional counter sink (one ``record`` per call).
-        counter: the build's :class:`~repro.vectors.distance.DistanceComputer`;
-            every candidate-to-candidate distance is added to its count
-            (None leaves them uncounted).
 
     Returns:
         Selected (distance, id) pairs in ascending distance order.
     """
-    kernel = _KERNELS[resolve_metric(metric)]
+    vectors = computer.base
+    kernel = _KERNELS[computer.metric]
     selected: list[tuple[float, int]] = []
     selected_ids: list[int] = []
     scored = 0
@@ -72,8 +65,8 @@ def select_neighbors_heuristic(
                 continue
         selected.append((dist_c, cand))
         selected_ids.append(cand)
-    if counter is not None and scored:
-        counter.add_count(scored)
+    if scored:
+        computer.add_count(scored)
     if stats is not None:
         stats.record(seen=len(candidates), kept=len(selected))
     return selected

@@ -312,10 +312,7 @@ class HnswIndex(HnswBase):
     def _link(self, computer, node, found, level):
         """Keep the RNG heuristic's choice of ``found``; every kept
         neighbour takes the reverse edge."""
-        selected = select_neighbors_heuristic(
-            computer.base, found, self.m, metric=self.metric,
-            counter=computer,
-        )
+        selected = select_neighbors_heuristic(computer, found, self.m)
         self.graph.set_neighbors(node, level, [nid for _, nid in selected])
         cap = self.m if level > 0 else self.m_max0
         for _, neighbor in selected:
@@ -341,10 +338,7 @@ class HnswIndex(HnswBase):
             return
         dists = computer.distances_to(computer.base[owner], neighbor_ids)
         candidates = list(zip(dists.tolist(), neighbor_ids))
-        selected = select_neighbors_heuristic(
-            computer.base, candidates, cap, metric=self.metric,
-            counter=computer,
-        )
+        selected = select_neighbors_heuristic(computer, candidates, cap)
         self.graph.set_neighbors(owner, level, [nid for _, nid in selected])
 
     # ------------------------------------------------------------------

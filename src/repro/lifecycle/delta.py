@@ -13,13 +13,12 @@ from recency.
 Appending costs one row, and publishing copies none: ``insert`` checks
 and coerces the row into its column's layout (ints and floats into
 arrays, strings into an object array, keyword lists into an
-appendable CSR, the vector into a float32 matrix), each buffer doubling
-as it fills; ``freeze()`` hands out read-only prefix views of those
+appendable CSR, the vector into a :class:`~repro.vectors.VectorStore`),
+each buffer doubling as it fills; ``freeze()`` hands out read-only prefix views of those
 buffers (a keyword column builds its posting lists over them, one
 numpy sort).  A view never sees a later row: appends land past its prefix,
 a buffer that grows is copied into a new one (old views keep the old),
-and a keyword new to the vocabulary is added to a copy of the word
-list once a view holds it.
+and each view copies the keyword word list it was interned against.
 
 External ids are allocated by the owning
 :class:`~repro.lifecycle.manager.LifecycleIndex` and are strictly
@@ -105,16 +104,15 @@ class _Buffer:
 
     __slots__ = ("data", "size")
 
-    def __init__(self, dtype, width: int | None = None) -> None:
-        self.data = np.empty((16,) if width is None else (16, width),
-                             dtype=dtype)
+    def __init__(self, dtype) -> None:
+        self.data = np.empty(16, dtype=dtype)
         self.size = 0
 
     def _reserve(self, need: int) -> None:
         if need > self.data.shape[0]:
             # A new buffer: views handed out keep the old one.
-            grown = np.empty((max(need, 2 * self.data.shape[0]),)
-                             + self.data.shape[1:], dtype=self.data.dtype)
+            grown = np.empty(max(need, 2 * self.data.shape[0]),
+                             dtype=self.data.dtype)
             grown[: self.size] = self.data[: self.size]
             self.data = grown
 
@@ -136,44 +134,32 @@ class _Buffer:
 
 
 class _KeywordBuffer:
-    """An appendable keyword CSR with its growing vocabulary.
+    """An appendable keyword CSR with its growing vocabulary."""
 
-    Once a view shares the word list and dict, a new word is added to
-    copies of them, so the view's vocabulary stays the one its tokens
-    were interned against.
-    """
-
-    __slots__ = ("words", "vocab", "shared", "offsets", "tokens")
+    __slots__ = ("words", "vocab", "offsets", "tokens")
 
     def __init__(self) -> None:
         self.words: list = []
         self.vocab: dict = {}
-        self.shared = False
         self.offsets = _Buffer(np.int64)
         self.offsets.append(0)
         self.tokens = _Buffer(np.int64)
 
     def append(self, words: list) -> None:
-        vocab = self.vocab
-        if self.shared and any(word not in vocab for word in words):
-            self.words, self.vocab = list(self.words), dict(vocab)
-            self.shared = False
-            vocab = self.vocab
         tokens = []
         for word in words:
-            token = vocab.get(word)
+            token = self.vocab.get(word)
             if token is None:
-                token = vocab[word] = len(self.words)
+                token = self.vocab[word] = len(self.words)
                 self.words.append(word)
             tokens.append(token)
         self.tokens.extend(tokens)
         self.offsets.append(self.tokens.size)
 
     def view(self, n: int) -> KeywordColumn:
-        self.shared = True
-        return KeywordColumn(self.words, self.offsets.view(n + 1),
-                              self.tokens.view(int(self.offsets.data[n])),
-                              vocab=self.vocab)
+        # The view's own word list: later words never reach it.
+        return KeywordColumn(list(self.words), self.offsets.view(n + 1),
+                             self.tokens.view(int(self.offsets.data[n])))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,7 +230,7 @@ class DeltaIndex:
         self.schema = list(schema)
         self.metric = metric
         self._ids = _Buffer(np.int64)
-        self._vectors = _Buffer(np.float32, width=self.dim)
+        self._store = VectorStore(self.dim, metric=metric, capacity=16)
         self._columns = [
             _KeywordBuffer() if kind is ColumnKind.KEYWORDS
             else _Buffer(_DTYPES[kind])
@@ -286,18 +272,10 @@ class DeltaIndex:
                 f"external id {external_id} not ascending (last was "
                 f"{int(self._ids.data[n - 1])})"
             )
-        vector = np.asarray(vector, dtype=np.float32).reshape(-1)
-        if vector.shape[0] != self.dim:
-            raise ValueError(
-                f"vector has dim {vector.shape[0]}, lifecycle has dim "
-                f"{self.dim}"
-            )
-        if not np.isfinite(vector).all():
-            # Would poison the base graph only at the next fold.
-            raise ValueError("vector contains non-finite values (NaN or inf)")
         values = coerce_row(self.schema, row)
+        # Checks the vector's dim and finiteness before it grows.
+        self._store.add(vector)
         self._ids.append(external_id)
-        self._vectors.append(vector)
         for column, value in zip(self._columns, values):
             column.append(value)
         self._view = None
@@ -321,7 +299,7 @@ class DeltaIndex:
         """
         if self._view is None:
             n = len(self)
-            vectors = self._vectors.view(n)
+            vectors = self._store.vectors
             self._view = DeltaView(
                 external_ids=self._ids.view(n),
                 vectors=vectors,

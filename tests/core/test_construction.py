@@ -10,6 +10,11 @@ from repro.core.construction import (
 )
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.heuristics import select_neighbors_heuristic
+from repro.vectors import VectorStore
+
+
+def _computer(vectors: np.ndarray):
+    return VectorStore.from_array(vectors).computer()
 
 
 def _graph_with_level0(adjacency: dict[int, list[int]]) -> LayeredGraph:
@@ -100,8 +105,8 @@ class TestRngBlindPruning:
         )
         candidates = [(1.0, 1), (4.0, 2), (2.25, 3)]
         stats = PruningStats()
-        kept = select_neighbors_heuristic(vectors, candidates, 10,
-                                          stats=stats)
+        kept = select_neighbors_heuristic(_computer(vectors), candidates,
+                                          10, stats=stats)
         assert [nid for _, nid in kept] == [1, 3]
         assert (stats.nodes_pruned, stats.candidates_seen,
                 stats.candidates_dropped) == (1, 3, 1)
@@ -111,7 +116,7 @@ class TestRngBlindPruning:
         vectors = gen.standard_normal((30, 4)).astype(np.float32)
         dists = ((vectors - vectors[0]) ** 2).sum(axis=1)
         candidates = sorted((float(dists[i]), i) for i in range(1, 30))
-        kept = select_neighbors_heuristic(vectors, candidates, 4)
+        kept = select_neighbors_heuristic(_computer(vectors), candidates, 4)
         assert len(kept) <= 4
 
 
