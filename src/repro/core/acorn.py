@@ -242,9 +242,8 @@ class AcornIndex(HnswBase, Searcher):
                 stats=self.pruning_stats,
             )
         return cons.prune_rng_metadata(
-            candidates, computer.base, self._labels, node,
-            self.params.max_degree, metric=self.metric,
-            stats=self.pruning_stats,
+            computer, candidates, self._labels, node,
+            self.params.max_degree, stats=self.pruning_stats,
         )
 
     def _add_reverse_edge(
@@ -345,10 +344,10 @@ class AcornIndex(HnswBase, Searcher):
         compiled = self._compile(predicate)
         if len(self.graph) == 0:
             return SearchResult.empty()
-        entry = self.graph.entry_point if entry_point is None else entry_point
-        if not 0 <= entry < len(self.store):
+        n = len(self.store)
+        if entry_point is not None and not 0 <= entry_point < n:
             raise ValueError(
-                f"entry_point must be a node id in [0, {len(self.store)}), "
+                f"entry_point must be a node id in [0, {n}), "
                 f"got {entry_point!r}"
             )
         computer = self.store.computer()
@@ -357,7 +356,6 @@ class AcornIndex(HnswBase, Searcher):
             query = computer.set_query(query)
             mask = self._effective_mask(compiled.mask)
             if entry_point is None:
-                n = len(self.store)
                 if mask is compiled.mask and mask.shape[0] == n:
                     # The compiled set itself: counted once, and the
                     # predicate's cardinality reads this same array.
@@ -369,10 +367,11 @@ class AcornIndex(HnswBase, Searcher):
                     return SearchResult(
                         ids=ids, distances=dists, visited_nodes=passing.size,
                         distance_computations=passing.size)
+                entry_point = self.graph.entry_point
 
             tstats = TraversalStats()
-            found = self._walk(computer, query, entry, max(ef_search, k),
-                               mask, tstats)
+            found = self._walk(computer, query, entry_point,
+                               max(ef_search, k), mask, tstats)
         finally:
             computer.flush_counts()
         # Seeds may fail the predicate (the fixed entry point need not

@@ -31,7 +31,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.hnsw.graph import LayeredGraph
-from repro.vectors.distance import Metric, _KERNELS, resolve_metric
+from repro.vectors.distance import DistanceComputer, _KERNELS
 
 
 @dataclasses.dataclass
@@ -127,12 +127,11 @@ def prune_predicate_agnostic(
 
 
 def prune_rng_metadata(
+    computer: DistanceComputer,
     candidates: Sequence[tuple[float, int]],
-    vectors: np.ndarray,
     labels: np.ndarray,
     owner: int,
     max_keep: int,
-    metric: "Metric | str" = Metric.L2,
     stats: PruningStats | None = None,
 ) -> list[tuple[float, int]]:
     """FilteredDiskANN-style metadata-aware RNG pruning (Figure 12's (ii)).
@@ -142,11 +141,17 @@ def prune_rng_metadata(
     the pruned triangle survives inside every equality-predicate
     subgraph.  Requires a single low-cardinality label per entity, which
     is exactly the restriction that makes the approach non-agnostic.
+
+    Relay-to-candidate distances are computed over ``computer.base``
+    with the metric's bare kernel and added to the computer's count, as
+    :func:`~repro.hnsw.heuristics.select_neighbors_heuristic` does.
     """
-    kernel = _KERNELS[resolve_metric(metric)]
+    vectors = computer.base
+    kernel = _KERNELS[computer.metric]
     owner_label = labels[owner]
     kept: list[tuple[float, int]] = []
     kept_ids: list[int] = []
+    scored = 0
     for dist_c, cand in candidates:
         if len(kept) >= max_keep:
             break
@@ -160,12 +165,15 @@ def prune_rng_metadata(
                 label_safe = labels[relay_ids] == owner_label
                 if label_safe.any():
                     safe_ids = relay_ids[label_safe]
+                    scored += safe_ids.size
                     dists = kernel(vectors[safe_ids], vectors[cand])
                     prune = bool((dists < dist_c).any())
         if prune:
             continue
         kept.append((dist_c, cand))
         kept_ids.append(cand)
+    if scored:
+        computer.add_count(scored)
     if stats is not None:
         stats.record(seen=len(candidates), kept=len(kept))
     return kept

@@ -28,6 +28,7 @@ from repro.attributes.table import AttributeTable, subset_table
 from repro.core.acorn import AcornIndex, AcornOneIndex
 from repro.core.flat import FlatAcornIndex
 from repro.hnsw.graph import LayeredGraph, csr_rows
+from repro.vectors.distance import smallest_k
 from repro.vectors.store import VectorStore
 
 
@@ -233,12 +234,12 @@ def _repair(new, heirs, orphaned) -> None:
             if not pool:
                 continue
             cands = np.fromiter(pool, dtype=np.intp, count=len(pool))
-            dists = computer.distances_to(base[owner], cands)
             # Ties break on the id, so the set's order never shows.
-            best = np.lexsort((cands, dists))[: len(lost)]
+            dists, picks = smallest_k(
+                computer.distances_to(base[owner], cands), cands, len(lost))
             # The pool holds neither the owner nor its list and the picks
             # are distinct, so no pick can already be in the list.
-            for dist, cand in zip(dists[best].tolist(), cands[best].tolist()):
+            for dist, cand in zip(dists.tolist(), picks.tolist()):
                 new._add_reverse_edge(computer, owner, cand, dist, level,
                                       fresh=True)
     finally:

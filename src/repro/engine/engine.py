@@ -37,23 +37,32 @@ from repro.engine.cache import CacheInfo, PredicateCache
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.telemetry import QueryStats, SearchResult
 
-#: The fields a per-query record copies from a result's telemetry.
-_STATS_FIELDS = QueryStats.__dataclass_fields__.keys()
+#: The fields only a result has, which a per-query record leaves out.
+_RESULT_ONLY = tuple(
+    SearchResult.__dataclass_fields__.keys()
+    - QueryStats.__dataclass_fields__.keys()
+)
 
 
 def _result_stats(
     index: int, result: SearchResult, elapsed: float, cache_hit: bool
 ) -> QueryStats:
     """The result's telemetry plus the three fields the engine owns
-    (shared by every executor path, so counters agree across them)."""
-    values = {
-        name: value for name, value in result.__dict__.items()
-        if name in _STATS_FIELDS
-    }
+    (shared by every executor path, so counters agree across them).
+
+    One copy of the record the searcher built, minus the fields only a
+    result has: a record is sparse (:class:`QueryStats`), so the copy
+    carries exactly the fields the searcher's layers set.
+    """
+    stats = object.__new__(QueryStats)
+    values = stats.__dict__
+    values.update(result.__dict__)
+    for name in _RESULT_ONLY:
+        values.pop(name, None)
     values["query_index"] = index
     values["predicate_cache_hit"] = cache_hit
     values["wall_time_s"] = elapsed
-    return QueryStats(**values)
+    return stats
 
 
 def _run_inline(searcher, batch, compiled, hit_flags, rows, results, stats):
@@ -157,7 +166,9 @@ class QueryBatch:
             queries = queries.reshape(0, queries.shape[-1] if queries.ndim == 2 else 0)
         elif queries.ndim < 2:
             queries = queries.reshape(1, -1)
-        if isinstance(predicates, (Predicate, CompiledPredicate)):
+        # A list is never a predicate: skip the ABC check for it.
+        if type(predicates) is not list and isinstance(
+                predicates, (Predicate, CompiledPredicate)):
             predicates = [predicates] * queries.shape[0]
         else:
             predicates = list(predicates)

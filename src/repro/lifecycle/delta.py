@@ -38,6 +38,7 @@ import numpy as np
 from repro.attributes.table import AttributeTable, ColumnKind, KeywordColumn
 from repro.predicates.base import Predicate
 from repro.vectors import Metric, VectorStore
+from repro.vectors.distance import smallest_k
 
 __all__ = ["DeltaIndex", "DeltaView", "table_schema"]
 
@@ -205,9 +206,8 @@ class DeltaView:
             return _EMPTY_DISTS, _EMPTY_IDS, 0
         computer = self.store.computer()
         dists = computer.distances_to(computer.set_query(query), passing)
-        ids = self.external_ids[passing]
-        order = np.lexsort((ids, dists))[:k]
-        return dists[order], ids[order], int(passing.size)
+        dists, ids = smallest_k(dists, self.external_ids[passing], k)
+        return dists, ids, int(passing.size)
 
 
 class DeltaIndex:

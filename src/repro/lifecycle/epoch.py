@@ -57,6 +57,12 @@ class EpochSnapshot(Searcher):
             node, strictly ascending.
         deltas: frozen delta segments, oldest first.
         tombstones: external ids deleted as of this epoch.
+        previous: the snapshot this one succeeds, if any.  When both
+            hold the same tombstones, every alive mask whose segment is
+            unchanged — the base (same index and id array) and each
+            delta view they share — is carried from it instead of
+            rebuilt, so a publish after an insert costs O(delta), not
+            O(base).
     """
 
     __slots__ = (
@@ -71,6 +77,7 @@ class EpochSnapshot(Searcher):
         base_ids: np.ndarray,
         deltas: tuple[DeltaView, ...],
         tombstones: frozenset[int],
+        previous: "EpochSnapshot | None" = None,
     ) -> None:
         self.epoch = int(epoch)
         self.base = base
@@ -80,9 +87,20 @@ class EpochSnapshot(Searcher):
         self.tombstones = frozenset(tombstones)
         dead = np.fromiter(self.tombstones, dtype=np.int64,
                            count=len(self.tombstones))
-        self._base_alive = alive_mask(self.base_ids, dead)
+        same_dead = (previous is not None
+                     and previous.tombstones == self.tombstones)
+        if (same_dead and previous.base is base
+                and previous.base_ids is self.base_ids):
+            self._base_alive = previous._base_alive
+        else:
+            self._base_alive = alive_mask(self.base_ids, dead)
+        carried = ({id(view): alive for view, alive
+                    in zip(previous.deltas, previous._delta_alive)}
+                   if same_dead else {})
         self._delta_alive = tuple(
-            alive_mask(view.external_ids, dead) for view in self.deltas
+            carried[id(view)] if id(view) in carried
+            else alive_mask(view.external_ids, dead)
+            for view in self.deltas
         )
         self._readers = 0
 

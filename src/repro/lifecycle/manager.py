@@ -353,7 +353,9 @@ class LifecycleIndex(Searcher):
     # Epoch publication
     # ------------------------------------------------------------------
 
-    def _make_snapshot(self, epoch: int) -> EpochSnapshot:
+    def _make_snapshot(
+        self, epoch: int, previous: EpochSnapshot | None = None
+    ) -> EpochSnapshot:
         views = tuple(
             segment.freeze()
             for segment in (*self._sealed, self._delta)
@@ -365,11 +367,12 @@ class LifecycleIndex(Searcher):
             base_ids=self._base_ids,
             deltas=views,
             tombstones=frozenset(self._tombstones),
+            previous=previous,
         )
 
     def _publish_locked(self) -> EpochSnapshot:
         self._epoch += 1
-        snapshot = self._make_snapshot(self._epoch)
+        snapshot = self._make_snapshot(self._epoch, self._published)
         self._published = snapshot
         return snapshot
 

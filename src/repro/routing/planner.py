@@ -4,8 +4,9 @@ The paper routes a query one way.  Its §5.2 rule (rank the passing set
 exactly below ``s_min = 1/γ`` instead of walking it) is the index's own,
 :meth:`~repro.core.acorn.AcornIndex.scans`, applied inside
 ``AcornIndex.search``.  :class:`RoutePlanner` compiles the predicate,
-runs ``index.search`` and stamps the result with that route; the ids,
-distances and counters are the index's, unchanged.
+runs ``index.search`` and stamps that route onto the index's own
+fresh result; the ids, distances and counters are the index's,
+unchanged.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.acorn import AcornIndex
-from repro.core.searcher import Searcher, check_search_args
+from repro.core.searcher import Searcher
 from repro.predicates.base import CompiledPredicate, Predicate
 from repro.telemetry import SearchResult
 
@@ -44,8 +45,7 @@ class RoutePlanner(Searcher):
 
     def freeze(self) -> None:
         """Freeze the index's adjacency snapshot (batch-engine hook)."""
-        if len(self.index):
-            self.index.freeze()
+        self.index.freeze()
 
     def search(
         self,
@@ -57,12 +57,17 @@ class RoutePlanner(Searcher):
         """``index.search``, stamped: ``route_chosen`` is ACORN-γ,
         ``route_reason`` says whether the index scanned or walked, and
         ``est_selectivity`` is the compiled predicate's exact
-        selectivity."""
-        check_search_args(k, ef_search)
+        selectivity.
+
+        The three fields are written onto the record the index just
+        built for this query — nothing else holds it yet — so the
+        planner adds no record of its own, and leaves the refusal of a
+        bad ``k`` / ``ef_search`` to the index.
+        """
         predicate = self._compile(predicate)
         result = self.index.search(query, predicate, k, ef_search=ef_search)
-        values = dict(result.__dict__)
-        values["est_selectivity"] = predicate.selectivity
-        values["route_chosen"] = ROUTE_ACORN_GAMMA
-        values["route_reason"] = REASON_WALKS if result.hops else REASON_SCANS
-        return SearchResult(**values)
+        stamp = result.__dict__
+        stamp["est_selectivity"] = predicate.selectivity
+        stamp["route_chosen"] = ROUTE_ACORN_GAMMA
+        stamp["route_reason"] = REASON_WALKS if result.hops else REASON_SCANS
+        return result

@@ -50,7 +50,7 @@ from repro.shard.partition import (
     subset_table,
 )
 from repro.telemetry import SearchResult, fold_telemetry
-from repro.vectors.distance import Metric
+from repro.vectors.distance import Metric, smallest_k
 
 
 def merge_topk(
@@ -58,19 +58,15 @@ def merge_topk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The global top-k of per-part ``(distances, ids)`` arrays.
 
-    Concatenates every part and keeps the first ``k`` of one
-    ``np.lexsort`` by (distance, id), so parts need not be sorted.
-    Ties break on id, making the merged order deterministic regardless
-    of part order.  Returns ``(distances, ids)`` as float32 and
-    ``intp`` arrays, ascending.
+    Concatenates every part and keeps the ``k`` smallest by (distance,
+    id) (:func:`~repro.vectors.distance.smallest_k`), so parts need not
+    be sorted and ties break on id whatever the part order.  Returns
+    ``(distances, ids)`` as float32 and ``intp`` arrays, ascending.
     """
     if k <= 0 or not parts:
         return np.empty(0, dtype=np.float32), np.empty(0, dtype=np.intp)
-    dists = np.concatenate([d for d, _ in parts])
-    ids = np.concatenate([i for _, i in parts])
-    order = np.lexsort((ids, dists))[:k]
-    return (dists[order].astype(np.float32, copy=False),
-            ids[order].astype(np.intp, copy=False))
+    return smallest_k(np.concatenate([d for d, _ in parts]),
+                      np.concatenate([i for _, i in parts]), k)
 
 
 class ShardDecision(NamedTuple):

@@ -14,6 +14,7 @@ cheaper: ``l2`` returns squared Euclidean distance and ``cosine`` returns
 from __future__ import annotations
 
 import enum
+import math
 import threading
 
 import numpy as np
@@ -59,6 +60,7 @@ except ImportError:  # numpy 1.x
         _c_einsum = np.einsum
 
 _FLOAT32 = np.dtype(np.float32)
+_INTP = np.dtype(np.intp)
 
 
 def _l2_sq(base: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -172,8 +174,8 @@ class DistanceComputer:
     path that owns its computer exclusively can instead switch to
     *deferred* counting (:meth:`defer_counts`): evaluations accumulate
     in a plain local integer and :meth:`flush_counts` settles them into
-    ``count`` and :data:`GLOBAL_TALLY` once per query — two lock
-    acquisitions per query instead of two per graph hop.
+    ``count`` and :data:`GLOBAL_TALLY` once per query — one lock
+    acquisition per query instead of two per graph hop.
 
     For the cosine metric, base-vector norms are computed once at
     construction (or passed in precomputed by
@@ -194,21 +196,36 @@ class DistanceComputer:
         base = np.asarray(base, dtype=np.float32)
         if base.ndim != 2:
             raise ValueError(f"base must be 2-D, got shape {base.shape}")
+        metric = resolve_metric(metric)
+        if metric is not Metric.COSINE:
+            base_norms = None
+        elif base_norms is None:
+            base_norms = np.linalg.norm(base, axis=1)
+        elif base_norms.shape[0] != base.shape[0]:
+            raise ValueError(
+                f"base_norms covers {base_norms.shape[0]} rows, base "
+                f"has {base.shape[0]}"
+            )
+        self._bind(base, metric, base_norms)
+
+    @classmethod
+    def _over(
+        cls, base: np.ndarray, metric: Metric, base_norms: np.ndarray | None
+    ) -> "DistanceComputer":
+        """A computer over a base the caller vouches for: a 2-D float32
+        matrix, a resolved ``metric`` and, for cosine only, the base's
+        norms — what :meth:`~repro.vectors.store.VectorStore.computer`
+        hands over for every search, so none of it is checked again."""
+        computer = cls.__new__(cls)
+        computer._bind(base, metric, base_norms)
+        return computer
+
+    def _bind(self, base, metric: Metric, base_norms) -> None:
         self.base = base
-        self.metric = resolve_metric(metric)
-        self._kernel = _KERNELS[self.metric]
-        self._l2 = self.metric is Metric.L2
-        if self.metric is Metric.COSINE:
-            if base_norms is None:
-                base_norms = np.linalg.norm(base, axis=1)
-            elif base_norms.shape[0] != base.shape[0]:
-                raise ValueError(
-                    f"base_norms covers {base_norms.shape[0]} rows, base "
-                    f"has {base.shape[0]}"
-                )
-            self._base_norms = base_norms
-        else:
-            self._base_norms = None
+        self.metric = metric
+        self._kernel = _KERNELS[metric]
+        self._l2 = metric is Metric.L2
+        self._base_norms = base_norms
         self._count_lock = threading.Lock()
         self._count = 0
         self._deferred = False
@@ -259,9 +276,10 @@ class DistanceComputer:
         """
         pending = self._pending
         if pending:
+            # Deferred counting is single-threaded, so only the shared
+            # tally needs its lock.
             self._pending = 0
-            with self._count_lock:
-                self._count += pending
+            self._count += pending
             GLOBAL_TALLY.add(pending)
         return pending
 
@@ -296,7 +314,11 @@ class DistanceComputer:
                 f"query has shape {query.shape}, base has dim {self.dim}: "
                 f"expected ({self.dim},) or (1, {self.dim})"
             )
-        if not np.isfinite(query).all():
+        # A finite dot product proves every value finite (a NaN or inf
+        # makes it NaN or inf); only a non-finite one, which a huge
+        # finite query can also overflow to, is checked value by value.
+        if not (math.isfinite(query.dot(query))
+                or np.isfinite(query).all()):
             raise ValueError("query contains non-finite values (NaN or inf)")
         return query
 
@@ -357,12 +379,34 @@ class DistanceComputer:
         return self._kernel(self.base, query)
 
 
+def smallest_k(
+    dists: np.ndarray, ids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` smallest ``(distance, id)`` pairs, ascending by distance
+    and then id; returns ``(distances, ids)`` as float32 and ``intp``.
+
+    The one ranking every exact top-k in the library shares: the scan
+    (:func:`exact_top_k`), the shard and epoch merge
+    (:func:`repro.shard.sharded.merge_topk`), a delta segment's
+    ``DeltaView.topk`` and a fold repair's pick.  Ties break on id, so
+    the order of the input never shows; arrays that already have the
+    output dtypes are not converted.
+    """
+    order = np.lexsort((ids, dists))[:k]
+    dists, ids = dists[order], ids[order]
+    if dists.dtype is not _FLOAT32:
+        dists = dists.astype(np.float32)
+    if ids.dtype is not _INTP:
+        ids = ids.astype(np.intp)
+    return dists, ids
+
+
 def exact_top_k(computer, query: np.ndarray, ids: np.ndarray, k: int):
-    """The ``k`` of ``ids`` nearest ``query`` by (distance, id), exactly.
+    """The ``k`` of ``ids`` nearest ``query`` by (distance, id), exactly;
+    returns ``(ids, distances)``.
 
     The one exact ranking shared by ``AcornIndex.search``'s scan and
     :class:`~repro.baselines.prefilter.PreFilterSearcher`.
     """
-    dists = np.asarray(computer.distances_to(query, ids), dtype=np.float32)
-    order = np.lexsort((ids, dists))[:k]
-    return ids[order].astype(np.intp, copy=False), dists[order]
+    dists, ids = smallest_k(computer.distances_to(query, ids), ids, k)
+    return ids, dists

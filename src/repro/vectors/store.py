@@ -111,9 +111,8 @@ class VectorStore:
         The computer snapshots the present size; vectors added later are
         not visible to it.  Indexes create one per build/search session.
         """
-        return DistanceComputer(
-            self._data[: self._size], metric=self.metric,
-            base_norms=self.base_norms(),
+        return DistanceComputer._over(
+            self._data[: self._size], self.metric, self.base_norms()
         )
 
     def nbytes(self) -> int:

@@ -3,18 +3,36 @@
 import numpy as np
 import pytest
 
+from repro.attributes import AttributeTable
+from repro.core import AcornIndex, AcornParams
 from repro.core.construction import (
     PruningStats,
     prune_predicate_agnostic,
     prune_rng_metadata,
 )
+from repro.core.params import PruningStrategy
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.heuristics import select_neighbors_heuristic
-from repro.vectors import VectorStore
+from repro.vectors import Metric, VectorStore, distance
+from repro.vectors.distance import GLOBAL_TALLY
 
 
 def _computer(vectors: np.ndarray):
     return VectorStore.from_array(vectors).computer()
+
+
+def _probe_kernel(monkeypatch, metric: Metric) -> list[int]:
+    """Wrap ``metric``'s bare kernel; returns a one-item list holding the
+    rows it has scored since (computers built later bind the probe)."""
+    kernel = distance._KERNELS[metric]
+    rows = [0]
+
+    def probe(base, query):
+        rows[0] += len(base)
+        return kernel(base, query)
+
+    monkeypatch.setitem(distance._KERNELS, metric, probe)
+    return rows
 
 
 def _graph_with_level0(adjacency: dict[int, list[int]]) -> LayeredGraph:
@@ -131,7 +149,7 @@ class TestRngMetadataPruning:
         labels = np.array([7, 3, 7])
         candidates = [(1.0, 1), (4.0, 2)]
         kept = prune_rng_metadata(
-            candidates, vectors, labels, owner=0, max_keep=10
+            _computer(vectors), candidates, labels, owner=0, max_keep=10
         )
         assert [nid for _, nid in kept] == [1, 2]
 
@@ -142,9 +160,41 @@ class TestRngMetadataPruning:
         labels = np.array([7, 7, 7])
         candidates = [(1.0, 1), (4.0, 2)]
         kept = prune_rng_metadata(
-            candidates, vectors, labels, owner=0, max_keep=10
+            _computer(vectors), candidates, labels, owner=0, max_keep=10
         )
         assert [nid for _, nid in kept] == [1]
+
+    def test_counts_every_relay_distance(self, monkeypatch):
+        """The computer's count equals the rows the metric's kernel was
+        called on: every relay-to-candidate distance is counted."""
+        gen = np.random.default_rng(5)
+        vectors = gen.standard_normal((40, 4)).astype(np.float32)
+        labels = gen.integers(0, 2, size=40)
+        dists = ((vectors - vectors[0]) ** 2).sum(axis=1)
+        candidates = sorted((float(dists[i]), i) for i in range(1, 40))
+        computer = _computer(vectors)
+        rows = _probe_kernel(monkeypatch, computer.metric)
+        prune_rng_metadata(computer, candidates, labels, owner=0, max_keep=20)
+        assert computer.count == rows[0] > 0
+
+    def test_metadata_aware_build_counts_what_it_computes(self, monkeypatch):
+        """An RNG_METADATA build's distance tally equals the rows every
+        kernel call of the build scored: under ``ip`` every distance —
+        the walk's, the reverse edges' and the pruning's — goes through
+        the metric's kernel."""
+        gen = np.random.default_rng(6)
+        n = 160
+        vectors = gen.standard_normal((n, 8)).astype(np.float32)
+        labels = gen.integers(0, 3, size=n)
+        table = AttributeTable(n)
+        table.add_int_column("label", labels)
+        rows = _probe_kernel(monkeypatch, Metric.INNER_PRODUCT)
+        before = GLOBAL_TALLY.total
+        AcornIndex.build(vectors, table, metric="ip", seed=1, labels=labels,
+                         params=AcornParams(
+                             m=4, gamma=3, m_beta=6,
+                             pruning=PruningStrategy.RNG_METADATA))
+        assert GLOBAL_TALLY.total - before == rows[0] > 0
 
 
 class TestPruningStatsThreadSafety:

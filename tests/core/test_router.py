@@ -94,6 +94,29 @@ class TestPlannerIsTheIndex:
             assert got.estimator_error == 0.0
             assert got.fallback_triggered is False
 
+    @pytest.mark.parametrize("regime", ["scan", "walk"])
+    def test_record_is_the_index_record_plus_the_stamp(
+        self, world, families, regime
+    ):
+        """The planner stamps the record the index built for this very
+        query: every other field — answer bytes, counters, anything a
+        deeper layer set — is the index's, and a bare search afterwards
+        carries no stamp."""
+        vectors, table = world
+        index = families["acorn-gamma"]
+        compiled = _predicate(table, regime)
+        got = RoutePlanner(index).search(vectors[1], compiled, 5, ef_search=8)
+        want = index.search(vectors[1], compiled, 5, ef_search=8)
+        stamp = {"est_selectivity", "route_chosen", "route_reason"}
+        assert vars(got).keys() - stamp == vars(want).keys()
+        for name, value in vars(want).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(got, name).tobytes() == value.tobytes(), name
+            else:
+                assert getattr(got, name) == value, name
+        assert (want.route_chosen, want.route_reason) == ("", "")
+        assert want.est_selectivity == 0.0
+
     def test_raw_predicate_compiles_against_the_table(self, world, families):
         vectors, table = world
         index = families["acorn-gamma"]

@@ -40,6 +40,7 @@ from repro import (
     SearchEngine,
     ShardedAcornIndex,
 )
+from repro.baselines.prefilter import PreFilterSearcher
 from repro.predicates.base import CompiledPredicate
 from repro.telemetry import QueryStats, SearchResult, fold_telemetry
 
@@ -196,9 +197,36 @@ def test_engine_stats_equal_result_telemetry(case, vectors):
         result.distance_computations)
 
 
+def _churned_lifecycle(index):
+    """A lifecycle over ``index`` with a delta segment and tombstones."""
+    lc = LifecycleIndex(index)
+    rng = np.random.default_rng(9)
+    for _ in range(12):
+        lc.insert(rng.standard_normal(DIM).astype(np.float32),
+                  {"label": 1, "year": 2005})
+    for external_id in (3, 17, N + 2):
+        assert lc.delete(external_id)
+    return lc
+
+
+#: Every kind of searcher the engine serves (the index, the planner and
+#: the lifecycle over one built index; the others over the same rows).
+SEARCHERS = {
+    "index": lambda index: index,
+    "planner": RoutePlanner,
+    "sharded": lambda _: ShardedAcornIndex.build(
+        VECTORS, TABLE, HashPartitioner(3), build_shard=_index),
+    "lifecycle": _churned_lifecycle,
+    "prefilter": lambda _: PreFilterSearcher(VECTORS, TABLE),
+}
+#: The route fields only the planner stamps.
+ROUTED = {"planner": "acorn-gamma"}
+
+
 # The process executor ships only plain ACORN indexes to its workers.
 @pytest.mark.parametrize("searcher, executor", [
     ("planner", "sync"), ("index", "sync"), ("index", "process"),
+    ("sharded", "sync"), ("lifecycle", "sync"), ("prefilter", "sync"),
 ])
 def test_engine_record_is_result_telemetry_plus_engine_fields(
     searcher, executor
@@ -206,8 +234,7 @@ def test_engine_record_is_result_telemetry_plus_engine_fields(
     """Each ``stats[i]`` is a plain ``QueryStats`` equal to the record
     built field by field: the result's telemetry plus ``query_index``,
     ``predicate_cache_hit`` and ``wall_time_s``."""
-    index = _index(VECTORS, TABLE)
-    target = RoutePlanner(index) if searcher == "planner" else index
+    target = SEARCHERS[searcher](_index(VECTORS, TABLE))
     queries = np.stack([QUERY, VECTORS[5], VECTORS[9], QUERY])
     predicates = [PREDICATE, OneOf("label", (0,)), PREDICATE,
                   OneOf("label", (5,))]
@@ -223,10 +250,12 @@ def test_engine_record_is_result_telemetry_plus_engine_fields(
         want.update(query_index=i, predicate_cache_hit=hits[i],
                     wall_time_s=stats.wall_time_s)
         assert stats.to_dict() == want
+        # Nothing only a result has rides along unseen.
+        assert vars(stats).keys() <= want.keys()
         assert stats.wall_time_s > 0
         assert stats.distance_computations == result.distance_computations > 0
-    assert {s.route_chosen for s in outcome.stats} == (
-        {"acorn-gamma"} if searcher == "planner" else {""})
+    assert {s.route_chosen for s in outcome.stats} == {
+        ROUTED.get(searcher, "")}
 
 
 def test_fold_with_no_children_keeps_defaults():

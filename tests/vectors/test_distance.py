@@ -8,8 +8,10 @@ from repro.vectors.distance import (
     DistanceComputer,
     Metric,
     _c_einsum,
+    exact_top_k,
     pairwise_distances,
     resolve_metric,
+    smallest_k,
 )
 
 
@@ -254,3 +256,49 @@ class TestLeanEntry:
             want = np.einsum("ij,ij->i", x, y)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+class TestSmallestK:
+    """The one k-smallest-by-(distance, id) ranking."""
+
+    def test_orders_by_distance_then_id(self):
+        dists = np.array([0.5, 0.25, 0.5, 0.25, 0.125], dtype=np.float32)
+        ids = np.array([9, 7, 3, 2, 40], dtype=np.intp)
+        got_d, got_i = smallest_k(dists, ids, 4)
+        assert got_i.tolist() == [40, 2, 7, 3]
+        assert got_d.tolist() == [0.125, 0.25, 0.25, 0.5]
+
+    def test_input_order_never_shows(self):
+        gen = np.random.default_rng(4)
+        dists = gen.integers(0, 5, size=60).astype(np.float32)
+        ids = gen.permutation(60).astype(np.intp)
+        want = smallest_k(dists, ids, 12)
+        for _ in range(5):
+            perm = gen.permutation(60)
+            got = smallest_k(dists[perm], ids[perm], 12)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("k", [0, 3, 10])
+    def test_k_past_the_input_keeps_everything(self, k):
+        dists = np.array([3.0, 1.0, 2.0], dtype=np.float32)
+        ids = np.array([0, 1, 2], dtype=np.intp)
+        got_d, got_i = smallest_k(dists, ids, k)
+        assert got_i.tolist() == [1, 2, 0][:k]
+        assert got_d.tolist() == [1.0, 2.0, 3.0][:k]
+
+    def test_other_dtypes_come_back_float32_and_intp(self):
+        got_d, got_i = smallest_k(np.array([2.0, 1.0]),
+                                  np.array([5, 6], dtype=np.int32), 2)
+        assert got_d.dtype == np.float32 and got_i.dtype == np.intp
+        assert got_i.tolist() == [6, 5]
+
+    def test_exact_top_k_ranks_through_it(self, base):
+        computer = DistanceComputer(base)
+        ids = np.arange(0, 50, 3)
+        got_ids, got_d = exact_top_k(computer, base[4], ids, 5)
+        want_d, want_ids = smallest_k(
+            DistanceComputer(base).distances_to(base[4], ids), ids, 5)
+        assert got_ids.tobytes() == want_ids.tobytes()
+        assert got_d.tobytes() == want_d.tobytes()
+        assert computer.count == ids.size

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.vectors.distance import DistanceComputer
 from repro.vectors.store import VectorStore
 
 
@@ -66,6 +67,56 @@ class TestComputer:
         store = VectorStore(2, metric="cosine")
         store.add(np.ones(2))
         assert store.computer().metric.value == "cosine"
+
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    def test_same_distances_and_counts_as_the_checked_constructor(
+        self, metric
+    ):
+        """The store hands its computer a base it already holds checked;
+        the result must be the public constructor's, byte for byte."""
+        gen = np.random.default_rng(11)
+        store = VectorStore(6, metric=metric, capacity=4)
+        for row in gen.standard_normal((37, 6)).astype(np.float32):
+            store.add(row)
+        got = store.computer()
+        want = DistanceComputer(store.vectors, metric)
+        query = got.set_query(gen.standard_normal(6))
+        ids = gen.integers(0, 37, size=20)
+        assert (got.distances_to(query, ids).tobytes()
+                == want.distances_to(query, ids).tobytes())
+        assert (got.distances_to_all(query).tobytes()
+                == want.distances_to_all(query).tobytes())
+        assert got.distance_one(query, 5) == want.distance_one(query, 5)
+        assert got.count == want.count == 20 + 37 + 1
+        for computer in (got, want):
+            computer.defer_counts()
+            computer.distances_to(query, ids)
+        assert got.flush_counts() == want.flush_counts() == 20
+        assert got.count == want.count == 2 * 20 + 37 + 1
+        assert (got.dim, len(got), got.metric) == (
+            want.dim, len(want), want.metric)
+
+    @pytest.mark.parametrize("query", [
+        np.array([0.0, np.nan, 1.0, 0.0]),
+        np.array([np.inf, 0.0, 0.0, 0.0]),
+        np.array([-np.inf, np.inf, 0.0, 0.0]),
+        np.zeros(3),
+        np.zeros((2, 4)),
+        np.zeros((1, 1, 4)),
+    ], ids=["nan", "inf", "both-infs", "short", "two-rows", "3-d"])
+    def test_store_computer_still_refuses_bad_queries(self, query):
+        store = VectorStore.from_array(np.ones((5, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="non-finite|shape"):
+            store.computer().set_query(query)
+
+    def test_huge_finite_query_is_accepted(self):
+        """A query whose squared norm overflows float32 is finite, so
+        it binds."""
+        store = VectorStore.from_array(np.ones((5, 4), dtype=np.float32))
+        query = np.full(4, 3e38, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            bound = store.computer().set_query(query)
+        assert bound.tobytes() == query.tobytes()
 
 
 class TestNbytes:
